@@ -282,29 +282,39 @@ def verify_clifford_relations(system: CliffordSystem,
 
 def _orthonormal_completion(first: np.ndarray,
                             skip_tol: float = PIVOT_SKIP_TOL) -> np.ndarray:
-    """Rows form an orthonormal basis whose first row is `first`.
+    """Orthonormal bases whose first rows are the rows of `first`.
 
-    Candidates are the standard basis vectors in index order; a candidate is
-    skipped when its Gram-Schmidt residual norm falls below skip_tol.  The
-    candidates span the whole space, so the scan cannot run out.
+    `first` is an (N, dim) stack of unit vectors; the result is (N, dim, dim)
+    with out[k] an orthonormal basis (as rows) and out[k, 0] = first[k].
+    Candidates are the standard basis vectors in index order, run through
+    modified Gram-Schmidt against the slots filled so far (empty slots are
+    zero, so subtracting them is exact); a candidate is skipped for a row
+    when its residual norm falls below skip_tol.  The candidates span the
+    whole space, so the scan cannot run out.
     """
-    dim = first.size
-    rows = [first]
+    first = np.asarray(first, dtype=float)
+    count, dim = first.shape
+    out = np.zeros((count, dim, dim))
+    out[:, 0] = first
+    filled = np.ones(count, dtype=int)
+    rows = np.arange(count)
     for j in range(dim):
-        if len(rows) == dim:
+        if np.all(filled == dim):
             break
-        r = np.zeros(dim)
-        r[j] = 1.0
+        r = np.zeros((count, dim))
+        r[:, j] = 1.0
         # Two passes keep the basis orthonormal to machine precision.
         for _ in range(2):
-            for b in rows:
-                r = r - (r @ b) * b
-        nr = float(np.linalg.norm(r))
-        if nr > skip_tol:
-            rows.append(r / nr)
-    if len(rows) != dim:
+            for s in range(int(filled.max())):
+                b = out[:, s]
+                r = r - np.einsum("ij,ij->i", r, b)[:, None] * b
+        nr = np.sqrt(np.einsum("ij,ij->i", r, r))
+        take = (nr > skip_tol) & (filled < dim)
+        out[rows[take], filled[take]] = r[take] / nr[take, None]
+        filled += take
+    if np.any(filled != dim):
         raise RuntimeError("orthonormal completion ran out of candidates")
-    return np.array(rows)
+    return out
 
 
 def rotate_system(system: CliffordSystem, coeffs) -> CliffordSystem:
@@ -321,7 +331,7 @@ def rotate_system(system: CliffordSystem, coeffs) -> CliffordSystem:
             f"coefficient shape {c.shape} != ({system.m + 1},)")
     if abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
         raise ValueError("rotation coefficients must form a unit vector")
-    basis = _orthonormal_completion(c)
+    basis = _orthonormal_completion(c[None])[0]
     new = np.einsum("ab,bij->aij", basis, system.stack)
     return CliffordSystem(m=system.m, l=system.l, matrices=tuple(new))
 

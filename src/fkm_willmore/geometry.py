@@ -35,6 +35,7 @@ __all__ = [
     "ShapeData",
     "build_frame",
     "mean_curvature",
+    "pair_products",
     "ricci_quadratic",
     "ricci_tensor",
     "second_fundamental_norm",
@@ -151,9 +152,11 @@ def mean_curvature(shape: ShapeData) -> np.ndarray:
     return np.einsum("app->a", shape.operators) / n
 
 
-def _tangency_residual(frame: AdaptedFrame, v: np.ndarray) -> float:
-    parts = np.concatenate(([float(v @ frame.x)], frame.normal.T @ v))
-    return float(np.linalg.norm(parts))
+def _tangency_residual(frame: AdaptedFrame, v: np.ndarray):
+    """Norm of the components of v (or of each column of v) along x and the
+    normals P_a x."""
+    parts = np.concatenate(([v.T @ frame.x], (v.T @ frame.normal).T))
+    return np.linalg.norm(parts, axis=0)
 
 
 def sectional_curvature(system: CliffordSystem, frame: AdaptedFrame,
@@ -183,32 +186,46 @@ def sectional_curvature_from_shape(frame: AdaptedFrame, shape: ShapeData,
     return 1.0 + float((ap @ p) @ (aq @ q) - (ap @ q) @ (ap @ q))
 
 
-def _pair_vectors(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
-    """Rows P_a P_b x for a < b."""
+def pair_products(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
+    """P_a P_b x for all a, b as one (m+1, m+1, 2l) array, diagonal included."""
     px = system.stack @ x                          # (m+1, 2l)
-    prods = np.einsum("aij,bj->abi", system.stack, px)
-    idx_a, idx_b = np.triu_indices(system.m + 1, k=1)
-    return prods[idx_a, idx_b]
+    return np.einsum("aij,bj->abi", system.stack, px)
 
 
-def ricci_quadratic(system: CliffordSystem, frame: AdaptedFrame, X) -> float:
+def ricci_quadratic(system: CliffordSystem, frame: AdaptedFrame, X):
     """Ric(X) = 2 (l - m - 2) + 2 sum_{a<b} <X, P_a P_b x>^2 for unit tangent X.
 
-    The closed form needs codimension headroom l >= m + 2; admissible
-    systems always have it, the check is defensive.
+    X is one vector, or a (2l, K) block with one unit tangent per column;
+    a block gives the K values as an array, and the unit and tangency
+    checks run on every column.  The closed form needs codimension headroom
+    l >= m + 2; admissible systems always have it, the check is defensive.
     """
     if system.l < system.m + 2:
         raise ValueError("closed-form Ricci needs l >= m + 2")
     X = np.asarray(X, dtype=float)
-    if abs(float(np.linalg.norm(X)) - 1.0) > _UNIT_TOL:
-        raise ValueError("Ricci quadratic form needs a unit vector")
-    if _tangency_residual(frame, X) > _TANGENCY_TOL:
+    dim = system.ambient_dim
+    if X.ndim not in (1, 2) or X.shape[0] != dim:
         raise ValueError(
-            "Ricci quadratic form needs a tangent vector (residual "
-            f"{_tangency_residual(frame, X):.3e})")
-    pairs = _pair_vectors(system, frame.x)
-    proj = pairs @ X
-    return 2.0 * (system.l - system.m - 2) + 2.0 * float(proj @ proj)
+            f"tangent shape {X.shape} is neither ({dim},) nor ({dim}, K)")
+    cols = X.reshape(X.shape[0], -1)
+    unit_gap = np.abs(np.linalg.norm(cols, axis=0) - 1.0)
+    bad = np.flatnonzero(unit_gap > _UNIT_TOL)
+    if bad.size:
+        raise ValueError(
+            f"Ricci quadratic form needs unit vectors (column {bad[0]} has "
+            f"norm deviation {unit_gap[bad[0]]:.3e})")
+    tangency = _tangency_residual(frame, cols)
+    bad = np.flatnonzero(tangency > _TANGENCY_TOL)
+    if bad.size:
+        raise ValueError(
+            f"Ricci quadratic form needs tangent vectors (column {bad[0]} has "
+            f"residual {tangency[bad[0]]:.3e})")
+    idx_a, idx_b = np.triu_indices(system.m + 1, k=1)
+    pairs = pair_products(system, frame.x)[idx_a, idx_b]
+    proj = pairs @ cols
+    values = 2.0 * (system.l - system.m - 2) + 2.0 * np.sum(proj * proj,
+                                                            axis=0)
+    return float(values[0]) if X.ndim == 1 else values
 
 
 def ricci_tensor(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:

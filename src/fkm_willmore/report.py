@@ -31,7 +31,7 @@ from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
 from .focal import (SPHERE_TOL, VALUE_TOL, deterministic_seed,
                     sample_focal_points, tangent_jacobian_rank)
 from .geometry import build_frame, ricci_quadratic, shape_operators
-from .polynomial import FkmPolynomial, verify_cartan_munzner
+from .polynomial import FkmPolynomial, sphere_samples, verify_cartan_munzner
 from .willmore import certify_point, einstein_probe
 
 __all__ = [
@@ -271,12 +271,11 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                                 abs(float(np.trace(shape.ricci))
                                     - (n * (n - 1) - shape.sff_norm_sq)))
                 rng = default_rng(_subseed(cfg.seed, config_index, 2, pi))
-                for _ in range(_N_CROSSCHECK_DIRS):
-                    z = rng.standard_normal(n)
-                    z /= float(np.linalg.norm(z))
-                    quad = ricci_quadratic(system, frame, frame.tangent @ z)
-                    cross_max = max(cross_max,
-                                    abs(quad - float(z @ shape.ricci @ z)))
+                z = sphere_samples(rng, _N_CROSSCHECK_DIRS, n)
+                quad = ricci_quadratic(system, frame, frame.tangent @ z.T)
+                tensor = np.sum((z @ shape.ricci) * z, axis=1)
+                cross_max = max(cross_max,
+                                float(np.max(np.abs(quad - tensor))))
             s_gap = max(abs(v - s_expected) for v in s_vals)
             s_spread = max(s_vals) - min(s_vals)
             blocks["geometry"] = {

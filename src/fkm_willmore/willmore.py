@@ -22,7 +22,9 @@ T_0 component U of P'_1 P'_2 x, the m > 2 case by the norm bookkeeping
     2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 = |U|^2 + |P'_0 U|^2 + 4 |V|^2.
 
 Everything here works at one focal point with one adapted frame; the report
-module sweeps points and normal directions.
+module sweeps points and normal directions.  certify_point evaluates the
+chain once per point, batched over all of its normals; the per-normal
+functions are the same code on a batch of one.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .clifford import CliffordSystem, rotate_system
+from .clifford import CliffordSystem, _orthonormal_completion
+# The chain rotates no system; the name stays importable here because the
+# benchmark's span tracer (perfbench/spans.py) wraps it in this module.
+from .clifford import rotate_system  # noqa: F401
 from .errors import MultiplicityError, SpectrumError
-from .geometry import (AdaptedFrame, ShapeData, ricci_quadratic,
-                       shape_operators)
+from .geometry import (AdaptedFrame, ShapeData, pair_products,
+                       ricci_quadratic, shape_operators)
+from .polynomial import sphere_samples
 from .records import VerificationRecord
 
 __all__ = [
@@ -137,7 +143,169 @@ class WillmoreCertificate:
 
 
 # ---------------------------------------------------------------------------
-# per-normal building blocks
+# the chain, batched over the normals of one point
+# ---------------------------------------------------------------------------
+#
+# Every helper below takes a stack of N normals (leading axis N) and
+# returns one value per normal; certify_point runs them once per point and
+# the per-normal public functions run them on a batch of one.
+
+def _fold(values) -> float:
+    return float(np.max(values, initial=0.0))
+
+
+def _coefficient_rows(system: CliffordSystem, coeffs) -> np.ndarray:
+    """The normals' coefficient vectors as an (N, m+1) array of unit rows."""
+    m1 = system.m + 1
+    rows = [np.asarray(c, dtype=float) for c in coeffs]
+    c = np.array(rows) if rows else np.zeros((0, m1))
+    if c.ndim != 2 or c.shape[1] != m1:
+        raise ValueError(f"coefficient shape {c.shape} != (N, {m1})")
+    gap = np.abs(np.linalg.norm(c, axis=1) - 1.0)
+    bad = np.flatnonzero(gap > 1e-12)
+    if bad.size:
+        raise ValueError(f"normal {bad[0]}: coefficients must form a unit "
+                         f"vector (norm deviation {gap[bad[0]]:.3e})")
+    return c
+
+
+def _contractions(shape: ShapeData) -> np.ndarray:
+    """sum_ij R_ij h^a_ij for every normal index a (shape-operator route)."""
+    return np.einsum("pq,apq->a", shape.ricci, shape.operators)
+
+
+def _decompose(system: CliffordSystem, frame: AdaptedFrame,
+               shape: ShapeData, coeffs: np.ndarray):
+    """Eigenspaces of every A_xi from one stacked eigh.
+
+    Returns the spectrum deviations (N,) and the ambient bases t0, t1, tm1
+    as (N, 2l, m), (N, 2l, m2), (N, 2l, m2).  Radius and cluster sizes are
+    checked for every normal before the ascending eigenbasis is sliced into
+    its -1, 0, +1 blocks.
+    """
+    m, m2 = system.m, system.m2
+    ops = shape.operators
+    n = ops.shape[1]
+    a_xi = (coeffs @ ops.reshape(m + 1, n * n)).reshape(-1, n, n)
+    vals, vecs = np.linalg.eigh(a_xi)
+    dist = np.minimum(np.abs(vals), np.abs(np.abs(vals) - 1.0))
+    deviation = np.max(dist, axis=1, initial=0.0)
+    bad = np.flatnonzero(deviation > CLUSTER_RADIUS)
+    if bad.size:
+        k = bad[0]
+        raise SpectrumError(
+            f"normal {k}: eigenvalue {vals[k, np.argmax(dist[k])]:.6f} is "
+            "outside every cluster around {0, +1, -1} "
+            f"(radius {CLUSTER_RADIUS:.1e})")
+    expected = (m, m2, m2)
+    counts = np.stack([np.sum(np.abs(vals - target) <= CLUSTER_RADIUS, axis=1)
+                       for target in (0.0, 1.0, -1.0)], axis=1)
+    bad = np.flatnonzero(np.any(counts != expected, axis=1))
+    if bad.size:
+        k = bad[0]
+        raise MultiplicityError(
+            f"normal {k}: principal multiplicities {tuple(counts[k].tolist())}"
+            f" != expected {expected} for (0, +1, -1)")
+    blocks = []
+    for lo, hi in ((m2, m2 + m), (m2 + m, n), (0, m2)):
+        sub = vecs[:, :, lo:hi]
+        if hi > lo:
+            sub = np.linalg.qr(sub)[0]
+        blocks.append(frame.tangent @ sub)
+    return deviation, *blocks
+
+
+def _rotated(system: CliffordSystem, x: np.ndarray, coeffs: np.ndarray):
+    """P'_0, the normals P'_g x and the pair vectors P'_a P'_b x for a < b.
+
+    With B the completion rows (P'_a = sum_c B_ac P_c), bilinearity gives
+    P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x from the unrotated pair
+    products, in two matrix products; no rotated system is built.  Shapes
+    (N, 2l, 2l), (N, m+1, 2l) and (N, m(m+1)/2, 2l), the pairs in
+    np.triu_indices order, so the m pairs (0, b) come first.
+    """
+    m1, dim = system.m + 1, system.ambient_dim
+    basis = _orthonormal_completion(coeffs)
+    p0 = (coeffs @ system.stack.reshape(m1, dim * dim)).reshape(-1, dim, dim)
+    normals = basis @ (system.stack @ x)
+    half = basis @ pair_products(system, x).reshape(m1, m1 * dim)
+    prods = basis[:, None] @ half.reshape(-1, m1, m1, dim)
+    ia, ib = np.triu_indices(m1, k=1)
+    return p0, normals, prods[:, ia, ib]
+
+
+def _reflection(p0: np.ndarray, t1: np.ndarray, tm1: np.ndarray):
+    """max |P'_0 v + v| over T_{+1} and |P'_0 w - w| over T_{-1}."""
+    return np.maximum(np.max(np.abs(p0 @ t1 + t1), axis=(1, 2), initial=0.0),
+                      np.max(np.abs(p0 @ tm1 - tm1), axis=(1, 2),
+                             initial=0.0))
+
+
+def _ricci_balance(system: CliffordSystem, frame: AdaptedFrame,
+                   shape: ShapeData, coeffs: np.ndarray, t1: np.ndarray,
+                   tm1: np.ndarray):
+    """Signed closed-form balance and bridge gap of every normal.
+
+    sum_i Ric(v_i) = 2 (l-m-2) m2 + 2 |pairs . T_{+1}|_F^2 and likewise for
+    T_{-1}, from one ricci_quadratic call over all the eigenvectors; the
+    bridge compares with sum_ij R_ij h^xi_ij = sum_a c_a sum_ij R_ij h^a_ij.
+    """
+    count, dim, m2 = t1.shape
+    block = np.concatenate([t1, tm1], axis=2).transpose(1, 0, 2)
+    ric = ricci_quadratic(system, frame, block.reshape(dim, -1))
+    sums = np.sum(ric.reshape(count, 2, m2), axis=2)
+    signed = sums[:, 0] - sums[:, 1]
+    return signed, np.abs(coeffs @ _contractions(shape) - signed)
+
+
+def _pair_projections(y: np.ndarray, t1: np.ndarray, tm1: np.ndarray):
+    """|proj_{T+1} y|^2 and |proj_{T-1} y|^2 for the pair vectors y, (N, P)."""
+    return np.sum((y @ t1) ** 2, axis=2), np.sum((y @ tm1) ** 2, axis=2)
+
+
+def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
+    """Per normal: worst pair deviation, signed ordered-pair aggregate and
+    the worst leak of the m pairs (0, b)."""
+    diff = p_plus - p_minus
+    pairwise = np.max(np.abs(diff), axis=1, initial=0.0)
+    # The ordered sums of the balance identity double the unordered ones
+    # (P'_b P'_a x = -P'_a P'_b x leaves squared projections unchanged).
+    signed = 2.0 * np.sum(diff, axis=1)
+    leak = np.max(np.maximum(p_plus[:, :m], p_minus[:, :m]), axis=1,
+                  initial=0.0)
+    return pairwise, signed, leak
+
+
+def _case_residuals(system: CliffordSystem, x: np.ndarray, p0, normals,
+                    y, t0, p_plus, p_minus):
+    """Per-normal tangency, orthogonality, bookkeeping and |P'_0 U| maxima.
+
+    |P'_0 U| is only an identity for m = 2 and is reported as 0 otherwise.
+    """
+    tangency = np.maximum(np.max(np.abs(y @ x), axis=1, initial=0.0),
+                          np.max(np.abs(y @ normals.transpose(0, 2, 1)),
+                                 axis=(1, 2), initial=0.0))
+    curved = slice(system.m, None)      # pairs a, b >= 1
+    y = y[:, curved]
+    p0t = p0.transpose(0, 2, 1)
+    orthogonality = np.max(np.abs(np.sum((y @ p0t) * y, axis=2)), axis=1,
+                           initial=0.0)
+    u = (y @ t0) @ t0.transpose(0, 2, 1)
+    p0u = u @ p0t
+    p0u_sq = np.sum(p0u * p0u, axis=2)
+    base = np.sum(u * u, axis=2) + p0u_sq
+    bookkeeping = np.max(
+        np.maximum(np.abs(2.0 - (base + 4.0 * p_minus[:, curved])),
+                   np.abs(2.0 - (base + 4.0 * p_plus[:, curved]))),
+        axis=1, initial=0.0)
+    p0u_max = np.sqrt(np.max(p0u_sq, axis=1, initial=0.0))
+    if system.m != 2:
+        p0u_max = np.zeros_like(p0u_max)
+    return tangency, orthogonality, bookkeeping, p0u_max
+
+
+# ---------------------------------------------------------------------------
+# per-normal entry points (batches of one)
 # ---------------------------------------------------------------------------
 
 def principal_decomposition(system: CliffordSystem, frame: AdaptedFrame,
@@ -154,64 +322,30 @@ def principal_decomposition(system: CliffordSystem, frame: AdaptedFrame,
     c = np.asarray(xi_coeffs, dtype=float)
     if c.shape != (system.m + 1,):
         raise ValueError(f"coefficient shape {c.shape} != ({system.m + 1},)")
-    if abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
-        raise ValueError("normal coefficients must form a unit vector")
+    c = _coefficient_rows(system, [c])
     if shape is None:
         shape = shape_operators(system, frame)
-    a_xi = np.einsum("a,apq->pq", c, shape.operators)
-    vals, vecs = np.linalg.eigh(a_xi)
-    deviation = float(np.max(np.minimum(np.abs(vals),
-                                        np.abs(np.abs(vals) - 1.0))))
-    if deviation > CLUSTER_RADIUS:
-        worst = vals[np.argmax(np.minimum(np.abs(vals),
-                                          np.abs(np.abs(vals) - 1.0)))]
-        raise SpectrumError(
-            f"eigenvalue {worst:.6f} is outside every cluster around "
-            f"{{0, +1, -1}} (radius {CLUSTER_RADIUS:.1e})")
-    blocks = {}
-    for label, target in (("t0", 0.0), ("t1", 1.0), ("tm1", -1.0)):
-        sel = np.abs(vals - target) <= CLUSTER_RADIUS
-        sub = vecs[:, sel]
-        if sub.shape[1]:
-            sub, _ = np.linalg.qr(sub)
-        blocks[label] = frame.tangent @ sub
-    expected = (system.m, system.m2, system.m2)
-    observed = (blocks["t0"].shape[1], blocks["t1"].shape[1],
-                blocks["tm1"].shape[1])
-    if observed != expected:
-        raise MultiplicityError(
-            f"principal multiplicities {observed} != expected {expected} "
-            "for (0, +1, -1)")
-    xi = frame.normal @ c
-    return PrincipalDecomposition(xi_coeffs=c, xi=xi, t0=blocks["t0"],
-                                  t1=blocks["t1"], tm1=blocks["tm1"],
-                                  spectrum_deviation=deviation)
+    deviation, t0, t1, tm1 = _decompose(system, frame, shape, c)
+    return PrincipalDecomposition(xi_coeffs=c[0], xi=frame.normal @ c[0],
+                                  t0=t0[0], t1=t1[0], tm1=tm1[0],
+                                  spectrum_deviation=float(deviation[0]))
 
 
 def reflection_check(system: CliffordSystem, frame: AdaptedFrame,
-                     decomp: PrincipalDecomposition,
-                     rotated: CliffordSystem | None = None) -> float:
+                     decomp: PrincipalDecomposition) -> float:
     """Residual of the eigenspace reflection property.
 
     After rotating so that P'_0 x = xi, the curvature-(+1) space lies in the
     (-1)-eigenspace of P'_0 and vice versa: returns the max over the bases
     of |P'_0 v + v| and |P'_0 w - w|.
     """
-    if rotated is None:
-        rotated = rotate_system(system, decomp.xi_coeffs)
-    p0 = rotated.matrices[0]
-    worst = 0.0
-    if decomp.t1.shape[1]:
-        worst = max(worst, float(np.max(np.abs(p0 @ decomp.t1 + decomp.t1))))
-    if decomp.tm1.shape[1]:
-        worst = max(worst, float(np.max(np.abs(p0 @ decomp.tm1 - decomp.tm1))))
-    return worst
+    p0, _, _ = _rotated(system, frame.x, decomp.xi_coeffs[None])
+    return float(_reflection(p0, decomp.t1[None], decomp.tm1[None])[0])
 
 
 def willmore_residual(shape: ShapeData) -> float:
     """max_a | sum_ij R_ij h^a_ij |, the reduced Willmore criterion."""
-    contractions = np.einsum("pq,apq->a", shape.ricci, shape.operators)
-    return float(np.max(np.abs(contractions)))
+    return float(np.max(np.abs(_contractions(shape))))
 
 
 def ricci_balance(system: CliffordSystem, frame: AdaptedFrame,
@@ -226,27 +360,16 @@ def ricci_balance(system: CliffordSystem, frame: AdaptedFrame,
     """
     if shape is None:
         shape = shape_operators(system, frame)
-    ric_v = sum(ricci_quadratic(system, frame, decomp.t1[:, i])
-                for i in range(decomp.t1.shape[1]))
-    ric_w = sum(ricci_quadratic(system, frame, decomp.tm1[:, i])
-                for i in range(decomp.tm1.shape[1]))
-    signed = float(ric_v - ric_w)
-    a_xi = np.einsum("a,apq->pq", decomp.xi_coeffs, shape.operators)
-    reduced = float(np.einsum("pq,qp->", shape.ricci, a_xi))
-    return RicciBalance(balance=abs(signed), signed_balance=signed,
-                        bridge_gap=abs(reduced - signed))
-
-
-def _ordered_pair_products(rotated: CliffordSystem, x: np.ndarray):
-    """P'_a P'_b x for all a, b (diagonal included, callers slice it away)."""
-    px = rotated.stack @ x
-    return np.einsum("aij,bj->abi", rotated.stack, px)
+    signed, bridge = _ricci_balance(system, frame, shape,
+                                    decomp.xi_coeffs[None], decomp.t1[None],
+                                    decomp.tm1[None])
+    return RicciBalance(balance=abs(float(signed[0])),
+                        signed_balance=float(signed[0]),
+                        bridge_gap=float(bridge[0]))
 
 
 def projection_balance(system: CliffordSystem, frame: AdaptedFrame,
-                       decomp: PrincipalDecomposition,
-                       rotated: CliffordSystem | None = None
-                       ) -> ProjectionBalance:
+                       decomp: PrincipalDecomposition) -> ProjectionBalance:
     """|proj_{T+1} P'_a P'_b x|^2 versus |proj_{T-1} P'_a P'_b x|^2.
 
     pairwise_max is the worst deviation over unordered pairs a < b;
@@ -255,36 +378,20 @@ def projection_balance(system: CliffordSystem, frame: AdaptedFrame,
     sides since P'_0 P'_b x has principal curvature 0; their worst leak is
     reported separately.
     """
-    if rotated is None:
-        rotated = rotate_system(system, decomp.xi_coeffs)
-    prods = _ordered_pair_products(rotated, frame.x)
+    _, _, pairs = _rotated(system, frame.x, decomp.xi_coeffs[None])
+    p_plus, p_minus = _pair_projections(pairs, decomp.t1[None],
+                                        decomp.tm1[None])
+    pairwise, signed, leak = _projection_stats(system.m, p_plus, p_minus)
     m1 = system.m + 1
-    pairwise = 0.0
-    signed_unordered = 0.0
-    t0_leak = 0.0
-    for a in range(m1):
-        for b in range(a + 1, m1):
-            y = prods[a, b]
-            p_plus = float(np.sum((decomp.t1.T @ y) ** 2))
-            p_minus = float(np.sum((decomp.tm1.T @ y) ** 2))
-            dev = abs(p_plus - p_minus)
-            pairwise = max(pairwise, dev)
-            signed_unordered += p_plus - p_minus
-            if a == 0:
-                t0_leak = max(t0_leak, p_plus, p_minus)
-    # The ordered sums of the balance identity double the unordered ones
-    # (P'_b P'_a x = -P'_a P'_b x leaves squared projections unchanged).
-    signed = 2.0 * signed_unordered
-    return ProjectionBalance(pairwise_max=pairwise,
-                             aggregate_gap=abs(signed),
-                             signed_aggregate=signed,
-                             t0_pair_leak_max=t0_leak,
+    return ProjectionBalance(pairwise_max=float(pairwise[0]),
+                             aggregate_gap=abs(float(signed[0])),
+                             signed_aggregate=float(signed[0]),
+                             t0_pair_leak_max=float(leak[0]),
                              n_ordered_pairs=m1 * (m1 - 1))
 
 
 def case_identities(system: CliffordSystem, frame: AdaptedFrame,
                     decomp: PrincipalDecomposition,
-                    rotated: CliffordSystem | None = None,
                     tol: float = 1e-8) -> VerificationRecord:
     """The pair-vector identities behind the balance, in the rotated system.
 
@@ -298,38 +405,14 @@ def case_identities(system: CliffordSystem, frame: AdaptedFrame,
     normal, so it must vanish).  m = 1 has no curved pairs at all: the
     record reports trivially_balanced.
     """
-    if rotated is None:
-        rotated = rotate_system(system, decomp.xi_coeffs)
     x = frame.x
-    prods = _ordered_pair_products(rotated, x)
-    normals = (rotated.stack @ x).T        # columns P'_g x
-    p0 = rotated.matrices[0]
-    m1 = system.m + 1
-    tangency = 0.0
-    orthogonality = 0.0
-    bookkeeping = 0.0
-    p0u = 0.0
-    curved_pairs = 0
-    for a in range(m1):
-        for b in range(a + 1, m1):
-            y = prods[a, b]
-            tangency = max(tangency, abs(float(y @ x)),
-                           float(np.max(np.abs(normals.T @ y))))
-            if a == 0:
-                continue
-            curved_pairs += 1
-            orthogonality = max(orthogonality, abs(float((p0 @ y) @ y)))
-            u = decomp.t0 @ (decomp.t0.T @ y)
-            v = decomp.t1 @ (decomp.t1.T @ y)
-            w = decomp.tm1 @ (decomp.tm1.T @ y)
-            p0u_vec = p0 @ u
-            base = float(u @ u) + float(p0u_vec @ p0u_vec)
-            bookkeeping = max(
-                bookkeeping,
-                abs(2.0 - (base + 4.0 * float(w @ w))),
-                abs(2.0 - (base + 4.0 * float(v @ v))))
-            if system.m == 2:
-                p0u = max(p0u, float(np.linalg.norm(p0u_vec)))
+    p0, normals, pairs = _rotated(system, x, decomp.xi_coeffs[None])
+    t1, tm1 = decomp.t1[None], decomp.tm1[None]
+    residuals = _case_residuals(system, x, p0, normals, pairs,
+                                decomp.t0[None],
+                                *_pair_projections(pairs, t1, tm1))
+    tangency, orthogonality, bookkeeping, p0u = (float(r[0])
+                                                 for r in residuals)
     worst = max(tangency, orthogonality, bookkeeping, p0u)
     return VerificationRecord(
         name=f"case_identities(m={system.m})",
@@ -341,7 +424,7 @@ def case_identities(system: CliffordSystem, frame: AdaptedFrame,
             "orthogonality_max": orthogonality,
             "bookkeeping_max": bookkeeping,
             "p0u_max": p0u if system.m == 2 else None,
-            "curved_pairs": curved_pairs,
+            "curved_pairs": system.m * (system.m - 1) // 2,
             "trivially_balanced": system.m == 1,
         },
     )
@@ -355,38 +438,35 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
                   shape: ShapeData, normal_coeffs,
                   geom_tol: float = 1e-8,
                   willmore_tol: float = 1e-7) -> WillmoreCertificate:
-    """Fold every per-normal check over a fixed list of normal directions.
+    """Every per-normal check over a fixed list of normal directions.
 
-    `normal_coeffs` is an ordered iterable of unit coefficient vectors; the
-    aggregation is a deterministic fold, so identical inputs give identical
-    certificates.
+    `normal_coeffs` is an ordered iterable of unit coefficient vectors.  The
+    whole chain runs once over the stacked normals (one eigh, one set of
+    pair products, one ricci_quadratic call) and each field is the maximum
+    over the normals, so identical inputs give identical certificates and
+    the order of the normals does not matter.
     """
+    coeffs = _coefficient_rows(system, normal_coeffs)
+    x = frame.x
     reduced = willmore_residual(shape)
-    balance_max = bridge_max = chain_max = 0.0
-    proj_pair_max = proj_agg_max = t0_leak_max = 0.0
-    reflection_max = case_max = spectrum_max = 0.0
-    count = 0
-    for c in normal_coeffs:
-        count += 1
-        c = np.asarray(c, dtype=float)
-        rotated = rotate_system(system, c)
-        decomp = principal_decomposition(system, frame, c, shape=shape)
-        spectrum_max = max(spectrum_max, decomp.spectrum_deviation)
-        reflection_max = max(reflection_max,
-                             reflection_check(system, frame, decomp,
-                                              rotated=rotated))
-        bal = ricci_balance(system, frame, decomp, shape=shape)
-        balance_max = max(balance_max, bal.balance)
-        bridge_max = max(bridge_max, bal.bridge_gap)
-        proj = projection_balance(system, frame, decomp, rotated=rotated)
-        proj_pair_max = max(proj_pair_max, proj.pairwise_max)
-        proj_agg_max = max(proj_agg_max, proj.aggregate_gap)
-        t0_leak_max = max(t0_leak_max, proj.t0_pair_leak_max)
-        chain_max = max(chain_max,
-                        abs(bal.signed_balance - proj.signed_aggregate))
-        case = case_identities(system, frame, decomp, rotated=rotated,
-                               tol=geom_tol)
-        case_max = max(case_max, case.max_residual)
+    spectrum, t0, t1, tm1 = _decompose(system, frame, shape, coeffs)
+    p0, normals, pairs = _rotated(system, x, coeffs)
+    reflection = _reflection(p0, t1, tm1)
+    signed_balance, bridge = _ricci_balance(system, frame, shape, coeffs,
+                                            t1, tm1)
+    p_plus, p_minus = _pair_projections(pairs, t1, tm1)
+    pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
+    case = np.maximum.reduce(_case_residuals(system, x, p0, normals, pairs,
+                                             t0, p_plus, p_minus))
+    balance_max = _fold(np.abs(signed_balance))
+    bridge_max = _fold(bridge)
+    chain_max = _fold(np.abs(signed_balance - signed_proj))
+    proj_pair_max = _fold(pairwise)
+    proj_agg_max = _fold(np.abs(signed_proj))
+    t0_leak_max = _fold(leak)
+    reflection_max = _fold(reflection)
+    case_max = _fold(case)
+    spectrum_max = _fold(spectrum)
     geom_worst = max(bridge_max, chain_max, proj_pair_max, proj_agg_max,
                      t0_leak_max, reflection_max, case_max, spectrum_max)
     passed = (reduced < willmore_tol and balance_max < willmore_tol
@@ -403,7 +483,7 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
         case_max=case_max,
         spectrum_deviation_max=spectrum_max,
         t0_pair_leak_max=t0_leak_max,
-        n_normals=count,
+        n_normals=len(coeffs),
         passed=passed,
     )
 
@@ -430,19 +510,11 @@ def einstein_probe(system: CliffordSystem, frame: AdaptedFrame,
     rng = default_rng(int(seed) & ((1 << 64) - 1))
     t = frame.tangent
     n = t.shape[1]
-    values = []
-    for _ in range(n_dirs):
-        z = rng.standard_normal(n)
-        nz = float(np.linalg.norm(z))
-        while nz < 1e-12:
-            z = rng.standard_normal(n)
-            nz = float(np.linalg.norm(z))
-        values.append(ricci_quadratic(system, frame, t @ (z / nz)))
-    vals, vecs = np.linalg.eigh(shape.ricci)
-    for idx in (0, n - 1):
-        values.append(ricci_quadratic(system, frame, t @ vecs[:, idx]))
-    ricci_min = float(min(values))
-    ricci_max = float(max(values))
+    extremal = np.linalg.eigh(shape.ricci)[1][:, [0, n - 1]]
+    dirs = np.hstack([sphere_samples(rng, n_dirs, n).T, extremal])
+    values = ricci_quadratic(system, frame, t @ dirs)
+    ricci_min = float(np.min(values))
+    ricci_max = float(np.max(values))
     spread = ricci_max - ricci_min
     m, l = system.m, system.l
     condition = 4 * l > m * m + 3 * m + 4

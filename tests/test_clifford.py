@@ -12,6 +12,7 @@ from fkm_willmore import (AdmissibilityError, build_clifford_system,
                           build_skew_generators, delta, dump_matrices,
                           parse_matrices, rotate_system,
                           verify_clifford_relations)
+from fkm_willmore.clifford import _orthonormal_completion
 
 from conftest import GRID, corrupt_system
 
@@ -139,6 +140,23 @@ def test_rotation_is_orthogonal_change_of_span():
     rebuilt = np.einsum("ab,bij->aij", b, system.stack)
     assert np.max(np.abs(rebuilt - rotated.stack)) <= 1e-12
     assert np.max(np.abs(b[0] - c)) <= 1e-12
+
+
+def test_completion_batch_equals_rows():
+    # one stacked completion, the pivot-skip rule applied row by row: the
+    # coordinate rows skip different candidates than the random ones
+    rng = default_rng(8)
+    first = np.vstack([np.eye(5), rng.standard_normal((6, 5))])
+    first /= np.linalg.norm(first, axis=1)[:, None]
+    batch = _orthonormal_completion(first)
+    assert batch.shape == (11, 5, 5)
+    for row, basis in zip(first, batch):
+        assert np.array_equal(basis[0], row)
+        assert np.max(np.abs(basis @ basis.T - np.eye(5))) <= 1e-14
+        assert np.max(np.abs(_orthonormal_completion(row[None])[0]
+                             - basis)) <= 1e-15
+    # e_2 first: the candidate e_2 is skipped, the rest keep index order
+    assert np.array_equal(batch[2], np.eye(5)[[2, 0, 1, 3, 4]])
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (5, 1)])

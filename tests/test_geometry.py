@@ -204,3 +204,34 @@ def test_ricci_quadratic_validates_input():
         ricci_quadratic(system, frame, 0.5 * frame.tangent[:, 0])
     with pytest.raises(ValueError):
         ricci_quadratic(system, frame, frame.normal[:, 0])
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
+def test_ricci_quadratic_block_matches_columns(m, k):
+    system, points = _setup(m, k, n_points=1)
+    rng = default_rng(90 + m)
+    for point in points:
+        frame = build_frame(system, point)
+        z = rng.standard_normal((frame.tangent_dim, 7))
+        block = frame.tangent @ (z / np.linalg.norm(z, axis=0))
+        values = ricci_quadratic(system, frame, block)
+        assert values.shape == (7,)
+        for i in range(7):
+            single = ricci_quadratic(system, frame, block[:, i])
+            assert isinstance(single, float)
+            assert abs(values[i] - single) <= 1e-13
+
+
+def test_ricci_quadratic_block_validation_names_the_column():
+    system = build_clifford_system(2, 2)
+    frame = build_frame(system, deterministic_seed(system))
+    block = np.array(frame.tangent[:, :3])
+    block[:, 2] = frame.normal[:, 1]
+    with pytest.raises(ValueError, match="column 2 "):
+        ricci_quadratic(system, frame, block)
+    block = np.array(frame.tangent[:, :3])
+    block[:, 1] *= 0.5
+    with pytest.raises(ValueError, match="column 1 "):
+        ricci_quadratic(system, frame, block)
+    with pytest.raises(ValueError):
+        ricci_quadratic(system, frame, frame.tangent[:3])

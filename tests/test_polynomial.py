@@ -7,6 +7,7 @@ from numpy.random import default_rng
 from fkm_willmore import (AdmissibilityError, CliffordSystem, FkmPolynomial,
                           build_clifford_system, build_skew_generators,
                           deterministic_seed, verify_cartan_munzner)
+from fkm_willmore.polynomial import sphere_samples
 
 from conftest import FD_RTOL, GRID, corrupt_system, fd_directional, fd_gradient, rel_err
 
@@ -155,3 +156,115 @@ def test_polynomial_rejects_inadmissible_system():
     system = CliffordSystem(m=3, l=4, matrices=tuple(mats))
     with pytest.raises(AdmissibilityError):
         FkmPolynomial(system)
+
+
+# ---------------------------------------------------------------------------
+# block evaluation and block-drawn samples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m,k", GRID)
+def test_termwise_laplacian_is_the_hessian_trace(m, k):
+    poly = _poly(m, k)
+    rng = default_rng(100 + m)
+    block = rng.standard_normal((20, poly.ambient_dim))
+    lap = poly.laplacian(block)
+    for x, value in zip(block, lap):
+        want = float(np.trace(poly.hessian_matrix(x)))
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(poly.laplacian(x) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_termwise_laplacian_keeps_the_trace_term():
+    # trace(P_a) = 0 drops out only for a valid system; the corrupted one
+    # must still match its own Hessian trace
+    poly = FkmPolynomial(corrupt_system(2, 2))
+    x = default_rng(101).standard_normal(8)
+    assert abs(poly.laplacian(x) - np.trace(poly.hessian_matrix(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
+def test_sphere_derivatives_block_matches_points(m, k):
+    poly = _poly(m, k)
+    points = sphere_samples(default_rng(102 + m), 9, poly.ambient_dim)
+    block = poly.sphere_derivatives(points)
+    assert block.value.shape == block.laplacian.shape == (9,)
+    assert block.gradient.shape == points.shape
+    for i, x in enumerate(points):
+        one = poly.sphere_derivatives(x)
+        assert isinstance(one.value, float)
+        assert isinstance(one.laplacian, float)
+        assert abs(block.value[i] - one.value) <= 1e-14
+        assert abs(block.laplacian[i] - one.laplacian) <= 1e-12
+        assert np.max(np.abs(block.gradient[i] - one.gradient)) <= 1e-13
+
+
+def test_sphere_derivatives_block_rejects_off_sphere_row():
+    poly = _poly(1, 3)
+    points = sphere_samples(default_rng(103), 4, 6)
+    points[2] *= 1.01
+    with pytest.raises(ValueError, match="row 2"):
+        poly.sphere_derivatives(points)
+
+
+def _sequential_unit_draws(rng, count, dim):
+    # the draw loop the samplers used before block draws
+    out = []
+    for _ in range(count):
+        z = rng.standard_normal(dim)
+        nz = float(np.linalg.norm(z))
+        while nz < 1e-12:
+            z = rng.standard_normal(dim)
+            nz = float(np.linalg.norm(z))
+        out.append(z / nz)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed,count,dim", [(31, 1000, 8), (7, 100, 14),
+                                            (2**63 + 5, 102, 3)])
+def test_sphere_samples_equal_sequential_draws(seed, count, dim):
+    block = sphere_samples(default_rng(seed), count, dim)
+    seq = _sequential_unit_draws(default_rng(seed), count, dim)
+    assert np.max(np.abs(block - seq)) <= 1e-15
+    raw = default_rng(seed).standard_normal((count, dim))
+    again = default_rng(seed)
+    assert np.array_equal(raw, [again.standard_normal(dim)
+                                for _ in range(count)])
+
+
+def test_sphere_samples_redraw_degenerate_rows():
+    class ZeroSecondRow:
+        def __init__(self):
+            self.rng = default_rng(104)
+
+        def standard_normal(self, size):
+            z = self.rng.standard_normal(size)
+            if isinstance(size, tuple):
+                z[1] = 0.0
+            return z
+
+    points = sphere_samples(ZeroSecondRow(), 3, 5)
+    assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-15
+    rng = default_rng(104)
+    first = rng.standard_normal((3, 5))
+    redraw = rng.standard_normal(5)
+    assert np.allclose(points[0], first[0] / np.linalg.norm(first[0]))
+    assert np.allclose(points[1], redraw / np.linalg.norm(redraw))
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (4, 2)])
+def test_cartan_munzner_matches_sequential_evaluation(m, k):
+    poly = _poly(m, k)
+    n = poly.ambient_dim
+    rec = verify_cartan_munzner(poly, n_samples=300, seed=32)
+    worst_grad = worst_lap = 0.0
+    for x in _sequential_unit_draws(default_rng(32), 300, n):
+        grad = poly.euclidean_gradient(x)
+        grad_s = grad - float(grad @ x) * x
+        value = poly.value(x)
+        lap_s = float(np.trace(poly.hessian_matrix(x))) - 4.0 * (n + 2) * value
+        worst_grad = max(worst_grad, abs(float(grad_s @ grad_s)
+                                         - 16.0 * (1.0 - value * value)))
+        worst_lap = max(worst_lap, abs(lap_s - 8.0 * (poly.m2 - poly.m1)
+                                       + 4.0 * (n + 2) * value))
+    assert abs(rec.details["max_gradient_residual"] - worst_grad) <= 1e-12
+    assert abs(rec.details["max_laplacian_residual"] - worst_lap) <= 1e-12

@@ -259,3 +259,31 @@ def test_main_binary_reproducible(tmp_path, monkeypatch, capsys):
     assert main(argv + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_ricci_crosscheck_matches_sequential_draws():
+    # one block draw per point gives the directions of the per-direction
+    # draw loop, so the reported cross-check maximum agrees to rounding
+    from numpy.random import default_rng
+
+    from fkm_willmore import (FocalPoint, build_frame, ricci_quadratic,
+                              shape_operators)
+    from fkm_willmore.report import _N_CROSSCHECK_DIRS, _subseed
+    cfg = tiny_config(configurations=((3, 2),), n_normals=0)
+    system = build_clifford_system(3, 2)
+    entry = evaluate_system(system, cfg, 0)
+    points = entry["blocks"]["points"]["coordinates"]
+    worst = 0.0
+    for pi, x in enumerate(points):
+        frame = build_frame(system, FocalPoint(x=np.array(x),
+                                               residual_constraints=0.0,
+                                               residual_sphere=0.0))
+        ricci = shape_operators(system, frame).ricci
+        rng = default_rng(_subseed(cfg.seed, 0, 2, pi))
+        for _ in range(_N_CROSSCHECK_DIRS):
+            z = rng.standard_normal(frame.tangent_dim)
+            z /= float(np.linalg.norm(z))
+            quad = ricci_quadratic(system, frame, frame.tangent @ z)
+            worst = max(worst, abs(quad - float(z @ ricci @ z)))
+    assert abs(entry["blocks"]["geometry"]["ricci_crosscheck_max"]
+               - worst) <= 1e-12

@@ -9,8 +9,9 @@ from fkm_willmore import (AdaptedFrame, MultiplicityError, ShapeData,
                           case_identities, certify_point, deterministic_seed,
                           einstein_probe, principal_decomposition,
                           projection_balance, reflection_check, ricci_balance,
-                          ricci_tensor, rotate_system, sample_focal_points,
-                          shape_operators, willmore_residual)
+                          ricci_quadratic, ricci_tensor, rotate_system,
+                          sample_focal_points, shape_operators,
+                          willmore_residual)
 
 from conftest import GRID, corrupt_system
 
@@ -254,3 +255,130 @@ def test_fault_injection_detected():
     shape = shape_operators(bad, frame)
     with pytest.raises((SpectrumError, MultiplicityError)):
         principal_decomposition(bad, frame, np.eye(3)[0], shape=shape)
+
+
+# ---------------------------------------------------------------------------
+# the batched chain
+# ---------------------------------------------------------------------------
+
+_CERT_FIELDS = ("residual_reduced", "residual_balance", "residual_projection",
+                "projection_pairwise_max", "projection_aggregate_max",
+                "bridge_max", "chain_gap_max", "reflection_max", "case_max",
+                "spectrum_deviation_max", "t0_pair_leak_max")
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (3, 2), (6, 1)])
+def test_certify_point_batch_equals_fold_of_singles(m, k):
+    # the batch must not mix normals: every field is the max over the
+    # one-normal certificates, and the order of the normals is irrelevant
+    system, frames, shapes = _setup(m, k)
+    rng = default_rng(90 + m)
+    for frame, shape in zip(frames, shapes):
+        coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(12)]
+        batch = certify_point(system, frame, shape, coeffs)
+        singles = [certify_point(system, frame, shape, [c]) for c in coeffs]
+        shuffled = certify_point(system, frame, shape,
+                                 [coeffs[i] for i in
+                                  rng.permutation(len(coeffs))])
+        assert batch.n_normals == shuffled.n_normals == len(coeffs)
+        assert batch.passed and shuffled.passed
+        assert all(s.n_normals == 1 and s.passed for s in singles)
+        for name in _CERT_FIELDS:
+            folded = max(getattr(s, name) for s in singles)
+            assert abs(getattr(batch, name) - folded) <= 1e-14, name
+            assert abs(getattr(shuffled, name) - folded) <= 1e-14, name
+
+
+def test_per_normal_functions_match_the_batch():
+    # the public per-normal functions are the batch code on one normal
+    system, frames, shapes = _setup(4, 2, extra_points=0)
+    frame, shape = frames[0], shapes[0]
+    c = _unit(default_rng(91), 5)
+    dec = principal_decomposition(system, frame, c, shape=shape)
+    bal = ricci_balance(system, frame, dec, shape=shape)
+    proj = projection_balance(system, frame, dec)
+    case = case_identities(system, frame, dec)
+    cert = certify_point(system, frame, shape, [c])
+    assert cert.spectrum_deviation_max == dec.spectrum_deviation
+    assert cert.reflection_max == reflection_check(system, frame, dec)
+    assert cert.residual_balance == bal.balance
+    assert cert.bridge_max == bal.bridge_gap
+    assert cert.projection_pairwise_max == proj.pairwise_max
+    assert cert.projection_aggregate_max == proj.aggregate_gap
+    assert cert.t0_pair_leak_max == proj.t0_pair_leak_max
+    assert cert.chain_gap_max == abs(bal.signed_balance
+                                     - proj.signed_aggregate)
+    assert cert.case_max == case.max_residual
+
+
+def test_certify_point_without_normals():
+    system, frames, shapes = _setup(2, 2, extra_points=0)
+    cert = certify_point(system, frames[0], shapes[0], [])
+    assert cert.n_normals == 0 and cert.passed
+    assert cert.case_max == cert.spectrum_deviation_max == 0.0
+
+
+def _forged_shape(shape, operators):
+    return ShapeData(operators=operators, sff_norm_sq=shape.sff_norm_sq,
+                     trace_free_norm_sq=shape.trace_free_norm_sq,
+                     mean_curvature=shape.mean_curvature, ricci=shape.ricci)
+
+
+def test_batched_spectrum_error_names_the_normal():
+    system, frames, shapes = _setup(1, 3, extra_points=0)
+    bad = _forged_shape(shapes[0], 1.5 * shapes[0].operators)
+    # scaling every operator by 1.5 moves the +-1 eigenvalues of every A_xi
+    # to +-1.5, so the first normal of the batch is reported
+    coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    with pytest.raises(SpectrumError, match="normal 0:"):
+        certify_point(system, frames[0], bad, coeffs)
+    # scaling only A_1 leaves the first two normals intact
+    ops = np.array(shapes[0].operators)
+    ops[1] *= 1.5
+    bad = _forged_shape(shapes[0], ops)
+    coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+              np.array([0.0, 1.0])]
+    with pytest.raises(SpectrumError, match="normal 2:"):
+        certify_point(system, frames[0], bad, coeffs)
+
+
+def test_batched_multiplicity_error_names_the_normal():
+    system, frames, shapes = _setup(1, 3, extra_points=0)
+    n = frames[0].tangent_dim
+    ops = np.array(shapes[0].operators)
+    ops[1] = np.eye(n)                      # every eigenvalue lands at +1
+    bad = _forged_shape(shapes[0], ops)
+    coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    with pytest.raises(MultiplicityError, match="normal 1:"):
+        certify_point(system, frames[0], bad, coeffs)
+
+
+def test_batched_coefficient_validation_names_the_normal():
+    system, frames, shapes = _setup(2, 2, extra_points=0)
+    coeffs = list(np.eye(3)) + [np.array([1.0, 1.0, 0.0])]
+    with pytest.raises(ValueError, match="normal 3:"):
+        certify_point(system, frames[0], shapes[0], coeffs)
+    with pytest.raises(ValueError):
+        certify_point(system, frames[0], shapes[0], [np.ones(2)])
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (3, 2)])
+def test_einstein_probe_matches_sequential_draws(m, k):
+    # the probe's block draw gives the directions the per-direction draw
+    # loop gave, so the extremes agree to rounding
+    system, frames, shapes = _setup(m, k)
+    for seed, (frame, shape) in enumerate(zip(frames, shapes)):
+        probe = einstein_probe(system, frame, 60, seed=seed, shape=shape)
+        rng = default_rng(seed)
+        n = frame.tangent_dim
+        values = []
+        for _ in range(60):
+            z = rng.standard_normal(n)
+            z /= np.linalg.norm(z)
+            values.append(ricci_quadratic(system, frame, frame.tangent @ z))
+        vecs = np.linalg.eigh(shape.ricci)[1]
+        for idx in (0, n - 1):
+            values.append(ricci_quadratic(system, frame,
+                                          frame.tangent @ vecs[:, idx]))
+        assert abs(probe.ricci_min - min(values)) <= 1e-12
+        assert abs(probe.ricci_max - max(values)) <= 1e-12
