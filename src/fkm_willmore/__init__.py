@@ -4,7 +4,8 @@ Pipeline: symmetric Clifford systems (clifford) -> degree-4 isoparametric
 polynomials (polynomial) -> certified points of the focal manifold M+
 (focal) -> extrinsic curvature data (geometry) -> Willmore identities and
 the Ricci-spread probe (willmore) -> reproducible suite reports (report,
-cli).
+cli).  Every verdict is a records.Check: a residual held against its
+tolerance.
 """
 
 from .clifford import (CliffordSystem, SkewGeneratorSet, build_clifford_system,
@@ -17,43 +18,37 @@ from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
 from .focal import (CONSTRAINT_TOL, SPHERE_TOL, VALUE_TOL, FocalPoint,
                     certify, deterministic_seed, project_to_focal,
                     sample_focal_points, tangent_jacobian_rank)
-from .geometry import (AdaptedFrame, ShapeData, build_frame, mean_curvature,
-                       ricci_quadratic, ricci_tensor, second_fundamental_norm,
+from .geometry import (AdaptedFrame, ShapeData, build_frame, ricci_quadratic,
                        sectional_curvature, sectional_curvature_from_shape,
                        shape_operators)
 from .polynomial import (FkmPolynomial, SphericalDerivatives,
                          verify_cartan_munzner)
-from .records import VerificationRecord
+from .records import Check, fold
 from .report import (DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES,
                      TOOL_VERSION, VerificationConfig, VerificationReport,
                      evaluate_system, exit_code, render_text, run_suite,
                      write_matrix_dumps)
-from .willmore import (EinsteinProbe, PrincipalDecomposition,
-                       ProjectionBalance, RicciBalance, WillmoreCertificate,
-                       case_identities, certify_point, einstein_probe,
-                       principal_decomposition, projection_balance,
-                       reflection_check, ricci_balance, willmore_residual)
+from .willmore import (EinsteinProbe, PrincipalDecomposition, certify_point,
+                       einstein_probe, principal_decomposition,
+                       willmore_residual)
 
 __version__ = TOOL_VERSION
 
 __all__ = [
     "AdaptedFrame", "AdmissibilityError", "CONSTRAINT_TOL",
-    "CertificationError", "CliffordSystem", "ConvergenceError",
+    "CertificationError", "Check", "CliffordSystem", "ConvergenceError",
     "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe",
     "FkmPolynomial", "FocalPoint", "FrameError", "MultiplicityError",
-    "PrincipalDecomposition", "ProjectionBalance", "RicciBalance",
-    "SPHERE_TOL", "SamplingError", "ShapeData", "SingularityError",
-    "SkewGeneratorSet", "SpectrumError", "SphericalDerivatives", "VALUE_TOL",
-    "VerificationConfig", "VerificationRecord", "VerificationReport",
-    "WillmoreCertificate", "build_clifford_system", "build_frame",
-    "build_skew_generators", "case_identities", "certify", "certify_point",
-    "delta", "deterministic_seed", "dump_matrices", "einstein_probe",
-    "evaluate_system", "exit_code", "mean_curvature", "parse_matrices",
-    "principal_decomposition", "project_to_focal", "projection_balance",
-    "reflection_check", "render_text", "ricci_balance", "ricci_quadratic",
-    "ricci_tensor", "rotate_system", "run_suite", "sample_focal_points",
-    "second_fundamental_norm", "sectional_curvature",
-    "sectional_curvature_from_shape", "shape_operators",
-    "tangent_jacobian_rank", "verify_cartan_munzner",
+    "PrincipalDecomposition", "SPHERE_TOL", "SamplingError", "ShapeData",
+    "SingularityError", "SkewGeneratorSet", "SpectrumError",
+    "SphericalDerivatives", "VALUE_TOL", "VerificationConfig",
+    "VerificationReport", "build_clifford_system", "build_frame",
+    "build_skew_generators", "certify", "certify_point", "delta",
+    "deterministic_seed", "dump_matrices", "einstein_probe",
+    "evaluate_system", "exit_code", "fold", "parse_matrices",
+    "principal_decomposition", "project_to_focal", "render_text",
+    "ricci_quadratic", "rotate_system", "run_suite", "sample_focal_points",
+    "sectional_curvature", "sectional_curvature_from_shape",
+    "shape_operators", "tangent_jacobian_rank", "verify_cartan_munzner",
     "verify_clifford_relations", "willmore_residual", "write_matrix_dumps",
 ]

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityError
-from .records import VerificationRecord
+from .records import Check, fold
 
 __all__ = [
     "CliffordSystem",
@@ -251,33 +251,24 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
 
 
 def verify_clifford_relations(system: CliffordSystem,
-                              tol: float = 0.0) -> VerificationRecord:
+                              tol: float = 0.0) -> Check:
     """Check symmetry, anticommutation/involution and tracelessness.
 
-    Freshly built systems have entries in {-1, 0, +1}; their products are
-    exact in double precision, so they must pass at tol=0.  Rotated systems
-    carry float entries and are expected to pass at tol=1e-12.
+    Returns the `max_deviation` check, the worst absolute residual of all
+    three.  Freshly built systems have entries in {-1, 0, +1}; their
+    products are exact in double precision, so they must pass at tol=0.
+    Rotated systems carry float entries and are expected to pass at
+    tol=1e-12.
     """
-    mats = system.matrices
-    n = system.ambient_dim
-    sym = max(float(np.max(np.abs(P - P.T))) for P in mats)
-    rel = 0.0
-    for a, Pa in enumerate(mats):
-        for b in range(a, len(mats)):
-            Pb = mats[b]
-            anti = Pa @ Pb + Pb @ Pa
-            if a == b:
-                anti = anti - 2.0 * np.eye(n)
-            rel = max(rel, float(np.max(np.abs(anti))))
-    tr = max(float(abs(np.trace(P))) for P in mats)
-    worst = max(sym, rel, tr)
-    return VerificationRecord(
-        name=f"clifford_relations(m={system.m}, l={system.l})",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        details={"symmetry": sym, "relations": rel, "trace": tr},
-    )
+    stack = system.stack
+    prods = stack[:, None] @ stack[None]             # P_a P_b for all a, b
+    anti = (prods + prods.swapaxes(0, 1)
+            - 2.0 * np.eye(system.m + 1)[:, :, None, None]
+            * np.eye(system.ambient_dim))
+    residuals = (stack - stack.transpose(0, 2, 1), anti,
+                 np.trace(stack, axis1=1, axis2=2))
+    return Check("max_deviation", fold([fold(np.abs(r)) for r in residuals]),
+                 tol)
 
 
 def _orthonormal_completion(first: np.ndarray,

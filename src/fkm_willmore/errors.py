@@ -3,7 +3,7 @@
 Everything here signals a *detected* problem: either the requested
 configuration is impossible, or a numerical routine left its guaranteed
 regime.  Identity checks that merely come out false never raise; they are
-reported through records and the report module.
+returned as failing records.Check values and reported by the report module.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from numpy.random import SeedSequence, default_rng
 from .clifford import CliffordSystem
 from .errors import (CertificationError, ConvergenceError, SamplingError,
                      SingularityError)
+from .records import Check, fold
 
 __all__ = [
     "CONSTRAINT_TOL",
@@ -77,15 +78,19 @@ def certify(system: CliffordSystem, x: np.ndarray,
             iterations: int = 0) -> FocalPoint:
     """Wrap x as a FocalPoint or raise CertificationError.
 
-    Checks max |g_a| <= 1e-10, | |x|^2 - 1 | <= 1e-12 and |F(x) - 1| <= 1e-9.
+    Checks max |g_a| <= 1e-10, | |x|^2 - 1 | <= 1e-12 and |F(x) - 1| <= 1e-9,
+    under the keys of the report's points block.
     """
     x = np.asarray(x, dtype=float)
     g, sphere = _constraints(system, x)
-    res_c = float(np.max(np.abs(g))) if g.size else 0.0
+    res_c = fold(np.abs(g))
     res_s = abs(sphere)
     xx = float(x @ x)
     value_gap = abs(xx * xx - 2.0 * float(g @ g) - 1.0)
-    if res_c > CONSTRAINT_TOL or res_s > SPHERE_TOL or value_gap > VALUE_TOL:
+    checks = (Check("max_constraint_residual", res_c, CONSTRAINT_TOL),
+              Check("max_sphere_residual", res_s, SPHERE_TOL),
+              Check("max_value_gap", value_gap, VALUE_TOL))
+    if not all(c.passed for c in checks):
         raise CertificationError(
             f"point failed certification: constraints {res_c:.3e} "
             f"(tol {CONSTRAINT_TOL:.1e}), sphere {res_s:.3e} "

@@ -34,11 +34,8 @@ __all__ = [
     "FRAME_GRAM_TOL",
     "ShapeData",
     "build_frame",
-    "mean_curvature",
     "pair_products",
     "ricci_quadratic",
-    "ricci_tensor",
-    "second_fundamental_norm",
     "sectional_curvature",
     "sectional_curvature_from_shape",
     "shape_operators",
@@ -141,17 +138,6 @@ def shape_operators(system: CliffordSystem, frame: AdaptedFrame) -> ShapeData:
                      mean_curvature=h_vec, ricci=ricci)
 
 
-def second_fundamental_norm(shape: ShapeData) -> float:
-    """S = sum over a, i, j of (h^a_{ij})^2."""
-    return float(np.sum(shape.operators * shape.operators))
-
-
-def mean_curvature(shape: ShapeData) -> np.ndarray:
-    """Mean curvature vector components H^a = tr(A_a) / n."""
-    n = shape.operators.shape[1]
-    return np.einsum("app->a", shape.operators) / n
-
-
 def _tangency_residual(frame: AdaptedFrame, v: np.ndarray):
     """Norm of the components of v (or of each column of v) along x and the
     normals P_a x."""
@@ -226,8 +212,3 @@ def ricci_quadratic(system: CliffordSystem, frame: AdaptedFrame, X):
     values = 2.0 * (system.l - system.m - 2) + 2.0 * np.sum(proj * proj,
                                                             axis=0)
     return float(values[0]) if X.ndim == 1 else values
-
-
-def ricci_tensor(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
-    """Ricci tensor in the frame's tangent basis, via the shape operators."""
-    return shape_operators(system, frame).ricci

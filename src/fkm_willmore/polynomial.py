@@ -23,7 +23,7 @@ from numpy.random import default_rng
 
 from .clifford import CliffordSystem
 from .errors import AdmissibilityError
-from .records import VerificationRecord
+from .records import Check, fold
 
 __all__ = [
     "FkmPolynomial",
@@ -200,36 +200,27 @@ def sphere_samples(rng, count: int, dim: int) -> np.ndarray:
 
 
 def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed: int,
-                          tol: float = 1e-8) -> VerificationRecord:
+                          tol: float = 1e-8) -> tuple:
     """Residuals of the two isoparametric PDEs at random unit points.
 
-    Gradient residual: | |grad_S f|^2 - 16 (1 - f^2) |.
-    Laplacian residual: | lap_S f - 8 (m2 - m1) + 4 (2l + 2) f |.
+    Returns the `max_gradient_residual` and `max_laplacian_residual`
+    checks, the worst over the samples of
+      | |grad_S f|^2 - 16 (1 - f^2) |  and
+      | lap_S f - 8 (m2 - m1) + 4 (2l + 2) f |.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     points = sphere_samples(default_rng(seed), n_samples, poly.ambient_dim)
     const = 8.0 * (poly.m2 - poly.m1)
     slope = 4.0 * (poly.ambient_dim + 2.0)
-    worst_grad = 0.0
-    worst_lap = 0.0
+    worst_grad = []
+    worst_lap = []
     for start in range(0, n_samples, _SAMPLE_BLOCK):
         d = poly.sphere_derivatives(points[start:start + _SAMPLE_BLOCK])
         r_grad = np.abs(np.sum(d.gradient * d.gradient, axis=1)
                         - 16.0 * (1.0 - d.value * d.value))
         r_lap = np.abs(d.laplacian - const + slope * d.value)
-        worst_grad = max(worst_grad, float(np.max(r_grad)))
-        worst_lap = max(worst_lap, float(np.max(r_lap)))
-    worst = max(worst_grad, worst_lap)
-    return VerificationRecord(
-        name=f"cartan_munzner(m={poly.m1}, l={poly.system.l})",
-        passed=worst < tol,
-        max_residual=worst,
-        tolerance=tol,
-        details={
-            "n_samples": n_samples,
-            "seed": seed,
-            "max_gradient_residual": worst_grad,
-            "max_laplacian_residual": worst_lap,
-        },
-    )
+        worst_grad.append(fold(r_grad))
+        worst_lap.append(fold(r_lap))
+    return (Check("max_gradient_residual", fold(worst_grad), tol),
+            Check("max_laplacian_residual", fold(worst_lap), tol))

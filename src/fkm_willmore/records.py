@@ -1,28 +1,37 @@
-"""Small result record shared by the verification routines."""
+"""The one result record of the verifier and the fold that aggregates it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["VerificationRecord"]
+import numpy as np
+
+__all__ = ["Check", "fold"]
+
+
+def fold(values) -> float:
+    """The worst of `values`: their maximum, NaN if any of them is NaN,
+    0.0 for none."""
+    return float(np.max(values, initial=0.0))
 
 
 @dataclass(frozen=True)
-class VerificationRecord:
-    """Outcome of one numerical check.
+class Check:
+    """One residual held against its tolerance.
 
-    `max_residual` is the worst deviation observed, `tolerance` the bound it
-    was held against.  `details` carries named sub-residuals and bookkeeping
-    values for the report.
+    `name` is the key the residual is reported under.  The check passes
+    when residual <= tol, so a NaN residual never passes.
     """
 
     name: str
-    passed: bool
-    max_residual: float
-    tolerance: float
-    details: dict = field(default_factory=dict)
+    residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tol)
 
     def __repr__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (f"[{status}] {self.name}: max residual {self.max_residual:.3e} "
-                f"(tol {self.tolerance:.1e})")
+        return (f"[{status}] {self.name}: residual {self.residual:.3e} "
+                f"(tol {self.tol:.1e})")

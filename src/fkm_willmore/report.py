@@ -32,6 +32,7 @@ from .focal import (SPHERE_TOL, VALUE_TOL, deterministic_seed,
                     sample_focal_points, tangent_jacobian_rank)
 from .geometry import build_frame, ricci_quadratic, shape_operators
 from .polynomial import FkmPolynomial, sphere_samples, verify_cartan_munzner
+from .records import Check, fold
 from .willmore import certify_point, einstein_probe
 
 __all__ = [
@@ -184,6 +185,22 @@ def _jsonable(obj):
 # per-configuration evaluation
 # ---------------------------------------------------------------------------
 
+def _block(*fields, ok: bool = True) -> dict:
+    """A report block from its fields in key order, then its verdict.
+
+    Each field is a dict of information, copied as is, or a Check, written
+    as its residual under its name.  The block passes when every check
+    passes and `ok` holds; only points (the Jacobian ranks) and einstein
+    (the evidence gate) have such a condition besides their checks.
+    """
+    block = {}
+    for f in fields:
+        block.update({f.name: f.residual} if isinstance(f, Check) else f)
+    block["pass"] = ok and all(f.passed for f in fields
+                               if isinstance(f, Check))
+    return block
+
+
 def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                     config_index: int) -> dict:
     """Run every check block for one admissible system.
@@ -205,20 +222,14 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     }
     blocks = {}
 
-    rec = verify_clifford_relations(system)
-    blocks["clifford"] = {"max_deviation": rec.max_residual,
-                          "pass": rec.passed}
+    blocks["clifford"] = _block(verify_clifford_relations(system))
 
     poly = FkmPolynomial(system)
-    rec = verify_cartan_munzner(poly, n_samples=cfg.n_pde_samples,
-                                seed=_subseed(cfg.seed, config_index, 0),
-                                tol=tol["pde"])
-    blocks["cartan_munzner"] = {
-        "n_samples": cfg.n_pde_samples,
-        "max_gradient_residual": rec.details["max_gradient_residual"],
-        "max_laplacian_residual": rec.details["max_laplacian_residual"],
-        "pass": rec.passed,
-    }
+    blocks["cartan_munzner"] = _block(
+        {"n_samples": cfg.n_pde_samples},
+        *verify_cartan_munzner(poly, n_samples=cfg.n_pde_samples,
+                               seed=_subseed(cfg.seed, config_index, 0),
+                               tol=tol["pde"]))
 
     points = None
     try:
@@ -235,62 +246,53 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     if points is not None:
         rank_expected = m + 2
         ranks = sorted({tangent_jacobian_rank(system, p) for p in points})
-        max_c = max(p.residual_constraints for p in points)
-        max_s = max(p.residual_sphere for p in points)
-        max_v = max(abs(poly.value(p.x) - 1.0) for p in points)
-        blocks["points"] = {
-            "count": len(points),
-            "max_constraint_residual": max_c,
-            "max_sphere_residual": max_s,
-            "max_value_gap": max_v,
-            "jacobian_ranks": ranks,
-            "rank_expected": rank_expected,
-            "coordinates": [p.x for p in points],
-            "pass": (max_c <= tol["cert"] and max_s <= SPHERE_TOL
-                     and max_v <= VALUE_TOL and ranks == [rank_expected]),
-        }
+        blocks["points"] = _block(
+            {"count": len(points)},
+            Check("max_constraint_residual",
+                  fold([p.residual_constraints for p in points]),
+                  tol["cert"]),
+            Check("max_sphere_residual",
+                  fold([p.residual_sphere for p in points]), SPHERE_TOL),
+            Check("max_value_gap",
+                  fold([abs(poly.value(p.x) - 1.0) for p in points]),
+                  VALUE_TOL),
+            {"jacobian_ranks": ranks,
+             "rank_expected": rank_expected,
+             "coordinates": [p.x for p in points]},
+            ok=ranks == [rank_expected])
 
     frames = []
     shapes = []
     if points is not None:
         try:
             s_expected = 2.0 * (l - m - 1) * (m + 1)
-            s_vals = []
-            rho_gap = h_max = cross_max = trace_gap = 0.0
+            s_vals, rho_gaps, h_vals, cross, trace_gaps = [], [], [], [], []
             for pi, p in enumerate(points):
                 frame = build_frame(system, p)
                 shape = shape_operators(system, frame)
                 frames.append(frame)
                 shapes.append(shape)
                 s_vals.append(shape.sff_norm_sq)
-                rho_gap = max(rho_gap, abs(shape.trace_free_norm_sq
-                                           - shape.sff_norm_sq))
-                h_max = max(h_max,
-                            float(np.max(np.abs(shape.mean_curvature))))
-                trace_gap = max(trace_gap,
-                                abs(float(np.trace(shape.ricci))
-                                    - (n * (n - 1) - shape.sff_norm_sq)))
+                rho_gaps.append(abs(shape.trace_free_norm_sq
+                                    - shape.sff_norm_sq))
+                h_vals.append(fold(np.abs(shape.mean_curvature)))
+                trace_gaps.append(abs(float(np.trace(shape.ricci))
+                                      - (n * (n - 1) - shape.sff_norm_sq)))
                 rng = default_rng(_subseed(cfg.seed, config_index, 2, pi))
                 z = sphere_samples(rng, _N_CROSSCHECK_DIRS, n)
                 quad = ricci_quadratic(system, frame, frame.tangent @ z.T)
                 tensor = np.sum((z @ shape.ricci) * z, axis=1)
-                cross_max = max(cross_max,
-                                float(np.max(np.abs(quad - tensor))))
-            s_gap = max(abs(v - s_expected) for v in s_vals)
-            s_spread = max(s_vals) - min(s_vals)
-            blocks["geometry"] = {
-                "S_expected": s_expected,
-                "S_max_gap": s_gap,
-                "S_spread": s_spread,
-                "rho2_vs_S_max_gap": rho_gap,
-                "H_max": h_max,
-                "ricci_crosscheck_max": cross_max,
-                "ricci_trace_max_gap": trace_gap,
-                "pass": (s_gap <= tol["geom"] and s_spread <= tol["geom"]
-                         and rho_gap <= tol["geom"] and h_max <= tol["cert"]
-                         and cross_max <= tol["geom"]
-                         and trace_gap <= tol["geom"]),
-            }
+                cross.append(fold(np.abs(quad - tensor)))
+            blocks["geometry"] = _block(
+                {"S_expected": s_expected},
+                Check("S_max_gap",
+                      fold([abs(v - s_expected) for v in s_vals]),
+                      tol["geom"]),
+                Check("S_spread", float(np.ptp(s_vals)), tol["geom"]),
+                Check("rho2_vs_S_max_gap", fold(rho_gaps), tol["geom"]),
+                Check("H_max", fold(h_vals), tol["cert"]),
+                Check("ricci_crosscheck_max", fold(cross), tol["geom"]),
+                Check("ricci_trace_max_gap", fold(trace_gaps), tol["geom"]))
         except FrameError as exc:
             frames = []
             shapes = []
@@ -298,7 +300,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
 
     if frames:
         try:
-            certs = []
+            rows = []
             for pi, (frame, shape) in enumerate(zip(frames, shapes)):
                 coeffs = list(np.eye(m + 1))
                 rng = default_rng(_subseed(cfg.seed, config_index, 3, pi))
@@ -306,44 +308,26 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                     c = rng.standard_normal(m + 1)
                     c /= float(np.linalg.norm(c))
                     coeffs.append(c)
-                certs.append(certify_point(system, frame, shape, coeffs,
-                                           geom_tol=tol["geom"],
-                                           willmore_tol=tol["willmore"]))
+                rows.append(certify_point(system, frame, shape, coeffs,
+                                          geom_tol=tol["geom"],
+                                          willmore_tol=tol["willmore"]))
         except (SpectrumError, MultiplicityError) as exc:
             blocks["lemma"] = {"error": str(exc), "pass": False}
         else:
-            spectrum_max = max(c.spectrum_deviation_max for c in certs)
-            blocks["lemma"] = {
-                "n_normals_per_point": m + 1 + cfg.n_normals,
-                "max_spectrum_deviation": spectrum_max,
-                "multiplicities": [m, system.m2, system.m2],
-                "pass": spectrum_max <= tol["geom"],
-            }
-            reduced = [c.residual_reduced for c in certs]
-            willmore = {
-                "residual_max": max(reduced),
-                "residual_median": float(np.median(reduced)),
-                "balance_max": max(c.residual_balance for c in certs),
-                "bridge_max": max(c.bridge_max for c in certs),
-                "chain_max": max(c.chain_gap_max for c in certs),
-                "projection_pairwise_max":
-                    max(c.projection_pairwise_max for c in certs),
-                "projection_aggregate_max":
-                    max(c.projection_aggregate_max for c in certs),
-                "t0_pair_leak_max": max(c.t0_pair_leak_max for c in certs),
-                "reflection_max": max(c.reflection_max for c in certs),
-                "case_identity_max": max(c.case_max for c in certs),
-            }
-            willmore["pass"] = (
-                willmore["residual_max"] < tol["willmore"]
-                and willmore["balance_max"] < tol["willmore"]
-                and max(willmore["bridge_max"], willmore["chain_max"],
-                        willmore["projection_pairwise_max"],
-                        willmore["projection_aggregate_max"],
-                        willmore["t0_pair_leak_max"],
-                        willmore["reflection_max"],
-                        willmore["case_identity_max"]) <= tol["geom"])
-            blocks["willmore"] = willmore
+            # one column per check name, one row per point
+            columns = {col[0].name: col for col in zip(*rows)}
+            worst = {name: Check(name, fold([c.residual for c in col]),
+                                 col[0].tol)
+                     for name, col in columns.items()}
+            blocks["lemma"] = _block(
+                {"n_normals_per_point": m + 1 + cfg.n_normals},
+                worst.pop("max_spectrum_deviation"),
+                {"multiplicities": [m, system.m2, system.m2]})
+            reduced = [c.residual for c in columns["residual_max"]]
+            blocks["willmore"] = _block(
+                worst.pop("residual_max"),
+                {"residual_median": float(np.median(reduced))},
+                *worst.values())
 
             probes = [einstein_probe(system, frame, _N_EINSTEIN_DIRS,
                                      _subseed(cfg.seed, config_index, 4, pi),
@@ -357,16 +341,15 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             else:
                 spread_ok = None
                 einstein_pass = True
-            blocks["einstein"] = {
-                "ricci_min": min(p.ricci_min for p in probes),
-                "ricci_max": max(p.ricci_max for p in probes),
-                "spread": max(p.spread for p in probes),
-                "dimension_condition": probes[0].dimension_condition,
-                "dim_inequality": probes[0].dim_inequality,
-                "spread_exceeds_threshold": spread_ok,
-                "status": status,
-                "pass": einstein_pass,
-            }
+            blocks["einstein"] = _block(
+                {"ricci_min": min(p.ricci_min for p in probes),
+                 "ricci_max": max(p.ricci_max for p in probes),
+                 "spread": max(p.spread for p in probes),
+                 "dimension_condition": probes[0].dimension_condition,
+                 "dim_inequality": probes[0].dim_inequality,
+                 "spread_exceeds_threshold": spread_ok,
+                 "status": status},
+                ok=einstein_pass)
 
     entry["blocks"] = blocks
     entry["pass"] = bool(blocks) and all(b.get("pass", False)

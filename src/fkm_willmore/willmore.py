@@ -23,8 +23,9 @@ T_0 component U of P'_1 P'_2 x, the m > 2 case by the norm bookkeeping
 
 Everything here works at one focal point with one adapted frame; the report
 module sweeps points and normal directions.  certify_point evaluates the
-chain once per point, batched over all of its normals; the per-normal
-functions are the same code on a batch of one.
+chain once per point, batched over all of its normals, and returns one
+Check per identity; principal_decomposition is the same code on a batch of
+one.
 """
 
 from __future__ import annotations
@@ -35,29 +36,19 @@ import numpy as np
 from numpy.random import default_rng
 
 from .clifford import CliffordSystem, _orthonormal_completion
-# The chain rotates no system; the name stays importable here because the
-# benchmark's span tracer (perfbench/spans.py) wraps it in this module.
-from .clifford import rotate_system  # noqa: F401
 from .errors import MultiplicityError, SpectrumError
 from .geometry import (AdaptedFrame, ShapeData, pair_products,
                        ricci_quadratic, shape_operators)
 from .polynomial import sphere_samples
-from .records import VerificationRecord
+from .records import Check, fold
 
 __all__ = [
     "CLUSTER_RADIUS",
     "EinsteinProbe",
     "PrincipalDecomposition",
-    "ProjectionBalance",
-    "RicciBalance",
-    "WillmoreCertificate",
-    "case_identities",
     "certify_point",
     "einstein_probe",
     "principal_decomposition",
-    "projection_balance",
-    "reflection_check",
-    "ricci_balance",
     "willmore_residual",
 ]
 
@@ -91,26 +82,6 @@ class PrincipalDecomposition:
 
 
 @dataclass(frozen=True)
-class RicciBalance:
-    """|sum Ric(v) - sum Ric(w)| plus the bridge identity residual."""
-
-    balance: float
-    signed_balance: float
-    bridge_gap: float
-
-
-@dataclass(frozen=True)
-class ProjectionBalance:
-    """Pair-vector projection balance onto T_{+1} versus T_{-1}."""
-
-    pairwise_max: float
-    aggregate_gap: float
-    signed_aggregate: float
-    t0_pair_leak_max: float
-    n_ordered_pairs: int
-
-
-@dataclass(frozen=True)
 class EinsteinProbe:
     """Ricci spread probe plus the integer inequality gate."""
 
@@ -123,36 +94,12 @@ class EinsteinProbe:
     status: str                        # "evidence" or "inconclusive"
 
 
-@dataclass(frozen=True)
-class WillmoreCertificate:
-    """Aggregated residuals of every Willmore identity at one point."""
-
-    residual_reduced: float
-    residual_balance: float
-    residual_projection: float
-    projection_pairwise_max: float
-    projection_aggregate_max: float
-    bridge_max: float
-    chain_gap_max: float
-    reflection_max: float
-    case_max: float
-    spectrum_deviation_max: float
-    t0_pair_leak_max: float
-    n_normals: int
-    passed: bool
-
-
 # ---------------------------------------------------------------------------
 # the chain, batched over the normals of one point
 # ---------------------------------------------------------------------------
 #
 # Every helper below takes a stack of N normals (leading axis N) and
-# returns one value per normal; certify_point runs them once per point and
-# the per-normal public functions run them on a batch of one.
-
-def _fold(values) -> float:
-    return float(np.max(values, initial=0.0))
-
+# returns one value per normal; certify_point runs them once per point.
 
 def _coefficient_rows(system: CliffordSystem, coeffs) -> np.ndarray:
     """The normals' coefficient vectors as an (N, m+1) array of unit rows."""
@@ -241,9 +188,9 @@ def _reflection(p0: np.ndarray, t1: np.ndarray, tm1: np.ndarray):
                              initial=0.0))
 
 
-def _ricci_balance(system: CliffordSystem, frame: AdaptedFrame,
-                   shape: ShapeData, coeffs: np.ndarray, t1: np.ndarray,
-                   tm1: np.ndarray):
+def _balance_and_bridge(system: CliffordSystem, frame: AdaptedFrame,
+                        shape: ShapeData, coeffs: np.ndarray, t1: np.ndarray,
+                        tm1: np.ndarray):
     """Signed closed-form balance and bridge gap of every normal.
 
     sum_i Ric(v_i) = 2 (l-m-2) m2 + 2 |pairs . T_{+1}|_F^2 and likewise for
@@ -280,7 +227,11 @@ def _case_residuals(system: CliffordSystem, x: np.ndarray, p0, normals,
                     y, t0, p_plus, p_minus):
     """Per-normal tangency, orthogonality, bookkeeping and |P'_0 U| maxima.
 
-    |P'_0 U| is only an identity for m = 2 and is reported as 0 otherwise.
+    Every pair vector y = P'_a P'_b x is orthogonal to x and to every P'_g x;
+    for pairs a, b >= 1, <P'_0 y, y> = 0 and, with U, V, W the T_0, T_{+1},
+    T_{-1} components, 2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 and the same with
+    |V|^2.  |P'_0 U| is only an identity for m = 2 and is reported as 0
+    otherwise.
     """
     tangency = np.maximum(np.max(np.abs(y @ x), axis=1, initial=0.0),
                           np.max(np.abs(y @ normals.transpose(0, 2, 1)),
@@ -305,7 +256,7 @@ def _case_residuals(system: CliffordSystem, x: np.ndarray, p0, normals,
 
 
 # ---------------------------------------------------------------------------
-# per-normal entry points (batches of one)
+# one normal, and the reduced criterion
 # ---------------------------------------------------------------------------
 
 def principal_decomposition(system: CliffordSystem, frame: AdaptedFrame,
@@ -331,103 +282,9 @@ def principal_decomposition(system: CliffordSystem, frame: AdaptedFrame,
                                   spectrum_deviation=float(deviation[0]))
 
 
-def reflection_check(system: CliffordSystem, frame: AdaptedFrame,
-                     decomp: PrincipalDecomposition) -> float:
-    """Residual of the eigenspace reflection property.
-
-    After rotating so that P'_0 x = xi, the curvature-(+1) space lies in the
-    (-1)-eigenspace of P'_0 and vice versa: returns the max over the bases
-    of |P'_0 v + v| and |P'_0 w - w|.
-    """
-    p0, _, _ = _rotated(system, frame.x, decomp.xi_coeffs[None])
-    return float(_reflection(p0, decomp.t1[None], decomp.tm1[None])[0])
-
-
 def willmore_residual(shape: ShapeData) -> float:
     """max_a | sum_ij R_ij h^a_ij |, the reduced Willmore criterion."""
     return float(np.max(np.abs(_contractions(shape))))
-
-
-def ricci_balance(system: CliffordSystem, frame: AdaptedFrame,
-                  decomp: PrincipalDecomposition,
-                  shape: ShapeData | None = None) -> RicciBalance:
-    """Ricci balance between the curved eigenspaces, with the bridge residual.
-
-    balance = | sum_i Ric(v_i) - sum_i Ric(w_i) | over the T_{+1} and T_{-1}
-    bases (closed-form Ricci).  The bridge gap compares the signed balance
-    against sum_ij R_ij h^xi_ij computed from the shape-operator route; the
-    two must agree whether or not the Willmore property holds.
-    """
-    if shape is None:
-        shape = shape_operators(system, frame)
-    signed, bridge = _ricci_balance(system, frame, shape,
-                                    decomp.xi_coeffs[None], decomp.t1[None],
-                                    decomp.tm1[None])
-    return RicciBalance(balance=abs(float(signed[0])),
-                        signed_balance=float(signed[0]),
-                        bridge_gap=float(bridge[0]))
-
-
-def projection_balance(system: CliffordSystem, frame: AdaptedFrame,
-                       decomp: PrincipalDecomposition) -> ProjectionBalance:
-    """|proj_{T+1} P'_a P'_b x|^2 versus |proj_{T-1} P'_a P'_b x|^2.
-
-    pairwise_max is the worst deviation over unordered pairs a < b;
-    aggregate_gap is the deviation of the full sums over ordered pairs
-    a != b.  Pairs containing index 0 must project to (almost) zero on both
-    sides since P'_0 P'_b x has principal curvature 0; their worst leak is
-    reported separately.
-    """
-    _, _, pairs = _rotated(system, frame.x, decomp.xi_coeffs[None])
-    p_plus, p_minus = _pair_projections(pairs, decomp.t1[None],
-                                        decomp.tm1[None])
-    pairwise, signed, leak = _projection_stats(system.m, p_plus, p_minus)
-    m1 = system.m + 1
-    return ProjectionBalance(pairwise_max=float(pairwise[0]),
-                             aggregate_gap=abs(float(signed[0])),
-                             signed_aggregate=float(signed[0]),
-                             t0_pair_leak_max=float(leak[0]),
-                             n_ordered_pairs=m1 * (m1 - 1))
-
-
-def case_identities(system: CliffordSystem, frame: AdaptedFrame,
-                    decomp: PrincipalDecomposition,
-                    tol: float = 1e-8) -> VerificationRecord:
-    """The pair-vector identities behind the balance, in the rotated system.
-
-    Checked for every unordered pair a < b:
-      * tangency: P'_a P'_b x is orthogonal to x and to every P'_g x.
-    For pairs with a, b >= 1:
-      * orthogonality: <P'_0 P'_a P'_b x, P'_a P'_b x> = 0;
-      * norm bookkeeping: with U, V, W the T_0, T_{+1}, T_{-1} components,
-        2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 and the same with |V|^2.
-    For m = 2 additionally P'_0 U = 0 (U is then tangent, and P'_0 U is
-    normal, so it must vanish).  m = 1 has no curved pairs at all: the
-    record reports trivially_balanced.
-    """
-    x = frame.x
-    p0, normals, pairs = _rotated(system, x, decomp.xi_coeffs[None])
-    t1, tm1 = decomp.t1[None], decomp.tm1[None]
-    residuals = _case_residuals(system, x, p0, normals, pairs,
-                                decomp.t0[None],
-                                *_pair_projections(pairs, t1, tm1))
-    tangency, orthogonality, bookkeeping, p0u = (float(r[0])
-                                                 for r in residuals)
-    worst = max(tangency, orthogonality, bookkeeping, p0u)
-    return VerificationRecord(
-        name=f"case_identities(m={system.m})",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        details={
-            "tangency_max": tangency,
-            "orthogonality_max": orthogonality,
-            "bookkeeping_max": bookkeeping,
-            "p0u_max": p0u if system.m == 2 else None,
-            "curved_pairs": system.m * (system.m - 1) // 2,
-            "trivially_balanced": system.m == 1,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -437,55 +294,43 @@ def case_identities(system: CliffordSystem, frame: AdaptedFrame,
 def certify_point(system: CliffordSystem, frame: AdaptedFrame,
                   shape: ShapeData, normal_coeffs,
                   geom_tol: float = 1e-8,
-                  willmore_tol: float = 1e-7) -> WillmoreCertificate:
+                  willmore_tol: float = 1e-7) -> tuple:
     """Every per-normal check over a fixed list of normal directions.
 
     `normal_coeffs` is an ordered iterable of unit coefficient vectors.  The
     whole chain runs once over the stacked normals (one eigh, one set of
-    pair products, one ricci_quadratic call) and each field is the maximum
-    over the normals, so identical inputs give identical certificates and
-    the order of the normals does not matter.
+    pair products, one ricci_quadratic call).  Returns one Check per key of
+    the report's lemma and willmore blocks, in their order:
+    max_spectrum_deviation, then residual_max (the reduced criterion at this
+    point) and the chain.  Each residual is the worst over the normals, so
+    identical inputs give identical checks and the order of the normals
+    does not matter.  residual_max and balance_max are held to
+    `willmore_tol`, every other check to `geom_tol`.
     """
     coeffs = _coefficient_rows(system, normal_coeffs)
     x = frame.x
-    reduced = willmore_residual(shape)
     spectrum, t0, t1, tm1 = _decompose(system, frame, shape, coeffs)
     p0, normals, pairs = _rotated(system, x, coeffs)
-    reflection = _reflection(p0, t1, tm1)
-    signed_balance, bridge = _ricci_balance(system, frame, shape, coeffs,
-                                            t1, tm1)
+    signed_balance, bridge = _balance_and_bridge(system, frame, shape,
+                                                 coeffs, t1, tm1)
     p_plus, p_minus = _pair_projections(pairs, t1, tm1)
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
     case = np.maximum.reduce(_case_residuals(system, x, p0, normals, pairs,
                                              t0, p_plus, p_minus))
-    balance_max = _fold(np.abs(signed_balance))
-    bridge_max = _fold(bridge)
-    chain_max = _fold(np.abs(signed_balance - signed_proj))
-    proj_pair_max = _fold(pairwise)
-    proj_agg_max = _fold(np.abs(signed_proj))
-    t0_leak_max = _fold(leak)
-    reflection_max = _fold(reflection)
-    case_max = _fold(case)
-    spectrum_max = _fold(spectrum)
-    geom_worst = max(bridge_max, chain_max, proj_pair_max, proj_agg_max,
-                     t0_leak_max, reflection_max, case_max, spectrum_max)
-    passed = (reduced < willmore_tol and balance_max < willmore_tol
-              and geom_worst < geom_tol)
-    return WillmoreCertificate(
-        residual_reduced=reduced,
-        residual_balance=balance_max,
-        residual_projection=max(proj_pair_max, proj_agg_max),
-        projection_pairwise_max=proj_pair_max,
-        projection_aggregate_max=proj_agg_max,
-        bridge_max=bridge_max,
-        chain_gap_max=chain_max,
-        reflection_max=reflection_max,
-        case_max=case_max,
-        spectrum_deviation_max=spectrum_max,
-        t0_pair_leak_max=t0_leak_max,
-        n_normals=len(coeffs),
-        passed=passed,
+    residuals = (
+        ("max_spectrum_deviation", spectrum, geom_tol),
+        ("residual_max", willmore_residual(shape), willmore_tol),
+        ("balance_max", np.abs(signed_balance), willmore_tol),
+        ("bridge_max", bridge, geom_tol),
+        ("chain_max", np.abs(signed_balance - signed_proj), geom_tol),
+        ("projection_pairwise_max", pairwise, geom_tol),
+        ("projection_aggregate_max", np.abs(signed_proj), geom_tol),
+        ("t0_pair_leak_max", leak, geom_tol),
+        ("reflection_max", _reflection(p0, t1, tm1), geom_tol),
+        ("case_identity_max", case, geom_tol),
     )
+    return tuple(Check(name, fold(values), tol)
+                 for name, values, tol in residuals)
 
 
 # ---------------------------------------------------------------------------

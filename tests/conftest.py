@@ -31,6 +31,20 @@ def corrupt_system(m: int, k: int, eps: float = 1e-3) -> CliffordSystem:
     return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
 
 
+def nan_pair_system(m: int, k: int) -> CliffordSystem:
+    """A system whose second matrix has one symmetric pair of off-diagonal
+    entries set to NaN.
+
+    The matrix stays symmetric and traceless, and the NaN sits in neither
+    the first matrix nor the first entry, so only a NaN-aware fold of the
+    residuals can see it.
+    """
+    base = build_clifford_system(m, k)
+    mats = [np.array(p, dtype=float) for p in base.matrices]
+    mats[1][0, 1] = mats[1][1, 0] = np.nan
+    return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
+
+
 def fd_gradient(f, x, h=FD_STEP):
     """Central-difference gradient, one coordinate at a time."""
     x = np.asarray(x, dtype=float)

@@ -8,8 +8,8 @@ line, printed in the terminal summary.
 import numpy as np
 
 from fkm_willmore import (VerificationConfig, build_clifford_system,
-                          build_frame, deterministic_seed, ricci_tensor,
-                          run_suite)
+                          build_frame, deterministic_seed, run_suite,
+                          shape_operators)
 from fkm_willmore.report import evaluate_system
 
 from conftest import GRID, corrupt_system
@@ -145,7 +145,7 @@ def test_criterion_9_einstein_probe(suite_report, acceptance):
     # direct oracle for the smallest case: eigenvalues of the Ricci tensor
     system = build_clifford_system(1, 3)
     frame = build_frame(system, deterministic_seed(system))
-    eigs = np.linalg.eigvalsh(ricci_tensor(system, frame))
+    eigs = np.linalg.eigvalsh(shape_operators(system, frame).ricci)
     spread = float(eigs[-1] - eigs[0])
     ok = ok and abs(spread - 2.0) <= 1e-8
     small = next(e for e in entries if (e["m"], e["k"]) == (1, 3))

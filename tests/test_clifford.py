@@ -14,7 +14,7 @@ from fkm_willmore import (AdmissibilityError, build_clifford_system,
                           verify_clifford_relations)
 from fkm_willmore.clifford import _orthonormal_completion
 
-from conftest import GRID, corrupt_system
+from conftest import GRID, corrupt_system, nan_pair_system
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
 
@@ -65,9 +65,9 @@ def test_relations_exact_on_grid(m, k):
     system = build_clifford_system(m, k)
     assert system.l == k * delta(m)
     assert system.m2 == system.l - m - 1 >= 1
-    rec = verify_clifford_relations(system)
-    assert rec.passed
-    assert rec.max_residual == 0.0, f"integer relations must be exact: {rec}"
+    check = verify_clifford_relations(system)
+    assert check.name == "max_deviation" and check.passed
+    assert check.residual == 0.0, f"integer relations must be exact: {check}"
     for p in system.matrices:
         assert np.isin(p, (-1.0, 0.0, 1.0)).all(), "entries must be integers"
 
@@ -80,9 +80,15 @@ def test_inadmissible_configurations_rejected(m, k):
 
 
 def test_corruption_detected():
-    rec = verify_clifford_relations(corrupt_system(2, 2))
-    assert not rec.passed
-    assert rec.max_residual >= 1e-3
+    check = verify_clifford_relations(corrupt_system(2, 2))
+    assert not check.passed
+    assert check.residual >= 1e-3
+
+
+def test_nan_entry_pair_fails():
+    check = verify_clifford_relations(nan_pair_system(2, 2))
+    assert np.isnan(check.residual)
+    assert not check.passed
 
 
 def test_rotate_identity_coefficients():
@@ -119,8 +125,8 @@ def test_rotated_systems_keep_relations(m, k):
         c = rng.standard_normal(m + 1)
         c /= np.linalg.norm(c)
         rotated = rotate_system(system, c)
-        rec = verify_clifford_relations(rotated, tol=1e-12)
-        assert rec.passed, f"c={c}: {rec}"
+        check = verify_clifford_relations(rotated, tol=1e-12)
+        assert check.passed, f"c={c}: {check}"
         # first rotated matrix is the requested combination
         combo = np.einsum("a,aij->ij", c, system.stack)
         assert np.max(np.abs(rotated.matrices[0] - combo)) <= 1e-14

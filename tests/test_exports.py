@@ -1,0 +1,47 @@
+"""Public names: every exported name resolves, and the names the benchmark
+harness (perfbench/run.py, perfbench/setup_probe.py, perfbench/spans.py)
+looks up exist."""
+
+import importlib
+
+import pytest
+
+import fkm_willmore
+
+MODULES = ("cli", "clifford", "errors", "focal", "geometry", "polynomial",
+           "records", "report", "willmore")
+
+
+def test_package_exports_resolve():
+    missing = [n for n in fkm_willmore.__all__ if not hasattr(fkm_willmore, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"fkm_willmore.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_names_the_benchmark_uses():
+    from fkm_willmore import cli, focal, report
+    assert callable(cli.main) and callable(cli.parse_cli)
+    assert focal.SPHERE_TOL == 1e-12 and focal.VALUE_TOL == 1e-9
+    assert fkm_willmore.__version__ == report.TOOL_VERSION
+    assert callable(fkm_willmore.build_clifford_system)
+    # the span tracer wraps these at the module that looks them up
+    for module, names in {
+            "cli": ("run_suite",),
+            "report": ("evaluate_system", "build_clifford_system",
+                       "verify_clifford_relations", "verify_cartan_munzner",
+                       "deterministic_seed", "sample_focal_points",
+                       "tangent_jacobian_rank", "build_frame",
+                       "shape_operators", "ricci_quadratic", "certify_point",
+                       "einstein_probe"),
+            "focal": ("project_to_focal",),
+            "willmore": ("ricci_quadratic", "willmore_residual",
+                         "principal_decomposition", "einstein_probe")}.items():
+        holder = importlib.import_module(f"fkm_willmore.{module}")
+        for name in names:
+            assert callable(holder.__dict__.get(name)), f"{module}.{name}"

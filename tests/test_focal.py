@@ -118,6 +118,12 @@ def test_certify_rejects_off_manifold():
         certify(system, np.eye(6)[0])
 
 
+def test_certify_rejects_nan():
+    system = build_clifford_system(1, 3)
+    with pytest.raises(CertificationError):
+        certify(system, np.full(system.ambient_dim, np.nan))
+
+
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
 def test_jacobian_rank(m, k, rank):
     system = build_clifford_system(m, k)

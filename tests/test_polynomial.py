@@ -9,7 +9,8 @@ from fkm_willmore import (AdmissibilityError, CliffordSystem, FkmPolynomial,
                           deterministic_seed, verify_cartan_munzner)
 from fkm_willmore.polynomial import sphere_samples
 
-from conftest import FD_RTOL, GRID, corrupt_system, fd_directional, fd_gradient, rel_err
+from conftest import (FD_RTOL, GRID, corrupt_system, fd_directional,
+                      fd_gradient, nan_pair_system, rel_err)
 
 
 def _poly(m, k):
@@ -128,19 +129,35 @@ def test_sphere_derivatives_reject_off_sphere():
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2)])
 def test_cartan_munzner_record(m, k):
     poly = _poly(m, k)
-    rec = verify_cartan_munzner(poly, n_samples=200, seed=31)
-    assert rec.passed
-    assert rec.max_residual <= 1e-10
-    assert rec.details["n_samples"] == 200
+    checks = verify_cartan_munzner(poly, n_samples=200, seed=31)
+    assert [c.name for c in checks] == ["max_gradient_residual",
+                                        "max_laplacian_residual"]
+    assert all(c.passed for c in checks)
+    assert max(c.residual for c in checks) <= 1e-10
     again = verify_cartan_munzner(poly, n_samples=200, seed=31)
-    assert again.max_residual == rec.max_residual, "seeded run must reproduce"
+    assert again == checks, "seeded run must reproduce"
 
 
 def test_cartan_munzner_detects_corruption():
     poly = FkmPolynomial(corrupt_system(2, 2))
-    rec = verify_cartan_munzner(poly, n_samples=200, seed=31)
-    assert not rec.passed
-    assert rec.max_residual >= 1e-5
+    checks = verify_cartan_munzner(poly, n_samples=200, seed=31)
+    assert not all(c.passed for c in checks)
+    assert max(c.residual for c in checks) >= 1e-5
+
+
+def test_cartan_munzner_fails_on_nan():
+    poly = FkmPolynomial(nan_pair_system(2, 2))
+    checks = verify_cartan_munzner(poly, n_samples=200, seed=31)
+    assert all(np.isnan(c.residual) and not c.passed for c in checks)
+
+
+def test_cartan_munzner_passes_at_its_own_worst_residual():
+    poly = _poly(2, 2)
+    worst = max(c.residual
+                for c in verify_cartan_munzner(poly, n_samples=200, seed=31))
+    assert worst > 0.0
+    checks = verify_cartan_munzner(poly, n_samples=200, seed=31, tol=worst)
+    assert all(c.passed for c in checks)
 
 
 def test_polynomial_rejects_inadmissible_system():
@@ -255,7 +272,8 @@ def test_sphere_samples_redraw_degenerate_rows():
 def test_cartan_munzner_matches_sequential_evaluation(m, k):
     poly = _poly(m, k)
     n = poly.ambient_dim
-    rec = verify_cartan_munzner(poly, n_samples=300, seed=32)
+    grad_check, lap_check = verify_cartan_munzner(poly, n_samples=300,
+                                                  seed=32)
     worst_grad = worst_lap = 0.0
     for x in _sequential_unit_draws(default_rng(32), 300, n):
         grad = poly.euclidean_gradient(x)
@@ -266,5 +284,5 @@ def test_cartan_munzner_matches_sequential_evaluation(m, k):
                                          - 16.0 * (1.0 - value * value)))
         worst_lap = max(worst_lap, abs(lap_s - 8.0 * (poly.m2 - poly.m1)
                                        + 4.0 * (n + 2) * value))
-    assert abs(rec.details["max_gradient_residual"] - worst_grad) <= 1e-12
-    assert abs(rec.details["max_laplacian_residual"] - worst_lap) <= 1e-12
+    assert abs(grad_check.residual - worst_grad) <= 1e-12
+    assert abs(lap_check.residual - worst_lap) <= 1e-12

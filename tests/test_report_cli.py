@@ -149,6 +149,61 @@ def test_evaluate_system_detects_corruption():
         assert "geometry" not in entry["blocks"]
 
 
+# the schema-1 key order of an evaluated entry and of each of its blocks
+SCHEMA_KEYS = {
+    "entry": ["m", "k", "l", "ambient_dim", "focal_dim", "admissible",
+              "blocks", "pass"],
+    "clifford": ["max_deviation", "pass"],
+    "cartan_munzner": ["n_samples", "max_gradient_residual",
+                       "max_laplacian_residual", "pass"],
+    "points": ["count", "max_constraint_residual", "max_sphere_residual",
+               "max_value_gap", "jacobian_ranks", "rank_expected",
+               "coordinates", "pass"],
+    "geometry": ["S_expected", "S_max_gap", "S_spread", "rho2_vs_S_max_gap",
+                 "H_max", "ricci_crosscheck_max", "ricci_trace_max_gap",
+                 "pass"],
+    "lemma": ["n_normals_per_point", "max_spectrum_deviation",
+              "multiplicities", "pass"],
+    "willmore": ["residual_max", "residual_median", "balance_max",
+                 "bridge_max", "chain_max", "projection_pairwise_max",
+                 "projection_aggregate_max", "t0_pair_leak_max",
+                 "reflection_max", "case_identity_max", "pass"],
+    "einstein": ["ricci_min", "ricci_max", "spread", "dimension_condition",
+                 "dim_inequality", "spread_exceeds_threshold", "status",
+                 "pass"],
+}
+
+
+def test_schema_key_order():
+    cfg = tiny_config(configurations=((2, 2),))
+    entry = evaluate_system(build_clifford_system(2, 2), cfg, 0)
+    assert list(entry) == SCHEMA_KEYS["entry"]
+    assert list(entry["blocks"]) == list(EXPECTED_BLOCKS)
+    for name, block in entry["blocks"].items():
+        assert list(block) == SCHEMA_KEYS[name], name
+    from conftest import corrupt_system
+    entry = evaluate_system(corrupt_system(2, 2), cfg, 0)
+    assert list(entry["blocks"]) == ["clifford", "cartan_munzner", "points"]
+    assert list(entry["blocks"]["points"]) == ["count", "error", "pass"]
+
+
+def test_residual_at_its_tolerance_passes():
+    # the pass rule is residual <= tol in every block: with the pde and
+    # willmore tolerances set to the worst residuals they bound, nothing
+    # may fail
+    cfg = tiny_config(configurations=((2, 2),))
+    system = build_clifford_system(2, 2)
+    blocks = evaluate_system(system, cfg, 0)["blocks"]
+    cm, wl = blocks["cartan_munzner"], blocks["willmore"]
+    tight = {"pde": max(cm["max_gradient_residual"],
+                        cm["max_laplacian_residual"]),
+             "willmore": max(wl["residual_max"], wl["balance_max"])}
+    entry = evaluate_system(system, tiny_config(configurations=((2, 2),),
+                                                tolerances=tight), 0)
+    assert entry["pass"], [n for n, b in entry["blocks"].items()
+                           if not b["pass"]]
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------

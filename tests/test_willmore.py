@@ -6,14 +6,18 @@ from numpy.random import default_rng
 
 from fkm_willmore import (AdaptedFrame, MultiplicityError, ShapeData,
                           SpectrumError, build_clifford_system, build_frame,
-                          case_identities, certify_point, deterministic_seed,
-                          einstein_probe, principal_decomposition,
-                          projection_balance, reflection_check, ricci_balance,
-                          ricci_quadratic, ricci_tensor, rotate_system,
-                          sample_focal_points, shape_operators,
-                          willmore_residual)
+                          certify_point, deterministic_seed, einstein_probe,
+                          principal_decomposition, ricci_quadratic,
+                          rotate_system, sample_focal_points,
+                          shape_operators, willmore_residual)
 
 from conftest import GRID, corrupt_system
+
+# certify_point's checks, in the key order of the lemma and willmore blocks
+CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
+               "bridge_max", "chain_max", "projection_pairwise_max",
+               "projection_aggregate_max", "t0_pair_leak_max",
+               "reflection_max", "case_identity_max")
 
 
 def _setup(m, k, extra_points=1, seed=21):
@@ -29,6 +33,12 @@ def _setup(m, k, extra_points=1, seed=21):
 def _unit(rng, dim):
     c = rng.standard_normal(dim)
     return c / np.linalg.norm(c)
+
+
+def _residuals(system, frame, shape, coeffs):
+    """certify_point's residuals by check name."""
+    return {c.name: c.residual
+            for c in certify_point(system, frame, shape, coeffs)}
 
 
 @pytest.mark.parametrize("m,k,dims", [(1, 3, (1, 1, 1)), (2, 2, (2, 1, 1)),
@@ -96,9 +106,9 @@ def test_reflection_property(m, k):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(10 + m)
     for frame, shape in zip(frames, shapes):
-        for c in list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]:
-            dec = principal_decomposition(system, frame, c, shape=shape)
-            assert reflection_check(system, frame, dec) <= 1e-12
+        coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
+        res = _residuals(system, frame, shape, coeffs)
+        assert res["reflection_max"] <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -140,12 +150,10 @@ def test_ricci_balance_and_bridge(m, k):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(20 + m)
     for frame, shape in zip(frames, shapes):
-        for c in list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]:
-            dec = principal_decomposition(system, frame, c, shape=shape)
-            bal = ricci_balance(system, frame, dec, shape=shape)
-            assert bal.balance < 1e-7
-            assert bal.bridge_gap < 1e-8
-            assert abs(bal.balance - abs(bal.signed_balance)) == 0.0
+        coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
+        res = _residuals(system, frame, shape, coeffs)
+        assert res["balance_max"] < 1e-7
+        assert res["bridge_max"] < 1e-8
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -154,20 +162,18 @@ def test_projection_balance_and_chain(m, k):
     rng = default_rng(30 + m)
     for frame, shape in zip(frames, shapes):
         for c in list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]:
-            dec = principal_decomposition(system, frame, c, shape=shape)
-            proj = projection_balance(system, frame, dec)
-            assert proj.pairwise_max < 1e-8
-            assert proj.aggregate_gap < 1e-8
-            assert proj.t0_pair_leak_max < 1e-12
-            assert proj.n_ordered_pairs == m * (m + 1)
-            # coarse bound: the aggregate cannot exceed pair count times
-            # the worst single pair
-            assert proj.aggregate_gap <= (proj.n_ordered_pairs
-                                          * proj.pairwise_max + 1e-15)
-            bal = ricci_balance(system, frame, dec, shape=shape)
+            res = _residuals(system, frame, shape, [c])
+            pairwise = res["projection_pairwise_max"]
+            aggregate = res["projection_aggregate_max"]
+            assert pairwise < 1e-8
+            assert aggregate < 1e-8
+            assert res["t0_pair_leak_max"] < 1e-12
+            # coarse bound: the aggregate over the m (m + 1) ordered pairs
+            # cannot exceed pair count times the worst single pair
+            assert aggregate <= m * (m + 1) * pairwise + 1e-15
             # the aggregate projection balance is the Ricci balance, term
             # by term, through the pair-vector expansion
-            assert abs(bal.signed_balance - proj.signed_aggregate) < 1e-8
+            assert res["chain_max"] < 1e-8
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -175,17 +181,13 @@ def test_case_identities(m, k):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(40 + m)
     for frame, shape in zip(frames, shapes):
-        for c in list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(5)]:
-            dec = principal_decomposition(system, frame, c, shape=shape)
-            rec = case_identities(system, frame, dec)
-            assert rec.passed, rec
-            assert rec.details["trivially_balanced"] == (m == 1)
-            if m == 1:
-                assert rec.details["curved_pairs"] == 0
-            else:
-                assert rec.details["curved_pairs"] == m * (m - 1) // 2
-            if m == 2:
-                assert rec.details["p0u_max"] <= 1e-12
+        coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(5)]
+        res = _residuals(system, frame, shape, coeffs)
+        assert res["case_identity_max"] <= 1e-8
+        if m == 2:
+            # P'_0 U = 0 is an identity here, and the other case
+            # identities hold to rounding as well
+            assert res["case_identity_max"] <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -193,16 +195,15 @@ def test_certify_point_aggregates(m, k):
     system, frames, shapes = _setup(m, k, extra_points=0)
     rng = default_rng(50 + m)
     coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
-    cert = certify_point(system, frames[0], shapes[0], coeffs)
-    assert cert.passed
-    assert cert.n_normals == m + 11
-    assert cert.residual_reduced < 1e-7
-    assert cert.residual_balance < 1e-7
-    for value in (cert.bridge_max, cert.chain_gap_max, cert.reflection_max,
-                  cert.case_max, cert.projection_pairwise_max,
-                  cert.projection_aggregate_max, cert.t0_pair_leak_max,
-                  cert.spectrum_deviation_max):
-        assert value < 1e-8
+    checks = certify_point(system, frames[0], shapes[0], coeffs)
+    assert tuple(c.name for c in checks) == CHECK_NAMES
+    assert all(c.passed for c in checks)
+    res = {c.name: c.residual for c in checks}
+    assert res["residual_max"] < 1e-7
+    assert res["balance_max"] < 1e-7
+    for name in CHECK_NAMES:
+        if name not in ("residual_max", "balance_max"):
+            assert res[name] < 1e-8, name
 
 
 def test_certify_point_doubled_generators():
@@ -210,16 +211,16 @@ def test_certify_point_doubled_generators():
     system, frames, shapes = _setup(9, 1, extra_points=0)
     rng = default_rng(59)
     coeffs = list(np.eye(10)) + [_unit(rng, 10) for _ in range(3)]
-    cert = certify_point(system, frames[0], shapes[0], coeffs)
-    assert cert.passed
-    assert cert.residual_reduced < 1e-7
+    checks = certify_point(system, frames[0], shapes[0], coeffs)
+    assert all(c.passed for c in checks)
+    assert checks[CHECK_NAMES.index("residual_max")].residual < 1e-7
 
 
 def test_einstein_probe_smallest_case():
     system, frames, shapes = _setup(1, 3, extra_points=0)
     probe = einstein_probe(system, frames[0], 100, seed=5, shape=shapes[0])
     # oracle: the Ricci tensor here has eigenvalues {0, 0, 2}
-    eigs = np.sort(np.linalg.eigvalsh(ricci_tensor(system, frames[0])))
+    eigs = np.sort(np.linalg.eigvalsh(shapes[0].ricci))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0]))) <= 1e-10
     assert probe.status == "evidence"
     assert probe.dimension_condition and probe.dim_inequality
@@ -261,16 +262,10 @@ def test_fault_injection_detected():
 # the batched chain
 # ---------------------------------------------------------------------------
 
-_CERT_FIELDS = ("residual_reduced", "residual_balance", "residual_projection",
-                "projection_pairwise_max", "projection_aggregate_max",
-                "bridge_max", "chain_gap_max", "reflection_max", "case_max",
-                "spectrum_deviation_max", "t0_pair_leak_max")
-
-
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (3, 2), (6, 1)])
 def test_certify_point_batch_equals_fold_of_singles(m, k):
-    # the batch must not mix normals: every field is the max over the
-    # one-normal certificates, and the order of the normals is irrelevant
+    # the batch must not mix normals: every residual is the max over the
+    # one-normal checks, and the order of the normals is irrelevant
     system, frames, shapes = _setup(m, k)
     rng = default_rng(90 + m)
     for frame, shape in zip(frames, shapes):
@@ -280,42 +275,31 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
         shuffled = certify_point(system, frame, shape,
                                  [coeffs[i] for i in
                                   rng.permutation(len(coeffs))])
-        assert batch.n_normals == shuffled.n_normals == len(coeffs)
-        assert batch.passed and shuffled.passed
-        assert all(s.n_normals == 1 and s.passed for s in singles)
-        for name in _CERT_FIELDS:
-            folded = max(getattr(s, name) for s in singles)
-            assert abs(getattr(batch, name) - folded) <= 1e-14, name
-            assert abs(getattr(shuffled, name) - folded) <= 1e-14, name
+        assert all(c.passed for c in batch + shuffled + sum(singles, ()))
+        for i, check in enumerate(batch):
+            assert shuffled[i].name == singles[0][i].name == check.name
+            folded = max(s[i].residual for s in singles)
+            assert abs(check.residual - folded) <= 1e-14, check.name
+            assert abs(shuffled[i].residual - folded) <= 1e-14, check.name
 
 
-def test_per_normal_functions_match_the_batch():
-    # the public per-normal functions are the batch code on one normal
+def test_principal_decomposition_matches_the_batch():
+    # the one public per-normal function is the batch code on one normal
     system, frames, shapes = _setup(4, 2, extra_points=0)
     frame, shape = frames[0], shapes[0]
     c = _unit(default_rng(91), 5)
     dec = principal_decomposition(system, frame, c, shape=shape)
-    bal = ricci_balance(system, frame, dec, shape=shape)
-    proj = projection_balance(system, frame, dec)
-    case = case_identities(system, frame, dec)
-    cert = certify_point(system, frame, shape, [c])
-    assert cert.spectrum_deviation_max == dec.spectrum_deviation
-    assert cert.reflection_max == reflection_check(system, frame, dec)
-    assert cert.residual_balance == bal.balance
-    assert cert.bridge_max == bal.bridge_gap
-    assert cert.projection_pairwise_max == proj.pairwise_max
-    assert cert.projection_aggregate_max == proj.aggregate_gap
-    assert cert.t0_pair_leak_max == proj.t0_pair_leak_max
-    assert cert.chain_gap_max == abs(bal.signed_balance
-                                     - proj.signed_aggregate)
-    assert cert.case_max == case.max_residual
+    res = _residuals(system, frame, shape, [c])
+    assert res["max_spectrum_deviation"] == dec.spectrum_deviation
 
 
 def test_certify_point_without_normals():
     system, frames, shapes = _setup(2, 2, extra_points=0)
-    cert = certify_point(system, frames[0], shapes[0], [])
-    assert cert.n_normals == 0 and cert.passed
-    assert cert.case_max == cert.spectrum_deviation_max == 0.0
+    checks = certify_point(system, frames[0], shapes[0], [])
+    assert tuple(c.name for c in checks) == CHECK_NAMES
+    assert all(c.passed for c in checks)
+    res = {c.name: c.residual for c in checks}
+    assert res["case_identity_max"] == res["max_spectrum_deviation"] == 0.0
 
 
 def _forged_shape(shape, operators):
