@@ -222,6 +222,15 @@ class CliffordSystem:
         s.setflags(write=False)
         return s
 
+    def apply(self, x) -> np.ndarray:
+        """P_a x for every a: (m+1, 2l) for one point, (K, m+1, 2l) for a
+        (K, 2l) stack of points.
+
+        Every P_a x is its own matrix-vector product, so each point of a
+        stack gets the rounding of `stack @ x` bit for bit.
+        """
+        return np.matmul(self.stack, np.asarray(x)[..., None, :, None])[..., 0]
+
 
 def build_clifford_system(m: int, k: int) -> CliffordSystem:
     """Split construction on R^{2l} = R^l + R^l with l = k * delta(m).

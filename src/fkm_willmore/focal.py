@@ -17,7 +17,9 @@ against fixed thresholds, never trusted from convergence alone.
 
 Sampling draws independent Gaussian starts from per-index sub-seeds, so the
 result list has a fixed order and the projections are independent of each
-other (safe to run concurrently; this implementation folds sequentially).
+other.  Each attempt round projects the starts of every point still
+missing as one masked Gauss-Newton sweep over a stack of rows; a row's
+iterates are bit for bit those of a projection on its own.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
 _MAX_RETRIES = 10
+_GN_TOL = 1e-13            # Gauss-Newton stops below this residual
+_GN_MAX_ITER = 50
 _COND_LIMIT = 1e12
 _SEED_MASK = (1 << 64) - 1
 
@@ -68,10 +72,40 @@ class FocalPoint:
         object.__setattr__(self, "x", x)
 
 
-def _constraints(system: CliffordSystem, x: np.ndarray):
-    g = system.stack @ x @ x
-    sphere = float(x @ x) - 1.0
-    return g, sphere
+def _rows(system: CliffordSystem, x: np.ndarray):
+    """P_a x as (K, m+1, 2l), g_a(x) as (K, m+1) and |x|^2 as (K,) for the
+    rows of a (K, 2l) stack.
+
+    Each product is a stacked matrix-vector or vector-vector product, so
+    every row gets the rounding of the one-point expressions stack @ x,
+    (stack @ x) @ x and x @ x bit for bit, whatever K is.  (einsum, sums of
+    elementwise products and np.linalg.norm with an axis round differently
+    in the last place.)
+    """
+    px = system.apply(x)
+    g = np.matmul(px, x[..., None])[..., 0]
+    xx = np.matmul(x[:, None, :], x[..., None])[:, 0, 0]
+    return px, g, xx
+
+
+def _verdict(x: np.ndarray, g: np.ndarray, xx: float,
+             iterations: int) -> FocalPoint | CertificationError:
+    """The point x with its constraint values g and |x|^2, certified."""
+    res_c = fold(np.abs(g))
+    res_s = abs(xx - 1.0)
+    value_gap = abs(xx * xx - 2.0 * float(g @ g) - 1.0)
+    checks = (Check("max_constraint_residual", res_c, CONSTRAINT_TOL),
+              Check("max_sphere_residual", res_s, SPHERE_TOL),
+              Check("max_value_gap", value_gap, VALUE_TOL))
+    if not all(c.passed for c in checks):
+        return CertificationError(
+            f"point failed certification: constraints {res_c:.3e} "
+            f"(tol {CONSTRAINT_TOL:.1e}), sphere {res_s:.3e} "
+            f"(tol {SPHERE_TOL:.1e}), value gap {value_gap:.3e} "
+            f"(tol {VALUE_TOL:.1e})",
+            residual_constraints=res_c, residual_sphere=res_s)
+    return FocalPoint(x=x, residual_constraints=res_c, residual_sphere=res_s,
+                      iterations=iterations)
 
 
 def certify(system: CliffordSystem, x: np.ndarray,
@@ -82,23 +116,11 @@ def certify(system: CliffordSystem, x: np.ndarray,
     under the keys of the report's points block.
     """
     x = np.asarray(x, dtype=float)
-    g, sphere = _constraints(system, x)
-    res_c = fold(np.abs(g))
-    res_s = abs(sphere)
-    xx = float(x @ x)
-    value_gap = abs(xx * xx - 2.0 * float(g @ g) - 1.0)
-    checks = (Check("max_constraint_residual", res_c, CONSTRAINT_TOL),
-              Check("max_sphere_residual", res_s, SPHERE_TOL),
-              Check("max_value_gap", value_gap, VALUE_TOL))
-    if not all(c.passed for c in checks):
-        raise CertificationError(
-            f"point failed certification: constraints {res_c:.3e} "
-            f"(tol {CONSTRAINT_TOL:.1e}), sphere {res_s:.3e} "
-            f"(tol {SPHERE_TOL:.1e}), value gap {value_gap:.3e} "
-            f"(tol {VALUE_TOL:.1e})",
-            residual_constraints=res_c, residual_sphere=res_s)
-    return FocalPoint(x=x, residual_constraints=res_c, residual_sphere=res_s,
-                      iterations=iterations)
+    _, g, xx = _rows(system, x[None])
+    result = _verdict(x, g[0], float(xx[0]), iterations)
+    if isinstance(result, CertificationError):
+        raise result
+    return result
 
 
 def deterministic_seed(system: CliffordSystem) -> FocalPoint:
@@ -138,23 +160,88 @@ def deterministic_seed(system: CliffordSystem) -> FocalPoint:
     return certify(system, x, iterations=0)
 
 
-def _gauss_newton_step(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
-    g, sphere = _constraints(system, x)
-    c = np.concatenate(([sphere], g))
-    jac = 2.0 * np.vstack([x[None, :], system.stack @ x])
-    jjt = jac @ jac.T
-    with np.errstate(divide="ignore"):
-        cond = float(np.linalg.cond(jjt))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularityError(
-            f"normal equations are singular (cond {cond:.3e}); restart the "
-            "projection from a different start point")
-    y = np.linalg.solve(jjt, c)
-    return x - jac.T @ y
+def _residual(g: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """max(max_a |g_a|, | |x|^2 - 1 |) per row, the stopping test."""
+    return np.maximum(np.max(np.abs(g), axis=1), np.abs(xx - 1.0))
 
 
-def project_to_focal(system: CliffordSystem, x0, tol: float = 1e-13,
-                     max_iter: int = 50) -> FocalPoint:
+def _jacobian(x: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Constraint Jacobians 2 (x, P_0 x, ..., P_m x) as (K, m+2, 2l)."""
+    return 2.0 * np.concatenate([x[:, None, :], px], axis=1)
+
+
+def _settle(out: list, rows, x, px, g, xx, iterations: int) -> None:
+    """Certify the converged rows and store each verdict at out[row]."""
+    jac = _jacobian(x, px)
+    dev = np.max(np.abs(jac @ jac.transpose(0, 2, 1) / 4.0
+                        - np.eye(jac.shape[1])), axis=(1, 2))
+    for i, xi, gi, xxi, devi in zip(rows, x, g, xx, dev):
+        # At a feasible point J J^T = 4 I; anything else means the run is
+        # broken.
+        if devi > 1e-6:
+            out[i] = SingularityError(
+                f"normal equations deviate from 4I by {devi:.3e} at a "
+                "converged point; projection result rejected")
+        else:
+            out[i] = _verdict(xi, gi, float(xxi), iterations)
+
+
+def _project(system: CliffordSystem, starts: np.ndarray, tol: float,
+             max_iter: int) -> list:
+    """Masked Gauss-Newton sweep over the rows of `starts`.
+
+    Every row follows the iteration of project_to_focal, and the arithmetic
+    has the forms of the one-point code (see _rows; the steps use
+    jac @ jac^T and jac^T @ y on stacks), so a row's iterates do not depend
+    on the other rows.  Rows leave the sweep when they converge or fail.
+    Returns, per row, its FocalPoint or the exception that rejected it.
+    """
+    x = np.array(starts, dtype=float)
+    out = [None] * len(x)
+    rows = np.arange(len(x))
+    px, g, xx = _rows(system, x)
+    if np.any(np.sqrt(xx) < 1e-12):
+        raise ValueError("start point must be nonzero")
+    res = _residual(g, xx)
+    # Starts already on M+ are kept as they are.
+    done = res < tol
+    _settle(out, rows[done], x[done], px[done], g[done], xx[done], 0)
+    rows, x, xx, res = (a[~done] for a in (rows, x, xx, res))
+    # Radial retraction first: Gauss-Newton then only has to move along the
+    # sphere, which keeps far Gaussian starts well inside its basin.
+    x = x / np.sqrt(xx)[:, None]
+    px, g, xx = _rows(system, x)
+    for it in range(1, max_iter + 1):
+        if not rows.size:
+            break
+        jac = _jacobian(x, px)
+        jjt = jac @ jac.transpose(0, 2, 1)
+        with np.errstate(divide="ignore"):
+            cond = np.linalg.cond(jjt)
+        ok = cond <= _COND_LIMIT
+        for r in np.flatnonzero(~ok):
+            out[rows[r]] = SingularityError(
+                f"normal equations are singular (cond {cond[r]:.3e}); "
+                "restart the projection from a different start point")
+        c = np.concatenate([(xx - 1.0)[:, None], g], axis=1)
+        y = np.linalg.solve(jjt[ok], c[ok][..., None])
+        rows = rows[ok]
+        x = x[ok] - (jac[ok].transpose(0, 2, 1) @ y)[..., 0]
+        px, g, xx = _rows(system, x)
+        res = _residual(g, xx)
+        done = res < tol
+        _settle(out, rows[done], x[done], px[done], g[done], xx[done], it)
+        rows, x, px, g, xx, res = (a[~done]
+                                   for a in (rows, x, px, g, xx, res))
+    for i, r in zip(rows, res):
+        out[i] = ConvergenceError(
+            f"projection did not reach tol {tol:.1e} in {max_iter} "
+            f"iterations (last residual {r:.3e})", residual=float(r))
+    return out
+
+
+def project_to_focal(system: CliffordSystem, x0, tol: float = _GN_TOL,
+                     max_iter: int = _GN_MAX_ITER) -> FocalPoint:
     """Gauss-Newton projection of x0 onto M+.
 
     Deterministic: identical inputs produce bitwise identical iterates.
@@ -168,40 +255,10 @@ def project_to_focal(system: CliffordSystem, x0, tol: float = 1e-13,
     if x.shape != (system.ambient_dim,):
         raise ValueError(
             f"start shape {x.shape} != ({system.ambient_dim},)")
-    norm = float(np.linalg.norm(x))
-    if norm < 1e-12:
-        raise ValueError("start point must be nonzero")
-
-    def residual(p):
-        g, sphere = _constraints(system, p)
-        return max(float(np.max(np.abs(g))), abs(sphere))
-
-    res = residual(x)
-    if res < tol:
-        _assert_conditioning(system, x)
-        return certify(system, x, iterations=0)
-    # Radial retraction first: Gauss-Newton then only has to move along the
-    # sphere, which keeps far Gaussian starts well inside its basin.
-    x = x / norm
-    for it in range(1, max_iter + 1):
-        x = _gauss_newton_step(system, x)
-        res = residual(x)
-        if res < tol:
-            _assert_conditioning(system, x)
-            return certify(system, x, iterations=it)
-    raise ConvergenceError(
-        f"projection did not reach tol {tol:.1e} in {max_iter} iterations "
-        f"(last residual {res:.3e})", residual=res)
-
-
-def _assert_conditioning(system: CliffordSystem, x: np.ndarray) -> None:
-    # At a feasible point J J^T = 4 I; anything else means the run is broken.
-    jac = 2.0 * np.vstack([x[None, :], system.stack @ x])
-    dev = float(np.max(np.abs(jac @ jac.T / 4.0 - np.eye(system.m + 2))))
-    if dev > 1e-6:
-        raise SingularityError(
-            f"normal equations deviate from 4I by {dev:.3e} at a converged "
-            "point; projection result rejected")
+    (result,) = _project(system, x[None], tol, max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
@@ -209,37 +266,49 @@ def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
 
     Point i uses the sub-seed (seed, spawn_key=(i, attempt)); failed
     projections retry with fresh attempts, up to 10 retries per point.  The
-    returned order is fixed by i, independent of retry counts.
+    returned order is fixed by i, independent of retry counts.  Each attempt
+    round projects the starts of all points still missing in one sweep,
+    which gives every point the iterates of project_to_focal.
     """
     if n < 1:
         raise ValueError("n must be positive")
     entropy = int(seed) & _SEED_MASK
-    points = []
-    failures = 0
-    for i in range(n):
-        produced = None
-        for attempt in range(_MAX_RETRIES + 1):
-            rng = default_rng(SeedSequence(entropy, spawn_key=(i, attempt)))
-            x0 = rng.standard_normal(system.ambient_dim)
-            try:
-                produced = project_to_focal(system, x0)
-                break
-            except (ConvergenceError, SingularityError, CertificationError):
-                failures += 1
-        if produced is None:
-            raise SamplingError(
-                f"sample point {i} failed after {_MAX_RETRIES + 1} attempts "
-                f"({failures} failed projections so far)", failures=failures)
-        points.append(produced)
+    points = [None] * n
+    failures = np.zeros(n, dtype=int)
+    pending = list(range(n))
+    for attempt in range(_MAX_RETRIES + 1):
+        if not pending:
+            break
+        starts = np.array([
+            default_rng(SeedSequence(entropy, spawn_key=(i, attempt)))
+            .standard_normal(system.ambient_dim) for i in pending])
+        results = _project(system, starts, _GN_TOL, _GN_MAX_ITER)
+        for i, result in zip(pending, results):
+            if isinstance(result, FocalPoint):
+                points[i] = result
+            else:
+                failures[i] += 1
+        pending = [i for i in pending if points[i] is None]
+    if pending:
+        i = pending[0]
+        total = int(np.sum(failures[:i + 1]))
+        raise SamplingError(
+            f"sample point {i} failed after {_MAX_RETRIES + 1} attempts "
+            f"({total} failed projections so far)", failures=total)
     return points
 
 
-def tangent_jacobian_rank(system: CliffordSystem, point: FocalPoint) -> int:
+def tangent_jacobian_rank(system: CliffordSystem, point):
     """Rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x.
 
     Full rank m + 2 certifies that the constraint normals span the whole
     normal space plus the radial direction (singular values above 1e-8
-    count).
+    count).  `point` is one FocalPoint, or a sequence of them, which gives
+    an array of ranks from one stacked SVD.
     """
-    rows = np.vstack([point.x[None, :], system.stack @ point.x])
-    return int(np.linalg.matrix_rank(rows, tol=1e-8))
+    single = isinstance(point, FocalPoint)
+    x = np.array([p.x for p in ([point] if single else point)])
+    px, _, _ = _rows(system, x)
+    ranks = np.linalg.matrix_rank(np.concatenate([x[:, None, :], px], axis=1),
+                                  tol=1e-8)
+    return int(ranks[0]) if single else ranks

@@ -9,10 +9,11 @@ import numpy as np
 __all__ = ["Check", "fold"]
 
 
-def fold(values) -> float:
+def fold(values, axis: int | None = None):
     """The worst of `values`: their maximum, NaN if any of them is NaN,
-    0.0 for none."""
-    return float(np.max(values, initial=0.0))
+    0.0 for none.  With `axis`, the worst along that axis, as an array."""
+    worst = np.max(values, axis=axis, initial=0.0)
+    return float(worst) if axis is None else worst
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ Exit-code contract, used by the CLI:
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -69,6 +70,10 @@ DEFAULT_TOLERANCES = {
 _SEED_MASK = (1 << 64) - 1
 _N_CROSSCHECK_DIRS = 100
 _N_EINSTEIN_DIRS = 100
+# Points whose frames, shape operators, Ricci cross-check and Einstein probe
+# are evaluated as one stack.  The stacked intermediates take about 60 KB
+# per point at (m, k) = (6, 1), so a block stays near 1 MB.
+_POINT_BLOCK = 16
 
 
 def _subseed(master: int, *key: int) -> int:
@@ -159,24 +164,28 @@ class VerificationReport:
         })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def _jsonable(obj):
-    """Recursive plain-type sanitizer; rejects anything it cannot map."""
+    """Recursive plain-type sanitizer; rejects anything it cannot map.
+
+    JSON has no NaN or infinity, so a non-finite float becomes None (null).
+    """
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else None
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     raise TypeError(f"cannot serialize {type(obj).__name__} in report")
 
@@ -245,7 +254,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
 
     if points is not None:
         rank_expected = m + 2
-        ranks = sorted({tangent_jacobian_rank(system, p) for p in points})
+        ranks = sorted(set(tangent_jacobian_rank(system, points).tolist()))
         blocks["points"] = _block(
             {"count": len(points)},
             Check("max_constraint_residual",
@@ -254,7 +263,8 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             Check("max_sphere_residual",
                   fold([p.residual_sphere for p in points]), SPHERE_TOL),
             Check("max_value_gap",
-                  fold([abs(poly.value(p.x) - 1.0) for p in points]),
+                  fold(np.abs(poly.value(np.array([p.x for p in points]))
+                              - 1.0)),
                   VALUE_TOL),
             {"jacobian_ranks": ranks,
              "rank_expected": rank_expected,
@@ -265,34 +275,40 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     shapes = []
     if points is not None:
         try:
-            s_expected = 2.0 * (l - m - 1) * (m + 1)
-            s_vals, rho_gaps, h_vals, cross, trace_gaps = [], [], [], [], []
-            for pi, p in enumerate(points):
-                frame = build_frame(system, p)
-                shape = shape_operators(system, frame)
-                frames.append(frame)
-                shapes.append(shape)
-                s_vals.append(shape.sff_norm_sq)
-                rho_gaps.append(abs(shape.trace_free_norm_sq
-                                    - shape.sff_norm_sq))
-                h_vals.append(fold(np.abs(shape.mean_curvature)))
-                trace_gaps.append(abs(float(np.trace(shape.ricci))
-                                      - (n * (n - 1) - shape.sff_norm_sq)))
-                rng = default_rng(_subseed(cfg.seed, config_index, 2, pi))
-                z = sphere_samples(rng, _N_CROSSCHECK_DIRS, n)
-                quad = ricci_quadratic(system, frame, frame.tangent @ z.T)
-                tensor = np.sum((z @ shape.ricci) * z, axis=1)
+            cross = []
+            for lo in range(0, len(points), _POINT_BLOCK):
+                block = build_frame(system, points[lo:lo + _POINT_BLOCK])
+                block_shapes = shape_operators(system, block)
+                z = np.array([
+                    sphere_samples(
+                        default_rng(_subseed(cfg.seed, config_index, 2, pi)),
+                        _N_CROSSCHECK_DIRS, n)
+                    for pi in range(lo, lo + len(block))])
+                tangent = np.array([f.tangent for f in block])
+                ricci = np.array([s.ricci for s in block_shapes])
+                quad = ricci_quadratic(system, block,
+                                       tangent @ z.transpose(0, 2, 1))
+                tensor = np.sum((z @ ricci) * z, axis=2)
                 cross.append(fold(np.abs(quad - tensor)))
+                frames += block
+                shapes += block_shapes
+            s_expected = 2.0 * (l - m - 1) * (m + 1)
+            s_vals = np.array([s.sff_norm_sq for s in shapes])
+            ricci_traces = np.array([np.trace(s.ricci) for s in shapes])
             blocks["geometry"] = _block(
                 {"S_expected": s_expected},
-                Check("S_max_gap",
-                      fold([abs(v - s_expected) for v in s_vals]),
+                Check("S_max_gap", fold(np.abs(s_vals - s_expected)),
                       tol["geom"]),
                 Check("S_spread", float(np.ptp(s_vals)), tol["geom"]),
-                Check("rho2_vs_S_max_gap", fold(rho_gaps), tol["geom"]),
-                Check("H_max", fold(h_vals), tol["cert"]),
+                Check("rho2_vs_S_max_gap",
+                      fold([abs(s.trace_free_norm_sq - s.sff_norm_sq)
+                            for s in shapes]), tol["geom"]),
+                Check("H_max", fold([np.abs(s.mean_curvature)
+                                     for s in shapes]), tol["cert"]),
                 Check("ricci_crosscheck_max", fold(cross), tol["geom"]),
-                Check("ricci_trace_max_gap", fold(trace_gaps), tol["geom"]))
+                Check("ricci_trace_max_gap",
+                      fold(np.abs(ricci_traces - (n * (n - 1) - s_vals))),
+                      tol["geom"]))
         except FrameError as exc:
             frames = []
             shapes = []
@@ -300,17 +316,17 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
 
     if frames:
         try:
-            rows = []
-            for pi, (frame, shape) in enumerate(zip(frames, shapes)):
-                coeffs = list(np.eye(m + 1))
+            coeffs = np.empty((len(frames), m + 1 + cfg.n_normals, m + 1))
+            coeffs[:, :m + 1] = np.eye(m + 1)
+            for pi in range(len(frames)):
                 rng = default_rng(_subseed(cfg.seed, config_index, 3, pi))
-                for _ in range(cfg.n_normals):
-                    c = rng.standard_normal(m + 1)
-                    c /= float(np.linalg.norm(c))
-                    coeffs.append(c)
-                rows.append(certify_point(system, frame, shape, coeffs,
-                                          geom_tol=tol["geom"],
-                                          willmore_tol=tol["willmore"]))
+                c = rng.standard_normal((cfg.n_normals, m + 1))
+                # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
+                norms = np.sqrt(np.matmul(c[:, None, :], c[:, :, None]))
+                coeffs[pi, m + 1:] = c / norms[:, 0]
+            rows = certify_point(system, frames, shapes, coeffs,
+                                 geom_tol=tol["geom"],
+                                 willmore_tol=tol["willmore"])
         except (SpectrumError, MultiplicityError) as exc:
             blocks["lemma"] = {"error": str(exc), "pass": False}
         else:
@@ -329,10 +345,14 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 {"residual_median": float(np.median(reduced))},
                 *worst.values())
 
-            probes = [einstein_probe(system, frame, _N_EINSTEIN_DIRS,
-                                     _subseed(cfg.seed, config_index, 4, pi),
-                                     shape=shape)
-                      for pi, (frame, shape) in enumerate(zip(frames, shapes))]
+            probes = []
+            for lo in range(0, len(frames), _POINT_BLOCK):
+                block = frames[lo:lo + _POINT_BLOCK]
+                seeds = [_subseed(cfg.seed, config_index, 4, pi)
+                         for pi in range(lo, lo + len(block))]
+                probes += einstein_probe(system, block, _N_EINSTEIN_DIRS,
+                                         seeds,
+                                         shape=shapes[lo:lo + _POINT_BLOCK])
             status = probes[0].status
             if status == "evidence":
                 spread_ok = all(p.spread_exceeds_threshold for p in probes)

@@ -166,10 +166,16 @@ def test_criterion_10_fault_sensitivity(acceptance):
 
 
 def test_criterion_11_byte_identical_reports(acceptance):
-    cfg = VerificationConfig(configurations=((1, 3), (2, 2)), n_points=4,
-                             n_normals=6, n_pde_samples=100, seed=7)
-    first = run_suite(cfg).to_json()
-    second = run_suite(cfg).to_json()
-    ok = first == second and len(first) > 0
+    # the second shape is --points 100 --normals 0: many points per
+    # configuration, evaluated in stacks
+    configs = (
+        VerificationConfig(configurations=((1, 3), (2, 2)), n_points=4,
+                           n_normals=6, n_pde_samples=100, seed=7),
+        VerificationConfig(configurations=((1, 3), (2, 2)), n_points=100,
+                           n_normals=0))
+    pairs = [(run_suite(cfg).to_json(), run_suite(cfg).to_json())
+             for cfg in configs]
+    ok = all(first == second and len(first) > 0 for first, second in pairs)
     acceptance(11, "identical config and seed give byte-identical JSON", ok,
-               f"{len(first)} bytes compared")
+               f"{' + '.join(str(len(first)) for first, _ in pairs)} bytes "
+               "compared")

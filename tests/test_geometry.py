@@ -9,6 +9,7 @@ from fkm_willmore import (AdaptedFrame, FocalPoint, FrameError,
                           deterministic_seed, ricci_quadratic,
                           sample_focal_points, sectional_curvature,
                           sectional_curvature_from_shape, shape_operators)
+from fkm_willmore.geometry import pair_products
 
 from conftest import GRID
 
@@ -236,3 +237,91 @@ def test_ricci_quadratic_block_validation_names_the_column():
         ricci_quadratic(system, frame, block)
     with pytest.raises(ValueError):
         ricci_quadratic(system, frame, frame.tangent[:3])
+
+
+# ---------------------------------------------------------------------------
+# stacks of points against one point at a time
+# ---------------------------------------------------------------------------
+
+def _reference_frame_and_shape(system, x):
+    """Tangent basis, pair products, shape operators, |A|^2 and Ricci tensor
+    of one point with 2-D arrays, the per-point code the stacks replace."""
+    px = system.stack @ x
+    lead = np.hstack([x[:, None], px.T])
+    q, _ = np.linalg.qr(np.hstack([lead, np.eye(system.ambient_dim)]))
+    t = q[:, system.m + 2:]
+    pairs = np.einsum("aij,bj->abi", system.stack, px)
+    ops = -np.einsum("ip,aij,jq->apq", t, system.stack, t)
+    n = t.shape[1]
+    sq = np.einsum("apq,aqr->apr", ops, ops)
+    ricci = ((n - 1.0) * np.eye(n)
+             + np.einsum("a,apq->pq", np.einsum("app->a", ops), ops)
+             - np.sum(sq, axis=0))
+    return t, pairs, ops, float(np.sum(ops * ops)), ricci
+
+
+@pytest.mark.parametrize("m,k", GRID + [(9, 1)])
+def test_stacked_frames_and_shapes_equal_single_points(m, k):
+    system, points = _setup(m, k, n_points=5)
+    frames = build_frame(system, points)
+    shapes = shape_operators(system, frames)
+    assert len(frames) == len(shapes) == len(points)
+    for point, frame, shape in zip(points, frames, shapes):
+        single = build_frame(system, point)
+        assert frame.point is point
+        for name in ("tangent", "normal", "pairs"):
+            assert np.array_equal(getattr(frame, name),
+                                  getattr(single, name)), name
+        assert np.array_equal(frame.pairs, pair_products(system, point.x))
+        one = shape_operators(system, single)
+        for name in ("operators", "mean_curvature", "ricci"):
+            assert np.array_equal(getattr(shape, name), getattr(one, name))
+        assert shape.sff_norm_sq == one.sff_norm_sq
+        assert shape.trace_free_norm_sq == one.trace_free_norm_sq
+        # bit for bit the arithmetic of the one-point code
+        t, pairs, ops, s, ricci = _reference_frame_and_shape(system, point.x)
+        assert np.array_equal(frame.tangent, t)
+        assert np.array_equal(frame.pairs, pairs)
+        assert np.array_equal(shape.operators, ops)
+        assert shape.sff_norm_sq == s
+        assert np.array_equal(shape.ricci, ricci)
+
+
+def test_pair_products_are_the_products_of_the_matrices():
+    system, points = _setup(3, 2, n_points=1)
+    x = points[1].x
+    pairs = pair_products(system, x)
+    for a, pa in enumerate(system.matrices):
+        for b, pb in enumerate(system.matrices):
+            assert np.allclose(pairs[a, b], pa @ pb @ x, atol=1e-15)
+    assert np.array_equal(pair_products(system, np.array([x, x]))[1], pairs)
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
+def test_stacked_ricci_quadratic_equals_single_frames(m, k):
+    system, points = _setup(m, k, n_points=4)
+    frames = build_frame(system, points)
+    rng = default_rng(7 + m)
+    z = rng.standard_normal((len(frames), frames[0].tangent_dim, 9))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    block = np.array([f.tangent for f in frames]) @ z
+    values = ricci_quadratic(system, frames, block)
+    assert values.shape == (len(frames), 9)
+    for p, frame in enumerate(frames):
+        assert np.array_equal(values[p],
+                              ricci_quadratic(system, frame, block[p]))
+
+
+def test_stacked_validation_names_the_point():
+    system, points = _setup(2, 2, n_points=2)
+    frames = build_frame(system, points)
+    block = np.array([f.tangent[:, :3] for f in frames])
+    block[1, :, 2] = frames[1].normal[:, 0]
+    with pytest.raises(ValueError, match="point 1, column 2 "):
+        ricci_quadratic(system, frames, block)
+    with pytest.raises(ValueError):
+        ricci_quadratic(system, frames, block[:2])
+    fake = FocalPoint(x=1.1 * points[0].x, residual_constraints=0.0,
+                      residual_sphere=0.0)
+    with pytest.raises(FrameError, match="point 2: "):
+        build_frame(system, [points[1], points[2], fake])

@@ -12,6 +12,10 @@ def test_fold_is_the_max_and_zero_for_nothing():
     assert fold(np.zeros((0, 3))) == 0.0
     assert fold([1e-14, 3e-13, 2e-13]) == 3e-13
     assert isinstance(fold(np.array([0.5])), float)
+    # along an axis: one worst value per row, 0.0 for an empty row
+    assert fold(np.array([[1.0, 3.0], [2.0, 0.0]]), axis=1).tolist() == [3.0,
+                                                                        2.0]
+    assert fold(np.zeros((2, 0)), axis=1).tolist() == [0.0, 0.0]
 
 
 def test_fold_propagates_nan():
@@ -20,6 +24,8 @@ def test_fold_propagates_nan():
     assert math.isnan(fold([0.0, math.nan]))
     assert math.isnan(fold([math.nan, 0.0]))
     assert math.isnan(fold(np.array([[1.0, math.nan], [2.0, 3.0]])))
+    assert np.isnan(fold(np.array([[1.0, math.nan], [2.0, 3.0]]),
+                         axis=1)).tolist() == [True, False]
     assert not Check("max_deviation", fold([0.0, math.nan]), 1.0).passed
 
 

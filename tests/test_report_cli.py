@@ -342,3 +342,50 @@ def test_ricci_crosscheck_matches_sequential_draws():
             worst = max(worst, abs(quad - float(z @ ricci @ z)))
     assert abs(entry["blocks"]["geometry"]["ricci_crosscheck_max"]
                - worst) <= 1e-12
+
+
+def _reject_constant(token):
+    raise ValueError(f"report contains the non-JSON token {token}")
+
+
+def test_nan_residuals_serialize_as_null():
+    # JSON has no NaN: a NaN residual is written as null, and its block
+    # fails
+    from conftest import nan_pair_system
+    cfg = tiny_config(configurations=((2, 2),))
+    entry = evaluate_system(nan_pair_system(2, 2), cfg, 0)
+    report = VerificationReport(config=cfg, entries=[entry],
+                                overall_pass=False)
+    parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
+    blocks = parsed["configurations"][0]["blocks"]
+    assert blocks["clifford"]["max_deviation"] is None
+    assert blocks["cartan_munzner"]["max_gradient_residual"] is None
+    assert blocks["cartan_munzner"]["max_laplacian_residual"] is None
+    assert not blocks["clifford"]["pass"]
+    assert not blocks["cartan_munzner"]["pass"]
+    # finite values are untouched
+    assert blocks["cartan_munzner"]["n_samples"] == cfg.n_pde_samples
+
+
+@pytest.mark.parametrize("points,normals,bound_mb", [
+    # measured 3.0 MB; one block of all 100 points would add ~14 MB
+    (100, 0, 4.0),
+    # measured 1.6 MB; the chain runs one point (57 normals) per block
+    (20, 50, 2.5),
+])
+def test_evaluate_system_memory_is_bounded(points, normals, bound_mb):
+    # the stacked layers run in blocks of bounded size, so the traced peak
+    # of one configuration stays near that of a block
+    import tracemalloc
+    system = build_clifford_system(6, 1)
+    cfg = VerificationConfig(configurations=((6, 1),), n_points=points,
+                             n_normals=normals)
+    evaluate_system(system, cfg, 0)
+    tracemalloc.start()
+    try:
+        entry = evaluate_system(system, cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry["pass"]
+    assert peak / 1e6 < bound_mb, f"peak {peak / 1e6:.2f} MB"

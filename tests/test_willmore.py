@@ -1,15 +1,18 @@
 """Willmore identities: spectra, reflection, balances, probes, fault injection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from fkm_willmore import (AdaptedFrame, MultiplicityError, ShapeData,
+from fkm_willmore import (MultiplicityError, ShapeData,
                           SpectrumError, build_clifford_system, build_frame,
                           certify_point, deterministic_seed, einstein_probe,
                           principal_decomposition, ricci_quadratic,
                           rotate_system, sample_focal_points,
                           shape_operators, willmore_residual)
+from fkm_willmore import willmore
 
 from conftest import GRID, corrupt_system
 
@@ -125,8 +128,7 @@ def test_willmore_residual_frame_independent():
     rng = default_rng(33)
     n = frame.tangent_dim
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    other = AdaptedFrame(point=frame.point, tangent=frame.tangent @ q,
-                         normal=frame.normal)
+    other = replace(frame, tangent=frame.tangent @ q)
     rotated = willmore_residual(shape_operators(system, other))
     assert abs(base - rotated) <= 1e-9
     assert base < 1e-7 and rotated < 1e-7
@@ -366,3 +368,49 @@ def test_einstein_probe_matches_sequential_draws(m, k):
                                           frame.tangent @ vecs[:, idx]))
         assert abs(probe.ricci_min - min(values)) <= 1e-12
         assert abs(probe.ricci_max - max(values)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# blocks of points against one point at a time
+# ---------------------------------------------------------------------------
+
+def _normals(m, count, rng):
+    return list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(count)]
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (4, 2), (6, 1)])
+def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
+    system, frames, shapes = _setup(m, k, extra_points=6)
+    rng = default_rng(60 + m)
+    coeffs = [_normals(m, 3, rng) for _ in frames]
+    singles = [certify_point(system, f, s, c)
+               for f, s, c in zip(frames, shapes, coeffs)]
+    # block boundaries anywhere: one row (one point per block), blocks that
+    # split the points unevenly, and all points in one block
+    for rows in (1, 2 * (m + 4), 3 * (m + 4) + 1, 10_000):
+        monkeypatch.setattr(willmore, "_BLOCK_ROWS", rows)
+        assert certify_point(system, frames, shapes, coeffs) == singles
+
+
+def test_certify_point_block_errors_name_the_point():
+    system, frames, shapes = _setup(1, 3, extra_points=2)
+    coeffs = [[np.array([1.0, 0.0]), np.array([0.0, 1.0])]] * 3
+    bad = list(shapes)
+    bad[2] = _forged_shape(shapes[2], 1.5 * shapes[2].operators)
+    with pytest.raises(SpectrumError, match="point 2, normal 0:"):
+        certify_point(system, frames, bad, coeffs)
+    with pytest.raises(ValueError):
+        certify_point(system, frames, shapes, coeffs[:2])
+    with pytest.raises(ValueError):
+        certify_point(system, frames, shapes,
+                      [coeffs[0], coeffs[1], coeffs[2][:1]])
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
+def test_einstein_probe_stack_equals_single_points(m, k):
+    system, frames, shapes = _setup(m, k, extra_points=4)
+    seeds = [100 + i for i in range(len(frames))]
+    probes = einstein_probe(system, frames, 30, seeds, shape=shapes)
+    assert probes == [einstein_probe(system, f, 30, s, shape=sh)
+                      for f, s, sh in zip(frames, seeds, shapes)]
+    assert einstein_probe(system, frames, 30, seeds) == probes
