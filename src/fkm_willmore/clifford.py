@@ -329,7 +329,7 @@ def rotate_system(system: CliffordSystem, coeffs) -> CliffordSystem:
     if c.shape != (system.m + 1,):
         raise ValueError(
             f"coefficient shape {c.shape} != ({system.m + 1},)")
-    if abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
+    if not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12:
         raise ValueError("rotation coefficients must form a unit vector")
     basis = _orthonormal_completion(c[None])[0]
     new = np.einsum("ab,bij->aij", basis, system.stack)

@@ -298,17 +298,15 @@ def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
     return points
 
 
-def tangent_jacobian_rank(system: CliffordSystem, point):
-    """Rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x.
+def tangent_jacobian_rank(system: CliffordSystem, points) -> np.ndarray:
+    """Rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x at each
+    of a sequence of points, from one stacked SVD.
 
     Full rank m + 2 certifies that the constraint normals span the whole
     normal space plus the radial direction (singular values above 1e-8
-    count).  `point` is one FocalPoint, or a sequence of them, which gives
-    an array of ranks from one stacked SVD.
+    count).
     """
-    single = isinstance(point, FocalPoint)
-    x = np.array([p.x for p in ([point] if single else point)])
+    x = np.array([p.x for p in points])
     px, _, _ = _rows(system, x)
-    ranks = np.linalg.matrix_rank(np.concatenate([x[:, None, :], px], axis=1),
-                                  tol=1e-8)
-    return int(ranks[0]) if single else ranks
+    return np.linalg.matrix_rank(np.concatenate([x[:, None, :], px], axis=1),
+                                 tol=1e-8)

@@ -21,13 +21,12 @@ terms of the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .clifford import CliffordSystem
 from .errors import FrameError
-from .focal import FocalPoint
 
 __all__ = [
     "AdaptedFrame",
@@ -39,6 +38,7 @@ __all__ = [
     "sectional_curvature",
     "sectional_curvature_from_shape",
     "shape_operators",
+    "take",
 ]
 
 FRAME_GRAM_TOL = 1e-8
@@ -46,56 +46,52 @@ _TANGENCY_TOL = 1e-8
 _UNIT_TOL = 1e-10
 
 
-def _many(item, kind) -> tuple:
-    """(True, [item]) for one `kind`, (False, list(item)) for a sequence."""
-    return (True, [item]) if isinstance(item, kind) else (False, list(item))
+def _freeze(record, names=()) -> None:
+    """Store the fields `names` (all by default) as read-only arrays."""
+    for name in names or [f.name for f in fields(record)]:
+        arr = np.array(getattr(record, name), dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
+def take(block, rows):
+    """The points `rows` (a slice or an index array) of a stacked
+    AdaptedFrame or ShapeData, as a record of the same type."""
+    return type(block)(**{f.name: getattr(block, f.name)[rows]
+                          for f in fields(block)})
 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal splitting R^{2l} = <x> + normal + tangent at a focal point.
+    """Orthonormal splittings R^{2l} = <x> + normal + tangent at P points.
 
-    `tangent` has the n = 2l - m - 2 tangent vectors as columns, `normal`
-    the m + 1 vectors P_a x as columns (exactly, by construction).  `pairs`
-    holds the pair products P_a P_b x as an (m+1, m+1, 2l) array, formed
-    once per point for the closed-form Ricci and the Willmore chain.
+    `x` holds the points as rows (P, 2l).  `tangent` (P, 2l, n) has the
+    n = 2l - m - 2 tangent vectors of each point as columns, `normal`
+    (P, 2l, m+1) the m + 1 vectors P_a x as columns (exactly, by
+    construction).  `pairs` holds the pair products P_a P_b x as a
+    (P, m+1, m+1, 2l) array, formed once per point for the closed-form
+    Ricci and the Willmore chain.
     """
 
-    point: FocalPoint
+    x: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
     pairs: np.ndarray
 
     def __post_init__(self):
-        for name in ("tangent", "normal", "pairs"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.point.x
-
-    @property
-    def tangent_dim(self) -> int:
-        return self.tangent.shape[1]
-
-    @property
-    def codim(self) -> int:
-        return self.normal.shape[1]
+        _freeze(self)
 
 
-def build_frame(system: CliffordSystem, point):
-    """Deterministic adapted frame at a certified point.
+def build_frame(system: CliffordSystem, points) -> AdaptedFrame:
+    """Deterministic adapted frames at a sequence of certified points.
 
     The tangent basis comes from Householder QR of [x | P_0 x .. P_m x | I]:
     the trailing 2l - (m + 2) columns of Q are an orthonormal basis of the
-    orthogonal complement of the leading block.  The assembled frame must
-    reproduce the identity Gram matrix within 1e-8, else FrameError.
-    `point` is one FocalPoint, or a sequence of them, which gives a list of
-    frames from one stacked QR; a frame does not depend on the others.
+    orthogonal complement of the leading block.  Every assembled frame must
+    reproduce the identity Gram matrix within 1e-8, else FrameError naming
+    the first point that fails.  One stacked QR serves all points; a frame
+    does not depend on the others.
     """
-    single, points = _many(point, FocalPoint)
     n = system.ambient_dim
     codim = system.m + 1
     x = np.array([p.x for p in points]).reshape(-1, n)
@@ -107,47 +103,38 @@ def build_frame(system: CliffordSystem, point):
     full = np.concatenate([lead, tangent], axis=2)
     gram_dev = np.max(np.abs(full.transpose(0, 2, 1) @ full - np.eye(n)),
                       axis=(1, 2))
-    bad = np.flatnonzero(gram_dev > FRAME_GRAM_TOL)
+    bad = np.flatnonzero(~(gram_dev <= FRAME_GRAM_TOL))
     if bad.size:
-        where = "" if single else f"point {bad[0]}: "
         raise FrameError(
-            f"{where}adapted frame failed completeness: Gram deviation "
-            f"{gram_dev[bad[0]]:.3e} (tol {FRAME_GRAM_TOL:.1e})")
-    pairs = pair_products(system, x)
-    frames = [AdaptedFrame(point=p, tangent=t, normal=nv, pairs=pp)
-              for p, t, nv, pp in zip(points, tangent, normal, pairs)]
-    return frames[0] if single else frames
+            f"point {bad[0]}: adapted frame failed completeness: Gram "
+            f"deviation {gram_dev[bad[0]]:.3e} (tol {FRAME_GRAM_TOL:.1e})")
+    return AdaptedFrame(x=x, tangent=tangent, normal=normal,
+                        pairs=pair_products(system, x))
 
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Shape operators and the scalars derived from them.
+    """Shape operators and the scalars derived from them, at P points.
 
-    `operators[a][i, j]` is both the shape operator A_a and the second
-    fundamental form component h^a_{ij} in the frame's tangent basis.
+    `operators[p, a, i, j]` is both the shape operator A_a and the second
+    fundamental form component h^a_{ij} in the tangent basis of point p.
     """
 
-    operators: np.ndarray          # (m+1, n, n)
-    sff_norm_sq: float             # sum of squared h components
-    trace_free_norm_sq: float      # sff_norm_sq - n |H|^2
-    mean_curvature: np.ndarray     # (m+1,), components tr(A_a) / n
-    ricci: np.ndarray              # (n, n)
+    operators: np.ndarray          # (P, m+1, n, n)
+    sff_norm_sq: np.ndarray        # (P,), sum of squared h components
+    trace_free_norm_sq: np.ndarray  # (P,), sff_norm_sq - n |H|^2
+    mean_curvature: np.ndarray     # (P, m+1), components tr(A_a) / n
+    ricci: np.ndarray              # (P, n, n)
 
     def __post_init__(self):
-        for name in ("operators", "mean_curvature", "ricci"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self)
 
 
-def shape_operators(system: CliffordSystem, frame):
-    """All shape operators at the frame's point, plus derived scalars.
-
-    `frame` is one AdaptedFrame, or a sequence of them, which gives a list
-    of ShapeData from one stacked contraction.
-    """
-    single, frames = _many(frame, AdaptedFrame)
-    t = np.array([f.tangent for f in frames])
+def shape_operators(system: CliffordSystem,
+                    frame: AdaptedFrame) -> ShapeData:
+    """All shape operators at the frame's points, plus derived scalars,
+    from one stacked contraction."""
+    t = frame.tangent
     ops = -np.einsum("kip,aij,kjq->kapq", t, system.stack, t)
     n = t.shape[2]
     traces = np.einsum("kapp->ka", ops)
@@ -157,48 +144,48 @@ def shape_operators(system: CliffordSystem, frame):
     sq = np.einsum("kapq,kaqr->kapr", ops, ops)
     ricci = ((n - 1.0) * np.eye(n)
              + np.einsum("ka,kapq->kpq", traces, ops) - np.sum(sq, axis=1))
-    shapes = [ShapeData(operators=o, sff_norm_sq=float(si),
-                        trace_free_norm_sq=float(ri), mean_curvature=h,
-                        ricci=r)
-              for o, si, ri, h, r in zip(ops, s, rho_sq, h_vec, ricci)]
-    return shapes[0] if single else shapes
+    return ShapeData(operators=ops, sff_norm_sq=s, trace_free_norm_sq=rho_sq,
+                     mean_curvature=h_vec, ricci=ricci)
 
 
-def _tangency_residual(frames: list, cols: np.ndarray) -> np.ndarray:
+def _tangency_residual(frame: AdaptedFrame, cols: np.ndarray) -> np.ndarray:
     """Norm of the components along x and the normals P_a x of every column
-    of a (P, 2l, K) stack, block p taken at frames[p]; shape (P, K)."""
-    x = np.array([f.x for f in frames])
-    normal = np.array([f.normal for f in frames])
-    parts = np.concatenate([x[:, None, :] @ cols,
-                            normal.transpose(0, 2, 1) @ cols], axis=1)
+    of a (P, 2l, K) stack, block p taken at point p; shape (P, K)."""
+    parts = np.concatenate([frame.x[:, None, :] @ cols,
+                            frame.normal.transpose(0, 2, 1) @ cols], axis=1)
     return np.linalg.norm(parts, axis=1)
 
 
 def sectional_curvature(system: CliffordSystem, frame: AdaptedFrame,
-                        X, Y) -> float:
-    """K(X, Y) for an orthonormal tangent pair, directly from the P_a."""
+                        X, Y) -> np.ndarray:
+    """K(X_p, Y_p) for an orthonormal tangent pair at every point p,
+    directly from the P_a; X and Y are (P, 2l), the result (P,)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if (abs(float(np.linalg.norm(X)) - 1.0) > _UNIT_TOL
-            or abs(float(np.linalg.norm(Y)) - 1.0) > _UNIT_TOL
-            or abs(float(X @ Y)) > _UNIT_TOL):
+    gap = np.maximum.reduce([np.abs(np.linalg.norm(X, axis=1) - 1.0),
+                             np.abs(np.linalg.norm(Y, axis=1) - 1.0),
+                             np.abs(np.sum(X * Y, axis=1))])
+    if not np.all(gap <= _UNIT_TOL):
         raise ValueError("sectional curvature needs an orthonormal pair")
-    if np.any(_tangency_residual([frame], np.stack([X, Y], axis=1)[None])
-              > _TANGENCY_TOL):
+    if not np.all(_tangency_residual(frame, np.stack([X, Y], axis=2))
+                  <= _TANGENCY_TOL):
         raise ValueError("sectional curvature needs tangent vectors")
-    px = system.stack @ X
-    py = system.stack @ Y
-    return 1.0 + float((px @ X) @ (py @ Y) - (px @ Y) @ (px @ Y))
+    px = system.apply(X)
+    py = system.apply(Y)
+    xy = np.sum(px * Y[:, None], axis=2)
+    return 1.0 + np.sum(np.sum(px * X[:, None], axis=2)
+                        * np.sum(py * Y[:, None], axis=2) - xy * xy, axis=1)
 
 
 def sectional_curvature_from_shape(frame: AdaptedFrame, shape: ShapeData,
-                                   X, Y) -> float:
+                                   X, Y) -> np.ndarray:
     """Same quantity through the shape operators (Gauss equation route)."""
-    p = frame.tangent.T @ np.asarray(X, dtype=float)
-    q = frame.tangent.T @ np.asarray(Y, dtype=float)
-    ap = shape.operators @ p
-    aq = shape.operators @ q
-    return 1.0 + float((ap @ p) @ (aq @ q) - (ap @ q) @ (ap @ q))
+    def form(u, v):                 # <A_a u, v> for every point and a
+        return np.einsum("kapq,kp,kq->ka", shape.operators, u, v)
+
+    p = np.einsum("kip,ki->kp", frame.tangent, np.asarray(X, dtype=float))
+    q = np.einsum("kip,ki->kp", frame.tangent, np.asarray(Y, dtype=float))
+    return 1.0 + np.sum(form(p, p) * form(q, q) - form(p, q) ** 2, axis=1)
 
 
 def pair_products(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
@@ -210,52 +197,37 @@ def pair_products(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     return np.einsum("aij,...bj->...abi", system.stack, system.apply(x))
 
 
-def ricci_quadratic(system: CliffordSystem, frame, X):
+def ricci_quadratic(system: CliffordSystem, frame: AdaptedFrame,
+                    X) -> np.ndarray:
     """Ric(X) = 2 (l - m - 2) + 2 sum_{a<b} <X, P_a P_b x>^2 for unit tangent X.
 
-    X is one vector, or a (2l, K) block with one unit tangent per column;
-    a block gives the K values as an array, and the unit and tangency
-    checks run on every column.  `frame` may also be a sequence of P
-    frames, with X a (P, 2l, K) stack of blocks, one per frame; that gives
-    a (P, K) array.  The closed form needs codimension headroom
-    l >= m + 2; admissible systems always have it, the check is defensive.
+    X is a (P, 2l, K) stack with K unit tangents of point p as the columns
+    of X[p]; gives the (P, K) values.  The unit and tangency checks run on
+    every column.  The closed form needs codimension headroom l >= m + 2;
+    admissible systems always have it, the check is defensive.
     """
     if system.l < system.m + 2:
         raise ValueError("closed-form Ricci needs l >= m + 2")
-    single, frames = _many(frame, AdaptedFrame)
-    X = np.asarray(X, dtype=float)
-    dim = system.ambient_dim
-    if single:
-        if X.ndim not in (1, 2) or X.shape[0] != dim:
-            raise ValueError(
-                f"tangent shape {X.shape} is neither ({dim},) nor ({dim}, K)")
-        cols = X.reshape(1, dim, -1)
-    else:
-        if X.ndim != 3 or X.shape[:2] != (len(frames), dim):
-            raise ValueError(f"tangent shape {X.shape} != "
-                             f"({len(frames)}, {dim}, K)")
-        cols = X
-
-    def column(p, k):
-        return f"column {k}" if single else f"point {p}, column {k}"
-
+    cols = np.asarray(X, dtype=float)
+    shape = (len(frame.x), system.ambient_dim)
+    if cols.ndim != 3 or cols.shape[:2] != shape:
+        raise ValueError(f"tangent shape {cols.shape} != ({shape[0]}, "
+                         f"{shape[1]}, K)")
     unit_gap = np.abs(np.linalg.norm(cols, axis=1) - 1.0)
-    bad = np.argwhere(unit_gap > _UNIT_TOL)
+    bad = np.argwhere(~(unit_gap <= _UNIT_TOL))
     if bad.size:
         raise ValueError(
-            f"Ricci quadratic form needs unit vectors ({column(*bad[0])} "
-            f"has norm deviation {unit_gap[tuple(bad[0])]:.3e})")
-    tangency = _tangency_residual(frames, cols)
-    bad = np.argwhere(tangency > _TANGENCY_TOL)
+            f"Ricci quadratic form needs unit vectors (point {bad[0][0]}, "
+            f"column {bad[0][1]} has norm deviation "
+            f"{unit_gap[tuple(bad[0])]:.3e})")
+    tangency = _tangency_residual(frame, cols)
+    bad = np.argwhere(~(tangency <= _TANGENCY_TOL))
     if bad.size:
         raise ValueError(
-            f"Ricci quadratic form needs tangent vectors ({column(*bad[0])} "
-            f"has residual {tangency[tuple(bad[0])]:.3e})")
+            f"Ricci quadratic form needs tangent vectors (point {bad[0][0]}, "
+            f"column {bad[0][1]} has residual "
+            f"{tangency[tuple(bad[0])]:.3e})")
     idx_a, idx_b = np.triu_indices(system.m + 1, k=1)
-    pairs = np.array([f.pairs[idx_a, idx_b] for f in frames])
-    proj = pairs @ cols
-    values = 2.0 * (system.l - system.m - 2) + 2.0 * np.sum(proj * proj,
-                                                            axis=1)
-    if not single:
-        return values
-    return float(values[0, 0]) if X.ndim == 1 else values[0]
+    proj = frame.pairs[:, idx_a, idx_b] @ cols
+    return 2.0 * (system.l - system.m - 2) + 2.0 * np.sum(proj * proj,
+                                                          axis=1)

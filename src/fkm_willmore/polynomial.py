@@ -172,9 +172,10 @@ class FkmPolynomial:
         """
         x = self._check_points(x)
         unit_gap = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
-        if np.any(unit_gap > 1e-12):
+        bad = np.flatnonzero(~(unit_gap <= 1e-12))
+        if bad.size:
             raise ValueError("sphere derivatives need unit points (row "
-                             f"{int(np.argmax(unit_gap))} is off the sphere)")
+                             f"{bad[0]} is off the sphere)")
         grad = self.euclidean_gradient(x)
         grad_s = grad - np.sum(grad * x, axis=-1)[..., None] * x
         value = self.value(x)

@@ -31,7 +31,7 @@ from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
                      SingularityError, SpectrumError)
 from .focal import (SPHERE_TOL, VALUE_TOL, deterministic_seed,
                     sample_focal_points, tangent_jacobian_rank)
-from .geometry import build_frame, ricci_quadratic, shape_operators
+from .geometry import build_frame, ricci_quadratic, shape_operators, take
 from .polynomial import FkmPolynomial, sphere_samples, verify_cartan_munzner
 from .records import Check, fold
 from .willmore import certify_point, einstein_probe
@@ -70,10 +70,16 @@ DEFAULT_TOLERANCES = {
 _SEED_MASK = (1 << 64) - 1
 _N_CROSSCHECK_DIRS = 100
 _N_EINSTEIN_DIRS = 100
-# Points whose frames, shape operators, Ricci cross-check and Einstein probe
-# are evaluated as one stack.  The stacked intermediates take about 60 KB
-# per point at (m, k) = (6, 1), so a block stays near 1 MB.
+# Points whose Ricci cross-check and Einstein probe are evaluated as one
+# stack.  Their 100 directions per point take about 60 KB at
+# (m, k) = (6, 1), so a block stays near 1 MB.
 _POINT_BLOCK = 16
+
+
+def _point_blocks(count: int) -> list:
+    """Slices of at most _POINT_BLOCK consecutive points out of `count`."""
+    return [slice(lo, lo + _POINT_BLOCK)
+            for lo in range(0, count, _POINT_BLOCK)]
 
 
 def _subseed(master: int, *key: int) -> int:
@@ -271,54 +277,49 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
              "coordinates": [p.x for p in points]},
             ok=ranks == [rank_expected])
 
-    frames = []
-    shapes = []
+    frames = None
     if points is not None:
         try:
+            frames = build_frame(system, points)
+            shapes = shape_operators(system, frames)
             cross = []
-            for lo in range(0, len(points), _POINT_BLOCK):
-                block = build_frame(system, points[lo:lo + _POINT_BLOCK])
-                block_shapes = shape_operators(system, block)
+            for rows in _point_blocks(len(points)):
+                block = take(frames, rows)
                 z = np.array([
                     sphere_samples(
                         default_rng(_subseed(cfg.seed, config_index, 2, pi)),
                         _N_CROSSCHECK_DIRS, n)
-                    for pi in range(lo, lo + len(block))])
-                tangent = np.array([f.tangent for f in block])
-                ricci = np.array([s.ricci for s in block_shapes])
+                    for pi in range(len(points))[rows]])
                 quad = ricci_quadratic(system, block,
-                                       tangent @ z.transpose(0, 2, 1))
-                tensor = np.sum((z @ ricci) * z, axis=2)
+                                       block.tangent @ z.transpose(0, 2, 1))
+                tensor = np.sum((z @ shapes.ricci[rows]) * z, axis=2)
                 cross.append(fold(np.abs(quad - tensor)))
-                frames += block
-                shapes += block_shapes
             s_expected = 2.0 * (l - m - 1) * (m + 1)
-            s_vals = np.array([s.sff_norm_sq for s in shapes])
-            ricci_traces = np.array([np.trace(s.ricci) for s in shapes])
+            s_vals = shapes.sff_norm_sq
+            ricci_traces = np.array([np.trace(r) for r in shapes.ricci])
             blocks["geometry"] = _block(
                 {"S_expected": s_expected},
                 Check("S_max_gap", fold(np.abs(s_vals - s_expected)),
                       tol["geom"]),
                 Check("S_spread", float(np.ptp(s_vals)), tol["geom"]),
                 Check("rho2_vs_S_max_gap",
-                      fold([abs(s.trace_free_norm_sq - s.sff_norm_sq)
-                            for s in shapes]), tol["geom"]),
-                Check("H_max", fold([np.abs(s.mean_curvature)
-                                     for s in shapes]), tol["cert"]),
+                      fold(np.abs(shapes.trace_free_norm_sq - s_vals)),
+                      tol["geom"]),
+                Check("H_max", fold(np.abs(shapes.mean_curvature)),
+                      tol["cert"]),
                 Check("ricci_crosscheck_max", fold(cross), tol["geom"]),
                 Check("ricci_trace_max_gap",
                       fold(np.abs(ricci_traces - (n * (n - 1) - s_vals))),
                       tol["geom"]))
         except FrameError as exc:
-            frames = []
-            shapes = []
             blocks["geometry"] = {"error": str(exc), "pass": False}
 
-    if frames:
+    if frames is not None:
+        count = len(points)
         try:
-            coeffs = np.empty((len(frames), m + 1 + cfg.n_normals, m + 1))
+            coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
             coeffs[:, :m + 1] = np.eye(m + 1)
-            for pi in range(len(frames)):
+            for pi in range(count):
                 rng = default_rng(_subseed(cfg.seed, config_index, 3, pi))
                 c = rng.standard_normal((cfg.n_normals, m + 1))
                 # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
@@ -345,31 +346,28 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 {"residual_median": float(np.median(reduced))},
                 *worst.values())
 
-            probes = []
-            for lo in range(0, len(frames), _POINT_BLOCK):
-                block = frames[lo:lo + _POINT_BLOCK]
-                seeds = [_subseed(cfg.seed, config_index, 4, pi)
-                         for pi in range(lo, lo + len(block))]
-                probes += einstein_probe(system, block, _N_EINSTEIN_DIRS,
-                                         seeds,
-                                         shape=shapes[lo:lo + _POINT_BLOCK])
-            status = probes[0].status
-            if status == "evidence":
-                spread_ok = all(p.spread_exceeds_threshold for p in probes)
-                einstein_pass = spread_ok and all(p.dim_inequality
-                                                  for p in probes)
-            else:
-                spread_ok = None
-                einstein_pass = True
+            probes = [einstein_probe(
+                system, take(frames, rows), _N_EINSTEIN_DIRS,
+                [_subseed(cfg.seed, config_index, 4, pi)
+                 for pi in range(count)[rows]], take(shapes, rows))
+                for rows in _point_blocks(count)]
+
+            def joined(name):
+                return np.concatenate([getattr(p, name) for p in probes])
+
+            gate = probes[0]       # the gate fields are per configuration
+            spread_ok = gate.spread_exceeds_threshold and all(
+                p.spread_exceeds_threshold for p in probes)
             blocks["einstein"] = _block(
-                {"ricci_min": min(p.ricci_min for p in probes),
-                 "ricci_max": max(p.ricci_max for p in probes),
-                 "spread": max(p.spread for p in probes),
-                 "dimension_condition": probes[0].dimension_condition,
-                 "dim_inequality": probes[0].dim_inequality,
+                {"ricci_min": float(np.min(joined("ricci_min"))),
+                 "ricci_max": float(np.max(joined("ricci_max"))),
+                 "spread": float(np.max(joined("spread"))),
+                 "dimension_condition": gate.dimension_condition,
+                 "dim_inequality": gate.dim_inequality,
                  "spread_exceeds_threshold": spread_ok,
-                 "status": status},
-                ok=einstein_pass)
+                 "status": gate.status},
+                ok=gate.status != "evidence"
+                or (spread_ok and gate.dim_inequality))
 
     entry["blocks"] = blocks
     entry["pass"] = bool(blocks) and all(b.get("pass", False)
@@ -435,7 +433,8 @@ def render_text(report: VerificationReport) -> str:
         cm = b.get("cartan_munzner")
         if cm:
             parts.append("pde={:.3e}".format(
-                max(cm["max_gradient_residual"], cm["max_laplacian_residual"])))
+                fold([cm["max_gradient_residual"],
+                      cm["max_laplacian_residual"]])))
         geo = b.get("geometry", {})
         if "S_max_gap" in geo:
             parts.append("S_gap={:.3e}".format(geo["S_max_gap"]))

@@ -24,7 +24,8 @@ T_0 component U of P'_1 P'_2 x, the m > 2 case by the norm bookkeeping
 Each identity holds at one focal point with one adapted frame; the report
 module sweeps points and normal directions.  certify_point evaluates the
 chain over blocks of points x normals and returns one Check per identity
-and point; principal_decomposition is the same code on a block of one.
+and point; principal_decomposition is the same code with one normal per
+point.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from numpy.random import default_rng
 
 from .clifford import CliffordSystem, _orthonormal_completion
 from .errors import MultiplicityError, SpectrumError
-from .geometry import (AdaptedFrame, ShapeData, _many, ricci_quadratic,
-                       shape_operators)
+from .geometry import (AdaptedFrame, ShapeData, _freeze, ricci_quadratic,
+                       take)
 from .polynomial import sphere_samples
 from .records import Check, fold
 
@@ -60,37 +61,38 @@ RICCI_SPREAD_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class PrincipalDecomposition:
-    """Eigenspaces of A_xi at a point, as ambient column blocks.
+    """Eigenspaces of A_xi at P points, one normal xi each, as ambient
+    column blocks.
 
-    t0, t1, tm1 hold orthonormal bases of the principal-curvature
+    t0, t1, tm1 (P, 2l, .) hold orthonormal bases of the principal-curvature
     eigenspaces for 0, +1, -1 (dimensions m, l-m-1, l-m-1).
     """
 
-    xi_coeffs: np.ndarray
-    xi: np.ndarray
+    xi_coeffs: np.ndarray              # (P, m+1)
+    xi: np.ndarray                     # (P, 2l)
     t0: np.ndarray
     t1: np.ndarray
     tm1: np.ndarray
-    spectrum_deviation: float
+    spectrum_deviation: np.ndarray     # (P,)
 
     def __post_init__(self):
-        for name in ("xi_coeffs", "xi", "t0", "t1", "tm1"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self)
 
 
 @dataclass(frozen=True)
 class EinsteinProbe:
-    """Ricci spread probe plus the integer inequality gate."""
+    """Ricci spread probe at P points plus the integer inequality gate."""
 
-    ricci_min: float
-    ricci_max: float
-    spread: float
+    ricci_min: np.ndarray              # (P,)
+    ricci_max: np.ndarray              # (P,)
+    spread: np.ndarray                 # (P,)
     dimension_condition: bool          # 4l > m^2 + 3m + 4
     dim_inequality: bool | None        # dim M+ > m(m+1)/2, gated
-    spread_exceeds_threshold: bool | None
+    spread_exceeds_threshold: bool | None   # at every point, gated
     status: str                        # "evidence" or "inconclusive"
+
+    def __post_init__(self):
+        _freeze(self, ("ricci_min", "ricci_max", "spread"))
 
 
 # ---------------------------------------------------------------------------
@@ -107,25 +109,27 @@ class EinsteinProbe:
 _BLOCK_ROWS = 64
 
 
-def _coefficient_rows(system: CliffordSystem, coeffs) -> np.ndarray:
-    """The normals' coefficient vectors as an (N, m+1) array of unit rows."""
+def _coefficient_rows(system: CliffordSystem, coeffs,
+                      count: int) -> np.ndarray:
+    """The normals' coefficient vectors as a (P, N, m+1) array of unit rows,
+    N of them for each of `count` points."""
     m1 = system.m + 1
-    rows = [np.asarray(c, dtype=float) for c in coeffs]
-    c = np.array(rows) if rows else np.zeros((0, m1))
-    if c.ndim != 2 or c.shape[1] != m1:
-        raise ValueError(f"coefficient shape {c.shape} != (N, {m1})")
-    gap = np.abs(np.linalg.norm(c, axis=1) - 1.0)
-    bad = np.flatnonzero(gap > 1e-12)
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 3 or c.shape[0] != count or c.shape[2] != m1:
+        raise ValueError(f"coefficient shape {c.shape} != ({count}, N, {m1})")
+    gap = np.abs(np.linalg.norm(c, axis=2) - 1.0)
+    bad = np.argwhere(~(gap <= 1e-12))
     if bad.size:
-        raise ValueError(f"normal {bad[0]}: coefficients must form a unit "
-                         f"vector (norm deviation {gap[bad[0]]:.3e})")
+        p, k = bad[0]
+        raise ValueError(f"point {p}, normal {k}: coefficients must form a "
+                         f"unit vector (norm deviation {gap[p, k]:.3e})")
     return c
 
 
 def _contractions(ricci: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """sum_ij R_ij h^a_ij for every normal index a (shape-operator route),
-    for one point or a (P, ...) stack of points."""
-    return np.einsum("...pq,...apq->...a", ricci, ops)
+    """sum_ij R_ij h^a_ij for every point and normal index a (the
+    shape-operator route), as (P, m+1)."""
+    return np.einsum("kpq,kapq->ka", ricci, ops)
 
 
 def _decompose(system: CliffordSystem, tangent: np.ndarray, ops: np.ndarray,
@@ -201,7 +205,7 @@ def _reflection(p0: np.ndarray, t1: np.ndarray, tm1: np.ndarray):
                              initial=0.0))
 
 
-def _balance_and_bridge(system: CliffordSystem, frames: list,
+def _balance_and_bridge(system: CliffordSystem, frame: AdaptedFrame,
                         contractions: np.ndarray, coeffs: np.ndarray,
                         t1: np.ndarray, tm1: np.ndarray):
     """Signed closed-form balance and bridge gap of every normal.
@@ -213,7 +217,7 @@ def _balance_and_bridge(system: CliffordSystem, frames: list,
     """
     count, num, dim, m2 = t1.shape
     block = np.concatenate([t1, tm1], axis=3).transpose(0, 2, 1, 3)
-    ric = ricci_quadratic(system, frames,
+    ric = ricci_quadratic(system, frame,
                           block.reshape(count, dim, num * 2 * m2))
     sums = np.sum(ric.reshape(count, num, 2, m2), axis=3)
     signed = sums[..., 0] - sums[..., 1]
@@ -271,25 +275,21 @@ def _case_residuals(system: CliffordSystem, x: np.ndarray, p0, normals,
     return tangency, orthogonality, bookkeeping, p0u_max
 
 
-def _chain(system: CliffordSystem, frames: list, shapes: list,
+def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
            coeffs: np.ndarray, where) -> list:
     """The worst residual of every check at each point of a block, as (P,)
     arrays in the order of _CHECK_NAMES; residual_max does not depend on
     the normals."""
-    x = np.array([f.x for f in frames])
-    tangent = np.array([f.tangent for f in frames])
-    pairs = np.array([f.pairs for f in frames])
-    ops = np.array([s.operators for s in shapes])
-    contractions = _contractions(np.array([s.ricci for s in shapes]), ops)
-    spectrum, t0, t1, tm1 = _decompose(system, tangent, ops, coeffs, where)
-    p0, normals, y = _rotated(system, x, pairs, coeffs)
-    signed_balance, bridge = _balance_and_bridge(system, frames,
-                                                 contractions, coeffs, t1,
-                                                 tm1)
+    contractions = _contractions(shape.ricci, shape.operators)
+    spectrum, t0, t1, tm1 = _decompose(system, frame.tangent, shape.operators,
+                                       coeffs, where)
+    p0, normals, y = _rotated(system, frame.x, frame.pairs, coeffs)
+    signed_balance, bridge = _balance_and_bridge(system, frame, contractions,
+                                                 coeffs, t1, tm1)
     p_plus, p_minus = _pair_projections(y, t1, tm1)
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    case = np.maximum.reduce(_case_residuals(system, x, p0, normals, y, t0,
-                                             p_plus, p_minus))
+    case = np.maximum.reduce(_case_residuals(system, frame.x, p0, normals, y,
+                                             t0, p_plus, p_minus))
     worst = [fold(r, axis=1) for r in (
         spectrum, np.abs(signed_balance), bridge,
         np.abs(signed_balance - signed_proj), pairwise, np.abs(signed_proj),
@@ -302,33 +302,33 @@ def _chain(system: CliffordSystem, frames: list, shapes: list,
 # ---------------------------------------------------------------------------
 
 def principal_decomposition(system: CliffordSystem, frame: AdaptedFrame,
-                            xi_coeffs, shape: ShapeData | None = None
+                            xi_coeffs, shape: ShapeData
                             ) -> PrincipalDecomposition:
-    """Eigendecomposition of A_xi for xi = sum_a c_a P_a x.
+    """Eigendecomposition of A_xi for xi = sum_a c_a P_a x at every point.
 
-    Eigenvalues are clustered around {0, +1, -1} with radius 1e-6; a value
-    outside every cluster raises SpectrumError, cluster sizes other than
-    (m, l-m-1, l-m-1) raise MultiplicityError.  Within each cluster the
-    eigenbasis is re-orthonormalized (QR) before mapping to ambient
-    coordinates.
+    `xi_coeffs` is (P, m+1), one unit coefficient vector per point of the
+    stacked `frame` and `shape`.  Eigenvalues are clustered around
+    {0, +1, -1} with radius 1e-6; a value outside every cluster raises
+    SpectrumError, cluster sizes other than (m, l-m-1, l-m-1) raise
+    MultiplicityError.  Within each cluster the eigenbasis is
+    re-orthonormalized (QR) before mapping to ambient coordinates.
     """
-    c = np.asarray(xi_coeffs, dtype=float)
-    if c.shape != (system.m + 1,):
-        raise ValueError(f"coefficient shape {c.shape} != ({system.m + 1},)")
-    c = _coefficient_rows(system, [c])
-    if shape is None:
-        shape = shape_operators(system, frame)
-    deviation, t0, t1, tm1 = _decompose(
-        system, frame.tangent[None], shape.operators[None], c[None],
-        lambda p, k: f"normal {k}")
-    return PrincipalDecomposition(xi_coeffs=c[0], xi=frame.normal @ c[0],
-                                  t0=t0[0, 0], t1=t1[0, 0], tm1=tm1[0, 0],
-                                  spectrum_deviation=float(deviation[0, 0]))
+    c = _coefficient_rows(system,
+                          np.asarray(xi_coeffs, dtype=float)[..., None, :],
+                          len(frame.x))
+    deviation, t0, t1, tm1 = _decompose(system, frame.tangent,
+                                        shape.operators, c,
+                                        lambda p, k: f"point {p}")
+    return PrincipalDecomposition(
+        xi_coeffs=c[:, 0], xi=(frame.normal @ c.swapaxes(1, 2))[..., 0],
+        t0=t0[:, 0], t1=t1[:, 0], tm1=tm1[:, 0],
+        spectrum_deviation=deviation[:, 0])
 
 
-def willmore_residual(shape: ShapeData) -> float:
-    """max_a | sum_ij R_ij h^a_ij |, the reduced Willmore criterion."""
-    return float(np.max(np.abs(_contractions(shape.ricci, shape.operators))))
+def willmore_residual(shape: ShapeData) -> np.ndarray:
+    """max_a | sum_ij R_ij h^a_ij | per point, the reduced Willmore
+    criterion."""
+    return fold(np.abs(_contractions(shape.ricci, shape.operators)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,100 +343,76 @@ _CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
 _WILLMORE_CHECKS = ("residual_max", "balance_max")
 
 
-def certify_point(system: CliffordSystem, frame, shape, normal_coeffs,
-                  geom_tol: float = 1e-8, willmore_tol: float = 1e-7):
-    """Every per-normal check over a fixed list of normal directions.
+def certify_point(system: CliffordSystem, frame: AdaptedFrame,
+                  shape: ShapeData, normal_coeffs, geom_tol: float = 1e-8,
+                  willmore_tol: float = 1e-7) -> list:
+    """Every per-normal check at P points over their normal directions.
 
-    `normal_coeffs` is an ordered iterable of unit coefficient vectors.
-    Returns one Check per key of the report's lemma and willmore blocks, in
-    their order: max_spectrum_deviation, then residual_max (the reduced
-    criterion at this point) and the chain.  Each residual is the worst over
-    the normals, so identical inputs give identical checks and the order of
-    the normals does not matter.  residual_max and balance_max are held to
-    `willmore_tol`, every other check to `geom_tol`.
+    `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
+    each point of the stacked `frame` and `shape`.  Returns, per point, one
+    Check per key of the report's lemma and willmore blocks, in their
+    order: max_spectrum_deviation, then residual_max (the reduced criterion
+    at the point) and the chain.  Each residual is the worst over the
+    point's normals, so identical inputs give identical checks and the order
+    of the normals does not matter.  residual_max and balance_max are held
+    to `willmore_tol`, every other check to `geom_tol`.
 
-    `frame` and `shape` may also be sequences over P points, with
-    `normal_coeffs` a sequence of P coefficient lists of one length N; that
-    gives a list of P check tuples.  The chain runs over blocks of points x
-    normals of at most _BLOCK_ROWS rows (one point at least), with one
-    stacked eigh, one set of rotated pair products and one ricci_quadratic
-    call per block; a point's checks do not depend on the block it is in.
+    The chain runs over blocks of points x normals of at most _BLOCK_ROWS
+    rows (one point at least), with one stacked eigh, one set of rotated
+    pair products and one ricci_quadratic call per block; a point's checks
+    do not depend on the block it is in.
     """
-    single, frames = _many(frame, AdaptedFrame)
-    shapes = [shape] if single else list(shape)
-    coeffs = [_coefficient_rows(system, c)
-              for c in ([normal_coeffs] if single else normal_coeffs)]
-    if not len(frames) == len(shapes) == len(coeffs):
-        raise ValueError(f"{len(frames)} frames, {len(shapes)} shapes and "
-                         f"{len(coeffs)} coefficient lists")
-    if len({len(c) for c in coeffs}) > 1:
-        raise ValueError("every point needs the same number of normals")
+    count = len(frame.x)
+    coeffs = _coefficient_rows(system, normal_coeffs, count)
+    if len(shape.operators) != count:
+        raise ValueError(f"{count} frames and {len(shape.operators)} shapes")
     tols = [willmore_tol if name in _WILLMORE_CHECKS else geom_tol
             for name in _CHECK_NAMES]
-    num = len(coeffs[0]) if coeffs else 0
-    step = max(1, _BLOCK_ROWS // max(1, num))
+    step = max(1, _BLOCK_ROWS // max(1, coeffs.shape[1]))
     out = []
-    for lo in range(0, len(frames), step):
-        def where(p, k, lo=lo):
-            return f"normal {k}" if single else f"point {lo + p}, normal {k}"
-
-        worst = _chain(system, frames[lo:lo + step], shapes[lo:lo + step],
-                       np.array(coeffs[lo:lo + step]), where)
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        worst = _chain(system, take(frame, rows), take(shape, rows),
+                       coeffs[rows],
+                       lambda p, k, lo=lo: f"point {lo + p}, normal {k}")
         out.extend(tuple(Check(name, float(v), tol)
                          for name, v, tol in zip(_CHECK_NAMES, values, tols))
                    for values in zip(*worst))
-    return out[0] if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # non-Einstein probe
 # ---------------------------------------------------------------------------
 
-def einstein_probe(system: CliffordSystem, frame, n_dirs: int, seed,
-                   shape=None):
-    """Spread of the Ricci quadratic form over probe directions.
+def einstein_probe(system: CliffordSystem, frame: AdaptedFrame, n_dirs: int,
+                   seeds, shape: ShapeData) -> EinsteinProbe:
+    """Spread of the Ricci quadratic form over probe directions at P points.
 
-    Probes n_dirs random unit tangents plus the extremal eigendirections of
-    the Ricci tensor.  When the exact integer inequality 4l > m^2 + 3m + 4
-    holds, the focal dimension exceeds m(m+1)/2 and a spread above 0.1 is
-    reported as non-Einstein evidence; otherwise the probe is inconclusive
-    and asserts nothing.  `frame`, `seed` and `shape` may also be sequences
-    over points, which gives a list of probes from one stacked eigh and one
-    ricci_quadratic call; each point keeps its own random stream.
+    Probes n_dirs random unit tangents per point, drawn from that point's
+    entry of `seeds`, plus the extremal eigendirections of the Ricci
+    tensor, in one stacked eigh and one ricci_quadratic call.  When the
+    exact integer inequality 4l > m^2 + 3m + 4 holds, the focal dimension
+    exceeds m(m+1)/2 and a spread above 0.1 at every point is reported as
+    non-Einstein evidence; otherwise the probe is inconclusive and asserts
+    nothing.
     """
     if n_dirs < 2:
         raise ValueError("n_dirs must be at least 2")
-    single, frames = _many(frame, AdaptedFrame)
-    seeds = [seed] if single else list(seed)
-    if shape is None:
-        shapes = shape_operators(system, frames)
-    else:
-        shapes = [shape] if single else list(shape)
-    t = np.array([f.tangent for f in frames])
-    n = t.shape[2]
-    extremal = np.linalg.eigh(np.array([s.ricci for s in shapes]))[1][
-        ..., [0, n - 1]]
+    n = frame.tangent.shape[2]
+    extremal = np.linalg.eigh(shape.ricci)[1][..., [0, n - 1]]
     samples = np.array([sphere_samples(default_rng(int(s) & ((1 << 64) - 1)),
                                        n_dirs, n) for s in seeds])
     dirs = np.concatenate([samples.transpose(0, 2, 1), extremal], axis=2)
-    values = ricci_quadratic(system, frames, t @ dirs)
+    values = ricci_quadratic(system, frame, frame.tangent @ dirs)
+    ricci_min = np.min(values, axis=1)
+    ricci_max = np.max(values, axis=1)
+    spread = ricci_max - ricci_min
     m, l = system.m, system.l
-    condition = 4 * l > m * m + 3 * m + 4
-    probes = []
-    for ricci_min, ricci_max in zip(np.min(values, axis=1),
-                                    np.max(values, axis=1)):
-        spread = float(ricci_max) - float(ricci_min)
-        if condition:
-            dim_ok = (2 * l - m - 2) > m * (m + 1) // 2
-            spread_ok = spread > RICCI_SPREAD_THRESHOLD
-            status = "evidence"
-        else:
-            dim_ok = None
-            spread_ok = None
-            status = "inconclusive"
-        probes.append(EinsteinProbe(
-            ricci_min=float(ricci_min), ricci_max=float(ricci_max),
-            spread=spread, dimension_condition=condition,
-            dim_inequality=dim_ok, spread_exceeds_threshold=spread_ok,
-            status=status))
-    return probes[0] if single else probes
+    gated = 4 * l > m * m + 3 * m + 4
+    return EinsteinProbe(
+        ricci_min, ricci_max, spread, dimension_condition=gated,
+        dim_inequality=(2 * l - m - 2) > m * (m + 1) // 2 if gated else None,
+        spread_exceeds_threshold=(bool(np.all(spread > RICCI_SPREAD_THRESHOLD))
+                                  if gated else None),
+        status="evidence" if gated else "inconclusive")

@@ -144,8 +144,8 @@ def test_criterion_9_einstein_probe(suite_report, acceptance):
             ok = ok and blk["status"] == "inconclusive"
     # direct oracle for the smallest case: eigenvalues of the Ricci tensor
     system = build_clifford_system(1, 3)
-    frame = build_frame(system, deterministic_seed(system))
-    eigs = np.linalg.eigvalsh(shape_operators(system, frame).ricci)
+    frame = build_frame(system, [deterministic_seed(system)])
+    eigs = np.linalg.eigvalsh(shape_operators(system, frame).ricci[0])
     spread = float(eigs[-1] - eigs[0])
     ok = ok and abs(spread - 2.0) <= 1e-8
     small = next(e for e in entries if (e["m"], e["k"]) == (1, 3))

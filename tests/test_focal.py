@@ -131,7 +131,7 @@ def test_jacobian_rank(m, k, rank):
     points = [deterministic_seed(system)] + sample_focal_points(system, 3,
                                                                  seed=2)
     for point in points:
-        assert tangent_jacobian_rank(system, point) == rank == m + 2
+        assert tangent_jacobian_rank(system, [point])[0] == rank == m + 2
     # a sequence of points gives the ranks from one stacked SVD
     assert tangent_jacobian_rank(system, points).tolist() == [rank] * 4
 

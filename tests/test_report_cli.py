@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fkm_willmore import (VerificationConfig, VerificationReport,
                           build_clifford_system, exit_code, parse_matrices,
                           render_text, run_suite)
 from fkm_willmore.cli import main, parse_cli
+from fkm_willmore.geometry import take
 from fkm_willmore.report import evaluate_system
 
 TINY = dict(n_points=3, n_normals=4, n_pde_samples=50)
@@ -330,15 +332,16 @@ def test_ricci_crosscheck_matches_sequential_draws():
     points = entry["blocks"]["points"]["coordinates"]
     worst = 0.0
     for pi, x in enumerate(points):
-        frame = build_frame(system, FocalPoint(x=np.array(x),
-                                               residual_constraints=0.0,
-                                               residual_sphere=0.0))
-        ricci = shape_operators(system, frame).ricci
+        frame = build_frame(system, [FocalPoint(x=np.array(x),
+                                                residual_constraints=0.0,
+                                                residual_sphere=0.0)])
+        ricci = shape_operators(system, frame).ricci[0]
         rng = default_rng(_subseed(cfg.seed, 0, 2, pi))
         for _ in range(_N_CROSSCHECK_DIRS):
-            z = rng.standard_normal(frame.tangent_dim)
+            z = rng.standard_normal(frame.tangent.shape[2])
             z /= float(np.linalg.norm(z))
-            quad = ricci_quadratic(system, frame, frame.tangent @ z)
+            quad = ricci_quadratic(system, frame,
+                                   (frame.tangent @ z)[:, :, None])[0, 0]
             worst = max(worst, abs(quad - float(z @ ricci @ z)))
     assert abs(entry["blocks"]["geometry"]["ricci_crosscheck_max"]
                - worst) <= 1e-12
@@ -389,3 +392,68 @@ def test_evaluate_system_memory_is_bounded(points, normals, bound_mb):
         tracemalloc.stop()
     assert entry["pass"]
     assert peak / 1e6 < bound_mb, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_render_text_shows_a_nan_residual():
+    # Python's max(1e-14, nan) is 1e-14; the summary must fold like the
+    # checks do
+    entry = {"m": 2, "k": 2, "l": 4, "focal_dim": 3, "admissible": True,
+             "pass": False,
+             "blocks": {"cartan_munzner": {"max_gradient_residual": 1e-14,
+                                           "max_laplacian_residual": np.nan,
+                                           "pass": False}}}
+    report = VerificationReport(config=tiny_config(), entries=[entry],
+                                overall_pass=False)
+    line = render_text(report).splitlines()[3]
+    assert line == "[FAIL] m=2 k=2: l=4 dim=3 pde=nan failed=cartan_munzner"
+
+
+def test_geometry_error_names_the_point(monkeypatch):
+    # the frames of a configuration are one stack, so a bad point is named
+    # by its index among all points, not within a block
+    from fkm_willmore import report
+    sample = report.sample_focal_points
+
+    def last_scaled(system, n, seed):
+        points = sample(system, n, seed=seed)
+        return points[:-1] + [replace(points[-1], x=1.1 * points[-1].x)]
+
+    monkeypatch.setattr(report, "sample_focal_points", last_scaled)
+    cfg = tiny_config(n_points=20)
+    entry = evaluate_system(build_clifford_system(1, 3), cfg, 0)
+    assert entry["blocks"]["geometry"]["error"].startswith(
+        "point 19: adapted frame failed completeness")
+
+
+def _flip_one_point(shapes):
+    ops = np.array(shapes.operators)
+    ops[7] *= -1.0
+    return replace(shapes, operators=ops)
+
+
+def _swap_points(shapes):
+    order = np.arange(len(shapes.operators))
+    order[[3, 4]] = [4, 3]
+    return take(shapes, order)
+
+
+@pytest.mark.parametrize("target,fault,failed", [
+    ("shape_operators", _flip_one_point, ["willmore"]),
+    ("shape_operators", _swap_points, ["geometry", "willmore"]),
+    ("ricci_quadratic", lambda values: values + 2.0, ["geometry"]),
+], ids=["flip-sign", "swap-points", "shift-crosscheck"])
+def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, fault,
+                                                failed):
+    # each fault is injected at the name report.py looks up; a flipped sign
+    # keeps every spectrum, a swap misplaces the Ricci tensors and the
+    # eigenbases, a shifted closed form moves only the cross-check
+    from fkm_willmore import report
+    original = getattr(report, target)
+    monkeypatch.setattr(report, target,
+                        lambda *args, **kwargs: fault(original(*args,
+                                                               **kwargs)))
+    cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
+                             n_normals=5)
+    entry = evaluate_system(build_clifford_system(3, 2), cfg, 0)
+    assert sorted(name for name, block in entry["blocks"].items()
+                  if not block["pass"]) == failed

@@ -1,6 +1,6 @@
 """Willmore identities: spectra, reflection, balances, probes, fault injection."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from fkm_willmore import (MultiplicityError, ShapeData,
                           rotate_system, sample_focal_points,
                           shape_operators, willmore_residual)
 from fkm_willmore import willmore
+from fkm_willmore.geometry import take
 
 from conftest import GRID, corrupt_system
 
@@ -24,13 +25,20 @@ CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
 
 
 def _setup(m, k, extra_points=1, seed=21):
+    """The system, and the frames and shapes of its points as one stack
+    each."""
     system = build_clifford_system(m, k)
     points = [deterministic_seed(system)]
     if extra_points:
         points += sample_focal_points(system, extra_points, seed=seed)
-    frames = [build_frame(system, p) for p in points]
-    shapes = [shape_operators(system, f) for f in frames]
-    return system, frames, shapes
+    frames = build_frame(system, points)
+    return system, frames, shape_operators(system, frames)
+
+
+def _each(frames, shapes):
+    """The frame and shape of every point, as one-point stacks."""
+    return [(take(frames, [p]), take(shapes, [p]))
+            for p in range(len(frames.x))]
 
 
 def _unit(rng, dim):
@@ -39,9 +47,9 @@ def _unit(rng, dim):
 
 
 def _residuals(system, frame, shape, coeffs):
-    """certify_point's residuals by check name."""
+    """certify_point's residuals at a one-point stack, by check name."""
     return {c.name: c.residual
-            for c in certify_point(system, frame, shape, coeffs)}
+            for c in certify_point(system, frame, shape, [coeffs])[0]}
 
 
 @pytest.mark.parametrize("m,k,dims", [(1, 3, (1, 1, 1)), (2, 2, (2, 1, 1)),
@@ -49,66 +57,67 @@ def _residuals(system, frame, shape, coeffs):
 def test_principal_multiplicities(m, k, dims):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(m)
-    for frame, shape in zip(frames, shapes):
+    for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(50)]
         for c in coeffs:
-            dec = principal_decomposition(system, frame, c, shape=shape)
-            got = (dec.t0.shape[1], dec.t1.shape[1], dec.tm1.shape[1])
+            dec = principal_decomposition(system, frame, [c], shape=shape)
+            got = (dec.t0.shape[2], dec.t1.shape[2], dec.tm1.shape[2])
             assert got == dims == (m, system.m2, system.m2)
-            assert dec.spectrum_deviation <= 1e-12
+            assert dec.spectrum_deviation[0] <= 1e-12
 
 
 def test_principal_bases_orthonormal_and_tangent():
-    system, frames, shapes = _setup(3, 2, extra_points=0)
-    frame, shape = frames[0], shapes[0]
-    dec = principal_decomposition(system, frame, np.eye(4)[2], shape=shape)
-    basis = np.hstack([dec.t0, dec.t1, dec.tm1])
-    n = frame.tangent_dim
+    system, frame, shape = _setup(3, 2, extra_points=0)
+    dec = principal_decomposition(system, frame, np.eye(4)[2:3], shape=shape)
+    basis = np.hstack([dec.t0[0], dec.t1[0], dec.tm1[0]])
+    n = frame.tangent.shape[2]
     assert basis.shape == (16, n)
     assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= 1e-12
     # every column is tangent: orthogonal to x and to all P_a x
-    lead = np.hstack([frame.x[:, None], frame.normal])
+    lead = np.hstack([frame.x[0][:, None], frame.normal[0]])
     assert np.max(np.abs(lead.T @ basis)) <= 1e-12
-    assert np.max(np.abs(dec.xi - frame.normal @ dec.xi_coeffs)) == 0.0
+    xi = (frame.normal @ dec.xi_coeffs[..., None])[..., 0]
+    assert np.max(np.abs(dec.xi - xi)) == 0.0
 
 
 def test_spectrum_error_on_scaled_operators():
-    system, frames, shapes = _setup(1, 3, extra_points=0)
-    bad = ShapeData(operators=1.5 * shapes[0].operators,
-                    sff_norm_sq=shapes[0].sff_norm_sq,
-                    trace_free_norm_sq=shapes[0].trace_free_norm_sq,
-                    mean_curvature=shapes[0].mean_curvature,
-                    ricci=shapes[0].ricci)
+    system, frame, shape = _setup(1, 3, extra_points=0)
+    bad = ShapeData(operators=1.5 * shape.operators,
+                    sff_norm_sq=shape.sff_norm_sq,
+                    trace_free_norm_sq=shape.trace_free_norm_sq,
+                    mean_curvature=shape.mean_curvature,
+                    ricci=shape.ricci)
     with pytest.raises(SpectrumError):
-        principal_decomposition(system, frames[0], np.eye(2)[0], shape=bad)
+        principal_decomposition(system, frame, np.eye(2)[:1], shape=bad)
 
 
 def test_multiplicity_error_on_forged_operators():
-    system, frames, shapes = _setup(1, 3, extra_points=0)
-    n = frames[0].tangent_dim
-    ops = np.array(shapes[0].operators)
-    ops[0] = np.eye(n)                      # every eigenvalue lands at +1
-    bad = ShapeData(operators=ops, sff_norm_sq=shapes[0].sff_norm_sq,
-                    trace_free_norm_sq=shapes[0].trace_free_norm_sq,
-                    mean_curvature=shapes[0].mean_curvature,
-                    ricci=shapes[0].ricci)
+    system, frame, shape = _setup(1, 3, extra_points=0)
+    n = frame.tangent.shape[2]
+    ops = np.array(shape.operators)
+    ops[0, 0] = np.eye(n)                   # every eigenvalue lands at +1
+    bad = ShapeData(operators=ops, sff_norm_sq=shape.sff_norm_sq,
+                    trace_free_norm_sq=shape.trace_free_norm_sq,
+                    mean_curvature=shape.mean_curvature,
+                    ricci=shape.ricci)
     with pytest.raises(MultiplicityError):
-        principal_decomposition(system, frames[0], np.eye(2)[0], shape=bad)
+        principal_decomposition(system, frame, np.eye(2)[:1], shape=bad)
 
 
 def test_principal_decomposition_validates_coefficients():
-    system, frames, shapes = _setup(1, 3, extra_points=0)
+    system, frame, shape = _setup(1, 3, extra_points=0)
     with pytest.raises(ValueError):
-        principal_decomposition(system, frames[0], np.array([1.0, 1.0]))
+        principal_decomposition(system, frame, np.array([[1.0, 1.0]]), shape)
     with pytest.raises(ValueError):
-        principal_decomposition(system, frames[0], np.array([1.0, 0.0, 0.0]))
+        principal_decomposition(system, frame, np.array([[1.0, 0.0, 0.0]]),
+                                shape)
 
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_reflection_property(m, k):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(10 + m)
-    for frame, shape in zip(frames, shapes):
+    for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
         res = _residuals(system, frame, shape, coeffs)
         assert res["reflection_max"] <= 1e-12
@@ -117,19 +126,18 @@ def test_reflection_property(m, k):
 @pytest.mark.parametrize("m,k", GRID)
 def test_willmore_residual_small_on_grid(m, k):
     system, frames, shapes = _setup(m, k)
-    for shape in shapes:
-        assert willmore_residual(shape) < 1e-7
+    for residual in willmore_residual(shapes):
+        assert residual < 1e-7
 
 
 def test_willmore_residual_frame_independent():
-    system, frames, shapes = _setup(4, 2, extra_points=0)
-    frame, shape = frames[0], shapes[0]
-    base = willmore_residual(shape)
+    system, frame, shape = _setup(4, 2, extra_points=0)
+    base = willmore_residual(shape)[0]
     rng = default_rng(33)
-    n = frame.tangent_dim
+    n = frame.tangent.shape[2]
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     other = replace(frame, tangent=frame.tangent @ q)
-    rotated = willmore_residual(shape_operators(system, other))
+    rotated = willmore_residual(shape_operators(system, other))[0]
     assert abs(base - rotated) <= 1e-9
     assert base < 1e-7 and rotated < 1e-7
 
@@ -140,9 +148,9 @@ def test_willmore_residual_system_rotation_invariant():
     system, frames, shapes = _setup(3, 2, extra_points=0)
     rng = default_rng(44)
     mixed = rotate_system(system, _unit(rng, 4))
-    frame = build_frame(mixed, frames[0].point)
-    base = willmore_residual(shapes[0])
-    rotated = willmore_residual(shape_operators(mixed, frame))
+    frame = build_frame(mixed, [deterministic_seed(system)])
+    base = willmore_residual(shapes)[0]
+    rotated = willmore_residual(shape_operators(mixed, frame))[0]
     assert abs(base - rotated) <= 1e-9
     assert base < 1e-7 and rotated < 1e-7
 
@@ -151,7 +159,7 @@ def test_willmore_residual_system_rotation_invariant():
 def test_ricci_balance_and_bridge(m, k):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(20 + m)
-    for frame, shape in zip(frames, shapes):
+    for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
         res = _residuals(system, frame, shape, coeffs)
         assert res["balance_max"] < 1e-7
@@ -162,7 +170,7 @@ def test_ricci_balance_and_bridge(m, k):
 def test_projection_balance_and_chain(m, k):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(30 + m)
-    for frame, shape in zip(frames, shapes):
+    for frame, shape in _each(frames, shapes):
         for c in list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]:
             res = _residuals(system, frame, shape, [c])
             pairwise = res["projection_pairwise_max"]
@@ -182,7 +190,7 @@ def test_projection_balance_and_chain(m, k):
 def test_case_identities(m, k):
     system, frames, shapes = _setup(m, k)
     rng = default_rng(40 + m)
-    for frame, shape in zip(frames, shapes):
+    for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(5)]
         res = _residuals(system, frame, shape, coeffs)
         assert res["case_identity_max"] <= 1e-8
@@ -194,10 +202,10 @@ def test_case_identities(m, k):
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_certify_point_aggregates(m, k):
-    system, frames, shapes = _setup(m, k, extra_points=0)
+    system, frame, shape = _setup(m, k, extra_points=0)
     rng = default_rng(50 + m)
     coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
-    checks = certify_point(system, frames[0], shapes[0], coeffs)
+    checks = certify_point(system, frame, shape, [coeffs])[0]
     assert tuple(c.name for c in checks) == CHECK_NAMES
     assert all(c.passed for c in checks)
     res = {c.name: c.residual for c in checks}
@@ -210,43 +218,43 @@ def test_certify_point_aggregates(m, k):
 
 def test_certify_point_doubled_generators():
     # m = 9 uses the doubled generator set; run the whole chain once on it
-    system, frames, shapes = _setup(9, 1, extra_points=0)
+    system, frame, shape = _setup(9, 1, extra_points=0)
     rng = default_rng(59)
     coeffs = list(np.eye(10)) + [_unit(rng, 10) for _ in range(3)]
-    checks = certify_point(system, frames[0], shapes[0], coeffs)
+    checks = certify_point(system, frame, shape, [coeffs])[0]
     assert all(c.passed for c in checks)
     assert checks[CHECK_NAMES.index("residual_max")].residual < 1e-7
 
 
 def test_einstein_probe_smallest_case():
-    system, frames, shapes = _setup(1, 3, extra_points=0)
-    probe = einstein_probe(system, frames[0], 100, seed=5, shape=shapes[0])
+    system, frame, shape = _setup(1, 3, extra_points=0)
+    probe = einstein_probe(system, frame, 100, [5], shape=shape)
     # oracle: the Ricci tensor here has eigenvalues {0, 0, 2}
-    eigs = np.sort(np.linalg.eigvalsh(shapes[0].ricci))
+    eigs = np.sort(np.linalg.eigvalsh(shape.ricci[0]))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0]))) <= 1e-10
     assert probe.status == "evidence"
     assert probe.dimension_condition and probe.dim_inequality
-    assert abs(probe.spread - 2.0) <= 1e-8
+    assert abs(probe.spread[0] - 2.0) <= 1e-8
     assert probe.spread_exceeds_threshold
 
 
 def test_einstein_probe_evidence_and_inconclusive():
     for m, k, status in [(2, 2, "evidence"), (3, 2, "evidence"),
                          (4, 2, "inconclusive"), (5, 1, "inconclusive")]:
-        system, frames, shapes = _setup(m, k, extra_points=0)
-        probe = einstein_probe(system, frames[0], 50, seed=6, shape=shapes[0])
+        system, frame, shape = _setup(m, k, extra_points=0)
+        probe = einstein_probe(system, frame, 50, [6], shape=shape)
         assert probe.status == status, (m, k)
         if status == "evidence":
-            assert probe.spread > 0.1 and probe.dim_inequality
+            assert probe.spread[0] > 0.1 and probe.dim_inequality
         else:
             assert probe.dim_inequality is None
             assert probe.spread_exceeds_threshold is None
 
 
 def test_einstein_probe_needs_directions():
-    system, frames, shapes = _setup(1, 3, extra_points=0)
+    system, frame, shape = _setup(1, 3, extra_points=0)
     with pytest.raises(ValueError):
-        einstein_probe(system, frames[0], 1, seed=5)
+        einstein_probe(system, frame, 1, [5], shape)
 
 
 def test_fault_injection_detected():
@@ -254,10 +262,10 @@ def test_fault_injection_detected():
     # deterministic point (the corrupted direction is tangent there)
     bad = corrupt_system(2, 2)
     point = deterministic_seed(bad)
-    frame = build_frame(bad, point)
+    frame = build_frame(bad, [point])
     shape = shape_operators(bad, frame)
     with pytest.raises((SpectrumError, MultiplicityError)):
-        principal_decomposition(bad, frame, np.eye(3)[0], shape=shape)
+        principal_decomposition(bad, frame, np.eye(3)[:1], shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +278,14 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
     # one-normal checks, and the order of the normals is irrelevant
     system, frames, shapes = _setup(m, k)
     rng = default_rng(90 + m)
-    for frame, shape in zip(frames, shapes):
+    for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(12)]
-        batch = certify_point(system, frame, shape, coeffs)
-        singles = [certify_point(system, frame, shape, [c]) for c in coeffs]
+        batch = certify_point(system, frame, shape, [coeffs])[0]
+        singles = [certify_point(system, frame, shape, [[c]])[0]
+                   for c in coeffs]
         shuffled = certify_point(system, frame, shape,
-                                 [coeffs[i] for i in
-                                  rng.permutation(len(coeffs))])
+                                 [[coeffs[i] for i in
+                                   rng.permutation(len(coeffs))]])[0]
         assert all(c.passed for c in batch + shuffled + sum(singles, ()))
         for i, check in enumerate(batch):
             assert shuffled[i].name == singles[0][i].name == check.name
@@ -287,17 +296,16 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
 
 def test_principal_decomposition_matches_the_batch():
     # the one public per-normal function is the batch code on one normal
-    system, frames, shapes = _setup(4, 2, extra_points=0)
-    frame, shape = frames[0], shapes[0]
+    system, frame, shape = _setup(4, 2, extra_points=0)
     c = _unit(default_rng(91), 5)
-    dec = principal_decomposition(system, frame, c, shape=shape)
+    dec = principal_decomposition(system, frame, [c], shape=shape)
     res = _residuals(system, frame, shape, [c])
-    assert res["max_spectrum_deviation"] == dec.spectrum_deviation
+    assert res["max_spectrum_deviation"] == dec.spectrum_deviation[0]
 
 
 def test_certify_point_without_normals():
-    system, frames, shapes = _setup(2, 2, extra_points=0)
-    checks = certify_point(system, frames[0], shapes[0], [])
+    system, frame, shape = _setup(2, 2, extra_points=0)
+    checks = certify_point(system, frame, shape, np.zeros((1, 0, 3)))[0]
     assert tuple(c.name for c in checks) == CHECK_NAMES
     assert all(c.passed for c in checks)
     res = {c.name: c.residual for c in checks}
@@ -311,41 +319,41 @@ def _forged_shape(shape, operators):
 
 
 def test_batched_spectrum_error_names_the_normal():
-    system, frames, shapes = _setup(1, 3, extra_points=0)
-    bad = _forged_shape(shapes[0], 1.5 * shapes[0].operators)
+    system, frame, shape = _setup(1, 3, extra_points=0)
+    bad = _forged_shape(shape, 1.5 * shape.operators)
     # scaling every operator by 1.5 moves the +-1 eigenvalues of every A_xi
     # to +-1.5, so the first normal of the batch is reported
     coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     with pytest.raises(SpectrumError, match="normal 0:"):
-        certify_point(system, frames[0], bad, coeffs)
+        certify_point(system, frame, bad, [coeffs])
     # scaling only A_1 leaves the first two normals intact
-    ops = np.array(shapes[0].operators)
-    ops[1] *= 1.5
-    bad = _forged_shape(shapes[0], ops)
+    ops = np.array(shape.operators)
+    ops[0, 1] *= 1.5
+    bad = _forged_shape(shape, ops)
     coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
               np.array([0.0, 1.0])]
     with pytest.raises(SpectrumError, match="normal 2:"):
-        certify_point(system, frames[0], bad, coeffs)
+        certify_point(system, frame, bad, [coeffs])
 
 
 def test_batched_multiplicity_error_names_the_normal():
-    system, frames, shapes = _setup(1, 3, extra_points=0)
-    n = frames[0].tangent_dim
-    ops = np.array(shapes[0].operators)
-    ops[1] = np.eye(n)                      # every eigenvalue lands at +1
-    bad = _forged_shape(shapes[0], ops)
+    system, frame, shape = _setup(1, 3, extra_points=0)
+    n = frame.tangent.shape[2]
+    ops = np.array(shape.operators)
+    ops[0, 1] = np.eye(n)                   # every eigenvalue lands at +1
+    bad = _forged_shape(shape, ops)
     coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     with pytest.raises(MultiplicityError, match="normal 1:"):
-        certify_point(system, frames[0], bad, coeffs)
+        certify_point(system, frame, bad, [coeffs])
 
 
 def test_batched_coefficient_validation_names_the_normal():
-    system, frames, shapes = _setup(2, 2, extra_points=0)
+    system, frame, shape = _setup(2, 2, extra_points=0)
     coeffs = list(np.eye(3)) + [np.array([1.0, 1.0, 0.0])]
     with pytest.raises(ValueError, match="normal 3:"):
-        certify_point(system, frames[0], shapes[0], coeffs)
+        certify_point(system, frame, shape, [coeffs])
     with pytest.raises(ValueError):
-        certify_point(system, frames[0], shapes[0], [np.ones(2)])
+        certify_point(system, frame, shape, [[np.ones(2)]])
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2)])
@@ -353,21 +361,25 @@ def test_einstein_probe_matches_sequential_draws(m, k):
     # the probe's block draw gives the directions the per-direction draw
     # loop gave, so the extremes agree to rounding
     system, frames, shapes = _setup(m, k)
-    for seed, (frame, shape) in enumerate(zip(frames, shapes)):
-        probe = einstein_probe(system, frame, 60, seed=seed, shape=shape)
+    for seed, (frame, shape) in enumerate(_each(frames, shapes)):
+        probe = einstein_probe(system, frame, 60, [seed], shape=shape)
         rng = default_rng(seed)
-        n = frame.tangent_dim
+        n = frame.tangent.shape[2]
         values = []
+
+        def quad(z):
+            return ricci_quadratic(system, frame,
+                                   (frame.tangent @ z)[:, :, None])[0, 0]
+
         for _ in range(60):
             z = rng.standard_normal(n)
             z /= np.linalg.norm(z)
-            values.append(ricci_quadratic(system, frame, frame.tangent @ z))
-        vecs = np.linalg.eigh(shape.ricci)[1]
+            values.append(quad(z))
+        vecs = np.linalg.eigh(shape.ricci[0])[1]
         for idx in (0, n - 1):
-            values.append(ricci_quadratic(system, frame,
-                                          frame.tangent @ vecs[:, idx]))
-        assert abs(probe.ricci_min - min(values)) <= 1e-12
-        assert abs(probe.ricci_max - max(values)) <= 1e-12
+            values.append(quad(vecs[:, idx]))
+        assert abs(probe.ricci_min[0] - min(values)) <= 1e-12
+        assert abs(probe.ricci_max[0] - max(values)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +394,9 @@ def _normals(m, count, rng):
 def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     system, frames, shapes = _setup(m, k, extra_points=6)
     rng = default_rng(60 + m)
-    coeffs = [_normals(m, 3, rng) for _ in frames]
-    singles = [certify_point(system, f, s, c)
-               for f, s, c in zip(frames, shapes, coeffs)]
+    coeffs = [_normals(m, 3, rng) for _ in frames.x]
+    singles = [certify_point(system, f, s, [c])[0]
+               for (f, s), c in zip(_each(frames, shapes), coeffs)]
     # block boundaries anywhere: one row (one point per block), blocks that
     # split the points unevenly, and all points in one block
     for rows in (1, 2 * (m + 4), 3 * (m + 4) + 1, 10_000):
@@ -395,8 +407,9 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
 def test_certify_point_block_errors_name_the_point():
     system, frames, shapes = _setup(1, 3, extra_points=2)
     coeffs = [[np.array([1.0, 0.0]), np.array([0.0, 1.0])]] * 3
-    bad = list(shapes)
-    bad[2] = _forged_shape(shapes[2], 1.5 * shapes[2].operators)
+    ops = np.array(shapes.operators)
+    ops[2] *= 1.5
+    bad = _forged_shape(shapes, ops)
     with pytest.raises(SpectrumError, match="point 2, normal 0:"):
         certify_point(system, frames, bad, coeffs)
     with pytest.raises(ValueError):
@@ -409,8 +422,20 @@ def test_certify_point_block_errors_name_the_point():
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
 def test_einstein_probe_stack_equals_single_points(m, k):
     system, frames, shapes = _setup(m, k, extra_points=4)
-    seeds = [100 + i for i in range(len(frames))]
-    probes = einstein_probe(system, frames, 30, seeds, shape=shapes)
-    assert probes == [einstein_probe(system, f, 30, s, shape=sh)
-                      for f, s, sh in zip(frames, seeds, shapes)]
-    assert einstein_probe(system, frames, 30, seeds) == probes
+    seeds = [100 + i for i in range(len(frames.x))]
+    probe = einstein_probe(system, frames, 30, seeds, shape=shapes)
+    singles = [einstein_probe(system, f, 30, [s], shape=sh)
+               for (f, sh), s in zip(_each(frames, shapes), seeds)]
+    for name in ("ricci_min", "ricci_max", "spread"):
+        assert np.array_equal(getattr(probe, name),
+                              [getattr(one, name)[0] for one in singles])
+    for name in ("dimension_condition", "dim_inequality", "status"):
+        assert all(getattr(one, name) == getattr(probe, name)
+                   for one in singles)
+    assert probe.spread_exceeds_threshold == (
+        None if probe.status == "inconclusive"
+        else all(one.spread_exceeds_threshold for one in singles))
+    again = einstein_probe(system, frames, 30, seeds,
+                           shape_operators(system, frames))
+    assert all(np.array_equal(getattr(again, f.name), getattr(probe, f.name))
+               for f in fields(probe))
