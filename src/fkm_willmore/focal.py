@@ -200,7 +200,7 @@ def _project(system: CliffordSystem, starts: np.ndarray, tol: float,
     out = [None] * len(x)
     rows = np.arange(len(x))
     px, g, xx = _rows(system, x)
-    if np.any(np.sqrt(xx) < 1e-12):
+    if not np.all(np.sqrt(xx) >= 1e-12):
         raise ValueError("start point must be nonzero")
     res = _residual(g, xx)
     # Starts already on M+ are kept as they are.

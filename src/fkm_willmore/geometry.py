@@ -132,16 +132,18 @@ class ShapeData:
 
 def shape_operators(system: CliffordSystem,
                     frame: AdaptedFrame) -> ShapeData:
-    """All shape operators at the frame's points, plus derived scalars,
-    from one stacked contraction."""
+    """All shape operators A_a = -T^T P_a T at the frame's points, plus
+    derived scalars."""
     t = frame.tangent
-    ops = -np.einsum("kip,aij,kjq->kapq", t, system.stack, t)
+    tt = t.transpose(0, 2, 1)
+    # one generator at a time: broadcasting them all holds (P, m+1, 2l, n)
+    ops = -np.stack([tt @ (p_a @ t) for p_a in system.stack], axis=1)
     n = t.shape[2]
     traces = np.einsum("kapp->ka", ops)
     h_vec = traces / n
     s = np.sum(ops * ops, axis=(1, 2, 3))
     rho_sq = s - n * np.matmul(h_vec[:, None, :], h_vec[:, :, None])[:, 0, 0]
-    sq = np.einsum("kapq,kaqr->kapr", ops, ops)
+    sq = ops @ ops
     ricci = ((n - 1.0) * np.eye(n)
              + np.einsum("ka,kapq->kpq", traces, ops) - np.sum(sq, axis=1))
     return ShapeData(operators=ops, sff_norm_sq=s, trace_free_norm_sq=rho_sq,

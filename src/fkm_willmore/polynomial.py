@@ -200,9 +200,10 @@ def sphere_samples(rng, count: int, dim: int) -> np.ndarray:
     return z / norms[:, None]
 
 
-def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed: int,
+def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed,
                           tol: float = 1e-8) -> tuple:
-    """Residuals of the two isoparametric PDEs at random unit points.
+    """Residuals of the two isoparametric PDEs at random unit points, drawn
+    from default_rng(seed) (an int or a SeedSequence).
 
     Returns the `max_gradient_residual` and `max_laplacian_residual`
     checks, the worst over the samples of

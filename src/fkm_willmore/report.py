@@ -69,10 +69,9 @@ DEFAULT_TOLERANCES = {
 
 _SEED_MASK = (1 << 64) - 1
 _N_CROSSCHECK_DIRS = 100
-_N_EINSTEIN_DIRS = 100
-# Points whose Ricci cross-check and Einstein probe are evaluated as one
-# stack.  Their 100 directions per point take about 60 KB at
-# (m, k) = (6, 1), so a block stays near 1 MB.
+# Points whose Ricci cross-check is evaluated as one stack.  Their 100
+# directions per point take about 60 KB at (m, k) = (6, 1), so a block
+# stays near 1 MB.
 _POINT_BLOCK = 16
 
 
@@ -82,11 +81,11 @@ def _point_blocks(count: int) -> list:
             for lo in range(0, count, _POINT_BLOCK)]
 
 
-def _subseed(master: int, *key: int) -> int:
-    """Named, order-insensitive-to-nothing sub-stream of the master seed."""
-    ss = np.random.SeedSequence(int(master) & _SEED_MASK,
-                                spawn_key=tuple(int(v) for v in key))
-    return int(ss.generate_state(2, np.uint64)[0])
+def _subseed(master: int, *key: int) -> np.random.SeedSequence:
+    """The sub-stream of the master seed named by `key`, ready for
+    default_rng."""
+    return np.random.SeedSequence(int(master) & _SEED_MASK,
+                                  spawn_key=tuple(int(v) for v in key))
 
 
 @dataclass(frozen=True)
@@ -250,9 +249,11 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     try:
         produced = [deterministic_seed(system)]
         if cfg.n_points > 1:
+            # the sampler spawns its own sequences from an integer entropy
+            ss = _subseed(cfg.seed, config_index, 1)
             produced.extend(sample_focal_points(
                 system, cfg.n_points - 1,
-                seed=_subseed(cfg.seed, config_index, 1)))
+                seed=int(ss.generate_state(2, np.uint64)[0])))
         points = produced
     except (SamplingError, CertificationError, ConvergenceError,
             SingularityError) as exc:
@@ -319,7 +320,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         try:
             coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
             coeffs[:, :m + 1] = np.eye(m + 1)
-            for pi in range(count):
+            for pi in range(count if cfg.n_normals else 0):
                 rng = default_rng(_subseed(cfg.seed, config_index, 3, pi))
                 c = rng.standard_normal((cfg.n_normals, m + 1))
                 # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
@@ -346,28 +347,17 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 {"residual_median": float(np.median(reduced))},
                 *worst.values())
 
-            probes = [einstein_probe(
-                system, take(frames, rows), _N_EINSTEIN_DIRS,
-                [_subseed(cfg.seed, config_index, 4, pi)
-                 for pi in range(count)[rows]], take(shapes, rows))
-                for rows in _point_blocks(count)]
-
-            def joined(name):
-                return np.concatenate([getattr(p, name) for p in probes])
-
-            gate = probes[0]       # the gate fields are per configuration
-            spread_ok = gate.spread_exceeds_threshold and all(
-                p.spread_exceeds_threshold for p in probes)
+            probe = einstein_probe(system, frames, shapes)
             blocks["einstein"] = _block(
-                {"ricci_min": float(np.min(joined("ricci_min"))),
-                 "ricci_max": float(np.max(joined("ricci_max"))),
-                 "spread": float(np.max(joined("spread"))),
-                 "dimension_condition": gate.dimension_condition,
-                 "dim_inequality": gate.dim_inequality,
-                 "spread_exceeds_threshold": spread_ok,
-                 "status": gate.status},
-                ok=gate.status != "evidence"
-                or (spread_ok and gate.dim_inequality))
+                {"ricci_min": float(np.min(probe.ricci_min)),
+                 "ricci_max": float(np.max(probe.ricci_max)),
+                 "spread": float(np.max(probe.spread)),
+                 "dimension_condition": probe.dimension_condition,
+                 "dim_inequality": probe.dim_inequality,
+                 "spread_exceeds_threshold": probe.spread_exceeds_threshold,
+                 "status": probe.status},
+                ok=probe.status != "evidence"
+                or (probe.spread_exceeds_threshold and probe.dim_inequality))
 
     entry["blocks"] = blocks
     entry["pass"] = bool(blocks) and all(b.get("pass", False)

@@ -33,13 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .clifford import CliffordSystem, _orthonormal_completion
 from .errors import MultiplicityError, SpectrumError
 from .geometry import (AdaptedFrame, ShapeData, _freeze, ricci_quadratic,
                        take)
-from .polynomial import sphere_samples
 from .records import Check, fold
 
 __all__ = [
@@ -385,26 +383,21 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
 # non-Einstein probe
 # ---------------------------------------------------------------------------
 
-def einstein_probe(system: CliffordSystem, frame: AdaptedFrame, n_dirs: int,
-                   seeds, shape: ShapeData) -> EinsteinProbe:
-    """Spread of the Ricci quadratic form over probe directions at P points.
+def einstein_probe(system: CliffordSystem, frame: AdaptedFrame,
+                   shape: ShapeData) -> EinsteinProbe:
+    """Spread of the Ricci quadratic form over unit tangents at P points.
 
-    Probes n_dirs random unit tangents per point, drawn from that point's
-    entry of `seeds`, plus the extremal eigendirections of the Ricci
-    tensor, in one stacked eigh and one ricci_quadratic call.  When the
-    exact integer inequality 4l > m^2 + 3m + 4 holds, the focal dimension
-    exceeds m(m+1)/2 and a spread above 0.1 at every point is reported as
-    non-Einstein evidence; otherwise the probe is inconclusive and asserts
-    nothing.
+    Over unit X, Ric(X) is extremal at the Ricci tensor's lowest and highest
+    eigenvectors, so the closed form is evaluated there: one stacked eigh of
+    `shape.ricci` and one ricci_quadratic call with two directions a point.
+    When the exact integer inequality 4l > m^2 + 3m + 4 holds, the focal
+    dimension exceeds m(m+1)/2 and a spread above 0.1 at every point is
+    reported as non-Einstein evidence; otherwise the probe is inconclusive
+    and asserts nothing.
     """
-    if n_dirs < 2:
-        raise ValueError("n_dirs must be at least 2")
     n = frame.tangent.shape[2]
     extremal = np.linalg.eigh(shape.ricci)[1][..., [0, n - 1]]
-    samples = np.array([sphere_samples(default_rng(int(s) & ((1 << 64) - 1)),
-                                       n_dirs, n) for s in seeds])
-    dirs = np.concatenate([samples.transpose(0, 2, 1), extremal], axis=2)
-    values = ricci_quadratic(system, frame, frame.tangent @ dirs)
+    values = ricci_quadratic(system, frame, frame.tangent @ extremal)
     ricci_min = np.min(values, axis=1)
     ricci_max = np.max(values, axis=1)
     spread = ricci_max - ricci_min

@@ -254,9 +254,9 @@ def _reference_frame_and_shape(system, x):
     q, _ = np.linalg.qr(np.hstack([lead, np.eye(system.ambient_dim)]))
     t = q[:, system.m + 2:]
     pairs = np.einsum("aij,bj->abi", system.stack, px)
-    ops = -np.einsum("ip,aij,jq->apq", t, system.stack, t)
+    ops = -np.stack([t.T @ (p_a @ t) for p_a in system.stack])
     n = t.shape[1]
-    sq = np.einsum("apq,aqr->apr", ops, ops)
+    sq = ops @ ops
     ricci = ((n - 1.0) * np.eye(n)
              + np.einsum("a,apq->pq", np.einsum("app->a", ops), ops)
              - np.sum(sq, axis=0))
@@ -290,6 +290,25 @@ def test_stacked_frames_and_shapes_equal_single_points(m, k):
         assert np.array_equal(shape.operators, ops)
         assert shape.sff_norm_sq == s
         assert np.array_equal(shape.ricci, ricci)
+
+
+@pytest.mark.parametrize("m,k", GRID + [(9, 1)])
+def test_shape_operators_match_einsum_reference(m, k):
+    # a second route to A_a = -T^T P_a T and its Ricci tensor: one einsum
+    # over all points and generators, summed in another order
+    system, points = _setup(m, k, n_points=5)
+    frames = build_frame(system, points)
+    shapes = shape_operators(system, frames)
+    t = frames.tangent
+    ops = -np.einsum("kip,aij,kjq->kapq", t, system.stack, t)
+    n = t.shape[2]
+    ricci = ((n - 1.0) * np.eye(n)
+             + np.einsum("ka,kapq->kpq", np.einsum("kapp->ka", ops), ops)
+             - np.sum(np.einsum("kapq,kaqr->kapr", ops, ops), axis=1))
+    assert np.max(np.abs(shapes.operators - ops)) <= 1e-14
+    assert np.max(np.abs(shapes.ricci - ricci)) <= 1e-14
+    s = np.sum(ops * ops, axis=(1, 2, 3))
+    assert np.max(np.abs(shapes.sff_norm_sq - s) / s) <= 1e-14
 
 
 def test_pair_products_are_the_products_of_the_matrices():

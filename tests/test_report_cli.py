@@ -347,6 +347,45 @@ def test_ricci_crosscheck_matches_sequential_draws():
                - worst) <= 1e-12
 
 
+@pytest.mark.parametrize("n_normals", [0, 3])
+def test_per_point_streams_are_named_subseeds(monkeypatch, n_normals):
+    # every per-point generator is default_rng of the SeedSequence named
+    # (configuration, stage, point), so point p draws the same cross-check
+    # directions (stage 2) and normals (stage 3) whatever the point count;
+    # with no random normals no stage-3 generator is built
+    from numpy.random import SeedSequence, default_rng
+
+    from fkm_willmore import report
+    grid = ((1, 3), (2, 2))
+
+    def streams(n_points):
+        made = {}
+
+        def recording(seed):
+            rng = default_rng(seed)
+            made[seed.spawn_key] = rng.bit_generator.state
+            return rng
+
+        monkeypatch.setattr(report, "default_rng", recording)
+        cfg = tiny_config(configurations=grid, n_points=n_points,
+                          n_normals=n_normals)
+        for ci, (m, k) in enumerate(grid):
+            evaluate_system(build_clifford_system(m, k), cfg, ci)
+        return made
+
+    five, twenty = streams(5), streams(20)
+    stages = (2, 3) if n_normals else (2,)
+    keys = [(ci, stage, p) for ci in range(len(grid)) for stage in stages
+            for p in range(20)]
+    assert sorted(twenty) == keys
+    assert sorted(five) == [key for key in keys if key[2] < 5]
+    for key, state in twenty.items():
+        named = default_rng(SeedSequence(report.DEFAULT_SEED, spawn_key=key))
+        assert state == named.bit_generator.state, key
+        if key[2] < 5:
+            assert five[key] == state, key
+
+
 def _reject_constant(token):
     raise ValueError(f"report contains the non-JSON token {token}")
 

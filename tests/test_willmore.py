@@ -2,8 +2,11 @@
 
 from dataclasses import fields, replace
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from fkm_willmore import (MultiplicityError, ShapeData,
@@ -228,7 +231,7 @@ def test_certify_point_doubled_generators():
 
 def test_einstein_probe_smallest_case():
     system, frame, shape = _setup(1, 3, extra_points=0)
-    probe = einstein_probe(system, frame, 100, [5], shape=shape)
+    probe = einstein_probe(system, frame, shape)
     # oracle: the Ricci tensor here has eigenvalues {0, 0, 2}
     eigs = np.sort(np.linalg.eigvalsh(shape.ricci[0]))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0]))) <= 1e-10
@@ -242,19 +245,13 @@ def test_einstein_probe_evidence_and_inconclusive():
     for m, k, status in [(2, 2, "evidence"), (3, 2, "evidence"),
                          (4, 2, "inconclusive"), (5, 1, "inconclusive")]:
         system, frame, shape = _setup(m, k, extra_points=0)
-        probe = einstein_probe(system, frame, 50, [6], shape=shape)
+        probe = einstein_probe(system, frame, shape)
         assert probe.status == status, (m, k)
         if status == "evidence":
             assert probe.spread[0] > 0.1 and probe.dim_inequality
         else:
             assert probe.dim_inequality is None
             assert probe.spread_exceeds_threshold is None
-
-
-def test_einstein_probe_needs_directions():
-    system, frame, shape = _setup(1, 3, extra_points=0)
-    with pytest.raises(ValueError):
-        einstein_probe(system, frame, 1, [5], shape)
 
 
 def test_fault_injection_detected():
@@ -356,30 +353,30 @@ def test_batched_coefficient_validation_names_the_normal():
         certify_point(system, frame, shape, [[np.ones(2)]])
 
 
-@pytest.mark.parametrize("m,k", [(1, 3), (3, 2)])
-def test_einstein_probe_matches_sequential_draws(m, k):
-    # the probe's block draw gives the directions the per-direction draw
-    # loop gave, so the extremes agree to rounding
-    system, frames, shapes = _setup(m, k)
-    for seed, (frame, shape) in enumerate(_each(frames, shapes)):
-        probe = einstein_probe(system, frame, 60, [seed], shape=shape)
-        rng = default_rng(seed)
-        n = frame.tangent.shape[2]
-        values = []
-
-        def quad(z):
-            return ricci_quadratic(system, frame,
-                                   (frame.tangent @ z)[:, :, None])[0, 0]
-
-        for _ in range(60):
-            z = rng.standard_normal(n)
-            z /= np.linalg.norm(z)
-            values.append(quad(z))
-        vecs = np.linalg.eigh(shape.ricci[0])[1]
-        for idx in (0, n - 1):
-            values.append(quad(vecs[:, idx]))
-        assert abs(probe.ricci_min[0] - min(values)) <= 1e-12
-        assert abs(probe.ricci_max[0] - max(values)) <= 1e-12
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=st.sampled_from(GRID), point_seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_einstein_probe_extremes_bound_every_direction(config, point_seed,
+                                                       data):
+    # Ric(X) is a quadratic form on unit tangents, so its extremes are the
+    # extreme eigenvalues of the Ricci tensor, attained at their
+    # eigenvectors: no other direction can widen the spread the probe takes
+    # from those two.  The closed form and the tensor differ by the points'
+    # residuals: up to 6e-13 between the probe and the eigenvalues, and
+    # 2e-14 above the probe's maximum, over 1000 points per configuration
+    system = build_clifford_system(*config)
+    frame = build_frame(system, sample_focal_points(system, 1, point_seed))
+    shape = shape_operators(system, frame)
+    probe = einstein_probe(system, frame, shape)
+    eigs = np.linalg.eigvalsh(shape.ricci[0])
+    assert abs(probe.ricci_min[0] - eigs[0]) <= 1e-12
+    assert abs(probe.ricci_max[0] - eigs[-1]) <= 1e-12
+    n = frame.tangent.shape[2]
+    z = data.draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    assume(np.linalg.norm(z) > 1e-3)
+    x = frame.tangent[0] @ (z / np.linalg.norm(z))
+    value = ricci_quadratic(system, frame, x[None, :, None])[0, 0]
+    assert probe.ricci_min[0] - 1e-12 <= value <= probe.ricci_max[0] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +419,8 @@ def test_certify_point_block_errors_name_the_point():
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
 def test_einstein_probe_stack_equals_single_points(m, k):
     system, frames, shapes = _setup(m, k, extra_points=4)
-    seeds = [100 + i for i in range(len(frames.x))]
-    probe = einstein_probe(system, frames, 30, seeds, shape=shapes)
-    singles = [einstein_probe(system, f, 30, [s], shape=sh)
-               for (f, sh), s in zip(_each(frames, shapes), seeds)]
+    probe = einstein_probe(system, frames, shapes)
+    singles = [einstein_probe(system, f, sh) for f, sh in _each(frames, shapes)]
     for name in ("ricci_min", "ricci_max", "spread"):
         assert np.array_equal(getattr(probe, name),
                               [getattr(one, name)[0] for one in singles])
@@ -435,7 +430,6 @@ def test_einstein_probe_stack_equals_single_points(m, k):
     assert probe.spread_exceeds_threshold == (
         None if probe.status == "inconclusive"
         else all(one.spread_exceeds_threshold for one in singles))
-    again = einstein_probe(system, frames, 30, seeds,
-                           shape_operators(system, frames))
+    again = einstein_probe(system, frames, shape_operators(system, frames))
     assert all(np.array_equal(getattr(again, f.name), getattr(probe, f.name))
                for f in fields(probe))
