@@ -23,8 +23,9 @@ tables are signed permutations, so every matrix built here has entries in
 Admissibility: the focal manifold construction needs m2 = l - m - 1 >= 1.
 
 Rotations within the unit sphere of Span{P_0, ..., P_m} preserve all of the
-relations; `rotate_system` realises them with a deterministic orthonormal
-completion so that repeated runs give bitwise identical output.
+relations; `rotate_system` realises them with a closed-form orthonormal
+completion (one Householder reflection), so that repeated runs give bitwise
+identical output.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ __all__ = [
     "rotate_system",
     "verify_clifford_relations",
 ]
-
-# Pivot-skip threshold for deterministic orthonormal completions.
-PIVOT_SKIP_TOL = 1e-6
 
 _DELTA_BASE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 
@@ -280,40 +278,22 @@ def verify_clifford_relations(system: CliffordSystem,
                  tol)
 
 
-def _orthonormal_completion(first: np.ndarray,
-                            skip_tol: float = PIVOT_SKIP_TOL) -> np.ndarray:
+def _orthonormal_completion(first: np.ndarray) -> np.ndarray:
     """Orthonormal bases whose first rows are the rows of `first`.
 
-    `first` is an (N, dim) stack of unit vectors; the result is (N, dim, dim)
-    with out[k] an orthonormal basis (as rows) and out[k, 0] = first[k].
-    Candidates are the standard basis vectors in index order, run through
-    modified Gram-Schmidt against the slots filled so far (empty slots are
-    zero, so subtracting them is exact); a candidate is skipped for a row
-    when its residual norm falls below skip_tol.  The candidates span the
-    whole space, so the scan cannot run out.
+    `first` is an (N, dim) stack of unit vectors c; the result is
+    (N, dim, dim) with out[k] an orthonormal basis (as rows) and
+    out[k, 0] = first[k].  Each basis is the Householder reflection
+    I - w w^T / (1 + |c_0|) with w = c + s e_0, s = +1 for c_0 > 0 and -1
+    otherwise, so |w|^2 = 2 (1 + |c_0|) never cancels.  Its row 0 is -s c
+    and is set to c.  A coordinate vector c = e_j (j > 0) swaps e_0 and e_j.
     """
-    first = np.asarray(first, dtype=float)
-    count, dim = first.shape
-    out = np.zeros((count, dim, dim))
-    out[:, 0] = first
-    filled = np.ones(count, dtype=int)
-    rows = np.arange(count)
-    for j in range(dim):
-        if np.all(filled == dim):
-            break
-        r = np.zeros((count, dim))
-        r[:, j] = 1.0
-        # Two passes keep the basis orthonormal to machine precision.
-        for _ in range(2):
-            for s in range(int(filled.max())):
-                b = out[:, s]
-                r = r - np.einsum("ij,ij->i", r, b)[:, None] * b
-        nr = np.sqrt(np.einsum("ij,ij->i", r, r))
-        take = (nr > skip_tol) & (filled < dim)
-        out[rows[take], filled[take]] = r[take] / nr[take, None]
-        filled += take
-    if np.any(filled != dim):
-        raise RuntimeError("orthonormal completion ran out of candidates")
+    c = np.asarray(first, dtype=float)
+    w = c.copy()
+    w[:, 0] += np.where(c[:, 0] > 0, 1.0, -1.0)
+    scaled = w / (1.0 + np.abs(c[:, :1]))
+    out = np.eye(c.shape[1]) - w[:, :, None] * scaled[:, None, :]
+    out[:, 0] = c
     return out
 
 
@@ -321,9 +301,11 @@ def rotate_system(system: CliffordSystem, coeffs) -> CliffordSystem:
     """Rotate the system so that the new P_0 is sum_a c_a P_a.
 
     `coeffs` must be a unit vector in R^{m+1}.  The remaining matrices are
-    the images of a deterministic orthonormal completion of `coeffs`, so the
-    output is a Clifford system spanning the same space (relations hold
-    within 1e-12; entries are floats in general).
+    the images of the Householder completion of `coeffs` (rows 1..m of
+    I - w w^T / (1 + |c_0|), see _orthonormal_completion), so the output is
+    a Clifford system spanning the same space (relations hold within 1e-12;
+    entries are floats in general).  A coordinate vector e_j swaps P_0 and
+    P_j and keeps the other matrices.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (system.m + 1,):

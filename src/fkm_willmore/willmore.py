@@ -102,9 +102,24 @@ class EinsteinProbe:
 # per block.  Each (point, normal) row is computed on its own, so a row's
 # values do not depend on the other rows of the block.
 
-# Rows (points x normals) the chain evaluates at a time.  A row holds about
-# 20 KB of intermediates at (m, k) = (6, 1), so a block stays near 1 MB.
-_BLOCK_ROWS = 64
+# Bytes of per-row intermediates the chain holds at a time; the rows
+# (points x normals) of a block follow from the system (_block_points).
+_BLOCK_BYTES = 1_200_000
+
+
+def _block_points(system: CliffordSystem, num: int) -> int:
+    """Points per chain block: as many as fit _BLOCK_BYTES, at least one.
+
+    A (point, normal) row holds the completed half and full pair products,
+    (m+1)^2 2l floats each, P'_0, (2l)^2 floats, the ambient eigenbases,
+    2l n floats, A_xi and its eigenvectors, n^2 floats each, and the normals
+    and pair vectors, (m+1) 2l and m(m+1)/2 2l floats.  At (m, k) = (6, 1)
+    that is 20 KB a row and 1.15 MB a point with 57 normals."""
+    m1, dim = system.m + 1, system.ambient_dim
+    n = dim - system.m - 2
+    row = 8 * ((2 * m1 * m1 + dim + n + m1 + m1 * system.m // 2) * dim
+               + 2 * n * n)
+    return max(1, _BLOCK_BYTES // (row * max(1, num)))
 
 
 def _coefficient_rows(system: CliffordSystem, coeffs,
@@ -137,17 +152,22 @@ def _decompose(system: CliffordSystem, tangent: np.ndarray, ops: np.ndarray,
     Returns the spectrum deviations (P, N) and the ambient bases t0, t1,
     tm1 as (P, N, 2l, m), (P, N, 2l, m2), (P, N, 2l, m2).  Radius and
     cluster sizes are checked for every normal before the ascending
-    eigenbasis is sliced into its -1, 0, +1 blocks; `where(p, k)` names a
-    failing row in the error.
+    eigenbasis is sliced into its -1, 0, +1 blocks, which eigh returns
+    orthonormal; `where(p, k)` names a failing row in the error, and a
+    non-finite A_xi fails before eigh.
     """
     m, m2 = system.m, system.m2
     count, n = ops.shape[0], ops.shape[2]
     a_xi = (coeffs @ ops.reshape(count, m + 1, n * n)).reshape(
         *coeffs.shape[:2], n, n)
+    bad = np.argwhere(~np.all(np.isfinite(a_xi), axis=(2, 3)))
+    if bad.size:
+        p, k = bad[0]
+        raise SpectrumError(f"{where(p, k)}: A_xi has non-finite entries")
     vals, vecs = np.linalg.eigh(a_xi)
     dist = np.minimum(np.abs(vals), np.abs(np.abs(vals) - 1.0))
     deviation = np.max(dist, axis=2, initial=0.0)
-    bad = np.argwhere(deviation > CLUSTER_RADIUS)
+    bad = np.argwhere(~(deviation <= CLUSTER_RADIUS))
     if bad.size:
         p, k = bad[0]
         raise SpectrumError(
@@ -164,13 +184,8 @@ def _decompose(system: CliffordSystem, tangent: np.ndarray, ops: np.ndarray,
             f"{where(p, k)}: principal multiplicities "
             f"{tuple(counts[p, k].tolist())} != expected {expected} for "
             "(0, +1, -1)")
-    blocks = []
-    for lo, hi in ((m2, m2 + m), (m2 + m, n), (0, m2)):
-        sub = vecs[..., lo:hi]
-        if hi > lo:
-            sub = np.linalg.qr(sub)[0]
-        blocks.append(tangent[:, None] @ sub)
-    return deviation, *blocks
+    return deviation, *(tangent[:, None] @ vecs[..., lo:hi]
+                        for lo, hi in ((m2, m2 + m), (m2 + m, n), (0, m2)))
 
 
 def _rotated(system: CliffordSystem, x: np.ndarray, pairs: np.ndarray,
@@ -308,8 +323,8 @@ def principal_decomposition(system: CliffordSystem, frame: AdaptedFrame,
     stacked `frame` and `shape`.  Eigenvalues are clustered around
     {0, +1, -1} with radius 1e-6; a value outside every cluster raises
     SpectrumError, cluster sizes other than (m, l-m-1, l-m-1) raise
-    MultiplicityError.  Within each cluster the eigenbasis is
-    re-orthonormalized (QR) before mapping to ambient coordinates.
+    MultiplicityError.  The columns of eigh's orthonormal eigenbasis are
+    mapped to ambient coordinates as they are, cluster by cluster.
     """
     c = _coefficient_rows(system,
                           np.asarray(xi_coeffs, dtype=float)[..., None, :],
@@ -355,10 +370,10 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     of the normals does not matter.  residual_max and balance_max are held
     to `willmore_tol`, every other check to `geom_tol`.
 
-    The chain runs over blocks of points x normals of at most _BLOCK_ROWS
-    rows (one point at least), with one stacked eigh, one set of rotated
-    pair products and one ricci_quadratic call per block; a point's checks
-    do not depend on the block it is in.
+    The chain runs over blocks of whole points whose per-row intermediates
+    fit _BLOCK_BYTES (one point at least), with one stacked eigh, one set of
+    rotated pair products and one ricci_quadratic call per block; a point's
+    checks do not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -366,7 +381,7 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
         raise ValueError(f"{count} frames and {len(shape.operators)} shapes")
     tols = [willmore_tol if name in _WILLMORE_CHECKS else geom_tol
             for name in _CHECK_NAMES]
-    step = max(1, _BLOCK_ROWS // max(1, coeffs.shape[1]))
+    step = _block_points(system, coeffs.shape[1])
     out = []
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)

@@ -4,8 +4,11 @@ Freshly built systems have integer entries, so the defining relations are
 checked with zero tolerance; rotated systems only get 1e-12.
 """
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from fkm_willmore import (AdmissibilityError, build_clifford_system,
@@ -149,8 +152,8 @@ def test_rotation_is_orthogonal_change_of_span():
 
 
 def test_completion_batch_equals_rows():
-    # one stacked completion, the pivot-skip rule applied row by row: the
-    # coordinate rows skip different candidates than the random ones
+    # one stacked completion, one reflection per row: a row's basis does
+    # not depend on the other rows of the stack
     rng = default_rng(8)
     first = np.vstack([np.eye(5), rng.standard_normal((6, 5))])
     first /= np.linalg.norm(first, axis=1)[:, None]
@@ -161,8 +164,48 @@ def test_completion_batch_equals_rows():
         assert np.max(np.abs(basis @ basis.T - np.eye(5))) <= 1e-14
         assert np.max(np.abs(_orthonormal_completion(row[None])[0]
                              - basis)) <= 1e-15
-    # e_2 first: the candidate e_2 is skipped, the rest keep index order
-    assert np.array_equal(batch[2], np.eye(5)[[2, 0, 1, 3, 4]])
+    # e_2 first: the reflection swaps e_0 and e_2, the rest stay in place
+    assert np.array_equal(batch[2], np.eye(5)[[2, 1, 0, 3, 4]])
+
+
+def _unit_rows():
+    """Unit vectors in R^2..R^10, with the coordinate vectors +-e_j, c_0 = 0
+    and c_0 near -1 drawn often."""
+    def build(dim, kind, j, sign, z, eps):
+        if kind == "coordinate":
+            c = np.zeros(dim)
+            c[j % dim] = sign
+            return c
+        if kind == "equator":
+            z = z[:dim].copy()
+            z[0] = 0.0
+        elif kind == "near-minus-e0":
+            z = eps * z[:dim]
+            z[0] = -1.0
+        else:
+            z = z[:dim]
+        assume(np.linalg.norm(z) > 1e-3)
+        return z / np.linalg.norm(z)
+    floats = st.floats(-1.0, 1.0)
+    return st.builds(
+        build, st.integers(2, 10),
+        st.sampled_from(["coordinate", "equator", "near-minus-e0", "any"]),
+        st.integers(0, 9), st.sampled_from([1.0, -1.0]),
+        hnp.arrays(float, 10, elements=floats),
+        st.sampled_from([1e-12, 1e-8, 1e-4]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c=_unit_rows())
+def test_completion_is_an_orthonormal_householder_basis(c):
+    basis = _orthonormal_completion(c[None])[0]
+    assert np.array_equal(basis[0], c)
+    assert np.max(np.abs(basis @ basis.T - np.eye(len(c)))) <= 1e-14
+    if np.count_nonzero(c) == 1:
+        # a coordinate vector gives a signed permutation
+        assert set(np.unique(basis)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(np.abs(basis).sum(axis=0), np.ones(len(c)))
+        assert np.array_equal(np.abs(basis).sum(axis=1), np.ones(len(c)))
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (5, 1)])

@@ -1,15 +1,16 @@
 """The one result record and its fold: the pass rule, NaN and the boundary."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fkm_willmore import (Check, FkmPolynomial, FocalPoint, FrameError,
-                          build_clifford_system, build_frame, certify_point,
-                          deterministic_seed, fold, project_to_focal,
-                          ricci_quadratic, rotate_system, sectional_curvature,
-                          shape_operators)
+                          SpectrumError, build_clifford_system, build_frame,
+                          certify_point, deterministic_seed, fold,
+                          project_to_focal, ricci_quadratic, rotate_system,
+                          sectional_curvature, shape_operators)
 
 
 def test_fold_is_the_max_and_zero_for_nothing():
@@ -72,6 +73,15 @@ def _nan_coefficient_row():
     certify_point(system, frame, shape_operators(system, frame), coeffs)
 
 
+def _nan_shape_operator():
+    system, frame = _one_frame()
+    shape = shape_operators(system, frame)
+    ops = np.array(shape.operators)
+    ops[0, 1, 0, 1] = ops[0, 1, 1, 0] = math.nan
+    certify_point(system, frame, replace(shape, operators=ops),
+                  np.eye(3)[None])
+
+
 def _nan_sphere_row():
     poly = FkmPolynomial(build_clifford_system(2, 2))
     x = np.zeros((2, poly.ambient_dim))
@@ -100,11 +110,12 @@ def _nan_sectional_pair():
     (_nan_frame_point, FrameError),
     (_nan_ricci_column, ValueError),
     (_nan_coefficient_row, ValueError),
+    (_nan_shape_operator, SpectrumError),
     (_nan_sphere_row, ValueError),
     (_nan_rotation, ValueError),
     (_nan_sectional_pair, ValueError),
     (_nan_projection_start, ValueError),
-], ids=["build_frame", "ricci_quadratic", "certify_point",
+], ids=["build_frame", "ricci_quadratic", "certify_point", "shape_operator",
         "sphere_derivatives", "rotate_system", "sectional_curvature",
         "project_to_focal"])
 def test_input_guards_reject_nan(call, error):

@@ -476,16 +476,26 @@ def _swap_points(shapes):
     return take(shapes, order)
 
 
+def _scale_one_point(shapes):
+    ops = np.array(shapes.operators)
+    ops[3] *= 1.0 + 1e-7
+    return replace(shapes, operators=ops)
+
+
 @pytest.mark.parametrize("target,fault,failed", [
     ("shape_operators", _flip_one_point, ["willmore"]),
     ("shape_operators", _swap_points, ["geometry", "willmore"]),
+    ("shape_operators", _scale_one_point, ["lemma"]),
     ("ricci_quadratic", lambda values: values + 2.0, ["geometry"]),
-], ids=["flip-sign", "swap-points", "shift-crosscheck"])
+], ids=["flip-sign", "swap-points", "scale-one-point", "shift-crosscheck"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, fault,
                                                 failed):
     # each fault is injected at the name report.py looks up; a flipped sign
     # keeps every spectrum, a swap misplaces the Ricci tensors and the
-    # eigenbases, a shifted closed form moves only the cross-check
+    # eigenbases, scaling one point's operators by 1 + 1e-7 moves its
+    # spectra by 1e-7 (above the lemma's 1e-8, inside the 1e-6 cluster
+    # radius, so the chain still runs), a shifted closed form moves only the
+    # cross-check
     from fkm_willmore import report
     original = getattr(report, target)
     monkeypatch.setattr(report, target,

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from fkm_willmore import (MultiplicityError, ShapeData,
-                          SpectrumError, build_clifford_system, build_frame,
-                          certify_point, deterministic_seed, einstein_probe,
+                          SpectrumError, VerificationConfig,
+                          build_clifford_system, build_frame, certify_point,
+                          deterministic_seed, einstein_probe, evaluate_system,
                           principal_decomposition, ricci_quadratic,
                           rotate_system, sample_focal_points,
                           shape_operators, willmore_residual)
@@ -394,11 +395,62 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     coeffs = [_normals(m, 3, rng) for _ in frames.x]
     singles = [certify_point(system, f, s, [c])[0]
                for (f, s), c in zip(_each(frames, shapes), coeffs)]
-    # block boundaries anywhere: one row (one point per block), blocks that
-    # split the points unevenly, and all points in one block
-    for rows in (1, 2 * (m + 4), 3 * (m + 4) + 1, 10_000):
-        monkeypatch.setattr(willmore, "_BLOCK_ROWS", rows)
+    # the byte size of one (point, normal) row, and of one point's rows:
+    # half and prods, P'_0, the ambient bases, A_xi and its eigenvectors,
+    # the normals and the pair vectors
+    dim = system.ambient_dim
+    n = frames.tangent.shape[2]
+    row = 8 * (2 * (m + 1) ** 2 * dim + dim * dim + dim * n + 2 * n * n
+               + (m + 1) * dim + (m + 1) * m // 2 * dim)
+    point = row * (m + 4)
+    # block boundaries anywhere: one point per block, budgets of 2 and 3
+    # points (and one byte short of 3) that split the 7 points unevenly, and
+    # all points in one block
+    for budget, per_block in ((1, 1), (2 * point, 2), (3 * point - 1, 2),
+                              (3 * point, 3), (10 ** 9, 7)):
+        monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
+        assert min(willmore._block_points(system, m + 4), 7) == per_block
         assert certify_point(system, frames, shapes, coeffs) == singles
+
+
+@pytest.mark.parametrize("m,k,blocks", [(1, 3, 1), (6, 1, 20)])
+def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
+    # 20 points x (50 + m + 1) normals: the small (1,3) runs as one block,
+    # (6,1), about 1.15 MB of rows a point, as one point per block
+    calls = []
+    chain = willmore._chain
+
+    def counted(system, frame, shape, coeffs, where):
+        calls.append(coeffs.shape[:2])
+        return chain(system, frame, shape, coeffs, where)
+
+    monkeypatch.setattr(willmore, "_chain", counted)
+    cfg = VerificationConfig(configurations=((m, k),), n_points=20,
+                             n_normals=50)
+    entry = evaluate_system(build_clifford_system(m, k), cfg, 0)
+    assert entry["blocks"]["willmore"]["pass"]
+    assert len(calls) == blocks
+    assert sum(p for p, _ in calls) == 20
+    assert {num for _, num in calls} == {50 + m + 1}
+
+
+@pytest.mark.parametrize("m,k", GRID + [(9, 1)])
+def test_eigenbasis_blocks_are_orthonormal(m, k):
+    # the chain maps eigh's eigenvector blocks to ambient coordinates
+    # without re-orthonormalizing them; over 20 points x 50 random normals
+    # (and the coordinate normals) the worst |V^T V - I| seen was 3.3e-15,
+    # at (9,1)
+    system, frames, shapes = _setup(m, k, extra_points=19)
+    rng = default_rng(70 + m)
+    coeffs = np.array([_normals(m, 50, rng) for _ in frames.x])
+    n = frames.tangent.shape[2]
+    # lifting through the identity returns the eigenvector blocks V
+    eye = np.broadcast_to(np.eye(n), (len(frames.x), n, n))
+    _, *bases = willmore._decompose(system, eye, shapes.operators, coeffs,
+                                    lambda p, q: f"point {p}, normal {q}")
+    for v in bases:
+        gram = v.swapaxes(2, 3) @ v
+        assert np.max(np.abs(gram - np.eye(v.shape[3])), initial=0.0) <= 1e-13
 
 
 def test_certify_point_block_errors_name_the_point():
