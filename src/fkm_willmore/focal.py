@@ -15,11 +15,12 @@ J J^T = 4 I and the normal equations stay perfectly conditioned; this is
 asserted on every converged point.  Each returned point is certified
 against fixed thresholds, never trusted from convergence alone.
 
-Sampling draws independent Gaussian starts from per-index sub-seeds, so the
-result list has a fixed order and the projections are independent of each
-other.  Each attempt round projects the starts of every point still
-missing as one masked Gauss-Newton sweep over a stack of rows; a row's
-iterates are bit for bit those of a projection on its own.
+Sampling draws one block of Gaussian starts per attempt round from the
+sub-seed of that attempt, one row per point, so the result list has a
+fixed order and a point's start does not depend on the other points.  Each
+attempt round projects the starts of every point still missing as one
+masked Gauss-Newton sweep over a stack of rows; a row's iterates are bit
+for bit those of a projection on its own.
 """
 
 from __future__ import annotations
@@ -170,6 +171,18 @@ def _jacobian(x: np.ndarray, px: np.ndarray) -> np.ndarray:
     return 2.0 * np.concatenate([x[:, None, :], px], axis=1)
 
 
+def _condition(sym: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a stack of symmetric matrices.
+
+    Their singular values are the moduli of their eigenvalues, so
+    max |lambda| / min |lambda| from eigvalsh equals np.linalg.cond without
+    its SVD; a singular matrix gives inf.
+    """
+    lam = np.abs(np.linalg.eigvalsh(sym))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return lam.max(axis=-1) / lam.min(axis=-1)
+
+
 def _settle(out: list, rows, x, px, g, xx, iterations: int) -> None:
     """Certify the converged rows and store each verdict at out[row]."""
     jac = _jacobian(x, px)
@@ -216,8 +229,7 @@ def _project(system: CliffordSystem, starts: np.ndarray, tol: float,
             break
         jac = _jacobian(x, px)
         jjt = jac @ jac.transpose(0, 2, 1)
-        with np.errstate(divide="ignore"):
-            cond = np.linalg.cond(jjt)
+        cond = _condition(jjt)
         ok = cond <= _COND_LIMIT
         for r in np.flatnonzero(~ok):
             out[rows[r]] = SingularityError(
@@ -264,33 +276,35 @@ def project_to_focal(system: CliffordSystem, x0, tol: float = _GN_TOL,
 def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
     """n certified points from independent Gaussian starts.
 
-    Point i uses the sub-seed (seed, spawn_key=(i, attempt)); failed
-    projections retry with fresh attempts, up to 10 retries per point.  The
-    returned order is fixed by i, independent of retry counts.  Each attempt
-    round projects the starts of all points still missing in one sweep,
-    which gives every point the iterates of project_to_focal.
+    Attempt a draws one (n, 2l) block of starts from the sub-seed
+    (seed, spawn_key=(a,)), and point i takes row i of it.  Failed
+    projections retry with the next attempt's row, up to 10 retries per
+    point, so a point's start depends only on i and its own retry count,
+    never on n or on which other points failed.  Each attempt round
+    projects the starts of all points still missing in one sweep, which
+    gives every point the iterates of project_to_focal.
     """
     if n < 1:
         raise ValueError("n must be positive")
     entropy = int(seed) & _SEED_MASK
     points = [None] * n
     failures = np.zeros(n, dtype=int)
-    pending = list(range(n))
+    pending = np.arange(n)
     for attempt in range(_MAX_RETRIES + 1):
-        if not pending:
+        if not pending.size:
             break
-        starts = np.array([
-            default_rng(SeedSequence(entropy, spawn_key=(i, attempt)))
-            .standard_normal(system.ambient_dim) for i in pending])
+        rng = default_rng(SeedSequence(entropy, spawn_key=(attempt,)))
+        starts = rng.standard_normal((n, system.ambient_dim))[pending]
         results = _project(system, starts, _GN_TOL, _GN_MAX_ITER)
         for i, result in zip(pending, results):
             if isinstance(result, FocalPoint):
                 points[i] = result
             else:
                 failures[i] += 1
-        pending = [i for i in pending if points[i] is None]
-    if pending:
-        i = pending[0]
+        # a point still missing has failed every attempt so far
+        pending = pending[failures[pending] > attempt]
+    if pending.size:
+        i = int(pending[0])
         total = int(np.sum(failures[:i + 1]))
         raise SamplingError(
             f"sample point {i} failed after {_MAX_RETRIES + 1} attempts "

@@ -99,19 +99,31 @@ class FkmPolynomial:
         x = self._check_shape(x)
         return self.system.stack @ x @ x
 
+    @staticmethod
+    def _value(g, xx):
+        return xx * xx - 2.0 * np.sum(g * g, axis=0)
+
+    @staticmethod
+    def _gradient(x, px, g, xx) -> np.ndarray:
+        return 4.0 * xx[..., None] * x - 8.0 * np.sum(g[..., None] * px,
+                                                      axis=0)
+
+    def _laplacian(self, px, g, xx):
+        traces = np.trace(self.system.stack, axis1=1, axis2=2)
+        return ((8.0 + 4.0 * self.ambient_dim) * xx
+                - 16.0 * np.sum(px * px, axis=(0, -1))
+                - 8.0 * (traces @ g))
+
     def value(self, x):
         """F at one point (a float) or at each row of a block (an array)."""
         x = self._check_points(x)
         _, g, xx = self._terms(x)
-        out = xx * xx - 2.0 * np.sum(g * g, axis=0)
-        return float(out) if x.ndim == 1 else out
+        return _scalar(self._value(g, xx), x)
 
     def euclidean_gradient(self, x) -> np.ndarray:
         """grad F = 4 |x|^2 x - 8 sum_a g_a(x) P_a x, row-wise for a block."""
         x = self._check_points(x)
-        px, g, xx = self._terms(x)
-        return 4.0 * xx[..., None] * x - 8.0 * np.sum(g[..., None] * px,
-                                                      axis=0)
+        return self._gradient(x, *self._terms(x))
 
     def laplacian(self, x):
         """Ambient lap F, the Hessian trace taken term by term:
@@ -122,12 +134,7 @@ class FkmPolynomial:
         No Hessian is formed, so a block of K points costs O(K m l).
         """
         x = self._check_points(x)
-        px, g, xx = self._terms(x)
-        traces = np.trace(self.system.stack, axis1=1, axis2=2)
-        out = ((8.0 + 4.0 * self.ambient_dim) * xx
-               - 16.0 * np.sum(px * px, axis=(0, -1))
-               - 8.0 * (traces @ g))
-        return float(out) if x.ndim == 1 else out
+        return _scalar(self._laplacian(*self._terms(x)), x)
 
     def euclidean_hessian_apply(self, x, v) -> np.ndarray:
         """Directional derivative of the gradient:
@@ -176,12 +183,20 @@ class FkmPolynomial:
         if bad.size:
             raise ValueError("sphere derivatives need unit points (row "
                              f"{bad[0]} is off the sphere)")
-        grad = self.euclidean_gradient(x)
+        # P_a x, g_a and |x|^2 once, for all three derivatives
+        px, g, xx = self._terms(x)
+        grad = self._gradient(x, px, g, xx)
         grad_s = grad - np.sum(grad * x, axis=-1)[..., None] * x
-        value = self.value(x)
-        lap_s = self.laplacian(x) - 4.0 * (self.ambient_dim + 2.0) * value
+        value = _scalar(self._value(g, xx), x)
+        lap_s = (_scalar(self._laplacian(px, g, xx), x)
+                 - 4.0 * (self.ambient_dim + 2.0) * value)
         return SphericalDerivatives(value=value, gradient=grad_s,
                                     laplacian=lap_s)
+
+
+def _scalar(out, x):
+    """out as a float for one point x, as the array it is for a block."""
+    return float(out) if x.ndim == 1 else out
 
 
 def sphere_samples(rng, count: int, dim: int) -> np.ndarray:

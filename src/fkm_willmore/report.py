@@ -176,7 +176,12 @@ def _jsonable(obj):
     """Recursive plain-type sanitizer; rejects anything it cannot map.
 
     JSON has no NaN or infinity, so a non-finite float becomes None (null).
+    A finite float64 array holds nothing to map and converts in one
+    tolist().
     """
+    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64
+            and np.isfinite(obj).all()):
+        return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -260,6 +265,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
 
     if points is not None:
+        coordinates = np.array([p.x for p in points])
         rank_expected = m + 2
         ranks = sorted(set(tangent_jacobian_rank(system, points).tolist()))
         blocks["points"] = _block(
@@ -270,12 +276,11 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             Check("max_sphere_residual",
                   fold([p.residual_sphere for p in points]), SPHERE_TOL),
             Check("max_value_gap",
-                  fold(np.abs(poly.value(np.array([p.x for p in points]))
-                              - 1.0)),
+                  fold(np.abs(poly.value(coordinates) - 1.0)),
                   VALUE_TOL),
             {"jacobian_ranks": ranks,
              "rank_expected": rank_expected,
-             "coordinates": [p.x for p in points]},
+             "coordinates": coordinates},
             ok=ranks == [rank_expected])
 
     frames = None
@@ -284,13 +289,14 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             frames = build_frame(system, points)
             shapes = shape_operators(system, frames)
             cross = []
+            # one stream for the configuration, drawn block after block in
+            # point order: point p takes directions 100 p .. 100 p + 99
+            rng = default_rng(_subseed(cfg.seed, config_index, 2))
             for rows in _point_blocks(len(points)):
                 block = take(frames, rows)
-                z = np.array([
-                    sphere_samples(
-                        default_rng(_subseed(cfg.seed, config_index, 2, pi)),
-                        _N_CROSSCHECK_DIRS, n)
-                    for pi in range(len(points))[rows]])
+                count = len(block.tangent)
+                z = sphere_samples(rng, count * _N_CROSSCHECK_DIRS,
+                                   n).reshape(count, _N_CROSSCHECK_DIRS, n)
                 quad = ricci_quadratic(system, block,
                                        block.tangent @ z.transpose(0, 2, 1))
                 tensor = np.sum((z @ shapes.ricci[rows]) * z, axis=2)
@@ -320,12 +326,13 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         try:
             coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
             coeffs[:, :m + 1] = np.eye(m + 1)
-            for pi in range(count if cfg.n_normals else 0):
-                rng = default_rng(_subseed(cfg.seed, config_index, 3, pi))
-                c = rng.standard_normal((cfg.n_normals, m + 1))
+            if cfg.n_normals:
+                # one draw for the configuration, point p's normals in row p
+                rng = default_rng(_subseed(cfg.seed, config_index, 3))
+                c = rng.standard_normal((count, cfg.n_normals, m + 1))
                 # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
-                norms = np.sqrt(np.matmul(c[:, None, :], c[:, :, None]))
-                coeffs[pi, m + 1:] = c / norms[:, 0]
+                norms = np.sqrt(np.matmul(c[..., None, :], c[..., None]))
+                coeffs[:, m + 1:] = c / norms[..., 0]
             rows = certify_point(system, frames, shapes, coeffs,
                                  geom_tol=tol["geom"],
                                  willmore_tol=tol["willmore"])

@@ -140,9 +140,10 @@ def test_jacobian_rank(m, k, rank):
 # the batched sweep against one-point projections
 # ---------------------------------------------------------------------------
 
-def _start(system, seed, i, attempt):
-    rng = default_rng(SeedSequence(seed, spawn_key=(i, attempt)))
-    return rng.standard_normal(system.ambient_dim)
+def _start(system, seed, i, attempt, n):
+    # row i of attempt's (n, 2l) block of starts
+    rng = default_rng(SeedSequence(seed, spawn_key=(attempt,)))
+    return rng.standard_normal((n, system.ambient_dim))[i]
 
 
 def _same_point(a, b):
@@ -180,44 +181,59 @@ def test_sampling_sweep_equals_single_projections(m, k):
     system = build_clifford_system(m, k)
     points = sample_focal_points(system, 40, seed=77)
     for i, point in enumerate(points):
-        x0 = _start(system, 77, i, 0)
+        x0 = _start(system, 77, i, 0, 40)
         _same_point(point, project_to_focal(system, x0))
         x, iterations = _reference_projection(system, x0)
         assert np.array_equal(point.x, x) and point.iterations == iterations
 
 
 class _RiggedRng:
-    """Stands in for the generator of one start and draws a fixed vector."""
+    """Stands in for the generator of one attempt: its block of starts, with
+    the rows of the given points replaced by a singular start."""
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, rng, rows):
+        self.rng = rng
+        self.rows = rows
 
     def standard_normal(self, size):
-        return np.array(self.x, dtype=float)
+        block = self.rng.standard_normal(size)
+        # e_1 is a +1 eigenvector of P_0, a start whose normal equations are
+        # singular
+        block[self.rows] = np.eye(size[1])[0]
+        return block
 
 
 def _rig(monkeypatch, singular_keys):
-    # e_1 is a +1 eigenvector of P_0, a start whose normal equations are
-    # singular; the given (point, attempt) keys draw it
-    real = focal.default_rng
+    """The given (point, attempt) keys draw a singular start; returns the
+    list of attempt keys that generators are built for."""
+    made = []
 
     def rigged(seed_seq):
-        if seed_seq.spawn_key in singular_keys:
-            return _RiggedRng(np.eye(6)[0])
-        return real(seed_seq)
+        (attempt,) = seed_seq.spawn_key
+        made.append(attempt)
+        rows = [i for i, a in singular_keys if a == attempt]
+        return _RiggedRng(default_rng(seed_seq), rows)
 
     monkeypatch.setattr(focal, "default_rng", rigged)
+    return made
 
 
 def test_sampling_sweep_retries_like_single_projections(monkeypatch):
     system = build_clifford_system(1, 3)
-    _rig(monkeypatch, {(2, 0)})
-    points = sample_focal_points(system, 4, seed=9)
-    # point 2 fails its first attempt and takes the start of attempt 1
-    _same_point(points[2], project_to_focal(system, _start(system, 9, 2, 1)))
-    for i in (0, 1, 3):
+    made = _rig(monkeypatch, {(2, 0), (7, 0), (7, 1)})
+    points = sample_focal_points(system, 30, seed=9)
+    # one block of starts per attempt round, not one generator per point
+    assert made == [0, 1, 2]
+    # point 2 fails its first attempt and takes row 2 of attempt 1's block,
+    # point 7 row 7 of attempt 2's; the other points keep their rows of
+    # attempt 0's
+    _same_point(points[2],
+                project_to_focal(system, _start(system, 9, 2, 1, 30)))
+    _same_point(points[7],
+                project_to_focal(system, _start(system, 9, 7, 2, 30)))
+    for i in set(range(30)) - {2, 7}:
         _same_point(points[i],
-                    project_to_focal(system, _start(system, 9, i, 0)))
+                    project_to_focal(system, _start(system, 9, i, 0, 30)))
 
 
 def test_sampling_failure_counts_projections_so_far(monkeypatch):
@@ -228,6 +244,16 @@ def test_sampling_failure_counts_projections_so_far(monkeypatch):
     # one retry of point 0, then all eleven attempts of point 1
     assert info.value.failures == 12
     assert "sample point 1 failed after 11 attempts" in str(info.value)
+
+
+def test_sampling_starts_do_not_depend_on_the_point_count():
+    # point i's start is row i of a row-major block, so the first five
+    # points come out bit for bit the same when twenty are drawn
+    system = build_clifford_system(2, 2)
+    five = sample_focal_points(system, 5, seed=31)
+    twenty = sample_focal_points(system, 20, seed=31)
+    for a, b in zip(five, twenty):
+        _same_point(a, b)
 
 
 def test_sweep_rows_with_mixed_outcomes_match_single_projections():
@@ -247,3 +273,26 @@ def test_sweep_rows_with_mixed_outcomes_match_single_projections():
                 assert type(got) is type(exc) and str(got) == str(exc)
             else:
                 _same_point(got, want)
+
+
+def test_condition_number_matches_numpy_cond():
+    # the sweep's condition number comes from eigvalsh of the symmetric
+    # J J^T; it matches np.linalg.cond (an SVD) on random normal equations
+    # of the sampler's shapes, and on singular ones (J with a repeated or a
+    # zero row) both lie above the limit
+    rng = default_rng(5)
+    for rows, cols in [(3, 6), (4, 8), (8, 16), (11, 16), (11, 32)]:
+        jac = rng.standard_normal((40, rows, cols))
+        repeated, zero = jac.copy(), jac.copy()
+        repeated[:, -1] = 3.0 * jac[:, 0]
+        zero[:, -1] = 0.0
+        for j, singular in ((jac, False), (repeated, True), (zero, True)):
+            stack = j @ j.transpose(0, 2, 1)
+            got = focal._condition(stack)
+            with np.errstate(divide="ignore"):
+                want = np.linalg.cond(stack)
+            if singular:
+                assert np.all(got > focal._COND_LIMIT), (rows, cols)
+                assert np.all(want > focal._COND_LIMIT), (rows, cols)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-10 * want), (rows, cols)

@@ -12,6 +12,7 @@ from fkm_willmore import (VerificationConfig, VerificationReport,
                           render_text, run_suite)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.geometry import take
+from fkm_willmore.polynomial import sphere_samples
 from fkm_willmore.report import evaluate_system
 
 TINY = dict(n_points=3, n_normals=4, n_pde_samples=50)
@@ -319,24 +320,27 @@ def test_main_binary_reproducible(tmp_path, monkeypatch, capsys):
 
 
 def test_ricci_crosscheck_matches_sequential_draws():
-    # one block draw per point gives the directions of the per-direction
-    # draw loop, so the reported cross-check maximum agrees to rounding
+    # the configuration's stage-2 stream, drawn block after block, gives the
+    # directions of a per-direction draw loop over the points in order, so
+    # the reported cross-check maximum agrees to rounding.  The residuals
+    # are rounding noise (~3e-13 here), so the bound sits below the 2.8e-14
+    # by which the maximum moves when each point draws from its own stream.
     from numpy.random import default_rng
 
     from fkm_willmore import (FocalPoint, build_frame, ricci_quadratic,
                               shape_operators)
     from fkm_willmore.report import _N_CROSSCHECK_DIRS, _subseed
-    cfg = tiny_config(configurations=((3, 2),), n_normals=0)
+    cfg = tiny_config(configurations=((3, 2),), n_points=20, n_normals=0)
     system = build_clifford_system(3, 2)
     entry = evaluate_system(system, cfg, 0)
     points = entry["blocks"]["points"]["coordinates"]
     worst = 0.0
-    for pi, x in enumerate(points):
+    rng = default_rng(_subseed(cfg.seed, 0, 2))
+    for x in points:
         frame = build_frame(system, [FocalPoint(x=np.array(x),
                                                 residual_constraints=0.0,
                                                 residual_sphere=0.0)])
         ricci = shape_operators(system, frame).ricci[0]
-        rng = default_rng(_subseed(cfg.seed, 0, 2, pi))
         for _ in range(_N_CROSSCHECK_DIRS):
             z = rng.standard_normal(frame.tangent.shape[2])
             z /= float(np.linalg.norm(z))
@@ -344,46 +348,85 @@ def test_ricci_crosscheck_matches_sequential_draws():
                                    (frame.tangent @ z)[:, :, None])[0, 0]
             worst = max(worst, abs(quad - float(z @ ricci @ z)))
     assert abs(entry["blocks"]["geometry"]["ricci_crosscheck_max"]
-               - worst) <= 1e-12
+               - worst) <= 1e-14
 
 
 @pytest.mark.parametrize("n_normals", [0, 3])
 def test_per_point_streams_are_named_subseeds(monkeypatch, n_normals):
-    # every per-point generator is default_rng of the SeedSequence named
-    # (configuration, stage, point), so point p draws the same cross-check
-    # directions (stage 2) and normals (stage 3) whatever the point count;
-    # with no random normals no stage-3 generator is built
+    # the per-point draws of a configuration come from one generator per
+    # stage, default_rng of the SeedSequence named (configuration, stage):
+    # stage 2 for the cross-check directions and stage 3 for the normals,
+    # each built once; with no random normals no stage-3 generator is built
     from numpy.random import SeedSequence, default_rng
 
     from fkm_willmore import report
     grid = ((1, 3), (2, 2))
+    made = []
 
-    def streams(n_points):
-        made = {}
+    def recording(seed):
+        rng = default_rng(seed)
+        made.append((seed.spawn_key, rng.bit_generator.state))
+        return rng
 
-        def recording(seed):
-            rng = default_rng(seed)
-            made[seed.spawn_key] = rng.bit_generator.state
-            return rng
-
-        monkeypatch.setattr(report, "default_rng", recording)
-        cfg = tiny_config(configurations=grid, n_points=n_points,
-                          n_normals=n_normals)
-        for ci, (m, k) in enumerate(grid):
-            evaluate_system(build_clifford_system(m, k), cfg, ci)
-        return made
-
-    five, twenty = streams(5), streams(20)
+    monkeypatch.setattr(report, "default_rng", recording)
+    cfg = tiny_config(configurations=grid, n_points=20, n_normals=n_normals)
+    for ci, (m, k) in enumerate(grid):
+        evaluate_system(build_clifford_system(m, k), cfg, ci)
     stages = (2, 3) if n_normals else (2,)
-    keys = [(ci, stage, p) for ci in range(len(grid)) for stage in stages
-            for p in range(20)]
-    assert sorted(twenty) == keys
-    assert sorted(five) == [key for key in keys if key[2] < 5]
-    for key, state in twenty.items():
+    assert [key for key, _ in made] == [(ci, stage)
+                                        for ci in range(len(grid))
+                                        for stage in stages]
+    for key, state in made:
         named = default_rng(SeedSequence(report.DEFAULT_SEED, spawn_key=key))
         assert state == named.bit_generator.state, key
-        if key[2] < 5:
-            assert five[key] == state, key
+
+
+def _point_inputs(monkeypatch, n_points):
+    """Coordinates, cross-check directions (P, 100, n) and random normals
+    (P, 3, m+1) of one evaluation at (2, 2), 3 random normals a point."""
+    from fkm_willmore import report
+    samples, certify = report.sphere_samples, report.certify_point
+    seen = {"z": []}
+
+    def recording_samples(rng, count, dim):
+        seen["z"].append(samples(rng, count, dim))
+        return seen["z"][-1]
+
+    def recording_certify(system, frames, shapes, coeffs, **kwargs):
+        seen["normals"] = np.array(coeffs[:, system.m + 1:])
+        return certify(system, frames, shapes, coeffs, **kwargs)
+
+    monkeypatch.setattr(report, "sphere_samples", recording_samples)
+    monkeypatch.setattr(report, "certify_point", recording_certify)
+    cfg = tiny_config(configurations=((2, 2),), n_points=n_points,
+                      n_normals=3)
+    entry = evaluate_system(build_clifford_system(2, 2), cfg, 0)
+    assert entry["pass"]
+    return (np.array(entry["blocks"]["points"]["coordinates"]),
+            np.concatenate(seen["z"]).reshape(n_points, 100, -1),
+            seen["normals"])
+
+
+def test_point_inputs_do_not_depend_on_the_point_count(monkeypatch):
+    # point p's start, directions and normals are row p of a row-major draw
+    # of its stage, so the first five points of a 20-point run (whose
+    # cross-check runs as blocks of 16 and 4 points) get the inputs of a
+    # 5-point run, and the draws are those of the named streams
+    from numpy.random import SeedSequence, default_rng
+
+    from fkm_willmore.report import DEFAULT_SEED
+    five = _point_inputs(monkeypatch, 5)
+    twenty = _point_inputs(monkeypatch, 20)
+    for a, b in zip(five, twenty):
+        assert np.array_equal(a, b[:5])
+    # (2, 2): focal dimension 4, m + 1 = 3
+    z = sphere_samples(default_rng(SeedSequence(DEFAULT_SEED,
+                                                spawn_key=(0, 2))), 2000, 4)
+    assert np.array_equal(twenty[1], z.reshape(20, 100, 4))
+    c = default_rng(SeedSequence(DEFAULT_SEED, spawn_key=(0, 3))) \
+        .standard_normal((20, 3, 3))
+    assert np.array_equal(twenty[2], [[row / np.linalg.norm(row)
+                                       for row in rows] for rows in c])
 
 
 def _reject_constant(token):
@@ -407,6 +450,19 @@ def test_nan_residuals_serialize_as_null():
     assert not blocks["cartan_munzner"]["pass"]
     # finite values are untouched
     assert blocks["cartan_munzner"]["n_samples"] == cfg.n_pde_samples
+
+
+def test_jsonable_arrays_match_the_element_walk():
+    # a finite float64 array converts in one tolist(); any other array is
+    # walked element by element, which maps NaN and infinity to null
+    from fkm_willmore.report import _jsonable
+    finite = np.array([[1.5, -0.0], [1e-300, 3.0]])
+    got = _jsonable(finite)
+    assert got == [[1.5, -0.0], [1e-300, 3.0]]
+    assert all(type(v) is float for row in got for v in row)
+    assert _jsonable(np.array([1.0, np.nan, -np.inf])) == [1.0, None, None]
+    assert _jsonable(np.array([2, 3])) == [2, 3]
+    assert _jsonable([finite[0], np.float64(np.nan)]) == [[1.5, -0.0], None]
 
 
 @pytest.mark.parametrize("points,normals,bound_mb", [
@@ -482,27 +538,49 @@ def _scale_one_point(shapes):
     return replace(shapes, operators=ops)
 
 
-@pytest.mark.parametrize("target,fault,failed", [
-    ("shape_operators", _flip_one_point, ["willmore"]),
-    ("shape_operators", _swap_points, ["geometry", "willmore"]),
-    ("shape_operators", _scale_one_point, ["lemma"]),
-    ("ricci_quadratic", lambda values: values + 2.0, ["geometry"]),
-], ids=["flip-sign", "swap-points", "scale-one-point", "shift-crosscheck"])
-def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, fault,
+def _on_result(fault):
+    """A patch that applies `fault` to what the original returns."""
+    return lambda original: (
+        lambda *args, **kwargs: fault(original(*args, **kwargs)))
+
+
+def _probe_without_pairs(original):
+    # with no pair products the closed form is Ric(X) = 2 (l - m - 2) for
+    # every unit X, so every spread is 0
+    def probe(system, frames, shapes):
+        return original(system,
+                        replace(frames, pairs=np.zeros_like(frames.pairs)),
+                        shapes)
+    return probe
+
+
+@pytest.mark.parametrize("target,patch,failed", [
+    ("shape_operators", _on_result(_flip_one_point), ["willmore"]),
+    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"]),
+    ("shape_operators", _on_result(_scale_one_point), ["lemma"]),
+    ("ricci_quadratic", _on_result(lambda values: values + 2.0),
+     ["geometry"]),
+    ("einstein_probe", _probe_without_pairs, ["einstein"]),
+], ids=["flip-sign", "swap-points", "scale-one-point", "shift-crosscheck",
+        "zero-pairs-einstein"])
+def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
                                                 failed):
     # each fault is injected at the name report.py looks up; a flipped sign
     # keeps every spectrum, a swap misplaces the Ricci tensors and the
     # eigenbases, scaling one point's operators by 1 + 1e-7 moves its
     # spectra by 1e-7 (above the lemma's 1e-8, inside the 1e-6 cluster
     # radius, so the chain still runs), a shifted closed form moves only the
-    # cross-check
+    # cross-check, and a probe that sees no pair products finds the spread 0
+    # where (3, 2) must give evidence of a non-Einstein metric
     from fkm_willmore import report
-    original = getattr(report, target)
-    monkeypatch.setattr(report, target,
-                        lambda *args, **kwargs: fault(original(*args,
-                                                               **kwargs)))
+    monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
                              n_normals=5)
     entry = evaluate_system(build_clifford_system(3, 2), cfg, 0)
     assert sorted(name for name, block in entry["blocks"].items()
                   if not block["pass"]) == failed
+    if target == "einstein_probe":
+        einstein = entry["blocks"]["einstein"]
+        assert einstein["status"] == "evidence"
+        assert einstein["spread"] == 0.0
+        assert einstein["spread_exceeds_threshold"] is False
