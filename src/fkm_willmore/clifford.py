@@ -18,7 +18,8 @@ diagonals.  The base generators are left multiplications in the complex
 numbers (m = 2), the quaternions (m = 3, 4) and the octonions (m = 5..8);
 m = 9 doubles the octonion set once to dimension 16.  Left multiplication
 tables are signed permutations, so every matrix built here has entries in
-{-1, 0, +1} and all algebraic identities are checked with zero tolerance.
+{-1, 0, +1} and its algebraic identities are checked with zero tolerance;
+systems with other entries (rotated or conjugated ones) are held to 1e-12.
 
 Admissibility: the focal manifold construction needs m2 = l - m - 1 >= 1.
 
@@ -61,6 +62,9 @@ _QUATERNION_TABLE = (
 )
 
 _J2 = ((0.0, -1.0), (1.0, 0.0))
+
+# Relation tolerance for systems with non-integer entries.
+_RELATIONS_TOL = 1e-12
 
 
 def delta(m: int) -> int:
@@ -220,6 +224,12 @@ class CliffordSystem:
         s.setflags(write=False)
         return s
 
+    @cached_property
+    def integer(self) -> bool:
+        """Whether every entry is an integer (as in freshly built systems),
+        so that the relations hold exactly in double precision."""
+        return bool(np.array_equal(self.stack, np.rint(self.stack)))
+
     def apply(self, x) -> np.ndarray:
         """P_a x for every a: (m+1, 2l) for one point, (K, m+1, 2l) for a
         (K, 2l) stack of points.
@@ -258,15 +268,17 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
 
 
 def verify_clifford_relations(system: CliffordSystem,
-                              tol: float = 0.0) -> Check:
+                              tol: float | None = None) -> Check:
     """Check symmetry, anticommutation/involution and tracelessness.
 
     Returns the `max_deviation` check, the worst absolute residual of all
     three.  Freshly built systems have entries in {-1, 0, +1}; their
-    products are exact in double precision, so they must pass at tol=0.
-    Rotated systems carry float entries and are expected to pass at
-    tol=1e-12.
+    products are exact in double precision, so by default an integer system
+    is held to tol=0.  Rotated or conjugated systems carry float entries
+    and are held to tol=1e-12 by default.
     """
+    if tol is None:
+        tol = 0.0 if system.integer else _RELATIONS_TOL
     stack = system.stack
     prods = stack[:, None] @ stack[None]             # P_a P_b for all a, b
     anti = (prods + prods.swapaxes(0, 1)
@@ -324,16 +336,12 @@ def dump_matrices(system: CliffordSystem) -> str:
     Only integer systems (freshly built ones) are dumpable; rotated systems
     raise ValueError.
     """
-    blocks = []
-    for P in system.matrices:
-        rounded = np.rint(P)
-        if float(np.max(np.abs(P - rounded))) != 0.0:
-            raise ValueError(
-                "matrix dump requires exact integer entries; rotated systems "
-                "are not dumpable")
-        blocks.append(rounded.astype(int))
+    if not system.integer:
+        raise ValueError(
+            "matrix dump requires exact integer entries; rotated systems "
+            "are not dumpable")
     lines = [f"{system.ambient_dim} {system.m}"]
-    for P in blocks:
+    for P in system.stack.astype(int):
         for row in P:
             lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -5,6 +5,12 @@ constraints
 
     c(x) = (|x|^2 - 1, g_0(x), ..., g_m(x)),      g_a(x) = <P_a x, x>.
 
+Every point of M+ is (u + w) / sqrt(2) with u a unit vector of the +1
+eigenspace E+ of P_0 and w a unit vector of the -1 eigenspace E- that is
+orthogonal to P_1 u, ..., P_m u.  The seed point and the sampler's starts
+are built that way from the projectors (I +- P_0) / 2, using nothing but
+the Clifford relations, so they hold for any representation of the system.
+
 Projection onto M+ is Gauss-Newton on c: with Jacobian rows
 (2x, 2 P_0 x, ..., 2 P_m x),
 
@@ -15,12 +21,14 @@ J J^T = 4 I and the normal equations stay perfectly conditioned; this is
 asserted on every converged point.  Each returned point is certified
 against fixed thresholds, never trusted from convergence alone.
 
-Sampling draws one block of Gaussian starts per attempt round from the
-sub-seed of that attempt, one row per point, so the result list has a
-fixed order and a point's start does not depend on the other points.  Each
-attempt round projects the starts of every point still missing as one
-masked Gauss-Newton sweep over a stack of rows; a row's iterates are bit
-for bit those of a projection on its own.
+Sampling draws one block of Gaussian rows per attempt round from the
+sub-seed of that attempt, one row per point, and maps each row onto M+
+through the eigenspaces of P_0, so the result list has a fixed order and a
+point's start does not depend on the other points.  Each attempt round
+projects the starts of every point still missing as one masked
+Gauss-Newton sweep over a stack of rows; a start that the map put on M+
+is certified as it is, and a row's iterates are bit for bit those of a
+projection on its own.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from numpy.random import SeedSequence, default_rng
 from .clifford import CliffordSystem
 from .errors import (CertificationError, ConvergenceError, SamplingError,
                      SingularityError)
-from .records import Check, fold
+from .records import fold
 
 __all__ = [
     "CONSTRAINT_TOL",
@@ -85,28 +93,42 @@ def _rows(system: CliffordSystem, x: np.ndarray):
     """
     px = system.apply(x)
     g = np.matmul(px, x[..., None])[..., 0]
-    xx = np.matmul(x[:, None, :], x[..., None])[:, 0, 0]
-    return px, g, xx
+    return px, g, _dot(x, x)
 
 
-def _verdict(x: np.ndarray, g: np.ndarray, xx: float,
-             iterations: int) -> FocalPoint | CertificationError:
-    """The point x with its constraint values g and |x|^2, certified."""
-    res_c = fold(np.abs(g))
-    res_s = abs(xx - 1.0)
-    value_gap = abs(xx * xx - 2.0 * float(g @ g) - 1.0)
-    checks = (Check("max_constraint_residual", res_c, CONSTRAINT_TOL),
-              Check("max_sphere_residual", res_s, SPHERE_TOL),
-              Check("max_value_gap", value_gap, VALUE_TOL))
-    if not all(c.passed for c in checks):
-        return CertificationError(
-            f"point failed certification: constraints {res_c:.3e} "
-            f"(tol {CONSTRAINT_TOL:.1e}), sphere {res_s:.3e} "
-            f"(tol {SPHERE_TOL:.1e}), value gap {value_gap:.3e} "
-            f"(tol {VALUE_TOL:.1e})",
-            residual_constraints=res_c, residual_sphere=res_s)
-    return FocalPoint(x=x, residual_constraints=res_c, residual_sphere=res_s,
-                      iterations=iterations)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_k, b_k> for the rows of two (K, d) stacks, each with the rounding
+    of the one-point a_k @ b_k (see _rows)."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _verdicts(x: np.ndarray, g: np.ndarray, xx: np.ndarray,
+              iterations: int) -> list:
+    """Each row of x, with its constraint values g and |x|^2, certified:
+    its FocalPoint, or the CertificationError that rejects it.
+
+    The thresholds of certify are applied to the whole stack at once; a
+    residual passes when it is <= its threshold, so NaN fails.
+    """
+    res_c = fold(np.abs(g), axis=1)
+    res_s = np.abs(xx - 1.0)
+    value_gap = np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0)
+    passed = ((res_c <= CONSTRAINT_TOL) & (res_s <= SPHERE_TOL)
+              & (value_gap <= VALUE_TOL))
+    out = []
+    for xi, c, s, v, ok in zip(x, res_c.tolist(), res_s.tolist(),
+                               value_gap.tolist(), passed):
+        if ok:
+            out.append(FocalPoint(x=xi, residual_constraints=c,
+                                  residual_sphere=s, iterations=iterations))
+        else:
+            out.append(CertificationError(
+                f"point failed certification: constraints {c:.3e} "
+                f"(tol {CONSTRAINT_TOL:.1e}), sphere {s:.3e} "
+                f"(tol {SPHERE_TOL:.1e}), value gap {v:.3e} "
+                f"(tol {VALUE_TOL:.1e})",
+                residual_constraints=c, residual_sphere=s))
+    return out
 
 
 def certify(system: CliffordSystem, x: np.ndarray,
@@ -118,47 +140,86 @@ def certify(system: CliffordSystem, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     _, g, xx = _rows(system, x[None])
-    result = _verdict(x, g[0], float(xx[0]), iterations)
+    (result,) = _verdicts(x[None], g, xx, iterations)
     if isinstance(result, CertificationError):
         raise result
     return result
 
 
-def deterministic_seed(system: CliffordSystem) -> FocalPoint:
-    """A fixed, RNG-free point of M+.
+def _eigenparts(system: CliffordSystem, z: np.ndarray):
+    """(I + P_0) z / 2 and (I - P_0) z / 2 for the rows of a (K, 2l) stack:
+    the components of each row in the +1 and -1 eigenspaces of P_0."""
+    p0z = np.matmul(system.stack[0], z[..., None])[..., 0]
+    return 0.5 * (z + p0z), 0.5 * (z - p0z)
 
-    Take v = e_1 / sqrt(2) in the second R^l factor and u = the first
-    standard basis vector (scaled by 1/sqrt(2)) orthogonal to
-    Span{e_1, E_1 e_1, ..., E_{m-1} e_1}; that span has dimension m <= l - 2,
-    so the scan always succeeds.  Then x = (u, v) satisfies every constraint
-    by construction: g_0 = |u|^2 - |v|^2, g_1 = 2 <u, v> and
-    g_{1+i} = 2 <E_i v, u> all vanish.
+
+def _reduce(system: CliffordSystem, u: np.ndarray,
+            v: np.ndarray) -> np.ndarray:
+    """v - sum_{a>=1} <v, P_a u> P_a u for the rows of two (K, 2l) stacks.
+
+    For a unit u in E+, the P_a u (a >= 1) are orthonormal vectors of E-,
+    so a v in E- loses exactly its components along them.
     """
-    l = system.l
-    n = system.ambient_dim
-    # Span to avoid: e_1 and the images E_i e_1, read off the block form
-    # of P_{1+i} applied to (0, e_1).
-    obstruction = [np.eye(l)[0]]
-    for P in system.matrices[2:]:
-        # top-left l x l block of P_{1+i} is 0, top-right is E_i
-        obstruction.append(P[:l, l:] @ np.eye(l)[0])
-    u = None
-    for j in range(l):
-        r = np.eye(l)[j]
-        for b in obstruction:
-            nb = float(np.linalg.norm(b))
-            if nb > 0.0:
-                r = r - (float(r @ b) / (nb * nb)) * b
-        nr = float(np.linalg.norm(r))
-        if nr > 1e-6:
-            u = r / nr
-            break
-    if u is None:
-        raise RuntimeError("no basis vector escapes the obstruction span")
-    x = np.zeros(n)
-    x[:l] = u / np.sqrt(2.0)
-    x[l] = 1.0 / np.sqrt(2.0)
-    return certify(system, x, iterations=0)
+    pu = np.matmul(system.stack[1:], u[:, None, :, None])[..., 0]
+    c = np.matmul(pu, v[..., None])
+    return v - np.matmul(c.transpose(0, 2, 1), pu)[:, 0]
+
+
+def _onto_focal(system: CliffordSystem, z: np.ndarray) -> np.ndarray:
+    """Each row z of a (K, 2l) stack mapped to (u + w) / sqrt(2) on M+.
+
+    u is the unit E+ part of z, w the unit part of its E- part that is
+    orthogonal to P_1 u, ..., P_m u; then |x|^2 = 1, g_0 = (|u|^2 - |w|^2)/2
+    and g_a = <P_a u, w> all vanish.  A row whose E+ part or reduced E- part
+    is shorter than 1e-12 |z| has no such image and is returned as it is.
+    Every product is a stacked matrix-vector form, so a row's image does not
+    depend on the other rows.
+    """
+    x = z
+    # The map fixes M+, so a second pass moves a mapped row only by
+    # rounding: like Gram-Schmidt done twice, it removes the error that the
+    # first pass amplifies when E+ or the reduced E- part of z is short.
+    for _ in range(2):
+        plus, minus = _eigenparts(system, x)
+        floor = 1e-12 * np.sqrt(_dot(x, x))
+        norm_u = np.sqrt(_dot(plus, plus))
+        ok = norm_u > floor
+        u = plus / np.where(ok, norm_u, 1.0)[:, None]
+        w = _reduce(system, u, minus)
+        norm_w = np.sqrt(_dot(w, w))
+        ok &= norm_w > floor
+        x = np.where(ok[:, None],
+                     (u + w / np.where(ok, norm_w, 1.0)[:, None])
+                     / np.sqrt(2.0), x)
+    return x
+
+
+def _first_unit(rows: np.ndarray) -> np.ndarray:
+    """The first row of norm above 1e-6, normalized."""
+    norms = np.sqrt(_dot(rows, rows))
+    found = np.flatnonzero(norms > 1e-6)
+    if not found.size:
+        raise CertificationError(
+            "no seed point: every candidate row is shorter than 1e-6")
+    return rows[found[0]] / norms[found[0]]
+
+
+def deterministic_seed(system: CliffordSystem) -> FocalPoint:
+    """A fixed, RNG-free point of M+, built from the eigenspaces of P_0.
+
+    u is the first (I + P_0) e_j / 2 of norm above 1e-6, normalized; w is
+    the first (I - P_0) e_k / 2 with its components along P_1 u, ..., P_m u
+    removed whose norm is above 1e-6, normalized.  Then x = (u + w) / sqrt(2)
+    lies on M+ by the Clifford relations alone (see _onto_focal).  For
+    integer systems u and w are signed basis vectors, so
+    x = (+-e_j +- e_k) / sqrt(2) and its residuals come only from the
+    rounding of 1/sqrt(2).
+    """
+    eye = np.eye(system.ambient_dim)
+    plus, minus = _eigenparts(system, eye)
+    u = _first_unit(plus)
+    w = _first_unit(_reduce(system, np.broadcast_to(u, eye.shape), minus))
+    return certify(system, (u + w) / np.sqrt(2.0))
 
 
 def _residual(g: np.ndarray, xx: np.ndarray) -> np.ndarray:
@@ -188,7 +249,7 @@ def _settle(out: list, rows, x, px, g, xx, iterations: int) -> None:
     jac = _jacobian(x, px)
     dev = np.max(np.abs(jac @ jac.transpose(0, 2, 1) / 4.0
                         - np.eye(jac.shape[1])), axis=(1, 2))
-    for i, xi, gi, xxi, devi in zip(rows, x, g, xx, dev):
+    for i, verdict, devi in zip(rows, _verdicts(x, g, xx, iterations), dev):
         # At a feasible point J J^T = 4 I; anything else means the run is
         # broken.
         if devi > 1e-6:
@@ -196,7 +257,7 @@ def _settle(out: list, rows, x, px, g, xx, iterations: int) -> None:
                 f"normal equations deviate from 4I by {devi:.3e} at a "
                 "converged point; projection result rejected")
         else:
-            out[i] = _verdict(xi, gi, float(xxi), iterations)
+            out[i] = verdict
 
 
 def _project(system: CliffordSystem, starts: np.ndarray, tol: float,
@@ -274,15 +335,18 @@ def project_to_focal(system: CliffordSystem, x0, tol: float = _GN_TOL,
 
 
 def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
-    """n certified points from independent Gaussian starts.
+    """n certified points from independent Gaussian rows mapped onto M+.
 
-    Attempt a draws one (n, 2l) block of starts from the sub-seed
-    (seed, spawn_key=(a,)), and point i takes row i of it.  Failed
-    projections retry with the next attempt's row, up to 10 retries per
-    point, so a point's start depends only on i and its own retry count,
-    never on n or on which other points failed.  Each attempt round
-    projects the starts of all points still missing in one sweep, which
-    gives every point the iterates of project_to_focal.
+    Attempt a draws one (n, 2l) Gaussian block from the sub-seed
+    (seed, spawn_key=(a,)), and point i takes row i of it, mapped onto M+
+    through the eigenspaces of P_0 (a row without an image keeps its raw
+    value).  Failed projections retry with the next attempt's row, up to 10
+    retries per point, so a point's start depends only on i and its own
+    retry count, never on n or on which other points failed.  Each attempt
+    round projects the starts of all points still missing in one sweep,
+    which gives every point the iterates of project_to_focal: a start the
+    map put on M+ is certified as it is, with zero iterations, and
+    Gauss-Newton moves only the rest.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -294,7 +358,8 @@ def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
         if not pending.size:
             break
         rng = default_rng(SeedSequence(entropy, spawn_key=(attempt,)))
-        starts = rng.standard_normal((n, system.ambient_dim))[pending]
+        starts = _onto_focal(
+            system, rng.standard_normal((n, system.ambient_dim))[pending])
         results = _project(system, starts, _GN_TOL, _GN_MAX_ITER)
         for i, result in zip(pending, results):
             if isinstance(result, FocalPoint):

@@ -85,20 +85,20 @@ class AdaptedFrame:
 def build_frame(system: CliffordSystem, points) -> AdaptedFrame:
     """Deterministic adapted frames at a sequence of certified points.
 
-    The tangent basis comes from Householder QR of [x | P_0 x .. P_m x | I]:
-    the trailing 2l - (m + 2) columns of Q are an orthonormal basis of the
-    orthogonal complement of the leading block.  Every assembled frame must
-    reproduce the identity Gram matrix within 1e-8, else FrameError naming
-    the first point that fails.  One stacked QR serves all points; a frame
-    does not depend on the others.
+    The tangent basis comes from the complete Householder QR of the
+    2l x (m + 2) block [x | P_0 x .. P_m x]: the trailing 2l - (m + 2)
+    columns of Q are an orthonormal basis of the orthogonal complement of
+    that block.  Every assembled frame must reproduce the identity Gram
+    matrix within 1e-8, else FrameError naming the first point that fails.
+    One stacked QR serves all points; a frame does not depend on the
+    others.
     """
     n = system.ambient_dim
     codim = system.m + 1
     x = np.array([p.x for p in points]).reshape(-1, n)
     normal = system.apply(x).transpose(0, 2, 1)     # columns xi_a = P_a x
     lead = np.concatenate([x[:, :, None], normal], axis=2)
-    eye = np.broadcast_to(np.eye(n), (len(x), n, n))
-    q, _ = np.linalg.qr(np.concatenate([lead, eye], axis=2))
+    q, _ = np.linalg.qr(lead, mode="complete")
     tangent = q[:, :, codim + 1:]
     full = np.concatenate([lead, tangent], axis=2)
     gram_dev = np.max(np.abs(full.transpose(0, 2, 1) @ full - np.eye(n)),

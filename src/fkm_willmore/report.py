@@ -303,7 +303,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 cross.append(fold(np.abs(quad - tensor)))
             s_expected = 2.0 * (l - m - 1) * (m + 1)
             s_vals = shapes.sff_norm_sq
-            ricci_traces = np.array([np.trace(r) for r in shapes.ricci])
+            ricci_traces = np.trace(shapes.ricci, axis1=1, axis2=2)
             blocks["geometry"] = _block(
                 {"S_expected": s_expected},
                 Check("S_max_gap", fold(np.abs(s_vals - s_expected)),

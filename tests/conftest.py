@@ -45,6 +45,19 @@ def nan_pair_system(m: int, k: int) -> CliffordSystem:
     return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
 
 
+def conjugated_system(m: int, k: int, seed: int = 0) -> CliffordSystem:
+    """The (m, k) system conjugated by a random orthogonal Q, Q P_a Q^T.
+
+    It is a Clifford system again, with float entries and no split block
+    form, so only representation-free code handles it.
+    """
+    base = build_clifford_system(m, k)
+    z = np.random.default_rng(seed).standard_normal((base.ambient_dim,) * 2)
+    q = np.linalg.qr(z)[0]
+    return CliffordSystem(m=m, l=base.l,
+                          matrices=tuple(q @ p @ q.T for p in base.matrices))
+
+
 def fd_gradient(f, x, h=FD_STEP):
     """Central-difference gradient, one coordinate at a time."""
     x = np.asarray(x, dtype=float)

@@ -17,7 +17,7 @@ from fkm_willmore import (AdmissibilityError, build_clifford_system,
                           verify_clifford_relations)
 from fkm_willmore.clifford import _orthonormal_completion
 
-from conftest import GRID, corrupt_system, nan_pair_system
+from conftest import GRID, conjugated_system, corrupt_system, nan_pair_system
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
 
@@ -80,6 +80,16 @@ def test_inadmissible_configurations_rejected(m, k):
     with pytest.raises(AdmissibilityError) as info:
         build_clifford_system(m, k)
     assert info.value.m2 is not None and info.value.m2 < 1
+
+
+def test_relations_tolerance_follows_the_entries():
+    # an integer system is held to 0, one with float entries (here
+    # conjugated by a random orthogonal Q) to 1e-12
+    assert verify_clifford_relations(build_clifford_system(2, 2)).tol == 0.0
+    conjugated = conjugated_system(2, 2)
+    check = verify_clifford_relations(conjugated)
+    assert check.tol == 1e-12 and check.passed and check.residual > 0.0
+    assert not verify_clifford_relations(conjugated, tol=0.0).passed
 
 
 def test_corruption_detected():

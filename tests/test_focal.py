@@ -7,18 +7,21 @@ from numpy.random import SeedSequence, default_rng
 from fkm_willmore import (CONSTRAINT_TOL, SPHERE_TOL, ConvergenceError,
                           SamplingError, SingularityError,
                           build_clifford_system, certify, CertificationError,
-                          deterministic_seed, project_to_focal,
-                          sample_focal_points, tangent_jacobian_rank)
+                          VerificationConfig, deterministic_seed,
+                          project_to_focal, run_suite, sample_focal_points,
+                          tangent_jacobian_rank)
 from fkm_willmore import focal
 
-from conftest import GRID
+from conftest import GRID, conjugated_system
 
 
 def test_seed_coordinates_smallest_case():
+    # u = e_1, the +1 part of e_1; P_1 u = e_4, so e_4 reduces to 0 and
+    # w = e_5
     system = build_clifford_system(1, 3)
     point = deterministic_seed(system)
     r = 1.0 / np.sqrt(2.0)
-    assert np.array_equal(point.x, np.array([0.0, r, 0.0, r, 0.0, 0.0]))
+    assert np.array_equal(point.x, np.array([r, 0.0, 0.0, 0.0, r, 0.0]))
     assert point.iterations == 0
 
 
@@ -125,6 +128,42 @@ def test_certify_rejects_nan():
         certify(system, np.full(system.ambient_dim, np.nan))
 
 
+@pytest.mark.parametrize("m,k,conjugated",
+                         [(m, k, False) for m, k in GRID + [(7, 2), (9, 1)]]
+                         + [(2, 2, True), (6, 1, True)])
+def test_map_puts_rows_on_the_focal_manifold(m, k, conjugated):
+    # 2000 Gaussian rows mapped through the eigenspaces of P_0 land on M+
+    # to rounding, also for a system with no split block form
+    system = (conjugated_system(m, k) if conjugated
+              else build_clifford_system(m, k))
+    z = default_rng(11).standard_normal((2000, system.ambient_dim))
+    _, g, xx = focal._rows(system, focal._onto_focal(system, z))
+    assert np.max(np.abs(g)) <= 1e-14
+    assert np.max(np.abs(xx - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
+    # fkm-verify and fkm-verify --points 100 --normals 0 sample 7 x 19 and
+    # 7 x 99 points (point 0 is the seed); the PDE samples and the normals
+    # come from other streams, so fewer of them leave the points as they are
+    from fkm_willmore import report
+    sample = report.sample_focal_points
+    sampled = []
+
+    def recording(system, n, seed):
+        points = sample(system, n, seed=seed)
+        sampled.extend(points)
+        return points
+
+    monkeypatch.setattr(report, "sample_focal_points", recording)
+    for n_points in (20, 100):
+        run_suite(VerificationConfig(n_points=n_points, n_normals=0,
+                                     n_pde_samples=1, seed=seed))
+    assert len(sampled) == 7 * 19 + 7 * 99
+    assert sum(p.iterations for p in sampled) == 0
+
+
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
 def test_jacobian_rank(m, k, rank):
     system = build_clifford_system(m, k)
@@ -140,10 +179,36 @@ def test_jacobian_rank(m, k, rank):
 # the batched sweep against one-point projections
 # ---------------------------------------------------------------------------
 
-def _start(system, seed, i, attempt, n):
-    # row i of attempt's (n, 2l) block of starts
+def _raw(system, seed, i, attempt, n):
+    # row i of attempt's (n, 2l) Gaussian block
     rng = default_rng(SeedSequence(seed, spawn_key=(attempt,)))
     return rng.standard_normal((n, system.ambient_dim))[i]
+
+
+def _reference_start(system, z):
+    """The sampler's map of one row onto M+ with 1-D arrays, the one-point
+    code the stacked map replaces: two passes of u = unit (I + P_0) z / 2,
+    w = unit of (I - P_0) z / 2 reduced against P_1 u, ..., P_m u, and
+    x = (u + w) / sqrt(2); a row without an image is kept."""
+    x = np.array(z, dtype=float)
+    for _ in range(2):
+        p0x = system.stack[0] @ x
+        plus, minus = 0.5 * (x + p0x), 0.5 * (x - p0x)
+        floor = 1e-12 * np.sqrt(x @ x)
+        if not np.sqrt(plus @ plus) > floor:
+            return x
+        u = plus / np.sqrt(plus @ plus)
+        pu = system.stack[1:] @ u
+        w = minus - (pu @ minus) @ pu
+        if not np.sqrt(w @ w) > floor:
+            return x
+        x = (u + w / np.sqrt(w @ w)) / np.sqrt(2.0)
+    return x
+
+
+def _start(system, seed, i, attempt, n):
+    # the start point i takes at attempt: its Gaussian row mapped onto M+
+    return _reference_start(system, _raw(system, seed, i, attempt, n))
 
 
 def _same_point(a, b):
@@ -177,7 +242,7 @@ def _reference_projection(system, x0, tol=1e-13, max_iter=50):
 def test_sampling_sweep_equals_single_projections(m, k):
     # one sweep over all starts gives each point the iterates of its own
     # projection, and of the one-point loop, bit for bit, with the same
-    # iteration count
+    # iteration count; the mapped starts lie on M+ and are kept as they are
     system = build_clifford_system(m, k)
     points = sample_focal_points(system, 40, seed=77)
     for i, point in enumerate(points):
@@ -185,34 +250,44 @@ def test_sampling_sweep_equals_single_projections(m, k):
         _same_point(point, project_to_focal(system, x0))
         x, iterations = _reference_projection(system, x0)
         assert np.array_equal(point.x, x) and point.iterations == iterations
+        assert np.array_equal(point.x, x0) and point.iterations == 0
+    # the same for the raw Gaussian rows, which Gauss-Newton has to move
+    raw = np.array([_raw(system, 77, i, 0, 40) for i in range(40)])
+    for x0, got in zip(raw, focal._project(system, raw, 1e-13, 50)):
+        _same_point(got, project_to_focal(system, x0))
+        x, iterations = _reference_projection(system, x0)
+        assert np.array_equal(got.x, x) and got.iterations == iterations
+        assert iterations > 0
 
 
 class _RiggedRng:
-    """Stands in for the generator of one attempt: its block of starts, with
+    """Stands in for the generator of one attempt: its Gaussian block, with
     the rows of the given points replaced by a singular start."""
 
-    def __init__(self, rng, rows):
+    def __init__(self, rng, rows, axis):
         self.rng = rng
         self.rows = rows
+        self.axis = axis
 
     def standard_normal(self, size):
         block = self.rng.standard_normal(size)
-        # e_1 is a +1 eigenvector of P_0, a start whose normal equations are
-        # singular
-        block[self.rows] = np.eye(size[1])[0]
+        # a basis vector inside an eigenspace of P_0 (e_1 is a +1
+        # eigenvector) has no image on M+ and is kept as the start, and its
+        # normal equations are singular
+        block[self.rows] = np.eye(size[1])[self.axis]
         return block
 
 
-def _rig(monkeypatch, singular_keys):
-    """The given (point, attempt) keys draw a singular start; returns the
-    list of attempt keys that generators are built for."""
+def _rig(monkeypatch, singular_keys, axis=0):
+    """The given (point, attempt) keys draw the basis vector e_{axis+1};
+    returns the list of attempt keys that generators are built for."""
     made = []
 
     def rigged(seed_seq):
         (attempt,) = seed_seq.spawn_key
         made.append(attempt)
         rows = [i for i, a in singular_keys if a == attempt]
-        return _RiggedRng(default_rng(seed_seq), rows)
+        return _RiggedRng(default_rng(seed_seq), rows, axis)
 
     monkeypatch.setattr(focal, "default_rng", rigged)
     return made
@@ -234,6 +309,26 @@ def test_sampling_sweep_retries_like_single_projections(monkeypatch):
     for i in set(range(30)) - {2, 7}:
         _same_point(points[i],
                     project_to_focal(system, _start(system, 9, i, 0, 30)))
+
+
+@pytest.mark.parametrize("axis", [0, 3], ids=["plus", "minus"])
+def test_degenerate_row_keeps_its_raw_start_and_retries(monkeypatch, axis):
+    # for (1, 3), e_1 lies in E+ and has no E- part to build w from; e_4
+    # lies in E- and has no E+ part to build u from.  Either row is kept as
+    # it is, fails as a singular start, and the point retries with its row
+    # of the next attempt.
+    system = build_clifford_system(1, 3)
+    row = np.eye(6)[axis]
+    assert np.array_equal(focal._onto_focal(system, row[None])[0], row)
+    assert np.array_equal(_reference_start(system, row), row)
+    with pytest.raises(SingularityError):
+        project_to_focal(system, row)
+    made = _rig(monkeypatch, {(4, 0)}, axis)
+    points = sample_focal_points(system, 6, seed=3)
+    assert made == [0, 1]
+    _same_point(points[4],
+                project_to_focal(system, _start(system, 3, 4, 1, 6)))
+    assert points[4].iterations == 0
 
 
 def test_sampling_failure_counts_projections_so_far(monkeypatch):

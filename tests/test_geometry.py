@@ -251,7 +251,7 @@ def _reference_frame_and_shape(system, x):
     of one point with 2-D arrays, the per-point code the stacks replace."""
     px = system.stack @ x
     lead = np.hstack([x[:, None], px.T])
-    q, _ = np.linalg.qr(np.hstack([lead, np.eye(system.ambient_dim)]))
+    q, _ = np.linalg.qr(lead, mode="complete")
     t = q[:, system.m + 2:]
     pairs = np.einsum("aij,bj->abi", system.stack, px)
     ops = -np.stack([t.T @ (p_a @ t) for p_a in system.stack])

@@ -6,14 +6,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import default_rng
 
 from fkm_willmore import (VerificationConfig, VerificationReport,
                           build_clifford_system, exit_code, parse_matrices,
-                          render_text, run_suite)
+                          render_text, rotate_system, run_suite)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.geometry import take
 from fkm_willmore.polynomial import sphere_samples
-from fkm_willmore.report import evaluate_system
+from fkm_willmore.report import DEFAULT_GRID, evaluate_system
+
+from conftest import conjugated_system
 
 TINY = dict(n_points=3, n_normals=4, n_pde_samples=50)
 
@@ -584,3 +589,32 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
         assert einstein["status"] == "evidence"
         assert einstein["spread"] == 0.0
         assert einstein["spread_exceeds_threshold"] is False
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(index=st.integers(0, len(DEFAULT_GRID) - 1),
+       seed=st.integers(0, 2**32 - 1), rotate=st.booleans())
+def test_conjugated_and_rotated_systems_pass_every_block(suite_report, index,
+                                                         seed, rotate):
+    # Q P_a Q^T for a random orthogonal Q, optionally rotated within the span
+    # of the P_a, is a Clifford system with float entries and no split
+    # block form; every block passes, relations at 1e-12, with the integer
+    # system's invariants
+    m, k = DEFAULT_GRID[index]
+    system = conjugated_system(m, k, seed)
+    if rotate:
+        c = default_rng(seed).standard_normal(m + 1)
+        system = rotate_system(system, c / np.linalg.norm(c))
+    cfg = VerificationConfig(configurations=((m, k),), n_points=20,
+                             n_normals=10)
+    blocks = evaluate_system(system, cfg, 0)["blocks"]
+    assert [name for name, block in blocks.items()
+            if not block["pass"]] == []
+    assert 0.0 < blocks["clifford"]["max_deviation"] <= 1e-12
+    want = suite_report.entries[index]["blocks"]
+    for name, key in [("points", "rank_expected"),
+                      ("points", "jacobian_ranks"),
+                      ("geometry", "S_expected"),
+                      ("lemma", "multiplicities"),
+                      ("einstein", "status")]:
+        assert blocks[name][key] == want[name][key], (name, key)

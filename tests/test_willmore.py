@@ -11,7 +11,8 @@ from numpy.random import default_rng
 
 from fkm_willmore import (MultiplicityError, ShapeData,
                           SpectrumError, VerificationConfig,
-                          build_clifford_system, build_frame, certify_point,
+                          build_clifford_system, build_frame, certify,
+                          certify_point,
                           deterministic_seed, einstein_probe, evaluate_system,
                           principal_decomposition, ricci_quadratic,
                           rotate_system, sample_focal_points,
@@ -256,10 +257,12 @@ def test_einstein_probe_evidence_and_inconclusive():
 
 
 def test_fault_injection_detected():
-    # nudging one matrix entry must surface as a wrong spectrum at the
-    # deterministic point (the corrupted direction is tangent there)
+    # nudging one matrix entry must surface as a wrong spectrum at a point
+    # where the corrupted direction e_1 is tangent: x = (e_3 + e_5) / sqrt(2)
+    # lies on M+ of the intact (2, 2) system and has x_1 = 0, so the nudge
+    # leaves every P_a x, and the certification, as they are
     bad = corrupt_system(2, 2)
-    point = deterministic_seed(bad)
+    point = certify(bad, (np.eye(8)[2] + np.eye(8)[4]) / np.sqrt(2.0))
     frame = build_frame(bad, [point])
     shape = shape_operators(bad, frame)
     with pytest.raises((SpectrumError, MultiplicityError)):
