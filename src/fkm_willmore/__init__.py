@@ -12,12 +12,11 @@ from .clifford import (CliffordSystem, SkewGeneratorSet, build_clifford_system,
                        build_skew_generators, delta, dump_matrices,
                        parse_matrices, rotate_system,
                        verify_clifford_relations)
-from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
-                     FrameError, MultiplicityError, SamplingError,
-                     SingularityError, SpectrumError)
+from .errors import (AdmissibilityError, CertificationError, FrameError,
+                     MultiplicityError, SamplingError, SpectrumError)
 from .focal import (CONSTRAINT_TOL, SPHERE_TOL, VALUE_TOL, FocalPoint,
-                    certify, deterministic_seed, project_to_focal,
-                    sample_focal_points, tangent_jacobian_rank)
+                    certify, deterministic_seed, sample_focal_points,
+                    tangent_jacobian_rank)
 from .geometry import (AdaptedFrame, ShapeData, build_frame, ricci_quadratic,
                        sectional_curvature, sectional_curvature_from_shape,
                        shape_operators)
@@ -36,19 +35,18 @@ __version__ = TOOL_VERSION
 
 __all__ = [
     "AdaptedFrame", "AdmissibilityError", "CONSTRAINT_TOL",
-    "CertificationError", "Check", "CliffordSystem", "ConvergenceError",
-    "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe",
-    "FkmPolynomial", "FocalPoint", "FrameError", "MultiplicityError",
-    "PrincipalDecomposition", "SPHERE_TOL", "SamplingError", "ShapeData",
-    "SingularityError", "SkewGeneratorSet", "SpectrumError",
-    "SphericalDerivatives", "VALUE_TOL", "VerificationConfig",
+    "CertificationError", "Check", "CliffordSystem", "DEFAULT_GRID",
+    "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe", "FkmPolynomial",
+    "FocalPoint", "FrameError", "MultiplicityError", "PrincipalDecomposition",
+    "SPHERE_TOL", "SamplingError", "ShapeData", "SkewGeneratorSet",
+    "SpectrumError", "SphericalDerivatives", "VALUE_TOL", "VerificationConfig",
     "VerificationReport", "build_clifford_system", "build_frame",
     "build_skew_generators", "certify", "certify_point", "delta",
-    "deterministic_seed", "dump_matrices", "einstein_probe",
-    "evaluate_system", "exit_code", "fold", "parse_matrices",
-    "principal_decomposition", "project_to_focal", "render_text",
-    "ricci_quadratic", "rotate_system", "run_suite", "sample_focal_points",
-    "sectional_curvature", "sectional_curvature_from_shape",
-    "shape_operators", "tangent_jacobian_rank", "verify_cartan_munzner",
+    "deterministic_seed", "dump_matrices", "einstein_probe", "evaluate_system",
+    "exit_code", "fold", "parse_matrices", "principal_decomposition",
+    "render_text", "ricci_quadratic", "rotate_system", "run_suite",
+    "sample_focal_points", "sectional_curvature",
+    "sectional_curvature_from_shape", "shape_operators",
+    "tangent_jacobian_rank", "verify_cartan_munzner",
     "verify_clifford_relations", "willmore_residual", "write_matrix_dumps",
 ]

@@ -11,11 +11,9 @@ from __future__ import annotations
 __all__ = [
     "AdmissibilityError",
     "CertificationError",
-    "ConvergenceError",
     "FrameError",
     "MultiplicityError",
     "SamplingError",
-    "SingularityError",
     "SpectrumError",
 ]
 
@@ -40,18 +38,6 @@ class CertificationError(RuntimeError):
         super().__init__(message)
         self.residual_constraints = residual_constraints
         self.residual_sphere = residual_sphere
-
-
-class ConvergenceError(RuntimeError):
-    """Projection ran out of iterations; carries the last residual."""
-
-    def __init__(self, message: str, residual: float = float("inf")):
-        super().__init__(message)
-        self.residual = residual
-
-
-class SingularityError(RuntimeError):
-    """The projection's normal equations became numerically singular."""
 
 
 class SamplingError(RuntimeError):

@@ -7,28 +7,24 @@ constraints
 
 Every point of M+ is (u + w) / sqrt(2) with u a unit vector of the +1
 eigenspace E+ of P_0 and w a unit vector of the -1 eigenspace E- that is
-orthogonal to P_1 u, ..., P_m u.  The seed point and the sampler's starts
-are built that way from the projectors (I +- P_0) / 2, using nothing but
-the Clifford relations, so they hold for any representation of the system.
+orthogonal to P_1 u, ..., P_m u.  The seed point and the sampled points are
+built that way from the projectors (I +- P_0) / 2, using nothing but the
+Clifford relations, so they hold for any representation of the system.
+Nothing is searched for: a point is constructed, then certified.
 
-Projection onto M+ is Gauss-Newton on c: with Jacobian rows
-(2x, 2 P_0 x, ..., 2 P_m x),
-
-    x  <-  x - J^T (J J^T)^{-1} c(x).
-
-At a feasible point the rows are orthogonal with squared norm 4, so
-J J^T = 4 I and the normal equations stay perfectly conditioned; this is
-asserted on every converged point.  Each returned point is certified
-against fixed thresholds, never trusted from convergence alone.
+Every point, the seed included, passes one rule (see certify): the
+constraint, sphere and value residuals against fixed thresholds, and the
+Gram identity of the constraint normals.  At a point of M+ the rows
+x, P_0 x, ..., P_m x are orthonormal, so J J^T = 4 I for the constraint
+Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation above 1e-6 means the
+matrices are not a Clifford system, whatever the residuals say.
 
 Sampling draws one block of Gaussian rows per attempt round from the
-sub-seed of that attempt, one row per point, and maps each row onto M+
-through the eigenspaces of P_0, so the result list has a fixed order and a
-point's start does not depend on the other points.  Each attempt round
-projects the starts of every point still missing as one masked
-Gauss-Newton sweep over a stack of rows; a start that the map put on M+
-is certified as it is, and a row's iterates are bit for bit those of a
-projection on its own.
+sub-seed of that attempt, one row per point, maps each row onto M+ and
+certifies the rows of the points still missing in one stacked pass, so the
+result list has a fixed order and a point's start does not depend on the
+other points.  A point whose row fails certification retries with its row
+of the next attempt.
 """
 
 from __future__ import annotations
@@ -39,8 +35,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .clifford import CliffordSystem
-from .errors import (CertificationError, ConvergenceError, SamplingError,
-                     SingularityError)
+from .errors import CertificationError, SamplingError
 from .records import fold
 
 __all__ = [
@@ -49,7 +44,6 @@ __all__ = [
     "SPHERE_TOL",
     "VALUE_TOL",
     "deterministic_seed",
-    "project_to_focal",
     "sample_focal_points",
     "tangent_jacobian_rank",
 ]
@@ -59,10 +53,8 @@ CONSTRAINT_TOL = 1e-10     # max |g_a(x)|
 SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
+_GRAM_TOL = 1e-6           # max |J J^T / 4 - I|
 _MAX_RETRIES = 10
-_GN_TOL = 1e-13            # Gauss-Newton stops below this residual
-_GN_MAX_ITER = 50
-_COND_LIMIT = 1e12
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -73,7 +65,6 @@ class FocalPoint:
     x: np.ndarray
     residual_constraints: float
     residual_sphere: float
-    iterations: int = 0
 
     def __post_init__(self):
         x = np.array(self.x, dtype=float)
@@ -102,10 +93,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
-def _verdicts(x: np.ndarray, g: np.ndarray, xx: np.ndarray,
-              iterations: int) -> list:
-    """Each row of x, with its constraint values g and |x|^2, certified:
-    its FocalPoint, or the CertificationError that rejects it.
+def _normals(x: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """The rows x, P_0 x, ..., P_m x as (K, m+2, 2l): half the constraint
+    Jacobian at each point."""
+    return np.concatenate([x[:, None, :], px], axis=1)
+
+
+def _verdicts(x: np.ndarray, px: np.ndarray, g: np.ndarray,
+              xx: np.ndarray) -> list:
+    """Each row of x, with its P_a x, constraint values g and |x|^2 from
+    _rows, certified: its FocalPoint, or the CertificationError that
+    rejects it.
 
     The thresholds of certify are applied to the whole stack at once; a
     residual passes when it is <= its threshold, so NaN fails.
@@ -113,34 +111,42 @@ def _verdicts(x: np.ndarray, g: np.ndarray, xx: np.ndarray,
     res_c = fold(np.abs(g), axis=1)
     res_s = np.abs(xx - 1.0)
     value_gap = np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0)
+    rows = _normals(x, px)
+    gram = np.max(np.abs(rows @ rows.transpose(0, 2, 1)
+                         - np.eye(rows.shape[1])), axis=(1, 2))
     passed = ((res_c <= CONSTRAINT_TOL) & (res_s <= SPHERE_TOL)
               & (value_gap <= VALUE_TOL))
     out = []
-    for xi, c, s, v, ok in zip(x, res_c.tolist(), res_s.tolist(),
-                               value_gap.tolist(), passed):
-        if ok:
-            out.append(FocalPoint(x=xi, residual_constraints=c,
-                                  residual_sphere=s, iterations=iterations))
-        else:
+    for xi, c, s, v, d, ok in zip(x, res_c.tolist(), res_s.tolist(),
+                                  value_gap.tolist(), gram.tolist(), passed):
+        if not ok:
             out.append(CertificationError(
                 f"point failed certification: constraints {c:.3e} "
                 f"(tol {CONSTRAINT_TOL:.1e}), sphere {s:.3e} "
                 f"(tol {SPHERE_TOL:.1e}), value gap {v:.3e} "
                 f"(tol {VALUE_TOL:.1e})",
                 residual_constraints=c, residual_sphere=s))
+        elif not d <= _GRAM_TOL:
+            out.append(CertificationError(
+                f"point failed certification: Gram matrix of the "
+                f"constraint normals deviates from J J^T = 4I by {d:.3e} "
+                f"(tol {_GRAM_TOL:.1e})",
+                residual_constraints=c, residual_sphere=s))
+        else:
+            out.append(FocalPoint(x=xi, residual_constraints=c,
+                                  residual_sphere=s))
     return out
 
 
-def certify(system: CliffordSystem, x: np.ndarray,
-            iterations: int = 0) -> FocalPoint:
+def certify(system: CliffordSystem, x: np.ndarray) -> FocalPoint:
     """Wrap x as a FocalPoint or raise CertificationError.
 
     Checks max |g_a| <= 1e-10, | |x|^2 - 1 | <= 1e-12 and |F(x) - 1| <= 1e-9,
-    under the keys of the report's points block.
+    under the keys of the report's points block, and that the Gram matrix
+    of x, P_0 x, ..., P_m x is the identity to 1e-6 (J J^T = 4 I).
     """
-    x = np.asarray(x, dtype=float)
-    _, g, xx = _rows(system, x[None])
-    (result,) = _verdicts(x[None], g, xx, iterations)
+    x = np.asarray(x, dtype=float)[None]
+    (result,) = _verdicts(x, *_rows(system, x))
     if isinstance(result, CertificationError):
         raise result
     return result
@@ -222,131 +228,17 @@ def deterministic_seed(system: CliffordSystem) -> FocalPoint:
     return certify(system, (u + w) / np.sqrt(2.0))
 
 
-def _residual(g: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """max(max_a |g_a|, | |x|^2 - 1 |) per row, the stopping test."""
-    return np.maximum(np.max(np.abs(g), axis=1), np.abs(xx - 1.0))
-
-
-def _jacobian(x: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Constraint Jacobians 2 (x, P_0 x, ..., P_m x) as (K, m+2, 2l)."""
-    return 2.0 * np.concatenate([x[:, None, :], px], axis=1)
-
-
-def _condition(sym: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack of symmetric matrices.
-
-    Their singular values are the moduli of their eigenvalues, so
-    max |lambda| / min |lambda| from eigvalsh equals np.linalg.cond without
-    its SVD; a singular matrix gives inf.
-    """
-    lam = np.abs(np.linalg.eigvalsh(sym))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return lam.max(axis=-1) / lam.min(axis=-1)
-
-
-def _settle(out: list, rows, x, px, g, xx, iterations: int) -> None:
-    """Certify the converged rows and store each verdict at out[row]."""
-    jac = _jacobian(x, px)
-    dev = np.max(np.abs(jac @ jac.transpose(0, 2, 1) / 4.0
-                        - np.eye(jac.shape[1])), axis=(1, 2))
-    for i, verdict, devi in zip(rows, _verdicts(x, g, xx, iterations), dev):
-        # At a feasible point J J^T = 4 I; anything else means the run is
-        # broken.
-        if devi > 1e-6:
-            out[i] = SingularityError(
-                f"normal equations deviate from 4I by {devi:.3e} at a "
-                "converged point; projection result rejected")
-        else:
-            out[i] = verdict
-
-
-def _project(system: CliffordSystem, starts: np.ndarray, tol: float,
-             max_iter: int) -> list:
-    """Masked Gauss-Newton sweep over the rows of `starts`.
-
-    Every row follows the iteration of project_to_focal, and the arithmetic
-    has the forms of the one-point code (see _rows; the steps use
-    jac @ jac^T and jac^T @ y on stacks), so a row's iterates do not depend
-    on the other rows.  Rows leave the sweep when they converge or fail.
-    Returns, per row, its FocalPoint or the exception that rejected it.
-    """
-    x = np.array(starts, dtype=float)
-    out = [None] * len(x)
-    rows = np.arange(len(x))
-    px, g, xx = _rows(system, x)
-    if not np.all(np.sqrt(xx) >= 1e-12):
-        raise ValueError("start point must be nonzero")
-    res = _residual(g, xx)
-    # Starts already on M+ are kept as they are.
-    done = res < tol
-    _settle(out, rows[done], x[done], px[done], g[done], xx[done], 0)
-    rows, x, xx, res = (a[~done] for a in (rows, x, xx, res))
-    # Radial retraction first: Gauss-Newton then only has to move along the
-    # sphere, which keeps far Gaussian starts well inside its basin.
-    x = x / np.sqrt(xx)[:, None]
-    px, g, xx = _rows(system, x)
-    for it in range(1, max_iter + 1):
-        if not rows.size:
-            break
-        jac = _jacobian(x, px)
-        jjt = jac @ jac.transpose(0, 2, 1)
-        cond = _condition(jjt)
-        ok = cond <= _COND_LIMIT
-        for r in np.flatnonzero(~ok):
-            out[rows[r]] = SingularityError(
-                f"normal equations are singular (cond {cond[r]:.3e}); "
-                "restart the projection from a different start point")
-        c = np.concatenate([(xx - 1.0)[:, None], g], axis=1)
-        y = np.linalg.solve(jjt[ok], c[ok][..., None])
-        rows = rows[ok]
-        x = x[ok] - (jac[ok].transpose(0, 2, 1) @ y)[..., 0]
-        px, g, xx = _rows(system, x)
-        res = _residual(g, xx)
-        done = res < tol
-        _settle(out, rows[done], x[done], px[done], g[done], xx[done], it)
-        rows, x, px, g, xx, res = (a[~done]
-                                   for a in (rows, x, px, g, xx, res))
-    for i, r in zip(rows, res):
-        out[i] = ConvergenceError(
-            f"projection did not reach tol {tol:.1e} in {max_iter} "
-            f"iterations (last residual {r:.3e})", residual=float(r))
-    return out
-
-
-def project_to_focal(system: CliffordSystem, x0, tol: float = _GN_TOL,
-                     max_iter: int = _GN_MAX_ITER) -> FocalPoint:
-    """Gauss-Newton projection of x0 onto M+.
-
-    Deterministic: identical inputs produce bitwise identical iterates.
-    Starts already on M+ (residual below tol) are returned unchanged with
-    zero iterations.  Returns only certified points; non-convergence raises
-    ConvergenceError carrying the last residual.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    x = np.array(x0, dtype=float)
-    if x.shape != (system.ambient_dim,):
-        raise ValueError(
-            f"start shape {x.shape} != ({system.ambient_dim},)")
-    (result,) = _project(system, x[None], tol, max_iter)
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
     """n certified points from independent Gaussian rows mapped onto M+.
 
     Attempt a draws one (n, 2l) Gaussian block from the sub-seed
     (seed, spawn_key=(a,)), and point i takes row i of it, mapped onto M+
     through the eigenspaces of P_0 (a row without an image keeps its raw
-    value).  Failed projections retry with the next attempt's row, up to 10
-    retries per point, so a point's start depends only on i and its own
-    retry count, never on n or on which other points failed.  Each attempt
-    round projects the starts of all points still missing in one sweep,
-    which gives every point the iterates of project_to_focal: a start the
-    map put on M+ is certified as it is, with zero iterations, and
-    Gauss-Newton moves only the rest.
+    value, and fails certification).  Each attempt round certifies the rows
+    of all points still missing in one stacked pass; a point whose row
+    fails retries with the next attempt's row, up to 10 retries, so a
+    point depends only on i and its own retry count, never on n or on
+    which other points failed.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -358,10 +250,9 @@ def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
         if not pending.size:
             break
         rng = default_rng(SeedSequence(entropy, spawn_key=(attempt,)))
-        starts = _onto_focal(
+        x = _onto_focal(
             system, rng.standard_normal((n, system.ambient_dim))[pending])
-        results = _project(system, starts, _GN_TOL, _GN_MAX_ITER)
-        for i, result in zip(pending, results):
+        for i, result in zip(pending, _verdicts(x, *_rows(system, x))):
             if isinstance(result, FocalPoint):
                 points[i] = result
             else:
@@ -373,7 +264,7 @@ def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
         total = int(np.sum(failures[:i + 1]))
         raise SamplingError(
             f"sample point {i} failed after {_MAX_RETRIES + 1} attempts "
-            f"({total} failed projections so far)", failures=total)
+            f"({total} failed attempts so far)", failures=total)
     return points
 
 
@@ -387,5 +278,4 @@ def tangent_jacobian_rank(system: CliffordSystem, points) -> np.ndarray:
     """
     x = np.array([p.x for p in points])
     px, _, _ = _rows(system, x)
-    return np.linalg.matrix_rank(np.concatenate([x[:, None, :], px], axis=1),
-                                 tol=1e-8)
+    return np.linalg.matrix_rank(_normals(x, px), tol=1e-8)

@@ -26,9 +26,8 @@ from numpy.random import default_rng
 
 from .clifford import (CliffordSystem, build_clifford_system, delta,
                        dump_matrices, verify_clifford_relations)
-from .errors import (AdmissibilityError, CertificationError, ConvergenceError,
-                     FrameError, MultiplicityError, SamplingError,
-                     SingularityError, SpectrumError)
+from .errors import (AdmissibilityError, CertificationError, FrameError,
+                     MultiplicityError, SamplingError, SpectrumError)
 from .focal import (SPHERE_TOL, VALUE_TOL, deterministic_seed,
                     sample_focal_points, tangent_jacobian_rank)
 from .geometry import build_frame, ricci_quadratic, shape_operators, take
@@ -260,8 +259,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 system, cfg.n_points - 1,
                 seed=int(ss.generate_state(2, np.uint64)[0])))
         points = produced
-    except (SamplingError, CertificationError, ConvergenceError,
-            SingularityError) as exc:
+    except (SamplingError, CertificationError) as exc:
         blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
 
     if points is not None:

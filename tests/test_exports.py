@@ -39,7 +39,6 @@ def test_names_the_benchmark_uses():
                        "tangent_jacobian_rank", "build_frame",
                        "shape_operators", "ricci_quadratic", "certify_point",
                        "einstein_probe"),
-            "focal": ("project_to_focal",),
             "willmore": ("ricci_quadratic", "willmore_residual",
                          "principal_decomposition", "einstein_probe")}.items():
         holder = importlib.import_module(f"fkm_willmore.{module}")

@@ -1,14 +1,13 @@
-"""Focal points: deterministic seed, Gauss-Newton projection, sampling."""
+"""Focal points: deterministic seed, certification, sampling."""
 
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from fkm_willmore import (CONSTRAINT_TOL, SPHERE_TOL, ConvergenceError,
-                          SamplingError, SingularityError,
-                          build_clifford_system, certify, CertificationError,
-                          VerificationConfig, deterministic_seed,
-                          project_to_focal, run_suite, sample_focal_points,
+from fkm_willmore import (CONSTRAINT_TOL, SPHERE_TOL, CliffordSystem,
+                          SamplingError, build_clifford_system, certify,
+                          CertificationError, VerificationConfig,
+                          deterministic_seed, run_suite, sample_focal_points,
                           tangent_jacobian_rank)
 from fkm_willmore import focal
 
@@ -22,7 +21,6 @@ def test_seed_coordinates_smallest_case():
     point = deterministic_seed(system)
     r = 1.0 / np.sqrt(2.0)
     assert np.array_equal(point.x, np.array([r, 0.0, 0.0, 0.0, r, 0.0]))
-    assert point.iterations == 0
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -32,60 +30,6 @@ def test_seed_certifies_exactly(m, k):
     # construction is by signed basis vectors, residuals are exact zeros
     assert point.residual_constraints <= 1e-15
     assert point.residual_sphere <= 1e-15
-
-
-def test_projection_fixed_point():
-    system = build_clifford_system(2, 2)
-    seed = deterministic_seed(system)
-    again = project_to_focal(system, seed.x)
-    assert again.iterations == 0
-    assert np.array_equal(again.x, seed.x)
-
-
-def test_projection_convergence_study():
-    # documented in docs/derivations.md: all 100 Gaussian starts on (2,2)
-    # land within a handful of iterations
-    system = build_clifford_system(2, 2)
-    rng = default_rng(90)
-    iters = []
-    failures = 0
-    for _ in range(100):
-        x0 = rng.standard_normal(8)
-        try:
-            point = project_to_focal(system, x0)
-        except (ConvergenceError, SingularityError, CertificationError):
-            failures += 1
-            continue
-        iters.append(point.iterations)
-        assert point.iterations <= 25
-    assert failures <= 1, f"{failures} of 100 starts failed"
-    assert max(iters) <= 25 and len(iters) >= 99
-
-
-def test_projection_singular_start_raises():
-    # e_1 is a +1 eigenvector of P_0, making the constraint rows parallel
-    system = build_clifford_system(1, 3)
-    with pytest.raises(SingularityError):
-        project_to_focal(system, np.eye(6)[0])
-
-
-def test_projection_rejects_bad_starts():
-    system = build_clifford_system(1, 3)
-    with pytest.raises(ValueError):
-        project_to_focal(system, np.zeros(6))
-    with pytest.raises(ValueError):
-        project_to_focal(system, np.ones(5))
-    with pytest.raises(ValueError):
-        project_to_focal(system, np.ones(6), tol=0.0)
-
-
-def test_projection_deterministic_bitwise():
-    system = build_clifford_system(3, 2)
-    x0 = default_rng(8).standard_normal(16)
-    a = project_to_focal(system, x0)
-    b = project_to_focal(system, x0)
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.x, b.x)
 
 
 def test_sampling_deterministic_and_seed_sensitive():
@@ -128,6 +72,25 @@ def test_certify_rejects_nan():
         certify(system, np.full(system.ambient_dim, np.nan))
 
 
+@pytest.mark.parametrize("m,k", GRID)
+def test_certify_rejects_a_broken_gram_identity(m, k):
+    # with every P_a scaled by 1.01 the seed point of the intact system still
+    # has g_a = 0, |x| = 1 and F(x) = 1 to rounding, but |P_a x|^2 = 1.0201,
+    # so only the Gram guard J J^T = 4 I rejects it; the sampler's stacked
+    # pass applies the same rule to its rows
+    system = build_clifford_system(m, k)
+    scaled = CliffordSystem(m=m, l=system.l,
+                            matrices=tuple(1.01 * p for p in system.matrices))
+    seed = deterministic_seed(system)
+    with pytest.raises(CertificationError,
+                       match=r"deviates from J J\^T = 4I by 2\.010e-02"):
+        certify(scaled, seed.x)
+    x = np.array([seed.x] + [p.x for p in sample_focal_points(system, 4, 5)])
+    for verdict in focal._verdicts(x, *focal._rows(scaled, x)):
+        assert isinstance(verdict, CertificationError)
+        assert "Gram matrix" in str(verdict)
+
+
 @pytest.mark.parametrize("m,k,conjugated",
                          [(m, k, False) for m, k in GRID + [(7, 2), (9, 1)]]
                          + [(2, 2, True), (6, 1, True)])
@@ -146,10 +109,12 @@ def test_map_puts_rows_on_the_focal_manifold(m, k, conjugated):
 def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
     # fkm-verify and fkm-verify --points 100 --normals 0 sample 7 x 19 and
     # 7 x 99 points (point 0 is the seed); the PDE samples and the normals
-    # come from other streams, so fewer of them leave the points as they are
+    # come from other streams, so fewer of them leave the points as they
+    # are.  Every row of attempt 0 certifies, so no retry draws a block.
     from fkm_willmore import report
     sample = report.sample_focal_points
     sampled = []
+    made = _rig(monkeypatch, set())
 
     def recording(system, n, seed):
         points = sample(system, n, seed=seed)
@@ -161,7 +126,7 @@ def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
         run_suite(VerificationConfig(n_points=n_points, n_normals=0,
                                      n_pde_samples=1, seed=seed))
     assert len(sampled) == 7 * 19 + 7 * 99
-    assert sum(p.iterations for p in sampled) == 0
+    assert made == [0] * 14
 
 
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
@@ -176,7 +141,7 @@ def test_jacobian_rank(m, k, rank):
 
 
 # ---------------------------------------------------------------------------
-# the batched sweep against one-point projections
+# the stacked sampler against one-point maps and certification
 # ---------------------------------------------------------------------------
 
 def _raw(system, seed, i, attempt, n):
@@ -213,51 +178,18 @@ def _start(system, seed, i, attempt, n):
 
 def _same_point(a, b):
     assert np.array_equal(a.x, b.x)
-    assert a.iterations == b.iterations
     assert a.residual_constraints == b.residual_constraints
     assert a.residual_sphere == b.residual_sphere
 
 
-def _reference_projection(system, x0, tol=1e-13, max_iter=50):
-    """Gauss-Newton on one point with 1-D arrays, the loop the sweep
-    replaces: its final iterate and iteration count."""
-    def residual(p):
-        return max(float(np.max(np.abs(system.stack @ p @ p))),
-                   abs(float(p @ p) - 1.0))
-
-    x = np.array(x0, dtype=float)
-    if residual(x) < tol:
-        return x, 0
-    x = x / float(np.linalg.norm(x))
-    for it in range(1, max_iter + 1):
-        c = np.concatenate(([float(x @ x) - 1.0], system.stack @ x @ x))
-        jac = 2.0 * np.vstack([x[None, :], system.stack @ x])
-        x = x - jac.T @ np.linalg.solve(jac @ jac.T, c)
-        if residual(x) < tol:
-            return x, it
-    raise AssertionError("reference projection did not converge")
-
-
 @pytest.mark.parametrize("m,k", GRID + [(7, 2), (9, 1)])
 def test_sampling_sweep_equals_single_projections(m, k):
-    # one sweep over all starts gives each point the iterates of its own
-    # projection, and of the one-point loop, bit for bit, with the same
-    # iteration count; the mapped starts lie on M+ and are kept as they are
+    # one stacked pass over all rows gives each point its one-point map
+    # and its own certification, bit for bit
     system = build_clifford_system(m, k)
     points = sample_focal_points(system, 40, seed=77)
     for i, point in enumerate(points):
-        x0 = _start(system, 77, i, 0, 40)
-        _same_point(point, project_to_focal(system, x0))
-        x, iterations = _reference_projection(system, x0)
-        assert np.array_equal(point.x, x) and point.iterations == iterations
-        assert np.array_equal(point.x, x0) and point.iterations == 0
-    # the same for the raw Gaussian rows, which Gauss-Newton has to move
-    raw = np.array([_raw(system, 77, i, 0, 40) for i in range(40)])
-    for x0, got in zip(raw, focal._project(system, raw, 1e-13, 50)):
-        _same_point(got, project_to_focal(system, x0))
-        x, iterations = _reference_projection(system, x0)
-        assert np.array_equal(got.x, x) and got.iterations == iterations
-        assert iterations > 0
+        _same_point(point, certify(system, _start(system, 77, i, 0, 40)))
 
 
 class _RiggedRng:
@@ -272,8 +204,7 @@ class _RiggedRng:
     def standard_normal(self, size):
         block = self.rng.standard_normal(size)
         # a basis vector inside an eigenspace of P_0 (e_1 is a +1
-        # eigenvector) has no image on M+ and is kept as the start, and its
-        # normal equations are singular
+        # eigenvector) has no image on M+ and is kept as it is, off M+
         block[self.rows] = np.eye(size[1])[self.axis]
         return block
 
@@ -302,33 +233,28 @@ def test_sampling_sweep_retries_like_single_projections(monkeypatch):
     # point 2 fails its first attempt and takes row 2 of attempt 1's block,
     # point 7 row 7 of attempt 2's; the other points keep their rows of
     # attempt 0's
-    _same_point(points[2],
-                project_to_focal(system, _start(system, 9, 2, 1, 30)))
-    _same_point(points[7],
-                project_to_focal(system, _start(system, 9, 7, 2, 30)))
+    _same_point(points[2], certify(system, _start(system, 9, 2, 1, 30)))
+    _same_point(points[7], certify(system, _start(system, 9, 7, 2, 30)))
     for i in set(range(30)) - {2, 7}:
-        _same_point(points[i],
-                    project_to_focal(system, _start(system, 9, i, 0, 30)))
+        _same_point(points[i], certify(system, _start(system, 9, i, 0, 30)))
 
 
 @pytest.mark.parametrize("axis", [0, 3], ids=["plus", "minus"])
 def test_degenerate_row_keeps_its_raw_start_and_retries(monkeypatch, axis):
     # for (1, 3), e_1 lies in E+ and has no E- part to build w from; e_4
     # lies in E- and has no E+ part to build u from.  Either row is kept as
-    # it is, fails as a singular start, and the point retries with its row
-    # of the next attempt.
+    # it is, fails certification, and the point retries with its row of the
+    # next attempt.
     system = build_clifford_system(1, 3)
     row = np.eye(6)[axis]
     assert np.array_equal(focal._onto_focal(system, row[None])[0], row)
     assert np.array_equal(_reference_start(system, row), row)
-    with pytest.raises(SingularityError):
-        project_to_focal(system, row)
+    with pytest.raises(CertificationError):
+        certify(system, row)
     made = _rig(monkeypatch, {(4, 0)}, axis)
     points = sample_focal_points(system, 6, seed=3)
     assert made == [0, 1]
-    _same_point(points[4],
-                project_to_focal(system, _start(system, 3, 4, 1, 6)))
-    assert points[4].iterations == 0
+    _same_point(points[4], certify(system, _start(system, 3, 4, 1, 6)))
 
 
 def test_sampling_failure_counts_projections_so_far(monkeypatch):
@@ -349,45 +275,3 @@ def test_sampling_starts_do_not_depend_on_the_point_count():
     twenty = sample_focal_points(system, 20, seed=31)
     for a, b in zip(five, twenty):
         _same_point(a, b)
-
-
-def test_sweep_rows_with_mixed_outcomes_match_single_projections():
-    # singular, non-converging and converging rows in one sweep: each row
-    # ends as its own projection does, with the same exception text
-    system = build_clifford_system(2, 2)
-    rng = default_rng(4)
-    starts = [np.eye(8)[0]] + [rng.standard_normal(8) for _ in range(12)]
-    starts.append(deterministic_seed(system).x)
-    for max_iter in (1, 2, 3, 50):
-        swept = focal._project(system, np.array(starts), 1e-13, max_iter)
-        for x0, got in zip(starts, swept):
-            try:
-                want = project_to_focal(system, x0, max_iter=max_iter)
-            except (ConvergenceError, SingularityError,
-                    CertificationError) as exc:
-                assert type(got) is type(exc) and str(got) == str(exc)
-            else:
-                _same_point(got, want)
-
-
-def test_condition_number_matches_numpy_cond():
-    # the sweep's condition number comes from eigvalsh of the symmetric
-    # J J^T; it matches np.linalg.cond (an SVD) on random normal equations
-    # of the sampler's shapes, and on singular ones (J with a repeated or a
-    # zero row) both lie above the limit
-    rng = default_rng(5)
-    for rows, cols in [(3, 6), (4, 8), (8, 16), (11, 16), (11, 32)]:
-        jac = rng.standard_normal((40, rows, cols))
-        repeated, zero = jac.copy(), jac.copy()
-        repeated[:, -1] = 3.0 * jac[:, 0]
-        zero[:, -1] = 0.0
-        for j, singular in ((jac, False), (repeated, True), (zero, True)):
-            stack = j @ j.transpose(0, 2, 1)
-            got = focal._condition(stack)
-            with np.errstate(divide="ignore"):
-                want = np.linalg.cond(stack)
-            if singular:
-                assert np.all(got > focal._COND_LIMIT), (rows, cols)
-                assert np.all(want > focal._COND_LIMIT), (rows, cols)
-            else:
-                assert np.all(np.abs(got - want) <= 1e-10 * want), (rows, cols)

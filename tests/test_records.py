@@ -9,8 +9,8 @@ import pytest
 from fkm_willmore import (Check, FkmPolynomial, FocalPoint, FrameError,
                           SpectrumError, build_clifford_system, build_frame,
                           certify_point, deterministic_seed, fold,
-                          project_to_focal, ricci_quadratic, rotate_system,
-                          sectional_curvature, shape_operators)
+                          ricci_quadratic, rotate_system, sectional_curvature,
+                          shape_operators)
 
 
 def test_fold_is_the_max_and_zero_for_nothing():
@@ -90,11 +90,6 @@ def _nan_sphere_row():
     poly.sphere_derivatives(x)
 
 
-def _nan_projection_start():
-    system = build_clifford_system(1, 3)
-    project_to_focal(system, np.full(system.ambient_dim, math.nan))
-
-
 def _nan_rotation():
     rotate_system(build_clifford_system(2, 2), np.full(3, math.nan))
 
@@ -114,10 +109,8 @@ def _nan_sectional_pair():
     (_nan_sphere_row, ValueError),
     (_nan_rotation, ValueError),
     (_nan_sectional_pair, ValueError),
-    (_nan_projection_start, ValueError),
 ], ids=["build_frame", "ricci_quadratic", "certify_point", "shape_operator",
-        "sphere_derivatives", "rotate_system", "sectional_curvature",
-        "project_to_focal"])
+        "sphere_derivatives", "rotate_system", "sectional_curvature"])
 def test_input_guards_reject_nan(call, error):
     # each guard is `not (gap <= tol)`, which a NaN gap fails; `gap > tol`
     # let it through to a NaN result or to an unrelated numpy error (the

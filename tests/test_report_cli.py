@@ -559,31 +559,37 @@ def _probe_without_pairs(original):
     return probe
 
 
-@pytest.mark.parametrize("target,patch,failed", [
-    ("shape_operators", _on_result(_flip_one_point), ["willmore"]),
-    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"]),
-    ("shape_operators", _on_result(_scale_one_point), ["lemma"]),
+@pytest.mark.parametrize("target,patch,failed,undecided", [
+    ("shape_operators", _on_result(_flip_one_point), ["willmore"], ()),
+    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"],
+     ("einstein",)),
+    ("shape_operators", _on_result(_scale_one_point), ["lemma"], ()),
     ("ricci_quadratic", _on_result(lambda values: values + 2.0),
-     ["geometry"]),
-    ("einstein_probe", _probe_without_pairs, ["einstein"]),
+     ["geometry"], ()),
+    ("einstein_probe", _probe_without_pairs, ["einstein"], ()),
 ], ids=["flip-sign", "swap-points", "scale-one-point", "shift-crosscheck",
         "zero-pairs-einstein"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
-                                                failed):
+                                                failed, undecided):
     # each fault is injected at the name report.py looks up; a flipped sign
     # keeps every spectrum, a swap misplaces the Ricci tensors and the
     # eigenbases, scaling one point's operators by 1 + 1e-7 moves its
     # spectra by 1e-7 (above the lemma's 1e-8, inside the 1e-6 cluster
     # radius, so the chain still runs), a shifted closed form moves only the
     # cross-check, and a probe that sees no pair products finds the spread 0
-    # where (3, 2) must give evidence of a non-Einstein metric
+    # where (3, 2) must give evidence of a non-Einstein metric.  Every block
+    # not in `failed` passes, except the `undecided` ones: after the swap the
+    # probe reads point 4's Ricci tensor along point 3's extremal
+    # eigenvectors, which np.linalg.eigh picks inside a repeated eigenvalue
+    # by rounding, so whether that spread clears the probe's threshold is not
+    # a property of the swap
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
                              n_normals=5)
     entry = evaluate_system(build_clifford_system(3, 2), cfg, 0)
     assert sorted(name for name, block in entry["blocks"].items()
-                  if not block["pass"]) == failed
+                  if not block["pass"] and name not in undecided) == failed
     if target == "einstein_probe":
         einstein = entry["blocks"]["einstein"]
         assert einstein["status"] == "evidence"
