@@ -17,7 +17,7 @@ from .errors import (AdmissibilityError, CertificationError, FrameError,
 from .focal import (CONSTRAINT_TOL, SPHERE_TOL, VALUE_TOL, FocalPoint,
                     certify, deterministic_seed, sample_focal_points,
                     tangent_jacobian_rank)
-from .geometry import (AdaptedFrame, ShapeData, build_frame, ricci_quadratic,
+from .geometry import (AdaptedFrame, ShapeData, build_frame,
                        sectional_curvature, sectional_curvature_from_shape,
                        shape_operators)
 from .polynomial import (FkmPolynomial, SphericalDerivatives,
@@ -27,8 +27,7 @@ from .report import (DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES,
                      TOOL_VERSION, VerificationConfig, VerificationReport,
                      evaluate_system, exit_code, render_text, run_suite,
                      write_matrix_dumps)
-from .willmore import (EinsteinProbe, PrincipalDecomposition, certify_point,
-                       einstein_probe, principal_decomposition,
+from .willmore import (EinsteinProbe, certify_point, einstein_probe,
                        willmore_residual)
 
 __version__ = TOOL_VERSION
@@ -37,14 +36,14 @@ __all__ = [
     "AdaptedFrame", "AdmissibilityError", "CONSTRAINT_TOL",
     "CertificationError", "Check", "CliffordSystem", "DEFAULT_GRID",
     "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe", "FkmPolynomial",
-    "FocalPoint", "FrameError", "MultiplicityError", "PrincipalDecomposition",
+    "FocalPoint", "FrameError", "MultiplicityError",
     "SPHERE_TOL", "SamplingError", "ShapeData", "SkewGeneratorSet",
     "SpectrumError", "SphericalDerivatives", "VALUE_TOL", "VerificationConfig",
     "VerificationReport", "build_clifford_system", "build_frame",
     "build_skew_generators", "certify", "certify_point", "delta",
     "deterministic_seed", "dump_matrices", "einstein_probe", "evaluate_system",
-    "exit_code", "fold", "parse_matrices", "principal_decomposition",
-    "render_text", "ricci_quadratic", "rotate_system", "run_suite",
+    "exit_code", "fold", "parse_matrices", "render_text", "rotate_system",
+    "run_suite",
     "sample_focal_points", "sectional_curvature",
     "sectional_curvature_from_shape", "shape_operators",
     "tangent_jacobian_rank", "verify_cartan_munzner",

@@ -9,8 +9,10 @@ Conventions at a point x of M+:
     component h^a_{ij};
   * sectional curvature of an orthonormal tangent pair (Gauss equation):
       K(X, Y) = 1 + sum_a ( <P_a X, X><P_a Y, Y> - <P_a X, Y>^2 );
-  * Ricci quadratic form of a unit tangent X (closed form):
-      Ric(X) = 2 (l - m - 2) + 2 sum_{a<b} <X, P_a P_b x>^2;
+  * Ricci form of the induced metric (closed form), as the matrix
+      Ric_closed = 2 (l - m - 2) I + 2 Q^T Q, where the rows of Q are the
+      pair vectors P_a P_b x, a < b, in tangent coordinates, so that
+      X^T Ric_closed X = 2 (l - m - 2) + 2 sum_{a<b} <X, P_a P_b x>^2;
   * Ricci tensor from the shape operators (n = dim M+):
       R_ij = (n - 1) delta_ij + sum_a ( tr(A_a) (A_a)_ij - (A_a^2)_ij ).
 
@@ -34,7 +36,6 @@ __all__ = [
     "ShapeData",
     "build_frame",
     "pair_products",
-    "ricci_quadratic",
     "sectional_curvature",
     "sectional_curvature_from_shape",
     "shape_operators",
@@ -69,14 +70,17 @@ class AdaptedFrame:
     n = 2l - m - 2 tangent vectors of each point as columns, `normal`
     (P, 2l, m+1) the m + 1 vectors P_a x as columns (exactly, by
     construction).  `pairs` holds the pair products P_a P_b x as a
-    (P, m+1, m+1, 2l) array, formed once per point for the closed-form
-    Ricci and the Willmore chain.
+    (P, m+1, m+1, 2l) array, formed once per point for the Willmore chain.
+    `closed_ricci` (P, n, n) is the closed-form Ricci matrix in the tangent
+    basis, formed from `pairs` alone; the Ricci cross-check, the balance of
+    the Willmore chain and the Einstein probe all read it.
     """
 
     x: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
     pairs: np.ndarray
+    closed_ricci: np.ndarray
 
     def __post_init__(self):
         _freeze(self)
@@ -91,8 +95,11 @@ def build_frame(system: CliffordSystem, points) -> AdaptedFrame:
     that block.  Every assembled frame must reproduce the identity Gram
     matrix within 1e-8, else FrameError naming the first point that fails.
     One stacked QR serves all points; a frame does not depend on the
-    others.
+    others.  The closed-form Ricci matrix needs codimension headroom
+    l >= m + 2; admissible systems always have it, the check is defensive.
     """
+    if system.l < system.m + 2:
+        raise ValueError("closed-form Ricci needs l >= m + 2")
     n = system.ambient_dim
     codim = system.m + 1
     x = np.array([p.x for p in points]).reshape(-1, n)
@@ -108,8 +115,13 @@ def build_frame(system: CliffordSystem, points) -> AdaptedFrame:
         raise FrameError(
             f"point {bad[0]}: adapted frame failed completeness: Gram "
             f"deviation {gram_dev[bad[0]]:.3e} (tol {FRAME_GRAM_TOL:.1e})")
-    return AdaptedFrame(x=x, tangent=tangent, normal=normal,
-                        pairs=pair_products(system, x))
+    pairs = pair_products(system, x)
+    idx_a, idx_b = np.triu_indices(codim, k=1)
+    rows = pairs[:, idx_a, idx_b] @ tangent      # Q, (P, m(m+1)/2, n)
+    closed_ricci = (2.0 * (system.l - system.m - 2) * np.eye(tangent.shape[2])
+                    + 2.0 * (rows.transpose(0, 2, 1) @ rows))
+    return AdaptedFrame(x=x, tangent=tangent, normal=normal, pairs=pairs,
+                        closed_ricci=closed_ricci)
 
 
 @dataclass(frozen=True)
@@ -198,38 +210,3 @@ def pair_products(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """
     return np.einsum("aij,...bj->...abi", system.stack, system.apply(x))
 
-
-def ricci_quadratic(system: CliffordSystem, frame: AdaptedFrame,
-                    X) -> np.ndarray:
-    """Ric(X) = 2 (l - m - 2) + 2 sum_{a<b} <X, P_a P_b x>^2 for unit tangent X.
-
-    X is a (P, 2l, K) stack with K unit tangents of point p as the columns
-    of X[p]; gives the (P, K) values.  The unit and tangency checks run on
-    every column.  The closed form needs codimension headroom l >= m + 2;
-    admissible systems always have it, the check is defensive.
-    """
-    if system.l < system.m + 2:
-        raise ValueError("closed-form Ricci needs l >= m + 2")
-    cols = np.asarray(X, dtype=float)
-    shape = (len(frame.x), system.ambient_dim)
-    if cols.ndim != 3 or cols.shape[:2] != shape:
-        raise ValueError(f"tangent shape {cols.shape} != ({shape[0]}, "
-                         f"{shape[1]}, K)")
-    unit_gap = np.abs(np.linalg.norm(cols, axis=1) - 1.0)
-    bad = np.argwhere(~(unit_gap <= _UNIT_TOL))
-    if bad.size:
-        raise ValueError(
-            f"Ricci quadratic form needs unit vectors (point {bad[0][0]}, "
-            f"column {bad[0][1]} has norm deviation "
-            f"{unit_gap[tuple(bad[0])]:.3e})")
-    tangency = _tangency_residual(frame, cols)
-    bad = np.argwhere(~(tangency <= _TANGENCY_TOL))
-    if bad.size:
-        raise ValueError(
-            f"Ricci quadratic form needs tangent vectors (point {bad[0][0]}, "
-            f"column {bad[0][1]} has residual "
-            f"{tangency[tuple(bad[0])]:.3e})")
-    idx_a, idx_b = np.triu_indices(system.m + 1, k=1)
-    proj = frame.pairs[:, idx_a, idx_b] @ cols
-    return 2.0 * (system.l - system.m - 2) + 2.0 * np.sum(proj * proj,
-                                                          axis=1)

@@ -30,10 +30,10 @@ from .errors import (AdmissibilityError, CertificationError, FrameError,
                      MultiplicityError, SamplingError, SpectrumError)
 from .focal import (SPHERE_TOL, VALUE_TOL, deterministic_seed,
                     sample_focal_points, tangent_jacobian_rank)
-from .geometry import build_frame, ricci_quadratic, shape_operators, take
-from .polynomial import FkmPolynomial, sphere_samples, verify_cartan_munzner
+from .geometry import build_frame, shape_operators
+from .polynomial import FkmPolynomial, verify_cartan_munzner
 from .records import Check, fold
-from .willmore import certify_point, einstein_probe
+from .willmore import CHECK_NAMES, certify_point, einstein_probe
 
 __all__ = [
     "DEFAULT_GRID",
@@ -53,7 +53,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -67,17 +67,9 @@ DEFAULT_TOLERANCES = {
 }
 
 _SEED_MASK = (1 << 64) - 1
-_N_CROSSCHECK_DIRS = 100
-# Points whose Ricci cross-check is evaluated as one stack.  Their 100
-# directions per point take about 60 KB at (m, k) = (6, 1), so a block
-# stays near 1 MB.
-_POINT_BLOCK = 16
-
-
-def _point_blocks(count: int) -> list:
-    """Slices of at most _POINT_BLOCK consecutive points out of `count`."""
-    return [slice(lo, lo + _POINT_BLOCK)
-            for lo in range(0, count, _POINT_BLOCK)]
+# the certify_point columns held to the willmore tolerance; the others are
+# held to geom
+_WILLMORE_CHECKS = ("residual_max", "balance_max")
 
 
 def _subseed(master: int, *key: int) -> np.random.SeedSequence:
@@ -286,19 +278,8 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         try:
             frames = build_frame(system, points)
             shapes = shape_operators(system, frames)
-            cross = []
-            # one stream for the configuration, drawn block after block in
-            # point order: point p takes directions 100 p .. 100 p + 99
-            rng = default_rng(_subseed(cfg.seed, config_index, 2))
-            for rows in _point_blocks(len(points)):
-                block = take(frames, rows)
-                count = len(block.tangent)
-                z = sphere_samples(rng, count * _N_CROSSCHECK_DIRS,
-                                   n).reshape(count, _N_CROSSCHECK_DIRS, n)
-                quad = ricci_quadratic(system, block,
-                                       block.tangent @ z.transpose(0, 2, 1))
-                tensor = np.sum((z @ shapes.ricci[rows]) * z, axis=2)
-                cross.append(fold(np.abs(quad - tensor)))
+            # sup over unit tangents X of |Ric_closed(X) - Ric_tensor(X)|
+            cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
             s_expected = 2.0 * (l - m - 1) * (m + 1)
             s_vals = shapes.sff_norm_sq
             ricci_traces = np.trace(shapes.ricci, axis1=1, axis2=2)
@@ -312,7 +293,8 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                       tol["geom"]),
                 Check("H_max", fold(np.abs(shapes.mean_curvature)),
                       tol["cert"]),
-                Check("ricci_crosscheck_max", fold(cross), tol["geom"]),
+                Check("ricci_crosscheck_max", fold(np.abs(cross)),
+                      tol["geom"]),
                 Check("ricci_trace_max_gap",
                       fold(np.abs(ricci_traces - (n * (n - 1) - s_vals))),
                       tol["geom"]))
@@ -331,28 +313,25 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
                 norms = np.sqrt(np.matmul(c[..., None, :], c[..., None]))
                 coeffs[:, m + 1:] = c / norms[..., 0]
-            rows = certify_point(system, frames, shapes, coeffs,
-                                 geom_tol=tol["geom"],
-                                 willmore_tol=tol["willmore"])
+            residuals = certify_point(system, frames, shapes, coeffs)
         except (SpectrumError, MultiplicityError) as exc:
             blocks["lemma"] = {"error": str(exc), "pass": False}
         else:
-            # one column per check name, one row per point
-            columns = {col[0].name: col for col in zip(*rows)}
-            worst = {name: Check(name, fold([c.residual for c in col]),
-                                 col[0].tol)
-                     for name, col in columns.items()}
+            # one row per point, one column per name of CHECK_NAMES
+            columns = dict(zip(CHECK_NAMES, residuals.T))
+            spectrum, reduced, *chain = (
+                Check(name, fold(col), tol["willmore"]
+                      if name in _WILLMORE_CHECKS else tol["geom"])
+                for name, col in columns.items())
             blocks["lemma"] = _block(
-                {"n_normals_per_point": m + 1 + cfg.n_normals},
-                worst.pop("max_spectrum_deviation"),
+                {"n_normals_per_point": m + 1 + cfg.n_normals}, spectrum,
                 {"multiplicities": [m, system.m2, system.m2]})
-            reduced = [c.residual for c in columns["residual_max"]]
             blocks["willmore"] = _block(
-                worst.pop("residual_max"),
-                {"residual_median": float(np.median(reduced))},
-                *worst.values())
+                reduced,
+                {"residual_median": float(np.median(columns["residual_max"]))},
+                *chain)
 
-            probe = einstein_probe(system, frames, shapes)
+            probe = einstein_probe(system, frames)
             blocks["einstein"] = _block(
                 {"ricci_min": float(np.min(probe.ricci_min)),
                  "ricci_max": float(np.max(probe.ricci_max)),

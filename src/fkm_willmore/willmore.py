@@ -22,10 +22,11 @@ T_0 component U of P'_1 P'_2 x, the m > 2 case by the norm bookkeeping
     2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 = |U|^2 + |P'_0 U|^2 + 4 |V|^2.
 
 Each identity holds at one focal point with one adapted frame; the report
-module sweeps points and normal directions.  certify_point evaluates the
-chain over blocks of points x normals and returns one Check per identity
-and point; principal_decomposition is the same code with one normal per
-point.
+module sweeps points and normal directions.  No eigenbasis is computed: on
+M+, A_xi^3 = A_xi, so the eigenspaces are read through the spectral
+projectors Pi_{+-1} = (A_xi^2 +- A_xi)/2 and Pi_0 = I - A_xi^2 in tangent
+coordinates.  certify_point evaluates the chain over blocks of points x
+normals and returns the worst residual of every identity at every point.
 """
 
 from __future__ import annotations
@@ -36,45 +37,24 @@ import numpy as np
 
 from .clifford import CliffordSystem, _orthonormal_completion
 from .errors import MultiplicityError, SpectrumError
-from .geometry import (AdaptedFrame, ShapeData, _freeze, ricci_quadratic,
-                       take)
-from .records import Check, fold
+from .geometry import AdaptedFrame, ShapeData, _freeze, take
+from .records import fold
 
 __all__ = [
+    "CHECK_NAMES",
     "CLUSTER_RADIUS",
     "EinsteinProbe",
-    "PrincipalDecomposition",
     "certify_point",
     "einstein_probe",
-    "principal_decomposition",
     "willmore_residual",
 ]
 
-# Eigenvalues must land within this radius of {0, +1, -1}.  The true gaps
-# are of size 1, so the radius is purely defensive.
+# max |A_xi^3 - A_xi| must stay within this radius; every eigenvalue of
+# A_xi then lies within 4 n / 3 times it of {0, +1, -1}.  The true gaps are
+# of size 1, so the radius is purely defensive.
 CLUSTER_RADIUS = 1e-6
 
 RICCI_SPREAD_THRESHOLD = 0.1
-
-
-@dataclass(frozen=True)
-class PrincipalDecomposition:
-    """Eigenspaces of A_xi at P points, one normal xi each, as ambient
-    column blocks.
-
-    t0, t1, tm1 (P, 2l, .) hold orthonormal bases of the principal-curvature
-    eigenspaces for 0, +1, -1 (dimensions m, l-m-1, l-m-1).
-    """
-
-    xi_coeffs: np.ndarray              # (P, m+1)
-    xi: np.ndarray                     # (P, 2l)
-    t0: np.ndarray
-    t1: np.ndarray
-    tm1: np.ndarray
-    spectrum_deviation: np.ndarray     # (P,)
-
-    def __post_init__(self):
-        _freeze(self)
 
 
 @dataclass(frozen=True)
@@ -110,15 +90,16 @@ _BLOCK_BYTES = 1_200_000
 def _block_points(system: CliffordSystem, num: int) -> int:
     """Points per chain block: as many as fit _BLOCK_BYTES, at least one.
 
-    A (point, normal) row holds the completed half and full pair products,
-    (m+1)^2 2l floats each, P'_0, (2l)^2 floats, the ambient eigenbases,
-    2l n floats, A_xi and its eigenvectors, n^2 floats each, and the normals
-    and pair vectors, (m+1) 2l and m(m+1)/2 2l floats.  At (m, k) = (6, 1)
-    that is 20 KB a row and 1.15 MB a point with 57 normals."""
+    A (point, normal) row peaks while the rotated pair products are formed:
+    the completed half and full pair products, (m+1)^2 2l floats each,
+    P'_0, (2l)^2 floats, the normals and pair vectors, (m+1) 2l and
+    m(m+1)/2 2l floats, and the three projectors, n^2 floats each.  At
+    (m, k) = (6, 1) that is 19.7 KB a row and 1.12 MB a point with 57
+    normals; at (9, 1), 84 KB a row."""
     m1, dim = system.m + 1, system.ambient_dim
     n = dim - system.m - 2
-    row = 8 * ((2 * m1 * m1 + dim + n + m1 + m1 * system.m // 2) * dim
-               + 2 * n * n)
+    row = 8 * ((2 * m1 * m1 + dim + m1 + m1 * system.m // 2) * dim
+               + 3 * n * n)
     return max(1, _BLOCK_BYTES // (row * max(1, num)))
 
 
@@ -145,16 +126,29 @@ def _contractions(ricci: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.einsum("kpq,kapq->ka", ricci, ops)
 
 
-def _decompose(system: CliffordSystem, tangent: np.ndarray, ops: np.ndarray,
-               coeffs: np.ndarray, where):
-    """Eigenspaces of every A_xi from one stacked eigh.
+def _purified(proj: np.ndarray) -> np.ndarray:
+    """One McWeeny step 3 Pi^2 - 2 Pi^3 on a stack of near-projectors.
 
-    Returns the spectrum deviations (P, N) and the ambient bases t0, t1,
-    tm1 as (P, N, 2l, m), (P, N, 2l, m2), (P, N, 2l, m2).  Radius and
-    cluster sizes are checked for every normal before the ascending
-    eigenbasis is sliced into its -1, 0, +1 blocks, which eigh returns
-    orthonormal; `where(p, k)` names a failing row in the error, and a
-    non-finite A_xi fails before eigh.
+    An eigenvalue 1 + d of Pi moves to 1 - 3 d^2 - 2 d^3 and an eigenvalue
+    d to 3 d^2 - 2 d^3, so a scale error of A_xi of order d reaches the
+    identities read through the projectors only at order d^2."""
+    sq = proj @ proj
+    return 3.0 * sq - 2.0 * (sq @ proj)
+
+
+def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
+               where):
+    """Spectral projectors of every A_xi = sum_a c_a A_a, in tangent
+    coordinates.
+
+    Returns the deviations max |A_xi^3 - A_xi| (P, N) and the projectors
+    Pi_0, Pi_{+1}, Pi_{-1} onto the eigenspaces for 0, +1, -1, each
+    (P, N, n, n).  A non-finite A_xi or a deviation above CLUSTER_RADIUS
+    raises SpectrumError, and traces of (I - A^2, (A^2 + A)/2,
+    (A^2 - A)/2) that do not round to (m, l-m-1, l-m-1) raise
+    MultiplicityError; `where(p, k)` names the first failing row.  The
+    curved projectors are then purified (_purified) and Pi_0 is their
+    complement.
     """
     m, m2 = system.m, system.m2
     count, n = ops.shape[0], ops.shape[2]
@@ -164,19 +158,20 @@ def _decompose(system: CliffordSystem, tangent: np.ndarray, ops: np.ndarray,
     if bad.size:
         p, k = bad[0]
         raise SpectrumError(f"{where(p, k)}: A_xi has non-finite entries")
-    vals, vecs = np.linalg.eigh(a_xi)
-    dist = np.minimum(np.abs(vals), np.abs(np.abs(vals) - 1.0))
-    deviation = np.max(dist, axis=2, initial=0.0)
+    sq = a_xi @ a_xi
+    deviation = np.max(np.abs(sq @ a_xi - a_xi), axis=(2, 3), initial=0.0)
     bad = np.argwhere(~(deviation <= CLUSTER_RADIUS))
     if bad.size:
         p, k = bad[0]
         raise SpectrumError(
-            f"{where(p, k)}: eigenvalue {vals[p, k, np.argmax(dist[p, k])]:.6f}"
-            " is outside every cluster around {0, +1, -1} "
+            f"{where(p, k)}: max |A_xi^3 - A_xi| = {deviation[p, k]:.3e}, so "
+            "the spectrum leaves the clusters around {0, +1, -1} "
             f"(radius {CLUSTER_RADIUS:.1e})")
+    tr_sq = np.trace(sq, axis1=2, axis2=3)
+    tr_a = np.trace(a_xi, axis1=2, axis2=3)
     expected = (m, m2, m2)
-    counts = np.stack([np.sum(np.abs(vals - target) <= CLUSTER_RADIUS, axis=2)
-                       for target in (0.0, 1.0, -1.0)], axis=2)
+    counts = np.rint(np.stack([n - tr_sq, (tr_sq + tr_a) / 2.0,
+                               (tr_sq - tr_a) / 2.0], axis=2)).astype(int)
     bad = np.argwhere(np.any(counts != expected, axis=2))
     if bad.size:
         p, k = bad[0]
@@ -184,8 +179,9 @@ def _decompose(system: CliffordSystem, tangent: np.ndarray, ops: np.ndarray,
             f"{where(p, k)}: principal multiplicities "
             f"{tuple(counts[p, k].tolist())} != expected {expected} for "
             "(0, +1, -1)")
-    return deviation, *(tangent[:, None] @ vecs[..., lo:hi]
-                        for lo, hi in ((m2, m2 + m), (m2 + m, n), (0, m2)))
+    plus = _purified((sq + a_xi) / 2.0)
+    minus = _purified((sq - a_xi) / 2.0)
+    return deviation, np.eye(n) - plus - minus, plus, minus
 
 
 def _rotated(system: CliffordSystem, x: np.ndarray, pairs: np.ndarray,
@@ -211,36 +207,14 @@ def _rotated(system: CliffordSystem, x: np.ndarray, pairs: np.ndarray,
     return p0, normals, prods[:, :, ia, ib]
 
 
-def _reflection(p0: np.ndarray, t1: np.ndarray, tm1: np.ndarray):
-    """max |P'_0 v + v| over T_{+1} and |P'_0 w - w| over T_{-1}."""
-    return np.maximum(np.max(np.abs(p0 @ t1 + t1), axis=(2, 3), initial=0.0),
-                      np.max(np.abs(p0 @ tm1 - tm1), axis=(2, 3),
-                             initial=0.0))
-
-
-def _balance_and_bridge(system: CliffordSystem, frame: AdaptedFrame,
-                        contractions: np.ndarray, coeffs: np.ndarray,
-                        t1: np.ndarray, tm1: np.ndarray):
-    """Signed closed-form balance and bridge gap of every normal.
-
-    sum_i Ric(v_i) = 2 (l-m-2) m2 + 2 |pairs . T_{+1}|_F^2 and likewise for
-    T_{-1}, from one ricci_quadratic call over all the eigenvectors of the
-    block; the bridge compares with
-    sum_ij R_ij h^xi_ij = sum_a c_a sum_ij R_ij h^a_ij.
-    """
-    count, num, dim, m2 = t1.shape
-    block = np.concatenate([t1, tm1], axis=3).transpose(0, 2, 1, 3)
-    ric = ricci_quadratic(system, frame,
-                          block.reshape(count, dim, num * 2 * m2))
-    sums = np.sum(ric.reshape(count, num, 2, m2), axis=3)
-    signed = sums[..., 0] - sums[..., 1]
-    bridge = np.abs((coeffs @ contractions[:, :, None])[..., 0] - signed)
-    return signed, bridge
-
-
-def _pair_projections(y: np.ndarray, t1: np.ndarray, tm1: np.ndarray):
-    """|proj_{T+1} y|^2 and |proj_{T-1} y|^2 for the pair vectors y."""
-    return np.sum((y @ t1) ** 2, axis=3), np.sum((y @ tm1) ** 2, axis=3)
+def _reflection(p0: np.ndarray, t: np.ndarray, plus: np.ndarray,
+                minus: np.ndarray):
+    """max |(P'_0 + I) T Pi_{+1}| and |(P'_0 - I) T Pi_{-1}|: P'_0 v = -v
+    on T_{+1} and P'_0 w = w on T_{-1}, in ambient coordinates."""
+    p0t = p0 @ t
+    return np.maximum(
+        np.max(np.abs((p0t + t) @ plus), axis=(2, 3), initial=0.0),
+        np.max(np.abs((p0t - t) @ minus), axis=(2, 3), initial=0.0))
 
 
 def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
@@ -256,15 +230,16 @@ def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
     return pairwise, signed, leak
 
 
-def _case_residuals(system: CliffordSystem, x: np.ndarray, p0, normals,
-                    y, t0, p_plus, p_minus):
+def _case_residuals(system: CliffordSystem, x: np.ndarray, t, p0, normals,
+                    y, y_t, pi0, p_plus, p_minus):
     """Per-normal tangency, orthogonality, bookkeeping and |P'_0 U| maxima.
 
     Every pair vector y = P'_a P'_b x is orthogonal to x and to every P'_g x;
     for pairs a, b >= 1, <P'_0 y, y> = 0 and, with U, V, W the T_0, T_{+1},
-    T_{-1} components, 2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 and the same with
-    |V|^2.  |P'_0 U| is only an identity for m = 2 and is reported as 0
-    otherwise.
+    T_{-1} components (U = T Pi_0 T^T y), 2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2
+    and the same with |V|^2.  |P'_0 U| is only an identity for m = 2 and
+    is reported as 0 otherwise.  `y_t` holds the pair vectors in tangent
+    coordinates, T^T y.
     """
     tangency = np.maximum(
         np.max(np.abs(y @ x[:, None, :, None]), axis=(2, 3), initial=0.0),
@@ -274,7 +249,7 @@ def _case_residuals(system: CliffordSystem, x: np.ndarray, p0, normals,
     p0t = p0.swapaxes(2, 3)
     orthogonality = np.max(np.abs(np.sum((y @ p0t) * y, axis=3)), axis=2,
                            initial=0.0)
-    u = (y @ t0) @ t0.swapaxes(2, 3)
+    u = (y_t[:, :, curved] @ pi0) @ t.swapaxes(2, 3)
     p0u = u @ p0t
     p0u_sq = np.sum(p0u * p0u, axis=3)
     base = np.sum(u * u, axis=3) + p0u_sq
@@ -289,54 +264,35 @@ def _case_residuals(system: CliffordSystem, x: np.ndarray, p0, normals,
 
 
 def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
-           coeffs: np.ndarray, where) -> list:
-    """The worst residual of every check at each point of a block, as (P,)
-    arrays in the order of _CHECK_NAMES; residual_max does not depend on
-    the normals."""
+           coeffs: np.ndarray, where) -> np.ndarray:
+    """The worst residual of every check at each point of a block, as a
+    (P, len(CHECK_NAMES)) array; residual_max does not depend on the
+    normals."""
     contractions = _contractions(shape.ricci, shape.operators)
-    spectrum, t0, t1, tm1 = _decompose(system, frame.tangent, shape.operators,
-                                       coeffs, where)
+    spectrum, pi0, plus, minus = _decompose(system, shape.operators, coeffs,
+                                            where)
     p0, normals, y = _rotated(system, frame.x, frame.pairs, coeffs)
-    signed_balance, bridge = _balance_and_bridge(system, frame, contractions,
-                                                 coeffs, t1, tm1)
-    p_plus, p_minus = _pair_projections(y, t1, tm1)
+    t = frame.tangent[:, None]
+    # sum_ij R_ij h^xi_ij = tr(Pi_{+1} Ric) - tr(Pi_{-1} Ric), closed form
+    signed_balance = np.sum((plus - minus) * frame.closed_ricci[:, None],
+                            axis=(2, 3))
+    bridge = np.abs((coeffs @ contractions[:, :, None])[..., 0]
+                    - signed_balance)
+    y_t = y @ t
+    p_plus = np.sum((y_t @ plus) ** 2, axis=3)
+    p_minus = np.sum((y_t @ minus) ** 2, axis=3)
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    case = np.maximum.reduce(_case_residuals(system, frame.x, p0, normals, y,
-                                             t0, p_plus, p_minus))
-    worst = [fold(r, axis=1) for r in (
-        spectrum, np.abs(signed_balance), bridge,
+    case = np.maximum.reduce(_case_residuals(system, frame.x, t, p0, normals,
+                                             y, y_t, pi0, p_plus, p_minus))
+    return np.stack([fold(r, axis=1) for r in (
+        spectrum, np.abs(contractions), np.abs(signed_balance), bridge,
         np.abs(signed_balance - signed_proj), pairwise, np.abs(signed_proj),
-        leak, _reflection(p0, t1, tm1), case)]
-    return [worst[0], fold(np.abs(contractions), axis=1), *worst[1:]]
+        leak, _reflection(p0, t, plus, minus), case)], axis=1)
 
 
 # ---------------------------------------------------------------------------
-# one normal, and the reduced criterion
+# the reduced criterion
 # ---------------------------------------------------------------------------
-
-def principal_decomposition(system: CliffordSystem, frame: AdaptedFrame,
-                            xi_coeffs, shape: ShapeData
-                            ) -> PrincipalDecomposition:
-    """Eigendecomposition of A_xi for xi = sum_a c_a P_a x at every point.
-
-    `xi_coeffs` is (P, m+1), one unit coefficient vector per point of the
-    stacked `frame` and `shape`.  Eigenvalues are clustered around
-    {0, +1, -1} with radius 1e-6; a value outside every cluster raises
-    SpectrumError, cluster sizes other than (m, l-m-1, l-m-1) raise
-    MultiplicityError.  The columns of eigh's orthonormal eigenbasis are
-    mapped to ambient coordinates as they are, cluster by cluster.
-    """
-    c = _coefficient_rows(system,
-                          np.asarray(xi_coeffs, dtype=float)[..., None, :],
-                          len(frame.x))
-    deviation, t0, t1, tm1 = _decompose(system, frame.tangent,
-                                        shape.operators, c,
-                                        lambda p, k: f"point {p}")
-    return PrincipalDecomposition(
-        xi_coeffs=c[:, 0], xi=(frame.normal @ c.swapaxes(1, 2))[..., 0],
-        t0=t0[:, 0], t1=t1[:, 0], tm1=tm1[:, 0],
-        spectrum_deviation=deviation[:, 0])
-
 
 def willmore_residual(shape: ShapeData) -> np.ndarray:
     """max_a | sum_ij R_ij h^a_ij | per point, the reduced Willmore
@@ -348,49 +304,41 @@ def willmore_residual(shape: ShapeData) -> np.ndarray:
 # per-point aggregation
 # ---------------------------------------------------------------------------
 
-_CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
-                "bridge_max", "chain_max", "projection_pairwise_max",
-                "projection_aggregate_max", "t0_pair_leak_max",
-                "reflection_max", "case_identity_max")
-# residual_max and balance_max are held to willmore_tol
-_WILLMORE_CHECKS = ("residual_max", "balance_max")
+CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
+               "bridge_max", "chain_max", "projection_pairwise_max",
+               "projection_aggregate_max", "t0_pair_leak_max",
+               "reflection_max", "case_identity_max")
 
 
 def certify_point(system: CliffordSystem, frame: AdaptedFrame,
-                  shape: ShapeData, normal_coeffs, geom_tol: float = 1e-8,
-                  willmore_tol: float = 1e-7) -> list:
+                  shape: ShapeData, normal_coeffs) -> np.ndarray:
     """Every per-normal check at P points over their normal directions.
 
     `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
-    each point of the stacked `frame` and `shape`.  Returns, per point, one
-    Check per key of the report's lemma and willmore blocks, in their
-    order: max_spectrum_deviation, then residual_max (the reduced criterion
-    at the point) and the chain.  Each residual is the worst over the
-    point's normals, so identical inputs give identical checks and the order
-    of the normals does not matter.  residual_max and balance_max are held
-    to `willmore_tol`, every other check to `geom_tol`.
+    each point of the stacked `frame` and `shape`.  Returns a (P, 10) array
+    of residuals, one row per point and one column per key of the report's
+    lemma and willmore blocks, in the order of CHECK_NAMES:
+    max_spectrum_deviation, then residual_max (the reduced criterion at the
+    point) and the chain.  Each residual is the worst over the point's
+    normals, so identical inputs give identical rows and the order of the
+    normals does not matter.
 
     The chain runs over blocks of whole points whose per-row intermediates
-    fit _BLOCK_BYTES (one point at least), with one stacked eigh, one set of
-    rotated pair products and one ricci_quadratic call per block; a point's
-    checks do not depend on the block it is in.
+    fit _BLOCK_BYTES (one point at least), with one set of stacked
+    projectors and rotated pair products per block; a point's residuals do
+    not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
     if len(shape.operators) != count:
         raise ValueError(f"{count} frames and {len(shape.operators)} shapes")
-    tols = [willmore_tol if name in _WILLMORE_CHECKS else geom_tol
-            for name in _CHECK_NAMES]
     step = _block_points(system, coeffs.shape[1])
-    out = []
+    out = np.empty((count, len(CHECK_NAMES)))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        worst = _chain(system, take(frame, rows), take(shape, rows),
-                       coeffs[rows],
-                       lambda p, k, lo=lo: f"point {lo + p}, normal {k}")
-        out.extend(tuple(Check(name, float(v), tol)
-                         for name, v, tol in zip(_CHECK_NAMES, values, tols))
-                   for values in zip(*worst))
+        out[rows] = _chain(system, take(frame, rows), take(shape, rows),
+                           coeffs[rows],
+                           lambda p, k, lo=lo: f"point {lo + p}, normal {k}")
     return out
 
 
@@ -398,23 +346,20 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
 # non-Einstein probe
 # ---------------------------------------------------------------------------
 
-def einstein_probe(system: CliffordSystem, frame: AdaptedFrame,
-                   shape: ShapeData) -> EinsteinProbe:
+def einstein_probe(system: CliffordSystem,
+                   frame: AdaptedFrame) -> EinsteinProbe:
     """Spread of the Ricci quadratic form over unit tangents at P points.
 
-    Over unit X, Ric(X) is extremal at the Ricci tensor's lowest and highest
-    eigenvectors, so the closed form is evaluated there: one stacked eigh of
-    `shape.ricci` and one ricci_quadratic call with two directions a point.
-    When the exact integer inequality 4l > m^2 + 3m + 4 holds, the focal
-    dimension exceeds m(m+1)/2 and a spread above 0.1 at every point is
-    reported as non-Einstein evidence; otherwise the probe is inconclusive
-    and asserts nothing.
+    Over unit X, X^T Ric X is extremal at the lowest and highest
+    eigenvalues, so the probe reads them off one stacked eigvalsh of the
+    frame's closed-form Ricci matrices.  When the exact integer inequality
+    4l > m^2 + 3m + 4 holds, the focal dimension exceeds m(m+1)/2 and a
+    spread above 0.1 at every point is reported as non-Einstein evidence;
+    otherwise the probe is inconclusive and asserts nothing.
     """
-    n = frame.tangent.shape[2]
-    extremal = np.linalg.eigh(shape.ricci)[1][..., [0, n - 1]]
-    values = ricci_quadratic(system, frame, frame.tangent @ extremal)
-    ricci_min = np.min(values, axis=1)
-    ricci_max = np.max(values, axis=1)
+    values = np.linalg.eigvalsh(frame.closed_ricci)
+    ricci_min = values[:, 0]
+    ricci_max = values[:, -1]
     spread = ricci_max - ricci_min
     m, l = system.m, system.l
     gated = 4 * l > m * m + 3 * m + 4

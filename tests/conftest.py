@@ -45,15 +45,21 @@ def nan_pair_system(m: int, k: int) -> CliffordSystem:
     return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
 
 
+def conjugator(dim: int, seed: int = 0) -> np.ndarray:
+    """A random orthogonal dim x dim matrix Q, fixed by the seed."""
+    z = np.random.default_rng(seed).standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
 def conjugated_system(m: int, k: int, seed: int = 0) -> CliffordSystem:
-    """The (m, k) system conjugated by a random orthogonal Q, Q P_a Q^T.
+    """The (m, k) system conjugated by a random orthogonal Q, Q P_a Q^T,
+    with Q = conjugator(2l, seed).
 
     It is a Clifford system again, with float entries and no split block
     form, so only representation-free code handles it.
     """
     base = build_clifford_system(m, k)
-    z = np.random.default_rng(seed).standard_normal((base.ambient_dim,) * 2)
-    q = np.linalg.qr(z)[0]
+    q = conjugator(base.ambient_dim, seed)
     return CliffordSystem(m=m, l=base.l,
                           matrices=tuple(q @ p @ q.T for p in base.matrices))
 

@@ -37,10 +37,8 @@ def test_names_the_benchmark_uses():
                        "verify_clifford_relations", "verify_cartan_munzner",
                        "deterministic_seed", "sample_focal_points",
                        "tangent_jacobian_rank", "build_frame",
-                       "shape_operators", "ricci_quadratic", "certify_point",
-                       "einstein_probe"),
-            "willmore": ("ricci_quadratic", "willmore_residual",
-                         "principal_decomposition", "einstein_probe")}.items():
+                       "shape_operators", "certify_point", "einstein_probe"),
+            "willmore": ("willmore_residual", "einstein_probe")}.items():
         holder = importlib.import_module(f"fkm_willmore.{module}")
         for name in names:
             assert callable(holder.__dict__.get(name)), f"{module}.{name}"

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from fkm_willmore import (AdaptedFrame, FocalPoint, FrameError,
-                          build_clifford_system, build_frame,
-                          deterministic_seed, ricci_quadratic,
+from fkm_willmore import (FocalPoint, FrameError, build_clifford_system,
+                          build_frame, certify, deterministic_seed,
                           sample_focal_points, sectional_curvature,
                           sectional_curvature_from_shape, shape_operators)
 from fkm_willmore.geometry import pair_products, take
 
-from conftest import GRID
+from conftest import GRID, conjugated_system, conjugator
 
 
 def _setup(m, k, n_points=2, seed=3):
@@ -156,9 +155,21 @@ def test_sectional_curvature_validates_input():
                             t1)                             # not tangent
 
 
+def _closed_form(system, x, X):
+    """Ric(X) = 2 (l - m - 2) + 2 sum_{a<b} <X, P_a P_b x>^2 for one unit
+    tangent X at the point x, one pair at a time."""
+    total = 2.0 * (system.l - system.m - 2)
+    for a in range(system.m + 1):
+        for b in range(a + 1, system.m + 1):
+            total += 2.0 * float(X @ system.matrices[a]
+                                 @ system.matrices[b] @ x) ** 2
+    return total
+
+
 @pytest.mark.parametrize("m,k", GRID)
 def test_ricci_quadratic_vs_sectional_sum(m, k):
-    # Ric(X) = sum_i K(X, e_i) over an orthonormal tangent basis with e_1 = X
+    # X^T Ric_closed X = sum_i K(X, e_i) over an orthonormal tangent basis
+    # with e_1 = X, and equals the closed form summed pair by pair
     system, points = _setup(m, k, n_points=1)
     rng = default_rng(70 + m)
     for point in points:
@@ -171,24 +182,50 @@ def test_ricci_quadratic_vs_sectional_sum(m, k):
         total = sum(sectional_curvature(system, frame, x_vec,
                                         frame.tangent @ basis[:, i])[0]
                     for i in range(1, n))
-        quad = ricci_quadratic(system, frame, x_vec[:, :, None])[0, 0]
+        quad = float(basis[:, 0] @ frame.closed_ricci[0] @ basis[:, 0])
         assert abs(quad - total) <= 1e-10
+        assert abs(quad - _closed_form(system, point.x, x_vec[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_ricci_quadratic_vs_tensor(m, k):
+    # the closed-form matrix and the tensor from the shape operators give
+    # one quadratic form, direction by direction; the closed form also
+    # equals its pair-by-pair sum
     system, points = _setup(m, k)
     rng = default_rng(80 + m)
     for point in points:
         frame = build_frame(system, [point])
         ric = shape_operators(system, frame).ricci[0]
+        closed = frame.closed_ricci[0]
         assert np.max(np.abs(ric - ric.T)) <= 1e-12
+        assert np.array_equal(closed, closed.T)
         for _ in range(100):
             z = rng.standard_normal(frame.tangent.shape[2])
             z /= np.linalg.norm(z)
-            quad = ricci_quadratic(system, frame,
-                                   (frame.tangent @ z)[:, :, None])[0, 0]
+            quad = float(z @ closed @ z)
             assert abs(quad - float(z @ ric @ z)) <= 1e-12
+            assert abs(quad - _closed_form(system, point.x,
+                                           frame.tangent[0] @ z)) <= 1e-12
+
+
+@pytest.mark.parametrize("m,k", GRID)
+def test_ricci_spectra_invariant_under_conjugation(m, k):
+    # x -> Q x maps M+ of the system onto M+ of the conjugated system
+    # Q P_a Q^T isometrically, so both Ricci routes have the same spectrum
+    # at Q x as at x, in whatever tangent basis each frame picks
+    system, points = _setup(m, k)
+    q = conjugator(system.ambient_dim, seed=m)
+    conjugated = conjugated_system(m, k, seed=m)
+    frames = build_frame(system, points)
+    moved = build_frame(conjugated, [certify(conjugated, q @ p.x)
+                                     for p in points])
+    for name, one, other in [
+            ("closed", frames.closed_ricci, moved.closed_ricci),
+            ("tensor", shape_operators(system, frames).ricci,
+             shape_operators(conjugated, moved).ricci)]:
+        gap = np.linalg.eigvalsh(one) - np.linalg.eigvalsh(other)
+        assert np.max(np.abs(gap)) <= 1e-12, name
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -200,46 +237,6 @@ def test_ricci_trace_identity(m, k):
         n = frame.tangent.shape[2]
         want = n * (n - 1) - shape.sff_norm_sq[0]
         assert abs(float(np.trace(shape.ricci[0])) - want) <= 1e-11
-
-
-def test_ricci_quadratic_validates_input():
-    system = build_clifford_system(2, 2)
-    frame = build_frame(system, [deterministic_seed(system)])
-    with pytest.raises(ValueError):
-        ricci_quadratic(system, frame, 0.5 * frame.tangent[:, :, :1])
-    with pytest.raises(ValueError):
-        ricci_quadratic(system, frame, frame.normal[:, :, :1])
-
-
-@pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
-def test_ricci_quadratic_block_matches_columns(m, k):
-    system, points = _setup(m, k, n_points=1)
-    rng = default_rng(90 + m)
-    for point in points:
-        frame = build_frame(system, [point])
-        z = rng.standard_normal((frame.tangent.shape[2], 7))
-        block = frame.tangent @ (z / np.linalg.norm(z, axis=0))
-        values = ricci_quadratic(system, frame, block)[0]
-        assert values.shape == (7,)
-        for i in range(7):
-            single = ricci_quadratic(system, frame, block[:, :, i:i + 1])[0, 0]
-            assert isinstance(single, float)
-            assert abs(values[i] - single) <= 1e-13
-
-
-def test_ricci_quadratic_block_validation_names_the_column():
-    system = build_clifford_system(2, 2)
-    frame = build_frame(system, [deterministic_seed(system)])
-    block = np.array(frame.tangent[:, :, :3])
-    block[:, :, 2] = frame.normal[:, :, 1]
-    with pytest.raises(ValueError, match="column 2 "):
-        ricci_quadratic(system, frame, block)
-    block = np.array(frame.tangent[:, :, :3])
-    block[:, :, 1] *= 0.5
-    with pytest.raises(ValueError, match="column 1 "):
-        ricci_quadratic(system, frame, block)
-    with pytest.raises(ValueError):
-        ricci_quadratic(system, frame, frame.tangent[:, :3])
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +320,23 @@ def test_pair_products_are_the_products_of_the_matrices():
 
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
 def test_stacked_ricci_quadratic_equals_single_frames(m, k):
+    # the closed-form Ricci matrices of a stack are, bit for bit, the
+    # one-point products 2 (l - m - 2) I + 2 Q^T Q with Q = Y T for the rows
+    # Y = P_a P_b x, a < b
     system, points = _setup(m, k, n_points=4)
     frames = build_frame(system, points)
-    rng = default_rng(7 + m)
-    z = rng.standard_normal((len(points), frames.tangent.shape[2], 9))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    block = frames.tangent @ z
-    values = ricci_quadratic(system, frames, block)
-    assert values.shape == (len(points), 9)
-    for p in range(len(points)):
-        assert np.array_equal(values[p], ricci_quadratic(
-            system, take(frames, [p]), block[p:p + 1])[0])
+    ia, ib = np.triu_indices(m + 1, k=1)
+    for p, point in enumerate(points):
+        t, pairs = _reference_frame_and_shape(system, point.x)[:2]
+        q = pairs[ia, ib] @ t
+        want = 2.0 * (system.l - m - 2) * np.eye(t.shape[1]) + 2.0 * (q.T @ q)
+        assert np.array_equal(frames.closed_ricci[p], want)
+        assert np.array_equal(frames.closed_ricci[p],
+                              build_frame(system, [point]).closed_ricci[0])
 
 
 def test_stacked_validation_names_the_point():
     system, points = _setup(2, 2, n_points=2)
-    frames = build_frame(system, points)
-    block = np.array(frames.tangent[:, :, :3])
-    block[1, :, 2] = frames.normal[1, :, 0]
-    with pytest.raises(ValueError, match="point 1, column 2 "):
-        ricci_quadratic(system, frames, block)
-    with pytest.raises(ValueError):
-        ricci_quadratic(system, frames, block[:2])
     fake = FocalPoint(x=1.1 * points[0].x, residual_constraints=0.0,
                       residual_sphere=0.0)
     with pytest.raises(FrameError, match="point 2: "):

@@ -9,7 +9,7 @@ import pytest
 from fkm_willmore import (Check, FkmPolynomial, FocalPoint, FrameError,
                           SpectrumError, build_clifford_system, build_frame,
                           certify_point, deterministic_seed, fold,
-                          ricci_quadratic, rotate_system, sectional_curvature,
+                          rotate_system, sectional_curvature,
                           shape_operators)
 
 
@@ -59,13 +59,6 @@ def _nan_frame_point():
     build_frame(system, [point])
 
 
-def _nan_ricci_column():
-    system, frame = _one_frame()
-    block = np.array(frame.tangent[:, :, :2])
-    block[0, :, 1] = math.nan
-    ricci_quadratic(system, frame, block)
-
-
 def _nan_coefficient_row():
     system, frame = _one_frame()
     coeffs = np.eye(3)[None].copy()
@@ -103,13 +96,12 @@ def _nan_sectional_pair():
 
 @pytest.mark.parametrize("call,error", [
     (_nan_frame_point, FrameError),
-    (_nan_ricci_column, ValueError),
     (_nan_coefficient_row, ValueError),
     (_nan_shape_operator, SpectrumError),
     (_nan_sphere_row, ValueError),
     (_nan_rotation, ValueError),
     (_nan_sectional_pair, ValueError),
-], ids=["build_frame", "ricci_quadratic", "certify_point", "shape_operator",
+], ids=["build_frame", "certify_point", "shape_operator",
         "sphere_derivatives", "rotate_system", "sectional_curvature"])
 def test_input_guards_reject_nan(call, error):
     # each guard is `not (gap <= tol)`, which a NaN gap fails; `gap > tol`

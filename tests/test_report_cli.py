@@ -15,7 +15,6 @@ from fkm_willmore import (VerificationConfig, VerificationReport,
                           render_text, rotate_system, run_suite)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.geometry import take
-from fkm_willmore.polynomial import sphere_samples
 from fkm_willmore.report import DEFAULT_GRID, evaluate_system
 
 from conftest import conjugated_system
@@ -94,7 +93,7 @@ def test_json_byte_identical_across_runs():
     second = run_suite(cfg).to_json()
     assert first == second
     parsed = json.loads(first)
-    assert parsed["schema_version"] == 1
+    assert parsed["schema_version"] == 2
     assert parsed["overall_pass"] is True
     assert parsed["seed"] == 42
     assert parsed["config"]["configurations"] == [[1, 3], [2, 2]]
@@ -157,7 +156,7 @@ def test_evaluate_system_detects_corruption():
         assert "geometry" not in entry["blocks"]
 
 
-# the schema-1 key order of an evaluated entry and of each of its blocks
+# the schema-2 key order of an evaluated entry and of each of its blocks
 SCHEMA_KEYS = {
     "entry": ["m", "k", "l", "ambient_dim", "focal_dim", "admissible",
               "blocks", "pass"],
@@ -325,43 +324,36 @@ def test_main_binary_reproducible(tmp_path, monkeypatch, capsys):
 
 
 def test_ricci_crosscheck_matches_sequential_draws():
-    # the configuration's stage-2 stream, drawn block after block, gives the
-    # directions of a per-direction draw loop over the points in order, so
-    # the reported cross-check maximum agrees to rounding.  The residuals
-    # are rounding noise (~3e-13 here), so the bound sits below the 2.8e-14
-    # by which the maximum moves when each point draws from its own stream.
-    from numpy.random import default_rng
-
-    from fkm_willmore import (FocalPoint, build_frame, ricci_quadratic,
-                              shape_operators)
-    from fkm_willmore.report import _N_CROSSCHECK_DIRS, _subseed
+    # ricci_crosscheck_max is the supremum over unit tangents X of
+    # |Ric_closed(X) - Ric_tensor(X)|: it is the largest eigenvalue modulus
+    # of the difference matrix at the worst point, and no direction of a
+    # sequential draw of 100 directions a point exceeds it
+    from fkm_willmore import FocalPoint, build_frame, shape_operators
     cfg = tiny_config(configurations=((3, 2),), n_points=20, n_normals=0)
     system = build_clifford_system(3, 2)
     entry = evaluate_system(system, cfg, 0)
-    points = entry["blocks"]["points"]["coordinates"]
-    worst = 0.0
-    rng = default_rng(_subseed(cfg.seed, 0, 2))
-    for x in points:
+    reported = entry["blocks"]["geometry"]["ricci_crosscheck_max"]
+    rng = default_rng(2)
+    sampled, sups = [], []
+    for x in entry["blocks"]["points"]["coordinates"]:
         frame = build_frame(system, [FocalPoint(x=np.array(x),
                                                 residual_constraints=0.0,
                                                 residual_sphere=0.0)])
-        ricci = shape_operators(system, frame).ricci[0]
-        for _ in range(_N_CROSSCHECK_DIRS):
+        diff = frame.closed_ricci[0] - shape_operators(system, frame).ricci[0]
+        sups.append(np.max(np.abs(np.linalg.eigvalsh(diff))))
+        for _ in range(100):
             z = rng.standard_normal(frame.tangent.shape[2])
             z /= float(np.linalg.norm(z))
-            quad = ricci_quadratic(system, frame,
-                                   (frame.tangent @ z)[:, :, None])[0, 0]
-            worst = max(worst, abs(quad - float(z @ ricci @ z)))
-    assert abs(entry["blocks"]["geometry"]["ricci_crosscheck_max"]
-               - worst) <= 1e-14
+            sampled.append(abs(float(z @ diff @ z)))
+    assert reported == max(sups) > 0.0
+    assert max(sampled) <= reported
 
 
 @pytest.mark.parametrize("n_normals", [0, 3])
 def test_per_point_streams_are_named_subseeds(monkeypatch, n_normals):
-    # the per-point draws of a configuration come from one generator per
-    # stage, default_rng of the SeedSequence named (configuration, stage):
-    # stage 2 for the cross-check directions and stage 3 for the normals,
-    # each built once; with no random normals no stage-3 generator is built
+    # the per-point random normals of a configuration come from one
+    # generator, default_rng of the SeedSequence named (configuration, 3),
+    # built once; with no random normals no generator is built
     from numpy.random import SeedSequence, default_rng
 
     from fkm_willmore import report
@@ -377,7 +369,7 @@ def test_per_point_streams_are_named_subseeds(monkeypatch, n_normals):
     cfg = tiny_config(configurations=grid, n_points=20, n_normals=n_normals)
     for ci, (m, k) in enumerate(grid):
         evaluate_system(build_clifford_system(m, k), cfg, ci)
-    stages = (2, 3) if n_normals else (2,)
+    stages = (3,) if n_normals else ()
     assert [key for key, _ in made] == [(ci, stage)
                                         for ci in range(len(grid))
                                         for stage in stages]
@@ -387,36 +379,29 @@ def test_per_point_streams_are_named_subseeds(monkeypatch, n_normals):
 
 
 def _point_inputs(monkeypatch, n_points):
-    """Coordinates, cross-check directions (P, 100, n) and random normals
-    (P, 3, m+1) of one evaluation at (2, 2), 3 random normals a point."""
+    """Coordinates and random normals (P, 3, m+1) of one evaluation at
+    (2, 2), 3 random normals a point."""
     from fkm_willmore import report
-    samples, certify = report.sphere_samples, report.certify_point
-    seen = {"z": []}
+    certify = report.certify_point
+    seen = {}
 
-    def recording_samples(rng, count, dim):
-        seen["z"].append(samples(rng, count, dim))
-        return seen["z"][-1]
-
-    def recording_certify(system, frames, shapes, coeffs, **kwargs):
+    def recording_certify(system, frames, shapes, coeffs):
         seen["normals"] = np.array(coeffs[:, system.m + 1:])
-        return certify(system, frames, shapes, coeffs, **kwargs)
+        return certify(system, frames, shapes, coeffs)
 
-    monkeypatch.setattr(report, "sphere_samples", recording_samples)
     monkeypatch.setattr(report, "certify_point", recording_certify)
     cfg = tiny_config(configurations=((2, 2),), n_points=n_points,
                       n_normals=3)
     entry = evaluate_system(build_clifford_system(2, 2), cfg, 0)
     assert entry["pass"]
     return (np.array(entry["blocks"]["points"]["coordinates"]),
-            np.concatenate(seen["z"]).reshape(n_points, 100, -1),
             seen["normals"])
 
 
 def test_point_inputs_do_not_depend_on_the_point_count(monkeypatch):
-    # point p's start, directions and normals are row p of a row-major draw
-    # of its stage, so the first five points of a 20-point run (whose
-    # cross-check runs as blocks of 16 and 4 points) get the inputs of a
-    # 5-point run, and the draws are those of the named streams
+    # point p's start and normals are row p of a row-major draw of its
+    # stage, so the first five points of a 20-point run get the inputs of a
+    # 5-point run, and the normals are those of the named stream
     from numpy.random import SeedSequence, default_rng
 
     from fkm_willmore.report import DEFAULT_SEED
@@ -424,13 +409,10 @@ def test_point_inputs_do_not_depend_on_the_point_count(monkeypatch):
     twenty = _point_inputs(monkeypatch, 20)
     for a, b in zip(five, twenty):
         assert np.array_equal(a, b[:5])
-    # (2, 2): focal dimension 4, m + 1 = 3
-    z = sphere_samples(default_rng(SeedSequence(DEFAULT_SEED,
-                                                spawn_key=(0, 2))), 2000, 4)
-    assert np.array_equal(twenty[1], z.reshape(20, 100, 4))
+    # (2, 2): m + 1 = 3
     c = default_rng(SeedSequence(DEFAULT_SEED, spawn_key=(0, 3))) \
         .standard_normal((20, 3, 3))
-    assert np.array_equal(twenty[2], [[row / np.linalg.norm(row)
+    assert np.array_equal(twenty[1], [[row / np.linalg.norm(row)
                                        for row in rows] for rows in c])
 
 
@@ -470,18 +452,21 @@ def test_jsonable_arrays_match_the_element_walk():
     assert _jsonable([finite[0], np.float64(np.nan)]) == [[1.5, -0.0], None]
 
 
-@pytest.mark.parametrize("points,normals,bound_mb", [
-    # measured 3.0 MB; one block of all 100 points would add ~14 MB
-    (100, 0, 4.0),
+@pytest.mark.parametrize("m,k,points,normals,bound_mb", [
+    # measured 2.5 MB
+    (6, 1, 100, 0, 4.0),
     # measured 1.6 MB; the chain runs one point (57 normals) per block
-    (20, 50, 2.5),
-])
-def test_evaluate_system_memory_is_bounded(points, normals, bound_mb):
+    (6, 1, 20, 50, 2.5),
+    # measured 6.9 MB; one point's 60 normals take about 5 MB of chain
+    # rows, so a block of two points would pass 11 MB
+    (9, 1, 20, 50, 8.5),
+], ids=["100-0-4.0", "20-50-2.5", "9-1-20-50-8.5"])
+def test_evaluate_system_memory_is_bounded(m, k, points, normals, bound_mb):
     # the stacked layers run in blocks of bounded size, so the traced peak
     # of one configuration stays near that of a block
     import tracemalloc
-    system = build_clifford_system(6, 1)
-    cfg = VerificationConfig(configurations=((6, 1),), n_points=points,
+    system = build_clifford_system(m, k)
+    cfg = VerificationConfig(configurations=((m, k),), n_points=points,
                              n_normals=normals)
     evaluate_system(system, cfg, 0)
     tracemalloc.start()
@@ -549,47 +534,52 @@ def _on_result(fault):
         lambda *args, **kwargs: fault(original(*args, **kwargs)))
 
 
+def _shift_closed_ricci(frames):
+    # Ric_closed(X) + 2 for every unit X
+    n = frames.tangent.shape[2]
+    return replace(frames, closed_ricci=frames.closed_ricci + 2.0 * np.eye(n))
+
+
 def _probe_without_pairs(original):
     # with no pair products the closed form is Ric(X) = 2 (l - m - 2) for
     # every unit X, so every spread is 0
-    def probe(system, frames, shapes):
-        return original(system,
-                        replace(frames, pairs=np.zeros_like(frames.pairs)),
-                        shapes)
+    def probe(system, frames):
+        n = frames.tangent.shape[2]
+        constant = 2.0 * (system.l - system.m - 2) * np.eye(n)
+        return original(system, replace(frames, closed_ricci=np.broadcast_to(
+            constant, frames.closed_ricci.shape)))
     return probe
 
 
-@pytest.mark.parametrize("target,patch,failed,undecided", [
-    ("shape_operators", _on_result(_flip_one_point), ["willmore"], ()),
-    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"],
-     ("einstein",)),
-    ("shape_operators", _on_result(_scale_one_point), ["lemma"], ()),
-    ("ricci_quadratic", _on_result(lambda values: values + 2.0),
-     ["geometry"], ()),
-    ("einstein_probe", _probe_without_pairs, ["einstein"], ()),
+@pytest.mark.parametrize("target,patch,failed", [
+    ("shape_operators", _on_result(_flip_one_point), ["willmore"]),
+    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"]),
+    ("shape_operators", _on_result(_scale_one_point), ["lemma"]),
+    ("build_frame", _on_result(_shift_closed_ricci), ["geometry"]),
+    ("einstein_probe", _probe_without_pairs, ["einstein"]),
 ], ids=["flip-sign", "swap-points", "scale-one-point", "shift-crosscheck",
         "zero-pairs-einstein"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
-                                                failed, undecided):
-    # each fault is injected at the name report.py looks up; a flipped sign
-    # keeps every spectrum, a swap misplaces the Ricci tensors and the
-    # eigenbases, scaling one point's operators by 1 + 1e-7 moves its
-    # spectra by 1e-7 (above the lemma's 1e-8, inside the 1e-6 cluster
-    # radius, so the chain still runs), a shifted closed form moves only the
-    # cross-check, and a probe that sees no pair products finds the spread 0
-    # where (3, 2) must give evidence of a non-Einstein metric.  Every block
-    # not in `failed` passes, except the `undecided` ones: after the swap the
-    # probe reads point 4's Ricci tensor along point 3's extremal
-    # eigenvectors, which np.linalg.eigh picks inside a repeated eigenvalue
-    # by rounding, so whether that spread clears the probe's threshold is not
-    # a property of the swap
+                                                failed):
+    # each fault is injected at the name report.py looks up, and every block
+    # not in `failed` passes.  A flipped sign keeps every spectrum; a swap
+    # misplaces the Ricci tensors and the projectors, while the Einstein
+    # probe reads only the frames' closed-form Ricci matrices and still
+    # passes; scaling one point's operators by 1 + 1e-7 gives
+    # |A^3 - A| ~ 2e-7 (above the lemma's 1e-8, inside the 1e-6 cluster
+    # radius, so the chain still runs), and the purified projectors keep the
+    # scale out of every Willmore identity; a closed form shifted by 2 moves
+    # only the cross-check (the balance reads it through
+    # tr(Pi_{+1}) - tr(Pi_{-1}) = 0); and a probe that sees no pair
+    # products finds the spread 0 where (3, 2) must give evidence of a
+    # non-Einstein metric
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
                              n_normals=5)
     entry = evaluate_system(build_clifford_system(3, 2), cfg, 0)
     assert sorted(name for name, block in entry["blocks"].items()
-                  if not block["pass"] and name not in undecided) == failed
+                  if not block["pass"]) == failed
     if target == "einstein_probe":
         einstein = entry["blocks"]["einstein"]
         assert einstein["status"] == "evidence"
