@@ -24,9 +24,9 @@ systems with other entries (rotated or conjugated ones) are held to 1e-12.
 Admissibility: the focal manifold construction needs m2 = l - m - 1 >= 1.
 
 Rotations within the unit sphere of Span{P_0, ..., P_m} preserve all of the
-relations; `rotate_system` realises them with a closed-form orthonormal
-completion (one Householder reflection), so that repeated runs give bitwise
-identical output.
+relations; the Willmore chain realises them with a closed-form orthonormal
+completion (one Householder reflection, _orthonormal_completion), so that
+repeated runs give bitwise identical output.
 """
 
 from __future__ import annotations
@@ -37,17 +37,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityError
-from .records import Check, fold
+from .records import Check, fold, freeze
 
 __all__ = [
     "CliffordSystem",
-    "SkewGeneratorSet",
     "build_clifford_system",
     "build_skew_generators",
     "delta",
     "dump_matrices",
-    "parse_matrices",
-    "rotate_system",
     "verify_clifford_relations",
 ]
 
@@ -125,30 +122,9 @@ def _left_multiplication(table, t: int, dim: int) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class SkewGeneratorSet:
-    """Anticommuting orthogonal skew matrices: E_i E_j + E_j E_i = -2 delta_{ij} I."""
-
-    dim: int
-    matrices: tuple
-
-    def __post_init__(self):
-        mats = tuple(_freeze(E) for E in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def count(self) -> int:
-        return len(self.matrices)
-
-
-def _freeze(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-def build_skew_generators(m: int) -> SkewGeneratorSet:
-    """The m - 1 base skew generators on R^{delta(m)}.
+def build_skew_generators(m: int) -> tuple:
+    """The m - 1 base skew generators on R^{delta(m)}, as read-only
+    matrices: E_i E_j + E_j E_i = -2 delta_{ij} I, E_i^T = -E_i.
 
     m = 1 needs none; m = 2 uses the standard complex structure on R^2;
     m = 3, 4 use quaternion left multiplication by i, j(, k) on R^4;
@@ -159,26 +135,24 @@ def build_skew_generators(m: int) -> SkewGeneratorSet:
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if m == 1:
-        return SkewGeneratorSet(dim=1, matrices=())
-    if m == 2:
-        return SkewGeneratorSet(dim=2, matrices=(np.array(_J2),))
-    if m <= 4:
+        mats = ()
+    elif m == 2:
+        mats = (np.array(_J2),)
+    elif m <= 4:
         mats = tuple(_left_multiplication(_QUATERNION_TABLE, t, 4)
                      for t in range(1, m))
-        return SkewGeneratorSet(dim=4, matrices=mats)
-    if m <= 8:
+    elif m <= 8:
         table = _octonion_table()
         mats = tuple(_left_multiplication(table, t, 8) for t in range(1, m))
-        return SkewGeneratorSet(dim=8, matrices=mats)
-    if m == 9:
-        base = build_skew_generators(8).matrices
+    elif m == 9:
         split = np.diag([1.0, -1.0])
-        doubled = tuple(np.kron(split, E) for E in base)
-        extra = np.kron(np.array(_J2), np.eye(8))
-        return SkewGeneratorSet(dim=16, matrices=doubled + (extra,))
-    raise NotImplementedError(
-        f"m={m} needs a further Bott-periodicity doubling of the generator "
-        "set; only m <= 9 is constructed")
+        mats = (tuple(np.kron(split, E) for E in build_skew_generators(8))
+                + (np.kron(np.array(_J2), np.eye(8)),))
+    else:
+        raise NotImplementedError(
+            f"m={m} needs a further Bott-periodicity doubling of the "
+            "generator set; only m <= 9 is constructed")
+    return tuple(freeze(E) for E in mats)
 
 
 @dataclass(frozen=True)
@@ -203,7 +177,7 @@ class CliffordSystem:
         n = 2 * self.l
         mats = []
         for P in self.matrices:
-            P = _freeze(P)
+            P = freeze(P, float)
             if P.shape != (n, n):
                 raise ValueError(f"matrix shape {P.shape} != ({n}, {n})")
             mats.append(P)
@@ -249,7 +223,7 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     gens = build_skew_generators(m)
-    l = k * gens.dim
+    l = k * delta(m)
     m2 = l - m - 1
     if m2 < 1:
         raise AdmissibilityError(
@@ -261,7 +235,7 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
         np.block([[eye, zero], [zero, -eye]]),
         np.block([[zero, eye], [eye, zero]]),
     ]
-    for E in gens.matrices:
+    for E in gens:
         Ek = np.kron(np.eye(k), E)
         mats.append(np.block([[zero, Ek], [-Ek, zero]]))
     return CliffordSystem(m=m, l=l, matrices=tuple(mats))
@@ -309,32 +283,11 @@ def _orthonormal_completion(first: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotate_system(system: CliffordSystem, coeffs) -> CliffordSystem:
-    """Rotate the system so that the new P_0 is sum_a c_a P_a.
-
-    `coeffs` must be a unit vector in R^{m+1}.  The remaining matrices are
-    the images of the Householder completion of `coeffs` (rows 1..m of
-    I - w w^T / (1 + |c_0|), see _orthonormal_completion), so the output is
-    a Clifford system spanning the same space (relations hold within 1e-12;
-    entries are floats in general).  A coordinate vector e_j swaps P_0 and
-    P_j and keeps the other matrices.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (system.m + 1,):
-        raise ValueError(
-            f"coefficient shape {c.shape} != ({system.m + 1},)")
-    if not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12:
-        raise ValueError("rotation coefficients must form a unit vector")
-    basis = _orthonormal_completion(c[None])[0]
-    new = np.einsum("ab,bij->aij", basis, system.stack)
-    return CliffordSystem(m=system.m, l=system.l, matrices=tuple(new))
-
-
 def dump_matrices(system: CliffordSystem) -> str:
     """Plain-text dump: header "2l m", then m+1 blocks of 2l integer rows.
 
-    Only integer systems (freshly built ones) are dumpable; rotated systems
-    raise ValueError.
+    Only integer systems (freshly built ones) are dumpable; rotated or
+    conjugated systems raise ValueError.
     """
     if not system.integer:
         raise ValueError(
@@ -345,29 +298,3 @@ def dump_matrices(system: CliffordSystem) -> str:
         for row in P:
             lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def parse_matrices(text: str) -> CliffordSystem:
-    """Inverse of dump_matrices."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix dump")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"malformed header {lines[0]!r}, expected '2l m'")
-    n, m = int(head[0]), int(head[1])
-    if n <= 0 or n % 2 != 0:
-        raise ValueError(f"ambient dimension must be even and positive, got {n}")
-    expected = 1 + (m + 1) * n
-    if len(lines) != expected:
-        raise ValueError(f"expected {expected} lines, got {len(lines)}")
-    mats = []
-    pos = 1
-    for _ in range(m + 1):
-        rows = [[float(v) for v in lines[pos + r].split()] for r in range(n)]
-        pos += n
-        P = np.array(rows)
-        if P.shape != (n, n):
-            raise ValueError("matrix block has wrong row length")
-        mats.append(P)
-    return CliffordSystem(m=m, l=n // 2, matrices=tuple(mats))

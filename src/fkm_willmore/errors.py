@@ -31,13 +31,8 @@ class AdmissibilityError(ValueError):
 
 
 class CertificationError(RuntimeError):
-    """A candidate point failed the fixed certification thresholds."""
-
-    def __init__(self, message: str, residual_constraints: float = 0.0,
-                 residual_sphere: float = 0.0):
-        super().__init__(message)
-        self.residual_constraints = residual_constraints
-        self.residual_sphere = residual_sphere
+    """A candidate point failed certification; the message names the point
+    and the residuals that failed."""
 
 
 class SamplingError(RuntimeError):

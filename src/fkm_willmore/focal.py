@@ -12,40 +12,40 @@ built that way from the projectors (I +- P_0) / 2, using nothing but the
 Clifford relations, so they hold for any representation of the system.
 Nothing is searched for: a point is constructed, then certified.
 
-Every point, the seed included, passes one rule (see certify): the
+Every point, the seed included, passes one rule (see _certify): the
 constraint, sphere and value residuals against fixed thresholds, and the
 Gram identity of the constraint normals.  At a point of M+ the rows
 x, P_0 x, ..., P_m x are orthonormal, so J J^T = 4 I for the constraint
 Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation above 1e-6 means the
 matrices are not a Clifford system, whatever the residuals say.
 
-Sampling draws one block of Gaussian rows per attempt round from the
-sub-seed of that attempt, one row per point, maps each row onto M+ and
-certifies the rows of the points still missing in one stacked pass, so the
-result list has a fixed order and a point's start does not depend on the
-other points.  A point whose row fails certification retries with its row
-of the next attempt.
+sample_focal_points returns all points as one FocalPoints record, row 0
+the seed.  The other rows come from one block of Gaussian rows per attempt
+round, drawn from the sub-seed of that attempt, one row per point.  Each
+row is mapped onto M+, and the rows of all points still missing are
+certified in one stacked pass, the seed's with those of the first round.
+So the record has a fixed order, and a point's start does not depend on
+the other points.  A point whose row fails certification retries with its
+row of the next attempt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .clifford import CliffordSystem
 from .errors import CertificationError, SamplingError
-from .records import fold
+from .records import fold, freeze
 
 __all__ = [
     "CONSTRAINT_TOL",
-    "FocalPoint",
+    "FocalPoints",
     "SPHERE_TOL",
     "VALUE_TOL",
-    "deterministic_seed",
     "sample_focal_points",
-    "tangent_jacobian_rank",
 ]
 
 # Fixed certification thresholds.
@@ -54,102 +54,100 @@ SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
 _GRAM_TOL = 1e-6           # max |J J^T / 4 - I|
+_RANK_TOL = 1e-8           # singular values above this count for the rank
 _MAX_RETRIES = 10
 _SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
-class FocalPoint:
-    """A certified point of M+ together with its certification residuals."""
+class FocalPoints:
+    """n certified points of M+ and the residuals of their certification.
+
+    `x` (n, 2l) holds the points as rows, row 0 the closed-form seed.  The
+    other fields are (n,) arrays from the one certification pass of each
+    row: max_a |g_a(x)|, | |x|^2 - 1 |, |F(x) - 1| = | |x|^4 - 2 |g|^2 - 1 |
+    and the rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x.
+    Full rank m + 2 certifies that the constraint normals span the whole
+    normal space plus the radial direction (singular values above 1e-8
+    count).
+    """
 
     x: np.ndarray
-    residual_constraints: float
-    residual_sphere: float
+    residual_constraints: np.ndarray
+    residual_sphere: np.ndarray
+    value_gap: np.ndarray
+    jacobian_rank: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-
-
-def _rows(system: CliffordSystem, x: np.ndarray):
-    """P_a x as (K, m+1, 2l), g_a(x) as (K, m+1) and |x|^2 as (K,) for the
-    rows of a (K, 2l) stack.
-
-    Each product is a stacked matrix-vector or vector-vector product, so
-    every row gets the rounding of the one-point expressions stack @ x,
-    (stack @ x) @ x and x @ x bit for bit, whatever K is.  (einsum, sums of
-    elementwise products and np.linalg.norm with an axis round differently
-    in the last place.)
-    """
-    px = system.apply(x)
-    g = np.matmul(px, x[..., None])[..., 0]
-    return px, g, _dot(x, x)
+        for f in fields(self):
+            object.__setattr__(self, f.name, freeze(getattr(self, f.name)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_k, b_k> for the rows of two (K, d) stacks, each with the rounding
-    of the one-point a_k @ b_k (see _rows)."""
+    of the one-point a_k @ b_k.  (einsum, sums of elementwise products and
+    np.linalg.norm with an axis round differently in the last place.)"""
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
-def _normals(x: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """The rows x, P_0 x, ..., P_m x as (K, m+2, 2l): half the constraint
-    Jacobian at each point."""
-    return np.concatenate([x[:, None, :], px], axis=1)
+def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
+    """The certification of every row of a (K, 2l) stack, in one pass.
 
+    Returns (K,) arrays under the names of the FocalPoints fields, plus
+    `gram`, max |J J^T / 4 - I|, `finite` and `passed`: max |g_a| <= 1e-10,
+    | |x|^2 - 1 | <= 1e-12, |F(x) - 1| <= 1e-9 and gram <= 1e-6, so a NaN
+    residual never passes.  The rank is taken only at rows that pass (0
+    elsewhere).  A row with a non-finite coordinate enters no product: its
+    residuals are NaN.
 
-def _verdicts(x: np.ndarray, px: np.ndarray, g: np.ndarray,
-              xx: np.ndarray) -> list:
-    """Each row of x, with its P_a x, constraint values g and |x|^2 from
-    _rows, certified: its FocalPoint, or the CertificationError that
-    rejects it.
-
-    The thresholds of certify are applied to the whole stack at once; a
-    residual passes when it is <= its threshold, so NaN fails.
+    P_a x is formed once, as a stacked matrix-vector product, so every row
+    gets the rounding of the one-point expressions stack @ x, (stack @ x) @ x
+    and x @ x bit for bit, whatever K is.
     """
-    res_c = fold(np.abs(g), axis=1)
-    res_s = np.abs(xx - 1.0)
-    value_gap = np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0)
-    rows = _normals(x, px)
+    finite = np.all(np.isfinite(x), axis=1)
+    x = np.where(finite[:, None], x, 0.0)
+    px = system.apply(x)
+    g = np.matmul(px, x[..., None])[..., 0]
+    xx = _dot(x, x)
+    rows = np.concatenate([x[:, None, :], px], axis=1)   # J / 2
     gram = np.max(np.abs(rows @ rows.transpose(0, 2, 1)
                          - np.eye(rows.shape[1])), axis=(1, 2))
-    passed = ((res_c <= CONSTRAINT_TOL) & (res_s <= SPHERE_TOL)
-              & (value_gap <= VALUE_TOL))
-    out = []
-    for xi, c, s, v, d, ok in zip(x, res_c.tolist(), res_s.tolist(),
-                                  value_gap.tolist(), gram.tolist(), passed):
-        if not ok:
-            out.append(CertificationError(
-                f"point failed certification: constraints {c:.3e} "
-                f"(tol {CONSTRAINT_TOL:.1e}), sphere {s:.3e} "
-                f"(tol {SPHERE_TOL:.1e}), value gap {v:.3e} "
-                f"(tol {VALUE_TOL:.1e})",
-                residual_constraints=c, residual_sphere=s))
-        elif not d <= _GRAM_TOL:
-            out.append(CertificationError(
-                f"point failed certification: Gram matrix of the "
-                f"constraint normals deviates from J J^T = 4I by {d:.3e} "
-                f"(tol {_GRAM_TOL:.1e})",
-                residual_constraints=c, residual_sphere=s))
-        else:
-            out.append(FocalPoint(x=xi, residual_constraints=c,
-                                  residual_sphere=s))
+    out = {"residual_constraints": fold(np.abs(g), axis=1),
+           "residual_sphere": np.abs(xx - 1.0),
+           "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
+           "gram": gram}
+    for values in out.values():
+        values[~finite] = np.nan
+    out["finite"] = finite
+    out["passed"] = ((out["residual_constraints"] <= CONSTRAINT_TOL)
+                     & (out["residual_sphere"] <= SPHERE_TOL)
+                     & (out["value_gap"] <= VALUE_TOL)
+                     & (gram <= _GRAM_TOL))
+    rank = np.zeros(len(x), dtype=int)
+    if out["passed"].any():
+        rank[out["passed"]] = np.linalg.matrix_rank(rows[out["passed"]],
+                                                    tol=_RANK_TOL)
+    out["jacobian_rank"] = rank
     return out
 
 
-def certify(system: CliffordSystem, x: np.ndarray) -> FocalPoint:
-    """Wrap x as a FocalPoint or raise CertificationError.
-
-    Checks max |g_a| <= 1e-10, | |x|^2 - 1 | <= 1e-12 and |F(x) - 1| <= 1e-9,
-    under the keys of the report's points block, and that the Gram matrix
-    of x, P_0 x, ..., P_m x is the identity to 1e-6 (J J^T = 4 I).
-    """
-    x = np.asarray(x, dtype=float)[None]
-    (result,) = _verdicts(x, *_rows(system, x))
-    if isinstance(result, CertificationError):
-        raise result
-    return result
+def _rejection(cert: dict, i: int) -> CertificationError:
+    """The error that rejects row i of a _certify result, naming it as
+    point i."""
+    c = float(cert["residual_constraints"][i])
+    s = float(cert["residual_sphere"][i])
+    v = float(cert["value_gap"][i])
+    d = float(cert["gram"][i])
+    if not cert["finite"][i]:
+        reason = "non-finite coordinates"
+    elif not (c <= CONSTRAINT_TOL and s <= SPHERE_TOL and v <= VALUE_TOL):
+        reason = (f"constraints {c:.3e} (tol {CONSTRAINT_TOL:.1e}), sphere "
+                  f"{s:.3e} (tol {SPHERE_TOL:.1e}), value gap {v:.3e} "
+                  f"(tol {VALUE_TOL:.1e})")
+    else:
+        reason = (f"Gram matrix of the constraint normals deviates from "
+                  f"J J^T = 4I by {d:.3e} (tol {_GRAM_TOL:.1e})")
+    return CertificationError(f"point {i} failed certification: {reason}")
 
 
 def _eigenparts(system: CliffordSystem, z: np.ndarray):
@@ -210,7 +208,7 @@ def _first_unit(rows: np.ndarray) -> np.ndarray:
     return rows[found[0]] / norms[found[0]]
 
 
-def deterministic_seed(system: CliffordSystem) -> FocalPoint:
+def _seed_row(system: CliffordSystem) -> np.ndarray:
     """A fixed, RNG-free point of M+, built from the eigenspaces of P_0.
 
     u is the first (I + P_0) e_j / 2 of norm above 1e-6, normalized; w is
@@ -225,57 +223,53 @@ def deterministic_seed(system: CliffordSystem) -> FocalPoint:
     plus, minus = _eigenparts(system, eye)
     u = _first_unit(plus)
     w = _first_unit(_reduce(system, np.broadcast_to(u, eye.shape), minus))
-    return certify(system, (u + w) / np.sqrt(2.0))
+    return (u + w) / np.sqrt(2.0)
 
 
-def sample_focal_points(system: CliffordSystem, n: int, seed: int) -> list:
-    """n certified points from independent Gaussian rows mapped onto M+.
+def sample_focal_points(system: CliffordSystem, n: int,
+                        seed: int) -> FocalPoints:
+    """n certified points of M+: the closed-form seed (row 0) and n - 1
+    points from independent Gaussian rows mapped onto M+.
 
-    Attempt a draws one (n, 2l) Gaussian block from the sub-seed
-    (seed, spawn_key=(a,)), and point i takes row i of it, mapped onto M+
-    through the eigenspaces of P_0 (a row without an image keeps its raw
-    value, and fails certification).  Each attempt round certifies the rows
-    of all points still missing in one stacked pass; a point whose row
-    fails retries with the next attempt's row, up to 10 retries, so a
-    point depends only on i and its own retry count, never on n or on
-    which other points failed.
+    Attempt a draws one (n - 1, 2l) Gaussian block from the sub-seed
+    (seed, spawn_key=(a,)), and sampled point i (row i + 1 of the record)
+    takes row i of it, mapped onto M+ through the eigenspaces of P_0 (a row
+    without an image keeps its raw value, and fails certification).  Each
+    attempt round certifies the rows of all points still missing in one
+    stacked pass, the seed's with attempt 0's.  A seed that fails raises
+    CertificationError; a sampled point whose row fails retries with the
+    next attempt's row, up to 10 retries, so a point depends only on i and
+    its own retry count, never on n or on which other points failed.
     """
     if n < 1:
         raise ValueError("n must be positive")
     entropy = int(seed) & _SEED_MASK
-    points = [None] * n
+    x = np.empty((n, system.ambient_dim))
+    x[0] = _seed_row(system)
+    out = {"residual_constraints": np.zeros(n), "residual_sphere": np.zeros(n),
+           "value_gap": np.zeros(n), "jacobian_rank": np.zeros(n, dtype=int)}
     failures = np.zeros(n, dtype=int)
     pending = np.arange(n)
     for attempt in range(_MAX_RETRIES + 1):
         if not pending.size:
             break
-        rng = default_rng(SeedSequence(entropy, spawn_key=(attempt,)))
-        x = _onto_focal(
-            system, rng.standard_normal((n, system.ambient_dim))[pending])
-        for i, result in zip(pending, _verdicts(x, *_rows(system, x))):
-            if isinstance(result, FocalPoint):
-                points[i] = result
-            else:
-                failures[i] += 1
-        # a point still missing has failed every attempt so far
-        pending = pending[failures[pending] > attempt]
+        drawn = pending[pending > 0]
+        if drawn.size:
+            rng = default_rng(SeedSequence(entropy, spawn_key=(attempt,)))
+            z = rng.standard_normal((n - 1, system.ambient_dim))
+            x[drawn] = _onto_focal(system, z[drawn - 1])
+        cert = _certify(system, x[pending])
+        passed = cert["passed"]
+        if pending[0] == 0 and not passed[0]:
+            raise _rejection(cert, 0)
+        for name, values in out.items():
+            values[pending[passed]] = cert[name][passed]
+        failures[pending[~passed]] += 1
+        pending = pending[~passed]
     if pending.size:
         i = int(pending[0])
         total = int(np.sum(failures[:i + 1]))
         raise SamplingError(
-            f"sample point {i} failed after {_MAX_RETRIES + 1} attempts "
+            f"point {i} failed after {_MAX_RETRIES + 1} attempts "
             f"({total} failed attempts so far)", failures=total)
-    return points
-
-
-def tangent_jacobian_rank(system: CliffordSystem, points) -> np.ndarray:
-    """Rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x at each
-    of a sequence of points, from one stacked SVD.
-
-    Full rank m + 2 certifies that the constraint normals span the whole
-    normal space plus the radial direction (singular values above 1e-8
-    count).
-    """
-    x = np.array([p.x for p in points])
-    px, _, _ = _rows(system, x)
-    return np.linalg.matrix_rank(_normals(x, px), tol=1e-8)
+    return FocalPoints(x=x, **out)

@@ -7,8 +7,6 @@ Conventions at a point x of M+:
   * shape operators: A_a X = -(P_a X)^tangential, i.e. in frame coordinates
     (A_a)_{ij} = -<P_a e_i, e_j>, which is also the second fundamental form
     component h^a_{ij};
-  * sectional curvature of an orthonormal tangent pair (Gauss equation):
-      K(X, Y) = 1 + sum_a ( <P_a X, X><P_a Y, Y> - <P_a X, Y>^2 );
   * Ricci form of the induced metric (closed form), as the matrix
       Ric_closed = 2 (l - m - 2) I + 2 Q^T Q, where the rows of Q are the
       pair vectors P_a P_b x, a < b, in tangent coordinates, so that
@@ -29,6 +27,7 @@ import numpy as np
 
 from .clifford import CliffordSystem
 from .errors import FrameError
+from .records import freeze
 
 __all__ = [
     "AdaptedFrame",
@@ -36,23 +35,11 @@ __all__ = [
     "ShapeData",
     "build_frame",
     "pair_products",
-    "sectional_curvature",
-    "sectional_curvature_from_shape",
     "shape_operators",
     "take",
 ]
 
 FRAME_GRAM_TOL = 1e-8
-_TANGENCY_TOL = 1e-8
-_UNIT_TOL = 1e-10
-
-
-def _freeze(record, names=()) -> None:
-    """Store the fields `names` (all by default) as read-only arrays."""
-    for name in names or [f.name for f in fields(record)]:
-        arr = np.array(getattr(record, name), dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(record, name, arr)
 
 
 def take(block, rows):
@@ -83,27 +70,35 @@ class AdaptedFrame:
     closed_ricci: np.ndarray
 
     def __post_init__(self):
-        _freeze(self)
+        for f in fields(self):
+            object.__setattr__(self, f.name, freeze(getattr(self, f.name)))
 
 
-def build_frame(system: CliffordSystem, points) -> AdaptedFrame:
-    """Deterministic adapted frames at a sequence of certified points.
+def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
+    """Deterministic adapted frames at the certified points, the rows of a
+    (P, 2l) array x.
 
     The tangent basis comes from the complete Householder QR of the
     2l x (m + 2) block [x | P_0 x .. P_m x]: the trailing 2l - (m + 2)
     columns of Q are an orthonormal basis of the orthogonal complement of
     that block.  Every assembled frame must reproduce the identity Gram
-    matrix within 1e-8, else FrameError naming the first point that fails.
-    One stacked QR serves all points; a frame does not depend on the
-    others.  The closed-form Ricci matrix needs codimension headroom
-    l >= m + 2; admissible systems always have it, the check is defensive.
+    matrix within 1e-8, else FrameError naming the first point that fails;
+    a point with a non-finite coordinate fails before any product.  P_a x
+    is formed once, for the normals and the pair products; one stacked QR
+    serves all points, and a frame does not depend on the others.  The
+    closed-form Ricci matrix needs codimension headroom l >= m + 2;
+    admissible systems always have it, the check is defensive.
     """
     if system.l < system.m + 2:
         raise ValueError("closed-form Ricci needs l >= m + 2")
     n = system.ambient_dim
     codim = system.m + 1
-    x = np.array([p.x for p in points]).reshape(-1, n)
-    normal = system.apply(x).transpose(0, 2, 1)     # columns xi_a = P_a x
+    x = np.asarray(x, dtype=float).reshape(-1, n)
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
+    if bad.size:
+        raise FrameError(f"point {bad[0]}: non-finite coordinates")
+    px = system.apply(x)
+    normal = px.transpose(0, 2, 1)                  # columns xi_a = P_a x
     lead = np.concatenate([x[:, :, None], normal], axis=2)
     q, _ = np.linalg.qr(lead, mode="complete")
     tangent = q[:, :, codim + 1:]
@@ -115,7 +110,7 @@ def build_frame(system: CliffordSystem, points) -> AdaptedFrame:
         raise FrameError(
             f"point {bad[0]}: adapted frame failed completeness: Gram "
             f"deviation {gram_dev[bad[0]]:.3e} (tol {FRAME_GRAM_TOL:.1e})")
-    pairs = pair_products(system, x)
+    pairs = pair_products(system, px)
     idx_a, idx_b = np.triu_indices(codim, k=1)
     rows = pairs[:, idx_a, idx_b] @ tangent      # Q, (P, m(m+1)/2, n)
     closed_ricci = (2.0 * (system.l - system.m - 2) * np.eye(tangent.shape[2])
@@ -139,7 +134,8 @@ class ShapeData:
     ricci: np.ndarray              # (P, n, n)
 
     def __post_init__(self):
-        _freeze(self)
+        for f in fields(self):
+            object.__setattr__(self, f.name, freeze(getattr(self, f.name)))
 
 
 def shape_operators(system: CliffordSystem,
@@ -162,51 +158,11 @@ def shape_operators(system: CliffordSystem,
                      mean_curvature=h_vec, ricci=ricci)
 
 
-def _tangency_residual(frame: AdaptedFrame, cols: np.ndarray) -> np.ndarray:
-    """Norm of the components along x and the normals P_a x of every column
-    of a (P, 2l, K) stack, block p taken at point p; shape (P, K)."""
-    parts = np.concatenate([frame.x[:, None, :] @ cols,
-                            frame.normal.transpose(0, 2, 1) @ cols], axis=1)
-    return np.linalg.norm(parts, axis=1)
+def pair_products(system: CliffordSystem, px: np.ndarray) -> np.ndarray:
+    """P_a P_b x for all a, b, diagonal included, from the normals P_b x.
 
-
-def sectional_curvature(system: CliffordSystem, frame: AdaptedFrame,
-                        X, Y) -> np.ndarray:
-    """K(X_p, Y_p) for an orthonormal tangent pair at every point p,
-    directly from the P_a; X and Y are (P, 2l), the result (P,)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    gap = np.maximum.reduce([np.abs(np.linalg.norm(X, axis=1) - 1.0),
-                             np.abs(np.linalg.norm(Y, axis=1) - 1.0),
-                             np.abs(np.sum(X * Y, axis=1))])
-    if not np.all(gap <= _UNIT_TOL):
-        raise ValueError("sectional curvature needs an orthonormal pair")
-    if not np.all(_tangency_residual(frame, np.stack([X, Y], axis=2))
-                  <= _TANGENCY_TOL):
-        raise ValueError("sectional curvature needs tangent vectors")
-    px = system.apply(X)
-    py = system.apply(Y)
-    xy = np.sum(px * Y[:, None], axis=2)
-    return 1.0 + np.sum(np.sum(px * X[:, None], axis=2)
-                        * np.sum(py * Y[:, None], axis=2) - xy * xy, axis=1)
-
-
-def sectional_curvature_from_shape(frame: AdaptedFrame, shape: ShapeData,
-                                   X, Y) -> np.ndarray:
-    """Same quantity through the shape operators (Gauss equation route)."""
-    def form(u, v):                 # <A_a u, v> for every point and a
-        return np.einsum("kapq,kp,kq->ka", shape.operators, u, v)
-
-    p = np.einsum("kip,ki->kp", frame.tangent, np.asarray(X, dtype=float))
-    q = np.einsum("kip,ki->kp", frame.tangent, np.asarray(Y, dtype=float))
-    return 1.0 + np.sum(form(p, p) * form(q, q) - form(p, q) ** 2, axis=1)
-
-
-def pair_products(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
-    """P_a P_b x for all a, b as one (m+1, m+1, 2l) array, diagonal included.
-
-    `x` is one point (2l,) or a (K, 2l) stack of points, which gives a
-    (K, m+1, m+1, 2l) stack.
+    `px` is system.apply(x): (m+1, 2l) for one point, which gives an
+    (m+1, m+1, 2l) array, or (K, m+1, 2l) for a stack of points, which
+    gives a (K, m+1, m+1, 2l) stack.
     """
-    return np.einsum("aij,...bj->...abi", system.stack, system.apply(x))
-
+    return np.einsum("aij,...bj->...abi", system.stack, px)

@@ -10,8 +10,8 @@ Its restriction f to the unit sphere satisfies the two isoparametric PDEs
     lap_S f      = 8 (m2 - m1) - 4 (2l + 2) f,
 
 with multiplicities m1 = m and m2 = l - m - 1.  `verify_cartan_munzner`
-checks both residuals at random unit points; everything else here supplies
-the exact ambient derivatives those checks are reduced to.
+checks both residuals at random unit points, from the exact ambient
+derivatives that `FkmPolynomial.sphere_derivatives` reduces them to.
 """
 
 from __future__ import annotations
@@ -27,26 +27,12 @@ from .records import Check, fold
 
 __all__ = [
     "FkmPolynomial",
-    "SphericalDerivatives",
     "sphere_samples",
     "verify_cartan_munzner",
 ]
 
 # verify_cartan_munzner evaluates its samples this many at a time.
 _SAMPLE_BLOCK = 250
-
-
-@dataclass(frozen=True)
-class SphericalDerivatives:
-    """Restriction data at a unit point: value, tangential gradient, intrinsic Laplacian.
-
-    For a block of K points the fields are arrays of shape (K,), (K, 2l)
-    and (K,).
-    """
-
-    value: float | np.ndarray
-    gradient: np.ndarray
-    laplacian: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,13 +59,6 @@ class FkmPolynomial:
     def m2(self) -> int:
         return self.system.m2
 
-    def _check_shape(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient_dim,):
-            raise ValueError(
-                f"point shape {x.shape} != ({self.ambient_dim},)")
-        return x
-
     def _check_points(self, x) -> np.ndarray:
         """One point (2l,) or a block of points (K, 2l), one per row."""
         x = np.asarray(x, dtype=float)
@@ -94,25 +73,9 @@ class FkmPolynomial:
         px = x @ self.system.stack.transpose(0, 2, 1)
         return px, np.sum(px * x, axis=-1), np.sum(x * x, axis=-1)
 
-    def constraint_values(self, x) -> np.ndarray:
-        """g_a(x) = <P_a x, x> for a = 0..m."""
-        x = self._check_shape(x)
-        return self.system.stack @ x @ x
-
     @staticmethod
     def _value(g, xx):
         return xx * xx - 2.0 * np.sum(g * g, axis=0)
-
-    @staticmethod
-    def _gradient(x, px, g, xx) -> np.ndarray:
-        return 4.0 * xx[..., None] * x - 8.0 * np.sum(g[..., None] * px,
-                                                      axis=0)
-
-    def _laplacian(self, px, g, xx):
-        traces = np.trace(self.system.stack, axis1=1, axis2=2)
-        return ((8.0 + 4.0 * self.ambient_dim) * xx
-                - 16.0 * np.sum(px * px, axis=(0, -1))
-                - 8.0 * (traces @ g))
 
     def value(self, x):
         """F at one point (a float) or at each row of a block (an array)."""
@@ -120,54 +83,14 @@ class FkmPolynomial:
         _, g, xx = self._terms(x)
         return _scalar(self._value(g, xx), x)
 
-    def euclidean_gradient(self, x) -> np.ndarray:
-        """grad F = 4 |x|^2 x - 8 sum_a g_a(x) P_a x, row-wise for a block."""
-        x = self._check_points(x)
-        return self._gradient(x, *self._terms(x))
-
-    def laplacian(self, x):
-        """Ambient lap F, the Hessian trace taken term by term:
-
-        lap F = (8 + 4 (2l)) |x|^2 - 16 sum_a |P_a x|^2
-                - 8 sum_a g_a(x) trace(P_a).
-
-        No Hessian is formed, so a block of K points costs O(K m l).
-        """
-        x = self._check_points(x)
-        return _scalar(self._laplacian(*self._terms(x)), x)
-
-    def euclidean_hessian_apply(self, x, v) -> np.ndarray:
-        """Directional derivative of the gradient:
-
-        Hess F(x) v = 8 <x, v> x + 4 |x|^2 v
-                      - 16 sum_a <P_a x, v> P_a x - 8 sum_a g_a(x) P_a v.
-        """
-        x = self._check_shape(x)
-        v = self._check_shape(v)
-        px = self.system.stack @ x
-        g = px @ x
-        pv = self.system.stack @ v
-        return (8.0 * float(x @ v) * x + 4.0 * float(x @ x) * v
-                - 16.0 * ((px @ v) @ px) - 8.0 * (g @ pv))
-
-    def hessian_matrix(self, x) -> np.ndarray:
-        """The analytic Hessian as a dense symmetric matrix."""
-        x = self._check_shape(x)
-        n = self.ambient_dim
-        px = self.system.stack @ x
-        g = px @ x
-        mat = 8.0 * np.outer(x, x) + 4.0 * float(x @ x) * np.eye(n)
-        mat -= 16.0 * np.einsum("ai,aj->ij", px, px)
-        mat -= 8.0 * np.einsum("a,aij->ij", g, self.system.stack)
-        return mat
-
-    def sphere_derivatives(self, x) -> SphericalDerivatives:
+    def sphere_derivatives(self, x) -> tuple:
         """Value, intrinsic gradient and intrinsic Laplacian at unit points.
 
-        x is one unit point, or a (K, 2l) block of unit points (one per
-        row), which gives arrays with a leading axis of length K.  Both
-        reductions follow from degree-4 homogeneity.  The sphere gradient is
-        the tangential projection of the ambient gradient.  For the
+        x is one unit point, which gives (float, (2l,), float), or a (K, 2l)
+        block of unit points (one per row), which gives arrays (K,),
+        (K, 2l) and (K,).  Both reductions follow from degree-4 homogeneity.
+        The sphere gradient is the tangential projection of the ambient
+        gradient grad F = 4 |x|^2 x - 8 sum_a g_a(x) P_a x.  For the
         Laplacian, split the ambient operator at r = |x| = 1 into radial and
         spherical parts; with F = r^g f on rays (g = 4, ambient dimension
         n = 2l),
@@ -175,7 +98,11 @@ class FkmPolynomial:
             lap F = lap_S f + g (g - 1) F + (n - 1) g F,
 
         so lap_S f = lap F - g (g + n - 2) F = lap F - 4 (2l + 2) F.  The
-        ambient Laplacian is the trace of the analytic Hessian (`laplacian`).
+        ambient Laplacian is the trace of the analytic Hessian, taken term
+        by term with no Hessian formed (a block of K points costs O(K m l)):
+
+            lap F = (8 + 4 (2l)) |x|^2 - 16 sum_a |P_a x|^2
+                    - 8 sum_a g_a(x) trace(P_a).
         """
         x = self._check_points(x)
         unit_gap = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
@@ -185,13 +112,15 @@ class FkmPolynomial:
                              f"{bad[0]} is off the sphere)")
         # P_a x, g_a and |x|^2 once, for all three derivatives
         px, g, xx = self._terms(x)
-        grad = self._gradient(x, px, g, xx)
+        grad = 4.0 * xx[..., None] * x - 8.0 * np.sum(g[..., None] * px,
+                                                      axis=0)
         grad_s = grad - np.sum(grad * x, axis=-1)[..., None] * x
         value = _scalar(self._value(g, xx), x)
-        lap_s = (_scalar(self._laplacian(px, g, xx), x)
-                 - 4.0 * (self.ambient_dim + 2.0) * value)
-        return SphericalDerivatives(value=value, gradient=grad_s,
-                                    laplacian=lap_s)
+        traces = np.trace(self.system.stack, axis1=1, axis2=2)
+        lap = ((8.0 + 4.0 * self.ambient_dim) * xx
+               - 16.0 * np.sum(px * px, axis=(0, -1)) - 8.0 * (traces @ g))
+        lap_s = _scalar(lap, x) - 4.0 * (self.ambient_dim + 2.0) * value
+        return value, grad_s, lap_s
 
 
 def _scalar(out, x):
@@ -233,10 +162,11 @@ def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed,
     worst_grad = []
     worst_lap = []
     for start in range(0, n_samples, _SAMPLE_BLOCK):
-        d = poly.sphere_derivatives(points[start:start + _SAMPLE_BLOCK])
-        r_grad = np.abs(np.sum(d.gradient * d.gradient, axis=1)
-                        - 16.0 * (1.0 - d.value * d.value))
-        r_lap = np.abs(d.laplacian - const + slope * d.value)
+        value, grad, lap = poly.sphere_derivatives(
+            points[start:start + _SAMPLE_BLOCK])
+        r_grad = np.abs(np.sum(grad * grad, axis=1)
+                        - 16.0 * (1.0 - value * value))
+        r_lap = np.abs(lap - const + slope * value)
         worst_grad.append(fold(r_grad))
         worst_lap.append(fold(r_lap))
     return (Check("max_gradient_residual", fold(worst_grad), tol),

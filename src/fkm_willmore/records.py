@@ -1,4 +1,5 @@
-"""The one result record of the verifier and the fold that aggregates it."""
+"""The one result record of the verifier, the fold that aggregates it, and
+the freeze that makes the arrays of every record read-only."""
 
 from __future__ import annotations
 
@@ -6,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Check", "fold"]
+__all__ = ["Check", "fold", "freeze"]
+
+
+def freeze(value, dtype=None) -> np.ndarray:
+    """A read-only copy of `value` as an array (of `dtype` if given)."""
+    out = np.array(value, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def fold(values, axis: int | None = None):

@@ -28,8 +28,7 @@ from .clifford import (CliffordSystem, build_clifford_system, delta,
                        dump_matrices, verify_clifford_relations)
 from .errors import (AdmissibilityError, CertificationError, FrameError,
                      MultiplicityError, SamplingError, SpectrumError)
-from .focal import (SPHERE_TOL, VALUE_TOL, deterministic_seed,
-                    sample_focal_points, tangent_jacobian_rank)
+from .focal import SPHERE_TOL, VALUE_TOL, sample_focal_points
 from .geometry import build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
 from .records import Check, fold
@@ -234,49 +233,41 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
 
     blocks["clifford"] = _block(verify_clifford_relations(system))
 
-    poly = FkmPolynomial(system)
     blocks["cartan_munzner"] = _block(
         {"n_samples": cfg.n_pde_samples},
-        *verify_cartan_munzner(poly, n_samples=cfg.n_pde_samples,
+        *verify_cartan_munzner(FkmPolynomial(system),
+                               n_samples=cfg.n_pde_samples,
                                seed=_subseed(cfg.seed, config_index, 0),
                                tol=tol["pde"]))
 
     points = None
     try:
-        produced = [deterministic_seed(system)]
-        if cfg.n_points > 1:
-            # the sampler spawns its own sequences from an integer entropy
-            ss = _subseed(cfg.seed, config_index, 1)
-            produced.extend(sample_focal_points(
-                system, cfg.n_points - 1,
-                seed=int(ss.generate_state(2, np.uint64)[0])))
-        points = produced
+        # the sampler spawns its own sequences from an integer entropy
+        ss = _subseed(cfg.seed, config_index, 1)
+        points = sample_focal_points(
+            system, cfg.n_points, seed=int(ss.generate_state(2, np.uint64)[0]))
     except (SamplingError, CertificationError) as exc:
         blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
 
     if points is not None:
-        coordinates = np.array([p.x for p in points])
         rank_expected = m + 2
-        ranks = sorted(set(tangent_jacobian_rank(system, points).tolist()))
+        ranks = sorted(set(points.jacobian_rank.tolist()))
         blocks["points"] = _block(
-            {"count": len(points)},
+            {"count": len(points.x)},
             Check("max_constraint_residual",
-                  fold([p.residual_constraints for p in points]),
-                  tol["cert"]),
-            Check("max_sphere_residual",
-                  fold([p.residual_sphere for p in points]), SPHERE_TOL),
-            Check("max_value_gap",
-                  fold(np.abs(poly.value(coordinates) - 1.0)),
-                  VALUE_TOL),
+                  fold(points.residual_constraints), tol["cert"]),
+            Check("max_sphere_residual", fold(points.residual_sphere),
+                  SPHERE_TOL),
+            Check("max_value_gap", fold(points.value_gap), VALUE_TOL),
             {"jacobian_ranks": ranks,
              "rank_expected": rank_expected,
-             "coordinates": coordinates},
+             "coordinates": points.x},
             ok=ranks == [rank_expected])
 
     frames = None
     if points is not None:
         try:
-            frames = build_frame(system, points)
+            frames = build_frame(system, points.x)
             shapes = shape_operators(system, frames)
             # sup over unit tangents X of |Ric_closed(X) - Ric_tensor(X)|
             cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
@@ -302,7 +293,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             blocks["geometry"] = {"error": str(exc), "pass": False}
 
     if frames is not None:
-        count = len(points)
+        count = len(points.x)
         try:
             coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
             coeffs[:, :m + 1] = np.eye(m + 1)

@@ -37,8 +37,8 @@ import numpy as np
 
 from .clifford import CliffordSystem, _orthonormal_completion
 from .errors import MultiplicityError, SpectrumError
-from .geometry import AdaptedFrame, ShapeData, _freeze, take
-from .records import fold
+from .geometry import AdaptedFrame, ShapeData, take
+from .records import fold, freeze
 
 __all__ = [
     "CHECK_NAMES",
@@ -46,7 +46,6 @@ __all__ = [
     "EinsteinProbe",
     "certify_point",
     "einstein_probe",
-    "willmore_residual",
 ]
 
 # max |A_xi^3 - A_xi| must stay within this radius; every eigenvalue of
@@ -70,7 +69,8 @@ class EinsteinProbe:
     status: str                        # "evidence" or "inconclusive"
 
     def __post_init__(self):
-        _freeze(self, ("ricci_min", "ricci_max", "spread"))
+        for name in ("ricci_min", "ricci_max", "spread"):
+            object.__setattr__(self, name, freeze(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,36 +137,31 @@ def _purified(proj: np.ndarray) -> np.ndarray:
 
 
 def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
-               where):
+               first: int):
     """Spectral projectors of every A_xi = sum_a c_a A_a, in tangent
     coordinates.
 
     Returns the deviations max |A_xi^3 - A_xi| (P, N) and the projectors
     Pi_0, Pi_{+1}, Pi_{-1} onto the eigenspaces for 0, +1, -1, each
-    (P, N, n, n).  A non-finite A_xi or a deviation above CLUSTER_RADIUS
-    raises SpectrumError, and traces of (I - A^2, (A^2 + A)/2,
-    (A^2 - A)/2) that do not round to (m, l-m-1, l-m-1) raise
-    MultiplicityError; `where(p, k)` names the first failing row.  The
-    curved projectors are then purified (_purified) and Pi_0 is their
-    complement.
+    (P, N, n, n).  A deviation above CLUSTER_RADIUS raises SpectrumError,
+    and traces of (I - A^2, (A^2 + A)/2, (A^2 - A)/2) that do not round to
+    (m, l-m-1, l-m-1) raise MultiplicityError; both name the first failing
+    row as point first + p, normal k.  The curved projectors are then
+    purified (_purified) and Pi_0 is their complement.
     """
     m, m2 = system.m, system.m2
     count, n = ops.shape[0], ops.shape[2]
     a_xi = (coeffs @ ops.reshape(count, m + 1, n * n)).reshape(
         *coeffs.shape[:2], n, n)
-    bad = np.argwhere(~np.all(np.isfinite(a_xi), axis=(2, 3)))
-    if bad.size:
-        p, k = bad[0]
-        raise SpectrumError(f"{where(p, k)}: A_xi has non-finite entries")
     sq = a_xi @ a_xi
     deviation = np.max(np.abs(sq @ a_xi - a_xi), axis=(2, 3), initial=0.0)
     bad = np.argwhere(~(deviation <= CLUSTER_RADIUS))
     if bad.size:
         p, k = bad[0]
         raise SpectrumError(
-            f"{where(p, k)}: max |A_xi^3 - A_xi| = {deviation[p, k]:.3e}, so "
-            "the spectrum leaves the clusters around {0, +1, -1} "
-            f"(radius {CLUSTER_RADIUS:.1e})")
+            f"point {first + p}, normal {k}: max |A_xi^3 - A_xi| = "
+            f"{deviation[p, k]:.3e}, so the spectrum leaves the clusters "
+            f"around {{0, +1, -1}} (radius {CLUSTER_RADIUS:.1e})")
     tr_sq = np.trace(sq, axis1=2, axis2=3)
     tr_a = np.trace(a_xi, axis1=2, axis2=3)
     expected = (m, m2, m2)
@@ -176,7 +171,7 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     if bad.size:
         p, k = bad[0]
         raise MultiplicityError(
-            f"{where(p, k)}: principal multiplicities "
+            f"point {first + p}, normal {k}: principal multiplicities "
             f"{tuple(counts[p, k].tolist())} != expected {expected} for "
             "(0, +1, -1)")
     plus = _purified((sq + a_xi) / 2.0)
@@ -184,12 +179,13 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     return deviation, np.eye(n) - plus - minus, plus, minus
 
 
-def _rotated(system: CliffordSystem, x: np.ndarray, pairs: np.ndarray,
+def _rotated(system: CliffordSystem, frame: AdaptedFrame,
              coeffs: np.ndarray):
     """P'_0, the normals P'_g x and the pair vectors P'_a P'_b x for a < b.
 
-    With B the completion rows (P'_a = sum_c B_ac P_c), bilinearity gives
-    P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x from the unrotated pair
+    With B the completion rows (P'_a = sum_c B_ac P_c), linearity gives
+    P'_g x = sum_c B_gc P_c x from the frame's normals, and bilinearity
+    P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x from its unrotated pair
     products, in two matrix products; no rotated system is built.  Shapes
     (P, N, 2l, 2l), (P, N, m+1, 2l) and (P, N, m(m+1)/2, 2l), the pairs in
     np.triu_indices order, so the m pairs (0, b) come first.
@@ -200,8 +196,8 @@ def _rotated(system: CliffordSystem, x: np.ndarray, pairs: np.ndarray,
         count, num, m1, m1)
     p0 = (coeffs @ system.stack.reshape(m1, dim * dim)).reshape(
         count, num, dim, dim)
-    normals = basis @ system.apply(x)[:, None]
-    half = basis @ pairs.reshape(count, 1, m1, m1 * dim)
+    normals = basis @ frame.normal.swapaxes(1, 2)[:, None]
+    half = basis @ frame.pairs.reshape(count, 1, m1, m1 * dim)
     prods = basis[:, :, None] @ half.reshape(count, num, m1, m1, dim)
     ia, ib = np.triu_indices(m1, k=1)
     return p0, normals, prods[:, :, ia, ib]
@@ -264,14 +260,21 @@ def _case_residuals(system: CliffordSystem, x: np.ndarray, t, p0, normals,
 
 
 def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
-           coeffs: np.ndarray, where) -> np.ndarray:
-    """The worst residual of every check at each point of a block, as a
-    (P, len(CHECK_NAMES)) array; residual_max does not depend on the
-    normals."""
+           coeffs: np.ndarray, first: int) -> np.ndarray:
+    """The worst residual of every check at each point of a block whose
+    first point is point `first`, as a (P, len(CHECK_NAMES)) array;
+    residual_max does not depend on the normals.  Shape operators with a
+    non-finite entry raise SpectrumError naming the point, before any
+    product."""
+    bad = np.flatnonzero(~np.all(np.isfinite(shape.operators),
+                                 axis=(1, 2, 3)))
+    if bad.size:
+        raise SpectrumError(
+            f"point {first + bad[0]}: shape operators have non-finite entries")
     contractions = _contractions(shape.ricci, shape.operators)
     spectrum, pi0, plus, minus = _decompose(system, shape.operators, coeffs,
-                                            where)
-    p0, normals, y = _rotated(system, frame.x, frame.pairs, coeffs)
+                                            first)
+    p0, normals, y = _rotated(system, frame, coeffs)
     t = frame.tangent[:, None]
     # sum_ij R_ij h^xi_ij = tr(Pi_{+1} Ric) - tr(Pi_{-1} Ric), closed form
     signed_balance = np.sum((plus - minus) * frame.closed_ricci[:, None],
@@ -288,16 +291,6 @@ def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
         spectrum, np.abs(contractions), np.abs(signed_balance), bridge,
         np.abs(signed_balance - signed_proj), pairwise, np.abs(signed_proj),
         leak, _reflection(p0, t, plus, minus), case)], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# the reduced criterion
-# ---------------------------------------------------------------------------
-
-def willmore_residual(shape: ShapeData) -> np.ndarray:
-    """max_a | sum_ij R_ij h^a_ij | per point, the reduced Willmore
-    criterion."""
-    return fold(np.abs(_contractions(shape.ricci, shape.operators)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +330,7 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
         out[rows] = _chain(system, take(frame, rows), take(shape, rows),
-                           coeffs[rows],
-                           lambda p, k, lo=lo: f"point {lo + p}, normal {k}")
+                           coeffs[rows], lo)
     return out
 
 

@@ -1,0 +1,77 @@
+"""Independent routes that the tests compare the package against.
+
+None of these is on the path from the command line to the report; each is
+a second route to a quantity the package computes another way:
+
+  * rotate_system builds the rotated Clifford system matrix by matrix,
+    which the Willmore chain never does (it rotates P_a x and P_a P_b x by
+    bilinearity);
+  * the sectional curvatures give the Ricci form through the Gauss
+    equation, directly from the P_a and through the shape operators;
+  * gradient and hessian are the ambient derivatives of F in closed form,
+    whose trace the package's term-by-term Laplacian must equal;
+  * parse_dump reads the plain-text matrix dump back.
+"""
+
+import numpy as np
+
+from fkm_willmore import CliffordSystem
+from fkm_willmore.clifford import _orthonormal_completion
+
+
+def rotate_system(system, coeffs):
+    """The system rotated so that the new P_0 is sum_a c_a P_a, for a unit
+    coefficient vector c; the other matrices are the images of the
+    Householder completion of c (rows 1..m).  A coordinate vector e_j swaps
+    P_0 and P_j and keeps the other matrices."""
+    basis = _orthonormal_completion(np.asarray(coeffs, dtype=float)[None])[0]
+    new = np.einsum("ab,bij->aij", basis, system.stack)
+    return CliffordSystem(m=system.m, l=system.l, matrices=tuple(new))
+
+
+def sectional_curvature(system, X, Y):
+    """K(X_p, Y_p) = 1 + sum_a (<P_a X, X><P_a Y, Y> - <P_a X, Y>^2) for an
+    orthonormal tangent pair at every point p, directly from the P_a; X and
+    Y are (P, 2l), the result (P,)."""
+    px = system.apply(X)
+    py = system.apply(Y)
+    xy = np.sum(px * Y[:, None], axis=2)
+    return 1.0 + np.sum(np.sum(px * X[:, None], axis=2)
+                        * np.sum(py * Y[:, None], axis=2) - xy * xy, axis=1)
+
+
+def sectional_curvature_from_shape(frame, shape, X, Y):
+    """The same quantity through the shape operators (Gauss equation)."""
+    def form(u, v):                 # <A_a u, v> for every point and a
+        return np.einsum("kapq,kp,kq->ka", shape.operators, u, v)
+
+    p = np.einsum("kip,ki->kp", frame.tangent, X)
+    q = np.einsum("kip,ki->kp", frame.tangent, Y)
+    return 1.0 + np.sum(form(p, p) * form(q, q) - form(p, q) ** 2, axis=1)
+
+
+def gradient(system, x):
+    """grad F(x) = 4 |x|^2 x - 8 sum_a g_a(x) P_a x at one point."""
+    px = system.stack @ x
+    return 4.0 * float(x @ x) * x - 8.0 * ((px @ x) @ px)
+
+
+def hessian(system, x):
+    """The Hessian of F at one point as a dense symmetric matrix:
+    8 x x^T + 4 |x|^2 I - 16 sum_a (P_a x)(P_a x)^T - 8 sum_a g_a(x) P_a."""
+    px = system.stack @ x
+    g = px @ x
+    mat = 8.0 * np.outer(x, x) + 4.0 * float(x @ x) * np.eye(len(x))
+    mat -= 16.0 * np.einsum("ai,aj->ij", px, px)
+    mat -= 8.0 * np.einsum("a,aij->ij", g, system.stack)
+    return mat
+
+
+def parse_dump(text):
+    """The system of a dump_matrices text: header "2l m", then m + 1 blocks
+    of 2l rows."""
+    lines = text.splitlines()
+    n, m = (int(v) for v in lines[0].split())
+    rows = np.array([[float(v) for v in line.split()] for line in lines[1:]])
+    return CliffordSystem(m=m, l=n // 2,
+                          matrices=tuple(rows.reshape(m + 1, n, n)))

@@ -8,7 +8,7 @@ line, printed in the terminal summary.
 import numpy as np
 
 from fkm_willmore import (VerificationConfig, build_clifford_system,
-                          build_frame, deterministic_seed, run_suite,
+                          build_frame, run_suite, sample_focal_points,
                           shape_operators)
 from fkm_willmore.report import evaluate_system
 
@@ -144,7 +144,7 @@ def test_criterion_9_einstein_probe(suite_report, acceptance):
             ok = ok and blk["status"] == "inconclusive"
     # direct oracle for the smallest case: eigenvalues of the Ricci tensor
     system = build_clifford_system(1, 3)
-    frame = build_frame(system, [deterministic_seed(system)])
+    frame = build_frame(system, sample_focal_points(system, 1, seed=0).x)
     eigs = np.linalg.eigvalsh(shape_operators(system, frame).ricci[0])
     spread = float(eigs[-1] - eigs[0])
     ok = ok and abs(spread - 2.0) <= 1e-8

@@ -1,7 +1,8 @@
 """Clifford systems: generator algebra, split construction, rotations, dumps.
 
 Freshly built systems have integer entries, so the defining relations are
-checked with zero tolerance; rotated systems only get 1e-12.
+checked with zero tolerance; rotated systems (built by the test oracle
+oracles.rotate_system) only get 1e-12.
 """
 
 import hypothesis.extra.numpy as hnp
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from fkm_willmore import (AdmissibilityError, build_clifford_system,
-                          build_skew_generators, delta, dump_matrices,
-                          parse_matrices, rotate_system,
-                          verify_clifford_relations)
+                          build_frame, build_skew_generators, certify_point,
+                          delta, dump_matrices, sample_focal_points,
+                          shape_operators, verify_clifford_relations)
 from fkm_willmore.clifford import _orthonormal_completion
 
 from conftest import GRID, conjugated_system, corrupt_system, nan_pair_system
+from oracles import parse_dump, rotate_system
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
 
@@ -35,14 +37,14 @@ def test_delta_table():
 @pytest.mark.parametrize("m", range(1, 10))
 def test_skew_generators_exact(m):
     gens = build_skew_generators(m)
-    assert gens.count == m - 1
-    assert gens.dim == delta(m)
-    eye = np.eye(gens.dim)
-    for i, e in enumerate(gens.matrices):
+    assert len(gens) == m - 1
+    assert all(e.shape == (delta(m), delta(m)) for e in gens)
+    eye = np.eye(delta(m))
+    for i, e in enumerate(gens):
         assert np.array_equal(e.T, -e), f"E_{i + 1} not skew"
         assert np.array_equal(e @ e, -eye), f"E_{i + 1}^2 != -I"
-    for i, a in enumerate(gens.matrices):
-        for j, b in enumerate(gens.matrices):
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
             if i == j:
                 continue
             assert np.array_equal(a @ b, -(b @ a)), f"E pair ({i},{j})"
@@ -125,9 +127,13 @@ def test_rotate_swap_coefficients():
 
 
 def test_rotate_rejects_non_unit():
+    # the Willmore chain rotates the system by each normal's coefficients,
+    # and certify_point refuses coefficients that are not a unit vector
     system = build_clifford_system(1, 3)
-    with pytest.raises(ValueError):
-        rotate_system(system, np.array([0.5, 0.5]))
+    frame = build_frame(system, sample_focal_points(system, 1, seed=0).x)
+    with pytest.raises(ValueError, match="unit vector"):
+        certify_point(system, frame, shape_operators(system, frame),
+                      [[np.array([0.5, 0.5])]])
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (4, 2), (6, 1)])
@@ -224,7 +230,7 @@ def test_dump_parse_roundtrip(m, k):
     text = dump_matrices(system)
     first = text.splitlines()[0].split()
     assert first == [str(system.ambient_dim), str(m)]
-    back = parse_matrices(text)
+    back = parse_dump(text)
     assert back.m == system.m and back.l == system.l
     for a, b in zip(back.matrices, system.matrices):
         assert np.array_equal(a, b)
@@ -236,11 +242,6 @@ def test_dump_rejects_non_integer_system():
     rotated = rotate_system(system, c)
     with pytest.raises(ValueError):
         dump_matrices(rotated)
-
-
-def test_parse_rejects_malformed_header():
-    with pytest.raises(ValueError):
-        parse_matrices("6\n")
 
 
 def test_matrices_are_readonly():

@@ -5,31 +5,53 @@ import pytest
 from numpy.random import SeedSequence, default_rng
 
 from fkm_willmore import (CONSTRAINT_TOL, SPHERE_TOL, CliffordSystem,
-                          SamplingError, build_clifford_system, certify,
-                          CertificationError, VerificationConfig,
-                          deterministic_seed, run_suite, sample_focal_points,
-                          tangent_jacobian_rank)
+                          SamplingError, build_clifford_system,
+                          CertificationError, VerificationConfig, run_suite,
+                          sample_focal_points)
 from fkm_willmore import focal
 
 from conftest import GRID, conjugated_system
+
+FIELDS = ("x", "residual_constraints", "residual_sphere", "value_gap",
+          "jacobian_rank")
+
+
+def certify(system, x):
+    """One row through the sampler's certification: its record fields, or
+    the CertificationError that rejects it."""
+    x = np.asarray(x, dtype=float)[None]
+    cert = focal._certify(system, x)
+    if not cert["passed"][0]:
+        raise focal._rejection(cert, 0)
+    return {"x": x[0], **{name: cert[name][0] for name in FIELDS[1:]}}
+
+
+def _row(points, i):
+    """Row i of a FocalPoints record, by field."""
+    return {name: getattr(points, name)[i] for name in FIELDS}
+
+
+def _seed(system):
+    return sample_focal_points(system, 1, seed=0).x[0]
 
 
 def test_seed_coordinates_smallest_case():
     # u = e_1, the +1 part of e_1; P_1 u = e_4, so e_4 reduces to 0 and
     # w = e_5
     system = build_clifford_system(1, 3)
-    point = deterministic_seed(system)
     r = 1.0 / np.sqrt(2.0)
-    assert np.array_equal(point.x, np.array([r, 0.0, 0.0, 0.0, r, 0.0]))
+    assert np.array_equal(_seed(system), np.array([r, 0.0, 0.0, 0.0, r, 0.0]))
 
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_seed_certifies_exactly(m, k):
-    system = build_clifford_system(m, k)
-    point = deterministic_seed(system)
+    point = _row(sample_focal_points(build_clifford_system(m, k), 1, seed=0),
+                 0)
     # construction is by signed basis vectors, residuals are exact zeros
-    assert point.residual_constraints <= 1e-15
-    assert point.residual_sphere <= 1e-15
+    assert point["residual_constraints"] <= 1e-15
+    assert point["residual_sphere"] <= 1e-15
+    assert point["value_gap"] <= 1e-15
+    assert point["jacobian_rank"] == m + 2
 
 
 def test_sampling_deterministic_and_seed_sensitive():
@@ -37,21 +59,23 @@ def test_sampling_deterministic_and_seed_sensitive():
     first = sample_focal_points(system, 5, seed=9)
     second = sample_focal_points(system, 5, seed=9)
     other = sample_focal_points(system, 5, seed=10)
-    for a, b in zip(first, second):
-        assert np.array_equal(a.x, b.x)
-    assert any(not np.array_equal(a.x, b.x) for a, b in zip(first, other))
+    for name in FIELDS:
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    # row 0 is the seed point whatever the seed; the sampled rows move
+    assert np.array_equal(first.x[0], other.x[0])
+    assert all(not np.array_equal(a, b) for a, b in zip(first.x[1:],
+                                                         other.x[1:]))
 
 
 def test_sampling_certifies_hundred_points():
     system = build_clifford_system(2, 2)
     points = sample_focal_points(system, 100, seed=1234)
-    assert len(points) == 100
-    for p in points:
-        assert p.residual_constraints <= CONSTRAINT_TOL
-        assert p.residual_sphere <= SPHERE_TOL
+    assert points.x.shape == (100, system.ambient_dim)
+    assert np.all(points.residual_constraints <= CONSTRAINT_TOL)
+    assert np.all(points.residual_sphere <= SPHERE_TOL)
+    assert points.jacobian_rank.tolist() == [4] * 100
     # the sampler should not collapse onto few points
-    coords = np.array([p.x for p in points])
-    assert np.min(np.ptp(coords, axis=0)) > 0.1
+    assert np.min(np.ptp(points.x, axis=0)) > 0.1
 
 
 def test_sampling_rejects_nonpositive_count():
@@ -62,13 +86,13 @@ def test_sampling_rejects_nonpositive_count():
 
 def test_certify_rejects_off_manifold():
     system = build_clifford_system(1, 3)
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="point 0 failed"):
         certify(system, np.eye(6)[0])
 
 
 def test_certify_rejects_nan():
     system = build_clifford_system(1, 3)
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="non-finite coordinates"):
         certify(system, np.full(system.ambient_dim, np.nan))
 
 
@@ -81,14 +105,14 @@ def test_certify_rejects_a_broken_gram_identity(m, k):
     system = build_clifford_system(m, k)
     scaled = CliffordSystem(m=m, l=system.l,
                             matrices=tuple(1.01 * p for p in system.matrices))
-    seed = deterministic_seed(system)
+    x = sample_focal_points(system, 5, 5).x
     with pytest.raises(CertificationError,
                        match=r"deviates from J J\^T = 4I by 2\.010e-02"):
-        certify(scaled, seed.x)
-    x = np.array([seed.x] + [p.x for p in sample_focal_points(system, 4, 5)])
-    for verdict in focal._verdicts(x, *focal._rows(scaled, x)):
-        assert isinstance(verdict, CertificationError)
-        assert "Gram matrix" in str(verdict)
+        certify(scaled, x[0])
+    cert = focal._certify(scaled, x)
+    assert not cert["passed"].any()
+    for i in range(len(x)):
+        assert "Gram matrix" in str(focal._rejection(cert, i))
 
 
 @pytest.mark.parametrize("m,k,conjugated",
@@ -100,44 +124,44 @@ def test_map_puts_rows_on_the_focal_manifold(m, k, conjugated):
     system = (conjugated_system(m, k) if conjugated
               else build_clifford_system(m, k))
     z = default_rng(11).standard_normal((2000, system.ambient_dim))
-    _, g, xx = focal._rows(system, focal._onto_focal(system, z))
-    assert np.max(np.abs(g)) <= 1e-14
-    assert np.max(np.abs(xx - 1.0)) <= 1e-14
+    cert = focal._certify(system, focal._onto_focal(system, z))
+    assert np.max(cert["residual_constraints"]) <= 1e-14
+    assert np.max(cert["residual_sphere"]) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
     # fkm-verify and fkm-verify --points 100 --normals 0 sample 7 x 19 and
-    # 7 x 99 points (point 0 is the seed); the PDE samples and the normals
+    # 7 x 99 points (row 0 is the seed); the PDE samples and the normals
     # come from other streams, so fewer of them leave the points as they
     # are.  Every row of attempt 0 certifies, so no retry draws a block.
     from fkm_willmore import report
     sample = report.sample_focal_points
-    sampled = []
+    counts = []
     made = _rig(monkeypatch, set())
 
     def recording(system, n, seed):
         points = sample(system, n, seed=seed)
-        sampled.extend(points)
+        counts.append(len(points.x))
         return points
 
     monkeypatch.setattr(report, "sample_focal_points", recording)
     for n_points in (20, 100):
         run_suite(VerificationConfig(n_points=n_points, n_normals=0,
                                      n_pde_samples=1, seed=seed))
-    assert len(sampled) == 7 * 19 + 7 * 99
+    assert counts == [20] * 7 + [100] * 7
     assert made == [0] * 14
 
 
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
 def test_jacobian_rank(m, k, rank):
+    # the record's ranks come from the certification pass, one stacked SVD
+    # over the rows, and equal the rank of each row certified alone
     system = build_clifford_system(m, k)
-    points = [deterministic_seed(system)] + sample_focal_points(system, 3,
-                                                                 seed=2)
-    for point in points:
-        assert tangent_jacobian_rank(system, [point])[0] == rank == m + 2
-    # a sequence of points gives the ranks from one stacked SVD
-    assert tangent_jacobian_rank(system, points).tolist() == [rank] * 4
+    points = sample_focal_points(system, 4, seed=2)
+    assert points.jacobian_rank.tolist() == [rank] * 4
+    for x in points.x:
+        assert certify(system, x)["jacobian_rank"] == rank == m + 2
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +201,21 @@ def _start(system, seed, i, attempt, n):
 
 
 def _same_point(a, b):
-    assert np.array_equal(a.x, b.x)
-    assert a.residual_constraints == b.residual_constraints
-    assert a.residual_sphere == b.residual_sphere
+    for name in FIELDS:
+        assert np.array_equal(a[name], b[name]), name
 
 
 @pytest.mark.parametrize("m,k", GRID + [(7, 2), (9, 1)])
 def test_sampling_sweep_equals_single_projections(m, k):
-    # one stacked pass over all rows gives each point its one-point map
-    # and its own certification, bit for bit
+    # one stacked pass over the seed and all sampled rows gives each point
+    # its one-point map and its own certification, bit for bit; sampled
+    # point i is row i + 1 of the record
     system = build_clifford_system(m, k)
-    points = sample_focal_points(system, 40, seed=77)
-    for i, point in enumerate(points):
-        _same_point(point, certify(system, _start(system, 77, i, 0, 40)))
+    points = sample_focal_points(system, 41, seed=77)
+    _same_point(_row(points, 0), certify(system, focal._seed_row(system)))
+    for i in range(40):
+        _same_point(_row(points, i + 1),
+                    certify(system, _start(system, 77, i, 0, 40)))
 
 
 class _RiggedRng:
@@ -227,16 +253,17 @@ def _rig(monkeypatch, singular_keys, axis=0):
 def test_sampling_sweep_retries_like_single_projections(monkeypatch):
     system = build_clifford_system(1, 3)
     made = _rig(monkeypatch, {(2, 0), (7, 0), (7, 1)})
-    points = sample_focal_points(system, 30, seed=9)
+    points = sample_focal_points(system, 31, seed=9)
     # one block of starts per attempt round, not one generator per point
     assert made == [0, 1, 2]
-    # point 2 fails its first attempt and takes row 2 of attempt 1's block,
-    # point 7 row 7 of attempt 2's; the other points keep their rows of
-    # attempt 0's
-    _same_point(points[2], certify(system, _start(system, 9, 2, 1, 30)))
-    _same_point(points[7], certify(system, _start(system, 9, 7, 2, 30)))
+    # sampled point 2 fails its first attempt and takes row 2 of attempt 1's
+    # block, point 7 row 7 of attempt 2's; the other points keep their rows
+    # of attempt 0's
+    _same_point(_row(points, 3), certify(system, _start(system, 9, 2, 1, 30)))
+    _same_point(_row(points, 8), certify(system, _start(system, 9, 7, 2, 30)))
     for i in set(range(30)) - {2, 7}:
-        _same_point(points[i], certify(system, _start(system, 9, i, 0, 30)))
+        _same_point(_row(points, i + 1),
+                    certify(system, _start(system, 9, i, 0, 30)))
 
 
 @pytest.mark.parametrize("axis", [0, 3], ids=["plus", "minus"])
@@ -252,26 +279,28 @@ def test_degenerate_row_keeps_its_raw_start_and_retries(monkeypatch, axis):
     with pytest.raises(CertificationError):
         certify(system, row)
     made = _rig(monkeypatch, {(4, 0)}, axis)
-    points = sample_focal_points(system, 6, seed=3)
+    points = sample_focal_points(system, 7, seed=3)
     assert made == [0, 1]
-    _same_point(points[4], certify(system, _start(system, 3, 4, 1, 6)))
+    _same_point(_row(points, 5), certify(system, _start(system, 3, 4, 1, 6)))
 
 
 def test_sampling_failure_counts_projections_so_far(monkeypatch):
     system = build_clifford_system(1, 3)
     _rig(monkeypatch, {(0, 0)} | {(1, a) for a in range(11)})
     with pytest.raises(SamplingError) as info:
-        sample_focal_points(system, 3, seed=9)
-    # one retry of point 0, then all eleven attempts of point 1
+        sample_focal_points(system, 4, seed=9)
+    # one retry of sampled point 0 (row 1), then all eleven attempts of
+    # sampled point 1 (row 2)
     assert info.value.failures == 12
-    assert "sample point 1 failed after 11 attempts" in str(info.value)
+    assert "point 2 failed after 11 attempts" in str(info.value)
 
 
 def test_sampling_starts_do_not_depend_on_the_point_count():
-    # point i's start is row i of a row-major block, so the first five
-    # points come out bit for bit the same when twenty are drawn
+    # sampled point i's start is row i of a row-major block, so the first
+    # five rows (the seed and four sampled points) come out bit for bit the
+    # same when twenty are drawn
     system = build_clifford_system(2, 2)
     five = sample_focal_points(system, 5, seed=31)
     twenty = sample_focal_points(system, 20, seed=31)
-    for a, b in zip(five, twenty):
-        _same_point(a, b)
+    for i in range(5):
+        _same_point(_row(five, i), _row(twenty, i))

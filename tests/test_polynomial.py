@@ -6,11 +6,12 @@ from numpy.random import default_rng
 
 from fkm_willmore import (AdmissibilityError, CliffordSystem, FkmPolynomial,
                           build_clifford_system, build_skew_generators,
-                          deterministic_seed, verify_cartan_munzner)
+                          sample_focal_points, verify_cartan_munzner)
 from fkm_willmore.polynomial import sphere_samples
 
 from conftest import (FD_RTOL, GRID, corrupt_system, fd_directional,
                       fd_gradient, nan_pair_system, rel_err)
+from oracles import gradient, hessian
 
 
 def _poly(m, k):
@@ -29,7 +30,7 @@ def test_value_at_origin_and_axis():
 def test_value_one_on_focal_seed(m, k):
     system = build_clifford_system(m, k)
     poly = FkmPolynomial(system)
-    x = deterministic_seed(system).x
+    x = sample_focal_points(system, 1, seed=0).x[0]
     assert abs(poly.value(x) - 1.0) <= 1e-15
 
 
@@ -52,7 +53,7 @@ def test_gradient_matches_finite_differences(m, k):
     rng = default_rng(100 + m)
     for _ in range(34):
         x = rng.standard_normal(n)
-        grad = poly.euclidean_gradient(x)
+        grad = gradient(poly.system, x)
         want = fd_gradient(poly.value, x)
         assert rel_err(grad, want) <= FD_RTOL, f"at |x|={np.linalg.norm(x):.2f}"
 
@@ -66,17 +67,16 @@ def test_hessian_matches_finite_differences(m, k):
         x = rng.standard_normal(n)
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        hv = poly.euclidean_hessian_apply(x, v)
-        assert rel_err(hv, fd_directional(poly.euclidean_gradient, x, v)) <= FD_RTOL
-        # matrix route agrees with the matrix-free apply
-        assert rel_err(poly.hessian_matrix(x) @ v, hv) <= 1e-12
+        hv = hessian(poly.system, x) @ v
+        assert rel_err(hv, fd_directional(lambda y: gradient(poly.system, y),
+                                          x, v)) <= FD_RTOL
 
 
 def test_hessian_symmetric():
     poly = _poly(2, 2)
     rng = default_rng(17)
     x = rng.standard_normal(8)
-    h = poly.hessian_matrix(x)
+    h = hessian(poly.system, x)
     assert np.max(np.abs(h - h.T)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
 
 
@@ -88,7 +88,7 @@ def test_euclidean_laplacian_closed_form(m, k):
     rng = default_rng(300 + m * 10 + k)
     for _ in range(10):
         x = rng.standard_normal(system.ambient_dim)
-        lap = float(np.trace(poly.hessian_matrix(x)))
+        lap = float(np.trace(hessian(system, x)))
         want = 8.0 * (system.l - 2 * m - 1) * float(x @ x)
         assert rel_err(lap, want) <= 1e-12
 
@@ -102,22 +102,23 @@ def test_sphere_derivatives_pointwise(m, k):
     for _ in range(25):
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
-        der = poly.sphere_derivatives(x)
-        assert abs(float(der.gradient @ x)) <= 1e-12, "gradient not tangent"
-        grad_sq = float(der.gradient @ der.gradient)
-        assert abs(grad_sq - 16.0 * (1.0 - der.value ** 2)) <= 1e-10
-        want_lap = 8.0 * (m2 - m1) - 4.0 * (2 * poly.system.l + 2) * der.value
-        assert abs(der.laplacian - want_lap) <= 1e-10
+        value, grad, lap = poly.sphere_derivatives(x)
+        assert abs(float(grad @ x)) <= 1e-12, "gradient not tangent"
+        grad_sq = float(grad @ grad)
+        assert abs(grad_sq - 16.0 * (1.0 - value ** 2)) <= 1e-10
+        want_lap = 8.0 * (m2 - m1) - 4.0 * (2 * poly.system.l + 2) * value
+        assert abs(lap - want_lap) <= 1e-10
 
 
 def test_sphere_derivatives_on_focal_point():
     system = build_clifford_system(1, 3)
     poly = FkmPolynomial(system)
-    der = poly.sphere_derivatives(deterministic_seed(system).x)
-    assert abs(der.value - 1.0) <= 1e-15
-    assert float(np.linalg.norm(der.gradient)) <= 1e-7
+    value, grad, lap = poly.sphere_derivatives(
+        sample_focal_points(system, 1, seed=0).x[0])
+    assert abs(value - 1.0) <= 1e-15
+    assert float(np.linalg.norm(grad)) <= 1e-7
     # m1 = m2 = 1, so the linear term vanishes and lap = -4 (2l + 2) = -32
-    assert abs(der.laplacian + 32.0) <= 1e-12
+    assert abs(lap + 32.0) <= 1e-12
 
 
 def test_sphere_derivatives_reject_off_sphere():
@@ -168,7 +169,7 @@ def test_polynomial_rejects_inadmissible_system():
     zero = np.zeros((4, 4))
     mats = [np.block([[eye, zero], [zero, -eye]]),
             np.block([[zero, eye], [eye, zero]])]
-    for e in gens.matrices:
+    for e in gens:
         mats.append(np.block([[zero, e], [-e, zero]]))
     system = CliffordSystem(m=3, l=4, matrices=tuple(mats))
     with pytest.raises(AdmissibilityError):
@@ -179,40 +180,48 @@ def test_polynomial_rejects_inadmissible_system():
 # block evaluation and block-drawn samples
 # ---------------------------------------------------------------------------
 
+def _ambient_laplacian(poly, x):
+    """lap F at unit points, from sphere_derivatives: its term-by-term
+    ambient Laplacian is lap_S f + 4 (2l + 2) F."""
+    value, _, lap_s = poly.sphere_derivatives(x)
+    return lap_s + 4.0 * (poly.ambient_dim + 2.0) * value
+
+
 @pytest.mark.parametrize("m,k", GRID)
 def test_termwise_laplacian_is_the_hessian_trace(m, k):
     poly = _poly(m, k)
-    rng = default_rng(100 + m)
-    block = rng.standard_normal((20, poly.ambient_dim))
-    lap = poly.laplacian(block)
+    block = sphere_samples(default_rng(100 + m), 20, poly.ambient_dim)
+    lap = _ambient_laplacian(poly, block)
     for x, value in zip(block, lap):
-        want = float(np.trace(poly.hessian_matrix(x)))
+        want = float(np.trace(hessian(poly.system, x)))
         assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
-        assert abs(poly.laplacian(x) - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(_ambient_laplacian(poly, x) - want) <= \
+            1e-12 * max(1.0, abs(want))
 
 
 def test_termwise_laplacian_keeps_the_trace_term():
     # trace(P_a) = 0 drops out only for a valid system; the corrupted one
     # must still match its own Hessian trace
     poly = FkmPolynomial(corrupt_system(2, 2))
-    x = default_rng(101).standard_normal(8)
-    assert abs(poly.laplacian(x) - np.trace(poly.hessian_matrix(x))) <= 1e-12
+    x = sphere_samples(default_rng(101), 1, 8)[0]
+    assert abs(_ambient_laplacian(poly, x)
+               - np.trace(hessian(poly.system, x))) <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
 def test_sphere_derivatives_block_matches_points(m, k):
     poly = _poly(m, k)
     points = sphere_samples(default_rng(102 + m), 9, poly.ambient_dim)
-    block = poly.sphere_derivatives(points)
-    assert block.value.shape == block.laplacian.shape == (9,)
-    assert block.gradient.shape == points.shape
+    values, grads, laps = poly.sphere_derivatives(points)
+    assert values.shape == laps.shape == (9,)
+    assert grads.shape == points.shape
     for i, x in enumerate(points):
-        one = poly.sphere_derivatives(x)
-        assert isinstance(one.value, float)
-        assert isinstance(one.laplacian, float)
-        assert abs(block.value[i] - one.value) <= 1e-14
-        assert abs(block.laplacian[i] - one.laplacian) <= 1e-12
-        assert np.max(np.abs(block.gradient[i] - one.gradient)) <= 1e-13
+        value, grad, lap = poly.sphere_derivatives(x)
+        assert isinstance(value, float)
+        assert isinstance(lap, float)
+        assert abs(values[i] - value) <= 1e-14
+        assert abs(laps[i] - lap) <= 1e-12
+        assert np.max(np.abs(grads[i] - grad)) <= 1e-13
 
 
 def test_sphere_derivatives_block_rejects_off_sphere_row():
@@ -276,10 +285,11 @@ def test_cartan_munzner_matches_sequential_evaluation(m, k):
                                                   seed=32)
     worst_grad = worst_lap = 0.0
     for x in _sequential_unit_draws(default_rng(32), 300, n):
-        grad = poly.euclidean_gradient(x)
+        grad = gradient(poly.system, x)
         grad_s = grad - float(grad @ x) * x
         value = poly.value(x)
-        lap_s = float(np.trace(poly.hessian_matrix(x))) - 4.0 * (n + 2) * value
+        lap_s = (float(np.trace(hessian(poly.system, x)))
+                 - 4.0 * (n + 2) * value)
         worst_grad = max(worst_grad, abs(float(grad_s @ grad_s)
                                          - 16.0 * (1.0 - value * value)))
         worst_lap = max(worst_lap, abs(lap_s - 8.0 * (poly.m2 - poly.m1)

@@ -6,12 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fkm_willmore import (Check, FkmPolynomial, FocalPoint, FrameError,
-                          SpectrumError, build_clifford_system, build_frame,
-                          certify_point, deterministic_seed, fold,
-                          rotate_system, sectional_curvature,
-                          shape_operators)
-
+from fkm_willmore import (Check, CertificationError, FkmPolynomial,
+                          FrameError, SpectrumError, build_clifford_system,
+                          build_frame, certify_point, fold,
+                          sample_focal_points, shape_operators)
+from fkm_willmore import focal
 
 def test_fold_is_the_max_and_zero_for_nothing():
     assert fold([]) == 0.0
@@ -44,69 +43,79 @@ def test_check_passes_at_its_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# input guards use the same rule: a NaN gap never passes
+# input guards use the same rule: a NaN gap never passes, and a non-finite
+# input is caught before any product
 # ---------------------------------------------------------------------------
 
 def _one_frame():
     system = build_clifford_system(2, 2)
-    return system, build_frame(system, [deterministic_seed(system)])
+    return system, build_frame(system, sample_focal_points(system, 1, 0).x)
 
 
-def _nan_frame_point():
+def _bad_frame_point(value):
     system = build_clifford_system(1, 3)
-    point = FocalPoint(x=np.full(system.ambient_dim, math.nan),
-                       residual_constraints=0.0, residual_sphere=0.0)
-    build_frame(system, [point])
+    x = np.array(sample_focal_points(system, 1, 0).x)
+    x[0, 0] = value
+    build_frame(system, x)
 
 
-def _nan_coefficient_row():
+def _bad_coefficient_row(value):
     system, frame = _one_frame()
     coeffs = np.eye(3)[None].copy()
-    coeffs[0, 1] = math.nan
+    coeffs[0, 1, 1] = value
     certify_point(system, frame, shape_operators(system, frame), coeffs)
 
 
-def _nan_shape_operator():
+def _bad_shape_operator(value):
+    # the entry sits in A_1, whose coefficient is 0 for the one normal
+    # e_0: a product 0 * inf would hide it as NaN, with a warning
     system, frame = _one_frame()
     shape = shape_operators(system, frame)
     ops = np.array(shape.operators)
-    ops[0, 1, 0, 1] = ops[0, 1, 1, 0] = math.nan
+    ops[0, 1, 0, 0] = value
     certify_point(system, frame, replace(shape, operators=ops),
-                  np.eye(3)[None])
+                  np.eye(3)[None, :1])
 
 
-def _nan_sphere_row():
+def _bad_sphere_row(value):
     poly = FkmPolynomial(build_clifford_system(2, 2))
     x = np.zeros((2, poly.ambient_dim))
     x[0, 0] = 1.0
-    x[1] = math.nan
+    x[1] = value
     poly.sphere_derivatives(x)
 
 
-def _nan_rotation():
-    rotate_system(build_clifford_system(2, 2), np.full(3, math.nan))
+def _bad_certification_row(value):
+    system = build_clifford_system(2, 2)
+    x = np.array(sample_focal_points(system, 3, 0).x)
+    x[1, 2] = value
+    cert = focal._certify(system, x)
+    assert cert["passed"].tolist() == [True, False, True]
+    raise focal._rejection(cert, 1)
 
 
-def _nan_sectional_pair():
-    system, frame = _one_frame()
-    x = np.array(frame.tangent[:, :, 0])
-    x[0, 0] = math.nan
-    sectional_curvature(system, frame, x, frame.tangent[:, :, 1])
+GUARDS = [
+    ("build_frame", _bad_frame_point, FrameError, "point 0: non-finite"),
+    ("certify_point", _bad_coefficient_row, ValueError, "point 0, normal 1:"),
+    ("shape_operator", _bad_shape_operator, SpectrumError,
+     "point 0: shape operators have non-finite"),
+    ("sphere_derivatives", _bad_sphere_row, ValueError, "row 1 "),
+    ("certification", _bad_certification_row, CertificationError,
+     "point 1 failed certification: non-finite"),
+]
 
 
-@pytest.mark.parametrize("call,error", [
-    (_nan_frame_point, FrameError),
-    (_nan_coefficient_row, ValueError),
-    (_nan_shape_operator, SpectrumError),
-    (_nan_sphere_row, ValueError),
-    (_nan_rotation, ValueError),
-    (_nan_sectional_pair, ValueError),
-], ids=["build_frame", "certify_point", "shape_operator",
-        "sphere_derivatives", "rotate_system", "sectional_curvature"])
-def test_input_guards_reject_nan(call, error):
+@pytest.mark.parametrize("call,value,error,names", [
+    (call, value, error, names) for _, call, error, names in GUARDS
+    for value in (math.nan, math.inf, -math.inf)],
+    ids=[f"{name}{suffix}" for name, *_ in GUARDS
+         for suffix in ("", "-inf", "-neginf")])
+def test_input_guards_reject_nan(call, value, error, names):
     # each guard is `not (gap <= tol)`, which a NaN gap fails; `gap > tol`
     # let it through to a NaN result or to an unrelated numpy error (the
-    # exact type is asserted: numpy's LinAlgError is a ValueError too)
-    with pytest.raises(error) as info:
-        call()
+    # exact type is asserted: numpy's LinAlgError is a ValueError too).  An
+    # infinite input must not reach a product either: inf * 0 is NaN with a
+    # RuntimeWarning, which fails the test on its own
+    with pytest.raises(error, match=names) as info:
+        call(value)
     assert type(info.value) is error, repr(info.value)

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from fkm_willmore import (VerificationConfig, VerificationReport,
-                          build_clifford_system, exit_code, parse_matrices,
-                          render_text, rotate_system, run_suite)
+                          build_clifford_system, exit_code, render_text,
+                          run_suite)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.geometry import take
 from fkm_willmore.report import DEFAULT_GRID, evaluate_system
 
 from conftest import conjugated_system
+from oracles import parse_dump, rotate_system
 
 TINY = dict(n_points=3, n_normals=4, n_pde_samples=50)
 
@@ -307,7 +308,7 @@ def test_main_dump_matrices_roundtrip(tmp_path, capsys, monkeypatch):
     assert code == 1  # 3:1 is inadmissible, but dumps still cover 2:2
     files = sorted(os.listdir(dumps))
     assert files == ["clifford_m2_k2.txt"]
-    back = parse_matrices((dumps / files[0]).read_text())
+    back = parse_dump((dumps / files[0]).read_text())
     system = build_clifford_system(2, 2)
     for a, b in zip(back.matrices, system.matrices):
         assert np.array_equal(a, b)
@@ -328,7 +329,7 @@ def test_ricci_crosscheck_matches_sequential_draws():
     # |Ric_closed(X) - Ric_tensor(X)|: it is the largest eigenvalue modulus
     # of the difference matrix at the worst point, and no direction of a
     # sequential draw of 100 directions a point exceeds it
-    from fkm_willmore import FocalPoint, build_frame, shape_operators
+    from fkm_willmore import build_frame, shape_operators
     cfg = tiny_config(configurations=((3, 2),), n_points=20, n_normals=0)
     system = build_clifford_system(3, 2)
     entry = evaluate_system(system, cfg, 0)
@@ -336,9 +337,7 @@ def test_ricci_crosscheck_matches_sequential_draws():
     rng = default_rng(2)
     sampled, sups = [], []
     for x in entry["blocks"]["points"]["coordinates"]:
-        frame = build_frame(system, [FocalPoint(x=np.array(x),
-                                                residual_constraints=0.0,
-                                                residual_sphere=0.0)])
+        frame = build_frame(system, np.array(x))
         diff = frame.closed_ricci[0] - shape_operators(system, frame).ricci[0]
         sups.append(np.max(np.abs(np.linalg.eigvalsh(diff))))
         for _ in range(100):
@@ -376,6 +375,51 @@ def test_per_point_streams_are_named_subseeds(monkeypatch, n_normals):
     for key, state in made:
         named = default_rng(SeedSequence(report.DEFAULT_SEED, spawn_key=key))
         assert state == named.bit_generator.state, key
+
+
+def test_each_stage_forms_p_a_x_once(tmp_path, monkeypatch, capsys):
+    # fkm-verify --grid 2:2 --points 5 --normals 0 forms P_a x twice: once
+    # in the one certification pass over the seed and the sampled rows, and
+    # once for the frames, whose normals and pair products the chain reads.
+    # F is evaluated only by the PDE check; the points block reads its value
+    # gap from the certification.
+    from fkm_willmore import CliffordSystem, FkmPolynomial, report
+    applied, outside = [], []
+    inside = [False]
+    apply = CliffordSystem.apply
+
+    def counted(self, x):
+        applied.append(np.shape(x))
+        return apply(self, x)
+
+    def watched(name):
+        original = getattr(FkmPolynomial, name)
+
+        def method(self, x):
+            if not inside[0]:
+                outside.append(name)
+            return original(self, x)
+        return method
+
+    verify = report.verify_cartan_munzner
+
+    def flagged(*args, **kwargs):
+        inside[0] = True
+        try:
+            return verify(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(CliffordSystem, "apply", counted)
+    for name in ("value", "sphere_derivatives"):
+        monkeypatch.setattr(FkmPolynomial, name, watched(name))
+    monkeypatch.setattr(report, "verify_cartan_munzner", flagged)
+    out = tmp_path / "r.json"
+    assert main(["--grid", "2:2", "--points", "5", "--normals", "0",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert applied == [(5, 8), (5, 8)]
+    assert outside == []
 
 
 def _point_inputs(monkeypatch, n_points):
@@ -501,7 +545,9 @@ def test_geometry_error_names_the_point(monkeypatch):
 
     def last_scaled(system, n, seed):
         points = sample(system, n, seed=seed)
-        return points[:-1] + [replace(points[-1], x=1.1 * points[-1].x)]
+        x = np.array(points.x)
+        x[-1] *= 1.1
+        return replace(points, x=x)
 
     monkeypatch.setattr(report, "sample_focal_points", last_scaled)
     cfg = tiny_config(n_points=20)

@@ -11,15 +11,15 @@ from numpy.random import default_rng
 
 from fkm_willmore import (MultiplicityError, ShapeData,
                           SpectrumError, VerificationConfig,
-                          build_clifford_system, build_frame, certify,
-                          certify_point,
-                          deterministic_seed, einstein_probe, evaluate_system,
-                          rotate_system, sample_focal_points,
-                          shape_operators, willmore_residual)
+                          build_clifford_system, build_frame, certify_point,
+                          einstein_probe, evaluate_system,
+                          sample_focal_points, shape_operators)
 from fkm_willmore import willmore
+from fkm_willmore.focal import _certify
 from fkm_willmore.geometry import take
 
 from conftest import GRID, corrupt_system
+from oracles import rotate_system
 
 # certify_point's checks, in the key order of the lemma and willmore blocks
 CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
@@ -32,10 +32,8 @@ def _setup(m, k, extra_points=1, seed=21):
     """The system, and the frames and shapes of its points as one stack
     each."""
     system = build_clifford_system(m, k)
-    points = [deterministic_seed(system)]
-    if extra_points:
-        points += sample_focal_points(system, extra_points, seed=seed)
-    frames = build_frame(system, points)
+    frames = build_frame(
+        system, sample_focal_points(system, 1 + extra_points, seed=seed).x)
     return system, frames, shape_operators(system, frames)
 
 
@@ -69,7 +67,7 @@ def _projectors(system, shapes, coeffs):
     """The chain's deviations and projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a
     (P, N, m+1) stack of coefficients."""
     return willmore._decompose(system, shapes.operators, np.asarray(coeffs),
-                               lambda p, k: f"point {p}, normal {k}")
+                               0)
 
 
 @pytest.mark.parametrize("m,k,dims", [(1, 3, (1, 1, 1)), (2, 2, (2, 1, 1)),
@@ -140,21 +138,31 @@ def test_reflection_property(m, k):
         assert res["reflection_max"] <= 1e-12
 
 
+def willmore_residual(system, frames, shapes):
+    """residual_max of certify_point at every point, the reduced Willmore
+    criterion max_a |sum_ij R_ij h^a_ij|, read at the coordinate normals."""
+    eye = np.broadcast_to(np.eye(system.m + 1),
+                          (len(frames.x), system.m + 1, system.m + 1))
+    return certify_point(system, frames, shapes,
+                         eye)[:, CHECK_NAMES.index("residual_max")]
+
+
 @pytest.mark.parametrize("m,k", GRID)
 def test_willmore_residual_small_on_grid(m, k):
     system, frames, shapes = _setup(m, k)
-    for residual in willmore_residual(shapes):
+    for residual in willmore_residual(system, frames, shapes):
         assert residual < 1e-7
 
 
 def test_willmore_residual_frame_independent():
     system, frame, shape = _setup(4, 2, extra_points=0)
-    base = willmore_residual(shape)[0]
+    base = willmore_residual(system, frame, shape)[0]
     rng = default_rng(33)
     n = frame.tangent.shape[2]
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     other = replace(frame, tangent=frame.tangent @ q)
-    rotated = willmore_residual(shape_operators(system, other))[0]
+    rotated = willmore_residual(system, other,
+                                shape_operators(system, other))[0]
     assert abs(base - rotated) <= 1e-9
     assert base < 1e-7 and rotated < 1e-7
 
@@ -165,9 +173,9 @@ def test_willmore_residual_system_rotation_invariant():
     system, frames, shapes = _setup(3, 2, extra_points=0)
     rng = default_rng(44)
     mixed = rotate_system(system, _unit(rng, 4))
-    frame = build_frame(mixed, [deterministic_seed(system)])
-    base = willmore_residual(shapes)[0]
-    rotated = willmore_residual(shape_operators(mixed, frame))[0]
+    frame = build_frame(mixed, frames.x)
+    base = willmore_residual(system, frames, shapes)[0]
+    rotated = willmore_residual(mixed, frame, shape_operators(mixed, frame))[0]
     assert abs(base - rotated) <= 1e-9
     assert base < 1e-7 and rotated < 1e-7
 
@@ -274,8 +282,9 @@ def test_fault_injection_detected():
     # lies on M+ of the intact (2, 2) system and has x_1 = 0, so the nudge
     # leaves every P_a x, and the certification, as they are
     bad = corrupt_system(2, 2)
-    point = certify(bad, (np.eye(8)[2] + np.eye(8)[4]) / np.sqrt(2.0))
-    frame = build_frame(bad, [point])
+    x = (np.eye(8)[2] + np.eye(8)[4]) / np.sqrt(2.0)
+    assert _certify(bad, x[None])["passed"][0]
+    frame = build_frame(bad, x)
     shape = shape_operators(bad, frame)
     with pytest.raises((SpectrumError, MultiplicityError)):
         certify_point(bad, frame, shape, [np.eye(3)[:1]])
@@ -371,7 +380,8 @@ def test_einstein_probe_extremes_bound_every_direction(config, point_seed,
     # the cross-check bounds (at most 1.2e-14 in the reports of the default
     # grid, --points 100 and --grid 7:2,8:2,9:1 at seeds 42 and 7)
     system = build_clifford_system(*config)
-    frame = build_frame(system, sample_focal_points(system, 1, point_seed))
+    frame = build_frame(system,
+                        sample_focal_points(system, 2, point_seed).x[1:])
     shape = shape_operators(system, frame)
     probe = einstein_probe(system, frame)
     eigs = np.linalg.eigvalsh(shape.ricci[0])
@@ -491,7 +501,6 @@ def test_einstein_probe_stack_equals_single_points(m, k):
         None if probe.status == "inconclusive"
         else all(one.spread_exceeds_threshold for one in singles))
     again = einstein_probe(system, build_frame(
-        system, [deterministic_seed(system)]
-        + sample_focal_points(system, 4, seed=21)))
+        system, sample_focal_points(system, 5, seed=21).x))
     assert all(np.array_equal(getattr(again, f.name), getattr(probe, f.name))
                for f in fields(probe))
