@@ -12,7 +12,7 @@ from .clifford import (CliffordSystem, build_clifford_system,
                        build_skew_generators, delta, dump_matrices,
                        verify_clifford_relations)
 from .errors import (AdmissibilityError, CertificationError, FrameError,
-                     MultiplicityError, SamplingError, SpectrumError)
+                     MultiplicityError, SpectrumError)
 from .focal import (CONSTRAINT_TOL, SPHERE_TOL, VALUE_TOL, FocalPoints,
                     sample_focal_points)
 from .geometry import AdaptedFrame, ShapeData, build_frame, shape_operators
@@ -31,11 +31,10 @@ __all__ = [
     "CertificationError", "Check", "CliffordSystem", "DEFAULT_GRID",
     "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe", "FkmPolynomial",
     "FocalPoints", "FrameError", "MultiplicityError", "SPHERE_TOL",
-    "SamplingError", "ShapeData", "SpectrumError", "VALUE_TOL",
-    "VerificationConfig", "VerificationReport", "build_clifford_system",
-    "build_frame", "build_skew_generators", "certify_point", "delta",
-    "dump_matrices", "einstein_probe", "evaluate_system", "exit_code", "fold",
-    "render_text", "run_suite", "sample_focal_points", "shape_operators",
-    "verify_cartan_munzner", "verify_clifford_relations",
-    "write_matrix_dumps",
+    "ShapeData", "SpectrumError", "VALUE_TOL", "VerificationConfig",
+    "VerificationReport", "build_clifford_system", "build_frame",
+    "build_skew_generators", "certify_point", "delta", "dump_matrices",
+    "einstein_probe", "evaluate_system", "exit_code", "fold", "render_text",
+    "run_suite", "sample_focal_points", "shape_operators",
+    "verify_cartan_munzner", "verify_clifford_relations", "write_matrix_dumps",
 ]

@@ -51,46 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(parser: argparse.ArgumentParser, text: str) -> tuple:
-    entries = []
-    for token in text.split(","):
-        token = token.strip()
-        parts = token.split(":")
-        if len(parts) != 2:
-            parser.error(f"invalid grid entry {token!r}: expected m:k")
-        try:
-            m, k = int(parts[0]), int(parts[1])
-        except ValueError:
-            parser.error(f"invalid grid entry {token!r}: "
-                         "m and k must be integers")
-        if m < 1 or k < 1:
-            parser.error(f"invalid grid entry {token!r}: "
-                         "m and k must be >= 1")
-        entries.append((m, k))
-    if not entries:
-        parser.error("--grid is empty")
-    return tuple(entries)
-
-
-def _parse_tolerances(parser: argparse.ArgumentParser, items: list) -> dict:
-    overrides = {}
-    for item in items:
-        name, sep, value = item.partition("=")
-        if not sep:
-            parser.error(f"invalid --tol {item!r}: expected NAME=VALUE")
-        if name not in DEFAULT_TOLERANCES:
-            parser.error(f"unknown tolerance {name!r}; choose from "
-                         + ", ".join(sorted(DEFAULT_TOLERANCES)))
-        try:
-            parsed = float(value)
-        except ValueError:
-            parser.error(f"invalid --tol value {value!r} for {name}")
-        if not parsed > 0.0:
-            parser.error(f"tolerance {name} must be positive, got {value}")
-        overrides[name] = parsed
-    return overrides
-
-
 def parse_cli(argv=None) -> VerificationConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -104,15 +64,24 @@ def parse_cli(argv=None) -> VerificationConfig:
                 seed = int(env)
             except ValueError:
                 parser.error(f"FKM_SEED={env!r} is not an integer")
+    # only the syntax is split here: VerificationConfig checks the grid
+    # entries (tuples of strings) and the tolerance names and values
+    tolerances = {}
+    for item in args.tol:
+        name, sep, value = item.partition("=")
+        if not sep:
+            parser.error(f"invalid --tol {item!r}: expected NAME=VALUE")
+        tolerances[name] = value
     kwargs = {
         "seed": seed,
-        "tolerances": _parse_tolerances(parser, args.tol),
+        "tolerances": tolerances,
         "out": args.out,
         "format": args.format,
         "dump_matrices": args.dump_matrices,
     }
     if args.grid is not None:
-        kwargs["configurations"] = _parse_grid(parser, args.grid)
+        kwargs["configurations"] = tuple(tuple(token.split(":"))
+                                         for token in args.grid.split(","))
     if args.points is not None:
         kwargs["n_points"] = args.points
     if args.normals is not None:

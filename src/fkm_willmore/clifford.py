@@ -199,10 +199,17 @@ class CliffordSystem:
         return s
 
     @cached_property
+    def finite(self) -> bool:
+        """Whether every entry is finite.  A product with an infinite entry
+        meets inf * 0, so the checks read this before multiplying."""
+        return bool(np.isfinite(self.stack).all())
+
+    @cached_property
     def integer(self) -> bool:
         """Whether every entry is an integer (as in freshly built systems),
         so that the relations hold exactly in double precision."""
-        return bool(np.array_equal(self.stack, np.rint(self.stack)))
+        return self.finite and bool(np.array_equal(self.stack,
+                                                   np.rint(self.stack)))
 
     def apply(self, x) -> np.ndarray:
         """P_a x for every a: (m+1, 2l) for one point, (K, m+1, 2l) for a
@@ -246,13 +253,16 @@ def verify_clifford_relations(system: CliffordSystem,
     """Check symmetry, anticommutation/involution and tracelessness.
 
     Returns the `max_deviation` check, the worst absolute residual of all
-    three.  Freshly built systems have entries in {-1, 0, +1}; their
-    products are exact in double precision, so by default an integer system
-    is held to tol=0.  Rotated or conjugated systems carry float entries
-    and are held to tol=1e-12 by default.
+    three, NaN for a system with a non-finite entry.  Freshly built systems
+    have entries in {-1, 0, +1}; their products are exact in double
+    precision, so by default an integer system is held to tol=0.  Rotated
+    or conjugated systems carry float entries and are held to tol=1e-12 by
+    default.
     """
     if tol is None:
         tol = 0.0 if system.integer else _RELATIONS_TOL
+    if not system.finite:
+        return Check("max_deviation", float("nan"), tol)
     stack = system.stack
     prods = stack[:, None] @ stack[None]             # P_a P_b for all a, b
     anti = (prods + prods.swapaxes(0, 1)

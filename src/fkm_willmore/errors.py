@@ -13,7 +13,6 @@ __all__ = [
     "CertificationError",
     "FrameError",
     "MultiplicityError",
-    "SamplingError",
     "SpectrumError",
 ]
 
@@ -33,14 +32,6 @@ class AdmissibilityError(ValueError):
 class CertificationError(RuntimeError):
     """A candidate point failed certification; the message names the point
     and the residuals that failed."""
-
-
-class SamplingError(RuntimeError):
-    """A sample point could not be produced after all retries."""
-
-    def __init__(self, message: str, failures: int = 0):
-        super().__init__(message)
-        self.failures = failures
 
 
 class FrameError(RuntimeError):

@@ -20,13 +20,10 @@ Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation above 1e-6 means the
 matrices are not a Clifford system, whatever the residuals say.
 
 sample_focal_points returns all points as one FocalPoints record, row 0
-the seed.  The other rows come from one block of Gaussian rows per attempt
-round, drawn from the sub-seed of that attempt, one row per point.  Each
-row is mapped onto M+, and the rows of all points still missing are
-certified in one stacked pass, the seed's with those of the first round.
-So the record has a fixed order, and a point's start does not depend on
-the other points.  A point whose row fails certification retries with its
-row of the next attempt.
+the seed.  The other rows come from one block of Gaussian rows, one row per
+point, each mapped onto M+; all rows are certified in one stacked pass, and
+the first row that fails raises CertificationError.  So the record has a
+fixed order, and a point's row does not depend on the other points.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .clifford import CliffordSystem
-from .errors import CertificationError, SamplingError
+from .errors import CertificationError
 from .records import fold, freeze
 
 __all__ = [
@@ -55,7 +52,6 @@ VALUE_TOL = 1e-9           # |F(x) - 1|
 
 _GRAM_TOL = 1e-6           # max |J J^T / 4 - I|
 _RANK_TOL = 1e-8           # singular values above this count for the rank
-_MAX_RETRIES = 10
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -231,45 +227,26 @@ def sample_focal_points(system: CliffordSystem, n: int,
     """n certified points of M+: the closed-form seed (row 0) and n - 1
     points from independent Gaussian rows mapped onto M+.
 
-    Attempt a draws one (n - 1, 2l) Gaussian block from the sub-seed
-    (seed, spawn_key=(a,)), and sampled point i (row i + 1 of the record)
+    One (n - 1, 2l) Gaussian block is drawn from the sub-seed
+    (seed, spawn_key=(0,)), and sampled point i (row i + 1 of the record)
     takes row i of it, mapped onto M+ through the eigenspaces of P_0 (a row
-    without an image keeps its raw value, and fails certification).  Each
-    attempt round certifies the rows of all points still missing in one
-    stacked pass, the seed's with attempt 0's.  A seed that fails raises
-    CertificationError; a sampled point whose row fails retries with the
-    next attempt's row, up to 10 retries, so a point depends only on i and
-    its own retry count, never on n or on which other points failed.
+    without an image keeps its raw value, and fails certification).  All n
+    rows are certified in one stacked pass; the first that fails raises
+    CertificationError naming its row.  A system with a non-finite entry
+    raises CertificationError before any product is formed.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    entropy = int(seed) & _SEED_MASK
+    if not system.finite:
+        raise CertificationError(
+            "no points: the Clifford system has non-finite entries")
+    rng = default_rng(SeedSequence(int(seed) & _SEED_MASK, spawn_key=(0,)))
     x = np.empty((n, system.ambient_dim))
     x[0] = _seed_row(system)
-    out = {"residual_constraints": np.zeros(n), "residual_sphere": np.zeros(n),
-           "value_gap": np.zeros(n), "jacobian_rank": np.zeros(n, dtype=int)}
-    failures = np.zeros(n, dtype=int)
-    pending = np.arange(n)
-    for attempt in range(_MAX_RETRIES + 1):
-        if not pending.size:
-            break
-        drawn = pending[pending > 0]
-        if drawn.size:
-            rng = default_rng(SeedSequence(entropy, spawn_key=(attempt,)))
-            z = rng.standard_normal((n - 1, system.ambient_dim))
-            x[drawn] = _onto_focal(system, z[drawn - 1])
-        cert = _certify(system, x[pending])
-        passed = cert["passed"]
-        if pending[0] == 0 and not passed[0]:
-            raise _rejection(cert, 0)
-        for name, values in out.items():
-            values[pending[passed]] = cert[name][passed]
-        failures[pending[~passed]] += 1
-        pending = pending[~passed]
-    if pending.size:
-        i = int(pending[0])
-        total = int(np.sum(failures[:i + 1]))
-        raise SamplingError(
-            f"point {i} failed after {_MAX_RETRIES + 1} attempts "
-            f"({total} failed attempts so far)", failures=total)
-    return FocalPoints(x=x, **out)
+    x[1:] = _onto_focal(system, rng.standard_normal(x[1:].shape))
+    cert = _certify(system, x)
+    failed = np.flatnonzero(~cert["passed"])
+    if failed.size:
+        raise _rejection(cert, int(failed[0]))
+    return FocalPoints(x=x, **{f.name: cert[f.name]
+                               for f in fields(FocalPoints)[1:]})

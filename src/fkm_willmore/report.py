@@ -27,7 +27,7 @@ from numpy.random import default_rng
 from .clifford import (CliffordSystem, build_clifford_system, delta,
                        dump_matrices, verify_clifford_relations)
 from .errors import (AdmissibilityError, CertificationError, FrameError,
-                     MultiplicityError, SamplingError, SpectrumError)
+                     MultiplicityError, SpectrumError)
 from .focal import SPHERE_TOL, VALUE_TOL, sample_focal_points
 from .geometry import build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
@@ -82,9 +82,10 @@ def _subseed(master: int, *key: int) -> np.random.SeedSequence:
 class VerificationConfig:
     """Resolved suite configuration.
 
-    `tolerances` may be passed as a partial override; it is merged with the
-    defaults and validated.  Presentation options (out/format/dump path) are
-    carried here for the CLI but excluded from canonical serialization.
+    The (m, k) pairs of `configurations` and the partial override of the
+    default `tolerances` may hold strings; both are converted and validated
+    here, and an error names the bad entry.  Presentation options (out/
+    format/dump path) are carried for the CLI but not serialized.
     """
 
     configurations: tuple = DEFAULT_GRID
@@ -98,22 +99,31 @@ class VerificationConfig:
     dump_matrices: str | None = None
 
     def __post_init__(self):
-        configs = tuple((int(m), int(k)) for m, k in self.configurations)
+        configs = []
+        for entry in self.configurations:
+            try:
+                m, k = (int(v) for v in entry)
+                if m < 1 or k < 1:
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"invalid grid entry {entry!r}: expected "
+                                 "integers m:k, both >= 1") from None
+            configs.append((m, k))
         if not configs:
             raise ValueError("configuration grid is empty")
-        for m, k in configs:
-            if m < 1 or k < 1:
-                raise ValueError(f"grid entry m={m}, k={k}: both must be >= 1")
-        object.__setattr__(self, "configurations", configs)
+        object.__setattr__(self, "configurations", tuple(configs))
         merged = dict(DEFAULT_TOLERANCES)
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
         for name, value in self.tolerances.items():
-            value = float(value)
-            if not value > 0.0:
-                raise ValueError(f"tolerance {name} must be positive")
-            merged[name] = value
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance {name!r}; choose from "
+                                 + ", ".join(sorted(DEFAULT_TOLERANCES)))
+            try:
+                merged[name] = float(value)
+                if not merged[name] > 0.0:
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"invalid tolerance {name}={value!r}: "
+                                 "expected a positive number") from None
         object.__setattr__(self, "tolerances", merged)
         if self.format not in ("json", "text"):
             raise ValueError(f"format must be json or text, got {self.format!r}")
@@ -214,7 +224,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                     config_index: int) -> dict:
     """Run every check block for one admissible system.
 
-    Expected failure modes (sampling, certification, frame, spectrum) mark
+    Expected failure modes (certification, frame, spectrum) mark
     their block failed and skip dependents; anything else propagates to
     run_suite, which records an internal error (exit code 3).
     """
@@ -242,11 +252,11 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
 
     points = None
     try:
-        # the sampler spawns its own sequences from an integer entropy
+        # the sampler spawns its own sequence from an integer entropy
         ss = _subseed(cfg.seed, config_index, 1)
         points = sample_focal_points(
             system, cfg.n_points, seed=int(ss.generate_state(2, np.uint64)[0]))
-    except (SamplingError, CertificationError) as exc:
+    except CertificationError as exc:
         blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
 
     if points is not None:

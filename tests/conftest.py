@@ -31,17 +31,23 @@ def corrupt_system(m: int, k: int, eps: float = 1e-3) -> CliffordSystem:
     return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
 
 
-def nan_pair_system(m: int, k: int) -> CliffordSystem:
-    """A system whose second matrix has one symmetric pair of off-diagonal
-    entries set to NaN.
+# the values nan_pair_system is tested with
+NON_FINITE = [np.nan, np.inf]
 
-    The matrix stays symmetric and traceless, and the NaN sits in neither
-    the first matrix nor the first entry, so only a NaN-aware fold of the
-    residuals can see it.
+
+def nan_pair_system(m: int, k: int, value: float = np.nan) -> CliffordSystem:
+    """A system whose second matrix has one symmetric pair of off-diagonal
+    entries set to `value`, NaN by default or an infinity.
+
+    The matrix stays symmetric and traceless, and the bad entry sits in
+    neither the first matrix nor the first entry, so only a NaN-aware fold
+    of the residuals can see it.  An infinite entry times a zero raises
+    numpy's RuntimeWarning, which the suite turns into a failure, so a
+    check that multiplies before it looks at the entries fails on it.
     """
     base = build_clifford_system(m, k)
     mats = [np.array(p, dtype=float) for p in base.matrices]
-    mats[1][0, 1] = mats[1][1, 0] = np.nan
+    mats[1][0, 1] = mats[1][1, 0] = value
     return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
 
 

@@ -18,7 +18,8 @@ from fkm_willmore import (AdmissibilityError, build_clifford_system,
                           shape_operators, verify_clifford_relations)
 from fkm_willmore.clifford import _orthonormal_completion
 
-from conftest import GRID, conjugated_system, corrupt_system, nan_pair_system
+from conftest import (GRID, NON_FINITE, conjugated_system, corrupt_system,
+                      nan_pair_system)
 from oracles import parse_dump, rotate_system
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
@@ -101,9 +102,10 @@ def test_corruption_detected():
 
 
 def test_nan_entry_pair_fails():
-    check = verify_clifford_relations(nan_pair_system(2, 2))
-    assert np.isnan(check.residual)
-    assert not check.passed
+    for value in NON_FINITE:
+        check = verify_clifford_relations(nan_pair_system(2, 2, value))
+        assert np.isnan(check.residual), value
+        assert not check.passed
 
 
 def test_rotate_identity_coefficients():
@@ -242,6 +244,10 @@ def test_dump_rejects_non_integer_system():
     rotated = rotate_system(system, c)
     with pytest.raises(ValueError):
         dump_matrices(rotated)
+    # np.rint(inf) == inf: an infinite entry is not an integer either
+    for value in NON_FINITE:
+        with pytest.raises(ValueError, match="not dumpable"):
+            dump_matrices(nan_pair_system(2, 2, value))
 
 
 def test_matrices_are_readonly():

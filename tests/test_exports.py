@@ -20,13 +20,12 @@ PACKAGE_NAMES = [
     "CertificationError", "Check", "CliffordSystem", "DEFAULT_GRID",
     "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe", "FkmPolynomial",
     "FocalPoints", "FrameError", "MultiplicityError", "SPHERE_TOL",
-    "SamplingError", "ShapeData", "SpectrumError", "VALUE_TOL",
-    "VerificationConfig", "VerificationReport", "build_clifford_system",
-    "build_frame", "build_skew_generators", "certify_point", "delta",
-    "dump_matrices", "einstein_probe", "evaluate_system", "exit_code", "fold",
-    "render_text", "run_suite", "sample_focal_points", "shape_operators",
-    "verify_cartan_munzner", "verify_clifford_relations",
-    "write_matrix_dumps",
+    "ShapeData", "SpectrumError", "VALUE_TOL", "VerificationConfig",
+    "VerificationReport", "build_clifford_system", "build_frame",
+    "build_skew_generators", "certify_point", "delta", "dump_matrices",
+    "einstein_probe", "evaluate_system", "exit_code", "fold", "render_text",
+    "run_suite", "sample_focal_points", "shape_operators",
+    "verify_cartan_munzner", "verify_clifford_relations", "write_matrix_dumps",
 ]
 
 

@@ -5,9 +5,8 @@ import pytest
 from numpy.random import SeedSequence, default_rng
 
 from fkm_willmore import (CONSTRAINT_TOL, SPHERE_TOL, CliffordSystem,
-                          SamplingError, build_clifford_system,
-                          CertificationError, VerificationConfig, run_suite,
-                          sample_focal_points)
+                          build_clifford_system, CertificationError,
+                          VerificationConfig, run_suite, sample_focal_points)
 from fkm_willmore import focal
 
 from conftest import GRID, conjugated_system
@@ -134,23 +133,32 @@ def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
     # fkm-verify and fkm-verify --points 100 --normals 0 sample 7 x 19 and
     # 7 x 99 points (row 0 is the seed); the PDE samples and the normals
     # come from other streams, so fewer of them leave the points as they
-    # are.  Every row of attempt 0 certifies, so no retry draws a block.
+    # are.  Every call certifies all its rows from one generator, built
+    # from the sub-seed named (0,).
     from fkm_willmore import report
     sample = report.sample_focal_points
     counts = []
-    made = _rig(monkeypatch, set())
+    made = []
+    keys = []
+
+    def generator(seed_seq):
+        made.append(seed_seq.spawn_key)
+        return default_rng(seed_seq)
 
     def recording(system, n, seed):
+        before = len(made)
         points = sample(system, n, seed=seed)
         counts.append(len(points.x))
+        keys.append(made[before:])
         return points
 
+    monkeypatch.setattr(focal, "default_rng", generator)
     monkeypatch.setattr(report, "sample_focal_points", recording)
     for n_points in (20, 100):
         run_suite(VerificationConfig(n_points=n_points, n_normals=0,
                                      n_pde_samples=1, seed=seed))
     assert counts == [20] * 7 + [100] * 7
-    assert made == [0] * 14
+    assert keys == [[(0,)]] * 14
 
 
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
@@ -168,9 +176,9 @@ def test_jacobian_rank(m, k, rank):
 # the stacked sampler against one-point maps and certification
 # ---------------------------------------------------------------------------
 
-def _raw(system, seed, i, attempt, n):
-    # row i of attempt's (n, 2l) Gaussian block
-    rng = default_rng(SeedSequence(seed, spawn_key=(attempt,)))
+def _raw(system, seed, i, n):
+    # row i of the (n, 2l) Gaussian block
+    rng = default_rng(SeedSequence(seed, spawn_key=(0,)))
     return rng.standard_normal((n, system.ambient_dim))[i]
 
 
@@ -195,9 +203,9 @@ def _reference_start(system, z):
     return x
 
 
-def _start(system, seed, i, attempt, n):
-    # the start point i takes at attempt: its Gaussian row mapped onto M+
-    return _reference_start(system, _raw(system, seed, i, attempt, n))
+def _start(system, seed, i, n):
+    # the start of sampled point i: its Gaussian row mapped onto M+
+    return _reference_start(system, _raw(system, seed, i, n))
 
 
 def _same_point(a, b):
@@ -215,84 +223,35 @@ def test_sampling_sweep_equals_single_projections(m, k):
     _same_point(_row(points, 0), certify(system, focal._seed_row(system)))
     for i in range(40):
         _same_point(_row(points, i + 1),
-                    certify(system, _start(system, 77, i, 0, 40)))
-
-
-class _RiggedRng:
-    """Stands in for the generator of one attempt: its Gaussian block, with
-    the rows of the given points replaced by a singular start."""
-
-    def __init__(self, rng, rows, axis):
-        self.rng = rng
-        self.rows = rows
-        self.axis = axis
-
-    def standard_normal(self, size):
-        block = self.rng.standard_normal(size)
-        # a basis vector inside an eigenspace of P_0 (e_1 is a +1
-        # eigenvector) has no image on M+ and is kept as it is, off M+
-        block[self.rows] = np.eye(size[1])[self.axis]
-        return block
-
-
-def _rig(monkeypatch, singular_keys, axis=0):
-    """The given (point, attempt) keys draw the basis vector e_{axis+1};
-    returns the list of attempt keys that generators are built for."""
-    made = []
-
-    def rigged(seed_seq):
-        (attempt,) = seed_seq.spawn_key
-        made.append(attempt)
-        rows = [i for i, a in singular_keys if a == attempt]
-        return _RiggedRng(default_rng(seed_seq), rows, axis)
-
-    monkeypatch.setattr(focal, "default_rng", rigged)
-    return made
-
-
-def test_sampling_sweep_retries_like_single_projections(monkeypatch):
-    system = build_clifford_system(1, 3)
-    made = _rig(monkeypatch, {(2, 0), (7, 0), (7, 1)})
-    points = sample_focal_points(system, 31, seed=9)
-    # one block of starts per attempt round, not one generator per point
-    assert made == [0, 1, 2]
-    # sampled point 2 fails its first attempt and takes row 2 of attempt 1's
-    # block, point 7 row 7 of attempt 2's; the other points keep their rows
-    # of attempt 0's
-    _same_point(_row(points, 3), certify(system, _start(system, 9, 2, 1, 30)))
-    _same_point(_row(points, 8), certify(system, _start(system, 9, 7, 2, 30)))
-    for i in set(range(30)) - {2, 7}:
-        _same_point(_row(points, i + 1),
-                    certify(system, _start(system, 9, i, 0, 30)))
+                    certify(system, _start(system, 77, i, 40)))
 
 
 @pytest.mark.parametrize("axis", [0, 3], ids=["plus", "minus"])
-def test_degenerate_row_keeps_its_raw_start_and_retries(monkeypatch, axis):
+def test_degenerate_row_is_kept_raw_and_rejected(monkeypatch, axis):
     # for (1, 3), e_1 lies in E+ and has no E- part to build w from; e_4
     # lies in E- and has no E+ part to build u from.  Either row is kept as
-    # it is, fails certification, and the point retries with its row of the
-    # next attempt.
+    # it is, fails certification, and the sampler names its point.
     system = build_clifford_system(1, 3)
     row = np.eye(6)[axis]
     assert np.array_equal(focal._onto_focal(system, row[None])[0], row)
     assert np.array_equal(_reference_start(system, row), row)
     with pytest.raises(CertificationError):
         certify(system, row)
-    made = _rig(monkeypatch, {(4, 0)}, axis)
-    points = sample_focal_points(system, 7, seed=3)
-    assert made == [0, 1]
-    _same_point(_row(points, 5), certify(system, _start(system, 3, 4, 1, 6)))
 
+    class Degenerate:
+        # the sampler's generator with sampled point 4's row replaced
+        def __init__(self, seed_seq):
+            self.rng = default_rng(seed_seq)
 
-def test_sampling_failure_counts_projections_so_far(monkeypatch):
-    system = build_clifford_system(1, 3)
-    _rig(monkeypatch, {(0, 0)} | {(1, a) for a in range(11)})
-    with pytest.raises(SamplingError) as info:
-        sample_focal_points(system, 4, seed=9)
-    # one retry of sampled point 0 (row 1), then all eleven attempts of
-    # sampled point 1 (row 2)
-    assert info.value.failures == 12
-    assert "point 2 failed after 11 attempts" in str(info.value)
+        def standard_normal(self, size):
+            block = self.rng.standard_normal(size)
+            block[4] = row
+            return block
+
+    monkeypatch.setattr(focal, "default_rng", Degenerate)
+    with pytest.raises(CertificationError,
+                       match=r"^point 5 failed certification: constraints"):
+        sample_focal_points(system, 7, seed=3)
 
 
 def test_sampling_starts_do_not_depend_on_the_point_count():

@@ -9,8 +9,8 @@ from fkm_willmore import (AdmissibilityError, CliffordSystem, FkmPolynomial,
                           sample_focal_points, verify_cartan_munzner)
 from fkm_willmore.polynomial import sphere_samples
 
-from conftest import (FD_RTOL, GRID, corrupt_system, fd_directional,
-                      fd_gradient, nan_pair_system, rel_err)
+from conftest import (FD_RTOL, GRID, NON_FINITE, corrupt_system,
+                      fd_directional, fd_gradient, nan_pair_system, rel_err)
 from oracles import gradient, hessian
 
 
@@ -147,9 +147,10 @@ def test_cartan_munzner_detects_corruption():
 
 
 def test_cartan_munzner_fails_on_nan():
-    poly = FkmPolynomial(nan_pair_system(2, 2))
-    checks = verify_cartan_munzner(poly, n_samples=200, seed=31)
-    assert all(np.isnan(c.residual) and not c.passed for c in checks)
+    for value in NON_FINITE:
+        poly = FkmPolynomial(nan_pair_system(2, 2, value))
+        checks = verify_cartan_munzner(poly, n_samples=200, seed=31)
+        assert all(np.isnan(c.residual) and not c.passed for c in checks)
 
 
 def test_cartan_munzner_passes_at_its_own_worst_residual():
@@ -237,11 +238,7 @@ def _sequential_unit_draws(rng, count, dim):
     out = []
     for _ in range(count):
         z = rng.standard_normal(dim)
-        nz = float(np.linalg.norm(z))
-        while nz < 1e-12:
-            z = rng.standard_normal(dim)
-            nz = float(np.linalg.norm(z))
-        out.append(z / nz)
+        out.append(z / float(np.linalg.norm(z)))
     return np.array(out)
 
 
@@ -255,26 +252,6 @@ def test_sphere_samples_equal_sequential_draws(seed, count, dim):
     again = default_rng(seed)
     assert np.array_equal(raw, [again.standard_normal(dim)
                                 for _ in range(count)])
-
-
-def test_sphere_samples_redraw_degenerate_rows():
-    class ZeroSecondRow:
-        def __init__(self):
-            self.rng = default_rng(104)
-
-        def standard_normal(self, size):
-            z = self.rng.standard_normal(size)
-            if isinstance(size, tuple):
-                z[1] = 0.0
-            return z
-
-    points = sphere_samples(ZeroSecondRow(), 3, 5)
-    assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-15
-    rng = default_rng(104)
-    first = rng.standard_normal((3, 5))
-    redraw = rng.standard_normal(5)
-    assert np.allclose(points[0], first[0] / np.linalg.norm(first[0]))
-    assert np.allclose(points[1], redraw / np.linalg.norm(redraw))
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (4, 2)])

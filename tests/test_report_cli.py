@@ -32,14 +32,25 @@ def tiny_config(**over):
 
 
 def test_config_validation():
+    # the config is the one layer that checks grid entries and tolerances;
+    # each error names the bad entry
     with pytest.raises(ValueError):
         VerificationConfig(configurations=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"invalid grid entry \(0, 1\)"):
         VerificationConfig(configurations=((0, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"invalid grid entry \('1-3',\)"):
+        VerificationConfig(configurations=(("1-3",),))
+    with pytest.raises(ValueError, match=r"invalid grid entry \('1', 'x'\)"):
+        VerificationConfig(configurations=(("1", "x"),))
+    with pytest.raises(ValueError, match="unknown tolerance 'nope'"):
         VerificationConfig(tolerances={"nope": 1e-8})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid tolerance pde=-1.0: expected a positive"):
         VerificationConfig(tolerances={"pde": -1.0})
+    with pytest.raises(ValueError, match="invalid tolerance pde='abc'"):
+        VerificationConfig(tolerances={"pde": "abc"})
+    assert VerificationConfig(configurations=(("2", "2"),),
+                              tolerances={"pde": "1e-6"}).tolerances["pde"] \
+        == 1e-6
     with pytest.raises(ValueError):
         VerificationConfig(format="yaml")
     with pytest.raises(ValueError):
@@ -466,21 +477,27 @@ def _reject_constant(token):
 
 def test_nan_residuals_serialize_as_null():
     # JSON has no NaN: a NaN residual is written as null, and its block
-    # fails
-    from conftest import nan_pair_system
+    # fails; a NaN or infinite entry of the system gives NaN residuals, and
+    # the points block names the entries as the cause
+    from conftest import NON_FINITE, nan_pair_system
     cfg = tiny_config(configurations=((2, 2),))
-    entry = evaluate_system(nan_pair_system(2, 2), cfg, 0)
-    report = VerificationReport(config=cfg, entries=[entry],
-                                overall_pass=False)
-    parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
-    blocks = parsed["configurations"][0]["blocks"]
-    assert blocks["clifford"]["max_deviation"] is None
-    assert blocks["cartan_munzner"]["max_gradient_residual"] is None
-    assert blocks["cartan_munzner"]["max_laplacian_residual"] is None
-    assert not blocks["clifford"]["pass"]
-    assert not blocks["cartan_munzner"]["pass"]
-    # finite values are untouched
-    assert blocks["cartan_munzner"]["n_samples"] == cfg.n_pde_samples
+    for value in NON_FINITE:
+        entry = evaluate_system(nan_pair_system(2, 2, value), cfg, 0)
+        report = VerificationReport(config=cfg, entries=[entry],
+                                    overall_pass=False)
+        parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
+        blocks = parsed["configurations"][0]["blocks"]
+        assert blocks["clifford"]["max_deviation"] is None
+        assert blocks["cartan_munzner"]["max_gradient_residual"] is None
+        assert blocks["cartan_munzner"]["max_laplacian_residual"] is None
+        assert not blocks["clifford"]["pass"]
+        assert not blocks["cartan_munzner"]["pass"]
+        # finite values are untouched
+        assert blocks["cartan_munzner"]["n_samples"] == cfg.n_pde_samples
+        assert blocks["points"] == {
+            "count": 0, "pass": False,
+            "error": "no points: the Clifford system has non-finite entries"}
+        assert list(blocks) == ["clifford", "cartan_munzner", "points"]
 
 
 def test_jsonable_arrays_match_the_element_walk():
