@@ -15,11 +15,13 @@ R^{2l} = R^l + R^l:
 where E_1, ..., E_{m-1} are pairwise anticommuting orthogonal skew matrices
 on R^{delta(m)}, extended to R^l (l = k * delta(m)) as k-fold block
 diagonals.  The base generators are left multiplications in the complex
-numbers (m = 2), the quaternions (m = 3, 4) and the octonions (m = 5..8);
-m = 9 doubles the octonion set once to dimension 16.  Left multiplication
-tables are signed permutations, so every matrix built here has entries in
-{-1, 0, +1} and its algebraic identities are checked with zero tolerance;
-systems with other entries (rotated or conjugated ones) are held to 1e-12.
+numbers (m = 2), the quaternions (m = 3, 4) and the octonions (m = 5..8),
+all read from one recursive Cayley-Dickson product (_product); m = 9
+doubles the octonion set once to dimension 16.  Left multiplications by
+basis elements are signed permutations, so every matrix built here has
+entries in {-1, 0, +1} and its algebraic identities are checked with zero
+tolerance; systems with other entries (rotated or conjugated ones) are held
+to 1e-12.
 
 Admissibility: the focal manifold construction needs m2 = l - m - 1 >= 1.
 
@@ -50,16 +52,6 @@ __all__ = [
 
 _DELTA_BASE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 
-# q_a * q_b over the quaternion basis (1, i, j, k), stored as (sign, index).
-_QUATERNION_TABLE = (
-    ((1, 0), (1, 1), (1, 2), (1, 3)),
-    ((1, 1), (-1, 0), (1, 3), (-1, 2)),
-    ((1, 2), (-1, 3), (-1, 0), (1, 1)),
-    ((1, 3), (1, 2), (-1, 1), (-1, 0)),
-)
-
-_J2 = ((0.0, -1.0), (1.0, 0.0))
-
 # Relation tolerance for systems with non-integer entries.
 _RELATIONS_TOL = 1e-12
 
@@ -77,47 +69,39 @@ def delta(m: int) -> int:
     return 16 * delta(m - 8)
 
 
-def _octonion_table() -> tuple:
-    """Octonion basis products by Cayley-Dickson doubling of the quaternions.
+def _product(s: int, t: int, dim: int) -> tuple:
+    """e_s e_t = sign * e_r in the Cayley-Dickson algebra of dimension dim
+    (1, 2, 4 or 8: the reals, complex numbers, quaternions, octonions), as
+    (sign, r).
 
-    Basis convention: e_p = (q_p, 0) for p = 0..3 and e_{4+p} = (0, q_p),
-    with pair product (a, b)(c, d) = (a c - conj(d) b, d a + b conj(c)).
-    Conjugation fixes q_0 and negates q_1, q_2, q_3.
+    The algebra of dimension 2h holds pairs of elements of the one of
+    dimension h, with basis e_p = (e_p, 0) and e_{h+p} = (0, e_p) for p < h,
+    and product (a, b)(c, d) = (a c - conj(d) b, d a + b conj(c)).
+    Conjugation fixes e_0 and negates every other basis element.
     """
-    def conj_sign(p):
-        return 1 if p == 0 else -1
-
-    table = [[None] * 8 for _ in range(8)]
-    for s in range(8):
-        slot_s, p_s = divmod(s, 4)
-        for t in range(8):
-            slot_t, p_t = divmod(t, 4)
-            if slot_s == 0 and slot_t == 0:
-                sign, r = _QUATERNION_TABLE[p_s][p_t]
-                slot = 0
-            elif slot_s == 0 and slot_t == 1:
-                # (a, 0)(0, d) = (0, d a)
-                sign, r = _QUATERNION_TABLE[p_t][p_s]
-                slot = 1
-            elif slot_s == 1 and slot_t == 0:
-                # (0, b)(c, 0) = (0, b conj(c))
-                sign, r = _QUATERNION_TABLE[p_s][p_t]
-                sign *= conj_sign(p_t)
-                slot = 1
-            else:
-                # (0, b)(0, d) = (-conj(d) b, 0)
-                sign, r = _QUATERNION_TABLE[p_t][p_s]
-                sign = -sign * conj_sign(p_t)
-                slot = 0
-            table[s][t] = (sign, 4 * slot + r)
-    return tuple(tuple(row) for row in table)
+    if dim == 1:
+        return 1, 0
+    h = dim // 2
+    (slot_s, p), (slot_t, q) = divmod(s, h), divmod(t, h)
+    conj = 1 if q == 0 else -1
+    if not slot_s and not slot_t:       # (a, 0)(c, 0) = (a c, 0)
+        return _product(p, q, h)
+    if not slot_s:                      # (a, 0)(0, d) = (0, d a)
+        sign, r = _product(q, p, h)
+        return sign, h + r
+    if not slot_t:                      # (0, b)(c, 0) = (0, b conj(c))
+        sign, r = _product(p, q, h)
+        return conj * sign, h + r
+    sign, r = _product(q, p, h)         # (0, b)(0, d) = (-conj(d) b, 0)
+    return -conj * sign, r
 
 
-def _left_multiplication(table, t: int, dim: int) -> np.ndarray:
-    # Column s of L_t holds the coordinates of e_t * e_s.
+def _left_multiplication(t: int, dim: int) -> np.ndarray:
+    """Left multiplication by e_t on R^dim: column s holds the coordinates
+    of e_t e_s."""
     mat = np.zeros((dim, dim))
     for s in range(dim):
-        sign, r = table[t][s]
+        sign, r = _product(t, s, dim)
         mat[r, s] = float(sign)
     return mat
 
@@ -126,28 +110,19 @@ def build_skew_generators(m: int) -> tuple:
     """The m - 1 base skew generators on R^{delta(m)}, as read-only
     matrices: E_i E_j + E_j E_i = -2 delta_{ij} I, E_i^T = -E_i.
 
-    m = 1 needs none; m = 2 uses the standard complex structure on R^2;
-    m = 3, 4 use quaternion left multiplication by i, j(, k) on R^4;
-    m = 5..8 use octonion left multiplication by e_1, ..., e_{m-1} on R^8;
-    m = 9 doubles the octonion set to R^16 (split each generator across
-    diag(1, -1) and append the block rotation J (x) I_8).
+    For m <= 8 they are the left multiplications by e_1, ..., e_{m-1} in
+    the Cayley-Dickson algebra of dimension delta(m) (none for m = 1).
+    m = 9 doubles the octonion set to R^16: each generator split across
+    diag(1, -1), and the complex structure of R^2 tensored with I_8.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if m == 1:
-        mats = ()
-    elif m == 2:
-        mats = (np.array(_J2),)
-    elif m <= 4:
-        mats = tuple(_left_multiplication(_QUATERNION_TABLE, t, 4)
-                     for t in range(1, m))
-    elif m <= 8:
-        table = _octonion_table()
-        mats = tuple(_left_multiplication(table, t, 8) for t in range(1, m))
+    if m <= 8:
+        mats = tuple(_left_multiplication(t, delta(m)) for t in range(1, m))
     elif m == 9:
         split = np.diag([1.0, -1.0])
         mats = (tuple(np.kron(split, E) for E in build_skew_generators(8))
-                + (np.kron(np.array(_J2), np.eye(8)),))
+                + (np.kron(_left_multiplication(1, 2), np.eye(8)),))
     else:
         raise NotImplementedError(
             f"m={m} needs a further Bott-periodicity doubling of the "

@@ -55,6 +55,13 @@ _RANK_TOL = 1e-8           # singular values above this count for the rank
 _SEED_MASK = (1 << 64) - 1
 
 
+def _subseed(master: int, *key: int) -> SeedSequence:
+    """The sub-stream of the master seed named by `key`, ready for
+    default_rng."""
+    return SeedSequence(int(master) & _SEED_MASK,
+                        spawn_key=tuple(int(v) for v in key))
+
+
 @dataclass(frozen=True)
 class FocalPoints:
     """n certified points of M+ and the residuals of their certification.
@@ -240,7 +247,7 @@ def sample_focal_points(system: CliffordSystem, n: int,
     if not system.finite:
         raise CertificationError(
             "no points: the Clifford system has non-finite entries")
-    rng = default_rng(SeedSequence(int(seed) & _SEED_MASK, spawn_key=(0,)))
+    rng = default_rng(_subseed(seed, 0))
     x = np.empty((n, system.ambient_dim))
     x[0] = _seed_row(system)
     x[1:] = _onto_focal(system, rng.standard_normal(x[1:].shape))

@@ -44,53 +44,15 @@ class FkmPolynomial:
                 f"polynomial needs m2 >= 1, got m2={self.system.m2}",
                 m2=self.system.m2)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.system.ambient_dim
-
-    @property
-    def m1(self) -> int:
-        return self.system.m
-
-    @property
-    def m2(self) -> int:
-        return self.system.m2
-
-    def _check_points(self, x) -> np.ndarray:
-        """One point (2l,) or a block of points (K, 2l), one per row."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.ambient_dim:
-            raise ValueError(
-                f"point shape {x.shape} is neither ({self.ambient_dim},) nor "
-                f"(K, {self.ambient_dim})")
-        return x
-
-    def _terms(self, x: np.ndarray):
-        """P_a x as (m+1, ..., 2l), g_a(x) as (m+1, ...) and |x|^2 as (...)."""
-        px = x @ self.system.stack.transpose(0, 2, 1)
-        return px, np.sum(px * x, axis=-1), np.sum(x * x, axis=-1)
-
-    @staticmethod
-    def _value(g, xx):
-        return xx * xx - 2.0 * np.sum(g * g, axis=0)
-
-    def value(self, x):
-        """F at one point (a float) or at each row of a block (an array)."""
-        x = self._check_points(x)
-        _, g, xx = self._terms(x)
-        return _scalar(self._value(g, xx), x)
-
     def sphere_derivatives(self, x) -> tuple:
-        """Value, intrinsic gradient and intrinsic Laplacian at unit points.
+        """Value, intrinsic gradient and intrinsic Laplacian at a (K, 2l)
+        block of unit points, one per row, as arrays (K,), (K, 2l) and (K,).
 
-        x is one unit point, which gives (float, (2l,), float), or a (K, 2l)
-        block of unit points (one per row), which gives arrays (K,),
-        (K, 2l) and (K,).  Both reductions follow from degree-4 homogeneity.
-        The sphere gradient is the tangential projection of the ambient
-        gradient grad F = 4 |x|^2 x - 8 sum_a g_a(x) P_a x.  For the
-        Laplacian, split the ambient operator at r = |x| = 1 into radial and
-        spherical parts; with F = r^g f on rays (g = 4, ambient dimension
-        n = 2l),
+        Both reductions follow from degree-4 homogeneity.  The sphere
+        gradient is the tangential projection of the ambient gradient
+        grad F = 4 |x|^2 x - 8 sum_a g_a(x) P_a x.  For the Laplacian, split
+        the ambient operator at r = |x| = 1 into radial and spherical parts;
+        with F = r^g f on rays (g = 4, ambient dimension n = 2l),
 
             lap F = lap_S f + g (g - 1) F + (n - 1) g F,
 
@@ -101,28 +63,28 @@ class FkmPolynomial:
             lap F = (8 + 4 (2l)) |x|^2 - 16 sum_a |P_a x|^2
                     - 8 sum_a g_a(x) trace(P_a).
         """
-        x = self._check_points(x)
+        stack, n = self.system.stack, self.system.ambient_dim
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != n:
+            raise ValueError(f"point block shape {x.shape} is not (K, {n})")
         unit_gap = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
         bad = np.flatnonzero(~(unit_gap <= 1e-12))
         if bad.size:
             raise ValueError("sphere derivatives need unit points (row "
                              f"{bad[0]} is off the sphere)")
-        # P_a x, g_a and |x|^2 once, for all three derivatives
-        px, g, xx = self._terms(x)
-        grad = 4.0 * xx[..., None] * x - 8.0 * np.sum(g[..., None] * px,
-                                                      axis=0)
-        grad_s = grad - np.sum(grad * x, axis=-1)[..., None] * x
-        value = _scalar(self._value(g, xx), x)
-        traces = np.trace(self.system.stack, axis1=1, axis2=2)
-        lap = ((8.0 + 4.0 * self.ambient_dim) * xx
+        # P_a x as (m+1, K, 2l), g_a(x) as (m+1, K) and |x|^2 as (K,), once
+        # for all three derivatives
+        px = x @ stack.transpose(0, 2, 1)
+        g = np.sum(px * x, axis=-1)
+        xx = np.sum(x * x, axis=-1)
+        grad = 4.0 * xx[:, None] * x - 8.0 * np.sum(g[..., None] * px, axis=0)
+        grad_s = grad - np.sum(grad * x, axis=-1)[:, None] * x
+        value = xx * xx - 2.0 * np.sum(g * g, axis=0)
+        traces = np.trace(stack, axis1=1, axis2=2)
+        lap = ((8.0 + 4.0 * n) * xx
                - 16.0 * np.sum(px * px, axis=(0, -1)) - 8.0 * (traces @ g))
-        lap_s = _scalar(lap, x) - 4.0 * (self.ambient_dim + 2.0) * value
+        lap_s = lap - 4.0 * (n + 2.0) * value
         return value, grad_s, lap_s
-
-
-def _scalar(out, x):
-    """out as a float for one point x, as the array it is for a block."""
-    return float(out) if x.ndim == 1 else out
 
 
 def sphere_samples(rng, count: int, dim: int) -> np.ndarray:
@@ -149,13 +111,14 @@ def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if not poly.system.finite:
+    system = poly.system
+    if not system.finite:
         worst_grad = worst_lap = float("nan")
     else:
         points = sphere_samples(default_rng(seed), n_samples,
-                                poly.ambient_dim)
-        const = 8.0 * (poly.m2 - poly.m1)
-        slope = 4.0 * (poly.ambient_dim + 2.0)
+                                system.ambient_dim)
+        const = 8.0 * (system.m2 - system.m)
+        slope = 4.0 * (system.ambient_dim + 2.0)
         value, grad, lap = poly.sphere_derivatives(points)
         worst_grad = fold(np.abs(np.sum(grad * grad, axis=1)
                                  - 16.0 * (1.0 - value * value)))

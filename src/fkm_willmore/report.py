@@ -15,6 +15,7 @@ Exit-code contract, used by the CLI:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .clifford import (CliffordSystem, build_clifford_system, delta,
                        dump_matrices, verify_clifford_relations)
 from .errors import (AdmissibilityError, CertificationError, FrameError,
                      MultiplicityError, SpectrumError)
-from .focal import SPHERE_TOL, VALUE_TOL, sample_focal_points
+from .focal import SPHERE_TOL, VALUE_TOL, _subseed, sample_focal_points
 from .geometry import build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
 from .records import Check, fold
@@ -38,6 +39,7 @@ __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_SEED",
     "DEFAULT_TOLERANCES",
+    "N_PDE_SAMPLES",
     "SCHEMA_VERSION",
     "TOOL_NAME",
     "TOOL_VERSION",
@@ -64,34 +66,37 @@ DEFAULT_TOLERANCES = {
     "geom": 1e-8,       # curvature identities, spectra, balances
     "willmore": 1e-7,   # reduced criterion and Ricci balance
 }
+# uniform sphere points at which each configuration's PDE residuals are taken
+N_PDE_SAMPLES = 1000
 
-_SEED_MASK = (1 << 64) - 1
 # the certify_point columns held to the willmore tolerance; the others are
 # held to geom
 _WILLMORE_CHECKS = ("residual_max", "balance_max")
 
 
-def _subseed(master: int, *key: int) -> np.random.SeedSequence:
-    """The sub-stream of the master seed named by `key`, ready for
-    default_rng."""
-    return np.random.SeedSequence(int(master) & _SEED_MASK,
-                                  spawn_key=tuple(int(v) for v in key))
+def _integer(value, name: str) -> int:
+    """value as an int when it is an int, a numpy integer or a decimal
+    string; otherwise a ValueError naming `name`."""
+    if isinstance(value, (int, np.integer, str)) and type(value) is not bool:
+        with contextlib.suppress(ValueError):    # int("2.5") raises
+            return int(value)
+    raise ValueError(f"invalid {name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class VerificationConfig:
     """Resolved suite configuration.
 
-    The (m, k) pairs of `configurations` and the partial override of the
-    default `tolerances` may hold strings; both are converted and validated
-    here, and an error names the bad entry.  Presentation options (out/
-    format/dump path) are carried for the CLI but not serialized.
+    The integer fields, the (m, k) pairs of `configurations` included, may
+    hold numpy integers or decimal strings, and the partial override of the
+    default `tolerances` may hold strings; all are converted and validated
+    here, and an error names the bad field or entry.  Presentation options
+    (out/format/dump path) are carried for the CLI but not serialized.
     """
 
     configurations: tuple = DEFAULT_GRID
     n_points: int = 20
     n_normals: int = 50
-    n_pde_samples: int = 1000
     seed: int = DEFAULT_SEED
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
@@ -102,7 +107,7 @@ class VerificationConfig:
         configs = []
         for entry in self.configurations:
             try:
-                m, k = (int(v) for v in entry)
+                m, k = (_integer(v, "grid entry") for v in entry)
                 if m < 1 or k < 1:
                     raise ValueError
             except (TypeError, ValueError):
@@ -112,6 +117,8 @@ class VerificationConfig:
         if not configs:
             raise ValueError("configuration grid is empty")
         object.__setattr__(self, "configurations", tuple(configs))
+        for name in ("n_points", "n_normals", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         merged = dict(DEFAULT_TOLERANCES)
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
@@ -131,9 +138,6 @@ class VerificationConfig:
             raise ValueError("n_points must be >= 1")
         if self.n_normals < 0:
             raise ValueError("n_normals must be >= 0")
-        if self.n_pde_samples < 1:
-            raise ValueError("n_pde_samples must be >= 1")
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass
@@ -160,7 +164,7 @@ class VerificationReport:
                 "configurations": [list(pair) for pair in cfg.configurations],
                 "n_points": cfg.n_points,
                 "n_normals": cfg.n_normals,
-                "n_pde_samples": cfg.n_pde_samples,
+                "n_pde_samples": N_PDE_SAMPLES,
                 "tolerances": {k: cfg.tolerances[k]
                                for k in sorted(cfg.tolerances)},
             },
@@ -244,9 +248,9 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     blocks["clifford"] = _block(verify_clifford_relations(system))
 
     blocks["cartan_munzner"] = _block(
-        {"n_samples": cfg.n_pde_samples},
+        {"n_samples": N_PDE_SAMPLES},
         *verify_cartan_munzner(FkmPolynomial(system),
-                               n_samples=cfg.n_pde_samples,
+                               n_samples=N_PDE_SAMPLES,
                                seed=_subseed(cfg.seed, config_index, 0),
                                tol=tol["pde"]))
 
@@ -391,7 +395,7 @@ def render_text(report: VerificationReport) -> str:
     cfg = report.config
     lines = [f"{TOOL_NAME} {TOOL_VERSION} (schema {SCHEMA_VERSION})",
              f"seed={cfg.seed} points={cfg.n_points} normals={cfg.n_normals}"
-             f" pde_samples={cfg.n_pde_samples}",
+             f" pde_samples={N_PDE_SAMPLES}",
              "tolerances: " + " ".join(f"{k}={cfg.tolerances[k]:g}"
                                        for k in sorted(cfg.tolerances))]
     for e in report.entries:

@@ -8,8 +8,10 @@ a second route to a quantity the package computes another way:
     bilinearity);
   * the sectional curvatures give the Ricci form through the Gauss
     equation, directly from the P_a and through the shape operators;
-  * gradient and hessian are the ambient derivatives of F in closed form,
-    whose trace the package's term-by-term Laplacian must equal;
+  * quartic, gradient and hessian are F and its ambient derivatives in
+    closed form at one point of R^{2l}, on or off the sphere; finite
+    differences of quartic check gradient, the package's term-by-term
+    Laplacian must equal the trace of hessian;
   * parse_dump reads the plain-text matrix dump back.
 """
 
@@ -48,6 +50,12 @@ def sectional_curvature_from_shape(frame, shape, X, Y):
     p = np.einsum("kip,ki->kp", frame.tangent, X)
     q = np.einsum("kip,ki->kp", frame.tangent, Y)
     return 1.0 + np.sum(form(p, p) * form(q, q) - form(p, q) ** 2, axis=1)
+
+
+def quartic(system, x):
+    """F(x) = |x|^4 - 2 sum_a <P_a x, x>^2 at one point."""
+    g = (system.stack @ x) @ x
+    return float(x @ x) ** 2 - 2.0 * float(g @ g)
 
 
 def gradient(system, x):

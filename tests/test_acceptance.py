@@ -156,7 +156,7 @@ def test_criterion_9_einstein_probe(suite_report, acceptance):
 
 def test_criterion_10_fault_sensitivity(acceptance):
     cfg = VerificationConfig(configurations=((2, 2),), n_points=3,
-                             n_normals=4, n_pde_samples=50)
+                             n_normals=4)
     entry = evaluate_system(corrupt_system(2, 2), cfg, 0)
     failed = [name for name, blk in entry["blocks"].items()
               if not blk.get("pass", False)]
@@ -170,7 +170,7 @@ def test_criterion_11_byte_identical_reports(acceptance):
     # configuration, evaluated in stacks
     configs = (
         VerificationConfig(configurations=((1, 3), (2, 2)), n_points=4,
-                           n_normals=6, n_pde_samples=100, seed=7),
+                           n_normals=6, seed=7),
         VerificationConfig(configurations=((1, 3), (2, 2)), n_points=100,
                            n_normals=0))
     pairs = [(run_suite(cfg).to_json(), run_suite(cfg).to_json())

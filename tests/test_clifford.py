@@ -5,6 +5,8 @@ checked with zero tolerance; rotated systems (built by the test oracle
 oracles.rotate_system) only get 1e-12.
 """
 
+import hashlib
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from fkm_willmore import (AdmissibilityError, build_clifford_system,
                           build_frame, build_skew_generators, certify_point,
                           delta, dump_matrices, sample_focal_points,
                           shape_operators, verify_clifford_relations)
-from fkm_willmore.clifford import _orthonormal_completion
+from fkm_willmore.clifford import _orthonormal_completion, _product
 
 from conftest import (GRID, NON_FINITE, conjugated_system, corrupt_system,
                       nan_pair_system)
@@ -49,6 +51,42 @@ def test_skew_generators_exact(m):
             if i == j:
                 continue
             assert np.array_equal(a @ b, -(b @ a)), f"E pair ({i},{j})"
+
+
+# SHA-256 of np.stack(build_skew_generators(m)).tobytes(): the generators,
+# and so every system and report built from them, keep their bytes
+GENERATOR_SHA256 = {
+    2: "c4b31ed64280cb80a693e5ab551136b63439d7bb2900db77eb8b831c7d9a39b0",
+    3: "8eb69dddb60df7974c6f6bf924ad8891d21b8191fad7026f6b386ec7f860efa6",
+    4: "02bb12f2c6a5849e102813c4278461fedc1bd81f1caca76d81f7dbbaa9879add",
+    5: "d41808e44378f73d995e75a5ad56c7354f10f558d21363b66f05093792b02a4e",
+    6: "7522b76997d89e67c78ed6bdcfe5a2f2c2af8fe079706d787ce97b832f95c3d0",
+    7: "744fcd4cac148d6b12306ce41eecf615236a5bf01cba274f74352bc4b8f5d082",
+    8: "4a1d8699d6d99b93174247e0f925cae5c74155ffdb987a2bf2d7b05a332aefb5",
+    9: "e2f76a970e606ef5ecd48f59e93ded235d9eb2b05244bd9bac5b86932e2da0d6",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GENERATOR_SHA256))
+def test_generator_bytes_are_pinned(m):
+    data = np.stack(build_skew_generators(m)).tobytes()
+    assert hashlib.sha256(data).hexdigest() == GENERATOR_SHA256[m]
+
+
+def test_cayley_dickson_product_gives_the_quaternions():
+    # basis (1, i, j, k) = e_0..e_3: i j = k, j k = i, k i = j, and each
+    # imaginary unit squares to -1
+    one, i, j, k = range(4)
+    assert _product(i, j, 4) == (1, k)
+    assert _product(j, k, 4) == (1, i)
+    assert _product(k, i, 4) == (1, j)
+    assert _product(j, i, 4) == (-1, k)
+    for unit in (i, j, k):
+        assert _product(unit, unit, 4) == (-1, one)
+    # e_0 is the unit of every algebra the recursion builds
+    for dim in (1, 2, 4, 8):
+        for s in range(dim):
+            assert _product(0, s, dim) == _product(s, 0, dim) == (1, s)
 
 
 def test_generators_unimplemented_range():

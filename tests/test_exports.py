@@ -62,3 +62,8 @@ def test_names_the_benchmark_uses():
         holder = importlib.import_module(f"fkm_willmore.{module}")
         for name in names:
             assert callable(holder.__dict__.get(name)), f"{module}.{name}"
+    # and these methods in the __dict__ of their class, which it resolves
+    # with no guard
+    for cls, name in ((fkm_willmore.FkmPolynomial, "sphere_derivatives"),
+                      (fkm_willmore.VerificationReport, "to_json")):
+        assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"

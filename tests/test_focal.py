@@ -156,7 +156,7 @@ def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
     monkeypatch.setattr(report, "sample_focal_points", recording)
     for n_points in (20, 100):
         run_suite(VerificationConfig(n_points=n_points, n_normals=0,
-                                     n_pde_samples=1, seed=seed))
+                                     seed=seed))
     assert counts == [20] * 7 + [100] * 7
     assert keys == [[(0,)]] * 14
 

@@ -11,7 +11,7 @@ from fkm_willmore.polynomial import sphere_samples
 
 from conftest import (FD_RTOL, GRID, NON_FINITE, corrupt_system,
                       fd_directional, fd_gradient, nan_pair_system, rel_err)
-from oracles import gradient, hessian
+from oracles import gradient, hessian, quartic
 
 
 def _poly(m, k):
@@ -20,18 +20,19 @@ def _poly(m, k):
 
 def test_value_at_origin_and_axis():
     poly = _poly(1, 3)
-    assert poly.value(np.zeros(6)) == 0.0
+    assert quartic(poly.system, np.zeros(6)) == 0.0
     # e_1 lies in the +1 eigenspace of P_0: g_0 = 1, so F = 1 - 2 = -1
-    e1 = np.eye(6)[0]
-    assert poly.value(e1) == -1.0
+    e1 = np.eye(6)[:1]
+    assert poly.sphere_derivatives(e1)[0][0] == -1.0
+    assert quartic(poly.system, e1[0]) == -1.0
 
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_value_one_on_focal_seed(m, k):
     system = build_clifford_system(m, k)
     poly = FkmPolynomial(system)
-    x = sample_focal_points(system, 1, seed=0).x[0]
-    assert abs(poly.value(x) - 1.0) <= 1e-15
+    x = sample_focal_points(system, 1, seed=0).x
+    assert abs(poly.sphere_derivatives(x)[0][0] - 1.0) <= 1e-15
 
 
 def test_degree_four_homogeneity():
@@ -42,33 +43,33 @@ def test_degree_four_homogeneity():
     for _ in range(40):
         x = rng.standard_normal(8)
         t = float(rng.uniform(0.1, 10.0))
-        want = t ** 4 * poly.value(x)
-        assert abs(poly.value(t * x) - want) <= 1e-10 * (1.0 + abs(want))
+        want = t ** 4 * quartic(poly.system, x)
+        assert abs(quartic(poly.system, t * x) - want) <= \
+            1e-10 * (1.0 + abs(want))
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (3, 2)])
 def test_gradient_matches_finite_differences(m, k):
-    poly = _poly(m, k)
-    n = poly.ambient_dim
+    system = build_clifford_system(m, k)
     rng = default_rng(100 + m)
     for _ in range(34):
-        x = rng.standard_normal(n)
-        grad = gradient(poly.system, x)
-        want = fd_gradient(poly.value, x)
+        x = rng.standard_normal(system.ambient_dim)
+        grad = gradient(system, x)
+        want = fd_gradient(lambda y: quartic(system, y), x)
         assert rel_err(grad, want) <= FD_RTOL, f"at |x|={np.linalg.norm(x):.2f}"
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (3, 2)])
 def test_hessian_matches_finite_differences(m, k):
-    poly = _poly(m, k)
-    n = poly.ambient_dim
+    system = build_clifford_system(m, k)
+    n = system.ambient_dim
     rng = default_rng(200 + m)
     for _ in range(34):
         x = rng.standard_normal(n)
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        hv = hessian(poly.system, x) @ v
-        assert rel_err(hv, fd_directional(lambda y: gradient(poly.system, y),
+        hv = hessian(system, x) @ v
+        assert rel_err(hv, fd_directional(lambda y: gradient(system, y),
                                           x, v)) <= FD_RTOL
 
 
@@ -96,25 +97,24 @@ def test_euclidean_laplacian_closed_form(m, k):
 @pytest.mark.parametrize("m,k", GRID)
 def test_sphere_derivatives_pointwise(m, k):
     poly = _poly(m, k)
-    m1, m2 = poly.m1, poly.m2
-    n = poly.ambient_dim
+    system = poly.system
     rng = default_rng(400 + m * 10 + k)
-    for _ in range(25):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        value, grad, lap = poly.sphere_derivatives(x)
-        assert abs(float(grad @ x)) <= 1e-12, "gradient not tangent"
-        grad_sq = float(grad @ grad)
-        assert abs(grad_sq - 16.0 * (1.0 - value ** 2)) <= 1e-10
-        want_lap = 8.0 * (m2 - m1) - 4.0 * (2 * poly.system.l + 2) * value
-        assert abs(lap - want_lap) <= 1e-10
+    x = rng.standard_normal((25, system.ambient_dim))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    value, grad, lap = poly.sphere_derivatives(x)
+    assert np.max(np.abs(np.sum(grad * x, axis=1))) <= 1e-12, \
+        "gradient not tangent"
+    grad_sq = np.sum(grad * grad, axis=1)
+    assert np.max(np.abs(grad_sq - 16.0 * (1.0 - value ** 2))) <= 1e-10
+    want_lap = 8.0 * (system.m2 - m) - 4.0 * (2 * system.l + 2) * value
+    assert np.max(np.abs(lap - want_lap)) <= 1e-10
 
 
 def test_sphere_derivatives_on_focal_point():
     system = build_clifford_system(1, 3)
     poly = FkmPolynomial(system)
-    value, grad, lap = poly.sphere_derivatives(
-        sample_focal_points(system, 1, seed=0).x[0])
+    (value,), (grad,), (lap,) = poly.sphere_derivatives(
+        sample_focal_points(system, 1, seed=0).x)
     assert abs(value - 1.0) <= 1e-15
     assert float(np.linalg.norm(grad)) <= 1e-7
     # m1 = m2 = 1, so the linear term vanishes and lap = -4 (2l + 2) = -32
@@ -124,7 +124,15 @@ def test_sphere_derivatives_on_focal_point():
 def test_sphere_derivatives_reject_off_sphere():
     poly = _poly(1, 3)
     with pytest.raises(ValueError):
-        poly.sphere_derivatives(np.full(6, 0.8))
+        poly.sphere_derivatives(np.full((1, 6), 0.8))
+
+
+def test_sphere_derivatives_reject_a_single_point():
+    # a point block has one point per row; a bare point is refused, unit
+    # or not
+    poly = _poly(1, 3)
+    with pytest.raises(ValueError, match=r"point block shape \(6,\)"):
+        poly.sphere_derivatives(np.eye(6)[0])
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2)])
@@ -185,18 +193,18 @@ def _ambient_laplacian(poly, x):
     """lap F at unit points, from sphere_derivatives: its term-by-term
     ambient Laplacian is lap_S f + 4 (2l + 2) F."""
     value, _, lap_s = poly.sphere_derivatives(x)
-    return lap_s + 4.0 * (poly.ambient_dim + 2.0) * value
+    return lap_s + 4.0 * (poly.system.ambient_dim + 2.0) * value
 
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_termwise_laplacian_is_the_hessian_trace(m, k):
     poly = _poly(m, k)
-    block = sphere_samples(default_rng(100 + m), 20, poly.ambient_dim)
+    block = sphere_samples(default_rng(100 + m), 20, poly.system.ambient_dim)
     lap = _ambient_laplacian(poly, block)
     for x, value in zip(block, lap):
         want = float(np.trace(hessian(poly.system, x)))
         assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
-        assert abs(_ambient_laplacian(poly, x) - want) <= \
+        assert abs(_ambient_laplacian(poly, x[None])[0] - want) <= \
             1e-12 * max(1.0, abs(want))
 
 
@@ -204,22 +212,20 @@ def test_termwise_laplacian_keeps_the_trace_term():
     # trace(P_a) = 0 drops out only for a valid system; the corrupted one
     # must still match its own Hessian trace
     poly = FkmPolynomial(corrupt_system(2, 2))
-    x = sphere_samples(default_rng(101), 1, 8)[0]
-    assert abs(_ambient_laplacian(poly, x)
-               - np.trace(hessian(poly.system, x))) <= 1e-12
+    x = sphere_samples(default_rng(101), 1, 8)
+    assert abs(_ambient_laplacian(poly, x)[0]
+               - np.trace(hessian(poly.system, x[0]))) <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
 def test_sphere_derivatives_block_matches_points(m, k):
     poly = _poly(m, k)
-    points = sphere_samples(default_rng(102 + m), 9, poly.ambient_dim)
+    points = sphere_samples(default_rng(102 + m), 9, poly.system.ambient_dim)
     values, grads, laps = poly.sphere_derivatives(points)
     assert values.shape == laps.shape == (9,)
     assert grads.shape == points.shape
-    for i, x in enumerate(points):
-        value, grad, lap = poly.sphere_derivatives(x)
-        assert isinstance(value, float)
-        assert isinstance(lap, float)
+    for i in range(len(points)):
+        (value,), (grad,), (lap,) = poly.sphere_derivatives(points[i:i + 1])
         assert abs(values[i] - value) <= 1e-14
         assert abs(laps[i] - lap) <= 1e-12
         assert np.max(np.abs(grads[i] - grad)) <= 1e-13
@@ -257,19 +263,19 @@ def test_sphere_samples_equal_sequential_draws(seed, count, dim):
 @pytest.mark.parametrize("m,k", [(1, 3), (4, 2)])
 def test_cartan_munzner_matches_sequential_evaluation(m, k):
     poly = _poly(m, k)
-    n = poly.ambient_dim
+    system = poly.system
+    n = system.ambient_dim
     grad_check, lap_check = verify_cartan_munzner(poly, n_samples=300,
                                                   seed=32)
     worst_grad = worst_lap = 0.0
     for x in _sequential_unit_draws(default_rng(32), 300, n):
-        grad = gradient(poly.system, x)
+        grad = gradient(system, x)
         grad_s = grad - float(grad @ x) * x
-        value = poly.value(x)
-        lap_s = (float(np.trace(hessian(poly.system, x)))
-                 - 4.0 * (n + 2) * value)
+        value = quartic(system, x)
+        lap_s = float(np.trace(hessian(system, x))) - 4.0 * (n + 2) * value
         worst_grad = max(worst_grad, abs(float(grad_s @ grad_s)
                                          - 16.0 * (1.0 - value * value)))
-        worst_lap = max(worst_lap, abs(lap_s - 8.0 * (poly.m2 - poly.m1)
+        worst_lap = max(worst_lap, abs(lap_s - 8.0 * (system.m2 - m)
                                        + 4.0 * (n + 2) * value))
     assert abs(grad_check.residual - worst_grad) <= 1e-12
     assert abs(lap_check.residual - worst_lap) <= 1e-12

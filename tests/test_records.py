@@ -79,7 +79,7 @@ def _bad_shape_operator(value):
 
 def _bad_sphere_row(value):
     poly = FkmPolynomial(build_clifford_system(2, 2))
-    x = np.zeros((2, poly.ambient_dim))
+    x = np.zeros((2, poly.system.ambient_dim))
     x[0, 0] = 1.0
     x[1] = value
     poly.sphere_derivatives(x)

@@ -20,7 +20,7 @@ from fkm_willmore.report import DEFAULT_GRID, evaluate_system
 from conftest import conjugated_system
 from oracles import parse_dump, rotate_system
 
-TINY = dict(n_points=3, n_normals=4, n_pde_samples=50)
+TINY = dict(n_points=3, n_normals=4)
 
 EXPECTED_BLOCKS = ("clifford", "cartan_munzner", "points", "geometry",
                    "lemma", "willmore", "einstein")
@@ -58,6 +58,26 @@ def test_config_validation():
     cfg = VerificationConfig(tolerances={"geom": 1e-6})
     assert cfg.tolerances["geom"] == 1e-6
     assert cfg.tolerances["pde"] == 1e-8
+    # ints, numpy integers and decimal strings become plain ints
+    cfg = VerificationConfig(configurations=((np.int32(2), "2"),),
+                             n_points="5", n_normals=np.int64(0),
+                             seed=np.uint64(7))
+    assert cfg.configurations == ((2, 2),)
+    assert (cfg.n_points, cfg.n_normals, cfg.seed) == (5, 0, 7)
+    assert all(type(v) is int for v in (*cfg.configurations[0], cfg.n_points,
+                                        cfg.n_normals, cfg.seed))
+
+
+@pytest.mark.parametrize("over,match", [
+    ({"configurations": ((1.5, 3),)}, r"invalid grid entry \(1\.5, 3\)"),
+    ({"seed": 4.7}, r"invalid seed: expected an integer, got 4\.7"),
+    ({"n_points": 2.5}, r"invalid n_points: expected an integer, got 2\.5"),
+    ({"n_normals": 1.5}, r"invalid n_normals: expected an integer, got 1\.5"),
+])
+def test_config_rejects_non_integers(over, match):
+    # a non-integer is refused, not truncated, and the error names it
+    with pytest.raises(ValueError, match=match):
+        VerificationConfig(**over)
 
 
 def test_entry_structure_and_pass():
@@ -389,28 +409,25 @@ def test_per_point_streams_are_named_subseeds(monkeypatch, n_normals):
 
 
 def test_each_stage_forms_p_a_x_once(tmp_path, monkeypatch, capsys):
-    # fkm-verify --grid 2:2 --points 5 --normals 0 forms P_a x twice: once
-    # in the one certification pass over the seed and the sampled rows, and
-    # once for the frames, whose normals and pair products the chain reads.
-    # F is evaluated only by the PDE check; the points block reads its value
-    # gap from the certification.
+    # fkm-verify --grid 2:2,1:3 --points 5 --normals 0 forms P_a x twice a
+    # configuration: once in the one certification pass over the seed and
+    # the sampled rows, and once for the frames, whose normals and pair
+    # products the chain reads.  F is evaluated only by the PDE check, once
+    # a configuration; the points block reads its value gap from the
+    # certification.
     from fkm_willmore import CliffordSystem, FkmPolynomial, report
-    applied, outside = [], []
+    applied, evaluated = [], []
     inside = [False]
     apply = CliffordSystem.apply
+    derivatives = FkmPolynomial.sphere_derivatives
 
     def counted(self, x):
         applied.append(np.shape(x))
         return apply(self, x)
 
-    def watched(name):
-        original = getattr(FkmPolynomial, name)
-
-        def method(self, x):
-            if not inside[0]:
-                outside.append(name)
-            return original(self, x)
-        return method
+    def watched(self, x):
+        evaluated.append(inside[0])
+        return derivatives(self, x)
 
     verify = report.verify_cartan_munzner
 
@@ -422,15 +439,15 @@ def test_each_stage_forms_p_a_x_once(tmp_path, monkeypatch, capsys):
             inside[0] = False
 
     monkeypatch.setattr(CliffordSystem, "apply", counted)
-    for name in ("value", "sphere_derivatives"):
-        monkeypatch.setattr(FkmPolynomial, name, watched(name))
+    monkeypatch.setattr(FkmPolynomial, "sphere_derivatives", watched)
     monkeypatch.setattr(report, "verify_cartan_munzner", flagged)
     out = tmp_path / "r.json"
-    assert main(["--grid", "2:2", "--points", "5", "--normals", "0",
+    assert main(["--grid", "2:2,1:3", "--points", "5", "--normals", "0",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    assert applied == [(5, 8), (5, 8)]
-    assert outside == []
+    assert applied == [(5, 8), (5, 8), (5, 6), (5, 6)]
+    # one block of PDE samples per configuration, inside the PDE check
+    assert evaluated == [True, True]
 
 
 def _point_inputs(monkeypatch, n_points):
@@ -493,7 +510,7 @@ def test_nan_residuals_serialize_as_null():
         assert not blocks["clifford"]["pass"]
         assert not blocks["cartan_munzner"]["pass"]
         # finite values are untouched
-        assert blocks["cartan_munzner"]["n_samples"] == cfg.n_pde_samples
+        assert blocks["cartan_munzner"]["n_samples"] == 1000
         assert blocks["points"] == {
             "count": 0, "pass": False,
             "error": "no points: the Clifford system has non-finite entries"}
