@@ -54,7 +54,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -342,11 +342,10 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                  "ricci_max": float(np.max(probe.ricci_max)),
                  "spread": float(np.max(probe.spread)),
                  "dimension_condition": probe.dimension_condition,
-                 "dim_inequality": probe.dim_inequality,
                  "spread_exceeds_threshold": probe.spread_exceeds_threshold,
                  "status": probe.status},
                 ok=probe.status != "evidence"
-                or (probe.spread_exceeds_threshold and probe.dim_inequality))
+                or probe.spread_exceeds_threshold)
 
     entry["blocks"] = blocks
     entry["pass"] = bool(blocks) and all(b.get("pass", False)

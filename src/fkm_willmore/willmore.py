@@ -64,7 +64,6 @@ class EinsteinProbe:
     ricci_max: np.ndarray              # (P,)
     spread: np.ndarray                 # (P,)
     dimension_condition: bool          # 4l > m^2 + 3m + 4
-    dim_inequality: bool | None        # dim M+ > m(m+1)/2, gated
     spread_exceeds_threshold: bool | None   # at every point, gated
     status: str                        # "evidence" or "inconclusive"
 
@@ -77,10 +76,11 @@ class EinsteinProbe:
 # the chain, batched over a block of points and their normals
 # ---------------------------------------------------------------------------
 #
-# Every helper below takes a block of P points with N normals each (leading
-# axes P, N) and returns one value per normal; certify_point runs them once
-# per block.  Each (point, normal) row is computed on its own, so a row's
-# values do not depend on the other rows of the block.
+# The helpers below take a block of P points with N normals each (leading
+# axes P, N) and return one value per normal, or per point where the
+# normal does not enter; certify_point runs them once per block.  Each
+# (point, normal) row is computed on its own, so a row's values do not
+# depend on the other rows of the block.
 
 # Bytes of per-row intermediates the chain holds at a time; the rows
 # (points x normals) of a block follow from the system (_block_points).
@@ -91,15 +91,13 @@ def _block_points(system: CliffordSystem, num: int) -> int:
     """Points per chain block: as many as fit _BLOCK_BYTES, at least one.
 
     A (point, normal) row peaks while the rotated pair products are formed:
-    the completed half and full pair products, (m+1)^2 2l floats each,
-    P'_0, (2l)^2 floats, the normals and pair vectors, (m+1) 2l and
-    m(m+1)/2 2l floats, and the three projectors, n^2 floats each.  At
-    (m, k) = (6, 1) that is 19.7 KB a row and 1.12 MB a point with 57
-    normals; at (9, 1), 84 KB a row."""
+    the completed half and full pair products, (m+1)^2 2l floats each, the
+    pair vectors, m(m+1)/2 2l floats, P'_0 T, 2l n floats, and the three
+    projectors, n^2 floats each.  At (m, k) = (6, 1) that is 17.8 KB a row
+    and 1.01 MB a point with 57 normals; at (9, 1), 79 KB a row."""
     m1, dim = system.m + 1, system.ambient_dim
     n = dim - system.m - 2
-    row = 8 * ((2 * m1 * m1 + dim + m1 + m1 * system.m // 2) * dim
-               + 3 * n * n)
+    row = 8 * ((2 * m1 * m1 + m1 * system.m // 2 + n) * dim + 3 * n * n)
     return max(1, _BLOCK_BYTES // (row * max(1, num)))
 
 
@@ -121,8 +119,8 @@ def _coefficient_rows(system: CliffordSystem, coeffs,
 
 
 def _contractions(ricci: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """sum_ij R_ij h^a_ij for every point and normal index a (the
-    shape-operator route), as (P, m+1)."""
+    """sum_ij R_ij h^a_ij = tr(R A_a) for every point and normal index a,
+    as (P, m+1), with R the tensor or the closed-form Ricci matrix."""
     return np.einsum("kpq,kapq->ka", ricci, ops)
 
 
@@ -180,34 +178,43 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
 
 
 def _rotated(system: CliffordSystem, frame: AdaptedFrame,
-             coeffs: np.ndarray):
-    """P'_0, the normals P'_g x and the pair vectors P'_a P'_b x for a < b.
-
-    With B the completion rows (P'_a = sum_c B_ac P_c), linearity gives
-    P'_g x = sum_c B_gc P_c x from the frame's normals, and bilinearity
-    P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x from its unrotated pair
-    products, in two matrix products; no rotated system is built.  Shapes
-    (P, N, 2l, 2l), (P, N, m+1, 2l) and (P, N, m(m+1)/2, 2l), the pairs in
-    np.triu_indices order, so the m pairs (0, b) come first.
-    """
+             coeffs: np.ndarray) -> np.ndarray:
+    """The pair vectors P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x for a < b,
+    with B the completion rows, from the frame's pair products in two
+    matrix products: (P, N, m(m+1)/2, 2l) in np.triu_indices order, so the
+    m pairs (0, b) come first."""
     m1, dim = system.m + 1, system.ambient_dim
     count, num = coeffs.shape[:2]
     basis = _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
         count, num, m1, m1)
-    p0 = (coeffs @ system.stack.reshape(m1, dim * dim)).reshape(
-        count, num, dim, dim)
-    normals = basis @ frame.normal.swapaxes(1, 2)[:, None]
     half = basis @ frame.pairs.reshape(count, 1, m1, m1 * dim)
     prods = basis[:, :, None] @ half.reshape(count, num, m1, m1, dim)
     ia, ib = np.triu_indices(m1, k=1)
-    return p0, normals, prods[:, :, ia, ib]
+    return prods[:, :, ia, ib]
 
 
-def _reflection(p0: np.ndarray, t: np.ndarray, plus: np.ndarray,
-                minus: np.ndarray):
+def _p0_tangent(system: CliffordSystem, frame: AdaptedFrame,
+                coeffs: np.ndarray) -> np.ndarray:
+    """P'_0 T = sum_a c_a (P_a T) for every normal, (P, N, 2l, n), from one
+    (P, m+1, 2l, n) stack of P_a T per point; no 2l x 2l P'_0 is formed."""
+    pt = system.stack @ frame.tangent[:, None]
+    return (coeffs @ pt.reshape(*pt.shape[:2], -1)).reshape(
+        *coeffs.shape[:2], *pt.shape[2:])
+
+
+def _pair_tangency(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
+    """max |<P_a P_b x, x>| and |<P_a P_b x, P_g x>|, a < b, per point: the
+    rotated pairs and normals are orthonormal images of these (Lambda^2 B,
+    B), so this bounds theirs within a factor sqrt(m (m+1) (m+2) / 2)."""
+    ia, ib = np.triu_indices(system.m + 1, k=1)
+    lead = np.concatenate([frame.x[:, :, None], frame.normal], axis=2)
+    return np.max(np.abs(frame.pairs[:, ia, ib] @ lead), axis=(1, 2),
+                  initial=0.0)
+
+
+def _reflection(p0t, t, plus, minus):
     """max |(P'_0 + I) T Pi_{+1}| and |(P'_0 - I) T Pi_{-1}|: P'_0 v = -v
     on T_{+1} and P'_0 w = w on T_{-1}, in ambient coordinates."""
-    p0t = p0 @ t
     return np.maximum(
         np.max(np.abs((p0t + t) @ plus), axis=(2, 3), initial=0.0),
         np.max(np.abs((p0t - t) @ minus), axis=(2, 3), initial=0.0))
@@ -215,82 +222,75 @@ def _reflection(p0: np.ndarray, t: np.ndarray, plus: np.ndarray,
 
 def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
     """Per normal: worst pair deviation, signed ordered-pair aggregate and
-    the worst leak of the m pairs (0, b)."""
+    the worst leak norm of the m pairs (0, b)."""
     diff = p_plus - p_minus
     pairwise = np.max(np.abs(diff), axis=2, initial=0.0)
     # The ordered sums of the balance identity double the unordered ones
     # (P'_b P'_a x = -P'_a P'_b x leaves squared projections unchanged).
     signed = 2.0 * np.sum(diff, axis=2)
-    leak = np.max(np.maximum(p_plus[..., :m], p_minus[..., :m]), axis=2,
-                  initial=0.0)
+    leak = np.sqrt(np.max(np.maximum(p_plus[..., :m], p_minus[..., :m]),
+                          axis=2, initial=0.0))
     return pairwise, signed, leak
 
 
-def _case_residuals(system: CliffordSystem, x: np.ndarray, t, p0, normals,
-                    y, y_t, pi0, p_plus, p_minus):
-    """Per-normal tangency, orthogonality, bookkeeping and |P'_0 U| maxima.
+def _case_residuals(system: CliffordSystem, t, p0t, y_t, pi0, p_plus,
+                    p_minus):
+    """Per-normal orthogonality, bookkeeping and |P'_0 U| maxima.
 
-    Every pair vector y = P'_a P'_b x is orthogonal to x and to every P'_g x;
-    for pairs a, b >= 1, <P'_0 y, y> = 0 and, with U, V, W the T_0, T_{+1},
-    T_{-1} components (U = T Pi_0 T^T y), 2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2
-    and the same with |V|^2.  |P'_0 U| is only an identity for m = 2 and
-    is reported as 0 otherwise.  `y_t` holds the pair vectors in tangent
-    coordinates, T^T y.
+    For pairs a, b >= 1, y = P'_a P'_b x and z = T^T y (`y_t`),
+    <P'_0 y, y> = 0 is read as z^T (T^T P'_0 T) z (_pair_tangency bounds
+    the rest of y); with U, V, W the T_0, T_{+1}, T_{-1} components
+    (U = T Pi_0 z), 2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 and the same with
+    |V|^2.  |P'_0 U| is only an identity for m = 2, else reported as 0.
     """
-    tangency = np.maximum(
-        np.max(np.abs(y @ x[:, None, :, None]), axis=(2, 3), initial=0.0),
-        np.max(np.abs(y @ normals.swapaxes(2, 3)), axis=(2, 3), initial=0.0))
-    curved = slice(system.m, None)      # pairs a, b >= 1
-    y = y[:, :, curved]
-    p0t = p0.swapaxes(2, 3)
-    orthogonality = np.max(np.abs(np.sum((y @ p0t) * y, axis=3)), axis=2,
-                           initial=0.0)
-    u = (y_t[:, :, curved] @ pi0) @ t.swapaxes(2, 3)
-    p0u = u @ p0t
-    p0u_sq = np.sum(p0u * p0u, axis=3)
+    z = y_t[:, :, system.m:]            # pairs a, b >= 1
+    p0t_t = p0t.swapaxes(2, 3)
+    orthogonality = np.max(
+        np.abs(np.sum((z @ (p0t_t @ t)) * z, axis=3)), axis=2, initial=0.0)
+    u = z @ pi0                         # U in tangent coordinates
+    p0u_sq = np.sum((u @ p0t_t) ** 2, axis=3)
     base = np.sum(u * u, axis=3) + p0u_sq
     bookkeeping = np.max(
-        np.maximum(np.abs(2.0 - (base + 4.0 * p_minus[..., curved])),
-                   np.abs(2.0 - (base + 4.0 * p_plus[..., curved]))),
+        np.maximum(np.abs(2.0 - (base + 4.0 * p_minus[..., system.m:])),
+                   np.abs(2.0 - (base + 4.0 * p_plus[..., system.m:]))),
         axis=2, initial=0.0)
     p0u_max = np.sqrt(np.max(p0u_sq, axis=2, initial=0.0))
     if system.m != 2:
         p0u_max = np.zeros_like(p0u_max)
-    return tangency, orthogonality, bookkeeping, p0u_max
+    return orthogonality, bookkeeping, p0u_max
 
 
 def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
            coeffs: np.ndarray, first: int) -> np.ndarray:
     """The worst residual of every check at each point of a block whose
-    first point is point `first`, as a (P, len(CHECK_NAMES)) array;
-    residual_max does not depend on the normals.  Shape operators with a
-    non-finite entry raise SpectrumError naming the point, before any
-    product."""
+    first point is point `first`, as a (P, len(CHECK_NAMES)) array.
+
+    The criterion and the balance tr((Pi_{+1} - Pi_{-1}) Ric_closed) =
+    tr(A_xi Ric_closed) are linear in xi, so they are read once per point
+    at the coordinate normals.  Shape operators with a non-finite entry
+    raise SpectrumError naming the point, before any product."""
     bad = np.flatnonzero(~np.all(np.isfinite(shape.operators),
                                  axis=(1, 2, 3)))
     if bad.size:
         raise SpectrumError(
             f"point {first + bad[0]}: shape operators have non-finite entries")
-    contractions = _contractions(shape.ricci, shape.operators)
+    reduced = _contractions(shape.ricci, shape.operators)
+    balance = _contractions(frame.closed_ricci, shape.operators)
     spectrum, pi0, plus, minus = _decompose(system, shape.operators, coeffs,
                                             first)
-    p0, normals, y = _rotated(system, frame, coeffs)
     t = frame.tangent[:, None]
-    # sum_ij R_ij h^xi_ij = tr(Pi_{+1} Ric) - tr(Pi_{-1} Ric), closed form
-    signed_balance = np.sum((plus - minus) * frame.closed_ricci[:, None],
-                            axis=(2, 3))
-    bridge = np.abs((coeffs @ contractions[:, :, None])[..., 0]
-                    - signed_balance)
-    y_t = y @ t
-    p_plus = np.sum((y_t @ plus) ** 2, axis=3)
-    p_minus = np.sum((y_t @ minus) ** 2, axis=3)
+    p0t = _p0_tangent(system, frame, coeffs)
+    y_t = _rotated(system, frame, coeffs) @ t
+    p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3) for pi in (plus, minus))
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    case = np.maximum.reduce(_case_residuals(system, frame.x, t, p0, normals,
-                                             y, y_t, pi0, p_plus, p_minus))
-    return np.stack([fold(r, axis=1) for r in (
-        spectrum, np.abs(contractions), np.abs(signed_balance), bridge,
-        np.abs(signed_balance - signed_proj), pairwise, np.abs(signed_proj),
-        leak, _reflection(p0, t, plus, minus), case)], axis=1)
+    tangency = _pair_tangency(system, frame)[:, None]
+    case = np.maximum(tangency, np.maximum.reduce(_case_residuals(
+        system, t, p0t, y_t, pi0, p_plus, p_minus)))
+    # chain_max: the projection sum against c . b, the balance at the normal
+    return np.stack([fold(np.abs(r), axis=1) for r in (
+        spectrum, reduced, balance, reduced - balance,
+        (coeffs @ balance[:, :, None])[..., 0] - signed_proj, pairwise,
+        signed_proj, leak, _reflection(p0t, t, plus, minus), case)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +316,11 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     normals, so identical inputs give identical rows and the order of the
     normals does not matter.
 
-    The chain runs over blocks of whole points whose per-row intermediates
-    fit _BLOCK_BYTES (one point at least), with one set of stacked
-    projectors and rotated pair products per block; a point's residuals do
-    not depend on the block it is in.
+    residual_max, balance_max and bridge_max do not depend on the normals
+    (_chain).  The chain runs over blocks of whole points whose per-row
+    intermediates fit _BLOCK_BYTES (one point at least), with one set of
+    stacked projectors and rotated pair products per block; a point's
+    residuals do not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -345,9 +346,10 @@ def einstein_probe(system: CliffordSystem,
     Over unit X, X^T Ric X is extremal at the lowest and highest
     eigenvalues, so the probe reads them off one stacked eigvalsh of the
     frame's closed-form Ricci matrices.  When the exact integer inequality
-    4l > m^2 + 3m + 4 holds, the focal dimension exceeds m(m+1)/2 and a
-    spread above 0.1 at every point is reported as non-Einstein evidence;
-    otherwise the probe is inconclusive and asserts nothing.
+    4l > m^2 + 3m + 4 holds (equivalently, the focal dimension exceeds
+    m(m+1)/2), a spread above 0.1 at every point is reported as
+    non-Einstein evidence; otherwise the probe is inconclusive and asserts
+    nothing.
     """
     values = np.linalg.eigvalsh(frame.closed_ricci)
     ricci_min = values[:, 0]
@@ -357,7 +359,6 @@ def einstein_probe(system: CliffordSystem,
     gated = 4 * l > m * m + 3 * m + 4
     return EinsteinProbe(
         ricci_min, ricci_max, spread, dimension_condition=gated,
-        dim_inequality=(2 * l - m - 2) > m * (m + 1) // 2 if gated else None,
         spread_exceeds_threshold=(bool(np.all(spread > RICCI_SPREAD_THRESHOLD))
                                   if gated else None),
         status="evidence" if gated else "inconclusive")

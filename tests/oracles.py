@@ -12,12 +12,17 @@ a second route to a quantity the package computes another way:
     closed form at one point of R^{2l}, on or off the sphere; finite
     differences of quartic check gradient, the package's term-by-term
     Laplacian must equal the trace of hessian;
-  * parse_dump reads the plain-text matrix dump back.
+  * parse_dump reads the plain-text matrix dump back;
+  * signed_balance, rotated_tangency and dense_p0_tangent are the Willmore
+    chain's per-normal routes to what it reads once per point: the balance
+    tr((Pi_{+1} - Pi_{-1}) Ric_closed) at each normal, the tangency of the
+    rotated pair vectors against x and the rotated normals, and P'_0 T
+    through the dense 2l x 2l matrix P'_0 = sum_a c_a P_a.
 """
 
 import numpy as np
 
-from fkm_willmore import CliffordSystem
+from fkm_willmore import CliffordSystem, willmore
 from fkm_willmore.clifford import _orthonormal_completion
 
 
@@ -83,3 +88,34 @@ def parse_dump(text):
     rows = np.array([[float(v) for v in line.split()] for line in lines[1:]])
     return CliffordSystem(m=m, l=n // 2,
                           matrices=tuple(rows.reshape(m + 1, n, n)))
+
+
+def signed_balance(system, frame, shape, coeffs):
+    """tr((Pi_{+1} - Pi_{-1}) Ric_closed) at every point and normal of a
+    (P, N, m+1) stack of coefficients, with the chain's purified
+    projectors; (P, N)."""
+    _, _, plus, minus = willmore._decompose(system, shape.operators, coeffs,
+                                            0)
+    return np.sum((plus - minus) * frame.closed_ricci[:, None], axis=(2, 3))
+
+
+def rotated_tangency(system, frame, coeffs):
+    """max |<y, x>| and |<y, P'_g x>| over the rotated pair vectors y =
+    P'_a P'_b x, a < b, and every g, at every point and normal; (P, N)."""
+    m1 = system.m + 1
+    basis = _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
+        *coeffs.shape[:2], m1, m1)
+    normals = basis @ frame.normal.swapaxes(1, 2)[:, None]
+    y = willmore._rotated(system, frame, coeffs)
+    return np.maximum(
+        np.max(np.abs(y @ frame.x[:, None, :, None]), axis=(2, 3)),
+        np.max(np.abs(y @ normals.swapaxes(2, 3)), axis=(2, 3)))
+
+
+def dense_p0_tangent(system, frame, coeffs):
+    """(sum_a c_a P_a) T at every point and normal, through the dense
+    2l x 2l matrix; (P, N, 2l, n)."""
+    dim = system.ambient_dim
+    p0 = (coeffs @ system.stack.reshape(system.m + 1, dim * dim)).reshape(
+        *coeffs.shape[:2], dim, dim)
+    return p0 @ frame.tangent[:, None]

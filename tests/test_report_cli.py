@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fkm_willmore import (VerificationConfig, VerificationReport,
                           run_suite)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.geometry import take
-from fkm_willmore.report import DEFAULT_GRID, evaluate_system
+from fkm_willmore.report import DEFAULT_GRID, SCHEMA_VERSION, evaluate_system
 
 from conftest import conjugated_system
 from oracles import parse_dump, rotate_system
@@ -125,7 +127,7 @@ def test_json_byte_identical_across_runs():
     second = run_suite(cfg).to_json()
     assert first == second
     parsed = json.loads(first)
-    assert parsed["schema_version"] == 2
+    assert parsed["schema_version"] == 3
     assert parsed["overall_pass"] is True
     assert parsed["seed"] == 42
     assert parsed["config"]["configurations"] == [[1, 3], [2, 2]]
@@ -208,8 +210,7 @@ SCHEMA_KEYS = {
                  "projection_aggregate_max", "t0_pair_leak_max",
                  "reflection_max", "case_identity_max", "pass"],
     "einstein": ["ricci_min", "ricci_max", "spread", "dimension_condition",
-                 "dim_inequality", "spread_exceeds_threshold", "status",
-                 "pass"],
+                 "spread_exceeds_threshold", "status", "pass"],
 }
 
 
@@ -224,6 +225,16 @@ def test_schema_key_order():
     entry = evaluate_system(corrupt_system(2, 2), cfg, 0)
     assert list(entry["blocks"]) == ["clifford", "cartan_munzner", "points"]
     assert list(entry["blocks"]["points"]) == ["count", "error", "pass"]
+
+
+def test_schema_document_states_the_schema_version():
+    # a schema bump ships with its document: the opening "version **N**"
+    # and the schema_version row "always `N`" both name SCHEMA_VERSION
+    text = (Path(__file__).resolve().parent.parent / "docs"
+            / "report_schema.md").read_text(encoding="utf-8")
+    assert re.findall(r"version \*\*(\d+)\*\*", text) == [str(SCHEMA_VERSION)]
+    row = re.search(r"^\| `schema_version` .*$", text, flags=re.M).group(0)
+    assert re.findall(r"always `(\d+)`", row) == [str(SCHEMA_VERSION)]
 
 
 def test_residual_at_its_tolerance_passes():

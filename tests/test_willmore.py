@@ -18,8 +18,9 @@ from fkm_willmore import willmore
 from fkm_willmore.focal import _certify
 from fkm_willmore.geometry import take
 
-from conftest import GRID, corrupt_system
-from oracles import rotate_system
+from conftest import GRID, conjugated_system, corrupt_system
+from oracles import (dense_p0_tangent, rotate_system, rotated_tangency,
+                     signed_balance)
 
 # certify_point's checks, in the key order of the lemma and willmore blocks
 CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
@@ -258,7 +259,7 @@ def test_einstein_probe_smallest_case():
     eigs = np.sort(np.linalg.eigvalsh(shape.ricci[0]))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0]))) <= 1e-10
     assert probe.status == "evidence"
-    assert probe.dimension_condition and probe.dim_inequality
+    assert probe.dimension_condition
     assert abs(probe.spread[0] - 2.0) <= 1e-8
     assert probe.spread_exceeds_threshold
 
@@ -270,9 +271,9 @@ def test_einstein_probe_evidence_and_inconclusive():
         probe = einstein_probe(system, frame)
         assert probe.status == status, (m, k)
         if status == "evidence":
-            assert probe.spread[0] > 0.1 and probe.dim_inequality
+            assert probe.spread[0] > 0.1 and probe.dimension_condition
         else:
-            assert probe.dim_inequality is None
+            assert not probe.dimension_condition
             assert probe.spread_exceeds_threshold is None
 
 
@@ -413,12 +414,11 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     singles = np.array([certify_point(system, f, s, [c])[0]
                         for (f, s), c in zip(_each(frames, shapes), coeffs)])
     # the byte size of one (point, normal) row, and of one point's rows:
-    # half and prods, P'_0, the normals, the pair vectors and the three
-    # projectors
+    # half and prods, the pair vectors, P'_0 T and the three projectors
     dim = system.ambient_dim
     n = frames.tangent.shape[2]
-    row = 8 * (2 * (m + 1) ** 2 * dim + dim * dim + (m + 1) * dim
-               + (m + 1) * m // 2 * dim + 3 * n * n)
+    row = 8 * (2 * (m + 1) ** 2 * dim + (m + 1) * m // 2 * dim + dim * n
+               + 3 * n * n)
     point = row * (m + 4)
     # block boundaries anywhere: one point per block, budgets of 2 and 3
     # points (and one byte short of 3) that split the 7 points unevenly, and
@@ -434,7 +434,7 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
 @pytest.mark.parametrize("m,k,blocks", [(1, 3, 1), (6, 1, 20)])
 def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
     # 20 points x (50 + m + 1) normals: the small (1,3) runs as one block,
-    # (6,1), about 1.15 MB of rows a point, as one point per block
+    # (6,1), about 1.01 MB of rows a point, as one point per block
     calls = []
     chain = willmore._chain
 
@@ -471,6 +471,45 @@ def test_eigenbasis_blocks_are_orthonormal(m, k):
             assert np.max(np.abs(pi @ other)) <= 1e-13
 
 
+@pytest.mark.parametrize("m,k,conjugated", [(m, k, False) for m, k in GRID]
+                         + [(7, 2, False), (9, 1, False), (3, 2, True)])
+def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
+    # what the chain reads once per point against the per-normal routes of
+    # the oracles: the balance is linear in the normal, the rotated pairs and
+    # normals are orthonormal images of the frame's own, and P'_0 T is
+    # linear in c.  At 5 points x 8 normals the worst gaps seen were
+    # 5.2e-14, 8.7e-16 and 3.3e-16
+    system = (conjugated_system(m, k, seed=5) if conjugated
+              else build_clifford_system(m, k))
+    frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
+    shapes = shape_operators(system, frames)
+    rng = default_rng(80 + m)
+    coeffs = np.array([[_unit(rng, m + 1) for _ in range(8)]
+                       for _ in frames.x])
+    balance = willmore._contractions(frames.closed_ricci, shapes.operators)
+    per_normal = signed_balance(system, frames, shapes, coeffs)
+    assert np.max(np.abs(per_normal - (coeffs @ balance[:, :, None])[..., 0])
+                  ) <= 1e-12
+    assert np.max(rotated_tangency(system, frames, coeffs)) <= 1e-14
+    assert np.max(willmore._pair_tangency(system, frames)) <= 1e-14
+    # push the pair (0, 1) off the tangent space, along x or the normals:
+    # the rotated entries are orthonormal images of the read ones, so each
+    # maximum bounds the other within sqrt(m (m+1) (m+2) / 2)
+    factor = np.sqrt(m * (m + 1) * (m + 2) / 2) * (1 + 1e-12)
+    for push in (frames.x, np.sum(frames.normal, axis=2)):
+        pairs = np.array(frames.pairs)
+        pairs[:, 0, 1] += 1e-3 * push
+        pairs[:, 1, 0] -= 1e-3 * push
+        forged = replace(frames, pairs=pairs)
+        rotated = rotated_tangency(system, forged, coeffs)
+        read = willmore._pair_tangency(system, forged)[:, None]
+        assert np.all(read >= 1e-4)
+        assert np.all(rotated <= factor * read)
+        assert np.all(read <= factor * rotated)
+    assert np.max(np.abs(willmore._p0_tangent(system, frames, coeffs)
+                         - dense_p0_tangent(system, frames, coeffs))) <= 1e-14
+
+
 def test_certify_point_block_errors_name_the_point():
     system, frames, shapes = _setup(1, 3, extra_points=2)
     coeffs = [[np.array([1.0, 0.0]), np.array([0.0, 1.0])]] * 3
@@ -494,7 +533,7 @@ def test_einstein_probe_stack_equals_single_points(m, k):
     for name in ("ricci_min", "ricci_max", "spread"):
         assert np.array_equal(getattr(probe, name),
                               [getattr(one, name)[0] for one in singles])
-    for name in ("dimension_condition", "dim_inequality", "status"):
+    for name in ("dimension_condition", "status"):
         assert all(getattr(one, name) == getattr(probe, name)
                    for one in singles)
     assert probe.spread_exceeds_threshold == (
