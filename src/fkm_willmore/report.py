@@ -336,16 +336,16 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 {"residual_median": float(np.median(columns["residual_max"]))},
                 *chain)
 
-            probe = einstein_probe(system, frames)
-            blocks["einstein"] = _block(
-                {"ricci_min": float(np.min(probe.ricci_min)),
-                 "ricci_max": float(np.max(probe.ricci_max)),
-                 "spread": float(np.max(probe.spread)),
-                 "dimension_condition": probe.dimension_condition,
-                 "spread_exceeds_threshold": probe.spread_exceeds_threshold,
-                 "status": probe.status},
-                ok=probe.status != "evidence"
-                or probe.spread_exceeds_threshold)
+        # the probe reads only the frames, so a failed chain leaves it
+        probe = einstein_probe(system, frames)
+        blocks["einstein"] = _block(
+            {"ricci_min": float(np.min(probe.ricci_min)),
+             "ricci_max": float(np.max(probe.ricci_max)),
+             "spread": float(np.max(probe.spread)),
+             "dimension_condition": probe.dimension_condition,
+             "spread_exceeds_threshold": probe.spread_exceeds_threshold,
+             "status": probe.status},
+            ok=probe.status != "evidence" or probe.spread_exceeds_threshold)
 
     entry["blocks"] = blocks
     entry["pass"] = bool(blocks) and all(b.get("pass", False)

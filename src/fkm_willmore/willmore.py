@@ -19,14 +19,16 @@ vectors P_a P_b x.  After rotating the system so that P'_0 x = xi, the
 balance holds pair by pair; the m = 2 case is forced by P'_0 U = 0 for the
 T_0 component U of P'_1 P'_2 x, the m > 2 case by the norm bookkeeping
 
-    2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 = |U|^2 + |P'_0 U|^2 + 4 |V|^2.
+    2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 = |U|^2 + |P'_0 U|^2 + 4 |V|^2,
 
-Each identity holds at one focal point with one adapted frame; the report
-module sweeps points and normal directions.  No eigenbasis is computed: on
-M+, A_xi^3 = A_xi, so the eigenspaces are read through the spectral
-projectors Pi_{+-1} = (A_xi^2 +- A_xi)/2 and Pi_0 = I - A_xi^2 in tangent
-coordinates.  certify_point evaluates the chain over blocks of points x
-normals and returns the worst residual of every identity at every point.
+both read with |P'_0 U| = |U| (P'_0 is orthogonal).  Each identity holds
+at one focal point with one adapted frame; the report module sweeps points
+and normal directions.  No eigenbasis is computed: on M+, A_xi^3 = A_xi,
+so the eigenspaces are read through the spectral projectors
+Pi_{+-1} = (A_xi^2 +- A_xi)/2 and Pi_0 = I - A_xi^2 in tangent coordinates,
+where the pair vectors are rotated too; only the reflection reads P'_0 in
+R^{2l}.  certify_point evaluates the chain over blocks of points x normals
+and returns the worst residual of every identity at every point.
 """
 
 from __future__ import annotations
@@ -82,23 +84,25 @@ class EinsteinProbe:
 # (point, normal) row is computed on its own, so a row's values do not
 # depend on the other rows of the block.
 
-# Bytes of per-row intermediates the chain holds at a time; the rows
-# (points x normals) of a block follow from the system (_block_points).
+# Bytes of intermediates the chain holds at a time, per point and per row;
+# the points of a block follow from the system (_block_points).
 _BLOCK_BYTES = 1_200_000
 
 
 def _block_points(system: CliffordSystem, num: int) -> int:
     """Points per chain block: as many as fit _BLOCK_BYTES, at least one.
 
-    A (point, normal) row peaks while the rotated pair products are formed:
-    the completed half and full pair products, (m+1)^2 2l floats each, the
-    pair vectors, m(m+1)/2 2l floats, P'_0 T, 2l n floats, and the three
-    projectors, n^2 floats each.  At (m, k) = (6, 1) that is 17.8 KB a row
-    and 1.01 MB a point with 57 normals; at (9, 1), 79 KB a row."""
+    A (point, normal) row holds A_xi, the projectors and one temporary of
+    the purification, 5 n^2 floats, and the pair vectors, m(m+1)/2 n.  It
+    peaks in the rotation, with the completion and the half and full
+    products, (m+1)^2 (2n + 1), or in the reflection, with P'_0 T and two
+    temporaries, 3 (2l) n.  A point holds P_a T, (m+1) 2l n, more than
+    T^T P_c P_d x.  At (m, k) = (6, 1): 10.6 KB a row, 7.2 KB a point."""
     m1, dim = system.m + 1, system.ambient_dim
-    n = dim - system.m - 2
-    row = 8 * ((2 * m1 * m1 + m1 * system.m // 2 + n) * dim + 3 * n * n)
-    return max(1, _BLOCK_BYTES // (row * max(1, num)))
+    n = dim - m1 - 1
+    row = 8 * (5 * n * n + m1 * m1
+               + (m1 * system.m // 2 + max(2 * m1 * m1, 3 * dim)) * n)
+    return max(1, _BLOCK_BYTES // (row * max(1, num) + 8 * m1 * dim * n))
 
 
 def _coefficient_rows(system: CliffordSystem, coeffs,
@@ -139,9 +143,9 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     """Spectral projectors of every A_xi = sum_a c_a A_a, in tangent
     coordinates.
 
-    Returns the deviations max |A_xi^3 - A_xi| (P, N) and the projectors
-    Pi_0, Pi_{+1}, Pi_{-1} onto the eigenspaces for 0, +1, -1, each
-    (P, N, n, n).  A deviation above CLUSTER_RADIUS raises SpectrumError,
+    Returns the deviations max |A_xi^3 - A_xi| (P, N), then A_xi and the
+    projectors Pi_0, Pi_{+1}, Pi_{-1} onto the eigenspaces for 0, +1, -1,
+    each (P, N, n, n).  A deviation above CLUSTER_RADIUS raises SpectrumError,
     and traces of (I - A^2, (A^2 + A)/2, (A^2 - A)/2) that do not round to
     (m, l-m-1, l-m-1) raise MultiplicityError; both name the first failing
     row as point first + p, normal k.  The curved projectors are then
@@ -174,21 +178,20 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
             "(0, +1, -1)")
     plus = _purified((sq + a_xi) / 2.0)
     minus = _purified((sq - a_xi) / 2.0)
-    return deviation, np.eye(n) - plus - minus, plus, minus
+    return deviation, a_xi, np.eye(n) - plus - minus, plus, minus
 
 
-def _rotated(system: CliffordSystem, frame: AdaptedFrame,
-             coeffs: np.ndarray) -> np.ndarray:
+def _rotated(pairs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The pair vectors P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x for a < b,
-    with B the completion rows, from the frame's pair products in two
-    matrix products: (P, N, m(m+1)/2, 2l) in np.triu_indices order, so the
-    m pairs (0, b) come first."""
-    m1, dim = system.m + 1, system.ambient_dim
-    count, num = coeffs.shape[:2]
+    with B the completion rows, in tangent coordinates: `pairs` is the
+    (P, m+1, m+1, n) stack T^T P_c P_d x, and two matrix products give
+    (P, N, m(m+1)/2, n) in np.triu_indices order, so the m pairs (0, b)
+    come first."""
+    (count, num, m1), n = coeffs.shape, pairs.shape[3]
     basis = _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
         count, num, m1, m1)
-    half = basis @ frame.pairs.reshape(count, 1, m1, m1 * dim)
-    prods = basis[:, :, None] @ half.reshape(count, num, m1, m1, dim)
+    half = basis @ pairs.reshape(count, 1, m1, m1 * n)
+    prods = basis[:, :, None] @ half.reshape(count, num, m1, m1, n)
     ia, ib = np.triu_indices(m1, k=1)
     return prods[:, :, ia, ib]
 
@@ -233,31 +236,28 @@ def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
     return pairwise, signed, leak
 
 
-def _case_residuals(system: CliffordSystem, t, p0t, y_t, pi0, p_plus,
+def _case_residuals(system: CliffordSystem, y_t, a_xi, pi0, p_plus,
                     p_minus):
-    """Per-normal orthogonality, bookkeeping and |P'_0 U| maxima.
+    """Per-normal orthogonality, bookkeeping and |U| maxima.
 
     For pairs a, b >= 1, y = P'_a P'_b x and z = T^T y (`y_t`),
-    <P'_0 y, y> = 0 is read as z^T (T^T P'_0 T) z (_pair_tangency bounds
-    the rest of y); with U, V, W the T_0, T_{+1}, T_{-1} components
-    (U = T Pi_0 z), 2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 and the same with
-    |V|^2.  |P'_0 U| is only an identity for m = 2, else reported as 0.
+    <P'_0 y, y> = 0 is read as -z^T A_xi z, since T^T P'_0 T = -A_xi
+    (_pair_tangency bounds the rest of y); with U, V, W the T_0, T_{+1},
+    T_{-1} components (U = T Pi_0 z) and |P'_0 U| = |U| (P'_0 is
+    orthogonal), 2 = 2 |U|^2 + 4 |W|^2 and the same with |V|^2.  U = 0 is
+    only an identity for m = 2, else |U| is reported as 0.
     """
     z = y_t[:, :, system.m:]            # pairs a, b >= 1
-    p0t_t = p0t.swapaxes(2, 3)
-    orthogonality = np.max(
-        np.abs(np.sum((z @ (p0t_t @ t)) * z, axis=3)), axis=2, initial=0.0)
-    u = z @ pi0                         # U in tangent coordinates
-    p0u_sq = np.sum((u @ p0t_t) ** 2, axis=3)
-    base = np.sum(u * u, axis=3) + p0u_sq
+    orthogonality = np.max(np.abs(np.sum((z @ a_xi) * z, axis=3)), axis=2,
+                           initial=0.0)
+    u_sq = np.sum((z @ pi0) ** 2, axis=3)       # U = T Pi_0 z
     bookkeeping = np.max(
-        np.maximum(np.abs(2.0 - (base + 4.0 * p_minus[..., system.m:])),
-                   np.abs(2.0 - (base + 4.0 * p_plus[..., system.m:]))),
+        np.maximum(np.abs(2.0 - (2.0 * u_sq + 4.0 * p_minus[..., system.m:])),
+                   np.abs(2.0 - (2.0 * u_sq + 4.0 * p_plus[..., system.m:]))),
         axis=2, initial=0.0)
-    p0u_max = np.sqrt(np.max(p0u_sq, axis=2, initial=0.0))
-    if system.m != 2:
-        p0u_max = np.zeros_like(p0u_max)
-    return orthogonality, bookkeeping, p0u_max
+    u_max = (np.sqrt(np.max(u_sq, axis=2, initial=0.0)) if system.m == 2
+             else np.zeros(u_sq.shape[:2]))
+    return orthogonality, bookkeeping, u_max
 
 
 def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
@@ -276,16 +276,16 @@ def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
             f"point {first + bad[0]}: shape operators have non-finite entries")
     reduced = _contractions(shape.ricci, shape.operators)
     balance = _contractions(frame.closed_ricci, shape.operators)
-    spectrum, pi0, plus, minus = _decompose(system, shape.operators, coeffs,
-                                            first)
+    spectrum, a_xi, pi0, plus, minus = _decompose(system, shape.operators,
+                                                  coeffs, first)
     t = frame.tangent[:, None]
-    p0t = _p0_tangent(system, frame, coeffs)
-    y_t = _rotated(system, frame, coeffs) @ t
+    y_t = _rotated(frame.pairs @ t, coeffs)
     p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3) for pi in (plus, minus))
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
     tangency = _pair_tangency(system, frame)[:, None]
     case = np.maximum(tangency, np.maximum.reduce(_case_residuals(
-        system, t, p0t, y_t, pi0, p_plus, p_minus)))
+        system, y_t, a_xi, pi0, p_plus, p_minus)))
+    p0t = _p0_tangent(system, frame, coeffs)    # after the rotation's peak
     # chain_max: the projection sum against c . b, the balance at the normal
     return np.stack([fold(np.abs(r), axis=1) for r in (
         spectrum, reduced, balance, reduced - balance,

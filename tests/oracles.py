@@ -17,7 +17,11 @@ a second route to a quantity the package computes another way:
     chain's per-normal routes to what it reads once per point: the balance
     tr((Pi_{+1} - Pi_{-1}) Ric_closed) at each normal, the tangency of the
     rotated pair vectors against x and the rotated normals, and P'_0 T
-    through the dense 2l x 2l matrix P'_0 = sum_a c_a P_a.
+    through the dense 2l x 2l matrix P'_0 = sum_a c_a P_a;
+  * rotated_pairs, p0_tangent_form and p0_u_sq are its per-normal routes
+    in R^{2l} to what it reads in tangent coordinates: the pair vectors
+    rotated before they are projected on T, T^T P'_0 T for -A_xi, and
+    |P'_0 U|^2 for |U|^2.
 """
 
 import numpy as np
@@ -94,19 +98,32 @@ def signed_balance(system, frame, shape, coeffs):
     """tr((Pi_{+1} - Pi_{-1}) Ric_closed) at every point and normal of a
     (P, N, m+1) stack of coefficients, with the chain's purified
     projectors; (P, N)."""
-    _, _, plus, minus = willmore._decompose(system, shape.operators, coeffs,
-                                            0)
+    _, _, _, plus, minus = willmore._decompose(system, shape.operators,
+                                               coeffs, 0)
     return np.sum((plus - minus) * frame.closed_ricci[:, None], axis=(2, 3))
+
+
+def _completions(coeffs):
+    """The completion rows B of every (P, N, m+1) coefficient vector."""
+    m1 = coeffs.shape[2]
+    return _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
+        *coeffs.shape[:2], m1, m1)
+
+
+def rotated_pairs(system, frame, coeffs):
+    """P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x, a < b, in R^{2l} at every
+    point and normal; (P, N, m(m+1)/2, 2l) in np.triu_indices order."""
+    basis = _completions(coeffs)
+    prods = np.einsum("knac,knbd,kcdi->knabi", basis, basis, frame.pairs)
+    ia, ib = np.triu_indices(system.m + 1, k=1)
+    return prods[:, :, ia, ib]
 
 
 def rotated_tangency(system, frame, coeffs):
     """max |<y, x>| and |<y, P'_g x>| over the rotated pair vectors y =
     P'_a P'_b x, a < b, and every g, at every point and normal; (P, N)."""
-    m1 = system.m + 1
-    basis = _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
-        *coeffs.shape[:2], m1, m1)
-    normals = basis @ frame.normal.swapaxes(1, 2)[:, None]
-    y = willmore._rotated(system, frame, coeffs)
+    normals = _completions(coeffs) @ frame.normal.swapaxes(1, 2)[:, None]
+    y = rotated_pairs(system, frame, coeffs)
     return np.maximum(
         np.max(np.abs(y @ frame.x[:, None, :, None]), axis=(2, 3)),
         np.max(np.abs(y @ normals.swapaxes(2, 3)), axis=(2, 3)))
@@ -119,3 +136,20 @@ def dense_p0_tangent(system, frame, coeffs):
     p0 = (coeffs @ system.stack.reshape(system.m + 1, dim * dim)).reshape(
         *coeffs.shape[:2], dim, dim)
     return p0 @ frame.tangent[:, None]
+
+
+def p0_tangent_form(system, frame, coeffs):
+    """T^T P'_0 T at every point and normal, through the dense P'_0;
+    (P, N, n, n)."""
+    return frame.tangent.swapaxes(1, 2)[:, None] @ dense_p0_tangent(
+        system, frame, coeffs)
+
+
+def p0_u_sq(system, frame, coeffs, pi0):
+    """|P'_0 U|^2 for the T_0 component U = T Pi_0 T^T y of every rotated
+    pair vector y = P'_a P'_b x, a, b >= 1, with the dense P'_0 and the
+    ambient rotation; (P, N, m(m-1)/2)."""
+    z = (rotated_pairs(system, frame, coeffs)[:, :, system.m:]
+         @ frame.tangent[:, None])
+    p0u = (z @ pi0) @ dense_p0_tangent(system, frame, coeffs).swapaxes(2, 3)
+    return np.sum(p0u * p0u, axis=3)

@@ -678,6 +678,41 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
         assert einstein["spread_exceeds_threshold"] is False
 
 
+def _scale_all(shapes):
+    return replace(shapes, operators=1.5 * np.asarray(shapes.operators))
+
+
+def _identity_at_one_point(shapes):
+    # every eigenvalue at +1 for each coordinate normal of point 4
+    ops = np.array(shapes.operators)
+    ops[4] = np.eye(ops.shape[2])
+    return replace(shapes, operators=ops)
+
+
+@pytest.mark.parametrize("fault,error", [
+    (_scale_all, "point 0, normal 0: max |A_xi^3 - A_xi|"),
+    (_identity_at_one_point, "point 4, normal 0: principal multiplicities"),
+], ids=["spectrum-error", "multiplicity-error"])
+def test_chain_error_keeps_the_einstein_block(monkeypatch, fault, error):
+    # when the chain raises, lemma carries the error and willmore, which
+    # depends on it, is absent; the Einstein probe reads only the frames'
+    # closed-form Ricci matrices, so its block is the fault-free one, in
+    # its place after lemma.  Only the coordinate normals are drawn
+    from fkm_willmore import report
+    cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
+                             n_normals=0)
+    clean = evaluate_system(build_clifford_system(3, 2), cfg, 0)["blocks"]
+    monkeypatch.setattr(report, "shape_operators",
+                        _on_result(fault)(report.shape_operators))
+    blocks = evaluate_system(build_clifford_system(3, 2), cfg, 0)["blocks"]
+    assert list(blocks) == [name for name in EXPECTED_BLOCKS
+                            if name != "willmore"]
+    assert blocks["lemma"]["error"].startswith(error)
+    assert not blocks["lemma"]["pass"]
+    assert blocks["einstein"] == clean["einstein"]
+    assert blocks["einstein"]["pass"]
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(index=st.integers(0, len(DEFAULT_GRID) - 1),
        seed=st.integers(0, 2**32 - 1), rotate=st.booleans())

@@ -1,5 +1,6 @@
 """Willmore identities: spectra, reflection, balances, probes, fault injection."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import hypothesis.extra.numpy as hnp
@@ -19,7 +20,8 @@ from fkm_willmore.focal import _certify
 from fkm_willmore.geometry import take
 
 from conftest import GRID, conjugated_system, corrupt_system
-from oracles import (dense_p0_tangent, rotate_system, rotated_tangency,
+from oracles import (dense_p0_tangent, p0_tangent_form, p0_u_sq,
+                     rotate_system, rotated_pairs, rotated_tangency,
                      signed_balance)
 
 # certify_point's checks, in the key order of the lemma and willmore blocks
@@ -67,8 +69,9 @@ def _passes(row):
 def _projectors(system, shapes, coeffs):
     """The chain's deviations and projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a
     (P, N, m+1) stack of coefficients."""
-    return willmore._decompose(system, shapes.operators, np.asarray(coeffs),
-                               0)
+    deviation, _, *projectors = willmore._decompose(
+        system, shapes.operators, np.asarray(coeffs), 0)
+    return deviation, *projectors
 
 
 @pytest.mark.parametrize("m,k,dims", [(1, 3, (1, 1, 1)), (2, 2, (2, 1, 1)),
@@ -413,13 +416,15 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     coeffs = [_normals(m, 3, rng) for _ in frames.x]
     singles = np.array([certify_point(system, f, s, [c])[0]
                         for (f, s), c in zip(_each(frames, shapes), coeffs)])
-    # the byte size of one (point, normal) row, and of one point's rows:
-    # half and prods, the pair vectors, P'_0 T and the three projectors
-    dim = system.ambient_dim
+    # the byte size of one (point, normal) row: A_xi, the projectors and
+    # the purification, the completion, the pair vectors, and the larger of
+    # the rotated products and P'_0 T with its temporaries; and of one
+    # point: its m + 4 rows and P_a T
+    m1, dim = m + 1, system.ambient_dim
     n = frames.tangent.shape[2]
-    row = 8 * (2 * (m + 1) ** 2 * dim + (m + 1) * m // 2 * dim + dim * n
-               + 3 * n * n)
-    point = row * (m + 4)
+    row = 8 * (5 * n * n + m1 * m1
+               + (m1 * m // 2 + max(2 * m1 * m1, 3 * dim)) * n)
+    point = row * (m + 4) + 8 * m1 * dim * n
     # block boundaries anywhere: one point per block, budgets of 2 and 3
     # points (and one byte short of 3) that split the 7 points unevenly, and
     # all points in one block
@@ -434,7 +439,7 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
 @pytest.mark.parametrize("m,k,blocks", [(1, 3, 1), (6, 1, 20)])
 def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
     # 20 points x (50 + m + 1) normals: the small (1,3) runs as one block,
-    # (6,1), about 1.01 MB of rows a point, as one point per block
+    # (6,1), about 0.61 MB a point, as one point per block
     calls = []
     chain = willmore._chain
 
@@ -450,6 +455,30 @@ def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
     assert len(calls) == blocks
     assert sum(p for p, _ in calls) == 20
     assert {num for _, num in calls} == {50 + m + 1}
+
+
+@pytest.mark.parametrize("m,k,extra", [(3, 2, 50), (6, 1, 50), (6, 1, 0)])
+def test_chain_block_peak_fits_the_budget(m, k, extra):
+    # the row model against measured memory: the traced peak of one chain
+    # block, as many points as _block_points allows with the coordinate
+    # normals and `extra` random ones a point, stays within _BLOCK_BYTES
+    # (peaks seen: 955, 583 and 1038 KB).  A (9, 1) point alone exceeds it
+    system = build_clifford_system(m, k)
+    count = willmore._block_points(system, m + 1 + extra)
+    frames = build_frame(system,
+                         sample_focal_points(system, count, seed=21).x)
+    shapes = shape_operators(system, frames)
+    rng = default_rng(90 + m)
+    coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        willmore._chain(system, frames, shapes, coeffs, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= willmore._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("m,k", GRID + [(9, 1)])
@@ -474,11 +503,13 @@ def test_eigenbasis_blocks_are_orthonormal(m, k):
 @pytest.mark.parametrize("m,k,conjugated", [(m, k, False) for m, k in GRID]
                          + [(7, 2, False), (9, 1, False), (3, 2, True)])
 def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
-    # what the chain reads once per point against the per-normal routes of
-    # the oracles: the balance is linear in the normal, the rotated pairs and
-    # normals are orthonormal images of the frame's own, and P'_0 T is
-    # linear in c.  At 5 points x 8 normals the worst gaps seen were
-    # 5.2e-14, 8.7e-16 and 3.3e-16
+    # what the chain reads once per point, or in tangent coordinates,
+    # against the per-normal routes of the oracles: the balance is linear in
+    # the normal, the rotated pairs and normals are orthonormal images of
+    # the frame's own, P'_0 T is linear in c, the rotation commutes with
+    # the projection on T, T^T P'_0 T = -A_xi and |P'_0 U| = |U|.  At 5
+    # points x 8 normals the worst gaps seen were 5.2e-14, 8.7e-16,
+    # 3.3e-16, 6.7e-16, 5.6e-16 and 1.1e-15
     system = (conjugated_system(m, k, seed=5) if conjugated
               else build_clifford_system(m, k))
     frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
@@ -508,6 +539,18 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
         assert np.all(read <= factor * rotated)
     assert np.max(np.abs(willmore._p0_tangent(system, frames, coeffs)
                          - dense_p0_tangent(system, frames, coeffs))) <= 1e-14
+    t = frames.tangent[:, None]
+    y_t = willmore._rotated(frames.pairs @ t, coeffs)
+    assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
+                  ) <= 1e-14
+    _, a_xi, pi0, _, _ = willmore._decompose(system, shapes.operators,
+                                             coeffs, 0)
+    assert np.max(np.abs(a_xi + p0_tangent_form(system, frames, coeffs))
+                  ) <= 1e-14
+    u = y_t[:, :, m:] @ pi0             # no pairs a, b >= 1 when m = 1
+    assert np.max(np.abs(np.sum(u * u, axis=3)
+                         - p0_u_sq(system, frames, coeffs, pi0)),
+                  initial=0.0) <= 1e-14
 
 
 def test_certify_point_block_errors_name_the_point():
