@@ -51,7 +51,9 @@ SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
 _GRAM_TOL = 1e-6           # max |J J^T / 4 - I|
-_RANK_TOL = 1e-8           # singular values above this count for the rank
+# Singular values of J / 2 above this count for the rank; they are read as
+# the eigenvalues of J J^T / 4 above _RANK_TOL^2 (sigma^2 = lambda).
+_RANK_TOL = 1e-8
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -72,7 +74,8 @@ class FocalPoints:
     and the rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x.
     Full rank m + 2 certifies that the constraint normals span the whole
     normal space plus the radial direction (singular values above 1e-8
-    count).
+    count, read as the eigenvalues above 1e-16 of the Gram matrix
+    J J^T / 4 that certification forms for its J J^T = 4 I guard).
     """
 
     x: np.ndarray
@@ -100,8 +103,10 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
     `gram`, max |J J^T / 4 - I|, `finite` and `passed`: max |g_a| <= 1e-10,
     | |x|^2 - 1 | <= 1e-12, |F(x) - 1| <= 1e-9 and gram <= 1e-6, so a NaN
     residual never passes.  The rank is taken only at rows that pass (0
-    elsewhere).  A row with a non-finite coordinate enters no product: its
-    residuals are NaN.
+    elsewhere), from the eigenvalues of the Gram matrix of the guard: there
+    they lie within (m + 2) 1e-6 of 1, so the rank is m + 2, as the SVD of
+    the rows would give.  A row with a non-finite coordinate enters no
+    product: its residuals are NaN.
 
     P_a x is formed once, as a stacked matrix-vector product, so every row
     gets the rounding of the one-point expressions stack @ x, (stack @ x) @ x
@@ -113,8 +118,8 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
     g = np.matmul(px, x[..., None])[..., 0]
     xx = _dot(x, x)
     rows = np.concatenate([x[:, None, :], px], axis=1)   # J / 2
-    gram = np.max(np.abs(rows @ rows.transpose(0, 2, 1)
-                         - np.eye(rows.shape[1])), axis=(1, 2))
+    jjt = rows @ rows.transpose(0, 2, 1)                  # J J^T / 4
+    gram = np.max(np.abs(jjt - np.eye(rows.shape[1])), axis=(1, 2))
     out = {"residual_constraints": fold(np.abs(g), axis=1),
            "residual_sphere": np.abs(xx - 1.0),
            "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
@@ -128,8 +133,8 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
                      & (gram <= _GRAM_TOL))
     rank = np.zeros(len(x), dtype=int)
     if out["passed"].any():
-        rank[out["passed"]] = np.linalg.matrix_rank(rows[out["passed"]],
-                                                    tol=_RANK_TOL)
+        rank[out["passed"]] = np.count_nonzero(
+            np.linalg.eigvalsh(jjt[out["passed"]]) > _RANK_TOL ** 2, axis=1)
     out["jacobian_rank"] = rank
     return out
 

@@ -165,4 +165,4 @@ def pair_products(system: CliffordSystem, px: np.ndarray) -> np.ndarray:
     (m+1, m+1, 2l) array, or (K, m+1, 2l) for a stack of points, which
     gives a (K, m+1, m+1, 2l) stack.
     """
-    return np.einsum("aij,...bj->...abi", system.stack, px)
+    return np.matmul(px[..., None, :, :], system.stack.transpose(0, 2, 1))

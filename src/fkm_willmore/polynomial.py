@@ -11,7 +11,10 @@ Its restriction f to the unit sphere satisfies the two isoparametric PDEs
 
 with multiplicities m1 = m and m2 = l - m - 1.  `verify_cartan_munzner`
 checks both residuals at random unit points, from the exact ambient
-derivatives that `FkmPolynomial.sphere_derivatives` reduces them to.
+derivatives that `FkmPolynomial.sphere_derivatives` reduces them to.  That
+kernel takes all K points in one call and holds one (m+1, K, 2l) array,
+the stack P_a x; everything else it reads from that stack by contractions
+whose results are at most (K, 2l).
 """
 
 from __future__ import annotations
@@ -72,17 +75,19 @@ class FkmPolynomial:
         if bad.size:
             raise ValueError("sphere derivatives need unit points (row "
                              f"{bad[0]} is off the sphere)")
-        # P_a x as (m+1, K, 2l), g_a(x) as (m+1, K) and |x|^2 as (K,), once
-        # for all three derivatives
+        # P_a x, (m+1, K, 2l), is the only array of that size: g_a(x),
+        # sum_a g_a P_a x and sum_a |P_a x|^2 are two-operand contractions
+        # of it that allocate only their (m+1, K), (K, 2l) and (K,) results,
+        # where elementwise products would each hold another stack
         px = x @ stack.transpose(0, 2, 1)
-        g = np.sum(px * x, axis=-1)
-        xx = np.sum(x * x, axis=-1)
-        grad = 4.0 * xx[:, None] * x - 8.0 * np.sum(g[..., None] * px, axis=0)
-        grad_s = grad - np.sum(grad * x, axis=-1)[:, None] * x
-        value = xx * xx - 2.0 * np.sum(g * g, axis=0)
+        g = np.einsum("akj,kj->ak", px, x)
+        xx = np.einsum("kj,kj->k", x, x)
+        grad = 4.0 * xx[:, None] * x - 8.0 * np.einsum("ak,akj->kj", g, px)
+        grad_s = grad - np.einsum("kj,kj->k", grad, x)[:, None] * x
+        value = xx * xx - 2.0 * np.einsum("ak,ak->k", g, g)
         traces = np.trace(stack, axis1=1, axis2=2)
         lap = ((8.0 + 4.0 * n) * xx
-               - 16.0 * np.sum(px * px, axis=(0, -1)) - 8.0 * (traces @ g))
+               - 16.0 * np.einsum("akj,akj->k", px, px) - 8.0 * (traces @ g))
         lap_s = lap - 4.0 * (n + 2.0) * value
         return value, grad_s, lap_s
 

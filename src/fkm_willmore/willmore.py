@@ -85,24 +85,34 @@ class EinsteinProbe:
 # depend on the other rows of the block.
 
 # Bytes of intermediates the chain holds at a time, per point and per row;
-# the points of a block follow from the system (_block_points).
+# the shape of a block follows from the system (_block_points).
 _BLOCK_BYTES = 1_200_000
 
 
-def _block_points(system: CliffordSystem, num: int) -> int:
-    """Points per chain block: as many as fit _BLOCK_BYTES, at least one.
+def _block_points(system: CliffordSystem, num: int) -> tuple:
+    """Points and normals per chain block for points with `num` normals
+    each: as many whole points as fit _BLOCK_BYTES, or, when the rows of
+    one point alone exceed it, one point and its normals split evenly over
+    the fewest blocks that fit (one normal a block at least).
 
     A (point, normal) row holds A_xi, the projectors and one temporary of
     the purification, 5 n^2 floats, and the pair vectors, m(m+1)/2 n.  It
     peaks in the rotation, with the completion and the half and full
     products, (m+1)^2 (2n + 1), or in the reflection, with P'_0 T and two
     temporaries, 3 (2l) n.  A point holds P_a T, (m+1) 2l n, more than
-    T^T P_c P_d x.  At (m, k) = (6, 1): 10.6 KB a row, 7.2 KB a point."""
+    T^T P_c P_d x.  At (m, k) = (6, 1): 10.6 KB a row, 7.2 KB a point; at
+    (9, 1): 59.6 KB a row, 53.8 KB a point, so 19 normals fit a block and
+    60 normals run as 4 blocks of 15."""
     m1, dim = system.m + 1, system.ambient_dim
     n = dim - m1 - 1
+    num = max(1, num)
     row = 8 * (5 * n * n + m1 * m1
                + (m1 * system.m // 2 + max(2 * m1 * m1, 3 * dim)) * n)
-    return max(1, _BLOCK_BYTES // (row * max(1, num) + 8 * m1 * dim * n))
+    point = 8 * m1 * dim * n
+    if row * num + point <= _BLOCK_BYTES:
+        return _BLOCK_BYTES // (row * num + point), num
+    blocks = -(-num // max(1, (_BLOCK_BYTES - point) // row))
+    return 1, -(-num // blocks)
 
 
 def _coefficient_rows(system: CliffordSystem, coeffs,
@@ -139,7 +149,7 @@ def _purified(proj: np.ndarray) -> np.ndarray:
 
 
 def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
-               first: int):
+               first: tuple):
     """Spectral projectors of every A_xi = sum_a c_a A_a, in tangent
     coordinates.
 
@@ -148,8 +158,8 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     each (P, N, n, n).  A deviation above CLUSTER_RADIUS raises SpectrumError,
     and traces of (I - A^2, (A^2 + A)/2, (A^2 - A)/2) that do not round to
     (m, l-m-1, l-m-1) raise MultiplicityError; both name the first failing
-    row as point first + p, normal k.  The curved projectors are then
-    purified (_purified) and Pi_0 is their complement.
+    row as point first[0] + p, normal first[1] + k.  The curved projectors
+    are then purified (_purified) and Pi_0 is their complement.
     """
     m, m2 = system.m, system.m2
     count, n = ops.shape[0], ops.shape[2]
@@ -161,9 +171,9 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     if bad.size:
         p, k = bad[0]
         raise SpectrumError(
-            f"point {first + p}, normal {k}: max |A_xi^3 - A_xi| = "
-            f"{deviation[p, k]:.3e}, so the spectrum leaves the clusters "
-            f"around {{0, +1, -1}} (radius {CLUSTER_RADIUS:.1e})")
+            f"point {first[0] + p}, normal {first[1] + k}: max |A_xi^3 - "
+            f"A_xi| = {deviation[p, k]:.3e}, so the spectrum leaves the "
+            f"clusters around {{0, +1, -1}} (radius {CLUSTER_RADIUS:.1e})")
     tr_sq = np.trace(sq, axis1=2, axis2=3)
     tr_a = np.trace(a_xi, axis1=2, axis2=3)
     expected = (m, m2, m2)
@@ -173,9 +183,9 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     if bad.size:
         p, k = bad[0]
         raise MultiplicityError(
-            f"point {first + p}, normal {k}: principal multiplicities "
-            f"{tuple(counts[p, k].tolist())} != expected {expected} for "
-            "(0, +1, -1)")
+            f"point {first[0] + p}, normal {first[1] + k}: principal "
+            f"multiplicities {tuple(counts[p, k].tolist())} != expected "
+            f"{expected} for (0, +1, -1)")
     plus = _purified((sq + a_xi) / 2.0)
     minus = _purified((sq - a_xi) / 2.0)
     return deviation, a_xi, np.eye(n) - plus - minus, plus, minus
@@ -261,9 +271,10 @@ def _case_residuals(system: CliffordSystem, y_t, a_xi, pi0, p_plus,
 
 
 def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
-           coeffs: np.ndarray, first: int) -> np.ndarray:
+           coeffs: np.ndarray, first: tuple) -> np.ndarray:
     """The worst residual of every check at each point of a block whose
-    first point is point `first`, as a (P, len(CHECK_NAMES)) array.
+    first point and normal are `first` (indices into certify_point's
+    input), as a (P, len(CHECK_NAMES)) array.
 
     The criterion and the balance tr((Pi_{+1} - Pi_{-1}) Ric_closed) =
     tr(A_xi Ric_closed) are linear in xi, so they are read once per point
@@ -273,7 +284,8 @@ def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
                                  axis=(1, 2, 3)))
     if bad.size:
         raise SpectrumError(
-            f"point {first + bad[0]}: shape operators have non-finite entries")
+            f"point {first[0] + bad[0]}: shape operators have non-finite "
+            "entries")
     reduced = _contractions(shape.ricci, shape.operators)
     balance = _contractions(frame.closed_ricci, shape.operators)
     spectrum, a_xi, pi0, plus, minus = _decompose(system, shape.operators,
@@ -317,21 +329,26 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     normals does not matter.
 
     residual_max, balance_max and bridge_max do not depend on the normals
-    (_chain).  The chain runs over blocks of whole points whose per-row
-    intermediates fit _BLOCK_BYTES (one point at least), with one set of
-    stacked projectors and rotated pair products per block; a point's
+    (_chain).  The chain runs over blocks whose per-row intermediates fit
+    _BLOCK_BYTES (_block_points): whole points, or, where one point's rows
+    alone exceed it, chunks of one point's normals, whose rows are folded
+    into the point's by their maximum (NaN if any is NaN).  Each block forms
+    one set of stacked projectors and rotated pair products; a point's
     residuals do not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
     if len(shape.operators) != count:
         raise ValueError(f"{count} frames and {len(shape.operators)} shapes")
-    step = _block_points(system, coeffs.shape[1])
+    num = coeffs.shape[1]
+    step, chunk = _block_points(system, num)
     out = np.empty((count, len(CHECK_NAMES)))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        out[rows] = _chain(system, take(frame, rows), take(shape, rows),
-                           coeffs[rows], lo)
+        frames, shapes = take(frame, rows), take(shape, rows)
+        out[rows] = fold([_chain(system, frames, shapes,
+                                 coeffs[rows, k:k + chunk], (lo, k))
+                          for k in range(0, max(1, num), chunk)], axis=0)
     return out
 
 

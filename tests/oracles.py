@@ -13,6 +13,9 @@ a second route to a quantity the package computes another way:
     differences of quartic check gradient, the package's term-by-term
     Laplacian must equal the trace of hessian;
   * parse_dump reads the plain-text matrix dump back;
+  * jacobian_rank is the rank of the rows x, P_0 x, ..., P_m x from their
+    singular values, where certification reads the eigenvalues of the
+    Gram matrix it forms for its J J^T = 4I guard;
   * signed_balance, rotated_tangency and dense_p0_tangent are the Willmore
     chain's per-normal routes to what it reads once per point: the balance
     tr((Pi_{+1} - Pi_{-1}) Ric_closed) at each normal, the tangency of the
@@ -94,12 +97,20 @@ def parse_dump(text):
                           matrices=tuple(rows.reshape(m + 1, n, n)))
 
 
+def jacobian_rank(system, x):
+    """The rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x for
+    every row of a (K, 2l) stack, from one stacked SVD (singular values
+    above 1e-8 count); (K,)."""
+    rows = np.concatenate([x[:, None, :], system.apply(x)], axis=1)
+    return np.linalg.matrix_rank(rows, tol=1e-8)
+
+
 def signed_balance(system, frame, shape, coeffs):
     """tr((Pi_{+1} - Pi_{-1}) Ric_closed) at every point and normal of a
     (P, N, m+1) stack of coefficients, with the chain's purified
     projectors; (P, N)."""
     _, _, _, plus, minus = willmore._decompose(system, shape.operators,
-                                               coeffs, 0)
+                                               coeffs, (0, 0))
     return np.sum((plus - minus) * frame.closed_ricci[:, None], axis=(2, 3))
 
 

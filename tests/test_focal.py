@@ -10,6 +10,7 @@ from fkm_willmore import (CONSTRAINT_TOL, SPHERE_TOL, CliffordSystem,
 from fkm_willmore import focal
 
 from conftest import GRID, conjugated_system
+from oracles import jacobian_rank
 
 FIELDS = ("x", "residual_constraints", "residual_sphere", "value_gap",
           "jacobian_rank")
@@ -163,13 +164,27 @@ def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
 
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
 def test_jacobian_rank(m, k, rank):
-    # the record's ranks come from the certification pass, one stacked SVD
-    # over the rows, and equal the rank of each row certified alone
+    # the record's ranks come from the certification pass, one stacked
+    # eigvalsh of the guard's Gram matrices, and equal the rank of each row
+    # certified alone
     system = build_clifford_system(m, k)
     points = sample_focal_points(system, 4, seed=2)
     assert points.jacobian_rank.tolist() == [rank] * 4
     for x in points.x:
         assert certify(system, x)["jacobian_rank"] == rank == m + 2
+
+
+@pytest.mark.parametrize("m,k,conjugated",
+                         [(m, k, False) for m, k in GRID] + [(3, 2, True)])
+def test_jacobian_rank_equals_the_svd_rank(m, k, conjugated):
+    # the Gram eigenvalues above 1e-16 count the singular values of the rows
+    # above 1e-8, as the SVD of the rows does
+    system = (conjugated_system(m, k, seed=4) if conjugated
+              else build_clifford_system(m, k))
+    points = sample_focal_points(system, 20, seed=8)
+    assert np.array_equal(points.jacobian_rank,
+                          jacobian_rank(system, points.x))
+    assert np.all(points.jacobian_rank == system.m + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -279,3 +279,26 @@ def test_cartan_munzner_matches_sequential_evaluation(m, k):
                                        + 4.0 * (n + 2) * value))
     assert abs(grad_check.residual - worst_grad) <= 1e-12
     assert abs(lap_check.residual - worst_lap) <= 1e-12
+
+
+@pytest.mark.parametrize("m,k", [(6, 1), (9, 1)])
+def test_cartan_munzner_memory_is_one_normal_stack(m, k):
+    # the PDE check holds one (m+1, K, 2l) array, P_a x of the K = 1000
+    # samples, plus a few (K, 2l) rows: the samples and the gradient's
+    # temporaries (traced: 1.48 MB at (6,1) and 3.68 MB at (9,1), about
+    # 4.6 rows over P_a x).  Contractions that broadcast products of P_a x
+    # hold several stacks (2.27 and 6.01 MB)
+    import tracemalloc
+    poly = _poly(m, k)
+    samples, dim = 1000, poly.system.ambient_dim
+    stack_bytes = 8 * (m + 1) * samples * dim
+    verify_cartan_munzner(poly, samples, seed=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_cartan_munzner(poly, samples, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert stack_bytes < peak <= stack_bytes + 6 * 8 * samples * dim

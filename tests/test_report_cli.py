@@ -544,12 +544,12 @@ def test_jsonable_arrays_match_the_element_walk():
 @pytest.mark.parametrize("m,k,points,normals,bound_mb", [
     # measured 2.5 MB
     (6, 1, 100, 0, 4.0),
-    # measured 1.6 MB; the chain runs one point (57 normals) per block
+    # measured 1.5 MB; the chain runs one point (57 normals) per block
     (6, 1, 20, 50, 2.5),
-    # measured 6.9 MB; one point's 60 normals take about 5 MB of chain
-    # rows, so a block of two points would pass 11 MB
-    (9, 1, 20, 50, 8.5),
-], ids=["100-0-4.0", "20-50-2.5", "9-1-20-50-8.5"])
+    # measured 3.68 MB, set by the PDE samples' P_a x (2.56 MB); the chain
+    # runs one point with 15 of its 60 normals per block (0.87 MB)
+    (9, 1, 20, 50, 4.0),
+], ids=["100-0-4.0", "20-50-2.5", "9-1-20-50-4.0"])
 def test_evaluate_system_memory_is_bounded(m, k, points, normals, bound_mb):
     # the stacked layers run in blocks of bounded size, so the traced peak
     # of one configuration stays near that of a block

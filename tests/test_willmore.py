@@ -70,7 +70,7 @@ def _projectors(system, shapes, coeffs):
     """The chain's deviations and projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a
     (P, N, m+1) stack of coefficients."""
     deviation, _, *projectors = willmore._decompose(
-        system, shapes.operators, np.asarray(coeffs), 0)
+        system, shapes.operators, np.asarray(coeffs), (0, 0))
     return deviation, *projectors
 
 
@@ -334,33 +334,39 @@ def _forged_shape(shape, operators):
                      mean_curvature=shape.mean_curvature, ricci=shape.ricci)
 
 
-def test_batched_spectrum_error_names_the_normal():
+def test_batched_spectrum_error_names_the_normal(monkeypatch):
     system, frame, shape = _setup(1, 3, extra_points=0)
-    bad = _forged_shape(shape, 1.5 * shape.operators)
-    # scaling every operator by 1.5 moves the +-1 eigenvalues of every A_xi
-    # to +-1.5, so the first normal of the batch is reported
-    coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    with pytest.raises(SpectrumError, match="normal 0:"):
-        certify_point(system, frame, bad, [coeffs])
-    # scaling only A_1 leaves the first two normals intact
-    ops = np.array(shape.operators)
-    ops[0, 1] *= 1.5
-    bad = _forged_shape(shape, ops)
-    coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-              np.array([0.0, 1.0])]
-    with pytest.raises(SpectrumError, match="normal 2:"):
-        certify_point(system, frame, bad, [coeffs])
+    # with the budget at 1 byte every normal runs in a block of its own, and
+    # the error still names it by its index in the input
+    for budget in (willmore._BLOCK_BYTES, 1):
+        monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
+        bad = _forged_shape(shape, 1.5 * shape.operators)
+        # scaling every operator by 1.5 moves the +-1 eigenvalues of every
+        # A_xi to +-1.5, so the first normal of the batch is reported
+        coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        with pytest.raises(SpectrumError, match="point 0, normal 0:"):
+            certify_point(system, frame, bad, [coeffs])
+        # scaling only A_1 leaves the first two normals intact
+        ops = np.array(shape.operators)
+        ops[0, 1] *= 1.5
+        bad = _forged_shape(shape, ops)
+        coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                  np.array([0.0, 1.0])]
+        with pytest.raises(SpectrumError, match="point 0, normal 2:"):
+            certify_point(system, frame, bad, [coeffs])
 
 
-def test_batched_multiplicity_error_names_the_normal():
+def test_batched_multiplicity_error_names_the_normal(monkeypatch):
     system, frame, shape = _setup(1, 3, extra_points=0)
     n = frame.tangent.shape[2]
     ops = np.array(shape.operators)
     ops[0, 1] = np.eye(n)                   # every eigenvalue lands at +1
     bad = _forged_shape(shape, ops)
     coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    with pytest.raises(MultiplicityError, match="normal 1:"):
-        certify_point(system, frame, bad, [coeffs])
+    for budget in (willmore._BLOCK_BYTES, 1):   # 1: a block per normal
+        monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
+        with pytest.raises(MultiplicityError, match="point 0, normal 1:"):
+            certify_point(system, frame, bad, [coeffs])
 
 
 def test_batched_coefficient_validation_names_the_normal():
@@ -419,21 +425,35 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     # the byte size of one (point, normal) row: A_xi, the projectors and
     # the purification, the completion, the pair vectors, and the larger of
     # the rotated products and P'_0 T with its temporaries; and of one
-    # point: its m + 4 rows and P_a T
+    # point: P_a T, and with its m + 4 rows
     m1, dim = m + 1, system.ambient_dim
     n = frames.tangent.shape[2]
     row = 8 * (5 * n * n + m1 * m1
                + (m1 * m // 2 + max(2 * m1 * m1, 3 * dim)) * n)
-    point = row * (m + 4) + 8 * m1 * dim * n
+    fixed = 8 * m1 * dim * n
+    point = row * (m + 4) + fixed
     # block boundaries anywhere: one point per block, budgets of 2 and 3
     # points (and one byte short of 3) that split the 7 points unevenly, and
     # all points in one block
-    for budget, per_block in ((1, 1), (2 * point, 2), (3 * point - 1, 2),
-                              (3 * point, 3), (10 ** 9, 7)):
+    for budget, shape in ((point, (1, m + 4)), (2 * point, (2, m + 4)),
+                          (3 * point - 1, (2, m + 4)),
+                          (3 * point, (3, m + 4)), (10 ** 9, (7, m + 4))):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
-        assert min(willmore._block_points(system, m + 4), 7) == per_block
+        points, normals = willmore._block_points(system, m + 4)
+        assert (min(points, 7), normals) == shape
         assert np.array_equal(certify_point(system, frames, shapes, coeffs),
                               singles)
+    # a point's normals split evenly over the fewest blocks that fit: one
+    # normal per block, at most 3, and one byte short of all m + 4 (two
+    # halves).  A block of one normal takes numpy's matrix-vector products
+    # where longer blocks take matrix products, so the rows agree to
+    # rounding (worst seen 2.2e-15, at (4, 2)), not bit for bit
+    for budget, normals in ((1, 1), (fixed + 3 * row, 3),
+                            (point - 1, (m + 5) // 2)):
+        monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
+        assert willmore._block_points(system, m + 4) == (1, normals)
+        assert np.allclose(certify_point(system, frames, shapes, coeffs),
+                           singles, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("m,k,blocks", [(1, 3, 1), (6, 1, 20)])
@@ -457,24 +477,27 @@ def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
     assert {num for _, num in calls} == {50 + m + 1}
 
 
-@pytest.mark.parametrize("m,k,extra", [(3, 2, 50), (6, 1, 50), (6, 1, 0)])
+@pytest.mark.parametrize("m,k,extra", [(3, 2, 50), (6, 1, 50), (6, 1, 0),
+                                       (9, 1, 50)])
 def test_chain_block_peak_fits_the_budget(m, k, extra):
     # the row model against measured memory: the traced peak of one chain
-    # block, as many points as _block_points allows with the coordinate
-    # normals and `extra` random ones a point, stays within _BLOCK_BYTES
-    # (peaks seen: 955, 583 and 1038 KB).  A (9, 1) point alone exceeds it
+    # block, the points and normals that _block_points allows for the
+    # coordinate normals and `extra` random ones a point, stays within
+    # _BLOCK_BYTES (peaks seen: 955, 583, 1038 and 865 KB).  The rows of a
+    # (9, 1) point with 60 normals exceed it, so its block is one point
+    # with 15 of them
     system = build_clifford_system(m, k)
-    count = willmore._block_points(system, m + 1 + extra)
+    count, num = willmore._block_points(system, m + 1 + extra)
     frames = build_frame(system,
                          sample_focal_points(system, count, seed=21).x)
     shapes = shape_operators(system, frames)
     rng = default_rng(90 + m)
-    coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])
+    coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])[:, :num]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        willmore._chain(system, frames, shapes, coeffs, 0)
+        willmore._chain(system, frames, shapes, coeffs, (0, 0))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -544,7 +567,7 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
     assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
                   ) <= 1e-14
     _, a_xi, pi0, _, _ = willmore._decompose(system, shapes.operators,
-                                             coeffs, 0)
+                                             coeffs, (0, 0))
     assert np.max(np.abs(a_xi + p0_tangent_form(system, frames, coeffs))
                   ) <= 1e-14
     u = y_t[:, :, m:] @ pi0             # no pairs a, b >= 1 when m = 1
