@@ -56,17 +56,18 @@ class AdaptedFrame:
     `x` holds the points as rows (P, 2l).  `tangent` (P, 2l, n) has the
     n = 2l - m - 2 tangent vectors of each point as columns, `normal`
     (P, 2l, m+1) the m + 1 vectors P_a x as columns (exactly, by
-    construction).  `pairs` holds the pair products P_a P_b x as a
-    (P, m+1, m+1, 2l) array, formed once per point for the Willmore chain.
-    `closed_ricci` (P, n, n) is the closed-form Ricci matrix in the tangent
-    basis, formed from `pairs` alone; the Ricci cross-check, the balance of
-    the Willmore chain and the Einstein probe all read it.
+    construction).  `pair_coords` (P, m+1, m+1, 2l) holds the pair products
+    P_a P_b x in the basis [x | P_0 x .. P_m x | T]: m + 2 x and normal
+    components, then n tangent coordinates.  `closed_ricci` (P, n, n) is
+    the closed-form Ricci matrix in the tangent basis, formed from those;
+    the Ricci cross-check, the Willmore balance and the Einstein probe read
+    it.
     """
 
     x: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
-    pairs: np.ndarray
+    pair_coords: np.ndarray
     closed_ricci: np.ndarray
 
     def __post_init__(self):
@@ -84,8 +85,9 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     that block.  Every assembled frame must reproduce the identity Gram
     matrix within 1e-8, else FrameError naming the first point that fails;
     a point with a non-finite coordinate fails before any product.  P_a x
-    is formed once, for the normals and the pair products; one stacked QR
-    serves all points, and a frame does not depend on the others.  The
+    is formed once, for the normals and the pairs, which one product reads
+    in the frame; one stacked QR serves all points, and a frame does not
+    depend on the others.  The
     closed-form Ricci matrix needs codimension headroom l >= m + 2;
     admissible systems always have it, the check is defensive.
     """
@@ -110,13 +112,13 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
         raise FrameError(
             f"point {bad[0]}: adapted frame failed completeness: Gram "
             f"deviation {gram_dev[bad[0]]:.3e} (tol {FRAME_GRAM_TOL:.1e})")
-    pairs = pair_products(system, px)
+    pair_coords = pair_products(system, px) @ full[:, None]
     idx_a, idx_b = np.triu_indices(codim, k=1)
-    rows = pairs[:, idx_a, idx_b] @ tangent      # Q, (P, m(m+1)/2, n)
+    rows = pair_coords[:, idx_a, idx_b, codim + 1:]  # Q, (P, m(m+1)/2, n)
     closed_ricci = (2.0 * (system.l - system.m - 2) * np.eye(tangent.shape[2])
                     + 2.0 * (rows.transpose(0, 2, 1) @ rows))
-    return AdaptedFrame(x=x, tangent=tangent, normal=normal, pairs=pairs,
-                        closed_ricci=closed_ricci)
+    return AdaptedFrame(x=x, tangent=tangent, normal=normal,
+                        pair_coords=pair_coords, closed_ricci=closed_ricci)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .clifford import CliffordSystem, _orthonormal_completion
 from .errors import MultiplicityError, SpectrumError
-from .geometry import AdaptedFrame, ShapeData, take
+from .geometry import AdaptedFrame, ShapeData
 from .records import fold, freeze
 
 __all__ = [
@@ -79,10 +79,10 @@ class EinsteinProbe:
 # ---------------------------------------------------------------------------
 #
 # The helpers below take a block of P points with N normals each (leading
-# axes P, N) and return one value per normal, or per point where the
-# normal does not enter; certify_point runs them once per block.  Each
-# (point, normal) row is computed on its own, so a row's values do not
-# depend on the other rows of the block.
+# axes P, N) and return one value per normal; certify_point reads what the
+# normal does not change once per point, and runs them once per block.
+# Each (point, normal) row is computed on its own, so a row's values do
+# not depend on the other rows of the block.
 
 # Bytes of intermediates the chain holds at a time, per point and per row;
 # the shape of a block follows from the system (_block_points).
@@ -99,10 +99,10 @@ def _block_points(system: CliffordSystem, num: int) -> tuple:
     the purification, 5 n^2 floats, and the pair vectors, m(m+1)/2 n.  It
     peaks in the rotation, with the completion and the half and full
     products, (m+1)^2 (2n + 1), or in the reflection, with P'_0 T and two
-    temporaries, 3 (2l) n.  A point holds P_a T, (m+1) 2l n, more than
-    T^T P_c P_d x.  At (m, k) = (6, 1): 10.6 KB a row, 7.2 KB a point; at
-    (9, 1): 59.6 KB a row, 53.8 KB a point, so 19 normals fit a block and
-    60 normals run as 4 blocks of 15."""
+    temporaries, 3 (2l) n.  A point holds P_a T, (m+1) 2l n, formed once
+    for its block of points.  At (m, k) = (6, 1): 10.6 KB a row, 7.2 KB a
+    point; at (9, 1): 59.6 KB a row, 53.8 KB a point, so 19 normals fit a
+    block and 60 normals run as 4 blocks of 15."""
     m1, dim = system.m + 1, system.ambient_dim
     n = dim - m1 - 1
     num = max(1, num)
@@ -194,9 +194,9 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
 def _rotated(pairs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The pair vectors P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x for a < b,
     with B the completion rows, in tangent coordinates: `pairs` is the
-    (P, m+1, m+1, n) stack T^T P_c P_d x, and two matrix products give
-    (P, N, m(m+1)/2, n) in np.triu_indices order, so the m pairs (0, b)
-    come first."""
+    (P, m+1, m+1, n) tangent slice of the pair coordinates, and two matrix
+    products give (P, N, m(m+1)/2, n) in np.triu_indices order, so the m
+    pairs (0, b) come first."""
     (count, num, m1), n = coeffs.shape, pairs.shape[3]
     basis = _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
         count, num, m1, m1)
@@ -206,23 +206,21 @@ def _rotated(pairs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return prods[:, :, ia, ib]
 
 
-def _p0_tangent(system: CliffordSystem, frame: AdaptedFrame,
-                coeffs: np.ndarray) -> np.ndarray:
-    """P'_0 T = sum_a c_a (P_a T) for every normal, (P, N, 2l, n), from one
-    (P, m+1, 2l, n) stack of P_a T per point; no 2l x 2l P'_0 is formed."""
-    pt = system.stack @ frame.tangent[:, None]
+def _p0_tangent(pt: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """P'_0 T = sum_a c_a (P_a T) for every normal, (P, N, 2l, n), from the
+    (P, m+1, 2l, n) stack `pt` of P_a T; no 2l x 2l P'_0 is formed."""
     return (coeffs @ pt.reshape(*pt.shape[:2], -1)).reshape(
         *coeffs.shape[:2], *pt.shape[2:])
 
 
 def _pair_tangency(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
-    """max |<P_a P_b x, x>| and |<P_a P_b x, P_g x>|, a < b, per point: the
-    rotated pairs and normals are orthonormal images of these (Lambda^2 B,
-    B), so this bounds theirs within a factor sqrt(m (m+1) (m+2) / 2)."""
+    """max |<P_a P_b x, x>| and |<P_a P_b x, P_g x>|, a < b, per point, from
+    the x and normal columns of the pair coordinates: the rotated pairs and
+    normals are orthonormal images of these (Lambda^2 B, B), so this bounds
+    theirs within a factor sqrt(m (m+1) (m+2) / 2)."""
     ia, ib = np.triu_indices(system.m + 1, k=1)
-    lead = np.concatenate([frame.x[:, :, None], frame.normal], axis=2)
-    return np.max(np.abs(frame.pairs[:, ia, ib] @ lead), axis=(1, 2),
-                  initial=0.0)
+    return np.max(np.abs(frame.pair_coords[:, ia, ib, :system.m + 2]),
+                  axis=(1, 2), initial=0.0)
 
 
 def _reflection(p0t, t, plus, minus):
@@ -270,39 +268,25 @@ def _case_residuals(system: CliffordSystem, y_t, a_xi, pi0, p_plus,
     return orthogonality, bookkeeping, u_max
 
 
-def _chain(system: CliffordSystem, frame: AdaptedFrame, shape: ShapeData,
-           coeffs: np.ndarray, first: tuple) -> np.ndarray:
-    """The worst residual of every check at each point of a block whose
-    first point and normal are `first` (indices into certify_point's
-    input), as a (P, len(CHECK_NAMES)) array.
-
-    The criterion and the balance tr((Pi_{+1} - Pi_{-1}) Ric_closed) =
-    tr(A_xi Ric_closed) are linear in xi, so they are read once per point
-    at the coordinate normals.  Shape operators with a non-finite entry
-    raise SpectrumError naming the point, before any product."""
-    bad = np.flatnonzero(~np.all(np.isfinite(shape.operators),
-                                 axis=(1, 2, 3)))
-    if bad.size:
-        raise SpectrumError(
-            f"point {first[0] + bad[0]}: shape operators have non-finite "
-            "entries")
-    reduced = _contractions(shape.ricci, shape.operators)
-    balance = _contractions(frame.closed_ricci, shape.operators)
-    spectrum, a_xi, pi0, plus, minus = _decompose(system, shape.operators,
-                                                  coeffs, first)
-    t = frame.tangent[:, None]
-    y_t = _rotated(frame.pairs @ t, coeffs)
+def _chain(system: CliffordSystem, coeffs: np.ndarray, first: tuple, ops,
+           pairs, t, pt, balance, tangency) -> np.ndarray:
+    """The worst residual of the per-normal checks, max_spectrum_deviation
+    and CHECK_NAMES[4:], at each point of a block whose first point and
+    normal are `first` (indices into certify_point's input), as (P, 7).
+    The points come as arrays: shape operators, the tangent slice of the
+    pair coordinates, T, P_a T, and the balance at the coordinate normals
+    and the pair tangency, which certify_point reads once per point."""
+    spectrum, a_xi, pi0, plus, minus = _decompose(system, ops, coeffs, first)
+    y_t = _rotated(pairs, coeffs)
     p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3) for pi in (plus, minus))
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    tangency = _pair_tangency(system, frame)[:, None]
-    case = np.maximum(tangency, np.maximum.reduce(_case_residuals(
+    case = np.maximum(tangency[:, None], np.maximum.reduce(_case_residuals(
         system, y_t, a_xi, pi0, p_plus, p_minus)))
-    p0t = _p0_tangent(system, frame, coeffs)    # after the rotation's peak
+    reflection = _reflection(_p0_tangent(pt, coeffs), t[:, None], plus, minus)
     # chain_max: the projection sum against c . b, the balance at the normal
     return np.stack([fold(np.abs(r), axis=1) for r in (
-        spectrum, reduced, balance, reduced - balance,
-        (coeffs @ balance[:, :, None])[..., 0] - signed_proj, pairwise,
-        signed_proj, leak, _reflection(p0t, t, plus, minus), case)], axis=1)
+        spectrum, (coeffs @ balance[:, :, None])[..., 0] - signed_proj,
+        pairwise, signed_proj, leak, reflection, case)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,34 +306,47 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
     each point of the stacked `frame` and `shape`.  Returns a (P, 10) array
     of residuals, one row per point and one column per key of the report's
-    lemma and willmore blocks, in the order of CHECK_NAMES:
-    max_spectrum_deviation, then residual_max (the reduced criterion at the
-    point) and the chain.  Each residual is the worst over the point's
-    normals, so identical inputs give identical rows and the order of the
-    normals does not matter.
+    lemma and willmore blocks, in the order of CHECK_NAMES.  Each residual
+    is the worst over the point's normals, so identical inputs give
+    identical rows and the order of the normals does not matter.
 
-    residual_max, balance_max and bridge_max do not depend on the normals
-    (_chain).  The chain runs over blocks whose per-row intermediates fit
-    _BLOCK_BYTES (_block_points): whole points, or, where one point's rows
-    alone exceed it, chunks of one point's normals, whose rows are folded
-    into the point's by their maximum (NaN if any is NaN).  Each block forms
-    one set of stacked projectors and rotated pair products; a point's
-    residuals do not depend on the block it is in.
+    What the normal does not change is read once, over all points: the
+    non-finite guard (SpectrumError naming the point), the pair tangency,
+    and the criterion and the balance tr((Pi_{+1} - Pi_{-1}) Ric_closed) =
+    tr(A_xi Ric_closed), linear in xi, at the coordinate normals
+    (residual_max, balance_max, bridge_max).  The chain then runs over
+    blocks that fit _BLOCK_BYTES (_block_points): whole points, or chunks
+    of one point's normals folded into the point's row by their maximum
+    (NaN if any is NaN).  P_a T is formed once per block of points, and a
+    point's residuals do not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
-    if len(shape.operators) != count:
-        raise ValueError(f"{count} frames and {len(shape.operators)} shapes")
+    ops = shape.operators
+    if len(ops) != count:
+        raise ValueError(f"{count} frames and {len(ops)} shapes")
+    bad = np.flatnonzero(~np.all(np.isfinite(ops), axis=(1, 2, 3)))
+    if bad.size:
+        raise SpectrumError(
+            f"point {bad[0]}: shape operators have non-finite entries")
+    reduced = _contractions(shape.ricci, ops)
+    balance = _contractions(frame.closed_ricci, ops)
+    tangency = _pair_tangency(system, frame)
+    pairs = frame.pair_coords[..., system.m + 2:]
     num = coeffs.shape[1]
     step, chunk = _block_points(system, num)
-    out = np.empty((count, len(CHECK_NAMES)))
+    chain = np.empty((count, 7))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        frames, shapes = take(frame, rows), take(shape, rows)
-        out[rows] = fold([_chain(system, frames, shapes,
-                                 coeffs[rows, k:k + chunk], (lo, k))
-                          for k in range(0, max(1, num), chunk)], axis=0)
-    return out
+        t = frame.tangent[rows]
+        pt = system.stack @ t[:, None]          # P_a T, (P, m+1, 2l, n)
+        chain[rows] = fold([_chain(system, coeffs[rows, k:k + chunk], (lo, k),
+                                   ops[rows], pairs[rows], t, pt,
+                                   balance[rows], tangency[rows])
+                            for k in range(0, max(1, num), chunk)], axis=0)
+    per_point = [fold(np.abs(r), axis=1)
+                 for r in (reduced, balance, reduced - balance)]
+    return np.column_stack([chain[:, 0], *per_point, chain[:, 1:]])
 
 
 # ---------------------------------------------------------------------------

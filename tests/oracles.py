@@ -31,6 +31,7 @@ import numpy as np
 
 from fkm_willmore import CliffordSystem, willmore
 from fkm_willmore.clifford import _orthonormal_completion
+from fkm_willmore.geometry import pair_products
 
 
 def rotate_system(system, coeffs):
@@ -121,20 +122,25 @@ def _completions(coeffs):
         *coeffs.shape[:2], m1, m1)
 
 
-def rotated_pairs(system, frame, coeffs):
+def rotated_pairs(system, frame, coeffs, pairs=None):
     """P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x, a < b, in R^{2l} at every
-    point and normal; (P, N, m(m+1)/2, 2l) in np.triu_indices order."""
+    point and normal; (P, N, m(m+1)/2, 2l) in np.triu_indices order.  The
+    ambient pair products P_c P_d x are formed here from the frame's
+    points, unless given as `pairs` (P, m+1, m+1, 2l)."""
+    if pairs is None:
+        pairs = pair_products(system, system.apply(frame.x))
     basis = _completions(coeffs)
-    prods = np.einsum("knac,knbd,kcdi->knabi", basis, basis, frame.pairs)
+    prods = np.einsum("knac,knbd,kcdi->knabi", basis, basis, pairs)
     ia, ib = np.triu_indices(system.m + 1, k=1)
     return prods[:, :, ia, ib]
 
 
-def rotated_tangency(system, frame, coeffs):
+def rotated_tangency(system, frame, coeffs, pairs=None):
     """max |<y, x>| and |<y, P'_g x>| over the rotated pair vectors y =
-    P'_a P'_b x, a < b, and every g, at every point and normal; (P, N)."""
+    P'_a P'_b x, a < b, and every g, at every point and normal, with the
+    ambient `pairs` of rotated_pairs; (P, N)."""
     normals = _completions(coeffs) @ frame.normal.swapaxes(1, 2)[:, None]
-    y = rotated_pairs(system, frame, coeffs)
+    y = rotated_pairs(system, frame, coeffs, pairs)
     return np.maximum(
         np.max(np.abs(y @ frame.x[:, None, :, None]), axis=(2, 3)),
         np.max(np.abs(y @ normals.swapaxes(2, 3)), axis=(2, 3)))

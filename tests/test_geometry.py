@@ -230,13 +230,14 @@ def test_ricci_trace_identity(m, k):
 # ---------------------------------------------------------------------------
 
 def _reference_frame_and_shape(system, x):
-    """Tangent basis, pair products, shape operators, |A|^2 and Ricci tensor
-    of one point with 2-D arrays, the per-point code the stacks replace."""
+    """Tangent basis, pair products in the frame's basis, shape operators,
+    |A|^2 and Ricci tensor of one point with 2-D arrays, the per-point code
+    the stacks replace."""
     px = system.stack @ x
     lead = np.hstack([x[:, None], px.T])
     q, _ = np.linalg.qr(lead, mode="complete")
     t = q[:, system.m + 2:]
-    pairs = np.einsum("aij,bj->abi", system.stack, px)
+    pairs = np.einsum("aij,bj->abi", system.stack, px) @ np.hstack([lead, t])
     ops = -np.stack([t.T @ (p_a @ t) for p_a in system.stack])
     n = t.shape[1]
     sq = ops @ ops
@@ -256,11 +257,14 @@ def test_stacked_frames_and_shapes_equal_single_points(m, k):
         frame, shape = take(frames, p), take(shapes, p)
         single = build_frame(system, point)
         assert np.array_equal(frame.x, point)
-        for name in ("tangent", "normal", "pairs"):
+        for name in ("tangent", "normal", "pair_coords"):
             assert np.array_equal(getattr(frame, name),
                                   getattr(single, name)[0]), name
-        assert np.array_equal(frame.pairs,
-                              pair_products(system, system.apply(point)))
+        # the pair products in the basis [x | P_0 x .. P_m x | T]
+        full = np.hstack([point[:, None], frame.normal, frame.tangent])
+        assert np.array_equal(
+            frame.pair_coords,
+            pair_products(system, system.apply(point)) @ full)
         one = shape_operators(system, single)
         for name in ("operators", "mean_curvature", "ricci"):
             assert np.array_equal(getattr(shape, name),
@@ -270,7 +274,7 @@ def test_stacked_frames_and_shapes_equal_single_points(m, k):
         # bit for bit the arithmetic of the one-point code
         t, pairs, ops, s, ricci = _reference_frame_and_shape(system, point)
         assert np.array_equal(frame.tangent, t)
-        assert np.array_equal(frame.pairs, pairs)
+        assert np.array_equal(frame.pair_coords, pairs)
         assert np.array_equal(shape.operators, ops)
         assert shape.sff_norm_sq == s
         assert np.array_equal(shape.ricci, ricci)
@@ -309,14 +313,14 @@ def test_pair_products_are_the_products_of_the_matrices():
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
 def test_stacked_ricci_quadratic_equals_single_frames(m, k):
     # the closed-form Ricci matrices of a stack are, bit for bit, the
-    # one-point products 2 (l - m - 2) I + 2 Q^T Q with Q = Y T for the rows
-    # Y = P_a P_b x, a < b
+    # one-point products 2 (l - m - 2) I + 2 Q^T Q with Q the tangent
+    # coordinates of the rows Y = P_a P_b x, a < b
     system, points = _setup(m, k, n_points=4)
     frames = build_frame(system, points)
     ia, ib = np.triu_indices(m + 1, k=1)
     for p, point in enumerate(points):
         t, pairs = _reference_frame_and_shape(system, point)[:2]
-        q = pairs[ia, ib] @ t
+        q = pairs[ia, ib, m + 2:]
         want = 2.0 * (system.l - m - 2) * np.eye(t.shape[1]) + 2.0 * (q.T @ q)
         assert np.array_equal(frames.closed_ricci[p], want)
         assert np.array_equal(frames.closed_ricci[p],

@@ -17,7 +17,7 @@ from fkm_willmore import (MultiplicityError, ShapeData,
                           sample_focal_points, shape_operators)
 from fkm_willmore import willmore
 from fkm_willmore.focal import _certify
-from fkm_willmore.geometry import take
+from fkm_willmore.geometry import pair_products, take
 
 from conftest import GRID, conjugated_system, corrupt_system
 from oracles import (dense_p0_tangent, p0_tangent_form, p0_u_sq,
@@ -447,13 +447,15 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     # normal per block, at most 3, and one byte short of all m + 4 (two
     # halves).  A block of one normal takes numpy's matrix-vector products
     # where longer blocks take matrix products, so the rows agree to
-    # rounding (worst seen 2.2e-15, at (4, 2)), not bit for bit
+    # rounding (worst seen 2.2e-15, at (4, 2)), not bit for bit; residual_max,
+    # balance_max and bridge_max are read before any block, bit for bit
     for budget, normals in ((1, 1), (fixed + 3 * row, 3),
                             (point - 1, (m + 5) // 2)):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         assert willmore._block_points(system, m + 4) == (1, normals)
-        assert np.allclose(certify_point(system, frames, shapes, coeffs),
-                           singles, rtol=0.0, atol=1e-13)
+        rows = certify_point(system, frames, shapes, coeffs)
+        assert np.allclose(rows, singles, rtol=0.0, atol=1e-13)
+        assert np.array_equal(rows[:, 1:4], singles[:, 1:4])
 
 
 @pytest.mark.parametrize("m,k,blocks", [(1, 3, 1), (6, 1, 20)])
@@ -463,9 +465,9 @@ def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
     calls = []
     chain = willmore._chain
 
-    def counted(system, frame, shape, coeffs, where):
+    def counted(system, coeffs, *rest):
         calls.append(coeffs.shape[:2])
-        return chain(system, frame, shape, coeffs, where)
+        return chain(system, coeffs, *rest)
 
     monkeypatch.setattr(willmore, "_chain", counted)
     cfg = VerificationConfig(configurations=((m, k),), n_points=20,
@@ -481,11 +483,11 @@ def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
                                        (9, 1, 50)])
 def test_chain_block_peak_fits_the_budget(m, k, extra):
     # the row model against measured memory: the traced peak of one chain
-    # block, the points and normals that _block_points allows for the
-    # coordinate normals and `extra` random ones a point, stays within
-    # _BLOCK_BYTES (peaks seen: 955, 583, 1038 and 865 KB).  The rows of a
-    # (9, 1) point with 60 normals exceed it, so its block is one point
-    # with 15 of them
+    # block, the P_a T of the points that _block_points allows for the
+    # coordinate normals and `extra` random ones a point, and one chunk of
+    # their normals through the chain, stays within _BLOCK_BYTES (peaks
+    # seen: 964, 587, 1094 and 901 KB).  The rows of a (9, 1) point with 60
+    # normals exceed it, so its block is one point with 15 of them
     system = build_clifford_system(m, k)
     count, num = willmore._block_points(system, m + 1 + extra)
     frames = build_frame(system,
@@ -493,15 +495,59 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     shapes = shape_operators(system, frames)
     rng = default_rng(90 + m)
     coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])[:, :num]
+    point = (shapes.operators, frames.pair_coords[..., m + 2:],
+             frames.tangent)
+    balance = willmore._contractions(frames.closed_ricci, shapes.operators)
+    tangency = willmore._pair_tangency(system, frames)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        willmore._chain(system, frames, shapes, coeffs, (0, 0))
+        pt = system.stack @ frames.tangent[:, None]
+        willmore._chain(system, coeffs, (0, 0), *point, pt, balance,
+                        tangency)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert 0 < peak <= willmore._BLOCK_BYTES
+
+
+def test_per_point_reads_run_once_per_call(monkeypatch):
+    # what the normal does not change is read once per certify_point call,
+    # whatever the block layout: under a budget that splits each (9, 1)
+    # point's 60 normals into 4 chunks of 15, the two contractions run once
+    # for all 3 points, and each block of points forms one P_a T, which
+    # every chunk of its normals shares
+    system, frames, shapes = _setup(9, 1, extra_points=2)
+    monkeypatch.setattr(willmore, "_BLOCK_BYTES", 1_000_000)
+    assert willmore._block_points(system, 60) == (1, 15)
+    rng = default_rng(95)
+    coeffs = np.array([_normals(9, 50, rng) for _ in frames.x])
+    contractions, chunks = [], []
+    contract, chain = willmore._contractions, willmore._chain
+
+    def counted_contractions(*args):
+        contractions.append(args)
+        return contract(*args)
+
+    def counted_chain(system, coeffs, first, ops, pairs, t, pt, *rest):
+        chunks.append((first, pt))
+        return chain(system, coeffs, first, ops, pairs, t, pt, *rest)
+
+    monkeypatch.setattr(willmore, "_contractions", counted_contractions)
+    monkeypatch.setattr(willmore, "_chain", counted_chain)
+    rows = certify_point(system, frames, shapes, coeffs)
+    assert all(_passes(row) for row in rows)
+    assert len(contractions) == 2
+    assert [first for first, _ in chunks] == [
+        (p, k) for p in range(3) for k in (0, 15, 30, 45)]
+    # the chunks hold their P_a T alive, so distinct arrays are distinct
+    # formations: one per point, shared by its 4 chunks
+    assert len({id(pt) for _, pt in chunks}) == 3
+    for p in range(3):
+        assert len({id(pt) for first, pt in chunks if first[0] == p}) == 1
+        assert np.array_equal(chunks[4 * p][1],
+                              system.stack @ frames.tangent[p:p + 1, None])
 
 
 @pytest.mark.parametrize("m,k", GRID + [(9, 1)])
@@ -546,24 +592,31 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
                   ) <= 1e-12
     assert np.max(rotated_tangency(system, frames, coeffs)) <= 1e-14
     assert np.max(willmore._pair_tangency(system, frames)) <= 1e-14
-    # push the pair (0, 1) off the tangent space, along x or the normals:
-    # the rotated entries are orthonormal images of the read ones, so each
-    # maximum bounds the other within sqrt(m (m+1) (m+2) / 2)
+    # push the pair (0, 1) off the tangent space, along x or the normals,
+    # in R^{2l} for the oracle and in the x or normal columns of the frame's
+    # pair coordinates for the chain: the rotated entries are orthonormal
+    # images of the read ones, so each maximum bounds the other within
+    # sqrt(m (m+1) (m+2) / 2)
     factor = np.sqrt(m * (m + 1) * (m + 2) / 2) * (1 + 1e-12)
-    for push in (frames.x, np.sum(frames.normal, axis=2)):
-        pairs = np.array(frames.pairs)
+    ambient = pair_products(system, system.apply(frames.x))
+    for push, columns in ((frames.x, slice(0, 1)),
+                          (np.sum(frames.normal, axis=2), slice(1, m + 2))):
+        pairs = np.array(ambient)
         pairs[:, 0, 1] += 1e-3 * push
         pairs[:, 1, 0] -= 1e-3 * push
-        forged = replace(frames, pairs=pairs)
-        rotated = rotated_tangency(system, forged, coeffs)
+        coords = np.array(frames.pair_coords)
+        coords[:, 0, 1, columns] += 1e-3
+        coords[:, 1, 0, columns] -= 1e-3
+        forged = replace(frames, pair_coords=coords)
+        rotated = rotated_tangency(system, frames, coeffs, pairs)
         read = willmore._pair_tangency(system, forged)[:, None]
         assert np.all(read >= 1e-4)
         assert np.all(rotated <= factor * read)
         assert np.all(read <= factor * rotated)
-    assert np.max(np.abs(willmore._p0_tangent(system, frames, coeffs)
-                         - dense_p0_tangent(system, frames, coeffs))) <= 1e-14
     t = frames.tangent[:, None]
-    y_t = willmore._rotated(frames.pairs @ t, coeffs)
+    assert np.max(np.abs(willmore._p0_tangent(system.stack @ t, coeffs)
+                         - dense_p0_tangent(system, frames, coeffs))) <= 1e-14
+    y_t = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
     assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
                   ) <= 1e-14
     _, a_xi, pi0, _, _ = willmore._decompose(system, shapes.operators,
