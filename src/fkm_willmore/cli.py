@@ -4,15 +4,14 @@
                [--tol NAME=VALUE ...] [--out FILE] [--format json|text]
                [--dump-matrices DIR]
 
-Seed resolution order: --seed flag, then the FKM_SEED environment variable,
-then the default 42.  Argument problems exit with code 2 (argparse
-convention); verification failures with 1; internal errors with 3.
+The seed is --seed, else 42.  Argument problems exit with code 2
+(argparse convention); verification failures with 1; internal errors
+with 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .report import (DEFAULT_SEED, DEFAULT_TOLERANCES, TOOL_NAME,
@@ -36,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--normals", type=int, metavar="N",
                         help="random unit normals per point, beyond the "
                              "m+1 coordinate normals (default 50)")
-    parser.add_argument("--seed", type=int, metavar="S",
-                        help="master seed (default: FKM_SEED or 42)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
+                        help=f"master seed (default {DEFAULT_SEED})")
     parser.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override a tolerance; names: "
@@ -54,16 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_cli(argv=None) -> VerificationConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("FKM_SEED")
-        if env is None:
-            seed = DEFAULT_SEED
-        else:
-            try:
-                seed = int(env)
-            except ValueError:
-                parser.error(f"FKM_SEED={env!r} is not an integer")
     # only the syntax is split here: VerificationConfig checks the grid
     # entries (tuples of strings) and the tolerance names and values
     tolerances = {}
@@ -73,7 +62,7 @@ def parse_cli(argv=None) -> VerificationConfig:
             parser.error(f"invalid --tol {item!r}: expected NAME=VALUE")
         tolerances[name] = value
     kwargs = {
-        "seed": seed,
+        "seed": args.seed,
         "tolerances": tolerances,
         "out": args.out,
         "format": args.format,

@@ -134,29 +134,28 @@ def build_skew_generators(m: int) -> tuple:
 class CliffordSystem:
     """A symmetric Clifford system (P_0, ..., P_m) on R^{2l}.
 
-    Matrices are stored read-only; all derived objects treat the system as
-    immutable, which is what makes the per-configuration checks safe to run
-    concurrently.
+    `matrices` holds the generators as one read-only (m+1, 2l, 2l) array.
+    The constructor accepts any array or sequence of matrices of that
+    shape, and takes over an array that owns its data (records.freeze).
+    All derived objects treat the system as immutable, which is what makes
+    the per-configuration checks safe to run concurrently.
     """
 
     m: int
     l: int
-    matrices: tuple
+    matrices: np.ndarray
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if len(self.matrices) != self.m + 1:
-            raise ValueError(
-                f"expected {self.m + 1} matrices, got {len(self.matrices)}")
-        n = 2 * self.l
-        mats = []
-        for P in self.matrices:
-            P = freeze(P, float)
-            if P.shape != (n, n):
-                raise ValueError(f"matrix shape {P.shape} != ({n}, {n})")
-            mats.append(P)
-        object.__setattr__(self, "matrices", tuple(mats))
+        expected = (self.m + 1, 2 * self.l, 2 * self.l)
+        try:
+            mats = freeze(self.matrices, float)
+        except ValueError:                  # matrices of unequal shapes
+            mats = None
+        if mats is None or mats.shape != expected:
+            raise ValueError(f"matrices are not one {expected} array")
+        object.__setattr__(self, "matrices", mats)
 
     @property
     def ambient_dim(self) -> int:
@@ -167,33 +166,26 @@ class CliffordSystem:
         return self.l - self.m - 1
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """All matrices as one read-only (m+1, 2l, 2l) array."""
-        s = np.stack(self.matrices)
-        s.setflags(write=False)
-        return s
-
-    @cached_property
     def finite(self) -> bool:
         """Whether every entry is finite.  A product with an infinite entry
         meets inf * 0, so the checks read this before multiplying."""
-        return bool(np.isfinite(self.stack).all())
+        return bool(np.isfinite(self.matrices).all())
 
     @cached_property
     def integer(self) -> bool:
         """Whether every entry is an integer (as in freshly built systems),
         so that the relations hold exactly in double precision."""
-        return self.finite and bool(np.array_equal(self.stack,
-                                                   np.rint(self.stack)))
+        return self.finite and bool(np.array_equal(self.matrices,
+                                                   np.rint(self.matrices)))
 
     def apply(self, x) -> np.ndarray:
         """P_a x for every a: (m+1, 2l) for one point, (K, m+1, 2l) for a
         (K, 2l) stack of points.
 
         Every P_a x is its own matrix-vector product, so each point of a
-        stack gets the rounding of `stack @ x` bit for bit.
+        stack gets the rounding of `matrices @ x` bit for bit.
         """
-        return np.matmul(self.stack, np.asarray(x)[..., None, :, None])[..., 0]
+        return (self.matrices @ np.asarray(x)[..., None, :, None])[..., 0]
 
 
 def build_clifford_system(m: int, k: int) -> CliffordSystem:
@@ -223,22 +215,19 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
     return CliffordSystem(m=m, l=l, matrices=tuple(mats))
 
 
-def verify_clifford_relations(system: CliffordSystem,
-                              tol: float | None = None) -> Check:
+def verify_clifford_relations(system: CliffordSystem) -> Check:
     """Check symmetry, anticommutation/involution and tracelessness.
 
     Returns the `max_deviation` check, the worst absolute residual of all
     three, NaN for a system with a non-finite entry.  Freshly built systems
     have entries in {-1, 0, +1}; their products are exact in double
-    precision, so by default an integer system is held to tol=0.  Rotated
-    or conjugated systems carry float entries and are held to tol=1e-12 by
-    default.
+    precision, so an integer system is held to tol=0.  Rotated or
+    conjugated systems carry float entries and are held to tol=1e-12.
     """
-    if tol is None:
-        tol = 0.0 if system.integer else _RELATIONS_TOL
+    tol = 0.0 if system.integer else _RELATIONS_TOL
     if not system.finite:
         return Check("max_deviation", float("nan"), tol)
-    stack = system.stack
+    stack = system.matrices
     prods = stack[:, None] @ stack[None]             # P_a P_b for all a, b
     anti = (prods + prods.swapaxes(0, 1)
             - 2.0 * np.eye(system.m + 1)[:, :, None, None]
@@ -279,7 +268,7 @@ def dump_matrices(system: CliffordSystem) -> str:
             "matrix dump requires exact integer entries; rotated systems "
             "are not dumpable")
     lines = [f"{system.ambient_dim} {system.m}"]
-    for P in system.stack.astype(int):
+    for P in system.matrices.astype(int):
         for row in P:
             lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"

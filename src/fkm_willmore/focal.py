@@ -35,7 +35,7 @@ from numpy.random import SeedSequence, default_rng
 
 from .clifford import CliffordSystem
 from .errors import CertificationError
-from .records import fold, freeze
+from .records import Record, fold
 
 __all__ = [
     "CONSTRAINT_TOL",
@@ -65,7 +65,7 @@ def _subseed(master: int, *key: int) -> SeedSequence:
 
 
 @dataclass(frozen=True)
-class FocalPoints:
+class FocalPoints(Record):
     """n certified points of M+ and the residuals of their certification.
 
     `x` (n, 2l) holds the points as rows, row 0 the closed-form seed.  The
@@ -83,10 +83,6 @@ class FocalPoints:
     residual_sphere: np.ndarray
     value_gap: np.ndarray
     jacobian_rank: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, freeze(getattr(self, f.name)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,7 +157,7 @@ def _rejection(cert: dict, i: int) -> CertificationError:
 def _eigenparts(system: CliffordSystem, z: np.ndarray):
     """(I + P_0) z / 2 and (I - P_0) z / 2 for the rows of a (K, 2l) stack:
     the components of each row in the +1 and -1 eigenspaces of P_0."""
-    p0z = np.matmul(system.stack[0], z[..., None])[..., 0]
+    p0z = np.matmul(system.matrices[0], z[..., None])[..., 0]
     return 0.5 * (z + p0z), 0.5 * (z - p0z)
 
 
@@ -172,7 +168,7 @@ def _reduce(system: CliffordSystem, u: np.ndarray,
     For a unit u in E+, the P_a u (a >= 1) are orthonormal vectors of E-,
     so a v in E- loses exactly its components along them.
     """
-    pu = np.matmul(system.stack[1:], u[:, None, :, None])[..., 0]
+    pu = np.matmul(system.matrices[1:], u[:, None, :, None])[..., 0]
     c = np.matmul(pu, v[..., None])
     return v - np.matmul(c.transpose(0, 2, 1), pu)[:, 0]
 

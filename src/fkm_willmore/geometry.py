@@ -27,7 +27,7 @@ import numpy as np
 
 from .clifford import CliffordSystem
 from .errors import FrameError
-from .records import freeze
+from .records import Record
 
 __all__ = [
     "AdaptedFrame",
@@ -50,29 +50,24 @@ def take(block, rows):
 
 
 @dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(Record):
     """Orthonormal splittings R^{2l} = <x> + normal + tangent at P points.
 
-    `x` holds the points as rows (P, 2l).  `tangent` (P, 2l, n) has the
-    n = 2l - m - 2 tangent vectors of each point as columns, `normal`
-    (P, 2l, m+1) the m + 1 vectors P_a x as columns (exactly, by
-    construction).  `pair_coords` (P, m+1, m+1, 2l) holds the pair products
-    P_a P_b x in the basis [x | P_0 x .. P_m x | T]: m + 2 x and normal
-    components, then n tangent coordinates.  `closed_ricci` (P, n, n) is
-    the closed-form Ricci matrix in the tangent basis, formed from those;
-    the Ricci cross-check, the Willmore balance and the Einstein probe read
-    it.
+    `x` holds the points as rows (P, 2l); the normal space of a point is
+    spanned by the m + 1 vectors P_a x (system.apply(x)), which no field
+    repeats.  `tangent` (P, 2l, n) has the n = 2l - m - 2 tangent vectors
+    of each point as columns.  `pair_coords` (P, m+1, m+1, 2l) holds the
+    pair products P_a P_b x in the basis [x | P_0 x .. P_m x | T]: m + 2 x
+    and normal components, then n tangent coordinates.  `closed_ricci`
+    (P, n, n) is the closed-form Ricci matrix in the tangent basis, formed
+    from those; the Ricci cross-check, the Willmore balance and the
+    Einstein probe read it.
     """
 
     x: np.ndarray
     tangent: np.ndarray
-    normal: np.ndarray
     pair_coords: np.ndarray
     closed_ricci: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, freeze(getattr(self, f.name)))
 
 
 def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
@@ -85,11 +80,12 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     that block.  Every assembled frame must reproduce the identity Gram
     matrix within 1e-8, else FrameError naming the first point that fails;
     a point with a non-finite coordinate fails before any product.  P_a x
-    is formed once, for the normals and the pairs, which one product reads
+    is formed once, for the QR block and the pairs, which one product reads
     in the frame; one stacked QR serves all points, and a frame does not
-    depend on the others.  The
-    closed-form Ricci matrix needs codimension headroom l >= m + 2;
-    admissible systems always have it, the check is defensive.
+    depend on the others.  The record takes over the pair coordinates and
+    the Ricci matrices; x and the tangent slice of Q are views, so it
+    copies them.  The closed-form Ricci matrix needs codimension headroom
+    l >= m + 2; admissible systems always have it, the check is defensive.
     """
     if system.l < system.m + 2:
         raise ValueError("closed-form Ricci needs l >= m + 2")
@@ -100,8 +96,7 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     if bad.size:
         raise FrameError(f"point {bad[0]}: non-finite coordinates")
     px = system.apply(x)
-    normal = px.transpose(0, 2, 1)                  # columns xi_a = P_a x
-    lead = np.concatenate([x[:, :, None], normal], axis=2)
+    lead = np.concatenate([x[:, :, None], px.transpose(0, 2, 1)], axis=2)
     q, _ = np.linalg.qr(lead, mode="complete")
     tangent = q[:, :, codim + 1:]
     full = np.concatenate([lead, tangent], axis=2)
@@ -117,12 +112,12 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     rows = pair_coords[:, idx_a, idx_b, codim + 1:]  # Q, (P, m(m+1)/2, n)
     closed_ricci = (2.0 * (system.l - system.m - 2) * np.eye(tangent.shape[2])
                     + 2.0 * (rows.transpose(0, 2, 1) @ rows))
-    return AdaptedFrame(x=x, tangent=tangent, normal=normal,
-                        pair_coords=pair_coords, closed_ricci=closed_ricci)
+    return AdaptedFrame(x=x, tangent=tangent, pair_coords=pair_coords,
+                        closed_ricci=closed_ricci)
 
 
 @dataclass(frozen=True)
-class ShapeData:
+class ShapeData(Record):
     """Shape operators and the scalars derived from them, at P points.
 
     `operators[p, a, i, j]` is both the shape operator A_a and the second
@@ -135,10 +130,6 @@ class ShapeData:
     mean_curvature: np.ndarray     # (P, m+1), components tr(A_a) / n
     ricci: np.ndarray              # (P, n, n)
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, freeze(getattr(self, f.name)))
-
 
 def shape_operators(system: CliffordSystem,
                     frame: AdaptedFrame) -> ShapeData:
@@ -147,7 +138,7 @@ def shape_operators(system: CliffordSystem,
     t = frame.tangent
     tt = t.transpose(0, 2, 1)
     # one generator at a time: broadcasting them all holds (P, m+1, 2l, n)
-    ops = -np.stack([tt @ (p_a @ t) for p_a in system.stack], axis=1)
+    ops = -np.stack([tt @ (p_a @ t) for p_a in system.matrices], axis=1)
     n = t.shape[2]
     traces = np.einsum("kapp->ka", ops)
     h_vec = traces / n
@@ -167,4 +158,4 @@ def pair_products(system: CliffordSystem, px: np.ndarray) -> np.ndarray:
     (m+1, m+1, 2l) array, or (K, m+1, 2l) for a stack of points, which
     gives a (K, m+1, m+1, 2l) stack.
     """
-    return np.matmul(px[..., None, :, :], system.stack.transpose(0, 2, 1))
+    return np.matmul(px[..., None, :, :], system.matrices.transpose(0, 2, 1))

@@ -25,7 +25,6 @@ import numpy as np
 from numpy.random import default_rng
 
 from .clifford import CliffordSystem
-from .errors import AdmissibilityError
 from .records import Check, fold
 
 __all__ = [
@@ -37,15 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FkmPolynomial:
-    """F(x) = |x|^4 - 2 sum_a <P_a x, x>^2 for a fixed Clifford system."""
+    """F(x) = |x|^4 - 2 sum_a <P_a x, x>^2 for a fixed Clifford system;
+    its PDEs need only the Clifford relations, so they hold for m2 = 0."""
 
     system: CliffordSystem
-
-    def __post_init__(self):
-        if self.system.m2 < 1:
-            raise AdmissibilityError(
-                f"polynomial needs m2 >= 1, got m2={self.system.m2}",
-                m2=self.system.m2)
 
     def sphere_derivatives(self, x) -> tuple:
         """Value, intrinsic gradient and intrinsic Laplacian at a (K, 2l)
@@ -66,7 +60,7 @@ class FkmPolynomial:
             lap F = (8 + 4 (2l)) |x|^2 - 16 sum_a |P_a x|^2
                     - 8 sum_a g_a(x) trace(P_a).
         """
-        stack, n = self.system.stack, self.system.ambient_dim
+        stack, n = self.system.matrices, self.system.ambient_dim
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != n:
             raise ValueError(f"point block shape {x.shape} is not (K, {n})")

@@ -1,9 +1,9 @@
 """The one result record of the verifier, the fold that aggregates it, and
-the freeze that makes the arrays of every record read-only."""
+the base of the stage records, which take over their arrays read-only."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -11,10 +11,30 @@ __all__ = ["Check", "fold", "freeze"]
 
 
 def freeze(value, dtype=None) -> np.ndarray:
-    """A read-only copy of `value` as an array (of `dtype` if given)."""
-    out = np.array(value, dtype=dtype)
+    """`value` as a read-only array (of `dtype` if given).
+
+    An array that owns its data is taken over: it is set read-only in place
+    and returned as is.  A view is copied first, since its base may still
+    be written; anything else becomes a new array.
+    """
+    out = np.asarray(value, dtype=dtype)
+    if out.base is not None:
+        out = out.copy()
     out.setflags(write=False)
     return out
+
+
+@dataclass(frozen=True)
+class Record:
+    """Base of the per-stage records: each array field is frozen (freeze),
+    so a record takes over the arrays it is built from; other fields pass
+    through unchanged."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, f.name, freeze(value))
 
 
 def fold(values, axis: int | None = None):

@@ -40,7 +40,7 @@ import numpy as np
 from .clifford import CliffordSystem, _orthonormal_completion
 from .errors import MultiplicityError, SpectrumError
 from .geometry import AdaptedFrame, ShapeData
-from .records import fold, freeze
+from .records import Record, fold
 
 __all__ = [
     "CHECK_NAMES",
@@ -59,7 +59,7 @@ RICCI_SPREAD_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
-class EinsteinProbe:
+class EinsteinProbe(Record):
     """Ricci spread probe at P points plus the integer inequality gate."""
 
     ricci_min: np.ndarray              # (P,)
@@ -68,10 +68,6 @@ class EinsteinProbe:
     dimension_condition: bool          # 4l > m^2 + 3m + 4
     spread_exceeds_threshold: bool | None   # at every point, gated
     status: str                        # "evidence" or "inconclusive"
-
-    def __post_init__(self):
-        for name in ("ricci_min", "ricci_max", "spread"):
-            object.__setattr__(self, name, freeze(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +265,19 @@ def _case_residuals(system: CliffordSystem, y_t, a_xi, pi0, p_plus,
 
 
 def _chain(system: CliffordSystem, coeffs: np.ndarray, first: tuple, ops,
-           pairs, t, pt, balance, tangency) -> np.ndarray:
+           pairs, t, pt, balance) -> np.ndarray:
     """The worst residual of the per-normal checks, max_spectrum_deviation
     and CHECK_NAMES[4:], at each point of a block whose first point and
     normal are `first` (indices into certify_point's input), as (P, 7).
     The points come as arrays: shape operators, the tangent slice of the
-    pair coordinates, T, P_a T, and the balance at the coordinate normals
-    and the pair tangency, which certify_point reads once per point."""
+    pair coordinates, T, P_a T, and the balance at the coordinate normals,
+    which certify_point reads once per point."""
     spectrum, a_xi, pi0, plus, minus = _decompose(system, ops, coeffs, first)
     y_t = _rotated(pairs, coeffs)
     p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3) for pi in (plus, minus))
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    case = np.maximum(tangency[:, None], np.maximum.reduce(_case_residuals(
-        system, y_t, a_xi, pi0, p_plus, p_minus)))
+    case = np.maximum.reduce(_case_residuals(system, y_t, a_xi, pi0, p_plus,
+                                             p_minus))
     reflection = _reflection(_p0_tangent(pt, coeffs), t[:, None], plus, minus)
     # chain_max: the projection sum against c . b, the balance at the normal
     return np.stack([fold(np.abs(r), axis=1) for r in (
@@ -311,14 +307,16 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     identical rows and the order of the normals does not matter.
 
     What the normal does not change is read once, over all points: the
-    non-finite guard (SpectrumError naming the point), the pair tangency,
-    and the criterion and the balance tr((Pi_{+1} - Pi_{-1}) Ric_closed) =
-    tr(A_xi Ric_closed), linear in xi, at the coordinate normals
-    (residual_max, balance_max, bridge_max).  The chain then runs over
-    blocks that fit _BLOCK_BYTES (_block_points): whole points, or chunks
-    of one point's normals folded into the point's row by their maximum
-    (NaN if any is NaN).  P_a T is formed once per block of points, and a
-    point's residuals do not depend on the block it is in.
+    non-finite guard (SpectrumError naming the point), the pair tangency
+    (folded into case_identity_max after the blocks, so it counts with no
+    normals too), and the criterion and the balance
+    tr((Pi_{+1} - Pi_{-1}) Ric_closed) = tr(A_xi Ric_closed), linear in xi,
+    at the coordinate normals (residual_max, balance_max, bridge_max).  The
+    chain then runs over blocks that fit _BLOCK_BYTES (_block_points):
+    whole points, or chunks of one point's normals folded into the point's
+    row by their maximum (NaN if any is NaN).  P_a T is formed once per
+    block of points, and a point's residuals do not depend on the block it
+    is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -331,7 +329,6 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
             f"point {bad[0]}: shape operators have non-finite entries")
     reduced = _contractions(shape.ricci, ops)
     balance = _contractions(frame.closed_ricci, ops)
-    tangency = _pair_tangency(system, frame)
     pairs = frame.pair_coords[..., system.m + 2:]
     num = coeffs.shape[1]
     step, chunk = _block_points(system, num)
@@ -339,11 +336,13 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
         t = frame.tangent[rows]
-        pt = system.stack @ t[:, None]          # P_a T, (P, m+1, 2l, n)
+        pt = system.matrices @ t[:, None]       # P_a T, (P, m+1, 2l, n)
         chain[rows] = fold([_chain(system, coeffs[rows, k:k + chunk], (lo, k),
                                    ops[rows], pairs[rows], t, pt,
-                                   balance[rows], tangency[rows])
+                                   balance[rows])
                             for k in range(0, max(1, num), chunk)], axis=0)
+    # the last column is case_identity_max
+    chain[:, -1] = np.maximum(chain[:, -1], _pair_tangency(system, frame))
     per_point = [fold(np.abs(r), axis=1)
                  for r in (reduced, balance, reduced - balance)]
     return np.column_stack([chain[:, 0], *per_point, chain[:, 1:]])

@@ -40,7 +40,7 @@ def rotate_system(system, coeffs):
     Householder completion of c (rows 1..m).  A coordinate vector e_j swaps
     P_0 and P_j and keeps the other matrices."""
     basis = _orthonormal_completion(np.asarray(coeffs, dtype=float)[None])[0]
-    new = np.einsum("ab,bij->aij", basis, system.stack)
+    new = np.einsum("ab,bij->aij", basis, system.matrices)
     return CliffordSystem(m=system.m, l=system.l, matrices=tuple(new))
 
 
@@ -67,24 +67,24 @@ def sectional_curvature_from_shape(frame, shape, X, Y):
 
 def quartic(system, x):
     """F(x) = |x|^4 - 2 sum_a <P_a x, x>^2 at one point."""
-    g = (system.stack @ x) @ x
+    g = (system.matrices @ x) @ x
     return float(x @ x) ** 2 - 2.0 * float(g @ g)
 
 
 def gradient(system, x):
     """grad F(x) = 4 |x|^2 x - 8 sum_a g_a(x) P_a x at one point."""
-    px = system.stack @ x
+    px = system.matrices @ x
     return 4.0 * float(x @ x) * x - 8.0 * ((px @ x) @ px)
 
 
 def hessian(system, x):
     """The Hessian of F at one point as a dense symmetric matrix:
     8 x x^T + 4 |x|^2 I - 16 sum_a (P_a x)(P_a x)^T - 8 sum_a g_a(x) P_a."""
-    px = system.stack @ x
+    px = system.matrices @ x
     g = px @ x
     mat = 8.0 * np.outer(x, x) + 4.0 * float(x @ x) * np.eye(len(x))
     mat -= 16.0 * np.einsum("ai,aj->ij", px, px)
-    mat -= 8.0 * np.einsum("a,aij->ij", g, system.stack)
+    mat -= 8.0 * np.einsum("a,aij->ij", g, system.matrices)
     return mat
 
 
@@ -139,7 +139,7 @@ def rotated_tangency(system, frame, coeffs, pairs=None):
     """max |<y, x>| and |<y, P'_g x>| over the rotated pair vectors y =
     P'_a P'_b x, a < b, and every g, at every point and normal, with the
     ambient `pairs` of rotated_pairs; (P, N)."""
-    normals = _completions(coeffs) @ frame.normal.swapaxes(1, 2)[:, None]
+    normals = _completions(coeffs) @ system.apply(frame.x)[:, None]
     y = rotated_pairs(system, frame, coeffs, pairs)
     return np.maximum(
         np.max(np.abs(y @ frame.x[:, None, :, None]), axis=(2, 3)),
@@ -150,7 +150,7 @@ def dense_p0_tangent(system, frame, coeffs):
     """(sum_a c_a P_a) T at every point and normal, through the dense
     2l x 2l matrix; (P, N, 2l, n)."""
     dim = system.ambient_dim
-    p0 = (coeffs @ system.stack.reshape(system.m + 1, dim * dim)).reshape(
+    p0 = (coeffs @ system.matrices.reshape(system.m + 1, dim * dim)).reshape(
         *coeffs.shape[:2], dim, dim)
     return p0 @ frame.tangent[:, None]
 

@@ -14,10 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from fkm_willmore import (AdmissibilityError, build_clifford_system,
-                          build_frame, build_skew_generators, certify_point,
-                          delta, dump_matrices, sample_focal_points,
-                          shape_operators, verify_clifford_relations)
+from fkm_willmore import (AdmissibilityError, CliffordSystem,
+                          build_clifford_system, build_frame,
+                          build_skew_generators, certify_point, delta,
+                          dump_matrices, sample_focal_points, shape_operators,
+                          verify_clifford_relations)
 from fkm_willmore.clifford import _orthonormal_completion, _product
 
 from conftest import (GRID, NON_FINITE, conjugated_system, corrupt_system,
@@ -129,8 +130,8 @@ def test_relations_tolerance_follows_the_entries():
     assert verify_clifford_relations(build_clifford_system(2, 2)).tol == 0.0
     conjugated = conjugated_system(2, 2)
     check = verify_clifford_relations(conjugated)
+    # a residual above 0 would fail the integer systems' tolerance
     assert check.tol == 1e-12 and check.passed and check.residual > 0.0
-    assert not verify_clifford_relations(conjugated, tol=0.0).passed
 
 
 def test_corruption_detected():
@@ -184,10 +185,10 @@ def test_rotated_systems_keep_relations(m, k):
         c = rng.standard_normal(m + 1)
         c /= np.linalg.norm(c)
         rotated = rotate_system(system, c)
-        check = verify_clifford_relations(rotated, tol=1e-12)
+        check = verify_clifford_relations(rotated)
         assert check.passed, f"c={c}: {check}"
         # first rotated matrix is the requested combination
-        combo = np.einsum("a,aij->ij", c, system.stack)
+        combo = np.einsum("a,aij->ij", c, system.matrices)
         assert np.max(np.abs(rotated.matrices[0] - combo)) <= 1e-14
 
 
@@ -200,10 +201,10 @@ def test_rotation_is_orthogonal_change_of_span():
     two_l = system.ambient_dim
     # recover the mixing matrix from Frobenius inner products; it must be
     # orthogonal and reproduce the rotated stack from the original one
-    b = np.einsum("aij,bij->ab", rotated.stack, system.stack) / two_l
+    b = np.einsum("aij,bij->ab", rotated.matrices, system.matrices) / two_l
     assert np.max(np.abs(b @ b.T - np.eye(4))) <= 1e-12
-    rebuilt = np.einsum("ab,bij->aij", b, system.stack)
-    assert np.max(np.abs(rebuilt - rotated.stack)) <= 1e-12
+    rebuilt = np.einsum("ab,bij->aij", b, system.matrices)
+    assert np.max(np.abs(rebuilt - rotated.matrices)) <= 1e-12
     assert np.max(np.abs(b[0] - c)) <= 1e-12
 
 
@@ -289,8 +290,23 @@ def test_dump_rejects_non_integer_system():
 
 
 def test_matrices_are_readonly():
+    # the generators are held once, as one read-only (m+1, 2l, 2l) array
     system = build_clifford_system(1, 3)
+    assert type(system.matrices) is np.ndarray
+    assert system.matrices.shape == (2, 6, 6)
+    assert not hasattr(system, "stack")
     with pytest.raises(ValueError):
         system.matrices[0][0, 0] = 5.0
     with pytest.raises(ValueError):
-        system.stack[0, 0, 0] = 5.0
+        system.matrices[0, 0, 0] = 5.0
+    # an owned float array is taken over, not copied
+    mats = np.array(system.matrices)
+    assert CliffordSystem(m=1, l=3, matrices=mats).matrices is mats
+    assert not mats.flags.writeable
+
+
+def test_wrong_matrix_shape_names_the_expected_array():
+    mats = build_clifford_system(1, 3).matrices
+    for bad in (mats[:1], mats[:, :4, :4], (mats[0], mats[1, :4, :4])):
+        with pytest.raises(ValueError, match=r"\(2, 6, 6\)"):
+            CliffordSystem(m=1, l=3, matrices=bad)

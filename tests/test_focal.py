@@ -204,13 +204,13 @@ def _reference_start(system, z):
     x = (u + w) / sqrt(2); a row without an image is kept."""
     x = np.array(z, dtype=float)
     for _ in range(2):
-        p0x = system.stack[0] @ x
+        p0x = system.matrices[0] @ x
         plus, minus = 0.5 * (x + p0x), 0.5 * (x - p0x)
         floor = 1e-12 * np.sqrt(x @ x)
         if not np.sqrt(plus @ plus) > floor:
             return x
         u = plus / np.sqrt(plus @ plus)
-        pu = system.stack[1:] @ u
+        pu = system.matrices[1:] @ u
         w = minus - (pu @ minus) @ pu
         if not np.sqrt(w @ w) > floor:
             return x

@@ -25,10 +25,7 @@ def test_frame_is_orthonormal_and_complete(m, k):
     system, points = _setup(m, k)
     for point in points:
         frame = build_frame(system, point)
-        normals = (system.stack @ point).T
-        assert np.array_equal(frame.normal[0], normals), \
-            "normals are P_a x exactly"
-        full = np.hstack([point[:, None], frame.normal[0],
+        full = np.hstack([point[:, None], system.apply(frame.x)[0].T,
                           frame.tangent[0]])
         dev = np.max(np.abs(full.T @ full - np.eye(system.ambient_dim)))
         assert dev <= 1e-12
@@ -57,7 +54,7 @@ def test_tangent_decomposition_identities(m, k):
     rng = default_rng(60 + m)
     for point in points:
         frame = build_frame(system, point)
-        tangent, normal = frame.tangent[0], frame.normal[0]
+        tangent, normal = frame.tangent[0], system.apply(frame.x)[0].T
         n = tangent.shape[1]
         for _ in range(5):
             z = rng.standard_normal(n)
@@ -233,12 +230,13 @@ def _reference_frame_and_shape(system, x):
     """Tangent basis, pair products in the frame's basis, shape operators,
     |A|^2 and Ricci tensor of one point with 2-D arrays, the per-point code
     the stacks replace."""
-    px = system.stack @ x
+    px = system.matrices @ x
     lead = np.hstack([x[:, None], px.T])
     q, _ = np.linalg.qr(lead, mode="complete")
     t = q[:, system.m + 2:]
-    pairs = np.einsum("aij,bj->abi", system.stack, px) @ np.hstack([lead, t])
-    ops = -np.stack([t.T @ (p_a @ t) for p_a in system.stack])
+    pairs = (np.einsum("aij,bj->abi", system.matrices, px)
+             @ np.hstack([lead, t]))
+    ops = -np.stack([t.T @ (p_a @ t) for p_a in system.matrices])
     n = t.shape[1]
     sq = ops @ ops
     ricci = ((n - 1.0) * np.eye(n)
@@ -257,11 +255,12 @@ def test_stacked_frames_and_shapes_equal_single_points(m, k):
         frame, shape = take(frames, p), take(shapes, p)
         single = build_frame(system, point)
         assert np.array_equal(frame.x, point)
-        for name in ("tangent", "normal", "pair_coords"):
+        for name in ("tangent", "pair_coords"):
             assert np.array_equal(getattr(frame, name),
                                   getattr(single, name)[0]), name
         # the pair products in the basis [x | P_0 x .. P_m x | T]
-        full = np.hstack([point[:, None], frame.normal, frame.tangent])
+        full = np.hstack([point[:, None], system.apply(frame.x).T,
+                          frame.tangent])
         assert np.array_equal(
             frame.pair_coords,
             pair_products(system, system.apply(point)) @ full)
@@ -288,7 +287,7 @@ def test_shape_operators_match_einsum_reference(m, k):
     frames = build_frame(system, points)
     shapes = shape_operators(system, frames)
     t = frames.tangent
-    ops = -np.einsum("kip,aij,kjq->kapq", t, system.stack, t)
+    ops = -np.einsum("kip,aij,kjq->kapq", t, system.matrices, t)
     n = t.shape[2]
     ricci = ((n - 1.0) * np.eye(n)
              + np.einsum("ka,kapq->kpq", np.einsum("kapp->ka", ops), ops)

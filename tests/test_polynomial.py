@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from fkm_willmore import (AdmissibilityError, CliffordSystem, FkmPolynomial,
-                          build_clifford_system, build_skew_generators,
-                          sample_focal_points, verify_cartan_munzner)
+from fkm_willmore import (CliffordSystem, FkmPolynomial, build_clifford_system,
+                          build_skew_generators, sample_focal_points,
+                          verify_cartan_munzner)
 from fkm_willmore.polynomial import sphere_samples
 
 from conftest import (FD_RTOL, GRID, NON_FINITE, corrupt_system,
@@ -170,9 +170,10 @@ def test_cartan_munzner_passes_at_its_own_worst_residual():
     assert all(c.passed for c in checks)
 
 
-def test_polynomial_rejects_inadmissible_system():
-    # a valid Clifford system with m2 = 0 admits the polynomial but no
-    # focal manifold of the verified kind; the constructor refuses it
+def test_pde_identities_hold_for_a_system_with_m2_zero():
+    # a valid Clifford system with m2 = 0 carries no focal manifold of the
+    # verified kind, but both PDE identities use only the Clifford
+    # relations, so its polynomial satisfies them
     gens = build_skew_generators(3)
     eye = np.eye(4)
     zero = np.zeros((4, 4))
@@ -181,8 +182,10 @@ def test_polynomial_rejects_inadmissible_system():
     for e in gens:
         mats.append(np.block([[zero, e], [-e, zero]]))
     system = CliffordSystem(m=3, l=4, matrices=tuple(mats))
-    with pytest.raises(AdmissibilityError):
-        FkmPolynomial(system)
+    assert system.m2 == 0
+    checks = verify_cartan_munzner(FkmPolynomial(system), n_samples=1000,
+                                   seed=5, tol=1e-12)
+    assert all(c.passed for c in checks), checks
 
 
 # ---------------------------------------------------------------------------

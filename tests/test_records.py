@@ -10,7 +10,8 @@ from fkm_willmore import (Check, CertificationError, FkmPolynomial,
                           FrameError, SpectrumError, build_clifford_system,
                           build_frame, certify_point, fold,
                           sample_focal_points, shape_operators)
-from fkm_willmore import focal
+from fkm_willmore import einstein_probe, focal
+from fkm_willmore.records import freeze
 
 def test_fold_is_the_max_and_zero_for_nothing():
     assert fold([]) == 0.0
@@ -40,6 +41,45 @@ def test_check_passes_at_its_tolerance():
     assert not Check("residual_max", np.nextafter(1e-7, 1.0), 1e-7).passed
     assert not Check("residual_max", math.inf, 1e-7).passed
     assert "FAIL" in repr(Check("residual_max", math.nan, 1e-7))
+
+
+# ---------------------------------------------------------------------------
+# records take over the arrays they are built from
+# ---------------------------------------------------------------------------
+
+def test_freeze_takes_over_an_owned_array():
+    owned = np.arange(6.0)
+    out = freeze(owned)
+    assert out is owned
+    assert not owned.flags.writeable
+
+
+def test_freeze_copies_a_view():
+    # a view's base may still be written, so only a copy is safe to hold
+    base = np.arange(6.0)
+    view = base[1:4]
+    out = freeze(view)
+    assert out is not view and out.base is None
+    assert not out.flags.writeable and view.flags.writeable
+    base[1] = 99.0
+    assert out.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_records_take_over_their_arrays():
+    system, frame = _one_frame()
+    # every field of the frame is held once, read-only
+    for name in ("x", "tangent", "pair_coords", "closed_ricci"):
+        value = getattr(frame, name)
+        assert value.base is None and not value.flags.writeable, name
+    shape = shape_operators(system, frame)
+    ops = 2.0 * shape.operators
+    assert replace(shape, operators=ops).operators is ops
+    assert not ops.flags.writeable
+    # fields that are not arrays pass through
+    probe = einstein_probe(system, frame)
+    assert type(probe.dimension_condition) is bool
+    assert type(probe.status) is str
+    assert not probe.spread.flags.writeable
 
 
 # ---------------------------------------------------------------------------

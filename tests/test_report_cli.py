@@ -258,8 +258,7 @@ def test_residual_at_its_tolerance_passes():
 # CLI surface
 # ---------------------------------------------------------------------------
 
-def test_parse_cli_defaults(monkeypatch):
-    monkeypatch.delenv("FKM_SEED", raising=False)
+def test_parse_cli_defaults():
     cfg = parse_cli([])
     assert cfg.seed == 42
     assert cfg.n_points == 20 and cfg.n_normals == 50
@@ -268,8 +267,7 @@ def test_parse_cli_defaults(monkeypatch):
     assert cfg.format == "json" and cfg.out is None
 
 
-def test_parse_cli_overrides(monkeypatch):
-    monkeypatch.delenv("FKM_SEED", raising=False)
+def test_parse_cli_overrides():
     cfg = parse_cli(["--grid", "2:2,1:3", "--points", "5", "--normals", "7",
                      "--seed", "11", "--tol", "geom=1e-6",
                      "--tol", "willmore=1e-5", "--format", "text",
@@ -281,16 +279,6 @@ def test_parse_cli_overrides(monkeypatch):
     assert cfg.tolerances["pde"] == 1e-8
     assert cfg.format == "text" and cfg.out == "r.txt"
     assert cfg.dump_matrices == "dumps"
-
-
-def test_seed_environment_fallback(monkeypatch):
-    monkeypatch.setenv("FKM_SEED", "123")
-    assert parse_cli([]).seed == 123
-    assert parse_cli(["--seed", "9"]).seed == 9, "flag beats environment"
-    monkeypatch.setenv("FKM_SEED", "twelve")
-    with pytest.raises(SystemExit) as info:
-        parse_cli([])
-    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,16 +295,14 @@ def test_seed_environment_fallback(monkeypatch):
     ["--format", "yaml"],
     ["--bogus"],
 ])
-def test_cli_argument_errors_exit_2(argv, capsys, monkeypatch):
-    monkeypatch.delenv("FKM_SEED", raising=False)
+def test_cli_argument_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         parse_cli(argv)
     assert info.value.code == 2
     assert "usage" in capsys.readouterr().err
 
 
-def test_main_writes_json_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FKM_SEED", raising=False)
+def test_main_writes_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--grid", "1:3", "--points", "2", "--normals", "2",
                  "--out", str(out)])
@@ -330,8 +316,7 @@ def test_main_writes_json_report(tmp_path, capsys, monkeypatch):
     assert "wall" not in json.dumps(payload), "timing must stay out of JSON"
 
 
-def test_main_stdout_text_and_failure_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FKM_SEED", raising=False)
+def test_main_stdout_text_and_failure_exit(tmp_path, capsys):
     code = main(["--grid", "1:3,3:1", "--points", "2", "--normals", "2",
                  "--format", "text"])
     assert code == 1
@@ -341,8 +326,7 @@ def test_main_stdout_text_and_failure_exit(tmp_path, capsys, monkeypatch):
     assert "fkm-verify: fail" in captured.err
 
 
-def test_main_dump_matrices_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("FKM_SEED", raising=False)
+def test_main_dump_matrices_roundtrip(tmp_path, capsys):
     dumps = tmp_path / "dumps"
     out = tmp_path / "r.json"
     code = main(["--grid", "2:2,3:1", "--points", "2", "--normals", "2",
@@ -356,8 +340,7 @@ def test_main_dump_matrices_roundtrip(tmp_path, capsys, monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_main_binary_reproducible(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("FKM_SEED", raising=False)
+def test_main_binary_reproducible(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["--grid", "1:3", "--points", "2", "--normals", "3", "--seed", "5"]
     assert main(argv + ["--out", str(out1)]) == 0

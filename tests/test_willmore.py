@@ -99,7 +99,7 @@ def test_principal_bases_orthonormal_and_tangent():
     a_xi = shape.operators[0, 2]
     n = frame.tangent.shape[2]
     assert np.max(np.abs(pi0 + plus + minus - np.eye(n))) <= 1e-15
-    lead = np.hstack([frame.x[0][:, None], frame.normal[0]])
+    lead = np.hstack([frame.x[0][:, None], system.apply(frame.x)[0].T])
     for proj, value in ((pi0, 0.0), (plus, 1.0), (minus, -1.0)):
         proj = proj[0, 0]
         assert np.max(np.abs(a_xi @ proj - value * proj)) <= 1e-12
@@ -320,12 +320,17 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
 
 
 def test_certify_point_without_normals():
+    # with no normals the per-normal checks read 0, but the pair tangency
+    # belongs to the point, so case_identity_max still reports it
     system, frame, shape = _setup(2, 2, extra_points=0)
     row = certify_point(system, frame, shape, np.zeros((1, 0, 3)))[0]
     assert row.shape == (len(CHECK_NAMES),)
     assert _passes(row)
     res = dict(zip(CHECK_NAMES, row))
-    assert res["case_identity_max"] == res["max_spectrum_deviation"] == 0.0
+    assert res["max_spectrum_deviation"] == 0.0
+    tangency = willmore._pair_tangency(system, frame)[0]
+    assert tangency > 0.0
+    assert res["case_identity_max"] == tangency
 
 
 def _forged_shape(shape, operators):
@@ -498,14 +503,12 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     point = (shapes.operators, frames.pair_coords[..., m + 2:],
              frames.tangent)
     balance = willmore._contractions(frames.closed_ricci, shapes.operators)
-    tangency = willmore._pair_tangency(system, frames)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        pt = system.stack @ frames.tangent[:, None]
-        willmore._chain(system, coeffs, (0, 0), *point, pt, balance,
-                        tangency)
+        pt = system.matrices @ frames.tangent[:, None]
+        willmore._chain(system, coeffs, (0, 0), *point, pt, balance)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -530,9 +533,9 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
         contractions.append(args)
         return contract(*args)
 
-    def counted_chain(system, coeffs, first, ops, pairs, t, pt, *rest):
+    def counted_chain(system, coeffs, first, ops, pairs, t, pt, balance):
         chunks.append((first, pt))
-        return chain(system, coeffs, first, ops, pairs, t, pt, *rest)
+        return chain(system, coeffs, first, ops, pairs, t, pt, balance)
 
     monkeypatch.setattr(willmore, "_contractions", counted_contractions)
     monkeypatch.setattr(willmore, "_chain", counted_chain)
@@ -547,7 +550,7 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
     for p in range(3):
         assert len({id(pt) for first, pt in chunks if first[0] == p}) == 1
         assert np.array_equal(chunks[4 * p][1],
-                              system.stack @ frames.tangent[p:p + 1, None])
+                              system.matrices @ frames.tangent[p:p + 1, None])
 
 
 @pytest.mark.parametrize("m,k", GRID + [(9, 1)])
@@ -600,7 +603,8 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
     factor = np.sqrt(m * (m + 1) * (m + 2) / 2) * (1 + 1e-12)
     ambient = pair_products(system, system.apply(frames.x))
     for push, columns in ((frames.x, slice(0, 1)),
-                          (np.sum(frames.normal, axis=2), slice(1, m + 2))):
+                          (np.sum(system.apply(frames.x), axis=1),
+                           slice(1, m + 2))):
         pairs = np.array(ambient)
         pairs[:, 0, 1] += 1e-3 * push
         pairs[:, 1, 0] -= 1e-3 * push
@@ -614,7 +618,7 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
         assert np.all(rotated <= factor * read)
         assert np.all(read <= factor * rotated)
     t = frames.tangent[:, None]
-    assert np.max(np.abs(willmore._p0_tangent(system.stack @ t, coeffs)
+    assert np.max(np.abs(willmore._p0_tangent(system.matrices @ t, coeffs)
                          - dense_p0_tangent(system, frames, coeffs))) <= 1e-14
     y_t = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
     assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
