@@ -56,16 +56,18 @@ class AdaptedFrame(Record):
     `x` holds the points as rows (P, 2l); the normal space of a point is
     spanned by the m + 1 vectors P_a x (system.apply(x)), which no field
     repeats.  `tangent` (P, 2l, n) has the n = 2l - m - 2 tangent vectors
-    of each point as columns.  `pair_coords` (P, m+1, m+1, 2l) holds the
-    pair products P_a P_b x in the basis [x | P_0 x .. P_m x | T]: m + 2 x
-    and normal components, then n tangent coordinates.  `closed_ricci`
-    (P, n, n) is the closed-form Ricci matrix in the tangent basis, formed
-    from those; the Ricci cross-check, the Willmore balance and the
-    Einstein probe read it.
+    of each point as columns, and `operators` (P, m+1, n, n) the shape
+    operators A_a = -T^T P_a T in that basis.  `pair_coords`
+    (P, m+1, m+1, 2l) holds the pair products P_a P_b x in the basis
+    [x | P_0 x .. P_m x | T]: m + 2 x and normal components, then n tangent
+    coordinates.  `closed_ricci` (P, n, n) is the closed-form Ricci matrix
+    in the tangent basis, formed from those; the Ricci cross-check, the
+    Willmore balance and the Einstein probe read it.
     """
 
     x: np.ndarray
     tangent: np.ndarray
+    operators: np.ndarray
     pair_coords: np.ndarray
     closed_ricci: np.ndarray
 
@@ -82,10 +84,10 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     a point with a non-finite coordinate fails before any product.  P_a x
     is formed once, for the QR block and the pairs, which one product reads
     in the frame; one stacked QR serves all points, and a frame does not
-    depend on the others.  The record takes over the pair coordinates and
-    the Ricci matrices; x and the tangent slice of Q are views, so it
-    copies them.  The closed-form Ricci matrix needs codimension headroom
-    l >= m + 2; admissible systems always have it, the check is defensive.
+    depend on the others.  The record takes over the arrays it forms; x and
+    the tangent slice of Q are views, so it copies them.  The closed-form
+    Ricci matrix needs codimension headroom l >= m + 2; admissible systems
+    always have it, the check is defensive.
     """
     if system.l < system.m + 2:
         raise ValueError("closed-form Ricci needs l >= m + 2")
@@ -107,13 +109,17 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
         raise FrameError(
             f"point {bad[0]}: adapted frame failed completeness: Gram "
             f"deviation {gram_dev[bad[0]]:.3e} (tol {FRAME_GRAM_TOL:.1e})")
+    tt = tangent.transpose(0, 2, 1)
+    # one generator at a time: broadcasting them all holds (P, m+1, 2l, n)
+    operators = -np.stack([tt @ (p_a @ tangent) for p_a in system.matrices],
+                          axis=1)
     pair_coords = pair_products(system, px) @ full[:, None]
     idx_a, idx_b = np.triu_indices(codim, k=1)
     rows = pair_coords[:, idx_a, idx_b, codim + 1:]  # Q, (P, m(m+1)/2, n)
     closed_ricci = (2.0 * (system.l - system.m - 2) * np.eye(tangent.shape[2])
                     + 2.0 * (rows.transpose(0, 2, 1) @ rows))
-    return AdaptedFrame(x=x, tangent=tangent, pair_coords=pair_coords,
-                        closed_ricci=closed_ricci)
+    return AdaptedFrame(x=x, tangent=tangent, operators=operators,
+                        pair_coords=pair_coords, closed_ricci=closed_ricci)
 
 
 @dataclass(frozen=True)
@@ -131,15 +137,11 @@ class ShapeData(Record):
     ricci: np.ndarray              # (P, n, n)
 
 
-def shape_operators(system: CliffordSystem,
-                    frame: AdaptedFrame) -> ShapeData:
-    """All shape operators A_a = -T^T P_a T at the frame's points, plus
-    derived scalars."""
-    t = frame.tangent
-    tt = t.transpose(0, 2, 1)
-    # one generator at a time: broadcasting them all holds (P, m+1, 2l, n)
-    ops = -np.stack([tt @ (p_a @ t) for p_a in system.matrices], axis=1)
-    n = t.shape[2]
+def shape_operators(frame: AdaptedFrame) -> ShapeData:
+    """The frame's shape operators A_a = -T^T P_a T, as the same array, and
+    the scalars and the Ricci tensor derived from them."""
+    ops = frame.operators
+    n = ops.shape[2]
     traces = np.einsum("kapp->ka", ops)
     h_vec = traces / n
     s = np.sum(ops * ops, axis=(1, 2, 3))

@@ -282,7 +282,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     if points is not None:
         try:
             frames = build_frame(system, points.x)
-            shapes = shape_operators(system, frames)
+            shapes = shape_operators(frames)
             # sup over unit tangents X of |Ric_closed(X) - Ric_tensor(X)|
             cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
             s_expected = 2.0 * (l - m - 1) * (m + 1)

@@ -27,8 +27,10 @@ and normal directions.  No eigenbasis is computed: on M+, A_xi^3 = A_xi,
 so the eigenspaces are read through the spectral projectors
 Pi_{+-1} = (A_xi^2 +- A_xi)/2 and Pi_0 = I - A_xi^2 in tangent coordinates,
 where the pair vectors are rotated too; only the reflection reads P'_0 in
-R^{2l}.  certify_point evaluates the chain over blocks of points x normals
-and returns the worst residual of every identity at every point.
+R^{2l}, with a P_a T of its own: the one check of the operators' sign, as
+-A_a (the normals -P_a x) pass every other identity.  certify_point
+evaluates the chain over blocks of points x normals and returns the worst
+residual of every identity at every point.
 """
 
 from __future__ import annotations
@@ -144,6 +146,14 @@ def _purified(proj: np.ndarray) -> np.ndarray:
     return 3.0 * sq - 2.0 * (sq @ proj)
 
 
+def _at_normals(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a c_a X_a for every normal, (P, N, ...), from the (P, N, m+1)
+    coefficients and a (P, m+1, ...) stack: A_xi from the shape operators,
+    P'_0 T from P_a T (no 2l x 2l P'_0 is formed)."""
+    return (coeffs @ stack.reshape(*stack.shape[:2], -1)).reshape(
+        *coeffs.shape[:2], *stack.shape[2:])
+
+
 def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
                first: tuple):
     """Spectral projectors of every A_xi = sum_a c_a A_a, in tangent
@@ -157,10 +167,8 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     row as point first[0] + p, normal first[1] + k.  The curved projectors
     are then purified (_purified) and Pi_0 is their complement.
     """
-    m, m2 = system.m, system.m2
-    count, n = ops.shape[0], ops.shape[2]
-    a_xi = (coeffs @ ops.reshape(count, m + 1, n * n)).reshape(
-        *coeffs.shape[:2], n, n)
+    m, m2, n = system.m, system.m2, ops.shape[2]
+    a_xi = _at_normals(coeffs, ops)
     sq = a_xi @ a_xi
     deviation = np.max(np.abs(sq @ a_xi - a_xi), axis=(2, 3), initial=0.0)
     bad = np.argwhere(~(deviation <= CLUSTER_RADIUS))
@@ -200,13 +208,6 @@ def _rotated(pairs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     prods = basis[:, :, None] @ half.reshape(count, num, m1, m1, n)
     ia, ib = np.triu_indices(m1, k=1)
     return prods[:, :, ia, ib]
-
-
-def _p0_tangent(pt: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """P'_0 T = sum_a c_a (P_a T) for every normal, (P, N, 2l, n), from the
-    (P, m+1, 2l, n) stack `pt` of P_a T; no 2l x 2l P'_0 is formed."""
-    return (coeffs @ pt.reshape(*pt.shape[:2], -1)).reshape(
-        *coeffs.shape[:2], *pt.shape[2:])
 
 
 def _pair_tangency(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
@@ -278,7 +279,7 @@ def _chain(system: CliffordSystem, coeffs: np.ndarray, first: tuple, ops,
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
     case = np.maximum.reduce(_case_residuals(system, y_t, a_xi, pi0, p_plus,
                                              p_minus))
-    reflection = _reflection(_p0_tangent(pt, coeffs), t[:, None], plus, minus)
+    reflection = _reflection(_at_normals(coeffs, pt), t[:, None], plus, minus)
     # chain_max: the projection sum against c . b, the balance at the normal
     return np.stack([fold(np.abs(r), axis=1) for r in (
         spectrum, (coeffs @ balance[:, :, None])[..., 0] - signed_proj,
@@ -314,9 +315,9 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     at the coordinate normals (residual_max, balance_max, bridge_max).  The
     chain then runs over blocks that fit _BLOCK_BYTES (_block_points):
     whole points, or chunks of one point's normals folded into the point's
-    row by their maximum (NaN if any is NaN).  P_a T is formed once per
-    block of points, and a point's residuals do not depend on the block it
-    is in.
+    row by their maximum (NaN if any is NaN).  The reflection's P_a T is
+    formed once per block of points, apart from the operators under test,
+    and a point's residuals do not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)

@@ -173,7 +173,7 @@ def test_rotate_rejects_non_unit():
     system = build_clifford_system(1, 3)
     frame = build_frame(system, sample_focal_points(system, 1, seed=0).x)
     with pytest.raises(ValueError, match="unit vector"):
-        certify_point(system, frame, shape_operators(system, frame),
+        certify_point(system, frame, shape_operators(frame),
                       [[np.array([0.5, 0.5])]])
 
 

@@ -76,7 +76,7 @@ def test_tangent_decomposition_identities(m, k):
 def test_shape_operators_symmetric_traceless(m, k):
     system, points = _setup(m, k)
     for point in points:
-        shape = shape_operators(system, build_frame(system, point))
+        shape = shape_operators(build_frame(system, point))
         for a in range(m + 1):
             op = shape.operators[0, a]
             assert np.max(np.abs(op - op.T)) <= 1e-13
@@ -88,7 +88,7 @@ def test_sff_norm_closed_form(m, k):
     system, points = _setup(m, k)
     expected = 2.0 * (system.l - m - 1) * (m + 1)
     for point in points:
-        shape = shape_operators(system, build_frame(system, point))
+        shape = shape_operators(build_frame(system, point))
         assert abs(shape.sff_norm_sq[0] - expected) <= 1e-12
         ops = shape.operators[0]
         assert abs(float(np.sum(ops * ops)) - expected) <= 1e-12
@@ -99,15 +99,14 @@ def test_sff_norm_examples():
     for (m, k), want in [((1, 3), 4.0), ((2, 2), 6.0), ((3, 2), 32.0)]:
         system = build_clifford_system(m, k)
         frame = build_frame(system, sample_focal_points(system, 1, seed=0).x)
-        assert abs(shape_operators(system, frame).sff_norm_sq[0]
-                   - want) <= 1e-12
+        assert abs(shape_operators(frame).sff_norm_sq[0] - want) <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_minimal_and_trace_free(m, k):
     system, points = _setup(m, k)
     for point in points:
-        shape = shape_operators(system, build_frame(system, point))
+        shape = shape_operators(build_frame(system, point))
         assert np.max(np.abs(shape.mean_curvature[0])) <= 1e-13
         ops = shape.operators[0]
         traces = np.trace(ops, axis1=1, axis2=2)
@@ -123,7 +122,7 @@ def test_sectional_curvature_two_routes(m, k):
     rng = default_rng(60 + m)
     for point in points:
         frame = build_frame(system, point)
-        shape = shape_operators(system, frame)
+        shape = shape_operators(frame)
         for _ in range(10):
             z = rng.standard_normal((frame.tangent.shape[2], 2))
             q, _ = np.linalg.qr(z)
@@ -178,7 +177,7 @@ def test_ricci_quadratic_vs_tensor(m, k):
     rng = default_rng(80 + m)
     for point in points:
         frame = build_frame(system, point)
-        ric = shape_operators(system, frame).ricci[0]
+        ric = shape_operators(frame).ricci[0]
         closed = frame.closed_ricci[0]
         assert np.max(np.abs(ric - ric.T)) <= 1e-12
         assert np.array_equal(closed, closed.T)
@@ -205,8 +204,8 @@ def test_ricci_spectra_invariant_under_conjugation(m, k):
     moved = build_frame(conjugated, moved_x)
     for name, one, other in [
             ("closed", frames.closed_ricci, moved.closed_ricci),
-            ("tensor", shape_operators(system, frames).ricci,
-             shape_operators(conjugated, moved).ricci)]:
+            ("tensor", shape_operators(frames).ricci,
+             shape_operators(moved).ricci)]:
         gap = np.linalg.eigvalsh(one) - np.linalg.eigvalsh(other)
         assert np.max(np.abs(gap)) <= 1e-12, name
 
@@ -216,7 +215,7 @@ def test_ricci_trace_identity(m, k):
     system, points = _setup(m, k)
     for point in points:
         frame = build_frame(system, point)
-        shape = shape_operators(system, frame)
+        shape = shape_operators(frame)
         n = frame.tangent.shape[2]
         want = n * (n - 1) - shape.sff_norm_sq[0]
         assert abs(float(np.trace(shape.ricci[0])) - want) <= 1e-11
@@ -249,13 +248,13 @@ def _reference_frame_and_shape(system, x):
 def test_stacked_frames_and_shapes_equal_single_points(m, k):
     system, points = _setup(m, k, n_points=5)
     frames = build_frame(system, points)
-    shapes = shape_operators(system, frames)
+    shapes = shape_operators(frames)
     assert len(frames.x) == len(shapes.operators) == len(points)
     for p, point in enumerate(points):
         frame, shape = take(frames, p), take(shapes, p)
         single = build_frame(system, point)
         assert np.array_equal(frame.x, point)
-        for name in ("tangent", "pair_coords"):
+        for name in ("tangent", "operators", "pair_coords"):
             assert np.array_equal(getattr(frame, name),
                                   getattr(single, name)[0]), name
         # the pair products in the basis [x | P_0 x .. P_m x | T]
@@ -264,7 +263,7 @@ def test_stacked_frames_and_shapes_equal_single_points(m, k):
         assert np.array_equal(
             frame.pair_coords,
             pair_products(system, system.apply(point)) @ full)
-        one = shape_operators(system, single)
+        one = shape_operators(single)
         for name in ("operators", "mean_curvature", "ricci"):
             assert np.array_equal(getattr(shape, name),
                                   getattr(one, name)[0])
@@ -285,7 +284,7 @@ def test_shape_operators_match_einsum_reference(m, k):
     # over all points and generators, summed in another order
     system, points = _setup(m, k, n_points=5)
     frames = build_frame(system, points)
-    shapes = shape_operators(system, frames)
+    shapes = shape_operators(frames)
     t = frames.tangent
     ops = -np.einsum("kip,aij,kjq->kapq", t, system.matrices, t)
     n = t.shape[2]

@@ -67,11 +67,13 @@ def test_freeze_copies_a_view():
 
 def test_records_take_over_their_arrays():
     system, frame = _one_frame()
-    # every field of the frame is held once, read-only
-    for name in ("x", "tangent", "pair_coords", "closed_ricci"):
+    # every field of the frame is held once, read-only, and the shapes
+    # share the frame's operators
+    for name in ("x", "tangent", "operators", "pair_coords", "closed_ricci"):
         value = getattr(frame, name)
         assert value.base is None and not value.flags.writeable, name
-    shape = shape_operators(system, frame)
+    shape = shape_operators(frame)
+    assert shape.operators is frame.operators
     ops = 2.0 * shape.operators
     assert replace(shape, operators=ops).operators is ops
     assert not ops.flags.writeable
@@ -103,14 +105,14 @@ def _bad_coefficient_row(value):
     system, frame = _one_frame()
     coeffs = np.eye(3)[None].copy()
     coeffs[0, 1, 1] = value
-    certify_point(system, frame, shape_operators(system, frame), coeffs)
+    certify_point(system, frame, shape_operators(frame), coeffs)
 
 
 def _bad_shape_operator(value):
     # the entry sits in A_1, whose coefficient is 0 for the one normal
     # e_0: a product 0 * inf would hide it as NaN, with a warning
     system, frame = _one_frame()
-    shape = shape_operators(system, frame)
+    shape = shape_operators(frame)
     ops = np.array(shape.operators)
     ops[0, 1, 0, 0] = value
     certify_point(system, frame, replace(shape, operators=ops),

@@ -18,6 +18,7 @@ from fkm_willmore import (VerificationConfig, VerificationReport,
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.geometry import take
 from fkm_willmore.report import DEFAULT_GRID, SCHEMA_VERSION, evaluate_system
+from fkm_willmore.willmore import CHECK_NAMES
 
 from conftest import conjugated_system
 from oracles import parse_dump, rotate_system
@@ -149,7 +150,9 @@ def test_internal_error_becomes_exit_3(monkeypatch):
     report = run_suite(tiny_config())
     assert report.internal_error
     (entry,) = report.entries
-    assert entry["internal"] and not entry["pass"]
+    assert list(entry) == ["m", "k", "admissible", "internal", "error",
+                           "pass"]
+    assert entry["admissible"] and entry["internal"] and not entry["pass"]
     assert "synthetic failure" in entry["error"]
     assert exit_code(report) == 3
 
@@ -227,14 +230,29 @@ def test_schema_key_order():
     assert list(entry["blocks"]["points"]) == ["count", "error", "pass"]
 
 
-def test_schema_document_states_the_schema_version():
+def test_schema_document_states_the_schema_version(suite_report):
     # a schema bump ships with its document: the opening "version **N**"
-    # and the schema_version row "always `N`" both name SCHEMA_VERSION
+    # and the schema_version row "always `N`" both name SCHEMA_VERSION,
+    # and every key of the default seed-42 report is named: the top-level
+    # keys in their table, the entry keys in the entry shape, and each
+    # block's fields in the block's own section
     text = (Path(__file__).resolve().parent.parent / "docs"
             / "report_schema.md").read_text(encoding="utf-8")
     assert re.findall(r"version \*\*(\d+)\*\*", text) == [str(SCHEMA_VERSION)]
     row = re.search(r"^\| `schema_version` .*$", text, flags=re.M).group(0)
     assert re.findall(r"always `(\d+)`", row) == [str(SCHEMA_VERSION)]
+    report = suite_report.to_dict()
+    for key in report:
+        assert re.search(rf"^\| `{key}` ", text, flags=re.M), key
+    shapes = text.split("## Configuration entries")[1].split("## Blocks")[0]
+    _, *parts = re.split(r"^### `(\w+)`$", text, flags=re.M)
+    sections = dict(zip(parts[::2], parts[1::2]))
+    for entry in report["configurations"]:
+        for key in entry:
+            assert f'"{key}"' in shapes, key
+        for name, block in entry["blocks"].items():
+            for key in block:
+                assert f"`{key}`" in sections[name], (name, key)
 
 
 def test_residual_at_its_tolerance_passes():
@@ -363,7 +381,7 @@ def test_ricci_crosscheck_matches_sequential_draws():
     sampled, sups = [], []
     for x in entry["blocks"]["points"]["coordinates"]:
         frame = build_frame(system, np.array(x))
-        diff = frame.closed_ricci[0] - shape_operators(system, frame).ricci[0]
+        diff = frame.closed_ricci[0] - shape_operators(frame).ricci[0]
         sups.append(np.max(np.abs(np.linalg.eigvalsh(diff))))
         for _ in range(100):
             z = rng.standard_normal(frame.tangent.shape[2])
@@ -584,10 +602,10 @@ def test_geometry_error_names_the_point(monkeypatch):
         "point 19: adapted frame failed completeness")
 
 
-def _flip_one_point(shapes):
-    ops = np.array(shapes.operators)
+def _flip_one_point(record):
+    ops = np.array(record.operators)
     ops[7] *= -1.0
-    return replace(shapes, operators=ops)
+    return replace(record, operators=ops)
 
 
 def _swap_points(shapes):
@@ -596,10 +614,10 @@ def _swap_points(shapes):
     return take(shapes, order)
 
 
-def _scale_one_point(shapes):
-    ops = np.array(shapes.operators)
+def _scale_one_point(record):
+    ops = np.array(record.operators)
     ops[3] *= 1.0 + 1e-7
-    return replace(shapes, operators=ops)
+    return replace(record, operators=ops)
 
 
 def _on_result(fault):
@@ -625,28 +643,65 @@ def _probe_without_pairs(original):
     return probe
 
 
-@pytest.mark.parametrize("target,patch,failed", [
-    ("shape_operators", _on_result(_flip_one_point), ["willmore"]),
-    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"]),
-    ("shape_operators", _on_result(_scale_one_point), ["lemma"]),
-    ("build_frame", _on_result(_shift_closed_ricci), ["geometry"]),
-    ("einstein_probe", _probe_without_pairs, ["einstein"]),
-], ids=["flip-sign", "swap-points", "scale-one-point", "shift-crosscheck",
-        "zero-pairs-einstein"])
+# the residual fields of the blocks that a downstream fault can reach, and
+# the tolerance each is held to; the other fields of these blocks are
+# information, and the blocks before them do not see the faults
+_DOWNSTREAM_RESIDUALS = {
+    "geometry": {"S_max_gap": "geom", "S_spread": "geom",
+                 "rho2_vs_S_max_gap": "geom", "H_max": "cert",
+                 "ricci_crosscheck_max": "geom",
+                 "ricci_trace_max_gap": "geom"},
+    "lemma": {"max_spectrum_deviation": "geom"},
+    "willmore": {name: "willmore" if name in ("residual_max", "balance_max")
+                 else "geom" for name in CHECK_NAMES[1:]},
+}
+
+
+def _tripped(entry, tolerances):
+    """block.field of every downstream residual above its tolerance."""
+    return [f"{name}.{key}" for name, held in _DOWNSTREAM_RESIDUALS.items()
+            for key, tol in held.items()
+            if key in entry["blocks"].get(name, {})
+            and not entry["blocks"][name][key] <= tolerances[tol]]
+
+
+@pytest.mark.parametrize("target,patch,failed,fields", [
+    ("build_frame", _on_result(_flip_one_point), ["willmore"],
+     ["willmore.reflection_max"]),
+    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"],
+     ["geometry.ricci_crosscheck_max", "willmore.balance_max",
+      "willmore.bridge_max", "willmore.projection_pairwise_max",
+      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max",
+      "willmore.reflection_max", "willmore.case_identity_max"]),
+    ("shape_operators", _on_result(_scale_one_point), ["lemma"],
+     ["lemma.max_spectrum_deviation"]),
+    ("build_frame", _on_result(_scale_one_point), ["geometry", "lemma"],
+     ["geometry.S_max_gap", "geometry.S_spread",
+      "geometry.ricci_crosscheck_max", "lemma.max_spectrum_deviation"]),
+    ("build_frame", _on_result(_shift_closed_ricci), ["geometry"],
+     ["geometry.ricci_crosscheck_max"]),
+    ("einstein_probe", _probe_without_pairs, ["einstein"], []),
+], ids=["flip-sign", "swap-points", "scale-one-point", "scale-frame-operators",
+        "shift-crosscheck", "zero-pairs-einstein"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
-                                                failed):
+                                                failed, fields):
     # each fault is injected at the name report.py looks up, and every block
-    # not in `failed` passes.  A flipped sign keeps every spectrum; a swap
-    # misplaces the Ricci tensors and the projectors, while the Einstein
-    # probe reads only the frames' closed-form Ricci matrices and still
-    # passes; scaling one point's operators by 1 + 1e-7 gives
-    # |A^3 - A| ~ 2e-7 (above the lemma's 1e-8, inside the 1e-6 cluster
-    # radius, so the chain still runs), and the purified projectors keep the
-    # scale out of every Willmore identity; a closed form shifted by 2 moves
-    # only the cross-check (the balance reads it through
+    # not in `failed` passes.  A sign flipped where the operators are formed
+    # keeps every spectrum and every quantity even in A; a swap misplaces
+    # the Ricci tensors and the projectors, while the Einstein probe reads
+    # only the frames' closed-form Ricci matrices and still passes; scaling
+    # one point's operators by 1 + 1e-7 gives |A^3 - A| ~ 2e-7 (above the
+    # lemma's 1e-8, inside the 1e-6 cluster radius, so the chain still
+    # runs), and the purified projectors keep the scale out of every
+    # Willmore identity; scaled where they are formed, the operators also
+    # move S and the Ricci tensor derived from them; a closed form shifted
+    # by 2 moves only the cross-check (the balance reads it through
     # tr(Pi_{+1}) - tr(Pi_{-1}) = 0); and a probe that sees no pair
     # products finds the spread 0 where (3, 2) must give evidence of a
-    # non-Einstein metric
+    # non-Einstein metric.  `fields` names every residual that the fault
+    # puts above its tolerance: a flipped sign shows only in the reflection
+    # (1.98), whose P_a T is formed apart from the operators (the einstein
+    # gate has no residual field)
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
@@ -654,6 +709,7 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
     entry = evaluate_system(build_clifford_system(3, 2), cfg, 0)
     assert sorted(name for name, block in entry["blocks"].items()
                   if not block["pass"]) == failed
+    assert _tripped(entry, cfg.tolerances) == fields
     if target == "einstein_probe":
         einstein = entry["blocks"]["einstein"]
         assert einstein["status"] == "evidence"

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from fkm_willmore import (MultiplicityError, ShapeData,
+from fkm_willmore import (CliffordSystem, MultiplicityError, ShapeData,
                           SpectrumError, VerificationConfig,
                           build_clifford_system, build_frame, certify_point,
                           einstein_probe, evaluate_system,
@@ -37,7 +37,7 @@ def _setup(m, k, extra_points=1, seed=21):
     system = build_clifford_system(m, k)
     frames = build_frame(
         system, sample_focal_points(system, 1 + extra_points, seed=seed).x)
-    return system, frames, shape_operators(system, frames)
+    return system, frames, shape_operators(frames)
 
 
 def _each(frames, shapes):
@@ -164,9 +164,11 @@ def test_willmore_residual_frame_independent():
     rng = default_rng(33)
     n = frame.tangent.shape[2]
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    other = replace(frame, tangent=frame.tangent @ q)
-    rotated = willmore_residual(system, other,
-                                shape_operators(system, other))[0]
+    # another tangent basis T q, with its shape operators -(T q)^T P_a T q
+    t = frame.tangent @ q
+    other = replace(frame, tangent=t, operators=-t.swapaxes(1, 2)[:, None]
+                    @ system.matrices @ t[:, None])
+    rotated = willmore_residual(system, other, shape_operators(other))[0]
     assert abs(base - rotated) <= 1e-9
     assert base < 1e-7 and rotated < 1e-7
 
@@ -179,7 +181,7 @@ def test_willmore_residual_system_rotation_invariant():
     mixed = rotate_system(system, _unit(rng, 4))
     frame = build_frame(mixed, frames.x)
     base = willmore_residual(system, frames, shapes)[0]
-    rotated = willmore_residual(mixed, frame, shape_operators(mixed, frame))[0]
+    rotated = willmore_residual(mixed, frame, shape_operators(frame))[0]
     assert abs(base - rotated) <= 1e-9
     assert base < 1e-7 and rotated < 1e-7
 
@@ -289,7 +291,7 @@ def test_fault_injection_detected():
     x = (np.eye(8)[2] + np.eye(8)[4]) / np.sqrt(2.0)
     assert _certify(bad, x[None])["passed"][0]
     frame = build_frame(bad, x)
-    shape = shape_operators(bad, frame)
+    shape = shape_operators(frame)
     with pytest.raises((SpectrumError, MultiplicityError)):
         certify_point(bad, frame, shape, [np.eye(3)[:1]])
 
@@ -397,7 +399,7 @@ def test_einstein_probe_extremes_bound_every_direction(config, point_seed,
     system = build_clifford_system(*config)
     frame = build_frame(system,
                         sample_focal_points(system, 2, point_seed).x[1:])
-    shape = shape_operators(system, frame)
+    shape = shape_operators(frame)
     probe = einstein_probe(system, frame)
     eigs = np.linalg.eigvalsh(shape.ricci[0])
     assert abs(probe.ricci_min[0] - eigs[0]) <= 1e-12
@@ -497,7 +499,7 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     count, num = willmore._block_points(system, m + 1 + extra)
     frames = build_frame(system,
                          sample_focal_points(system, count, seed=21).x)
-    shapes = shape_operators(system, frames)
+    shapes = shape_operators(frames)
     rng = default_rng(90 + m)
     coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])[:, :num]
     point = (shapes.operators, frames.pair_coords[..., m + 2:],
@@ -513,6 +515,27 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     finally:
         tracemalloc.stop()
     assert 0 < peak <= willmore._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (9, 1)])
+def test_only_the_reflection_reads_ambient_arrays(m, k):
+    # every check but the reflection reads the frame in tangent
+    # coordinates: with every entry of T and of the system's matrices NaN,
+    # the other rows are the clean ones bit for bit, and the reflection,
+    # the one route to the operators' sign, reads NaN.  (9, 1) runs each
+    # point's 60 normals in chunks
+    system, frames, shapes = _setup(m, k, extra_points=2)
+    rng = default_rng(97)
+    coeffs = np.array([_normals(m, 50, rng) for _ in frames.x])
+    blind = CliffordSystem(m=m, l=system.l,
+                           matrices=np.full_like(system.matrices, np.nan))
+    unseen = replace(frames, tangent=np.full_like(frames.tangent, np.nan))
+    rows = certify_point(blind, unseen, shapes, coeffs)
+    clean = certify_point(system, frames, shapes, coeffs)
+    column = CHECK_NAMES.index("reflection_max")
+    assert np.all(np.isnan(rows[:, column]))
+    assert np.array_equal(np.delete(rows, column, axis=1),
+                          np.delete(clean, column, axis=1))
 
 
 def test_per_point_reads_run_once_per_call(monkeypatch):
@@ -585,7 +608,7 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
     system = (conjugated_system(m, k, seed=5) if conjugated
               else build_clifford_system(m, k))
     frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
-    shapes = shape_operators(system, frames)
+    shapes = shape_operators(frames)
     rng = default_rng(80 + m)
     coeffs = np.array([[_unit(rng, m + 1) for _ in range(8)]
                        for _ in frames.x])
@@ -618,7 +641,7 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
         assert np.all(rotated <= factor * read)
         assert np.all(read <= factor * rotated)
     t = frames.tangent[:, None]
-    assert np.max(np.abs(willmore._p0_tangent(system.matrices @ t, coeffs)
+    assert np.max(np.abs(willmore._at_normals(coeffs, system.matrices @ t)
                          - dense_p0_tangent(system, frames, coeffs))) <= 1e-14
     y_t = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
     assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
