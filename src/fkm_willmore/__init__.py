@@ -4,8 +4,8 @@ Pipeline: symmetric Clifford systems (clifford) -> degree-4 isoparametric
 polynomials (polynomial) -> certified points of the focal manifold M+
 (focal) -> extrinsic curvature data (geometry) -> Willmore identities and
 the Ricci-spread probe (willmore) -> reproducible suite reports (report,
-cli).  Every verdict is a records.Check: a residual held against its
-tolerance.
+cli).  Every verdict is a records.Check: a residual held against the
+tolerance that report.CHECKED_FIELDS names for it.
 """
 
 from .clifford import (CliffordSystem, build_clifford_system,

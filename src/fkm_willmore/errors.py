@@ -2,8 +2,8 @@
 
 Everything here signals a *detected* problem: either the requested
 configuration is impossible, or a numerical routine left its guaranteed
-regime.  Identity checks that merely come out false never raise; they are
-returned as failing records.Check values and reported by the report module.
+regime.  Identity checks that merely come out false never raise: their
+residuals fail a records.Check in the report.
 """
 
 from __future__ import annotations

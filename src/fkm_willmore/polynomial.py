@@ -10,7 +10,7 @@ Its restriction f to the unit sphere satisfies the two isoparametric PDEs
     lap_S f      = 8 (m2 - m1) - 4 (2l + 2) f,
 
 with multiplicities m1 = m and m2 = l - m - 1.  `verify_cartan_munzner`
-checks both residuals at random unit points, from the exact ambient
+measures both residuals at random unit points, from the exact ambient
 derivatives that `FkmPolynomial.sphere_derivatives` reduces them to.  That
 kernel takes all K points in one call and holds one (m+1, K, 2l) array,
 the stack P_a x; everything else it reads from that stack by contractions
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .clifford import CliffordSystem
-from .records import Check, fold
+from .records import fold
 
 __all__ = [
     "FkmPolynomial",
@@ -96,31 +96,26 @@ def sphere_samples(rng, count: int, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
-def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed,
-                          tol: float = 1e-8) -> tuple:
+def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed) -> tuple:
     """Residuals of the two isoparametric PDEs at random unit points, drawn
     from default_rng(seed) (an int or a SeedSequence).
 
-    Returns the `max_gradient_residual` and `max_laplacian_residual`
-    checks, the worst over the samples of
+    Returns the worst over the samples of
       | |grad_S f|^2 - 16 (1 - f^2) |  and
-      | lap_S f - 8 (m2 - m1) + 4 (2l + 2) f |.
-    Both are NaN for a system with a non-finite entry, which is not
-    evaluated.
+      | lap_S f - 8 (m2 - m1) + 4 (2l + 2) f |,
+    reported as `max_gradient_residual` and `max_laplacian_residual` and
+    held to the tolerance that report.CHECKED_FIELDS names.  Both are NaN
+    for a system with a non-finite entry, which is not evaluated.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     system = poly.system
     if not system.finite:
-        worst_grad = worst_lap = float("nan")
-    else:
-        points = sphere_samples(default_rng(seed), n_samples,
-                                system.ambient_dim)
-        const = 8.0 * (system.m2 - system.m)
-        slope = 4.0 * (system.ambient_dim + 2.0)
-        value, grad, lap = poly.sphere_derivatives(points)
-        worst_grad = fold(np.abs(np.sum(grad * grad, axis=1)
-                                 - 16.0 * (1.0 - value * value)))
-        worst_lap = fold(np.abs(lap - const + slope * value))
-    return (Check("max_gradient_residual", worst_grad, tol),
-            Check("max_laplacian_residual", worst_lap, tol))
+        return float("nan"), float("nan")
+    points = sphere_samples(default_rng(seed), n_samples, system.ambient_dim)
+    const = 8.0 * (system.m2 - system.m)
+    slope = 4.0 * (system.ambient_dim + 2.0)
+    value, grad, lap = poly.sphere_derivatives(points)
+    return (fold(np.abs(np.sum(grad * grad, axis=1)
+                        - 16.0 * (1.0 - value * value))),
+            fold(np.abs(lap - const + slope * value)))

@@ -46,10 +46,9 @@ def fold(values, axis: int | None = None):
 
 @dataclass(frozen=True)
 class Check:
-    """One residual held against its tolerance.
-
-    `name` is the key the residual is reported under.  The check passes
-    when residual <= tol, so a NaN residual never passes.
+    """One residual held against its tolerance, under the report key
+    `name`; the report builds one per field of report.CHECKED_FIELDS.  It
+    passes when residual <= tol, so a NaN residual never passes.
     """
 
     name: str

@@ -36,6 +36,7 @@ from .records import Check, fold
 from .willmore import CHECK_NAMES, certify_point, einstein_probe
 
 __all__ = [
+    "CHECKED_FIELDS",
     "DEFAULT_GRID",
     "DEFAULT_SEED",
     "DEFAULT_TOLERANCES",
@@ -69,9 +70,25 @@ DEFAULT_TOLERANCES = {
 # uniform sphere points at which each configuration's PDE residuals are taken
 N_PDE_SAMPLES = 1000
 
-# the certify_point columns held to the willmore tolerance; the others are
-# held to geom
-_WILLMORE_CHECKS = ("residual_max", "balance_max")
+# Every checked field of the report, by block, and its tolerance: a key of
+# the tolerances, a fixed point threshold, or "relations", the one that
+# verify_clifford_relations derives from the system (0 for integer entries,
+# 1e-12 otherwise).  Other fields, and all of einstein, are information.
+CHECKED_FIELDS = {
+    "clifford": {"max_deviation": "relations"},
+    "cartan_munzner": dict.fromkeys(
+        ("max_gradient_residual", "max_laplacian_residual"), "pde"),
+    "points": {"max_constraint_residual": "cert",
+               "max_sphere_residual": SPHERE_TOL,
+               "max_value_gap": VALUE_TOL},
+    "geometry": {"S_max_gap": "geom", "S_spread": "geom",
+                 "rho2_vs_S_max_gap": "geom", "H_max": "cert",
+                 "ricci_crosscheck_max": "geom",
+                 "ricci_trace_max_gap": "geom"},
+    "lemma": dict.fromkeys(CHECK_NAMES[:1], "geom"),
+    "willmore": dict.fromkeys(CHECK_NAMES[1:], "geom")
+    | dict.fromkeys(("residual_max", "balance_max"), "willmore"),
+}
 
 
 def _integer(value, name: str) -> int:
@@ -126,11 +143,11 @@ class VerificationConfig:
                                  + ", ".join(sorted(DEFAULT_TOLERANCES)))
             try:
                 merged[name] = float(value)
-                if not merged[name] > 0.0:
+                if not 0.0 < merged[name] < math.inf:
                     raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"invalid tolerance {name}={value!r}: "
-                                 "expected a positive number") from None
+                                 "expected a positive finite number") from None
         object.__setattr__(self, "tolerances", merged)
         if self.format not in ("json", "text"):
             raise ValueError(f"format must be json or text, got {self.format!r}")
@@ -208,20 +225,18 @@ def _jsonable(obj):
 # per-configuration evaluation
 # ---------------------------------------------------------------------------
 
-def _block(*fields, ok: bool = True) -> dict:
-    """A report block from its fields in key order, then its verdict.
+def _block(name: str, tol: dict, fields: dict, ok: bool = True) -> dict:
+    """The report block `name`: its fields in key order, then its verdict.
 
-    Each field is a dict of information, copied as is, or a Check, written
-    as its residual under its name.  The block passes when every check
-    passes and `ok` holds; only points (the Jacobian ranks) and einstein
-    (the evidence gate) have such a condition besides their checks.
+    The block passes when `ok` holds and every field of its row of
+    CHECKED_FIELDS passes as a Check against its tolerance, a key of `tol`
+    or fixed.  Only points (the Jacobian ranks) and einstein (the evidence
+    gate) have a condition besides their checks.
     """
-    block = {}
-    for f in fields:
-        block.update({f.name: f.residual} if isinstance(f, Check) else f)
-    block["pass"] = ok and all(f.passed for f in fields
-                               if isinstance(f, Check))
-    return block
+    checks = [Check(key, fields[key],
+                    tol[held] if isinstance(held, str) else held)
+              for key, held in CHECKED_FIELDS.get(name, {}).items()]
+    return {**fields, "pass": ok and all(c.passed for c in checks)}
 
 
 def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
@@ -232,7 +247,6 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     their block failed and skip dependents; anything else propagates to
     run_suite, which records an internal error (exit code 3).
     """
-    tol = cfg.tolerances
     m, l = system.m, system.l
     n = system.ambient_dim - m - 2
     entry = {
@@ -245,14 +259,16 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     }
     blocks = {}
 
-    blocks["clifford"] = _block(verify_clifford_relations(system))
+    relations = verify_clifford_relations(system)
+    tol = {**cfg.tolerances, "relations": relations.tol}
+    blocks["clifford"] = _block("clifford", tol,
+                                {"max_deviation": relations.residual})
 
-    blocks["cartan_munzner"] = _block(
-        {"n_samples": N_PDE_SAMPLES},
-        *verify_cartan_munzner(FkmPolynomial(system),
-                               n_samples=N_PDE_SAMPLES,
-                               seed=_subseed(cfg.seed, config_index, 0),
-                               tol=tol["pde"]))
+    grad, lap = verify_cartan_munzner(FkmPolynomial(system), N_PDE_SAMPLES,
+                                      _subseed(cfg.seed, config_index, 0))
+    blocks["cartan_munzner"] = _block("cartan_munzner", tol, {
+        "n_samples": N_PDE_SAMPLES, "max_gradient_residual": grad,
+        "max_laplacian_residual": lap})
 
     points = None
     try:
@@ -266,17 +282,13 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     if points is not None:
         rank_expected = m + 2
         ranks = sorted(set(points.jacobian_rank.tolist()))
-        blocks["points"] = _block(
-            {"count": len(points.x)},
-            Check("max_constraint_residual",
-                  fold(points.residual_constraints), tol["cert"]),
-            Check("max_sphere_residual", fold(points.residual_sphere),
-                  SPHERE_TOL),
-            Check("max_value_gap", fold(points.value_gap), VALUE_TOL),
-            {"jacobian_ranks": ranks,
-             "rank_expected": rank_expected,
-             "coordinates": points.x},
-            ok=ranks == [rank_expected])
+        blocks["points"] = _block("points", tol, {
+            "count": len(points.x),
+            "max_constraint_residual": fold(points.residual_constraints),
+            "max_sphere_residual": fold(points.residual_sphere),
+            "max_value_gap": fold(points.value_gap),
+            "jacobian_ranks": ranks, "rank_expected": rank_expected,
+            "coordinates": points.x}, ok=ranks == [rank_expected])
 
     frames = None
     if points is not None:
@@ -288,21 +300,16 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             s_expected = 2.0 * (l - m - 1) * (m + 1)
             s_vals = shapes.sff_norm_sq
             ricci_traces = np.trace(shapes.ricci, axis1=1, axis2=2)
-            blocks["geometry"] = _block(
-                {"S_expected": s_expected},
-                Check("S_max_gap", fold(np.abs(s_vals - s_expected)),
-                      tol["geom"]),
-                Check("S_spread", float(np.ptp(s_vals)), tol["geom"]),
-                Check("rho2_vs_S_max_gap",
-                      fold(np.abs(shapes.trace_free_norm_sq - s_vals)),
-                      tol["geom"]),
-                Check("H_max", fold(np.abs(shapes.mean_curvature)),
-                      tol["cert"]),
-                Check("ricci_crosscheck_max", fold(np.abs(cross)),
-                      tol["geom"]),
-                Check("ricci_trace_max_gap",
-                      fold(np.abs(ricci_traces - (n * (n - 1) - s_vals))),
-                      tol["geom"]))
+            blocks["geometry"] = _block("geometry", tol, {
+                "S_expected": s_expected,
+                "S_max_gap": fold(np.abs(s_vals - s_expected)),
+                "S_spread": float(np.ptp(s_vals)),
+                "rho2_vs_S_max_gap":
+                    fold(np.abs(shapes.trace_free_norm_sq - s_vals)),
+                "H_max": fold(np.abs(shapes.mean_curvature)),
+                "ricci_crosscheck_max": fold(np.abs(cross)),
+                "ricci_trace_max_gap":
+                    fold(np.abs(ricci_traces - (n * (n - 1) - s_vals)))})
         except FrameError as exc:
             blocks["geometry"] = {"error": str(exc), "pass": False}
 
@@ -324,27 +331,25 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         else:
             # one row per point, one column per name of CHECK_NAMES
             columns = dict(zip(CHECK_NAMES, residuals.T))
-            spectrum, reduced, *chain = (
-                Check(name, fold(col), tol["willmore"]
-                      if name in _WILLMORE_CHECKS else tol["geom"])
-                for name, col in columns.items())
-            blocks["lemma"] = _block(
-                {"n_normals_per_point": m + 1 + cfg.n_normals}, spectrum,
-                {"multiplicities": [m, system.m2, system.m2]})
-            blocks["willmore"] = _block(
-                reduced,
-                {"residual_median": float(np.median(columns["residual_max"]))},
-                *chain)
+            worst = {name: fold(col) for name, col in columns.items()}
+            blocks["lemma"] = _block("lemma", tol, {
+                "n_normals_per_point": m + 1 + cfg.n_normals,
+                "max_spectrum_deviation": worst.pop("max_spectrum_deviation"),
+                "multiplicities": [m, system.m2, system.m2]})
+            blocks["willmore"] = _block("willmore", tol, {
+                "residual_max": worst.pop("residual_max"),
+                "residual_median": float(np.median(columns["residual_max"])),
+                **worst})
 
         # the probe reads only the frames, so a failed chain leaves it
         probe = einstein_probe(system, frames)
-        blocks["einstein"] = _block(
-            {"ricci_min": float(np.min(probe.ricci_min)),
-             "ricci_max": float(np.max(probe.ricci_max)),
-             "spread": float(np.max(probe.spread)),
-             "dimension_condition": probe.dimension_condition,
-             "spread_exceeds_threshold": probe.spread_exceeds_threshold,
-             "status": probe.status},
+        blocks["einstein"] = _block("einstein", tol, {
+            "ricci_min": float(np.min(probe.ricci_min)),
+            "ricci_max": float(np.max(probe.ricci_max)),
+            "spread": float(np.max(probe.spread)),
+            "dimension_condition": probe.dimension_condition,
+            "spread_exceeds_threshold": probe.spread_exceeds_threshold,
+            "status": probe.status},
             ok=probe.status != "evidence" or probe.spread_exceeds_threshold)
 
     entry["blocks"] = blocks

@@ -1,8 +1,10 @@
 """Report assembly, serialization determinism, CLI argument surface."""
 
 import json
+import math
 import os
 import re
+import runpy
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from fkm_willmore import (VerificationConfig, VerificationReport,
-                          build_clifford_system, exit_code, render_text,
-                          run_suite)
+from fkm_willmore import (SPHERE_TOL, VALUE_TOL, VerificationConfig,
+                          VerificationReport, build_clifford_system,
+                          exit_code, render_text, run_suite)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.geometry import take
-from fkm_willmore.report import DEFAULT_GRID, SCHEMA_VERSION, evaluate_system
-from fkm_willmore.willmore import CHECK_NAMES
+from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
+                                 DEFAULT_TOLERANCES, SCHEMA_VERSION,
+                                 evaluate_system)
 
 from conftest import conjugated_system
 from oracles import parse_dump, rotate_system
@@ -51,6 +54,10 @@ def test_config_validation():
         VerificationConfig(tolerances={"pde": -1.0})
     with pytest.raises(ValueError, match="invalid tolerance pde='abc'"):
         VerificationConfig(tolerances={"pde": "abc"})
+    # a bound JSON cannot write (inf becomes null) is no bound
+    with pytest.raises(ValueError, match="invalid tolerance pde=inf: "
+                                         "expected a positive finite"):
+        VerificationConfig(tolerances={"pde": math.inf})
     assert VerificationConfig(configurations=(("2", "2"),),
                               tolerances={"pde": "1e-6"}).tolerances["pde"] \
         == 1e-6
@@ -235,7 +242,8 @@ def test_schema_document_states_the_schema_version(suite_report):
     # and the schema_version row "always `N`" both name SCHEMA_VERSION,
     # and every key of the default seed-42 report is named: the top-level
     # keys in their table, the entry keys in the entry shape, and each
-    # block's fields in the block's own section
+    # block's fields in the block's own section, whose `pass` bullet names
+    # the tolerance key of each checked field
     text = (Path(__file__).resolve().parent.parent / "docs"
             / "report_schema.md").read_text(encoding="utf-8")
     assert re.findall(r"version \*\*(\d+)\*\*", text) == [str(SCHEMA_VERSION)]
@@ -253,23 +261,50 @@ def test_schema_document_states_the_schema_version(suite_report):
         for name, block in entry["blocks"].items():
             for key in block:
                 assert f"`{key}`" in sections[name], (name, key)
+    for name, row in CHECKED_FIELDS.items():
+        bullet = sections[name].split("* `pass` —")[1]
+        for held in row.values():
+            if held in DEFAULT_TOLERANCES:
+                assert f"`{held}`" in bullet, (name, held)
+
+
+def test_benchmark_gate_mirrors_the_checked_fields():
+    # perfbench/checks.py re-applies the pass rule from its own copy of
+    # CHECKED_FIELDS (all but clifford, whose tolerance is the system's);
+    # one distinct value per tolerance shows a field moved between two
+    # tolerances that agree at the defaults (pde and geom are both 1e-8)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    checked_fields = runpy.run_path(str(path))["checked_fields"]
+    tol = {"pde": 1.0, "cert": 2.0, "geom": 3.0, "willmore": 4.0}
+    fixed = {SPHERE_TOL: 5.0, VALUE_TOL: 6.0}
+    table = {name: {key: tol[held] if isinstance(held, str) else fixed[held]
+                    for key, held in row.items()}
+             for name, row in CHECKED_FIELDS.items() if name != "clifford"}
+    assert checked_fields(tol, fixed[SPHERE_TOL], fixed[VALUE_TOL]) == table
 
 
 def test_residual_at_its_tolerance_passes():
-    # the pass rule is residual <= tol in every block: with the pde and
-    # willmore tolerances set to the worst residuals they bound, nothing
-    # may fail
-    cfg = tiny_config(configurations=((2, 2),))
+    # the pass rule is residual <= tol in every block: with a tolerance set
+    # to the worst residual it bounds, nothing may fail, and one ulp below
+    # it exactly the blocks that hold that residual fail
     system = build_clifford_system(2, 2)
-    blocks = evaluate_system(system, cfg, 0)["blocks"]
-    cm, wl = blocks["cartan_munzner"], blocks["willmore"]
-    tight = {"pde": max(cm["max_gradient_residual"],
-                        cm["max_laplacian_residual"]),
-             "willmore": max(wl["residual_max"], wl["balance_max"])}
-    entry = evaluate_system(system, tiny_config(configurations=((2, 2),),
-                                                tolerances=tight), 0)
-    assert entry["pass"], [n for n, b in entry["blocks"].items()
-                           if not b["pass"]]
+    blocks = evaluate_system(system, tiny_config(configurations=((2, 2),)),
+                             0)["blocks"]
+
+    def failed(tolerances):
+        entry = evaluate_system(system, tiny_config(
+            configurations=((2, 2),), tolerances=tolerances), 0)
+        return sorted(n for n, b in entry["blocks"].items() if not b["pass"])
+
+    for key in DEFAULT_TOLERANCES:
+        bounded = {name: [blocks[name][field]
+                          for field, held in row.items() if held == key]
+                   for name, row in CHECKED_FIELDS.items()}
+        worst = max(value for values in bounded.values() for value in values)
+        assert worst > 0.0, key
+        assert failed({key: worst}) == [], key
+        assert failed({key: float(np.nextafter(worst, 0.0))}) == sorted(
+            name for name, values in bounded.items() if worst in values), key
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +347,8 @@ def test_parse_cli_overrides():
     ["--tol", "pde"],
     ["--format", "yaml"],
     ["--bogus"],
+    ["--tol", "pde=inf"],
+    ["--tol", "pde=1e400"],
 ])
 def test_cli_argument_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -643,26 +680,17 @@ def _probe_without_pairs(original):
     return probe
 
 
-# the residual fields of the blocks that a downstream fault can reach, and
-# the tolerance each is held to; the other fields of these blocks are
-# information, and the blocks before them do not see the faults
-_DOWNSTREAM_RESIDUALS = {
-    "geometry": {"S_max_gap": "geom", "S_spread": "geom",
-                 "rho2_vs_S_max_gap": "geom", "H_max": "cert",
-                 "ricci_crosscheck_max": "geom",
-                 "ricci_trace_max_gap": "geom"},
-    "lemma": {"max_spectrum_deviation": "geom"},
-    "willmore": {name: "willmore" if name in ("residual_max", "balance_max")
-                 else "geom" for name in CHECK_NAMES[1:]},
-}
+# the blocks that a downstream fault can reach; the blocks before them do
+# not see the faults
+_DOWNSTREAM = ("geometry", "lemma", "willmore")
 
 
 def _tripped(entry, tolerances):
     """block.field of every downstream residual above its tolerance."""
-    return [f"{name}.{key}" for name, held in _DOWNSTREAM_RESIDUALS.items()
-            for key, tol in held.items()
+    return [f"{name}.{key}" for name in _DOWNSTREAM
+            for key, held in CHECKED_FIELDS[name].items()
             if key in entry["blocks"].get(name, {})
-            and not entry["blocks"][name][key] <= tolerances[tol]]
+            and not entry["blocks"][name][key] <= tolerances[held]]
 
 
 @pytest.mark.parametrize("target,patch,failed,fields", [

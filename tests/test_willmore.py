@@ -18,6 +18,7 @@ from fkm_willmore import (CliffordSystem, MultiplicityError, ShapeData,
 from fkm_willmore import willmore
 from fkm_willmore.focal import _certify
 from fkm_willmore.geometry import pair_products, take
+from fkm_willmore.report import CHECKED_FIELDS, DEFAULT_TOLERANCES
 
 from conftest import GRID, conjugated_system, corrupt_system
 from oracles import (dense_p0_tangent, p0_tangent_form, p0_u_sq,
@@ -57,12 +58,17 @@ def _residuals(system, frame, shape, coeffs):
                     certify_point(system, frame, shape, [coeffs])[0]))
 
 
+# the default tolerance of each certify_point column, from the lemma and
+# willmore rows of the report's table
+_DEFAULT_TOL = {name: DEFAULT_TOLERANCES[held]
+                for block in ("lemma", "willmore")
+                for name, held in CHECKED_FIELDS[block].items()}
+
+
 def _passes(row):
     """Whether a row of certify_point residuals passes the default
-    tolerances: 1e-7 for the reduced criterion and the balance, 1e-8 for
-    the rest."""
-    return all(value <= (1e-7 if name in ("residual_max", "balance_max")
-                         else 1e-8)
+    tolerances of its columns."""
+    return all(value <= _DEFAULT_TOL[name]
                for name, value in zip(CHECK_NAMES, row))
 
 
@@ -239,12 +245,9 @@ def test_certify_point_aggregates(m, k):
     assert willmore.CHECK_NAMES == CHECK_NAMES
     row = certify_point(system, frame, shape, [coeffs])[0]
     assert row.shape == (len(CHECK_NAMES),)
-    res = dict(zip(CHECK_NAMES, row))
-    assert res["residual_max"] < 1e-7
-    assert res["balance_max"] < 1e-7
-    for name in CHECK_NAMES:
-        if name not in ("residual_max", "balance_max"):
-            assert res[name] < 1e-8, name
+    assert list(_DEFAULT_TOL) == list(CHECK_NAMES)
+    for name, value in zip(CHECK_NAMES, row):
+        assert value < _DEFAULT_TOL[name], name
 
 
 def test_certify_point_doubled_generators():
