@@ -21,7 +21,7 @@ terms of the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +36,9 @@ __all__ = [
     "build_frame",
     "pair_products",
     "shape_operators",
-    "take",
 ]
 
 FRAME_GRAM_TOL = 1e-8
-
-
-def take(block, rows):
-    """The points `rows` (a slice or an index array) of a stacked
-    AdaptedFrame or ShapeData, as a record of the same type."""
-    return type(block)(**{f.name: getattr(block, f.name)[rows]
-                          for f in fields(block)})
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -143,7 +143,7 @@ class VerificationConfig:
                                  + ", ".join(sorted(DEFAULT_TOLERANCES)))
             try:
                 merged[name] = float(value)
-                if not 0.0 < merged[name] < math.inf:
+                if type(value) is bool or not 0.0 < merged[name] < math.inf:
                     raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"invalid tolerance {name}={value!r}: "

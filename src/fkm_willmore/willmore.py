@@ -26,11 +26,13 @@ at one focal point with one adapted frame; the report module sweeps points
 and normal directions.  No eigenbasis is computed: on M+, A_xi^3 = A_xi,
 so the eigenspaces are read through the spectral projectors
 Pi_{+-1} = (A_xi^2 +- A_xi)/2 and Pi_0 = I - A_xi^2 in tangent coordinates,
-where the pair vectors are rotated too; only the reflection reads P'_0 in
-R^{2l}, with a P_a T of its own: the one check of the operators' sign, as
--A_a (the normals -P_a x) pass every other identity.  certify_point
-evaluates the chain over blocks of points x normals and returns the worst
-residual of every identity at every point.
+where the pair vectors are rotated too.  No per-normal identity reads
+R^{2l}: the reflection holds the projectors against S_xi = -T^T P'_0 T,
+the system's own shape operator, formed from T and the P_a apart from the
+operators under test; it is the one check of their sign, as -A_a (the
+normals -P_a x) pass every other identity.  certify_point evaluates the
+chain over blocks of points x normals and returns the worst residual of
+every identity at every point.
 """
 
 from __future__ import annotations
@@ -96,17 +98,17 @@ def _block_points(system: CliffordSystem, num: int) -> tuple:
     A (point, normal) row holds A_xi, the projectors and one temporary of
     the purification, 5 n^2 floats, and the pair vectors, m(m+1)/2 n.  It
     peaks in the rotation, with the completion and the half and full
-    products, (m+1)^2 (2n + 1), or in the reflection, with P'_0 T and two
-    temporaries, 3 (2l) n.  A point holds P_a T, (m+1) 2l n, formed once
-    for its block of points.  At (m, k) = (6, 1): 10.6 KB a row, 7.2 KB a
-    point; at (9, 1): 59.6 KB a row, 53.8 KB a point, so 19 normals fit a
-    block and 60 normals run as 4 blocks of 15."""
+    products, (m+1)^2 (2n + 1); the reflection, S_xi and two temporaries
+    beside the projectors, fits in that.  A point holds the system's own
+    shape operators S_a, (m+1) n^2, and the P_a T they are formed from,
+    (m+1) 2l n, once for its block of points.  At (m, k) = (6, 1): 10.6 KB
+    a row, 10.8 KB a point; at (9, 1): 59.6 KB a row, 89.0 KB a point, so
+    18 normals fit a block and 60 normals run as 4 blocks of 15."""
     m1, dim = system.m + 1, system.ambient_dim
     n = dim - m1 - 1
     num = max(1, num)
-    row = 8 * (5 * n * n + m1 * m1
-               + (m1 * system.m // 2 + max(2 * m1 * m1, 3 * dim)) * n)
-    point = 8 * m1 * dim * n
+    row = 8 * (5 * n * n + m1 * m1 + (m1 * system.m // 2 + 2 * m1 * m1) * n)
+    point = 8 * m1 * (dim + n) * n
     if row * num + point <= _BLOCK_BYTES:
         return _BLOCK_BYTES // (row * num + point), num
     blocks = -(-num // max(1, (_BLOCK_BYTES - point) // row))
@@ -148,8 +150,8 @@ def _purified(proj: np.ndarray) -> np.ndarray:
 
 def _at_normals(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """sum_a c_a X_a for every normal, (P, N, ...), from the (P, N, m+1)
-    coefficients and a (P, m+1, ...) stack: A_xi from the shape operators,
-    P'_0 T from P_a T (no 2l x 2l P'_0 is formed)."""
+    coefficients and a (P, m+1, ...) stack: A_xi from the shape operators
+    under test, S_xi from the system's own."""
     return (coeffs @ stack.reshape(*stack.shape[:2], -1)).reshape(
         *coeffs.shape[:2], *stack.shape[2:])
 
@@ -159,9 +161,9 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     """Spectral projectors of every A_xi = sum_a c_a A_a, in tangent
     coordinates.
 
-    Returns the deviations max |A_xi^3 - A_xi| (P, N), then A_xi and the
-    projectors Pi_0, Pi_{+1}, Pi_{-1} onto the eigenspaces for 0, +1, -1,
-    each (P, N, n, n).  A deviation above CLUSTER_RADIUS raises SpectrumError,
+    Returns the deviations max |A_xi^3 - A_xi| (P, N), then the projectors
+    Pi_0, Pi_{+1}, Pi_{-1} onto the eigenspaces for 0, +1, -1, each
+    (P, N, n, n).  A deviation above CLUSTER_RADIUS raises SpectrumError,
     and traces of (I - A^2, (A^2 + A)/2, (A^2 - A)/2) that do not round to
     (m, l-m-1, l-m-1) raise MultiplicityError; both name the first failing
     row as point first[0] + p, normal first[1] + k.  The curved projectors
@@ -192,7 +194,7 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
             f"{expected} for (0, +1, -1)")
     plus = _purified((sq + a_xi) / 2.0)
     minus = _purified((sq - a_xi) / 2.0)
-    return deviation, a_xi, np.eye(n) - plus - minus, plus, minus
+    return deviation, np.eye(n) - plus - minus, plus, minus
 
 
 def _rotated(pairs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -220,12 +222,16 @@ def _pair_tangency(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
                   axis=(1, 2), initial=0.0)
 
 
-def _reflection(p0t, t, plus, minus):
-    """max |(P'_0 + I) T Pi_{+1}| and |(P'_0 - I) T Pi_{-1}|: P'_0 v = -v
-    on T_{+1} and P'_0 w = w on T_{-1}, in ambient coordinates."""
+def _reflection(s_xi, plus, minus):
+    """max |(I - S_xi) Pi_{+1}| and |(I + S_xi) Pi_{-1}|: P'_0 v = -v on
+    T_{+1} and P'_0 w = w on T_{-1}, read in tangent coordinates with the
+    system's own S_xi = -T^T P'_0 T.  These are the tangent parts of
+    (P'_0 +- I) T Pi_{+-1}; the parts along the normals P'_b x are the
+    (0, b) pair leaks, and along x they vanish."""
+    eye = np.eye(s_xi.shape[-1])
     return np.maximum(
-        np.max(np.abs((p0t + t) @ plus), axis=(2, 3), initial=0.0),
-        np.max(np.abs((p0t - t) @ minus), axis=(2, 3), initial=0.0))
+        np.max(np.abs((eye - s_xi) @ plus), axis=(2, 3), initial=0.0),
+        np.max(np.abs((eye + s_xi) @ minus), axis=(2, 3), initial=0.0))
 
 
 def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
@@ -241,20 +247,17 @@ def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
     return pairwise, signed, leak
 
 
-def _case_residuals(system: CliffordSystem, y_t, a_xi, pi0, p_plus,
-                    p_minus):
-    """Per-normal orthogonality, bookkeeping and |U| maxima.
+def _case_residuals(system: CliffordSystem, y_t, pi0, p_plus, p_minus):
+    """Per-normal bookkeeping and |U| maxima.
 
-    For pairs a, b >= 1, y = P'_a P'_b x and z = T^T y (`y_t`),
-    <P'_0 y, y> = 0 is read as -z^T A_xi z, since T^T P'_0 T = -A_xi
-    (_pair_tangency bounds the rest of y); with U, V, W the T_0, T_{+1},
-    T_{-1} components (U = T Pi_0 z) and |P'_0 U| = |U| (P'_0 is
-    orthogonal), 2 = 2 |U|^2 + 4 |W|^2 and the same with |V|^2.  U = 0 is
-    only an identity for m = 2, else |U| is reported as 0.
+    For pairs a, b >= 1, y = P'_a P'_b x and z = T^T y (`y_t`), with U, V,
+    W the T_0, T_{+1}, T_{-1} components (U = T Pi_0 z) and |P'_0 U| = |U|
+    (P'_0 is orthogonal), 2 = 2 |U|^2 + 4 |W|^2 and the same with |V|^2.
+    U = 0 is only an identity for m = 2, else |U| is reported as 0.  The
+    orthogonality <P'_0 y, y> = 0 is |V|^2 - |W|^2 = 0 in tangent
+    coordinates, which projection_pairwise_max reads.
     """
     z = y_t[:, :, system.m:]            # pairs a, b >= 1
-    orthogonality = np.max(np.abs(np.sum((z @ a_xi) * z, axis=3)), axis=2,
-                           initial=0.0)
     u_sq = np.sum((z @ pi0) ** 2, axis=3)       # U = T Pi_0 z
     bookkeeping = np.max(
         np.maximum(np.abs(2.0 - (2.0 * u_sq + 4.0 * p_minus[..., system.m:])),
@@ -262,24 +265,24 @@ def _case_residuals(system: CliffordSystem, y_t, a_xi, pi0, p_plus,
         axis=2, initial=0.0)
     u_max = (np.sqrt(np.max(u_sq, axis=2, initial=0.0)) if system.m == 2
              else np.zeros(u_sq.shape[:2]))
-    return orthogonality, bookkeeping, u_max
+    return bookkeeping, u_max
 
 
 def _chain(system: CliffordSystem, coeffs: np.ndarray, first: tuple, ops,
-           pairs, t, pt, balance) -> np.ndarray:
+           pairs, own, balance) -> np.ndarray:
     """The worst residual of the per-normal checks, max_spectrum_deviation
     and CHECK_NAMES[4:], at each point of a block whose first point and
     normal are `first` (indices into certify_point's input), as (P, 7).
-    The points come as arrays: shape operators, the tangent slice of the
-    pair coordinates, T, P_a T, and the balance at the coordinate normals,
-    which certify_point reads once per point."""
-    spectrum, a_xi, pi0, plus, minus = _decompose(system, ops, coeffs, first)
+    The points come as arrays, all in tangent coordinates: the shape
+    operators under test, the tangent slice of the pair coordinates, the
+    system's own shape operators S_a, and the balance at the coordinate
+    normals, which certify_point reads once per point."""
+    spectrum, pi0, plus, minus = _decompose(system, ops, coeffs, first)
+    reflection = _reflection(_at_normals(coeffs, own), plus, minus)
     y_t = _rotated(pairs, coeffs)
     p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3) for pi in (plus, minus))
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    case = np.maximum.reduce(_case_residuals(system, y_t, a_xi, pi0, p_plus,
-                                             p_minus))
-    reflection = _reflection(_at_normals(coeffs, pt), t[:, None], plus, minus)
+    case = np.maximum(*_case_residuals(system, y_t, pi0, p_plus, p_minus))
     # chain_max: the projection sum against c . b, the balance at the normal
     return np.stack([fold(np.abs(r), axis=1) for r in (
         spectrum, (coeffs @ balance[:, :, None])[..., 0] - signed_proj,
@@ -315,9 +318,11 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     at the coordinate normals (residual_max, balance_max, bridge_max).  The
     chain then runs over blocks that fit _BLOCK_BYTES (_block_points):
     whole points, or chunks of one point's normals folded into the point's
-    row by their maximum (NaN if any is NaN).  The reflection's P_a T is
-    formed once per block of points, apart from the operators under test,
-    and a point's residuals do not depend on the block it is in.
+    row by their maximum (NaN if any is NaN).  The system's own shape
+    operators S_a = -T^T P_a T, which the reflection reads, are formed here
+    once per block of points from T and the P_a, never taken from the
+    operators under test, and a point's residuals do not depend on the
+    block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -337,10 +342,9 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
         t = frame.tangent[rows]
-        pt = system.matrices @ t[:, None]       # P_a T, (P, m+1, 2l, n)
+        own = -t.swapaxes(1, 2)[:, None] @ (system.matrices @ t[:, None])
         chain[rows] = fold([_chain(system, coeffs[rows, k:k + chunk], (lo, k),
-                                   ops[rows], pairs[rows], t, pt,
-                                   balance[rows])
+                                   ops[rows], pairs[rows], own, balance[rows])
                             for k in range(0, max(1, num), chunk)], axis=0)
     # the last column is case_identity_max
     chain[:, -1] = np.maximum(chain[:, -1], _pair_tangency(system, frame))

@@ -16,16 +16,20 @@ a second route to a quantity the package computes another way:
   * jacobian_rank is the rank of the rows x, P_0 x, ..., P_m x from their
     singular values, where certification reads the eigenvalues of the
     Gram matrix it forms for its J J^T = 4I guard;
-  * signed_balance, rotated_tangency and dense_p0_tangent are the Willmore
-    chain's per-normal routes to what it reads once per point: the balance
-    tr((Pi_{+1} - Pi_{-1}) Ric_closed) at each normal, the tangency of the
-    rotated pair vectors against x and the rotated normals, and P'_0 T
-    through the dense 2l x 2l matrix P'_0 = sum_a c_a P_a;
-  * rotated_pairs, p0_tangent_form and p0_u_sq are its per-normal routes
-    in R^{2l} to what it reads in tangent coordinates: the pair vectors
-    rotated before they are projected on T, T^T P'_0 T for -A_xi, and
-    |P'_0 U|^2 for |U|^2.
+  * signed_balance and rotated_tangency are the Willmore chain's
+    per-normal routes to what it reads once per point: the balance
+    tr((Pi_{+1} - Pi_{-1}) Ric_closed) at each normal, and the tangency of
+    the rotated pair vectors against x and the rotated normals;
+  * rotated_pairs, p0_tangent_form, p0_u_sq and ambient_reflection are its
+    per-normal routes in R^{2l}, through the dense 2l x 2l matrix
+    P'_0 = sum_a c_a P_a (dense_p0_tangent), to what it reads in tangent
+    coordinates: the pair vectors rotated before they are projected on T,
+    T^T P'_0 T for -A_xi, |P'_0 U|^2 for |U|^2, and the reflection
+    (P'_0 +- I) T Pi_{+-1}, whose tangent part the chain reads;
+  * take picks points out of a stacked frame or shape record.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -110,8 +114,8 @@ def signed_balance(system, frame, shape, coeffs):
     """tr((Pi_{+1} - Pi_{-1}) Ric_closed) at every point and normal of a
     (P, N, m+1) stack of coefficients, with the chain's purified
     projectors; (P, N)."""
-    _, _, _, plus, minus = willmore._decompose(system, shape.operators,
-                                               coeffs, (0, 0))
+    _, _, plus, minus = willmore._decompose(system, shape.operators, coeffs,
+                                            (0, 0))
     return np.sum((plus - minus) * frame.closed_ricci[:, None], axis=(2, 3))
 
 
@@ -135,11 +139,17 @@ def rotated_pairs(system, frame, coeffs, pairs=None):
     return prods[:, :, ia, ib]
 
 
+def rotated_normals(system, frame, coeffs):
+    """The rotated normals P'_b x = sum_a B_ba P_a x at every point and
+    normal; (P, N, m+1, 2l), P'_0 x = xi first."""
+    return _completions(coeffs) @ system.apply(frame.x)[:, None]
+
+
 def rotated_tangency(system, frame, coeffs, pairs=None):
     """max |<y, x>| and |<y, P'_g x>| over the rotated pair vectors y =
     P'_a P'_b x, a < b, and every g, at every point and normal, with the
     ambient `pairs` of rotated_pairs; (P, N)."""
-    normals = _completions(coeffs) @ system.apply(frame.x)[:, None]
+    normals = rotated_normals(system, frame, coeffs)
     y = rotated_pairs(system, frame, coeffs, pairs)
     return np.maximum(
         np.max(np.abs(y @ frame.x[:, None, :, None]), axis=(2, 3)),
@@ -170,3 +180,20 @@ def p0_u_sq(system, frame, coeffs, pi0):
          @ frame.tangent[:, None])
     p0u = (z @ pi0) @ dense_p0_tangent(system, frame, coeffs).swapaxes(2, 3)
     return np.sum(p0u * p0u, axis=3)
+
+
+def ambient_reflection(system, frame, coeffs, plus, minus):
+    """(P'_0 + I) T Pi_{+1} and (P'_0 - I) T Pi_{-1} at every point and
+    normal, with the dense P'_0 and the (P, N, n, n) projectors; each
+    (P, N, 2l, n).  Both vanish when P'_0 v = -v on T_{+1} and P'_0 w = w
+    on T_{-1}."""
+    p0t = dense_p0_tangent(system, frame, coeffs)
+    t = frame.tangent[:, None]
+    return (p0t + t) @ plus, (p0t - t) @ minus
+
+
+def take(block, rows):
+    """The points `rows` (a slice or an index array) of a stacked
+    AdaptedFrame or ShapeData, as a record of the same type."""
+    return type(block)(**{f.name: getattr(block, f.name)[rows]
+                          for f in fields(block)})

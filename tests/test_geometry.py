@@ -7,10 +7,11 @@ from numpy.random import default_rng
 from fkm_willmore import (FrameError, build_clifford_system, build_frame,
                           sample_focal_points, shape_operators)
 from fkm_willmore.focal import _certify
-from fkm_willmore.geometry import pair_products, take
+from fkm_willmore.geometry import pair_products
 
 from conftest import GRID, conjugated_system, conjugator
-from oracles import sectional_curvature, sectional_curvature_from_shape
+from oracles import (sectional_curvature, sectional_curvature_from_shape,
+                     take)
 
 
 def _setup(m, k, n_points=2, seed=3):

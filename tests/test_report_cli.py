@@ -18,13 +18,12 @@ from fkm_willmore import (SPHERE_TOL, VALUE_TOL, VerificationConfig,
                           VerificationReport, build_clifford_system,
                           exit_code, render_text, run_suite)
 from fkm_willmore.cli import main, parse_cli
-from fkm_willmore.geometry import take
 from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
                                  DEFAULT_TOLERANCES, SCHEMA_VERSION,
                                  evaluate_system)
 
 from conftest import conjugated_system
-from oracles import parse_dump, rotate_system
+from oracles import parse_dump, rotate_system, take
 
 TINY = dict(n_points=3, n_normals=4)
 
@@ -58,6 +57,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="invalid tolerance pde=inf: "
                                          "expected a positive finite"):
         VerificationConfig(tolerances={"pde": math.inf})
+    # a bool is no number here, as for the integer fields
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"invalid tolerance pde={flag}: "
+                                             "expected a positive finite"):
+            VerificationConfig(tolerances={"pde": flag})
     assert VerificationConfig(configurations=(("2", "2"),),
                               tolerances={"pde": "1e-6"}).tolerances["pde"] \
         == 1e-6
@@ -135,7 +139,7 @@ def test_json_byte_identical_across_runs():
     second = run_suite(cfg).to_json()
     assert first == second
     parsed = json.loads(first)
-    assert parsed["schema_version"] == 3
+    assert parsed["schema_version"] == SCHEMA_VERSION
     assert parsed["overall_pass"] is True
     assert parsed["seed"] == 42
     assert parsed["config"]["configurations"] == [[1, 3], [2, 2]]
@@ -657,6 +661,18 @@ def _scale_one_point(record):
     return replace(record, operators=ops)
 
 
+def _push_pair(column):
+    """A fault of build_frame's result: the (0, 1) pair of point 7 gains
+    1e-6 in one column of its coordinates [x | P_0 x .. P_m x | T], and the
+    (1, 0) pair loses it."""
+    def fault(frames):
+        coords = np.array(frames.pair_coords)
+        coords[7, 0, 1, column] += 1e-6
+        coords[7, 1, 0, column] -= 1e-6
+        return replace(frames, pair_coords=coords)
+    return fault
+
+
 def _on_result(fault):
     """A patch that applies `fault` to what the original returns."""
     return lambda original: (
@@ -709,8 +725,15 @@ def _tripped(entry, tolerances):
     ("build_frame", _on_result(_shift_closed_ricci), ["geometry"],
      ["geometry.ricci_crosscheck_max"]),
     ("einstein_probe", _probe_without_pairs, ["einstein"], []),
+    ("build_frame", _on_result(_push_pair(5)), ["willmore"],
+     ["willmore.chain_max", "willmore.projection_pairwise_max",
+      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max",
+      "willmore.case_identity_max"]),
+    ("build_frame", _on_result(_push_pair(1)), ["willmore"],
+     ["willmore.case_identity_max"]),
 ], ids=["flip-sign", "swap-points", "scale-one-point", "scale-frame-operators",
-        "shift-crosscheck", "zero-pairs-einstein"])
+        "shift-crosscheck", "zero-pairs-einstein", "push-pair-tangent",
+        "push-pair-normal"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
                                                 failed, fields):
     # each fault is injected at the name report.py looks up, and every block
@@ -726,10 +749,16 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
     # by 2 moves only the cross-check (the balance reads it through
     # tr(Pi_{+1}) - tr(Pi_{-1}) = 0); and a probe that sees no pair
     # products finds the spread 0 where (3, 2) must give evidence of a
-    # non-Einstein metric.  `fields` names every residual that the fault
-    # puts above its tolerance: a flipped sign shows only in the reflection
-    # (1.98), whose P_a T is formed apart from the operators (the einstein
-    # gate has no residual field)
+    # non-Einstein metric.  A pair vector pushed along the first tangent
+    # column (index m + 2 = 5) moves the projections, and with them the
+    # leak, the bookkeeping and the projection sum against a balance that
+    # the closed form, built before the push, keeps; pushed along P_0 x
+    # (column 1) it leaves the tangent space and only the tangency sees it.
+    # `fields` names every residual that the fault puts above its
+    # tolerance: a flipped sign shows only in the reflection (1.98), whose
+    # S_a are formed apart from the operators, and a pushed pair never in
+    # it, as the reflection reads no leak (the einstein gate has no
+    # residual field)
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,

@@ -17,13 +17,13 @@ from fkm_willmore import (CliffordSystem, MultiplicityError, ShapeData,
                           sample_focal_points, shape_operators)
 from fkm_willmore import willmore
 from fkm_willmore.focal import _certify
-from fkm_willmore.geometry import pair_products, take
+from fkm_willmore.geometry import pair_products
 from fkm_willmore.report import CHECKED_FIELDS, DEFAULT_TOLERANCES
 
 from conftest import GRID, conjugated_system, corrupt_system
-from oracles import (dense_p0_tangent, p0_tangent_form, p0_u_sq,
-                     rotate_system, rotated_pairs, rotated_tangency,
-                     signed_balance)
+from oracles import (ambient_reflection, p0_tangent_form, p0_u_sq,
+                     rotate_system, rotated_normals, rotated_pairs,
+                     rotated_tangency, signed_balance, take)
 
 # certify_point's checks, in the key order of the lemma and willmore blocks
 CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
@@ -75,7 +75,7 @@ def _passes(row):
 def _projectors(system, shapes, coeffs):
     """The chain's deviations and projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a
     (P, N, m+1) stack of coefficients."""
-    deviation, _, *projectors = willmore._decompose(
+    deviation, *projectors = willmore._decompose(
         system, shapes.operators, np.asarray(coeffs), (0, 0))
     return deviation, *projectors
 
@@ -433,14 +433,13 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     singles = np.array([certify_point(system, f, s, [c])[0]
                         for (f, s), c in zip(_each(frames, shapes), coeffs)])
     # the byte size of one (point, normal) row: A_xi, the projectors and
-    # the purification, the completion, the pair vectors, and the larger of
-    # the rotated products and P'_0 T with its temporaries; and of one
-    # point: P_a T, and with its m + 4 rows
+    # the purification, the completion, the pair vectors and the rotated
+    # products; and of one point: the system's own S_a and the P_a T they
+    # are formed from, and with its m + 4 rows
     m1, dim = m + 1, system.ambient_dim
     n = frames.tangent.shape[2]
-    row = 8 * (5 * n * n + m1 * m1
-               + (m1 * m // 2 + max(2 * m1 * m1, 3 * dim)) * n)
-    fixed = 8 * m1 * dim * n
+    row = 8 * (5 * n * n + m1 * m1 + (m1 * m // 2 + 2 * m1 * m1) * n)
+    fixed = 8 * m1 * (dim + n) * n
     point = row * (m + 4) + fixed
     # block boundaries anywhere: one point per block, budgets of 2 and 3
     # points (and one byte short of 3) that split the 7 points unevenly, and
@@ -493,11 +492,11 @@ def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
                                        (9, 1, 50)])
 def test_chain_block_peak_fits_the_budget(m, k, extra):
     # the row model against measured memory: the traced peak of one chain
-    # block, the P_a T of the points that _block_points allows for the
-    # coordinate normals and `extra` random ones a point, and one chunk of
-    # their normals through the chain, stays within _BLOCK_BYTES (peaks
-    # seen: 964, 587, 1094 and 901 KB).  The rows of a (9, 1) point with 60
-    # normals exceed it, so its block is one point with 15 of them
+    # block, the system's own S_a of the points that _block_points allows
+    # for the coordinate normals and `extra` random ones a point, and one
+    # chunk of their normals through the chain, stays within _BLOCK_BYTES
+    # (peaks seen: 852, 554, 993 and 830 KB).  The rows of a (9, 1) point
+    # with 60 normals exceed it, so its block is one point with 15 of them
     system = build_clifford_system(m, k)
     count, num = willmore._block_points(system, m + 1 + extra)
     frames = build_frame(system,
@@ -505,15 +504,15 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     shapes = shape_operators(frames)
     rng = default_rng(90 + m)
     coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])[:, :num]
-    point = (shapes.operators, frames.pair_coords[..., m + 2:],
-             frames.tangent)
+    point = (shapes.operators, frames.pair_coords[..., m + 2:])
     balance = willmore._contractions(frames.closed_ricci, shapes.operators)
+    t = frames.tangent
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        pt = system.matrices @ frames.tangent[:, None]
-        willmore._chain(system, coeffs, (0, 0), *point, pt, balance)
+        own = -t.swapaxes(1, 2)[:, None] @ (system.matrices @ t[:, None])
+        willmore._chain(system, coeffs, (0, 0), *point, own, balance)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -545,8 +544,8 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
     # what the normal does not change is read once per certify_point call,
     # whatever the block layout: under a budget that splits each (9, 1)
     # point's 60 normals into 4 chunks of 15, the two contractions run once
-    # for all 3 points, and each block of points forms one P_a T, which
-    # every chunk of its normals shares
+    # for all 3 points, and each block of points forms one set of the
+    # system's own S_a = -T^T P_a T, which every chunk of its normals shares
     system, frames, shapes = _setup(9, 1, extra_points=2)
     monkeypatch.setattr(willmore, "_BLOCK_BYTES", 1_000_000)
     assert willmore._block_points(system, 60) == (1, 15)
@@ -559,9 +558,9 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
         contractions.append(args)
         return contract(*args)
 
-    def counted_chain(system, coeffs, first, ops, pairs, t, pt, balance):
-        chunks.append((first, pt))
-        return chain(system, coeffs, first, ops, pairs, t, pt, balance)
+    def counted_chain(system, coeffs, first, ops, pairs, own, balance):
+        chunks.append((first, own))
+        return chain(system, coeffs, first, ops, pairs, own, balance)
 
     monkeypatch.setattr(willmore, "_contractions", counted_contractions)
     monkeypatch.setattr(willmore, "_chain", counted_chain)
@@ -570,13 +569,17 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
     assert len(contractions) == 2
     assert [first for first, _ in chunks] == [
         (p, k) for p in range(3) for k in (0, 15, 30, 45)]
-    # the chunks hold their P_a T alive, so distinct arrays are distinct
-    # formations: one per point, shared by its 4 chunks
-    assert len({id(pt) for _, pt in chunks}) == 3
+    # the chunks hold their S_a alive, so distinct arrays are distinct
+    # formations: one per point, shared by its 4 chunks, and none is the
+    # operators under test
+    assert len({id(own) for _, own in chunks}) == 3
     for p in range(3):
-        assert len({id(pt) for first, pt in chunks if first[0] == p}) == 1
-        assert np.array_equal(chunks[4 * p][1],
-                              system.matrices @ frames.tangent[p:p + 1, None])
+        assert len({id(own) for first, own in chunks if first[0] == p}) == 1
+        t = frames.tangent[p:p + 1]
+        own = chunks[4 * p][1]
+        assert np.array_equal(own, -t.swapaxes(1, 2)[:, None]
+                              @ (system.matrices @ t[:, None]))
+        assert not np.shares_memory(own, shapes.operators)
 
 
 @pytest.mark.parametrize("m,k", GRID + [(9, 1)])
@@ -604,10 +607,9 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
     # what the chain reads once per point, or in tangent coordinates,
     # against the per-normal routes of the oracles: the balance is linear in
     # the normal, the rotated pairs and normals are orthonormal images of
-    # the frame's own, P'_0 T is linear in c, the rotation commutes with
-    # the projection on T, T^T P'_0 T = -A_xi and |P'_0 U| = |U|.  At 5
-    # points x 8 normals the worst gaps seen were 5.2e-14, 8.7e-16,
-    # 3.3e-16, 6.7e-16, 5.6e-16 and 1.1e-15
+    # the frame's own, the rotation commutes with the projection on T,
+    # T^T P'_0 T = -A_xi and |P'_0 U| = |U|.  At 5 points x 8 normals the
+    # worst gaps seen were 5.2e-14, 8.7e-16, 6.7e-16, 5.6e-16 and 1.1e-15
     system = (conjugated_system(m, k, seed=5) if conjugated
               else build_clifford_system(m, k))
     frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
@@ -644,19 +646,59 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
         assert np.all(rotated <= factor * read)
         assert np.all(read <= factor * rotated)
     t = frames.tangent[:, None]
-    assert np.max(np.abs(willmore._at_normals(coeffs, system.matrices @ t)
-                         - dense_p0_tangent(system, frames, coeffs))) <= 1e-14
     y_t = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
     assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
                   ) <= 1e-14
-    _, a_xi, pi0, _, _ = willmore._decompose(system, shapes.operators,
-                                             coeffs, (0, 0))
+    _, pi0, _, _ = willmore._decompose(system, shapes.operators, coeffs,
+                                       (0, 0))
+    a_xi = willmore._at_normals(coeffs, shapes.operators)
     assert np.max(np.abs(a_xi + p0_tangent_form(system, frames, coeffs))
                   ) <= 1e-14
     u = y_t[:, :, m:] @ pi0             # no pairs a, b >= 1 when m = 1
     assert np.max(np.abs(np.sum(u * u, axis=3)
                          - p0_u_sq(system, frames, coeffs, pi0)),
                   initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("m,k", GRID + [(9, 1)])
+def test_ambient_reflection_splits_into_what_the_chain_reads(m, k):
+    # the ambient route that the chain no longer takes,
+    # (P'_0 +- I) T Pi_{+-1}, in the orthonormal basis
+    # [x | P'_0 x .. P'_m x | T]: nothing along x or P'_0 x, the curved
+    # components Pi_{+-1} z of the (0, b) pair vectors z = T^T P'_0 P'_b x
+    # (the leaks) along P'_b x, and along T the chain's n x n form
+    # (I -+ S_xi) Pi_{+-1}, with the system's own S_xi.  The worst gaps
+    # seen were 3.6e-16, 3.4e-16, 3.8e-16, 1.3e-15 and, for the
+    # reflection's maximum, 2.1e-16
+    system = build_clifford_system(m, k)
+    frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
+    shapes = shape_operators(frames)
+    rng = default_rng(85 + m)
+    coeffs = np.array([[_unit(rng, m + 1) for _ in range(8)]
+                       for _ in frames.x])
+    _, _, plus, minus = willmore._decompose(system, shapes.operators, coeffs,
+                                            (0, 0))
+    t = frames.tangent
+    tt = t.swapaxes(1, 2)[:, None]
+    s_xi = willmore._at_normals(coeffs, -tt @ (system.matrices @ t[:, None]))
+    pairs = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
+    normals = rotated_normals(system, frames, coeffs)
+    eye = np.eye(t.shape[2])
+    ambient_plus, ambient_minus = ambient_reflection(system, frames, coeffs,
+                                                     plus, minus)
+    worst = []
+    for sign, pi, ambient in ((1.0, plus, ambient_plus),
+                              (-1.0, minus, ambient_minus)):
+        along_normals = normals @ ambient
+        along_t = tt @ ambient
+        assert np.max(np.abs(frames.x[:, None, None] @ ambient)) <= 1e-14
+        assert np.max(np.abs(along_normals[:, :, 0])) <= 1e-14
+        assert np.max(np.abs(along_normals[:, :, 1:] - pairs[:, :, :m] @ pi)
+                      ) <= 1e-14
+        assert np.max(np.abs(along_t - (eye - sign * s_xi) @ pi)) <= 1e-14
+        worst.append(np.max(np.abs(along_t), axis=(2, 3)))
+    assert np.max(np.abs(willmore._reflection(s_xi, plus, minus)
+                         - np.maximum(*worst))) <= 1e-14
 
 
 def test_certify_point_block_errors_name_the_point():
