@@ -20,6 +20,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -121,6 +122,12 @@ class VerificationConfig:
     dump_matrices: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.configurations, Iterable):
+            raise ValueError(f"invalid configurations {self.configurations!r}"
+                             ": expected a sequence of (m, k) entries")
+        if not isinstance(self.tolerances, Mapping):
+            raise ValueError(f"invalid tolerances {self.tolerances!r}: "
+                             "expected a mapping of names to numbers")
         configs = []
         for entry in self.configurations:
             try:

@@ -16,23 +16,21 @@ a T_{+1} basis and w_i for a T_{-1} basis, the verified chain is
 so the reduced criterion is equivalent to a Ricci balance between the two
 curved eigenspaces, and that balance to a projection balance of the pair
 vectors P_a P_b x.  After rotating the system so that P'_0 x = xi, the
-balance holds pair by pair; the m = 2 case is forced by P'_0 U = 0 for the
-T_0 component U of P'_1 P'_2 x, the m > 2 case by the norm bookkeeping
-
-    2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 = |U|^2 + |P'_0 U|^2 + 4 |V|^2,
-
-both read with |P'_0 U| = |U| (P'_0 is orthogonal).  Each identity holds
-at one focal point with one adapted frame; the report module sweeps points
-and normal directions.  No eigenbasis is computed: on M+, A_xi^3 = A_xi,
-so the eigenspaces are read through the spectral projectors
+balance holds pair by pair; for m = 2, P'_0 U = 0 holds for the T_0
+component U of P'_1 P'_2 x.  (For m > 2 the norm bookkeeping
+2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 is the pair tangency and the pairwise
+balance again, and is read as those.)  Each identity holds at one focal
+point with one adapted frame; the report module sweeps points and normal
+directions.  No eigenbasis is computed: on M+, A_xi^3 = A_xi, so the
+eigenspaces are read through the spectral projectors
 Pi_{+-1} = (A_xi^2 +- A_xi)/2 and Pi_0 = I - A_xi^2 in tangent coordinates,
-where the pair vectors are rotated too.  No per-normal identity reads
-R^{2l}: the reflection holds the projectors against S_xi = -T^T P'_0 T,
-the system's own shape operator, formed from T and the P_a apart from the
-operators under test; it is the one check of their sign, as -A_a (the
-normals -P_a x) pass every other identity.  certify_point evaluates the
-chain over blocks of points x normals and returns the worst residual of
-every identity at every point.
+where the pair vectors are rotated too.  The reflection P'_0 v = -v on
+T_{+1}, P'_0 w = w on T_{-1} reads, beyond rounding and the pair leaks,
+only the gap A_a + T^T P_a T between the operators under test and the
+system's own; linear in xi, it is read once per point, and it is the one
+check of the operators' sign, as -A_a (the normals -P_a x) pass every
+other identity.  certify_point evaluates the chain over blocks of points
+x normals and returns the worst residual of every identity at every point.
 """
 
 from __future__ import annotations
@@ -84,8 +82,8 @@ class EinsteinProbe(Record):
 # Each (point, normal) row is computed on its own, so a row's values do
 # not depend on the other rows of the block.
 
-# Bytes of intermediates the chain holds at a time, per point and per row;
-# the shape of a block follows from the system (_block_points).
+# Bytes of intermediates the chain holds at a time; the shape of a block
+# follows from the system (_block_points).
 _BLOCK_BYTES = 1_200_000
 
 
@@ -95,23 +93,20 @@ def _block_points(system: CliffordSystem, num: int) -> tuple:
     one point alone exceed it, one point and its normals split evenly over
     the fewest blocks that fit (one normal a block at least).
 
-    A (point, normal) row holds A_xi, the projectors and one temporary of
-    the purification, 5 n^2 floats, and the pair vectors, m(m+1)/2 n.  It
-    peaks in the rotation, with the completion and the half and full
-    products, (m+1)^2 (2n + 1); the reflection, S_xi and two temporaries
-    beside the projectors, fits in that.  A point holds the system's own
-    shape operators S_a, (m+1) n^2, and the P_a T they are formed from,
-    (m+1) 2l n, once for its block of points.  At (m, k) = (6, 1): 10.6 KB
-    a row, 10.8 KB a point; at (9, 1): 59.6 KB a row, 89.0 KB a point, so
-    18 normals fit a block and 60 normals run as 4 blocks of 15."""
-    m1, dim = system.m + 1, system.ambient_dim
-    n = dim - m1 - 1
+    A (point, normal) row holds A_xi, the curved projectors and two
+    temporaries of the purification, 5 n^2 floats, and the pair vectors,
+    m(m+1)/2 n.  It peaks in the rotation, with the completion and the
+    half and full products, (m+1)^2 (2n + 1).  A point holds nothing per
+    block: what it reads beside its normals is read once per call.  At
+    (m, k) = (6, 1): 10.6 KB a row; at (9, 1): 59.6 KB a row, so 20 normals
+    fit a block and 60 normals run as 3 blocks of 20."""
+    m1 = system.m + 1
+    n = system.ambient_dim - m1 - 1
     num = max(1, num)
     row = 8 * (5 * n * n + m1 * m1 + (m1 * system.m // 2 + 2 * m1 * m1) * n)
-    point = 8 * m1 * (dim + n) * n
-    if row * num + point <= _BLOCK_BYTES:
-        return _BLOCK_BYTES // (row * num + point), num
-    blocks = -(-num // max(1, (_BLOCK_BYTES - point) // row))
+    if row * num <= _BLOCK_BYTES:
+        return _BLOCK_BYTES // (row * num), num
+    blocks = -(-num // max(1, _BLOCK_BYTES // row))
     return 1, -(-num // blocks)
 
 
@@ -150,8 +145,8 @@ def _purified(proj: np.ndarray) -> np.ndarray:
 
 def _at_normals(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """sum_a c_a X_a for every normal, (P, N, ...), from the (P, N, m+1)
-    coefficients and a (P, m+1, ...) stack: A_xi from the shape operators
-    under test, S_xi from the system's own."""
+    coefficients and a (P, m+1, ...) stack: A_xi from the shape
+    operators."""
     return (coeffs @ stack.reshape(*stack.shape[:2], -1)).reshape(
         *coeffs.shape[:2], *stack.shape[2:])
 
@@ -162,12 +157,13 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
     coordinates.
 
     Returns the deviations max |A_xi^3 - A_xi| (P, N), then the projectors
-    Pi_0, Pi_{+1}, Pi_{-1} onto the eigenspaces for 0, +1, -1, each
-    (P, N, n, n).  A deviation above CLUSTER_RADIUS raises SpectrumError,
-    and traces of (I - A^2, (A^2 + A)/2, (A^2 - A)/2) that do not round to
+    Pi_{+1}, Pi_{-1} onto the eigenspaces for +1, -1, each (P, N, n, n).
+    A deviation above CLUSTER_RADIUS raises SpectrumError, and traces of
+    (I - A^2, (A^2 + A)/2, (A^2 - A)/2) that do not round to
     (m, l-m-1, l-m-1) raise MultiplicityError; both name the first failing
     row as point first[0] + p, normal first[1] + k.  The curved projectors
-    are then purified (_purified) and Pi_0 is their complement.
+    are then purified (_purified); Pi_0 is their complement, which only
+    the m = 2 case reads (_case_residuals).
     """
     m, m2, n = system.m, system.m2, ops.shape[2]
     a_xi = _at_normals(coeffs, ops)
@@ -192,9 +188,8 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
             f"point {first[0] + p}, normal {first[1] + k}: principal "
             f"multiplicities {tuple(counts[p, k].tolist())} != expected "
             f"{expected} for (0, +1, -1)")
-    plus = _purified((sq + a_xi) / 2.0)
-    minus = _purified((sq - a_xi) / 2.0)
-    return deviation, np.eye(n) - plus - minus, plus, minus
+    return (deviation, _purified((sq + a_xi) / 2.0),
+            _purified((sq - a_xi) / 2.0))
 
 
 def _rotated(pairs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -222,16 +217,19 @@ def _pair_tangency(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
                   axis=(1, 2), initial=0.0)
 
 
-def _reflection(s_xi, plus, minus):
-    """max |(I - S_xi) Pi_{+1}| and |(I + S_xi) Pi_{-1}|: P'_0 v = -v on
-    T_{+1} and P'_0 w = w on T_{-1}, read in tangent coordinates with the
-    system's own S_xi = -T^T P'_0 T.  These are the tangent parts of
-    (P'_0 +- I) T Pi_{+-1}; the parts along the normals P'_b x are the
-    (0, b) pair leaks, and along x they vanish."""
-    eye = np.eye(s_xi.shape[-1])
-    return np.maximum(
-        np.max(np.abs((eye - s_xi) @ plus), axis=(2, 3), initial=0.0),
-        np.max(np.abs((eye + s_xi) @ minus), axis=(2, 3), initial=0.0))
+def _sign_gap(system: CliffordSystem, frame: AdaptedFrame,
+              ops: np.ndarray) -> np.ndarray:
+    """max_a |A_a + T^T P_a T| per point: the operators under test against
+    the system's own, formed here from T and the P_a one generator at a
+    time, by build_frame's product.  The gap is linear in xi, so its value
+    at the m + 1 coordinate normals bounds it at every normal.  It is the
+    one check of the operators' sign: -A_a are the operators of the
+    system {-P_a}, with the same M+, pair vectors and Ricci forms."""
+    t = frame.tangent
+    tt = t.transpose(0, 2, 1)
+    return fold([fold(np.abs(a_a + tt @ (p_a @ t)), axis=(1, 2))
+                 for a_a, p_a in zip(ops.swapaxes(0, 1), system.matrices)],
+                axis=0)
 
 
 def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
@@ -247,46 +245,39 @@ def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
     return pairwise, signed, leak
 
 
-def _case_residuals(system: CliffordSystem, y_t, pi0, p_plus, p_minus):
-    """Per-normal bookkeeping and |U| maxima.
-
-    For pairs a, b >= 1, y = P'_a P'_b x and z = T^T y (`y_t`), with U, V,
-    W the T_0, T_{+1}, T_{-1} components (U = T Pi_0 z) and |P'_0 U| = |U|
-    (P'_0 is orthogonal), 2 = 2 |U|^2 + 4 |W|^2 and the same with |V|^2.
-    U = 0 is only an identity for m = 2, else |U| is reported as 0.  The
-    orthogonality <P'_0 y, y> = 0 is |V|^2 - |W|^2 = 0 in tangent
-    coordinates, which projection_pairwise_max reads.
+def _case_residuals(system: CliffordSystem, y_t, plus, minus):
+    """max |U| per normal, for the T_0 component U = T Pi_0 z of the curved
+    pair y = P'_1 P'_2 x, z = T^T y (`y_t`), with Pi_0 = I - Pi_{+1} -
+    Pi_{-1}.  U = 0 is only an identity for m = 2, else this is 0.  The
+    norm bookkeeping 2 = 2 |U|^2 + 4 |W|^2 (and with |V|^2) is
+    2 (1 - |z|^2) +- 2 (|V|^2 - |W|^2): the tangency and the pairwise term
+    again, which case_identity_max and projection_pairwise_max read.
     """
-    z = y_t[:, :, system.m:]            # pairs a, b >= 1
-    u_sq = np.sum((z @ pi0) ** 2, axis=3)       # U = T Pi_0 z
-    bookkeeping = np.max(
-        np.maximum(np.abs(2.0 - (2.0 * u_sq + 4.0 * p_minus[..., system.m:])),
-                   np.abs(2.0 - (2.0 * u_sq + 4.0 * p_plus[..., system.m:]))),
-        axis=2, initial=0.0)
-    u_max = (np.sqrt(np.max(u_sq, axis=2, initial=0.0)) if system.m == 2
-             else np.zeros(u_sq.shape[:2]))
-    return bookkeeping, u_max
+    if system.m != 2:
+        return np.zeros(y_t.shape[:2])
+    pi0 = np.eye(plus.shape[-1]) - plus - minus
+    u_sq = np.sum((y_t[:, :, 2:] @ pi0) ** 2, axis=3)   # the pair (1, 2)
+    return np.sqrt(np.max(u_sq, axis=2))
 
 
 def _chain(system: CliffordSystem, coeffs: np.ndarray, first: tuple, ops,
-           pairs, own, balance) -> np.ndarray:
+           pairs, balance) -> np.ndarray:
     """The worst residual of the per-normal checks, max_spectrum_deviation
-    and CHECK_NAMES[4:], at each point of a block whose first point and
-    normal are `first` (indices into certify_point's input), as (P, 7).
-    The points come as arrays, all in tangent coordinates: the shape
-    operators under test, the tangent slice of the pair coordinates, the
-    system's own shape operators S_a, and the balance at the coordinate
-    normals, which certify_point reads once per point."""
-    spectrum, pi0, plus, minus = _decompose(system, ops, coeffs, first)
-    reflection = _reflection(_at_normals(coeffs, own), plus, minus)
+    and CHECK_NAMES[4:8] and [9], at each point of a block whose first
+    point and normal are `first` (indices into certify_point's input), as
+    (P, 6).  The points come as arrays, all in tangent coordinates: the
+    shape operators under test, the tangent slice of the pair coordinates,
+    and the balance at the coordinate normals, which certify_point reads
+    once per point."""
+    spectrum, plus, minus = _decompose(system, ops, coeffs, first)
     y_t = _rotated(pairs, coeffs)
     p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3) for pi in (plus, minus))
     pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    case = np.maximum(*_case_residuals(system, y_t, pi0, p_plus, p_minus))
     # chain_max: the projection sum against c . b, the balance at the normal
     return np.stack([fold(np.abs(r), axis=1) for r in (
         spectrum, (coeffs @ balance[:, :, None])[..., 0] - signed_proj,
-        pairwise, signed_proj, leak, reflection, case)], axis=1)
+        pairwise, signed_proj, leak,
+        _case_residuals(system, y_t, plus, minus))], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +304,16 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     What the normal does not change is read once, over all points: the
     non-finite guard (SpectrumError naming the point), the pair tangency
     (folded into case_identity_max after the blocks, so it counts with no
-    normals too), and the criterion and the balance
-    tr((Pi_{+1} - Pi_{-1}) Ric_closed) = tr(A_xi Ric_closed), linear in xi,
-    at the coordinate normals (residual_max, balance_max, bridge_max).  The
+    normals too), and, at the coordinate normals, since each is linear in
+    xi, the criterion, the balance
+    tr((Pi_{+1} - Pi_{-1}) Ric_closed) = tr(A_xi Ric_closed)
+    (residual_max, balance_max, bridge_max) and the sign gap
+    A_a + T^T P_a T (reflection_max, _sign_gap), whose T^T P_a T is formed
+    from T and the P_a, never taken from the operators under test.  The
     chain then runs over blocks that fit _BLOCK_BYTES (_block_points):
     whole points, or chunks of one point's normals folded into the point's
-    row by their maximum (NaN if any is NaN).  The system's own shape
-    operators S_a = -T^T P_a T, which the reflection reads, are formed here
-    once per block of points from T and the P_a, never taken from the
-    operators under test, and a point's residuals do not depend on the
-    block it is in.
+    row by their maximum (NaN if any is NaN), and it reads no ambient
+    array, so a point's residuals do not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -335,22 +326,22 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
             f"point {bad[0]}: shape operators have non-finite entries")
     reduced = _contractions(shape.ricci, ops)
     balance = _contractions(frame.closed_ricci, ops)
+    gap = _sign_gap(system, frame, ops)
     pairs = frame.pair_coords[..., system.m + 2:]
     num = coeffs.shape[1]
     step, chunk = _block_points(system, num)
-    chain = np.empty((count, 7))
+    chain = np.empty((count, 6))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        t = frame.tangent[rows]
-        own = -t.swapaxes(1, 2)[:, None] @ (system.matrices @ t[:, None])
         chain[rows] = fold([_chain(system, coeffs[rows, k:k + chunk], (lo, k),
-                                   ops[rows], pairs[rows], own, balance[rows])
+                                   ops[rows], pairs[rows], balance[rows])
                             for k in range(0, max(1, num), chunk)], axis=0)
-    # the last column is case_identity_max
-    chain[:, -1] = np.maximum(chain[:, -1], _pair_tangency(system, frame))
     per_point = [fold(np.abs(r), axis=1)
                  for r in (reduced, balance, reduced - balance)]
-    return np.column_stack([chain[:, 0], *per_point, chain[:, 1:]])
+    # the last column is case_identity_max
+    return np.column_stack([
+        chain[:, 0], *per_point, chain[:, 1:5], gap,
+        np.maximum(chain[:, 5], _pair_tangency(system, frame))])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ a second route to a quantity the package computes another way:
     P'_0 = sum_a c_a P_a (dense_p0_tangent), to what it reads in tangent
     coordinates: the pair vectors rotated before they are projected on T,
     T^T P'_0 T for -A_xi, |P'_0 U|^2 for |U|^2, and the reflection
-    (P'_0 +- I) T Pi_{+-1}, whose tangent part the chain reads;
+    (P'_0 +- I) T Pi_{+-1}, whose tangent part is, beyond rounding, the
+    sign gap through a projector, which the chain reads once per point;
+  * norm_bookkeeping is the m > 2 case's norm bookkeeping, which the chain
+    reads as the pair tangency and the pairwise balance;
   * take picks points out of a stacked frame or shape record.
 """
 
@@ -114,8 +117,8 @@ def signed_balance(system, frame, shape, coeffs):
     """tr((Pi_{+1} - Pi_{-1}) Ric_closed) at every point and normal of a
     (P, N, m+1) stack of coefficients, with the chain's purified
     projectors; (P, N)."""
-    _, _, plus, minus = willmore._decompose(system, shape.operators, coeffs,
-                                            (0, 0))
+    _, plus, minus = willmore._decompose(system, shape.operators, coeffs,
+                                         (0, 0))
     return np.sum((plus - minus) * frame.closed_ricci[:, None], axis=(2, 3))
 
 
@@ -190,6 +193,16 @@ def ambient_reflection(system, frame, coeffs, plus, minus):
     p0t = dense_p0_tangent(system, frame, coeffs)
     t = frame.tangent[:, None]
     return (p0t + t) @ plus, (p0t - t) @ minus
+
+
+def norm_bookkeeping(m, y_t, pi0, p_plus, p_minus):
+    """2 - (2 |U|^2 + 4 |W|^2) and 2 - (2 |U|^2 + 4 |V|^2) for every curved
+    pair y = P'_a P'_b x, a, b >= 1, of the chain's (P, N, m(m+1)/2, n)
+    rotated pairs y_t, with |U| = |Pi_0 z| and the squared projections
+    |V|^2 = p_plus, |W|^2 = p_minus; each (P, N, m(m-1)/2)."""
+    u_sq = np.sum((y_t[:, :, m:] @ pi0) ** 2, axis=3)
+    return (2.0 - (2.0 * u_sq + 4.0 * p_minus[..., m:]),
+            2.0 - (2.0 * u_sq + 4.0 * p_plus[..., m:]))
 
 
 def take(block, rows):

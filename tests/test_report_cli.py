@@ -62,6 +62,16 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"invalid tolerance pde={flag}: "
                                              "expected a positive finite"):
             VerificationConfig(tolerances={"pde": flag})
+    # a grid that is no sequence, or tolerances that are no mapping, is
+    # named as such rather than failing inside the loops
+    for value in (None, 5):
+        with pytest.raises(ValueError, match=f"invalid configurations "
+                                             f"{value}: expected a sequence"):
+            VerificationConfig(configurations=value)
+    for value in (None, [("pde", 1e-6)]):
+        with pytest.raises(ValueError, match=r"invalid tolerances .*: "
+                                             "expected a mapping"):
+            VerificationConfig(tolerances=value)
     assert VerificationConfig(configurations=(("2", "2"),),
                               tolerances={"pde": "1e-6"}).tolerances["pde"] \
         == 1e-6
@@ -655,10 +665,14 @@ def _swap_points(shapes):
     return take(shapes, order)
 
 
-def _scale_one_point(record):
-    ops = np.array(record.operators)
-    ops[3] *= 1.0 + 1e-7
-    return replace(record, operators=ops)
+def _scale_one_point(eps):
+    """A fault of a record of shape operators: point 3's are scaled by
+    1 + eps."""
+    def fault(record):
+        ops = np.array(record.operators)
+        ops[3] *= 1.0 + eps
+        return replace(record, operators=ops)
+    return fault
 
 
 def _push_pair(column):
@@ -716,24 +730,28 @@ def _tripped(entry, tolerances):
      ["geometry.ricci_crosscheck_max", "willmore.balance_max",
       "willmore.bridge_max", "willmore.projection_pairwise_max",
       "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max",
-      "willmore.reflection_max", "willmore.case_identity_max"]),
-    ("shape_operators", _on_result(_scale_one_point), ["lemma"],
+      "willmore.reflection_max"]),
+    ("shape_operators", _on_result(_scale_one_point(1e-7)),
+     ["lemma", "willmore"],
+     ["lemma.max_spectrum_deviation", "willmore.reflection_max"]),
+    ("shape_operators", _on_result(_scale_one_point(7e-9)), ["lemma"],
      ["lemma.max_spectrum_deviation"]),
-    ("build_frame", _on_result(_scale_one_point), ["geometry", "lemma"],
+    ("build_frame", _on_result(_scale_one_point(1e-7)),
+     ["geometry", "lemma", "willmore"],
      ["geometry.S_max_gap", "geometry.S_spread",
-      "geometry.ricci_crosscheck_max", "lemma.max_spectrum_deviation"]),
+      "geometry.ricci_crosscheck_max", "lemma.max_spectrum_deviation",
+      "willmore.reflection_max"]),
     ("build_frame", _on_result(_shift_closed_ricci), ["geometry"],
      ["geometry.ricci_crosscheck_max"]),
     ("einstein_probe", _probe_without_pairs, ["einstein"], []),
     ("build_frame", _on_result(_push_pair(5)), ["willmore"],
      ["willmore.chain_max", "willmore.projection_pairwise_max",
-      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max",
-      "willmore.case_identity_max"]),
+      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"]),
     ("build_frame", _on_result(_push_pair(1)), ["willmore"],
      ["willmore.case_identity_max"]),
-], ids=["flip-sign", "swap-points", "scale-one-point", "scale-frame-operators",
-        "shift-crosscheck", "zero-pairs-einstein", "push-pair-tangent",
-        "push-pair-normal"])
+], ids=["flip-sign", "swap-points", "scale-one-point", "scale-one-point-floor",
+        "scale-frame-operators", "shift-crosscheck", "zero-pairs-einstein",
+        "push-pair-tangent", "push-pair-normal"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
                                                 failed, fields):
     # each fault is injected at the name report.py looks up, and every block
@@ -741,24 +759,26 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
     # keeps every spectrum and every quantity even in A; a swap misplaces
     # the Ricci tensors and the projectors, while the Einstein probe reads
     # only the frames' closed-form Ricci matrices and still passes; scaling
-    # one point's operators by 1 + 1e-7 gives |A^3 - A| ~ 2e-7 (above the
-    # lemma's 1e-8, inside the 1e-6 cluster radius, so the chain still
-    # runs), and the purified projectors keep the scale out of every
-    # Willmore identity; scaled where they are formed, the operators also
-    # move S and the Ricci tensor derived from them; a closed form shifted
-    # by 2 moves only the cross-check (the balance reads it through
+    # one point's operators by 1 + eps gives |A^3 - A| ~ 2 eps (inside the
+    # 1e-6 cluster radius, so the chain still runs) and the sign gap
+    # A_a + T^T P_a T ~ eps, while the purified projectors keep the scale
+    # out of every other Willmore identity: at eps = 1e-7 both pass the
+    # 1e-8 of geom (1.9e-7 and 9.7e-8), at eps = 7e-9 only the lemma does
+    # (1.36e-8, the gap 6.8e-9), as it does for eps between 5.2e-9 and
+    # 1.03e-8; scaled where they are formed, the operators also move S and
+    # the Ricci tensor derived from them; a closed form shifted by 2 moves
+    # only the cross-check (the balance reads it through
     # tr(Pi_{+1}) - tr(Pi_{-1}) = 0); and a probe that sees no pair
     # products finds the spread 0 where (3, 2) must give evidence of a
     # non-Einstein metric.  A pair vector pushed along the first tangent
     # column (index m + 2 = 5) moves the projections, and with them the
-    # leak, the bookkeeping and the projection sum against a balance that
-    # the closed form, built before the push, keeps; pushed along P_0 x
-    # (column 1) it leaves the tangent space and only the tangency sees it.
-    # `fields` names every residual that the fault puts above its
-    # tolerance: a flipped sign shows only in the reflection (1.98), whose
-    # S_a are formed apart from the operators, and a pushed pair never in
-    # it, as the reflection reads no leak (the einstein gate has no
-    # residual field)
+    # leak and the projection sum against a balance that the closed form,
+    # built before the push, keeps; pushed along P_0 x (column 1) it leaves
+    # the tangent space and only the tangency sees it.  `fields` names
+    # every residual that the fault puts above its tolerance: a flipped
+    # sign shows only in the sign gap (1.97), whose T^T P_a T is formed
+    # apart from the operators, and a pushed pair never in it (the einstein
+    # gate has no residual field)
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,

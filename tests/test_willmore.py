@@ -21,8 +21,8 @@ from fkm_willmore.geometry import pair_products
 from fkm_willmore.report import CHECKED_FIELDS, DEFAULT_TOLERANCES
 
 from conftest import GRID, conjugated_system, corrupt_system
-from oracles import (ambient_reflection, p0_tangent_form, p0_u_sq,
-                     rotate_system, rotated_normals, rotated_pairs,
+from oracles import (ambient_reflection, norm_bookkeeping, p0_tangent_form,
+                     p0_u_sq, rotate_system, rotated_normals, rotated_pairs,
                      rotated_tangency, signed_balance, take)
 
 # certify_point's checks, in the key order of the lemma and willmore blocks
@@ -74,10 +74,11 @@ def _passes(row):
 
 def _projectors(system, shapes, coeffs):
     """The chain's deviations and projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a
-    (P, N, m+1) stack of coefficients."""
-    deviation, *projectors = willmore._decompose(
+    (P, N, m+1) stack of coefficients, with Pi_0 the complement
+    I - Pi_{+1} - Pi_{-1} that the chain forms for m = 2."""
+    deviation, plus, minus = willmore._decompose(
         system, shapes.operators, np.asarray(coeffs), (0, 0))
-    return deviation, *projectors
+    return deviation, np.eye(plus.shape[-1]) - plus - minus, plus, minus
 
 
 @pytest.mark.parametrize("m,k,dims", [(1, 3, (1, 1, 1)), (2, 2, (2, 1, 1)),
@@ -235,6 +236,33 @@ def test_case_identities(m, k):
             # P'_0 U = 0 is an identity here, and the other case
             # identities hold to rounding as well
             assert res["case_identity_max"] <= 1e-12
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2)])
+def test_case_identity_is_the_tangency_and_u_at_m2(m, k):
+    # with the (1, 2) pair pushed by 1e-3 along the first tangent column,
+    # the pair keeps its tangency, and for m = 2 its T_0 component
+    # U = T Pi_0 z no longer vanishes: case_identity_max is the tangency,
+    # and for m = 2 the larger max |U| over the normals
+    system, frames, shapes = _setup(m, k, extra_points=2)
+    coeffs = np.array([_normals(m, 6, default_rng(55 + m))
+                       for _ in frames.x])
+    coords = np.array(frames.pair_coords)
+    coords[:, 1, 2, m + 2] += 1e-3
+    coords[:, 2, 1, m + 2] -= 1e-3
+    forged = replace(frames, pair_coords=coords)
+    case = certify_point(system, forged, shapes, coeffs)[
+        :, CHECK_NAMES.index("case_identity_max")]
+    tangency = willmore._pair_tangency(system, forged)
+    assert np.array_equal(tangency, willmore._pair_tangency(system, frames))
+    if m == 2:
+        _, pi0, _, _ = _projectors(system, shapes, coeffs)
+        y_t = willmore._rotated(coords[..., m + 2:], coeffs)
+        u = np.max(np.linalg.norm(y_t[:, :, 2:] @ pi0, axis=3), axis=(1, 2))
+        assert np.all(u > 1e-5) and np.all(u > tangency)
+        assert np.allclose(case, u, rtol=1e-12, atol=0.0)
+    else:
+        assert np.array_equal(case, tangency)
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -434,13 +462,10 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
                         for (f, s), c in zip(_each(frames, shapes), coeffs)])
     # the byte size of one (point, normal) row: A_xi, the projectors and
     # the purification, the completion, the pair vectors and the rotated
-    # products; and of one point: the system's own S_a and the P_a T they
-    # are formed from, and with its m + 4 rows
-    m1, dim = m + 1, system.ambient_dim
-    n = frames.tangent.shape[2]
+    # products; and of one point, its m + 4 rows and nothing else
+    m1, n = m + 1, frames.tangent.shape[2]
     row = 8 * (5 * n * n + m1 * m1 + (m1 * m // 2 + 2 * m1 * m1) * n)
-    fixed = 8 * m1 * (dim + n) * n
-    point = row * (m + 4) + fixed
+    point = row * (m + 4)
     # block boundaries anywhere: one point per block, budgets of 2 and 3
     # points (and one byte short of 3) that split the 7 points unevenly, and
     # all points in one block
@@ -458,7 +483,7 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     # where longer blocks take matrix products, so the rows agree to
     # rounding (worst seen 2.2e-15, at (4, 2)), not bit for bit; residual_max,
     # balance_max and bridge_max are read before any block, bit for bit
-    for budget, normals in ((1, 1), (fixed + 3 * row, 3),
+    for budget, normals in ((1, 1), (3 * row, 3),
                             (point - 1, (m + 5) // 2)):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         assert willmore._block_points(system, m + 4) == (1, normals)
@@ -492,11 +517,11 @@ def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
                                        (9, 1, 50)])
 def test_chain_block_peak_fits_the_budget(m, k, extra):
     # the row model against measured memory: the traced peak of one chain
-    # block, the system's own S_a of the points that _block_points allows
-    # for the coordinate normals and `extra` random ones a point, and one
-    # chunk of their normals through the chain, stays within _BLOCK_BYTES
-    # (peaks seen: 852, 554, 993 and 830 KB).  The rows of a (9, 1) point
-    # with 60 normals exceed it, so its block is one point with 15 of them
+    # block, the points that _block_points allows for the coordinate
+    # normals and `extra` random ones a point, with one chunk of their
+    # normals, stays within _BLOCK_BYTES (peaks seen: 844, 521, 1018 and
+    # 987 KB).  The rows of a (9, 1) point with 60 normals exceed it, so
+    # its block is one point with 20 of them
     system = build_clifford_system(m, k)
     count, num = willmore._block_points(system, m + 1 + extra)
     frames = build_frame(system,
@@ -506,13 +531,11 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])[:, :num]
     point = (shapes.operators, frames.pair_coords[..., m + 2:])
     balance = willmore._contractions(frames.closed_ricci, shapes.operators)
-    t = frames.tangent
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        own = -t.swapaxes(1, 2)[:, None] @ (system.matrices @ t[:, None])
-        willmore._chain(system, coeffs, (0, 0), *point, own, balance)
+        willmore._chain(system, coeffs, (0, 0), *point, balance)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -543,43 +566,43 @@ def test_only_the_reflection_reads_ambient_arrays(m, k):
 def test_per_point_reads_run_once_per_call(monkeypatch):
     # what the normal does not change is read once per certify_point call,
     # whatever the block layout: under a budget that splits each (9, 1)
-    # point's 60 normals into 4 chunks of 15, the two contractions run once
-    # for all 3 points, and each block of points forms one set of the
-    # system's own S_a = -T^T P_a T, which every chunk of its normals shares
+    # point's 60 normals into 4 chunks of 15, the two contractions and the
+    # sign gap run once for all 3 points, and every chunk reads slices of
+    # the operators under test and of the frame's pair coordinates, with
+    # no S_a of its own
     system, frames, shapes = _setup(9, 1, extra_points=2)
     monkeypatch.setattr(willmore, "_BLOCK_BYTES", 1_000_000)
     assert willmore._block_points(system, 60) == (1, 15)
     rng = default_rng(95)
     coeffs = np.array([_normals(9, 50, rng) for _ in frames.x])
-    contractions, chunks = [], []
-    contract, chain = willmore._contractions, willmore._chain
+    contractions, gaps, chunks = [], [], []
+    contract, gap, chain = (willmore._contractions, willmore._sign_gap,
+                            willmore._chain)
 
     def counted_contractions(*args):
         contractions.append(args)
         return contract(*args)
 
-    def counted_chain(system, coeffs, first, ops, pairs, own, balance):
-        chunks.append((first, own))
-        return chain(system, coeffs, first, ops, pairs, own, balance)
+    def counted_gap(*args):
+        gaps.append(args)
+        return gap(*args)
+
+    def counted_chain(system, coeffs, first, *arrays):
+        chunks.append((first, arrays))
+        return chain(system, coeffs, first, *arrays)
 
     monkeypatch.setattr(willmore, "_contractions", counted_contractions)
+    monkeypatch.setattr(willmore, "_sign_gap", counted_gap)
     monkeypatch.setattr(willmore, "_chain", counted_chain)
     rows = certify_point(system, frames, shapes, coeffs)
     assert all(_passes(row) for row in rows)
-    assert len(contractions) == 2
+    assert len(contractions) == 2 and len(gaps) == 1
     assert [first for first, _ in chunks] == [
         (p, k) for p in range(3) for k in (0, 15, 30, 45)]
-    # the chunks hold their S_a alive, so distinct arrays are distinct
-    # formations: one per point, shared by its 4 chunks, and none is the
-    # operators under test
-    assert len({id(own) for _, own in chunks}) == 3
-    for p in range(3):
-        assert len({id(own) for first, own in chunks if first[0] == p}) == 1
-        t = frames.tangent[p:p + 1]
-        own = chunks[4 * p][1]
-        assert np.array_equal(own, -t.swapaxes(1, 2)[:, None]
-                              @ (system.matrices @ t[:, None]))
-        assert not np.shares_memory(own, shapes.operators)
+    for _, (ops, pairs, balance) in chunks:
+        assert np.shares_memory(ops, shapes.operators)
+        assert np.shares_memory(pairs, frames.pair_coords)
+        assert balance.shape == (1, 10)
 
 
 @pytest.mark.parametrize("m,k", GRID + [(9, 1)])
@@ -649,8 +672,7 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
     y_t = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
     assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
                   ) <= 1e-14
-    _, pi0, _, _ = willmore._decompose(system, shapes.operators, coeffs,
-                                       (0, 0))
+    _, pi0, _, _ = _projectors(system, shapes, coeffs)
     a_xi = willmore._at_normals(coeffs, shapes.operators)
     assert np.max(np.abs(a_xi + p0_tangent_form(system, frames, coeffs))
                   ) <= 1e-14
@@ -662,43 +684,82 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
 
 @pytest.mark.parametrize("m,k", GRID + [(9, 1)])
 def test_ambient_reflection_splits_into_what_the_chain_reads(m, k):
-    # the ambient route that the chain no longer takes,
-    # (P'_0 +- I) T Pi_{+-1}, in the orthonormal basis
-    # [x | P'_0 x .. P'_m x | T]: nothing along x or P'_0 x, the curved
-    # components Pi_{+-1} z of the (0, b) pair vectors z = T^T P'_0 P'_b x
-    # (the leaks) along P'_b x, and along T the chain's n x n form
-    # (I -+ S_xi) Pi_{+-1}, with the system's own S_xi.  The worst gaps
-    # seen were 3.6e-16, 3.4e-16, 3.8e-16, 1.3e-15 and, for the
-    # reflection's maximum, 2.1e-16
+    # the ambient route of the reflection, (P'_0 +- I) T Pi_{+-1}, in the
+    # orthonormal basis [x | P'_0 x .. P'_m x | T]: nothing along x or
+    # P'_0 x, the curved components Pi_{+-1} z of the (0, b) pair vectors
+    # z = T^T P'_0 P'_b x (the leaks) along P'_b x, and along T
+    # +-(I -+ S_xi) Pi_{+-1}, with the system's own S_xi = -T^T P'_0 T.
+    # As A_xi Pi_{+-1} = +-Pi_{+-1}, that tangent part is
+    # (A_xi - S_xi) Pi_{+-1}: the gap G_xi = sum_a c_a G_a,
+    # G_a = A_a + T^T P_a T, through a projector, whose entries are at most
+    # sqrt((m + 1) n) max_a |G_a|, what certify_point reads once per point.
+    # With point 0's operators negated the tangent part reads 2 Pi_{+-1}
+    # there (at most 0.41 of the bound), and the split still holds.  The
+    # worst gaps seen were 3.6e-16, 3.4e-16, 3.8e-16, 6.7e-16 and 6.2e-16
     system = build_clifford_system(m, k)
     frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
     shapes = shape_operators(frames)
     rng = default_rng(85 + m)
     coeffs = np.array([[_unit(rng, m + 1) for _ in range(8)]
                        for _ in frames.x])
-    _, _, plus, minus = willmore._decompose(system, shapes.operators, coeffs,
-                                            (0, 0))
     t = frames.tangent
     tt = t.swapaxes(1, 2)[:, None]
     s_xi = willmore._at_normals(coeffs, -tt @ (system.matrices @ t[:, None]))
     pairs = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
     normals = rotated_normals(system, frames, coeffs)
     eye = np.eye(t.shape[2])
-    ambient_plus, ambient_minus = ambient_reflection(system, frames, coeffs,
-                                                     plus, minus)
-    worst = []
-    for sign, pi, ambient in ((1.0, plus, ambient_plus),
-                              (-1.0, minus, ambient_minus)):
-        along_normals = normals @ ambient
-        along_t = tt @ ambient
-        assert np.max(np.abs(frames.x[:, None, None] @ ambient)) <= 1e-14
-        assert np.max(np.abs(along_normals[:, :, 0])) <= 1e-14
-        assert np.max(np.abs(along_normals[:, :, 1:] - pairs[:, :, :m] @ pi)
+    bound = np.sqrt((m + 1) * t.shape[2]) * (1 + 1e-12)
+    flipped = np.array(shapes.operators)
+    flipped[0] *= -1.0
+    for ops in (shapes.operators, flipped):
+        shape = _forged_shape(shapes, ops)
+        _, _, plus, minus = _projectors(system, shape, coeffs)
+        a_xi = willmore._at_normals(coeffs, ops)
+        gap = certify_point(system, frames, shape, coeffs)[
+            :, CHECK_NAMES.index("reflection_max")]
+        ambient_plus, ambient_minus = ambient_reflection(system, frames,
+                                                         coeffs, plus, minus)
+        for sign, pi, ambient in ((1.0, plus, ambient_plus),
+                                  (-1.0, minus, ambient_minus)):
+            along_normals = normals @ ambient
+            along_t = tt @ ambient
+            assert np.max(np.abs(frames.x[:, None, None] @ ambient)) <= 1e-14
+            assert np.max(np.abs(along_normals[:, :, 0])) <= 1e-14
+            assert np.max(np.abs(along_normals[:, :, 1:]
+                                 - pairs[:, :, :m] @ pi)) <= 1e-14
+            assert np.max(np.abs(along_t - sign * (eye - sign * s_xi) @ pi)
+                          ) <= 1e-14
+            assert np.max(np.abs(along_t - (a_xi - s_xi) @ pi)) <= 1e-14
+            assert np.all(np.max(np.abs(along_t), axis=(1, 2, 3))
+                          <= bound * gap + 1e-14)
+    assert gap[0] >= 1.0 and np.all(gap[1:] == 0.0)
+
+
+@pytest.mark.parametrize("m,k", GRID + [(9, 1)])
+def test_norm_bookkeeping_is_the_tangency_and_the_pairwise_term(m, k):
+    # the m > 2 case's norm bookkeeping, 2 = 2 |U|^2 + 4 |W|^2 and the same
+    # with |V|^2 for a curved pair, which the chain no longer reads, is
+    # 2 (1 - |z|^2) +- 2 (|V|^2 - |W|^2) with z = T^T y: the unit norm of
+    # the pair vector, which the tangency reads, and the pairwise term.
+    # Also with the pairs scaled by 1.001, where the unit term reads 4e-3.
+    # The worst gaps seen were 1.3e-15 and 1.4e-15
+    system, frames, shapes = _setup(m, k, extra_points=4, seed=23)
+    rng = default_rng(75 + m)
+    coeffs = np.array([[_unit(rng, m + 1) for _ in range(8)]
+                       for _ in frames.x])
+    _, pi0, plus, minus = _projectors(system, shapes, coeffs)
+    for scale in (1.0, 1.001):
+        y_t = willmore._rotated(scale * frames.pair_coords[..., m + 2:],
+                                coeffs)
+        p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3)
+                           for pi in (plus, minus))
+        with_w, with_v = norm_bookkeeping(m, y_t, pi0, p_plus, p_minus)
+        unit = 2.0 * (1.0 - np.sum(y_t[:, :, m:] ** 2, axis=3))
+        pairwise = 2.0 * (p_plus - p_minus)[..., m:]
+        assert np.max(np.abs(with_w - (unit + pairwise)), initial=0.0
                       ) <= 1e-14
-        assert np.max(np.abs(along_t - (eye - sign * s_xi) @ pi)) <= 1e-14
-        worst.append(np.max(np.abs(along_t), axis=(2, 3)))
-    assert np.max(np.abs(willmore._reflection(s_xi, plus, minus)
-                         - np.maximum(*worst))) <= 1e-14
+        assert np.max(np.abs(with_v - (unit - pairwise)), initial=0.0
+                      ) <= 1e-14
 
 
 def test_certify_point_block_errors_name_the_point():
