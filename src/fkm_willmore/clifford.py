@@ -26,9 +26,8 @@ to 1e-12.
 Admissibility: the focal manifold construction needs m2 = l - m - 1 >= 1.
 
 Rotations within the unit sphere of Span{P_0, ..., P_m} preserve all of the
-relations; the Willmore chain realises them with a closed-form orthonormal
-completion (one Householder reflection, _orthonormal_completion), so that
-repeated runs give bitwise identical output.
+relations; the Willmore chain never forms one: it reads its pair identities
+as per-point tensors that hold for every rotation at once.
 """
 
 from __future__ import annotations
@@ -236,25 +235,6 @@ def verify_clifford_relations(system: CliffordSystem) -> Check:
                  np.trace(stack, axis1=1, axis2=2))
     return Check("max_deviation", fold([fold(np.abs(r)) for r in residuals]),
                  tol)
-
-
-def _orthonormal_completion(first: np.ndarray) -> np.ndarray:
-    """Orthonormal bases whose first rows are the rows of `first`.
-
-    `first` is an (N, dim) stack of unit vectors c; the result is
-    (N, dim, dim) with out[k] an orthonormal basis (as rows) and
-    out[k, 0] = first[k].  Each basis is the Householder reflection
-    I - w w^T / (1 + |c_0|) with w = c + s e_0, s = +1 for c_0 > 0 and -1
-    otherwise, so |w|^2 = 2 (1 + |c_0|) never cancels.  Its row 0 is -s c
-    and is set to c.  A coordinate vector c = e_j (j > 0) swaps e_0 and e_j.
-    """
-    c = np.asarray(first, dtype=float)
-    w = c.copy()
-    w[:, 0] += np.where(c[:, 0] > 0, 1.0, -1.0)
-    scaled = w / (1.0 + np.abs(c[:, :1]))
-    out = np.eye(c.shape[1]) - w[:, :, None] * scaled[:, None, :]
-    out[:, 0] = c
-    return out
 
 
 def dump_matrices(system: CliffordSystem) -> str:

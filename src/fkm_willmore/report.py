@@ -56,7 +56,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.

@@ -21,25 +21,31 @@ component U of P'_1 P'_2 x.  (For m > 2 the norm bookkeeping
 2 = |U|^2 + |P'_0 U|^2 + 4 |W|^2 is the pair tangency and the pairwise
 balance again, and is read as those.)  Each identity holds at one focal
 point with one adapted frame; the report module sweeps points and normal
-directions.  No eigenbasis is computed: on M+, A_xi^3 = A_xi, so the
-eigenspaces are read through the spectral projectors
-Pi_{+-1} = (A_xi^2 +- A_xi)/2 and Pi_0 = I - A_xi^2 in tangent coordinates,
-where the pair vectors are rotated too.  The reflection P'_0 v = -v on
-T_{+1}, P'_0 w = w on T_{-1} reads, beyond rounding and the pair leaks,
-only the gap A_a + T^T P_a T between the operators under test and the
-system's own; linear in xi, it is read once per point, and it is the one
-check of the operators' sign, as -A_a (the normals -P_a x) pass every
-other identity.  certify_point evaluates the chain over blocks of points
-x normals and returns the worst residual of every identity at every point.
+directions.  No eigenbasis is computed: on M+, A_xi^3 = A_xi, and the
+lemma reads that and the traces of the spectral projectors
+Pi_{+-1} = (A_xi^2 +- A_xi)/2, Pi_0 = I - A_xi^2 for every sampled normal.
+Every other identity is read once per point for every normal and every
+rotation at once: those linear in xi at the coordinate normals, and the
+pairwise balance, the (0, b) leaks and |U| as tensors in the pair
+vectors' tangent coordinates Z_cd = T^T P_c P_d x, whose worst entries
+bound them at every normal (docs/derivations.md, section 9).  The
+reflection P'_0 v = -v on T_{+1}, P'_0 w = w on T_{-1} reads, beyond
+rounding and the pair leaks, only the gap A_a + T^T P_a T between the
+operators under test and the system's own; linear in xi, it is read once
+per point, and it is the one check of the operators' sign, as -A_a (the
+normals -P_a x) pass every other identity.  certify_point evaluates the
+chain over blocks of points and returns the worst residual of every
+identity at every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
-from .clifford import CliffordSystem, _orthonormal_completion
+from .clifford import CliffordSystem
 from .errors import MultiplicityError, SpectrumError
 from .geometry import AdaptedFrame, ShapeData
 from .records import Record, fold
@@ -73,14 +79,14 @@ class EinsteinProbe(Record):
 
 
 # ---------------------------------------------------------------------------
-# the chain, batched over a block of points and their normals
+# the chain: the lemma per normal, the pair identities per point
 # ---------------------------------------------------------------------------
 #
-# The helpers below take a block of P points with N normals each (leading
-# axes P, N) and return one value per normal; certify_point reads what the
-# normal does not change once per point, and runs them once per block.
-# Each (point, normal) row is computed on its own, so a row's values do
-# not depend on the other rows of the block.
+# The helpers below take a block of P points (leading axis P) and return
+# one value per point, or per point and normal for the lemma; certify_point
+# runs them once per block.  Each point (and each (point, normal) row of
+# the lemma) is computed on its own, so its values do not depend on the
+# other rows of the block.
 
 # Bytes of intermediates the chain holds at a time; the shape of a block
 # follows from the system (_block_points).
@@ -89,23 +95,34 @@ _BLOCK_BYTES = 1_200_000
 
 def _block_points(system: CliffordSystem, num: int) -> tuple:
     """Points and normals per chain block for points with `num` normals
-    each: as many whole points as fit _BLOCK_BYTES, or, when the rows of
-    one point alone exceed it, one point and its normals split evenly over
-    the fewest blocks that fit (one normal a block at least).
+    each: as many whole points as fit _BLOCK_BYTES, or, when the lemma rows
+    of one point alone exceed it, one point and its normals split evenly
+    over the fewest blocks that fit (one normal a block at least).
 
-    A (point, normal) row holds A_xi, the curved projectors and two
-    temporaries of the purification, 5 n^2 floats, and the pair vectors,
-    m(m+1)/2 n.  It peaks in the rotation, with the completion and the
-    half and full products, (m+1)^2 (2n + 1).  A point holds nothing per
-    block: what it reads beside its normals is read once per call.  At
-    (m, k) = (6, 1): 10.6 KB a row; at (9, 1): 59.6 KB a row, so 20 normals
-    fit a block and 60 normals run as 3 blocks of 20."""
+    A (point, normal) row of the lemma holds A_xi, A_xi^2 and A_xi^3, which
+    becomes |A_xi^3 - A_xi| in place, and its traces and counts: 4 n^2
+    floats.  A point's pair tensors (_pair_tensors) run after the lemma of
+    its block, which leaves only its maxima: the products Z_cd^T A_g and
+    the leak sums, 2 (m+1)^3 n floats, the pair slices of the products,
+    (m+1) p n with p = m(m+1)/2 pairs, K and its two gathers, about
+    2 (m+1) p^2, and the operators side by side, (m+1) n^2; at m = 2 the
+    |U| cubic and its symmetrization, 5 * 27 n.  A point takes the larger
+    of its rows and its tensors.  At (m, k) = (6, 1) with 57 normals:
+    106 KB of tensors and 117 KB of rows, so 10 points fit a block; at
+    (9, 1), 0.77 MB of tensors and 60 rows of 14 KB, so a point with 60
+    normals fits one."""
     m1 = system.m + 1
     n = system.ambient_dim - m1 - 1
+    npairs = m1 * system.m // 2
     num = max(1, num)
-    row = 8 * (5 * n * n + m1 * m1 + (m1 * system.m // 2 + 2 * m1 * m1) * n)
-    if row * num <= _BLOCK_BYTES:
-        return _BLOCK_BYTES // (row * num), num
+    row = 8 * 4 * n * n
+    tensors = 8 * m1 * (2 * m1 * m1 * n + npairs * n + 2 * npairs * npairs
+                        + n * n)
+    if system.m == 2:
+        tensors += 8 * 5 * 27 * n
+    point = max(tensors, row * num)
+    if point <= _BLOCK_BYTES:
+        return _BLOCK_BYTES // point, num
     blocks = -(-num // max(1, _BLOCK_BYTES // row))
     return 1, -(-num // blocks)
 
@@ -133,16 +150,6 @@ def _contractions(ricci: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.einsum("kpq,kapq->ka", ricci, ops)
 
 
-def _purified(proj: np.ndarray) -> np.ndarray:
-    """One McWeeny step 3 Pi^2 - 2 Pi^3 on a stack of near-projectors.
-
-    An eigenvalue 1 + d of Pi moves to 1 - 3 d^2 - 2 d^3 and an eigenvalue
-    d to 3 d^2 - 2 d^3, so a scale error of A_xi of order d reaches the
-    identities read through the projectors only at order d^2."""
-    sq = proj @ proj
-    return 3.0 * sq - 2.0 * (sq @ proj)
-
-
 def _at_normals(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """sum_a c_a X_a for every normal, (P, N, ...), from the (P, N, m+1)
     coefficients and a (P, m+1, ...) stack: A_xi from the shape
@@ -151,24 +158,22 @@ def _at_normals(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
         *coeffs.shape[:2], *stack.shape[2:])
 
 
-def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
-               first: tuple):
-    """Spectral projectors of every A_xi = sum_a c_a A_a, in tangent
-    coordinates.
+def _lemma(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
+           first: tuple) -> np.ndarray:
+    """max |A_xi^3 - A_xi| for every A_xi = sum_a c_a A_a, (P, N).
 
-    Returns the deviations max |A_xi^3 - A_xi| (P, N), then the projectors
-    Pi_{+1}, Pi_{-1} onto the eigenspaces for +1, -1, each (P, N, n, n).
     A deviation above CLUSTER_RADIUS raises SpectrumError, and traces of
-    (I - A^2, (A^2 + A)/2, (A^2 - A)/2) that do not round to
-    (m, l-m-1, l-m-1) raise MultiplicityError; both name the first failing
-    row as point first[0] + p, normal first[1] + k.  The curved projectors
-    are then purified (_purified); Pi_0 is their complement, which only
-    the m = 2 case reads (_case_residuals).
+    (I - A^2, (A^2 + A)/2, (A^2 - A)/2), the spectral projectors, that do
+    not round to (m, l-m-1, l-m-1) raise MultiplicityError; both name the
+    first failing row as point first[0] + p, normal first[1] + k.  A_xi,
+    A_xi^2 and A_xi^3 are the only per-normal arrays of the chain.
     """
     m, m2, n = system.m, system.m2, ops.shape[2]
     a_xi = _at_normals(coeffs, ops)
     sq = a_xi @ a_xi
-    deviation = np.max(np.abs(sq @ a_xi - a_xi), axis=(2, 3), initial=0.0)
+    cube = sq @ a_xi
+    cube -= a_xi
+    deviation = np.max(np.abs(cube, out=cube), axis=(2, 3), initial=0.0)
     bad = np.argwhere(~(deviation <= CLUSTER_RADIUS))
     if bad.size:
         p, k = bad[0]
@@ -188,23 +193,79 @@ def _decompose(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
             f"point {first[0] + p}, normal {first[1] + k}: principal "
             f"multiplicities {tuple(counts[p, k].tolist())} != expected "
             f"{expected} for (0, +1, -1)")
-    return (deviation, _purified((sq + a_xi) / 2.0),
-            _purified((sq - a_xi) / 2.0))
+    return deviation
 
 
-def _rotated(pairs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The pair vectors P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x for a < b,
-    with B the completion rows, in tangent coordinates: `pairs` is the
-    (P, m+1, m+1, n) tangent slice of the pair coordinates, and two matrix
-    products give (P, N, m(m+1)/2, n) in np.triu_indices order, so the m
-    pairs (0, b) come first."""
-    (count, num, m1), n = coeffs.shape, pairs.shape[3]
-    basis = _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
-        count, num, m1, m1)
-    half = basis @ pairs.reshape(count, 1, m1, m1 * n)
-    prods = basis[:, :, None] @ half.reshape(count, num, m1, m1, n)
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """The worst Euclidean norm along the last axis, per point (axis 0)."""
+    sq = np.einsum("...i,...i->...", vectors, vectors)
+    return np.sqrt(fold(sq.reshape(len(sq), -1), axis=1))
+
+
+def _pair_tables(m1: int) -> tuple:
+    """Index tables of the pairwise tensor for m + 1 = m1 generators.
+
+    Returns the columns c m1 + d of the pairs (c, d), c < d, in
+    np.triu_indices order, and three flat tables into K laid out as
+    (pair (c, d), g, pair (e, f)): the entries K^g_{cd,ef} for every g and
+    every row pair up to its column pair (the sum below is symmetric in
+    the two pairs), then where K^g_{ed,cf} sits for each, and the product
+    of the orientation signs of (e, d) and (c, f), 0 when e = d or c = f,
+    since P_c P_c x = x has no tangent part."""
     ia, ib = np.triu_indices(m1, k=1)
-    return prods[:, :, ia, ib]
+    count = len(ia)
+    index = np.zeros((m1, m1), dtype=int)
+    index[ia, ib] = index[ib, ia] = np.arange(count)
+    sign = np.zeros((m1, m1))
+    sign[ia, ib], sign[ib, ia] = 1.0, -1.0
+    row, col = np.triu_indices(count)
+    c, d, e, f = ia[row], ib[row], ia[col], ib[col]
+    g = np.arange(m1)[:, None]
+    return (ia * m1 + ib, ((row * m1 + g) * count + col).ravel(),
+            ((index[e, d] * m1 + g) * count + index[c, f]).ravel(),
+            np.tile(sign[e, d] * sign[c, f], m1))
+
+
+def _pair_tensors(system: CliffordSystem, ops: np.ndarray,
+                  pairs: np.ndarray, tables: tuple) -> tuple:
+    """The pair identities of the chain as tensors, for every normal and
+    every rotation to it at once, from the operators under test A_g
+    (P, m+1, n, n), the tangent coordinates Z_cd = T^T P_c P_d x
+    (P, m+1, m+1, n) of the pair vectors and _pair_tables(m + 1).
+
+    Returns the aggregate 2 tr(A_a Q^T Q) at the coordinate normals,
+    (P, m+1), and per point: the worst |K^g_{cd,ef} + K^g_{ed,cf}| over
+    c < d, e < f and g, with K^g_{cd,ef} = Z_cd^T A_g Z_ef (the pairwise
+    balance); the worst norm |A_g Z_cd + A_c Z_gd| (the leaks); and, for
+    m = 2, the worst norm of the symmetrized cubic coefficients of
+    (|xi|^2 I - A_xi^2) Z(*xi), the T_0 component of the curved pair
+    (|U|), else 0.  Each worst entry bounds its identity at every unit
+    normal within a factor in m (docs/derivations.md, section 9).
+    """
+    count, m1, n = len(ops), system.m + 1, ops.shape[2]
+    cols, direct, swapped, sign = tables
+    z = pairs.reshape(count, m1 * m1, n)
+    # one product per point: the rows Z_cd^T A_g, laid out as (c, d, g, n)
+    za = z @ ops.transpose(0, 2, 1, 3).reshape(count, n, m1 * n)
+    zag = za.reshape(count, m1, m1, m1, n)
+    leak = _norms(zag + zag.transpose(0, 3, 2, 1, 4))
+    k = (za[:, cols].reshape(count, -1, n)
+         @ z[:, cols].swapaxes(1, 2)).reshape(count, -1)
+    summed = k[:, swapped]
+    summed *= sign
+    summed += k[:, direct]
+    pairwise = fold(np.abs(summed, out=summed), axis=1)
+    aggregate = 2.0 * np.einsum("kpgp->kg", k.reshape(count, len(cols), m1,
+                                                      len(cols)))
+    u = np.zeros(count)
+    if system.m == 2:
+        # Z(*xi) = sum_e xi_e W_e with W = (Z_12, Z_20, Z_01)
+        w = pairs[:, [1, 2, 0], [2, 0, 1]]
+        cubic = (np.eye(3)[:, :, None, None] * w[:, None, None]
+                 - (w[:, None] @ ops)[:, None] @ ops[:, :, None])
+        u = _norms(sum(cubic.transpose(0, *order, 4)
+                       for order in permutations((1, 2, 3))) / 6.0)
+    return aggregate, pairwise, leak, u
 
 
 def _pair_tangency(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
@@ -232,54 +293,6 @@ def _sign_gap(system: CliffordSystem, frame: AdaptedFrame,
                 axis=0)
 
 
-def _projection_stats(m: int, p_plus: np.ndarray, p_minus: np.ndarray):
-    """Per normal: worst pair deviation, signed ordered-pair aggregate and
-    the worst leak norm of the m pairs (0, b)."""
-    diff = p_plus - p_minus
-    pairwise = np.max(np.abs(diff), axis=2, initial=0.0)
-    # The ordered sums of the balance identity double the unordered ones
-    # (P'_b P'_a x = -P'_a P'_b x leaves squared projections unchanged).
-    signed = 2.0 * np.sum(diff, axis=2)
-    leak = np.sqrt(np.max(np.maximum(p_plus[..., :m], p_minus[..., :m]),
-                          axis=2, initial=0.0))
-    return pairwise, signed, leak
-
-
-def _case_residuals(system: CliffordSystem, y_t, plus, minus):
-    """max |U| per normal, for the T_0 component U = T Pi_0 z of the curved
-    pair y = P'_1 P'_2 x, z = T^T y (`y_t`), with Pi_0 = I - Pi_{+1} -
-    Pi_{-1}.  U = 0 is only an identity for m = 2, else this is 0.  The
-    norm bookkeeping 2 = 2 |U|^2 + 4 |W|^2 (and with |V|^2) is
-    2 (1 - |z|^2) +- 2 (|V|^2 - |W|^2): the tangency and the pairwise term
-    again, which case_identity_max and projection_pairwise_max read.
-    """
-    if system.m != 2:
-        return np.zeros(y_t.shape[:2])
-    pi0 = np.eye(plus.shape[-1]) - plus - minus
-    u_sq = np.sum((y_t[:, :, 2:] @ pi0) ** 2, axis=3)   # the pair (1, 2)
-    return np.sqrt(np.max(u_sq, axis=2))
-
-
-def _chain(system: CliffordSystem, coeffs: np.ndarray, first: tuple, ops,
-           pairs, balance) -> np.ndarray:
-    """The worst residual of the per-normal checks, max_spectrum_deviation
-    and CHECK_NAMES[4:8] and [9], at each point of a block whose first
-    point and normal are `first` (indices into certify_point's input), as
-    (P, 6).  The points come as arrays, all in tangent coordinates: the
-    shape operators under test, the tangent slice of the pair coordinates,
-    and the balance at the coordinate normals, which certify_point reads
-    once per point."""
-    spectrum, plus, minus = _decompose(system, ops, coeffs, first)
-    y_t = _rotated(pairs, coeffs)
-    p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3) for pi in (plus, minus))
-    pairwise, signed_proj, leak = _projection_stats(system.m, p_plus, p_minus)
-    # chain_max: the projection sum against c . b, the balance at the normal
-    return np.stack([fold(np.abs(r), axis=1) for r in (
-        spectrum, (coeffs @ balance[:, :, None])[..., 0] - signed_proj,
-        pairwise, signed_proj, leak,
-        _case_residuals(system, y_t, plus, minus))], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # per-point aggregation
 # ---------------------------------------------------------------------------
@@ -292,28 +305,33 @@ CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
 
 def certify_point(system: CliffordSystem, frame: AdaptedFrame,
                   shape: ShapeData, normal_coeffs) -> np.ndarray:
-    """Every per-normal check at P points over their normal directions.
+    """Every check of the chain at P points; the lemma over their normal
+    directions.
 
     `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
     each point of the stacked `frame` and `shape`.  Returns a (P, 10) array
     of residuals, one row per point and one column per key of the report's
-    lemma and willmore blocks, in the order of CHECK_NAMES.  Each residual
-    is the worst over the point's normals, so identical inputs give
-    identical rows and the order of the normals does not matter.
+    lemma and willmore blocks, in the order of CHECK_NAMES.  The lemma's
+    max_spectrum_deviation is the worst over the point's normals, so
+    identical inputs give identical rows and the order of the normals does
+    not matter.
 
-    What the normal does not change is read once, over all points: the
-    non-finite guard (SpectrumError naming the point), the pair tangency
-    (folded into case_identity_max after the blocks, so it counts with no
-    normals too), and, at the coordinate normals, since each is linear in
-    xi, the criterion, the balance
+    Every other check is read once per point, for every normal at once.
+    Before any block, over all points: the non-finite guard (SpectrumError
+    naming the point), the pair tangency (folded into case_identity_max,
+    so it counts with no normals too), and, at the coordinate normals,
+    since each is linear in xi, the criterion, the balance
     tr((Pi_{+1} - Pi_{-1}) Ric_closed) = tr(A_xi Ric_closed)
     (residual_max, balance_max, bridge_max) and the sign gap
     A_a + T^T P_a T (reflection_max, _sign_gap), whose T^T P_a T is formed
-    from T and the P_a, never taken from the operators under test.  The
-    chain then runs over blocks that fit _BLOCK_BYTES (_block_points):
-    whole points, or chunks of one point's normals folded into the point's
-    row by their maximum (NaN if any is NaN), and it reads no ambient
-    array, so a point's residuals do not depend on the block it is in.
+    from T and the P_a, never taken from the operators under test.  Then,
+    over blocks that fit _BLOCK_BYTES (_block_points), the lemma of each
+    normal (_lemma; whole points, or chunks of one point's normals folded
+    into the point's row by their maximum, NaN if any is NaN) and the pair
+    tensors of each point (_pair_tensors: the pairwise balance, the leaks,
+    |U| at m = 2 and the aggregate, which chain_max holds against the
+    balance).  The blocks read no ambient array, so a point's residuals do
+    not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -330,18 +348,22 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     pairs = frame.pair_coords[..., system.m + 2:]
     num = coeffs.shape[1]
     step, chunk = _block_points(system, num)
-    chain = np.empty((count, 6))
+    tables = _pair_tables(system.m + 1)
+    aggregate = np.empty((count, system.m + 1))
+    spectrum, pairwise, leak, u = (np.empty(count) for _ in range(4))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        chain[rows] = fold([_chain(system, coeffs[rows, k:k + chunk], (lo, k),
-                                   ops[rows], pairs[rows], balance[rows])
-                            for k in range(0, max(1, num), chunk)], axis=0)
-    per_point = [fold(np.abs(r), axis=1)
-                 for r in (reduced, balance, reduced - balance)]
-    # the last column is case_identity_max
+        spectrum[rows] = fold([fold(_lemma(system, ops[rows],
+                                           coeffs[rows, k:k + chunk],
+                                           (lo, k)), axis=1)
+                               for k in range(0, max(1, num), chunk)], axis=0)
+        aggregate[rows], pairwise[rows], leak[rows], u[rows] = _pair_tensors(
+            system, ops[rows], pairs[rows], tables)
+    residual, bal, bridge, chain, agg = (fold(np.abs(r), axis=1) for r in (
+        reduced, balance, reduced - balance, balance - aggregate, aggregate))
     return np.column_stack([
-        chain[:, 0], *per_point, chain[:, 1:5], gap,
-        np.maximum(chain[:, 5], _pair_tangency(system, frame))])
+        spectrum, residual, bal, bridge, chain, pairwise, agg, leak, gap,
+        np.maximum(u, _pair_tangency(system, frame))])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ None of these is on the path from the command line to the report; each is
 a second route to a quantity the package computes another way:
 
   * rotate_system builds the rotated Clifford system matrix by matrix,
-    which the Willmore chain never does (it rotates P_a x and P_a P_b x by
-    bilinearity);
+    which no route of the Willmore chain does (chain_per_normal rotates
+    P_a x and P_a P_b x by bilinearity, the package reads the pair
+    identities for every rotation at once);
   * the sectional curvatures give the Ricci form through the Gauss
     equation, directly from the P_a and through the shape operators;
   * quartic, gradient and hessian are F and its ambient derivatives in
@@ -16,8 +17,17 @@ a second route to a quantity the package computes another way:
   * jacobian_rank is the rank of the rows x, P_0 x, ..., P_m x from their
     singular values, where certification reads the eigenvalues of the
     Gram matrix it forms for its J J^T = 4I guard;
-  * signed_balance and rotated_tangency are the Willmore chain's
-    per-normal routes to what it reads once per point: the balance
+  * orthonormal_completion is the Householder completion B of a unit
+    coefficient vector c, whose first row is c: the rotation to that
+    normal, which rotate_system and the per-normal chain below apply;
+  * projectors, rotated_tangent_pairs and chain_per_normal are that
+    per-normal chain: the purified spectral projectors of every A_xi, the
+    pair vectors rotated by B in tangent coordinates, and per normal the
+    pairwise balance |V|^2 - |W|^2, the signed aggregate, the (0, b) leaks
+    |Pi_{+-1} z| and, for m = 2, |U|, which the tensors bound at every
+    normal;
+  * signed_balance and rotated_tangency are the chain's per-normal routes
+    to what it reads once per point: the balance
     tr((Pi_{+1} - Pi_{-1}) Ric_closed) at each normal, and the tangency of
     the rotated pair vectors against x and the rotated normals;
   * rotated_pairs, p0_tangent_form, p0_u_sq and ambient_reflection are its
@@ -36,9 +46,27 @@ from dataclasses import fields
 
 import numpy as np
 
-from fkm_willmore import CliffordSystem, willmore
-from fkm_willmore.clifford import _orthonormal_completion
+from fkm_willmore import CliffordSystem
 from fkm_willmore.geometry import pair_products
+
+
+def orthonormal_completion(first):
+    """Orthonormal bases whose first rows are the rows of `first`.
+
+    `first` is an (N, dim) stack of unit vectors c; the result is
+    (N, dim, dim) with out[k] an orthonormal basis (as rows) and
+    out[k, 0] = first[k].  Each basis is the Householder reflection
+    I - w w^T / (1 + |c_0|) with w = c + s e_0, s = +1 for c_0 > 0 and -1
+    otherwise, so |w|^2 = 2 (1 + |c_0|) never cancels.  Its row 0 is -s c
+    and is set to c.  A coordinate vector c = e_j (j > 0) swaps e_0 and e_j.
+    """
+    c = np.asarray(first, dtype=float)
+    w = c.copy()
+    w[:, 0] += np.where(c[:, 0] > 0, 1.0, -1.0)
+    scaled = w / (1.0 + np.abs(c[:, :1]))
+    out = np.eye(c.shape[1]) - w[:, :, None] * scaled[:, None, :]
+    out[:, 0] = c
+    return out
 
 
 def rotate_system(system, coeffs):
@@ -46,7 +74,7 @@ def rotate_system(system, coeffs):
     coefficient vector c; the other matrices are the images of the
     Householder completion of c (rows 1..m).  A coordinate vector e_j swaps
     P_0 and P_j and keeps the other matrices."""
-    basis = _orthonormal_completion(np.asarray(coeffs, dtype=float)[None])[0]
+    basis = orthonormal_completion(np.asarray(coeffs, dtype=float)[None])[0]
     new = np.einsum("ab,bij->aij", basis, system.matrices)
     return CliffordSystem(m=system.m, l=system.l, matrices=tuple(new))
 
@@ -113,19 +141,75 @@ def jacobian_rank(system, x):
     return np.linalg.matrix_rank(rows, tol=1e-8)
 
 
+def _purified(proj):
+    """One McWeeny step 3 Pi^2 - 2 Pi^3 on a stack of near-projectors: an
+    eigenvalue 1 + d moves to 1 - 3 d^2 - 2 d^3 and d to 3 d^2 - 2 d^3."""
+    sq = proj @ proj
+    return 3.0 * sq - 2.0 * (sq @ proj)
+
+
+def projectors(operators, coeffs):
+    """A_xi = sum_a c_a A_a and its spectral projectors (Pi_0, Pi_{+1},
+    Pi_{-1}) at every point and normal of a (P, N, m+1) stack of
+    coefficients, each (P, N, n, n): Pi_{+-1} = (A^2 +- A) / 2, each
+    purified by one McWeeny step 3 Pi^2 - 2 Pi^3, and Pi_0 their
+    complement I - Pi_{+1} - Pi_{-1}."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    a_xi = np.einsum("kna,kaij->knij", coeffs, operators)
+    sq = a_xi @ a_xi
+    plus, minus = (_purified(pi) for pi in ((sq + a_xi) / 2.0,
+                                            (sq - a_xi) / 2.0))
+    return a_xi, np.eye(a_xi.shape[-1]) - plus - minus, plus, minus
+
+
 def signed_balance(system, frame, shape, coeffs):
     """tr((Pi_{+1} - Pi_{-1}) Ric_closed) at every point and normal of a
-    (P, N, m+1) stack of coefficients, with the chain's purified
-    projectors; (P, N)."""
-    _, plus, minus = willmore._decompose(system, shape.operators, coeffs,
-                                         (0, 0))
+    (P, N, m+1) stack of coefficients, with the purified projectors;
+    (P, N)."""
+    _, _, plus, minus = projectors(shape.operators, coeffs)
     return np.sum((plus - minus) * frame.closed_ricci[:, None], axis=(2, 3))
+
+
+def rotated_tangent_pairs(pairs, coeffs):
+    """The pair vectors P'_a P'_b x = sum_cd B_ac B_bd P_c P_d x for a < b,
+    with B the completion of each normal, in tangent coordinates: `pairs`
+    is the (P, m+1, m+1, n) tangent slice of the frame's pair coordinates,
+    and two matrix products give (P, N, m(m+1)/2, n) in np.triu_indices
+    order, so the m pairs (0, b) come first."""
+    (count, num, m1), n = coeffs.shape, pairs.shape[3]
+    basis = _completions(coeffs)
+    half = basis @ pairs.reshape(count, 1, m1, m1 * n)
+    prods = basis[:, :, None] @ half.reshape(count, num, m1, m1, n)
+    ia, ib = np.triu_indices(m1, k=1)
+    return prods[:, :, ia, ib]
+
+
+def chain_per_normal(system, frame, operators, coeffs):
+    """The pair identities at every point and normal, through the rotation
+    to the normal and its purified projectors: the worst pairwise
+    |V|^2 - |W|^2 = |Pi_{+1} y|^2 - |Pi_{-1} y|^2 over the rotated pairs
+    y, the signed aggregate 2 sum_{a<b} (|V|^2 - |W|^2), the worst leak
+    max(|Pi_{+1} z|, |Pi_{-1} z|) over the pairs (0, b), and for m = 2 the
+    norm |U| = |Pi_0 z| of the curved pair's T_0 component (else 0); each
+    (P, N)."""
+    m = system.m
+    _, pi0, plus, minus = projectors(operators, coeffs)
+    y_t = rotated_tangent_pairs(frame.pair_coords[..., m + 2:],
+                                np.asarray(coeffs, dtype=float))
+    p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3)
+                       for pi in (plus, minus))
+    diff = p_plus - p_minus
+    leak = np.sqrt(np.max(np.maximum(p_plus[..., :m], p_minus[..., :m]),
+                          axis=2))
+    u = (np.linalg.norm(y_t[:, :, 2:] @ pi0, axis=3)[..., 0] if m == 2
+         else np.zeros(diff.shape[:2]))
+    return np.max(np.abs(diff), axis=2), 2.0 * np.sum(diff, axis=2), leak, u
 
 
 def _completions(coeffs):
     """The completion rows B of every (P, N, m+1) coefficient vector."""
     m1 = coeffs.shape[2]
-    return _orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
+    return orthonormal_completion(coeffs.reshape(-1, m1)).reshape(
         *coeffs.shape[:2], m1, m1)
 
 

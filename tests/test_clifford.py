@@ -19,11 +19,11 @@ from fkm_willmore import (AdmissibilityError, CliffordSystem,
                           build_skew_generators, certify_point, delta,
                           dump_matrices, sample_focal_points, shape_operators,
                           verify_clifford_relations)
-from fkm_willmore.clifford import _orthonormal_completion, _product
+from fkm_willmore.clifford import _product
 
 from conftest import (GRID, NON_FINITE, conjugated_system, corrupt_system,
                       nan_pair_system)
-from oracles import parse_dump, rotate_system
+from oracles import orthonormal_completion, parse_dump, rotate_system
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
 
@@ -214,12 +214,12 @@ def test_completion_batch_equals_rows():
     rng = default_rng(8)
     first = np.vstack([np.eye(5), rng.standard_normal((6, 5))])
     first /= np.linalg.norm(first, axis=1)[:, None]
-    batch = _orthonormal_completion(first)
+    batch = orthonormal_completion(first)
     assert batch.shape == (11, 5, 5)
     for row, basis in zip(first, batch):
         assert np.array_equal(basis[0], row)
         assert np.max(np.abs(basis @ basis.T - np.eye(5))) <= 1e-14
-        assert np.max(np.abs(_orthonormal_completion(row[None])[0]
+        assert np.max(np.abs(orthonormal_completion(row[None])[0]
                              - basis)) <= 1e-15
     # e_2 first: the reflection swaps e_0 and e_2, the rest stay in place
     assert np.array_equal(batch[2], np.eye(5)[[2, 1, 0, 3, 4]])
@@ -255,7 +255,7 @@ def _unit_rows():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(c=_unit_rows())
 def test_completion_is_an_orthonormal_householder_basis(c):
-    basis = _orthonormal_completion(c[None])[0]
+    basis = orthonormal_completion(c[None])[0]
     assert np.array_equal(basis[0], c)
     assert np.max(np.abs(basis @ basis.T - np.eye(len(c)))) <= 1e-14
     if np.count_nonzero(c) == 1:

@@ -675,14 +675,14 @@ def _scale_one_point(eps):
     return fault
 
 
-def _push_pair(column):
+def _push_pair(column, eps=1e-6):
     """A fault of build_frame's result: the (0, 1) pair of point 7 gains
-    1e-6 in one column of its coordinates [x | P_0 x .. P_m x | T], and the
+    eps in one column of its coordinates [x | P_0 x .. P_m x | T], and the
     (1, 0) pair loses it."""
     def fault(frames):
         coords = np.array(frames.pair_coords)
-        coords[7, 0, 1, column] += 1e-6
-        coords[7, 1, 0, column] -= 1e-6
+        coords[7, 0, 1, column] += eps
+        coords[7, 1, 0, column] -= eps
         return replace(frames, pair_coords=coords)
     return fault
 
@@ -723,46 +723,52 @@ def _tripped(entry, tolerances):
             and not entry["blocks"][name][key] <= tolerances[held]]
 
 
-@pytest.mark.parametrize("target,patch,failed,fields", [
-    ("build_frame", _on_result(_flip_one_point), ["willmore"],
+@pytest.mark.parametrize("config,target,patch,failed,fields", [
+    ((3, 2), "build_frame", _on_result(_flip_one_point), ["willmore"],
      ["willmore.reflection_max"]),
-    ("shape_operators", _on_result(_swap_points), ["geometry", "willmore"],
+    ((3, 2), "shape_operators", _on_result(_swap_points),
+     ["geometry", "willmore"],
      ["geometry.ricci_crosscheck_max", "willmore.balance_max",
       "willmore.bridge_max", "willmore.projection_pairwise_max",
       "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max",
       "willmore.reflection_max"]),
-    ("shape_operators", _on_result(_scale_one_point(1e-7)),
+    ((3, 2), "shape_operators", _on_result(_scale_one_point(1e-7)),
      ["lemma", "willmore"],
      ["lemma.max_spectrum_deviation", "willmore.reflection_max"]),
-    ("shape_operators", _on_result(_scale_one_point(7e-9)), ["lemma"],
+    ((3, 2), "shape_operators", _on_result(_scale_one_point(7e-9)), ["lemma"],
      ["lemma.max_spectrum_deviation"]),
-    ("build_frame", _on_result(_scale_one_point(1e-7)),
+    ((3, 2), "build_frame", _on_result(_scale_one_point(1e-7)),
      ["geometry", "lemma", "willmore"],
      ["geometry.S_max_gap", "geometry.S_spread",
       "geometry.ricci_crosscheck_max", "lemma.max_spectrum_deviation",
       "willmore.reflection_max"]),
-    ("build_frame", _on_result(_shift_closed_ricci), ["geometry"],
+    ((3, 2), "build_frame", _on_result(_shift_closed_ricci), ["geometry"],
      ["geometry.ricci_crosscheck_max"]),
-    ("einstein_probe", _probe_without_pairs, ["einstein"], []),
-    ("build_frame", _on_result(_push_pair(5)), ["willmore"],
+    ((3, 2), "einstein_probe", _probe_without_pairs, ["einstein"], []),
+    ((3, 2), "build_frame", _on_result(_push_pair(5)), ["willmore"],
      ["willmore.chain_max", "willmore.projection_pairwise_max",
       "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"]),
-    ("build_frame", _on_result(_push_pair(1)), ["willmore"],
+    ((3, 2), "build_frame", _on_result(_push_pair(1)), ["willmore"],
      ["willmore.case_identity_max"]),
+    ((6, 1), "build_frame", _on_result(_push_pair(8, 5e-8)), ["willmore"],
+     ["willmore.chain_max", "willmore.projection_pairwise_max",
+      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"]),
 ], ids=["flip-sign", "swap-points", "scale-one-point", "scale-one-point-floor",
         "scale-frame-operators", "shift-crosscheck", "zero-pairs-einstein",
-        "push-pair-tangent", "push-pair-normal"])
-def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
-                                                failed, fields):
+        "push-pair-tangent", "push-pair-normal", "push-pair-tangent-6-1"])
+def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
+                                                patch, failed, fields):
     # each fault is injected at the name report.py looks up, and every block
     # not in `failed` passes.  A sign flipped where the operators are formed
     # keeps every spectrum and every quantity even in A; a swap misplaces
-    # the Ricci tensors and the projectors, while the Einstein probe reads
+    # the Ricci tensors and the operators against the pairs, while the
+    # Einstein probe reads
     # only the frames' closed-form Ricci matrices and still passes; scaling
     # one point's operators by 1 + eps gives |A^3 - A| ~ 2 eps (inside the
     # 1e-6 cluster radius, so the chain still runs) and the sign gap
-    # A_a + T^T P_a T ~ eps, while the purified projectors keep the scale
-    # out of every other Willmore identity: at eps = 1e-7 both pass the
+    # A_a + T^T P_a T ~ eps, while the pair tensors, linear in A, scale
+    # only their rounding (at m = 3 there is no |U| cubic, which reads the
+    # scale): at eps = 1e-7 both pass the
     # 1e-8 of geom (1.9e-7 and 9.7e-8), at eps = 7e-9 only the lemma does
     # (1.36e-8, the gap 6.8e-9), as it does for eps between 5.2e-9 and
     # 1.03e-8; scaled where they are formed, the operators also move S and
@@ -771,19 +777,21 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, target, patch,
     # tr(Pi_{+1}) - tr(Pi_{-1}) = 0); and a probe that sees no pair
     # products finds the spread 0 where (3, 2) must give evidence of a
     # non-Einstein metric.  A pair vector pushed along the first tangent
-    # column (index m + 2 = 5) moves the projections, and with them the
-    # leak and the projection sum against a balance that the closed form,
-    # built before the push, keeps; pushed along P_0 x (column 1) it leaves
-    # the tangent space and only the tangency sees it.  `fields` names
-    # every residual that the fault puts above its tolerance: a flipped
-    # sign shows only in the sign gap (1.97), whose T^T P_a T is formed
-    # apart from the operators, and a pushed pair never in it (the einstein
-    # gate has no residual field)
+    # column (index m + 2 = 5) moves the pairwise and leak tensors, and the
+    # aggregate against a balance that the closed form, built before the
+    # push, keeps; pushed along P_0 x (column 1) it leaves the tangent
+    # space and only the tangency sees it.  At (6, 1) the push is sized so
+    # that the pairwise tensor trips (1.52e-8): the per-normal chain it
+    # replaced read 7.6e-9 there at 50 random normals, and passed.
+    # `fields` names every residual that the fault puts above its
+    # tolerance: a flipped sign shows only in the sign gap (1.97), whose
+    # T^T P_a T is formed apart from the operators, and a pushed pair
+    # never in it (the einstein gate has no residual field)
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
-    cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
+    cfg = VerificationConfig(configurations=(config,), n_points=20,
                              n_normals=5)
-    entry = evaluate_system(build_clifford_system(3, 2), cfg, 0)
+    entry = evaluate_system(build_clifford_system(*config), cfg, 0)
     assert sorted(name for name, block in entry["blocks"].items()
                   if not block["pass"]) == failed
     assert _tripped(entry, cfg.tolerances) == fields

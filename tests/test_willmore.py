@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import fields, replace
+from itertools import permutations
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -21,8 +22,9 @@ from fkm_willmore.geometry import pair_products
 from fkm_willmore.report import CHECKED_FIELDS, DEFAULT_TOLERANCES
 
 from conftest import GRID, conjugated_system, corrupt_system
-from oracles import (ambient_reflection, norm_bookkeeping, p0_tangent_form,
-                     p0_u_sq, rotate_system, rotated_normals, rotated_pairs,
+from oracles import (ambient_reflection, chain_per_normal, norm_bookkeeping,
+                     p0_tangent_form, p0_u_sq, projectors, rotate_system,
+                     rotated_normals, rotated_pairs, rotated_tangent_pairs,
                      rotated_tangency, signed_balance, take)
 
 # certify_point's checks, in the key order of the lemma and willmore blocks
@@ -73,25 +75,25 @@ def _passes(row):
 
 
 def _projectors(system, shapes, coeffs):
-    """The chain's deviations and projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a
-    (P, N, m+1) stack of coefficients, with Pi_0 the complement
-    I - Pi_{+1} - Pi_{-1} that the chain forms for m = 2."""
-    deviation, plus, minus = willmore._decompose(
-        system, shapes.operators, np.asarray(coeffs), (0, 0))
-    return deviation, np.eye(plus.shape[-1]) - plus - minus, plus, minus
+    """The lemma's deviations and the per-normal chain's purified
+    projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a (P, N, m+1) stack of
+    coefficients, with Pi_0 the complement I - Pi_{+1} - Pi_{-1}."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    deviation = willmore._lemma(system, shapes.operators, coeffs, (0, 0))
+    return (deviation, *projectors(shapes.operators, coeffs)[1:])
 
 
 @pytest.mark.parametrize("m,k,dims", [(1, 3, (1, 1, 1)), (2, 2, (2, 1, 1)),
                                       (5, 1, (5, 2, 2))])
 def test_principal_multiplicities(m, k, dims):
-    # the eigenspace dimensions are the traces of the chain's projectors
+    # the eigenspace dimensions are the traces of the spectral projectors
     system, frames, shapes = _setup(m, k)
     rng = default_rng(m)
     for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(50)]
-        deviation, *projectors = _projectors(system, shape, [coeffs])
+        deviation, *spectral = _projectors(system, shape, [coeffs])
         assert dims == (m, system.m2, system.m2)
-        for proj, dim in zip(projectors, dims):
+        for proj, dim in zip(spectral, dims):
             traces = np.trace(proj, axis1=2, axis2=3)
             assert np.max(np.abs(traces - dim)) <= 1e-12
         assert np.max(deviation) <= 1e-12
@@ -216,9 +218,10 @@ def test_projection_balance_and_chain(m, k):
             assert pairwise < 1e-8
             assert aggregate < 1e-8
             assert res["t0_pair_leak_max"] < 1e-12
-            # coarse bound: the aggregate over the m (m + 1) ordered pairs
-            # cannot exceed pair count times the worst single pair
-            assert aggregate <= m * (m + 1) * pairwise + 1e-15
+            # the aggregate 2 tr(A_a Q^T Q) is the sum of the m (m + 1) / 2
+            # diagonal entries 2 K^a_{cd,cd} of the pairwise tensor, so it
+            # cannot exceed pair count times the worst entry
+            assert aggregate <= m * (m + 1) / 2 * pairwise + 1e-15
             # the aggregate projection balance is the Ricci balance, term
             # by term, through the pair-vector expansion
             assert res["chain_max"] < 1e-8
@@ -243,7 +246,9 @@ def test_case_identity_is_the_tangency_and_u_at_m2(m, k):
     # with the (1, 2) pair pushed by 1e-3 along the first tangent column,
     # the pair keeps its tangency, and for m = 2 its T_0 component
     # U = T Pi_0 z no longer vanishes: case_identity_max is the tangency,
-    # and for m = 2 the larger max |U| over the normals
+    # and for m = 2 the larger worst coefficient of the cubic
+    # (|xi|^2 I - A_xi^2) Z(*xi), which bounds |U| at every normal within
+    # 3^(3/2) (held against the per-normal chain's |U| at 6 random normals)
     system, frames, shapes = _setup(m, k, extra_points=2)
     coeffs = np.array([_normals(m, 6, default_rng(55 + m))
                        for _ in frames.x])
@@ -255,13 +260,16 @@ def test_case_identity_is_the_tangency_and_u_at_m2(m, k):
         :, CHECK_NAMES.index("case_identity_max")]
     tangency = willmore._pair_tangency(system, forged)
     assert np.array_equal(tangency, willmore._pair_tangency(system, frames))
+    u = willmore._pair_tensors(system, shapes.operators, coords[..., m + 2:],
+                               willmore._pair_tables(m + 1))[3]
     if m == 2:
-        _, pi0, _, _ = _projectors(system, shapes, coeffs)
-        y_t = willmore._rotated(coords[..., m + 2:], coeffs)
-        u = np.max(np.linalg.norm(y_t[:, :, 2:] @ pi0, axis=3), axis=(1, 2))
-        assert np.all(u > 1e-5) and np.all(u > tangency)
-        assert np.allclose(case, u, rtol=1e-12, atol=0.0)
+        sampled = np.max(chain_per_normal(system, forged, shapes.operators,
+                                          coeffs)[3], axis=1)
+        assert np.all(sampled > 1e-5) and np.all(u > tangency)
+        assert np.all(sampled <= 3.0 ** 1.5 * u)
+        assert np.array_equal(case, u)
     else:
+        assert np.array_equal(u, np.zeros(len(u)))
         assert np.array_equal(case, tangency)
 
 
@@ -353,17 +361,22 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
 
 
 def test_certify_point_without_normals():
-    # with no normals the per-normal checks read 0, but the pair tangency
-    # belongs to the point, so case_identity_max still reports it
+    # with no normals the lemma reads 0; every other check is read once per
+    # point, for every normal at once, so it reads what it reads with
+    # normals, and case_identity_max still holds the tangency and, at
+    # m = 2, |U|
     system, frame, shape = _setup(2, 2, extra_points=0)
     row = certify_point(system, frame, shape, np.zeros((1, 0, 3)))[0]
     assert row.shape == (len(CHECK_NAMES),)
     assert _passes(row)
     res = dict(zip(CHECK_NAMES, row))
     assert res["max_spectrum_deviation"] == 0.0
+    with_normals = certify_point(system, frame, shape, [np.eye(3)])[0]
+    assert with_normals[0] > 0.0
+    assert np.array_equal(row[1:], with_normals[1:])
     tangency = willmore._pair_tangency(system, frame)[0]
     assert tangency > 0.0
-    assert res["case_identity_max"] == tangency
+    assert res["case_identity_max"] >= tangency
 
 
 def _forged_shape(shape, operators):
@@ -460,12 +473,16 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     coeffs = [_normals(m, 3, rng) for _ in frames.x]
     singles = np.array([certify_point(system, f, s, [c])[0]
                         for (f, s), c in zip(_each(frames, shapes), coeffs)])
-    # the byte size of one (point, normal) row: A_xi, the projectors and
-    # the purification, the completion, the pair vectors and the rotated
-    # products; and of one point, its m + 4 rows and nothing else
-    m1, n = m + 1, frames.tangent.shape[2]
-    row = 8 * (5 * n * n + m1 * m1 + (m1 * m // 2 + 2 * m1 * m1) * n)
-    point = row * (m + 4)
+    # the byte size of one (point, normal) row of the lemma: A_xi, its
+    # square and cube, and the deviation in the cube's place; and of one
+    # point, the larger of its m + 4 rows and its pair tensors: the
+    # products Z_cd^T A_g and their leak sums, the pair slices, K and two
+    # gathers of it, a copy of the operators, and at m = 2 the cubic of |U|
+    m1, n, p = m + 1, frames.tangent.shape[2], m * (m + 1) // 2
+    row = 8 * 4 * n * n
+    tensors = 8 * m1 * (2 * m1 * m1 * n + p * n + 2 * p * p + n * n)
+    tensors += 8 * 5 * 27 * n if m == 2 else 0
+    point = max(tensors, row * (m + 4))
     # block boundaries anywhere: one point per block, budgets of 2 and 3
     # points (and one byte short of 3) that split the 7 points unevenly, and
     # all points in one block
@@ -478,50 +495,60 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
         assert np.array_equal(certify_point(system, frames, shapes, coeffs),
                               singles)
     # a point's normals split evenly over the fewest blocks that fit: one
-    # normal per block, at most 3, and one byte short of all m + 4 (two
-    # halves).  A block of one normal takes numpy's matrix-vector products
-    # where longer blocks take matrix products, so the rows agree to
-    # rounding (worst seen 2.2e-15, at (4, 2)), not bit for bit; residual_max,
-    # balance_max and bridge_max are read before any block, bit for bit
+    # normal per block, at most 3, and one byte short of all m + 4 rows
+    # (two halves).  A block of one normal takes numpy's matrix-vector
+    # products where longer blocks take matrix products, so the lemma's
+    # rows agree to rounding, not bit for bit; every other check is read
+    # per point, bit for bit
     for budget, normals in ((1, 1), (3 * row, 3),
-                            (point - 1, (m + 5) // 2)):
+                            (row * (m + 4) - 1, (m + 5) // 2)):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         assert willmore._block_points(system, m + 4) == (1, normals)
         rows = certify_point(system, frames, shapes, coeffs)
         assert np.allclose(rows, singles, rtol=0.0, atol=1e-13)
-        assert np.array_equal(rows[:, 1:4], singles[:, 1:4])
+        assert np.array_equal(rows[:, 1:], singles[:, 1:])
 
 
-@pytest.mark.parametrize("m,k,blocks", [(1, 3, 1), (6, 1, 20)])
+def _count_calls(monkeypatch, name, calls):
+    """Wrap willmore.`name` so that each call appends its arguments."""
+    original = getattr(willmore, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(willmore, name, counted)
+
+
+@pytest.mark.parametrize("m,k,blocks", [(1, 3, 1), (6, 1, 2)])
 def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
     # 20 points x (50 + m + 1) normals: the small (1,3) runs as one block,
-    # (6,1), about 0.61 MB a point, as one point per block
-    calls = []
-    chain = willmore._chain
-
-    def counted(system, coeffs, *rest):
-        calls.append(coeffs.shape[:2])
-        return chain(system, coeffs, *rest)
-
-    monkeypatch.setattr(willmore, "_chain", counted)
+    # (6,1), 117 KB a point (57 lemma rows of 2 KB above its 106 KB of
+    # pair tensors), as two blocks of 10 points; a block reads the lemma of
+    # all its points' normals in one call and the tensors of its points in
+    # another
+    lemmas, tensors = [], []
+    _count_calls(monkeypatch, "_lemma", lemmas)
+    _count_calls(monkeypatch, "_pair_tensors", tensors)
     cfg = VerificationConfig(configurations=((m, k),), n_points=20,
                              n_normals=50)
     entry = evaluate_system(build_clifford_system(m, k), cfg, 0)
     assert entry["blocks"]["willmore"]["pass"]
-    assert len(calls) == blocks
-    assert sum(p for p, _ in calls) == 20
-    assert {num for _, num in calls} == {50 + m + 1}
+    assert [args[2].shape[:2] for args in lemmas] == (
+        [(20 // blocks, 50 + m + 1)] * blocks)
+    assert [len(args[1]) for args in tensors] == [20 // blocks] * blocks
 
 
 @pytest.mark.parametrize("m,k,extra", [(3, 2, 50), (6, 1, 50), (6, 1, 0),
                                        (9, 1, 50)])
 def test_chain_block_peak_fits_the_budget(m, k, extra):
-    # the row model against measured memory: the traced peak of one chain
-    # block, the points that _block_points allows for the coordinate
+    # the block model against measured memory: the traced peak of one
+    # chain block, the points that _block_points allows for the coordinate
     # normals and `extra` random ones a point, with one chunk of their
-    # normals, stays within _BLOCK_BYTES (peaks seen: 844, 521, 1018 and
-    # 987 KB).  The rows of a (9, 1) point with 60 normals exceed it, so
-    # its block is one point with 20 of them
+    # normals, through the lemma and then the pair tensors, stays within
+    # _BLOCK_BYTES (peaks seen: 807, 920, 802 and 642 KB).  The 60 lemma
+    # rows of a (9, 1) point, 14 KB each, fit, so its block is one point
+    # with all of its normals
     system = build_clifford_system(m, k)
     count, num = willmore._block_points(system, m + 1 + extra)
     frames = build_frame(system,
@@ -529,13 +556,14 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     shapes = shape_operators(frames)
     rng = default_rng(90 + m)
     coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])[:, :num]
-    point = (shapes.operators, frames.pair_coords[..., m + 2:])
-    balance = willmore._contractions(frames.closed_ricci, shapes.operators)
+    pairs = frames.pair_coords[..., m + 2:]
+    tables = willmore._pair_tables(m + 1)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        willmore._chain(system, coeffs, (0, 0), *point, balance)
+        willmore._lemma(system, shapes.operators, coeffs, (0, 0))
+        willmore._pair_tensors(system, shapes.operators, pairs, tables)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -564,51 +592,39 @@ def test_only_the_reflection_reads_ambient_arrays(m, k):
 
 
 def test_per_point_reads_run_once_per_call(monkeypatch):
-    # what the normal does not change is read once per certify_point call,
-    # whatever the block layout: under a budget that splits each (9, 1)
-    # point's 60 normals into 4 chunks of 15, the two contractions and the
-    # sign gap run once for all 3 points, and every chunk reads slices of
-    # the operators under test and of the frame's pair coordinates, with
-    # no S_a of its own
+    # what the normal does not change is read once per certify_point call
+    # or once per point, whatever the block layout: under a budget that
+    # splits each (9, 1) point's 60 normals into 4 chunks of 15, the two
+    # contractions and the sign gap run once for all 3 points, the pair
+    # tensors once per point, and every lemma chunk and tensor call reads
+    # slices of the operators under test and of the frame's pair
+    # coordinates
     system, frames, shapes = _setup(9, 1, extra_points=2)
-    monkeypatch.setattr(willmore, "_BLOCK_BYTES", 1_000_000)
+    monkeypatch.setattr(willmore, "_BLOCK_BYTES", 250_000)
     assert willmore._block_points(system, 60) == (1, 15)
     rng = default_rng(95)
     coeffs = np.array([_normals(9, 50, rng) for _ in frames.x])
-    contractions, gaps, chunks = [], [], []
-    contract, gap, chain = (willmore._contractions, willmore._sign_gap,
-                            willmore._chain)
-
-    def counted_contractions(*args):
-        contractions.append(args)
-        return contract(*args)
-
-    def counted_gap(*args):
-        gaps.append(args)
-        return gap(*args)
-
-    def counted_chain(system, coeffs, first, *arrays):
-        chunks.append((first, arrays))
-        return chain(system, coeffs, first, *arrays)
-
-    monkeypatch.setattr(willmore, "_contractions", counted_contractions)
-    monkeypatch.setattr(willmore, "_sign_gap", counted_gap)
-    monkeypatch.setattr(willmore, "_chain", counted_chain)
+    contractions, gaps, lemmas, tensors = [], [], [], []
+    for name, calls in (("_contractions", contractions), ("_sign_gap", gaps),
+                        ("_lemma", lemmas), ("_pair_tensors", tensors)):
+        _count_calls(monkeypatch, name, calls)
     rows = certify_point(system, frames, shapes, coeffs)
     assert all(_passes(row) for row in rows)
     assert len(contractions) == 2 and len(gaps) == 1
-    assert [first for first, _ in chunks] == [
+    assert [args[3] for args in lemmas] == [
         (p, k) for p in range(3) for k in (0, 15, 30, 45)]
-    for _, (ops, pairs, balance) in chunks:
-        assert np.shares_memory(ops, shapes.operators)
-        assert np.shares_memory(pairs, frames.pair_coords)
-        assert balance.shape == (1, 10)
+    assert len(tensors) == 3
+    for args in lemmas + tensors:
+        assert np.shares_memory(args[1], shapes.operators)
+    for args in tensors:
+        assert np.shares_memory(args[2], frames.pair_coords)
 
 
 @pytest.mark.parametrize("m,k", GRID + [(9, 1)])
 def test_eigenbasis_blocks_are_orthonormal(m, k):
-    # the chain holds each eigenspace as its projector Pi = V V^T instead of
-    # an orthonormal eigenbasis V; V is orthonormal exactly when Pi is a
+    # the per-normal chain holds each eigenspace as its projector Pi = V V^T
+    # instead of an orthonormal eigenbasis V, and the lemma reads their
+    # traces; V is orthonormal exactly when Pi is a
     # symmetric idempotent, and the three eigenspaces are orthogonal when
     # the projectors annihilate each other.  Over 20 points x 50 random
     # normals (and the coordinate normals) the worst deviation seen was
@@ -616,11 +632,11 @@ def test_eigenbasis_blocks_are_orthonormal(m, k):
     system, frames, shapes = _setup(m, k, extra_points=19)
     rng = default_rng(70 + m)
     coeffs = np.array([_normals(m, 50, rng) for _ in frames.x])
-    _, *projectors = _projectors(system, shapes, coeffs)
-    for i, pi in enumerate(projectors):
+    _, *spectral = _projectors(system, shapes, coeffs)
+    for i, pi in enumerate(spectral):
         assert np.max(np.abs(pi - pi.swapaxes(2, 3))) <= 1e-13
         assert np.max(np.abs(pi @ pi - pi)) <= 1e-13
-        for other in projectors[i + 1:]:
+        for other in spectral[i + 1:]:
             assert np.max(np.abs(pi @ other)) <= 1e-13
 
 
@@ -630,7 +646,8 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
     # what the chain reads once per point, or in tangent coordinates,
     # against the per-normal routes of the oracles: the balance is linear in
     # the normal, the rotated pairs and normals are orthonormal images of
-    # the frame's own, the rotation commutes with the projection on T,
+    # the frame's own, the rotation (of the per-normal chain's
+    # rotated_tangent_pairs) commutes with the projection on T,
     # T^T P'_0 T = -A_xi and |P'_0 U| = |U|.  At 5 points x 8 normals the
     # worst gaps seen were 5.2e-14, 8.7e-16, 6.7e-16, 5.6e-16 and 1.1e-15
     system = (conjugated_system(m, k, seed=5) if conjugated
@@ -669,7 +686,7 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
         assert np.all(rotated <= factor * read)
         assert np.all(read <= factor * rotated)
     t = frames.tangent[:, None]
-    y_t = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
+    y_t = rotated_tangent_pairs(frames.pair_coords[..., m + 2:], coeffs)
     assert np.max(np.abs(y_t - rotated_pairs(system, frames, coeffs) @ t)
                   ) <= 1e-14
     _, pi0, _, _ = _projectors(system, shapes, coeffs)
@@ -705,7 +722,7 @@ def test_ambient_reflection_splits_into_what_the_chain_reads(m, k):
     t = frames.tangent
     tt = t.swapaxes(1, 2)[:, None]
     s_xi = willmore._at_normals(coeffs, -tt @ (system.matrices @ t[:, None]))
-    pairs = willmore._rotated(frames.pair_coords[..., m + 2:], coeffs)
+    pairs = rotated_tangent_pairs(frames.pair_coords[..., m + 2:], coeffs)
     normals = rotated_normals(system, frames, coeffs)
     eye = np.eye(t.shape[2])
     bound = np.sqrt((m + 1) * t.shape[2]) * (1 + 1e-12)
@@ -749,8 +766,8 @@ def test_norm_bookkeeping_is_the_tangency_and_the_pairwise_term(m, k):
                        for _ in frames.x])
     _, pi0, plus, minus = _projectors(system, shapes, coeffs)
     for scale in (1.0, 1.001):
-        y_t = willmore._rotated(scale * frames.pair_coords[..., m + 2:],
-                                coeffs)
+        y_t = rotated_tangent_pairs(scale * frames.pair_coords[..., m + 2:],
+                                    coeffs)
         p_plus, p_minus = (np.sum((y_t @ pi) ** 2, axis=3)
                            for pi in (plus, minus))
         with_w, with_v = norm_bookkeeping(m, y_t, pi0, p_plus, p_minus)
@@ -760,6 +777,112 @@ def test_norm_bookkeeping_is_the_tangency_and_the_pairwise_term(m, k):
                       ) <= 1e-14
         assert np.max(np.abs(with_v - (unit - pairwise)), initial=0.0
                       ) <= 1e-14
+
+
+@pytest.mark.parametrize("m,k,conjugated",
+                         [(m, k, c) for c in (False, True) for m, k in GRID])
+def test_pair_tensors_bound_the_per_normal_chain(m, k, conjugated):
+    # the per-point tensors against the per-normal chain they replace
+    # (oracles.chain_per_normal: the rotation to each normal and its
+    # purified projectors), at the coordinate normals and 50 random ones,
+    # within the factors of docs/derivations.md section 9: a pair's
+    # |V|^2 - |W|^2 is at most m (m+1)^(3/2) / 2 times the worst pairwise
+    # entry, a leak |Pi_{+-1} z| at most (m+1)^(3/2) / 2 times the worst
+    # leak norm, |U| at most 3^(3/2) times the worst cubic coefficient, and
+    # the signed aggregate is c . aggregate.  Clean, where the tensors read
+    # rounding (worst seen 4.1e-15; the Lambda^4 part of K, which a
+    # mis-indexed swap would read, is 1.0 at (4, 2)), and with the pair
+    # (0, 1) pushed by 1e-3 along the first tangent column, where both
+    # routes read the push (the tensors about twice the sampled maxima)
+    system = (conjugated_system(m, k, seed=5) if conjugated
+              else build_clifford_system(m, k))
+    frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
+    ops = shape_operators(frames).operators
+    rng = default_rng(65 + m)
+    coeffs = np.array([_normals(m, 50, rng) for _ in frames.x])
+    factors = (m * (m + 1) ** 1.5 / 2, (m + 1) ** 1.5 / 2, 3.0 ** 1.5)
+    pushed = np.array(frames.pair_coords)
+    pushed[:, 0, 1, m + 2] += 1e-3
+    pushed[:, 1, 0, m + 2] -= 1e-3
+    for coords in (frames.pair_coords, pushed):
+        aggregate, *tensors = willmore._pair_tensors(
+            system, ops, coords[..., m + 2:], willmore._pair_tables(m + 1))
+        pairwise, signed, leak, u = chain_per_normal(
+            system, replace(frames, pair_coords=coords), ops, coeffs)
+        assert np.max(np.abs(signed - (coeffs @ aggregate[:, :, None])[..., 0])
+                      ) <= 1e-13
+        for sampled, tensor, factor in zip((pairwise, leak, u), tensors,
+                                           factors):
+            assert np.all(sampled <= factor * tensor[:, None] + 1e-14)
+        if coords is frames.pair_coords:
+            assert np.max(tensors) <= 1e-14
+    # the pairwise terms of the push are of order 1e-3, and of order 1e-6
+    # at m = 1, whose one pair lies in T_0 to first order
+    assert np.max(tensors[0]) > 5e-7 and np.max(pairwise) > 5e-7
+    assert np.max(tensors[1]) > 1e-4 and np.max(leak) > 1e-4
+
+
+@pytest.mark.parametrize("m1", range(2, 11))
+def test_pairwise_tensor_reads_exactly_the_decomposable_part(m1):
+    # |V|^2 - |W|^2 vanishes for every pair of every rotation exactly when
+    # K^g vanishes on decomposable bivectors, that is when K^g, a symmetric
+    # form on the pairs, is totally antisymmetric in its four indices (a
+    # 4-form, which w ^ w contracts to 0).  The read
+    # K_{cd,ef} + K_{ed,cf} over c < d, e < f is a linear map of K whose
+    # kernel is exactly the 4-forms: its rank is the dimension of the rest,
+    # m1^2 (m1^2 - 1) / 12, and a random 4-form reads rounding
+    cols, direct, swapped, sign = willmore._pair_tables(m1)
+    ia, ib = np.triu_indices(m1, k=1)
+    p = len(cols)
+
+    def read(form):                     # the read of one (p, p) form
+        k = np.broadcast_to(form[:, None], (p, m1, p)).reshape(-1)
+        return k[direct] + sign * k[swapped]
+
+    basis = []
+    for i, j in zip(*np.triu_indices(p)):
+        form = np.zeros((p, p))
+        form[i, j] = form[j, i] = 1.0
+        basis.append(read(form))
+    assert (np.linalg.matrix_rank(np.array(basis))
+            == m1 ** 2 * (m1 ** 2 - 1) // 12)
+    rng = default_rng(m1)
+    draw = rng.standard_normal((m1,) * 4)
+    omega = sum(sign4 * np.transpose(draw, perm)
+                for perm, sign4 in _signed_permutations(4))
+    form = omega[ia[:, None], ib[:, None], ia[None], ib[None]]
+    assert np.max(np.abs(read(form)), initial=0.0) <= 1e-12 * np.max(
+        np.abs(omega), initial=1.0)
+
+
+def _signed_permutations(count):
+    """Every permutation of range(count) with its sign."""
+    for perm in permutations(range(count)):
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
+        yield perm, (-1.0) ** inversions
+
+
+def test_cluster_radius_is_the_spectrum_threshold():
+    # scaling point 1's operators by s = 1 + e moves A_xi^3 - A_xi to
+    # (s^3 - s) A_xi, so at the coordinate normals the lemma's deviation is
+    # (s^3 - s) max_a |A_a|: sized 0.1% below CLUSTER_RADIUS the point
+    # passes the lemma's threshold (and fails its tolerance), 0.1% above it
+    # raises SpectrumError naming the point
+    system, frames, shapes = _setup(3, 2, extra_points=2)
+    coeffs = np.broadcast_to(np.eye(4), (3, 4, 4))
+    top = np.max(np.abs(shapes.operators[1]))
+    for factor in (0.999, 1.001):
+        target = factor * willmore.CLUSTER_RADIUS
+        ops = np.array(shapes.operators)
+        ops[1] *= 1.0 + target / (2.0 * top)     # s^3 - s = 2 e (1 + 3 e / 2)
+        bad = _forged_shape(shapes, ops)
+        if factor < 1.0:
+            row = certify_point(system, frames, bad, coeffs)[1]
+            assert abs(row[0] / target - 1.0) <= 1e-4
+        else:
+            with pytest.raises(SpectrumError, match="point 1, normal"):
+                certify_point(system, frames, bad, coeffs)
 
 
 def test_certify_point_block_errors_name_the_point():
