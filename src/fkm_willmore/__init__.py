@@ -13,8 +13,7 @@ from .clifford import (CliffordSystem, build_clifford_system,
                        verify_clifford_relations)
 from .errors import (AdmissibilityError, CertificationError, FrameError,
                      MultiplicityError, SpectrumError)
-from .focal import (CONSTRAINT_TOL, SPHERE_TOL, VALUE_TOL, FocalPoints,
-                    sample_focal_points)
+from .focal import SPHERE_TOL, VALUE_TOL, FocalPoints, sample_focal_points
 from .geometry import AdaptedFrame, ShapeData, build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
 from .records import Check, fold
@@ -27,14 +26,14 @@ from .willmore import EinsteinProbe, certify_point, einstein_probe
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "AdaptedFrame", "AdmissibilityError", "CONSTRAINT_TOL",
-    "CertificationError", "Check", "CliffordSystem", "DEFAULT_GRID",
-    "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe", "FkmPolynomial",
-    "FocalPoints", "FrameError", "MultiplicityError", "SPHERE_TOL",
-    "ShapeData", "SpectrumError", "VALUE_TOL", "VerificationConfig",
-    "VerificationReport", "build_clifford_system", "build_frame",
-    "build_skew_generators", "certify_point", "delta", "dump_matrices",
-    "einstein_probe", "evaluate_system", "exit_code", "fold", "render_text",
-    "run_suite", "sample_focal_points", "shape_operators",
-    "verify_cartan_munzner", "verify_clifford_relations", "write_matrix_dumps",
+    "AdaptedFrame", "AdmissibilityError", "CertificationError", "Check",
+    "CliffordSystem", "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES",
+    "EinsteinProbe", "FkmPolynomial", "FocalPoints", "FrameError",
+    "MultiplicityError", "SPHERE_TOL", "ShapeData", "SpectrumError",
+    "VALUE_TOL", "VerificationConfig", "VerificationReport",
+    "build_clifford_system", "build_frame", "build_skew_generators",
+    "certify_point", "delta", "dump_matrices", "einstein_probe",
+    "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
+    "sample_focal_points", "shape_operators", "verify_cartan_munzner",
+    "verify_clifford_relations", "write_matrix_dumps",
 ]

@@ -30,8 +30,10 @@ class AdmissibilityError(ValueError):
 
 
 class CertificationError(RuntimeError):
-    """A candidate point failed certification; the message names the point
-    and the residuals that failed."""
+    """No point of M+ can be built from the system: it has a non-finite
+    entry, or no seed point.  A point that is built but fails the
+    certification rule raises nothing; the points block of the report
+    fails and names it."""
 
 
 class FrameError(RuntimeError):

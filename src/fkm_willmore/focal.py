@@ -1,4 +1,4 @@
-"""Certified points on the focal manifold M+ = {x in S^{2l-1} : all g_a(x) = 0}.
+"""Points of the focal manifold M+ = {x in S^{2l-1} : all g_a(x) = 0}.
 
 M+ is the level set F = +1 of the degree-4 polynomial, cut out by the m + 2
 constraints
@@ -10,25 +10,27 @@ eigenspace E+ of P_0 and w a unit vector of the -1 eigenspace E- that is
 orthogonal to P_1 u, ..., P_m u.  The seed point and the sampled points are
 built that way from the projectors (I +- P_0) / 2, using nothing but the
 Clifford relations, so they hold for any representation of the system.
-Nothing is searched for: a point is constructed, then certified.
+Nothing is searched for: a point is constructed, then measured.
 
-Every point, the seed included, passes one rule (see _certify): the
-constraint, sphere and value residuals against fixed thresholds, and the
-Gram identity of the constraint normals.  At a point of M+ the rows
+The points are measured, not judged, here: every row gets its constraint,
+sphere and value residuals and the Gram identity of the constraint normals
+(see _certify), and the points block of the report holds them to its
+tolerances and names the first row that fails.  At a point of M+ the rows
 x, P_0 x, ..., P_m x are orthonormal, so J J^T = 4 I for the constraint
 Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation above 1e-6 means the
-matrices are not a Clifford system, whatever the residuals say.
+matrices are not a Clifford system, whatever the residuals say, and the
+row gets rank 0.
 
 sample_focal_points returns all points as one FocalPoints record, row 0
 the seed.  The other rows come from one block of Gaussian rows, one row per
-point, each mapped onto M+; all rows are certified in one stacked pass, and
-the first row that fails raises CertificationError.  So the record has a
-fixed order, and a point's row does not depend on the other points.
+point, each mapped onto M+; all rows are measured in one stacked pass.  It
+raises CertificationError only when no row can be built.  So the record
+has a fixed order, and a point's row does not depend on the other points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -38,22 +40,17 @@ from .errors import CertificationError
 from .records import Record, fold
 
 __all__ = [
-    "CONSTRAINT_TOL",
     "FocalPoints",
     "SPHERE_TOL",
     "VALUE_TOL",
     "sample_focal_points",
 ]
 
-# Fixed certification thresholds.
-CONSTRAINT_TOL = 1e-10     # max |g_a(x)|
+# The points block's fixed thresholds (the constraints are held to `cert`).
 SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
-_GRAM_TOL = 1e-6           # max |J J^T / 4 - I|
-# Singular values of J / 2 above this count for the rank; they are read as
-# the eigenvalues of J J^T / 4 above _RANK_TOL^2 (sigma^2 = lambda).
-_RANK_TOL = 1e-8
+_GRAM_TOL = 1e-6           # max |J J^T / 4 - I| of a row of rank m + 2
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -66,16 +63,17 @@ def _subseed(master: int, *key: int) -> SeedSequence:
 
 @dataclass(frozen=True)
 class FocalPoints(Record):
-    """n certified points of M+ and the residuals of their certification.
+    """n points built on M+ and the residuals that the points block checks.
 
     `x` (n, 2l) holds the points as rows, row 0 the closed-form seed.  The
-    other fields are (n,) arrays from the one certification pass of each
-    row: max_a |g_a(x)|, | |x|^2 - 1 |, |F(x) - 1| = | |x|^4 - 2 |g|^2 - 1 |
+    other fields are (n,) arrays from the one measuring pass of each row:
+    max_a |g_a(x)|, | |x|^2 - 1 |, |F(x) - 1| = | |x|^4 - 2 |g|^2 - 1 |
     and the rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x.
+    The rank is read off the Gram guard: where max |J J^T / 4 - I| <= 1e-6
+    < 1 / (m + 2), every eigenvalue of J J^T / 4 lies within (m + 2) 1e-6
+    of 1 (Gershgorin), so the rank is m + 2; any other row gets rank 0.
     Full rank m + 2 certifies that the constraint normals span the whole
-    normal space plus the radial direction (singular values above 1e-8
-    count, read as the eigenvalues above 1e-16 of the Gram matrix
-    J J^T / 4 that certification forms for its J J^T = 4 I guard).
+    normal space plus the radial direction.
     """
 
     x: np.ndarray
@@ -93,16 +91,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
-    """The certification of every row of a (K, 2l) stack, in one pass.
+    """The certification residuals of every row of a (K, 2l) stack, in one
+    pass, as (K,) arrays under the names of the FocalPoints fields.
 
-    Returns (K,) arrays under the names of the FocalPoints fields, plus
-    `gram`, max |J J^T / 4 - I|, `finite` and `passed`: max |g_a| <= 1e-10,
-    | |x|^2 - 1 | <= 1e-12, |F(x) - 1| <= 1e-9 and gram <= 1e-6, so a NaN
-    residual never passes.  The rank is taken only at rows that pass (0
-    elsewhere), from the eigenvalues of the Gram matrix of the guard: there
-    they lie within (m + 2) 1e-6 of 1, so the rank is m + 2, as the SVD of
-    the rows would give.  A row with a non-finite coordinate enters no
-    product: its residuals are NaN.
+    The rank is m + 2 where the Gram matrix J J^T / 4 is the identity to
+    1e-6, and 0 elsewhere.  A row with a non-finite coordinate enters no
+    product: its residuals are NaN and its rank 0.
 
     P_a x is formed once, as a stacked matrix-vector product, so every row
     gets the rounding of the one-point expressions stack @ x, (stack @ x) @ x
@@ -118,40 +112,11 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
     gram = np.max(np.abs(jjt - np.eye(rows.shape[1])), axis=(1, 2))
     out = {"residual_constraints": fold(np.abs(g), axis=1),
            "residual_sphere": np.abs(xx - 1.0),
-           "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
-           "gram": gram}
+           "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0)}
     for values in out.values():
         values[~finite] = np.nan
-    out["finite"] = finite
-    out["passed"] = ((out["residual_constraints"] <= CONSTRAINT_TOL)
-                     & (out["residual_sphere"] <= SPHERE_TOL)
-                     & (out["value_gap"] <= VALUE_TOL)
-                     & (gram <= _GRAM_TOL))
-    rank = np.zeros(len(x), dtype=int)
-    if out["passed"].any():
-        rank[out["passed"]] = np.count_nonzero(
-            np.linalg.eigvalsh(jjt[out["passed"]]) > _RANK_TOL ** 2, axis=1)
-    out["jacobian_rank"] = rank
+    out["jacobian_rank"] = np.where(gram <= _GRAM_TOL, rows.shape[1], 0)
     return out
-
-
-def _rejection(cert: dict, i: int) -> CertificationError:
-    """The error that rejects row i of a _certify result, naming it as
-    point i."""
-    c = float(cert["residual_constraints"][i])
-    s = float(cert["residual_sphere"][i])
-    v = float(cert["value_gap"][i])
-    d = float(cert["gram"][i])
-    if not cert["finite"][i]:
-        reason = "non-finite coordinates"
-    elif not (c <= CONSTRAINT_TOL and s <= SPHERE_TOL and v <= VALUE_TOL):
-        reason = (f"constraints {c:.3e} (tol {CONSTRAINT_TOL:.1e}), sphere "
-                  f"{s:.3e} (tol {SPHERE_TOL:.1e}), value gap {v:.3e} "
-                  f"(tol {VALUE_TOL:.1e})")
-    else:
-        reason = (f"Gram matrix of the constraint normals deviates from "
-                  f"J J^T = 4I by {d:.3e} (tol {_GRAM_TOL:.1e})")
-    return CertificationError(f"point {i} failed certification: {reason}")
 
 
 def _eigenparts(system: CliffordSystem, z: np.ndarray):
@@ -232,16 +197,18 @@ def _seed_row(system: CliffordSystem) -> np.ndarray:
 
 def sample_focal_points(system: CliffordSystem, n: int,
                         seed: int) -> FocalPoints:
-    """n certified points of M+: the closed-form seed (row 0) and n - 1
-    points from independent Gaussian rows mapped onto M+.
+    """n points of M+ with their certification residuals: the closed-form
+    seed (row 0) and n - 1 points from independent Gaussian rows mapped
+    onto M+.
 
     One (n - 1, 2l) Gaussian block is drawn from the sub-seed
     (seed, spawn_key=(0,)), and sampled point i (row i + 1 of the record)
     takes row i of it, mapped onto M+ through the eigenspaces of P_0 (a row
-    without an image keeps its raw value, and fails certification).  All n
-    rows are certified in one stacked pass; the first that fails raises
-    CertificationError naming its row.  A system with a non-finite entry
-    raises CertificationError before any product is formed.
+    without an image keeps its raw value, and its residuals show it).  All
+    n rows are measured in one stacked pass; the points block of the report
+    judges them.  CertificationError is raised only when no row can be
+    built: for a system with a non-finite entry, before any product is
+    formed, or when the seed point has no E+ or reduced E- part.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -252,9 +219,4 @@ def sample_focal_points(system: CliffordSystem, n: int,
     x = np.empty((n, system.ambient_dim))
     x[0] = _seed_row(system)
     x[1:] = _onto_focal(system, rng.standard_normal(x[1:].shape))
-    cert = _certify(system, x)
-    failed = np.flatnonzero(~cert["passed"])
-    if failed.size:
-        raise _rejection(cert, int(failed[0]))
-    return FocalPoints(x=x, **{f.name: cert[f.name]
-                               for f in fields(FocalPoints)[1:]})
+    return FocalPoints(x=x, **_certify(system, x))

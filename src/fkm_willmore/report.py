@@ -30,7 +30,8 @@ from .clifford import (CliffordSystem, build_clifford_system, delta,
                        dump_matrices, verify_clifford_relations)
 from .errors import (AdmissibilityError, CertificationError, FrameError,
                      MultiplicityError, SpectrumError)
-from .focal import SPHERE_TOL, VALUE_TOL, _subseed, sample_focal_points
+from .focal import (SPHERE_TOL, VALUE_TOL, FocalPoints, _subseed,
+                    sample_focal_points)
 from .geometry import build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
 from .records import Check, fold
@@ -56,7 +57,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -64,7 +65,7 @@ DEFAULT_GRID = ((1, 3), (1, 4), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1))
 DEFAULT_SEED = 42
 DEFAULT_TOLERANCES = {
     "pde": 1e-8,        # sphere PDE residuals
-    "cert": 1e-10,      # focal constraint residuals, |H^a|
+    "cert": 1e-10,      # every point's max |g_a(x)|, and |H^a|
     "geom": 1e-8,       # curvature identities, spectra, balances
     "willmore": 1e-7,   # reduced criterion and Ricci balance
 }
@@ -232,18 +233,49 @@ def _jsonable(obj):
 # per-configuration evaluation
 # ---------------------------------------------------------------------------
 
+def _checks(name: str, tol: dict, fields: dict) -> list:
+    """A Check of each field of block `name`'s row of CHECKED_FIELDS
+    against its tolerance, a key of `tol` or fixed."""
+    return [Check(key, fields[key], tol[held] if isinstance(held, str)
+                  else held)
+            for key, held in CHECKED_FIELDS.get(name, {}).items()]
+
+
 def _block(name: str, tol: dict, fields: dict, ok: bool = True) -> dict:
     """The report block `name`: its fields in key order, then its verdict.
 
-    The block passes when `ok` holds and every field of its row of
-    CHECKED_FIELDS passes as a Check against its tolerance, a key of `tol`
-    or fixed.  Only points (the Jacobian ranks) and einstein (the evidence
-    gate) have a condition besides their checks.
+    The block passes when `ok` holds and each of its _checks passes.  Only
+    points (the Jacobian ranks) and einstein (the evidence gate) have a
+    condition besides their checks.
     """
-    checks = [Check(key, fields[key],
-                    tol[held] if isinstance(held, str) else held)
-              for key, held in CHECKED_FIELDS.get(name, {}).items()]
-    return {**fields, "pass": ok and all(c.passed for c in checks)}
+    return {**fields,
+            "pass": ok and all(c.passed for c in _checks(name, tol, fields))}
+
+
+def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
+    """The points block, which holds every row to its checks and to rank
+    `rank_expected`; failing, it names the first failing point and field."""
+    rows = {"max_constraint_residual": points.residual_constraints,
+            "max_sphere_residual": points.residual_sphere,
+            "max_value_gap": points.value_gap}
+    ranks = sorted(set(points.jacobian_rank.tolist()))
+    fields = {"count": len(points.x),
+              **{key: fold(values) for key, values in rows.items()},
+              "jacobian_ranks": ranks, "rank_expected": rank_expected,
+              "coordinates": points.x}
+    block = _block("points", tol, fields, ok=ranks == [rank_expected])
+    if block["pass"]:
+        return block
+    for i, rank in enumerate(points.jacobian_rank.tolist()):
+        failed = [f"{c.name} {c.residual:.1e} (tol {c.tol:g})" for c in
+                  _checks("points", tol, {k: v[i] for k, v in rows.items()})
+                  if not c.passed]
+        if rank != rank_expected:
+            failed.append(f"jacobian_rank {rank} (expected {rank_expected})")
+        if failed:
+            return {**fields, "error":
+                    f"point {i} failed certification: {failed[0]}",
+                    "pass": False}
 
 
 def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
@@ -287,15 +319,9 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
 
     if points is not None:
-        rank_expected = m + 2
-        ranks = sorted(set(points.jacobian_rank.tolist()))
-        blocks["points"] = _block("points", tol, {
-            "count": len(points.x),
-            "max_constraint_residual": fold(points.residual_constraints),
-            "max_sphere_residual": fold(points.residual_sphere),
-            "max_value_gap": fold(points.value_gap),
-            "jacobian_ranks": ranks, "rank_expected": rank_expected,
-            "coordinates": points.x}, ok=ranks == [rank_expected])
+        blocks["points"] = _points_block(points, tol, m + 2)
+        if not blocks["points"]["pass"]:
+            points = None
 
     frames = None
     if points is not None:

@@ -4,31 +4,26 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from fkm_willmore import (CONSTRAINT_TOL, SPHERE_TOL, CliffordSystem,
-                          build_clifford_system, CertificationError,
-                          VerificationConfig, run_suite, sample_focal_points)
+from fkm_willmore import (DEFAULT_TOLERANCES, SPHERE_TOL, CliffordSystem,
+                          build_clifford_system, VerificationConfig,
+                          evaluate_system, run_suite, sample_focal_points)
 from fkm_willmore import focal
 
-from conftest import GRID, conjugated_system
-from oracles import jacobian_rank
+from conftest import GRID, conjugated_system, judged_points
+from oracles import jacobian_rank, quartic
 
 FIELDS = ("x", "residual_constraints", "residual_sphere", "value_gap",
           "jacobian_rank")
 
 
-def certify(system, x):
-    """One row through the sampler's certification: its record fields, or
-    the CertificationError that rejects it."""
-    x = np.asarray(x, dtype=float)[None]
-    cert = focal._certify(system, x)
-    if not cert["passed"][0]:
-        raise focal._rejection(cert, 0)
-    return {"x": x[0], **{name: cert[name][0] for name in FIELDS[1:]}}
-
-
 def _row(points, i):
     """Row i of a FocalPoints record, by field."""
     return {name: getattr(points, name)[i] for name in FIELDS}
+
+
+def measure(system, x):
+    """One row through the sampler's measuring pass, by field."""
+    return _row(judged_points(system, x)[0], 0)
 
 
 def _seed(system):
@@ -71,7 +66,7 @@ def test_sampling_certifies_hundred_points():
     system = build_clifford_system(2, 2)
     points = sample_focal_points(system, 100, seed=1234)
     assert points.x.shape == (100, system.ambient_dim)
-    assert np.all(points.residual_constraints <= CONSTRAINT_TOL)
+    assert np.all(points.residual_constraints <= DEFAULT_TOLERANCES["cert"])
     assert np.all(points.residual_sphere <= SPHERE_TOL)
     assert points.jacobian_rank.tolist() == [4] * 100
     # the sampler should not collapse onto few points
@@ -85,34 +80,82 @@ def test_sampling_rejects_nonpositive_count():
 
 
 def test_certify_rejects_off_manifold():
+    # e_0 lies in E+ of (1, 3), so g_0 = 1 there; the points block names
+    # the point and its first failing field
     system = build_clifford_system(1, 3)
-    with pytest.raises(CertificationError, match="point 0 failed"):
-        certify(system, np.eye(6)[0])
+    point, block = judged_points(system, np.eye(6)[0])
+    assert point.residual_constraints.tolist() == [1.0]
+    assert point.jacobian_rank.tolist() == [0]
+    assert block["error"] == ("point 0 failed certification: "
+                              "max_constraint_residual 1.0e+00 (tol 1e-10)")
+    assert list(block)[-2:] == ["error", "pass"] and not block["pass"]
 
 
 def test_certify_rejects_nan():
+    # a non-finite row enters no product: NaN residuals, rank 0
     system = build_clifford_system(1, 3)
-    with pytest.raises(CertificationError, match="non-finite coordinates"):
-        certify(system, np.full(system.ambient_dim, np.nan))
+    point, block = judged_points(system, np.full(system.ambient_dim, np.nan))
+    for name in FIELDS[1:4]:
+        assert np.isnan(getattr(point, name)).all(), name
+    assert point.jacobian_rank.tolist() == [0]
+    assert block["error"].startswith(
+        "point 0 failed certification: max_constraint_residual nan ")
 
 
 @pytest.mark.parametrize("m,k", GRID)
 def test_certify_rejects_a_broken_gram_identity(m, k):
-    # with every P_a scaled by 1.01 the seed point of the intact system still
-    # has g_a = 0, |x| = 1 and F(x) = 1 to rounding, but |P_a x|^2 = 1.0201,
-    # so only the Gram guard J J^T = 4 I rejects it; the sampler's stacked
-    # pass applies the same rule to its rows
+    # with every P_a scaled by 1.01 the points of the intact system still
+    # have g_a = 0, |x| = 1 and F(x) = 1 to rounding, but |P_a x|^2 = 1.0201,
+    # so only the Gram guard J J^T = 4 I sees it: every row gets rank 0,
+    # and the points block fails on the rank alone
     system = build_clifford_system(m, k)
     scaled = CliffordSystem(m=m, l=system.l,
                             matrices=tuple(1.01 * p for p in system.matrices))
     x = sample_focal_points(system, 5, 5).x
-    with pytest.raises(CertificationError,
-                       match=r"deviates from J J\^T = 4I by 2\.010e-02"):
-        certify(scaled, x[0])
-    cert = focal._certify(scaled, x)
-    assert not cert["passed"].any()
-    for i in range(len(x)):
-        assert "Gram matrix" in str(focal._rejection(cert, i))
+    points, block = judged_points(scaled, x)
+    assert points.jacobian_rank.tolist() == [0] * 5
+    for key in ("max_constraint_residual", "max_sphere_residual",
+                "max_value_gap"):
+        assert block[key] <= 1e-14, key
+    assert block["error"] == ("point 0 failed certification: "
+                              f"jacobian_rank 0 (expected {m + 2})")
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
+def test_gram_guard_is_the_rank_threshold(m, k):
+    # scaling every P_a by s moves the Gram matrix's diagonal |P_a x|^2 to
+    # s^2 |x|^2 and nothing else past rounding, so its deviation is s^2 - 1:
+    # sized 0.1% below the guard's 1e-6 every row has rank m + 2 and the
+    # block passes, 0.1% above it every row has rank 0 and the block
+    # fails, naming the first point, on the rank alone
+    system = build_clifford_system(m, k)
+    x = sample_focal_points(system, 4, seed=6).x
+    for factor in (0.999, 1.001):
+        s = np.sqrt(1.0 + factor * 1e-6)
+        scaled = CliffordSystem(m=m, l=system.l, matrices=tuple(
+            s * p for p in system.matrices))
+        points, block = judged_points(scaled, x)
+        if factor < 1.0:
+            assert points.jacobian_rank.tolist() == [m + 2] * 4
+            assert block["pass"] and "error" not in block
+        else:
+            assert points.jacobian_rank.tolist() == [0] * 4
+            assert block["error"] == ("point 0 failed certification: "
+                                      f"jacobian_rank 0 (expected {m + 2})")
+
+
+@pytest.mark.parametrize("m,k", GRID)
+def test_value_gap_is_the_quartic_gap_off_the_manifold(m, k, monkeypatch):
+    # with the map onto M+ switched off the sampler measures raw Gaussian
+    # rows, where |g|^2 is of order one: each value gap is |F(x) - 1| of
+    # the one-point quartic to rounding
+    monkeypatch.setattr(focal, "_onto_focal", lambda system, z: z)
+    system = build_clifford_system(m, k)
+    points = sample_focal_points(system, 50, seed=13)
+    want = np.array([abs(quartic(system, x) - 1.0) for x in points.x[1:]])
+    scale = np.sum(points.x[1:] ** 2, axis=1) ** 2 + 1.0
+    assert np.min(want) > 1e-3
+    assert np.max(np.abs(points.value_gap[1:] - want) / scale) <= 1e-14
 
 
 @pytest.mark.parametrize("m,k,conjugated",
@@ -164,21 +207,20 @@ def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
 
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
 def test_jacobian_rank(m, k, rank):
-    # the record's ranks come from the certification pass, one stacked
-    # eigvalsh of the guard's Gram matrices, and equal the rank of each row
-    # certified alone
+    # the record's ranks are read off the Gram guard of the measuring pass,
+    # and equal the rank of each row measured alone
     system = build_clifford_system(m, k)
     points = sample_focal_points(system, 4, seed=2)
     assert points.jacobian_rank.tolist() == [rank] * 4
     for x in points.x:
-        assert certify(system, x)["jacobian_rank"] == rank == m + 2
+        assert measure(system, x)["jacobian_rank"] == rank == m + 2
 
 
 @pytest.mark.parametrize("m,k,conjugated",
                          [(m, k, False) for m, k in GRID] + [(3, 2, True)])
 def test_jacobian_rank_equals_the_svd_rank(m, k, conjugated):
-    # the Gram eigenvalues above 1e-16 count the singular values of the rows
-    # above 1e-8, as the SVD of the rows does
+    # the rank read off the Gram guard counts the singular values of the
+    # rows above 1e-8, as the SVD of the rows does
     system = (conjugated_system(m, k, seed=4) if conjugated
               else build_clifford_system(m, k))
     points = sample_focal_points(system, 20, seed=8)
@@ -235,38 +277,76 @@ def test_sampling_sweep_equals_single_projections(m, k):
     # point i is row i + 1 of the record
     system = build_clifford_system(m, k)
     points = sample_focal_points(system, 41, seed=77)
-    _same_point(_row(points, 0), certify(system, focal._seed_row(system)))
+    _same_point(_row(points, 0), measure(system, focal._seed_row(system)))
     for i in range(40):
         _same_point(_row(points, i + 1),
-                    certify(system, _start(system, 77, i, 40)))
+                    measure(system, _start(system, 77, i, 40)))
+
+
+def _replacing_row(point, row):
+    """The sampler's generator with the Gaussian row of sampled point
+    `point` (record row point + 1) replaced by `row`."""
+    class Generator:
+        def __init__(self, seed_seq):
+            self.rng = default_rng(seed_seq)
+
+        def standard_normal(self, size):
+            block = self.rng.standard_normal(size)
+            block[point] = row
+            return block
+    return Generator
 
 
 @pytest.mark.parametrize("axis", [0, 3], ids=["plus", "minus"])
 def test_degenerate_row_is_kept_raw_and_rejected(monkeypatch, axis):
     # for (1, 3), e_1 lies in E+ and has no E- part to build w from; e_4
     # lies in E- and has no E+ part to build u from.  Either row is kept as
-    # it is, fails certification, and the sampler names its point.
+    # it is, and the points block names its point and skips every later
+    # block
     system = build_clifford_system(1, 3)
     row = np.eye(6)[axis]
     assert np.array_equal(focal._onto_focal(system, row[None])[0], row)
     assert np.array_equal(_reference_start(system, row), row)
-    with pytest.raises(CertificationError):
-        certify(system, row)
+    assert not judged_points(system, row)[1]["pass"]
 
-    class Degenerate:
-        # the sampler's generator with sampled point 4's row replaced
-        def __init__(self, seed_seq):
-            self.rng = default_rng(seed_seq)
+    monkeypatch.setattr(focal, "default_rng", _replacing_row(4, row))
+    points = sample_focal_points(system, 7, seed=3)
+    assert np.array_equal(points.x[5], row)
+    assert points.jacobian_rank.tolist() == [3] * 5 + [0, 3]
+    cfg = VerificationConfig(configurations=((1, 3),), n_points=7,
+                             n_normals=0)
+    blocks = evaluate_system(system, cfg, 0)["blocks"]
+    assert list(blocks) == ["clifford", "cartan_munzner", "points"]
+    assert blocks["points"]["count"] == 7
+    assert blocks["points"]["error"] == (
+        "point 5 failed certification: max_constraint_residual 1.0e+00 "
+        "(tol 1e-10)")
 
-        def standard_normal(self, size):
-            block = self.rng.standard_normal(size)
-            block[4] = row
-            return block
 
-    monkeypatch.setattr(focal, "default_rng", Degenerate)
-    with pytest.raises(CertificationError,
-                       match=r"^point 5 failed certification: constraints"):
-        sample_focal_points(system, 7, seed=3)
+def test_cert_tolerance_governs_the_points(monkeypatch):
+    # point 5 pushed off M+ by d along its normal P_1 x reads
+    # g_1 = 2 d + d^2 g_1(P_1 x), about 1e-9, and sphere and value gaps of
+    # order d^2: the points block fails at the default cert, naming the
+    # point, and passes with cert 1e-8, so that the later blocks run
+    onto = focal._onto_focal
+
+    def pushed(system, z):
+        x = onto(system, z)
+        x[4] += 5e-10 * (system.matrices[1] @ x[4])
+        return x
+
+    monkeypatch.setattr(focal, "_onto_focal", pushed)
+    system = build_clifford_system(2, 2)
+    for cert, error in [(None, "point 5 failed certification: "
+                               "max_constraint_residual 1.0e-09 (tol 1e-10)"),
+                        (1e-8, None)]:
+        cfg = VerificationConfig(
+            configurations=((2, 2),), n_points=7, n_normals=0,
+            tolerances={} if cert is None else {"cert": cert})
+        blocks = evaluate_system(system, cfg, 0)["blocks"]
+        assert blocks["points"].get("error") == error
+        assert blocks["points"]["pass"] == (error is None)
+        assert ("geometry" in blocks) == (error is None)
 
 
 def test_sampling_starts_do_not_depend_on_the_point_count():

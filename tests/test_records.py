@@ -10,8 +10,11 @@ from fkm_willmore import (Check, CertificationError, FkmPolynomial,
                           FrameError, SpectrumError, build_clifford_system,
                           build_frame, certify_point, fold,
                           sample_focal_points, shape_operators)
-from fkm_willmore import einstein_probe, focal
+from fkm_willmore import einstein_probe
 from fkm_willmore.records import freeze
+
+from conftest import judged_points
+
 
 def test_fold_is_the_max_and_zero_for_nothing():
     assert fold([]) == 0.0
@@ -128,12 +131,16 @@ def _bad_sphere_row(value):
 
 
 def _bad_certification_row(value):
+    # the sampler measures a non-finite row as NaN with rank 0, and the
+    # points block records its failure rather than raising: its error is
+    # raised here so that the table reads it like the other guards'
     system = build_clifford_system(2, 2)
     x = np.array(sample_focal_points(system, 3, 0).x)
     x[1, 2] = value
-    cert = focal._certify(system, x)
-    assert cert["passed"].tolist() == [True, False, True]
-    raise focal._rejection(cert, 1)
+    points, block = judged_points(system, x)
+    assert points.jacobian_rank.tolist() == [4, 0, 4]
+    assert not block["pass"]
+    raise CertificationError(block["error"])
 
 
 GUARDS = [
@@ -143,7 +150,7 @@ GUARDS = [
      "point 0: shape operators have non-finite"),
     ("sphere_derivatives", _bad_sphere_row, ValueError, "row 1 "),
     ("certification", _bad_certification_row, CertificationError,
-     "point 1 failed certification: non-finite"),
+     "point 1 failed certification: max_constraint_residual nan "),
 ]
 
 

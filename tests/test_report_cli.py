@@ -246,9 +246,17 @@ def test_schema_key_order():
     for name, block in entry["blocks"].items():
         assert list(block) == SCHEMA_KEYS[name], name
     from conftest import corrupt_system
+    # a failing points block keeps its fields and names its first failing
+    # point in an `error` before `pass`
     entry = evaluate_system(corrupt_system(2, 2), cfg, 0)
     assert list(entry["blocks"]) == ["clifford", "cartan_munzner", "points"]
-    assert list(entry["blocks"]["points"]) == ["count", "error", "pass"]
+    assert list(entry["blocks"]["points"]) == (SCHEMA_KEYS["points"][:-1]
+                                               + ["error", "pass"])
+    # the nudged entry of P_0 leaves e_0 a part in both of its eigenspaces,
+    # so the seed's u = e_0 and w = -e_0 cancel: x = 0
+    assert entry["blocks"]["points"]["error"] == (
+        "point 0 failed certification: max_sphere_residual 1.0e+00 "
+        "(tol 1e-12)")
 
 
 def test_schema_document_states_the_schema_version(suite_report):

@@ -17,11 +17,10 @@ from fkm_willmore import (CliffordSystem, MultiplicityError, ShapeData,
                           einstein_probe, evaluate_system,
                           sample_focal_points, shape_operators)
 from fkm_willmore import willmore
-from fkm_willmore.focal import _certify
 from fkm_willmore.geometry import pair_products
 from fkm_willmore.report import CHECKED_FIELDS, DEFAULT_TOLERANCES
 
-from conftest import GRID, conjugated_system, corrupt_system
+from conftest import GRID, conjugated_system, corrupt_system, judged_points
 from oracles import (ambient_reflection, chain_per_normal, norm_bookkeeping,
                      p0_tangent_form, p0_u_sq, projectors, rotate_system,
                      rotated_normals, rotated_pairs, rotated_tangent_pairs,
@@ -325,10 +324,10 @@ def test_fault_injection_detected():
     # nudging one matrix entry must surface as a wrong spectrum at a point
     # where the corrupted direction e_1 is tangent: x = (e_3 + e_5) / sqrt(2)
     # lies on M+ of the intact (2, 2) system and has x_1 = 0, so the nudge
-    # leaves every P_a x, and the certification, as they are
+    # leaves every P_a x, and the points block's verdict, as they are
     bad = corrupt_system(2, 2)
     x = (np.eye(8)[2] + np.eye(8)[4]) / np.sqrt(2.0)
-    assert _certify(bad, x[None])["passed"][0]
+    assert judged_points(bad, x)[1]["pass"]
     frame = build_frame(bad, x)
     shape = shape_operators(frame)
     with pytest.raises((SpectrumError, MultiplicityError)):
