@@ -19,8 +19,8 @@ from .polynomial import FkmPolynomial, verify_cartan_munzner
 from .records import Check, fold
 from .report import (DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES,
                      TOOL_VERSION, VerificationConfig, VerificationReport,
-                     evaluate_system, exit_code, render_text, run_suite,
-                     write_matrix_dumps)
+                     configuration_points, evaluate_system, exit_code,
+                     render_text, run_suite, write_matrix_dumps)
 from .willmore import EinsteinProbe, certify_point, einstein_probe
 
 __version__ = TOOL_VERSION
@@ -32,8 +32,9 @@ __all__ = [
     "MultiplicityError", "SPHERE_TOL", "ShapeData", "SpectrumError",
     "VALUE_TOL", "VerificationConfig", "VerificationReport",
     "build_clifford_system", "build_frame", "build_skew_generators",
-    "certify_point", "delta", "dump_matrices", "einstein_probe",
-    "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
-    "sample_focal_points", "shape_operators", "verify_cartan_munzner",
-    "verify_clifford_relations", "write_matrix_dumps",
+    "certify_point", "configuration_points", "delta", "dump_matrices",
+    "einstein_probe", "evaluate_system", "exit_code", "fold", "render_text",
+    "run_suite", "sample_focal_points", "shape_operators",
+    "verify_cartan_munzner", "verify_clifford_relations",
+    "write_matrix_dumps",
 ]

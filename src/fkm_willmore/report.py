@@ -16,6 +16,7 @@ Exit-code contract, used by the CLI:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -48,6 +49,7 @@ __all__ = [
     "TOOL_VERSION",
     "VerificationConfig",
     "VerificationReport",
+    "configuration_points",
     "evaluate_system",
     "exit_code",
     "render_text",
@@ -57,7 +59,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -205,12 +207,7 @@ def _jsonable(obj):
     """Recursive plain-type sanitizer; rejects anything it cannot map.
 
     JSON has no NaN or infinity, so a non-finite float becomes None (null).
-    A finite float64 array holds nothing to map and converts in one
-    tolist().
     """
-    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64
-            and np.isfinite(obj).all()):
-        return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -262,7 +259,8 @@ def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
     fields = {"count": len(points.x),
               **{key: fold(values) for key, values in rows.items()},
               "jacobian_ranks": ranks, "rank_expected": rank_expected,
-              "coordinates": points.x}
+              "coordinates_sha256": hashlib.sha256(np.ascontiguousarray(
+                  points.x, dtype="<f8").tobytes()).hexdigest()}
     block = _block("points", tol, fields, ok=ranks == [rank_expected])
     if block["pass"]:
         return block
@@ -276,6 +274,16 @@ def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
             return {**fields, "error":
                     f"point {i} failed certification: {failed[0]}",
                     "pass": False}
+
+
+def configuration_points(system: CliffordSystem, cfg: VerificationConfig,
+                         config_index: int) -> FocalPoints:
+    """The points that evaluate_system samples for entry `config_index`
+    of `cfg`, whose block holds only their digest."""
+    # the sampler spawns its own sequence from an integer entropy
+    ss = _subseed(cfg.seed, config_index, 1)
+    return sample_focal_points(
+        system, cfg.n_points, seed=int(ss.generate_state(2, np.uint64)[0]))
 
 
 def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
@@ -311,10 +319,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
 
     points = None
     try:
-        # the sampler spawns its own sequence from an integer entropy
-        ss = _subseed(cfg.seed, config_index, 1)
-        points = sample_focal_points(
-            system, cfg.n_points, seed=int(ss.generate_state(2, np.uint64)[0]))
+        points = configuration_points(system, cfg, config_index)
     except CertificationError as exc:
         blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
 

@@ -1,5 +1,6 @@
 """Report assembly, serialization determinism, CLI argument surface."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,13 +17,14 @@ from numpy.random import default_rng
 
 from fkm_willmore import (SPHERE_TOL, VALUE_TOL, VerificationConfig,
                           VerificationReport, build_clifford_system,
-                          exit_code, render_text, run_suite)
+                          configuration_points, exit_code, render_text,
+                          run_suite, sample_focal_points)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
                                  DEFAULT_TOLERANCES, SCHEMA_VERSION,
                                  evaluate_system)
 
-from conftest import conjugated_system
+from conftest import conjugated_system, judged_points
 from oracles import parse_dump, rotate_system, take
 
 TINY = dict(n_points=3, n_normals=4)
@@ -155,13 +157,77 @@ def test_json_byte_identical_across_runs():
     assert parsed["config"]["configurations"] == [[1, 3], [2, 2]]
 
 
+def _sha256(x):
+    """The points block's digest of x: SHA-256 of its C-order little-endian
+    float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()
+                          ).hexdigest()
+
+
 def test_seed_changes_sampled_coordinates():
-    base = run_suite(tiny_config()).to_dict()
-    moved = run_suite(tiny_config(seed=43)).to_dict()
-    a = np.array(base["configurations"][0]["blocks"]["points"]["coordinates"])
-    b = np.array(moved["configurations"][0]["blocks"]["points"]["coordinates"])
+    # the report holds the points' digest; the points are rebuilt through
+    # configuration_points, the one route evaluate_system samples them by
+    system = build_clifford_system(1, 3)
+    digests, points = [], []
+    for seed in (42, 43):
+        cfg = tiny_config(seed=seed)
+        entry = run_suite(cfg).to_dict()["configurations"][0]
+        digests.append(entry["blocks"]["points"]["coordinates_sha256"])
+        points.append(configuration_points(system, cfg, 0).x)
+    assert digests[0] != digests[1]
+    a, b = points
     assert np.array_equal(a[0], b[0]), "deterministic point ignores the seed"
     assert not np.array_equal(a[1:], b[1:])
+
+
+def test_digest_is_that_of_the_rebuilt_points(suite_report):
+    # each default-grid entry's digest is that of the points rebuilt from
+    # the config, and one ulp in one coordinate changes it
+    cfg = suite_report.config
+    for ci, entry in enumerate(suite_report.to_dict()["configurations"]):
+        system = build_clifford_system(entry["m"], entry["k"])
+        x = configuration_points(system, cfg, ci).x
+        block = entry["blocks"]["points"]
+        assert block["coordinates_sha256"] == _sha256(x), (entry["m"],
+                                                           entry["k"])
+        assert judged_points(system, x)[1] == block
+        moved = np.array(x)
+        moved[-1, -1] = np.nextafter(moved[-1, -1], np.inf)
+        assert judged_points(system, moved)[1]["coordinates_sha256"] \
+            != block["coordinates_sha256"]
+
+
+def test_failing_points_block_keeps_the_digest():
+    # the NaN row of the certification guard's case: the block names the
+    # failing point and still carries the digest of every row
+    system = build_clifford_system(2, 2)
+    x = np.array(sample_focal_points(system, 3, 0).x)
+    x[1, 2] = math.nan
+    _, block = judged_points(system, x)
+    assert not block["pass"]
+    assert block["error"].startswith("point 1 failed certification")
+    assert block["coordinates_sha256"] == _sha256(x)
+    assert list(block)[-3:] == ["coordinates_sha256", "error", "pass"]
+
+
+def _lists(node):
+    """Every JSON list in a parsed report."""
+    if isinstance(node, dict):
+        return [inner for v in node.values() for inner in _lists(v)]
+    if isinstance(node, list):
+        return [node] + [inner for v in node for inner in _lists(v)]
+    return []
+
+
+def test_report_carries_no_per_point_list(suite_report):
+    # verdicts, not samples: no list of the seed-42 fkm-verify report or
+    # of the --points 100 --normals 0 one is longer than the grid, so a
+    # per-point array cannot enter the canonical JSON unnoticed
+    for report in (suite_report,
+                   run_suite(VerificationConfig(n_points=100, n_normals=0))):
+        parsed = json.loads(report.to_json())
+        lengths = [len(v) for v in _lists(parsed)]
+        assert max(lengths) == len(report.config.configurations) == 7
 
 
 def test_internal_error_becomes_exit_3(monkeypatch):
@@ -223,7 +289,7 @@ SCHEMA_KEYS = {
                        "max_laplacian_residual", "pass"],
     "points": ["count", "max_constraint_residual", "max_sphere_residual",
                "max_value_gap", "jacobian_ranks", "rank_expected",
-               "coordinates", "pass"],
+               "coordinates_sha256", "pass"],
     "geometry": ["S_expected", "S_max_gap", "S_spread", "rho2_vs_S_max_gap",
                  "H_max", "ricci_crosscheck_max", "ricci_trace_max_gap",
                  "pass"],
@@ -438,8 +504,8 @@ def test_ricci_crosscheck_matches_sequential_draws():
     reported = entry["blocks"]["geometry"]["ricci_crosscheck_max"]
     rng = default_rng(2)
     sampled, sups = [], []
-    for x in entry["blocks"]["points"]["coordinates"]:
-        frame = build_frame(system, np.array(x))
+    for x in configuration_points(system, cfg, 0).x:
+        frame = build_frame(system, x)
         diff = frame.closed_ricci[0] - shape_operators(frame).ricci[0]
         sups.append(np.max(np.abs(np.linalg.eigvalsh(diff))))
         for _ in range(100):
@@ -522,8 +588,9 @@ def test_each_stage_forms_p_a_x_once(tmp_path, monkeypatch, capsys):
 
 
 def _point_inputs(monkeypatch, n_points):
-    """Coordinates and random normals (P, 3, m+1) of one evaluation at
-    (2, 2), 3 random normals a point."""
+    """Coordinates, rebuilt through configuration_points, and random
+    normals (P, 3, m+1) of one evaluation at (2, 2), 3 random normals a
+    point."""
     from fkm_willmore import report
     certify = report.certify_point
     seen = {}
@@ -535,10 +602,9 @@ def _point_inputs(monkeypatch, n_points):
     monkeypatch.setattr(report, "certify_point", recording_certify)
     cfg = tiny_config(configurations=((2, 2),), n_points=n_points,
                       n_normals=3)
-    entry = evaluate_system(build_clifford_system(2, 2), cfg, 0)
-    assert entry["pass"]
-    return (np.array(entry["blocks"]["points"]["coordinates"]),
-            seen["normals"])
+    system = build_clifford_system(2, 2)
+    assert evaluate_system(system, cfg, 0)["pass"]
+    return configuration_points(system, cfg, 0).x, seen["normals"]
 
 
 def test_point_inputs_do_not_depend_on_the_point_count(monkeypatch):
@@ -589,8 +655,8 @@ def test_nan_residuals_serialize_as_null():
 
 
 def test_jsonable_arrays_match_the_element_walk():
-    # a finite float64 array converts in one tolist(); any other array is
-    # walked element by element, which maps NaN and infinity to null
+    # an array, as no report field is one, is walked element by element
+    # like any list, which maps NaN and infinity to null
     from fkm_willmore.report import _jsonable
     finite = np.array([[1.5, -0.0], [1e-300, 3.0]])
     got = _jsonable(finite)
