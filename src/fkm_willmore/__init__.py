@@ -11,8 +11,7 @@ tolerance that report.CHECKED_FIELDS names for it.
 from .clifford import (CliffordSystem, build_clifford_system,
                        build_skew_generators, delta, dump_matrices,
                        verify_clifford_relations)
-from .errors import (AdmissibilityError, CertificationError, FrameError,
-                     MultiplicityError, SpectrumError)
+from .errors import AdmissibilityError, CertificationError, FrameError
 from .focal import SPHERE_TOL, VALUE_TOL, FocalPoints, sample_focal_points
 from .geometry import AdaptedFrame, ShapeData, build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
@@ -29,12 +28,11 @@ __all__ = [
     "AdaptedFrame", "AdmissibilityError", "CertificationError", "Check",
     "CliffordSystem", "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES",
     "EinsteinProbe", "FkmPolynomial", "FocalPoints", "FrameError",
-    "MultiplicityError", "SPHERE_TOL", "ShapeData", "SpectrumError",
-    "VALUE_TOL", "VerificationConfig", "VerificationReport",
-    "build_clifford_system", "build_frame", "build_skew_generators",
-    "certify_point", "configuration_points", "delta", "dump_matrices",
-    "einstein_probe", "evaluate_system", "exit_code", "fold", "render_text",
-    "run_suite", "sample_focal_points", "shape_operators",
-    "verify_cartan_munzner", "verify_clifford_relations",
+    "SPHERE_TOL", "ShapeData", "VALUE_TOL", "VerificationConfig",
+    "VerificationReport", "build_clifford_system", "build_frame",
+    "build_skew_generators", "certify_point", "configuration_points",
+    "delta", "dump_matrices", "einstein_probe", "evaluate_system",
+    "exit_code", "fold", "render_text", "run_suite", "sample_focal_points",
+    "shape_operators", "verify_cartan_munzner", "verify_clifford_relations",
     "write_matrix_dumps",
 ]

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="random unit normals per point, beyond the "
                              "m+1 coordinate normals (default 50)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
-                        help=f"master seed (default {DEFAULT_SEED})")
+                        help=f"master seed, >= 0 (default {DEFAULT_SEED})")
     parser.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override a tolerance; names: "

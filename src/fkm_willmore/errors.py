@@ -1,9 +1,10 @@
 """Exception types raised by the verification pipeline.
 
-Everything here signals a *detected* problem: either the requested
-configuration is impossible, or a numerical routine left its guaranteed
-regime.  Identity checks that merely come out false never raise: their
-residuals fail a records.Check in the report.
+Everything here signals a *detected* problem: the requested
+configuration is impossible, no point of M+ can be built, or no
+orthonormal frame can be built at a point.  Identity checks that merely
+come out false never raise: their residuals fail a records.Check in the
+report, and wrong multiplicities or ranks fail their block.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ __all__ = [
     "AdmissibilityError",
     "CertificationError",
     "FrameError",
-    "MultiplicityError",
-    "SpectrumError",
 ]
 
 
@@ -39,10 +38,3 @@ class CertificationError(RuntimeError):
 class FrameError(RuntimeError):
     """An assembled frame failed its orthonormality check."""
 
-
-class SpectrumError(RuntimeError):
-    """A shape-operator eigenvalue landed outside every expected cluster."""
-
-
-class MultiplicityError(RuntimeError):
-    """Eigenvalue clusters have the wrong sizes."""

@@ -51,14 +51,12 @@ SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
 _GRAM_TOL = 1e-6           # max |J J^T / 4 - I| of a row of rank m + 2
-_SEED_MASK = (1 << 64) - 1
 
 
 def _subseed(master: int, *key: int) -> SeedSequence:
     """The sub-stream of the master seed named by `key`, ready for
     default_rng."""
-    return SeedSequence(int(master) & _SEED_MASK,
-                        spawn_key=tuple(int(v) for v in key))
+    return SeedSequence(int(master), spawn_key=tuple(int(v) for v in key))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ from numpy.random import default_rng
 
 from .clifford import (CliffordSystem, build_clifford_system, delta,
                        dump_matrices, verify_clifford_relations)
-from .errors import (AdmissibilityError, CertificationError, FrameError,
-                     MultiplicityError, SpectrumError)
+from .errors import AdmissibilityError, CertificationError, FrameError
 from .focal import (SPHERE_TOL, VALUE_TOL, FocalPoints, _subseed,
                     sample_focal_points)
 from .geometry import build_frame, shape_operators
@@ -59,7 +58,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -161,10 +160,9 @@ class VerificationConfig:
         object.__setattr__(self, "tolerances", merged)
         if self.format not in ("json", "text"):
             raise ValueError(f"format must be json or text, got {self.format!r}")
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if self.n_normals < 0:
-            raise ValueError("n_normals must be >= 0")
+        for name, low in (("n_points", 1), ("n_normals", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -242,11 +240,35 @@ def _block(name: str, tol: dict, fields: dict, ok: bool = True) -> dict:
     """The report block `name`: its fields in key order, then its verdict.
 
     The block passes when `ok` holds and each of its _checks passes.  Only
-    points (the Jacobian ranks) and einstein (the evidence gate) have a
-    condition besides their checks.
+    points (the Jacobian ranks), lemma (the multiplicities) and einstein
+    (the evidence gate) have a condition besides their checks.
     """
     return {**fields,
             "pass": ok and all(c.passed for c in _checks(name, tol, fields))}
+
+
+def _judged(name: str, tol: dict, fields: dict, rows: dict,
+            conditions: dict, where) -> dict:
+    """The block `name`, which holds every point to its checks and
+    conditions: `rows` maps each checked field to its values at every
+    point, and `conditions` maps a field to its values at every point and
+    the value it must take.  Failing, the block names its first failing
+    point i and field in `error`, after where(i, field)."""
+    block = _block(name, tol, fields, ok=all(
+        v == want for values, want in conditions.values() for v in values))
+    if block["pass"]:
+        return block
+    for i in range(len(next(iter(rows.values())))):
+        failed = [(c.name, f"{c.name} {c.residual:.1e} (tol {c.tol:g})")
+                  for c in _checks(name, tol, {k: v[i]
+                                               for k, v in rows.items()})
+                  if not c.passed]
+        failed += [(key, f"{key} {values[i]} (expected {want})")
+                   for key, (values, want) in conditions.items()
+                   if values[i] != want]
+        if failed:
+            key, text = failed[0]
+            return {**fields, "error": where(i, key) + text, "pass": False}
 
 
 def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
@@ -255,25 +277,15 @@ def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
     rows = {"max_constraint_residual": points.residual_constraints,
             "max_sphere_residual": points.residual_sphere,
             "max_value_gap": points.value_gap}
-    ranks = sorted(set(points.jacobian_rank.tolist()))
-    fields = {"count": len(points.x),
-              **{key: fold(values) for key, values in rows.items()},
-              "jacobian_ranks": ranks, "rank_expected": rank_expected,
-              "coordinates_sha256": hashlib.sha256(np.ascontiguousarray(
-                  points.x, dtype="<f8").tobytes()).hexdigest()}
-    block = _block("points", tol, fields, ok=ranks == [rank_expected])
-    if block["pass"]:
-        return block
-    for i, rank in enumerate(points.jacobian_rank.tolist()):
-        failed = [f"{c.name} {c.residual:.1e} (tol {c.tol:g})" for c in
-                  _checks("points", tol, {k: v[i] for k, v in rows.items()})
-                  if not c.passed]
-        if rank != rank_expected:
-            failed.append(f"jacobian_rank {rank} (expected {rank_expected})")
-        if failed:
-            return {**fields, "error":
-                    f"point {i} failed certification: {failed[0]}",
-                    "pass": False}
+    ranks = points.jacobian_rank.tolist()
+    return _judged("points", tol, {
+        "count": len(points.x),
+        **{key: fold(values) for key, values in rows.items()},
+        "jacobian_ranks": sorted(set(ranks)), "rank_expected": rank_expected,
+        "coordinates_sha256": hashlib.sha256(np.ascontiguousarray(
+            points.x, dtype="<f8").tobytes()).hexdigest()},
+        rows, {"jacobian_rank": (ranks, rank_expected)},
+        lambda i, _: f"point {i} failed certification: ")
 
 
 def configuration_points(system: CliffordSystem, cfg: VerificationConfig,
@@ -290,9 +302,9 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                     config_index: int) -> dict:
     """Run every check block for one admissible system.
 
-    Expected failure modes (certification, frame, spectrum) mark
-    their block failed and skip dependents; anything else propagates to
-    run_suite, which records an internal error (exit code 3).
+    A failing check fails its block; a stage that leaves no data (no
+    points, a frame error) also skips its dependents.  Anything else
+    propagates to run_suite, which records an internal error (exit code 3).
     """
     m, l = system.m, system.l
     n = system.ambient_dim - m - 2
@@ -353,33 +365,36 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
 
     if frames is not None:
         count = len(points.x)
-        try:
-            coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
-            coeffs[:, :m + 1] = np.eye(m + 1)
-            if cfg.n_normals:
-                # one draw for the configuration, point p's normals in row p
-                rng = default_rng(_subseed(cfg.seed, config_index, 3))
-                c = rng.standard_normal((count, cfg.n_normals, m + 1))
-                # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
-                norms = np.sqrt(np.matmul(c[..., None, :], c[..., None]))
-                coeffs[:, m + 1:] = c / norms[..., 0]
-            residuals = certify_point(system, frames, shapes, coeffs)
-        except (SpectrumError, MultiplicityError) as exc:
-            blocks["lemma"] = {"error": str(exc), "pass": False}
-        else:
-            # one row per point, one column per name of CHECK_NAMES
-            columns = dict(zip(CHECK_NAMES, residuals.T))
-            worst = {name: fold(col) for name, col in columns.items()}
-            blocks["lemma"] = _block("lemma", tol, {
-                "n_normals_per_point": m + 1 + cfg.n_normals,
-                "max_spectrum_deviation": worst.pop("max_spectrum_deviation"),
-                "multiplicities": [m, system.m2, system.m2]})
-            blocks["willmore"] = _block("willmore", tol, {
-                "residual_max": worst.pop("residual_max"),
-                "residual_median": float(np.median(columns["residual_max"])),
-                **worst})
+        coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
+        coeffs[:, :m + 1] = np.eye(m + 1)
+        if cfg.n_normals:
+            # one draw for the configuration, point p's normals in row p
+            rng = default_rng(_subseed(cfg.seed, config_index, 3))
+            c = rng.standard_normal((count, cfg.n_normals, m + 1))
+            # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
+            norms = np.sqrt(np.matmul(c[..., None, :], c[..., None]))
+            coeffs[:, m + 1:] = c / norms[..., 0]
+        residuals, worst, wrong, read = certify_point(system, frames, shapes,
+                                                      coeffs)
+        # one row per point, one column per name of CHECK_NAMES
+        columns = dict(zip(CHECK_NAMES, residuals.T))
+        folded = {name: fold(col) for name, col in columns.items()}
+        expected, read = [m, system.m2, system.m2], read.tolist()
+        normal = {"max_spectrum_deviation": worst, "multiplicities": wrong}
+        blocks["lemma"] = _judged("lemma", tol, {
+            "n_normals_per_point": m + 1 + cfg.n_normals,
+            "max_spectrum_deviation": folded.pop("max_spectrum_deviation"),
+            "multiplicities": next((r for r in read if r != expected),
+                                   expected)},
+            {"max_spectrum_deviation": columns["max_spectrum_deviation"]},
+            {"multiplicities": (read, expected)},
+            lambda i, key: f"point {i}, normal {normal[key][i]}: ")
+        blocks["willmore"] = _block("willmore", tol, {
+            "residual_max": folded.pop("residual_max"),
+            "residual_median": float(np.median(columns["residual_max"])),
+            **folded})
 
-        # the probe reads only the frames, so a failed chain leaves it
+        # the probe reads only the frames
         probe = einstein_probe(system, frames)
         blocks["einstein"] = _block("einstein", tol, {
             "ricci_min": float(np.min(probe.ricci_min)),

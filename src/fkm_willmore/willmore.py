@@ -35,7 +35,7 @@ operators under test and the system's own; linear in xi, it is read once
 per point, and it is the one check of the operators' sign, as -A_a (the
 normals -P_a x) pass every other identity.  certify_point evaluates the
 chain over blocks of points and returns the worst residual of every
-identity at every point.
+identity at every point, and the normals that a lemma verdict names.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from itertools import permutations
 import numpy as np
 
 from .clifford import CliffordSystem
-from .errors import MultiplicityError, SpectrumError
 from .geometry import AdaptedFrame, ShapeData
 from .records import Record, fold
 
@@ -58,9 +57,10 @@ __all__ = [
     "einstein_probe",
 ]
 
-# max |A_xi^3 - A_xi| must stay within this radius; every eigenvalue of
-# A_xi then lies within 4 n / 3 times it of {0, +1, -1}.  The true gaps are
-# of size 1, so the radius is purely defensive.
+# Within this radius of max |A_xi^3 - A_xi| every eigenvalue of A_xi lies
+# within 4 n / 3 times it of {0, +1, -1}, so the rounded traces of the
+# spectral projectors are the multiplicities for n < 400; above it the
+# lemma does not read them.
 CLUSTER_RADIUS = 1e-6
 
 RICCI_SPREAD_THRESHOLD = 0.1
@@ -158,42 +158,25 @@ def _at_normals(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
         *coeffs.shape[:2], *stack.shape[2:])
 
 
-def _lemma(system: CliffordSystem, ops: np.ndarray, coeffs: np.ndarray,
-           first: tuple) -> np.ndarray:
-    """max |A_xi^3 - A_xi| for every A_xi = sum_a c_a A_a, (P, N).
-
-    A deviation above CLUSTER_RADIUS raises SpectrumError, and traces of
-    (I - A^2, (A^2 + A)/2, (A^2 - A)/2), the spectral projectors, that do
-    not round to (m, l-m-1, l-m-1) raise MultiplicityError; both name the
-    first failing row as point first[0] + p, normal first[1] + k.  A_xi,
-    A_xi^2 and A_xi^3 are the only per-normal arrays of the chain.
-    """
-    m, m2, n = system.m, system.m2, ops.shape[2]
+def _lemma(ops: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """max |A_xi^3 - A_xi| for every A_xi = sum_a c_a A_a, (P, N), and the
+    multiplicities read there, (P, N, 3): the traces of (I - A^2,
+    (A^2 + A)/2, (A^2 - A)/2), the spectral projectors, rounded, which is
+    exact within CLUSTER_RADIUS, and (0, 0, 0), no focal manifold's, above
+    it.  A_xi, A_xi^2 and A_xi^3 are the only per-normal arrays of the
+    chain."""
+    n = ops.shape[2]
     a_xi = _at_normals(coeffs, ops)
     sq = a_xi @ a_xi
+    tr_sq = np.trace(sq, axis1=2, axis2=3)
+    tr_a = np.trace(a_xi, axis1=2, axis2=3)
     cube = sq @ a_xi
     cube -= a_xi
     deviation = np.max(np.abs(cube, out=cube), axis=(2, 3), initial=0.0)
-    bad = np.argwhere(~(deviation <= CLUSTER_RADIUS))
-    if bad.size:
-        p, k = bad[0]
-        raise SpectrumError(
-            f"point {first[0] + p}, normal {first[1] + k}: max |A_xi^3 - "
-            f"A_xi| = {deviation[p, k]:.3e}, so the spectrum leaves the "
-            f"clusters around {{0, +1, -1}} (radius {CLUSTER_RADIUS:.1e})")
-    tr_sq = np.trace(sq, axis1=2, axis2=3)
-    tr_a = np.trace(a_xi, axis1=2, axis2=3)
-    expected = (m, m2, m2)
-    counts = np.rint(np.stack([n - tr_sq, (tr_sq + tr_a) / 2.0,
-                               (tr_sq - tr_a) / 2.0], axis=2)).astype(int)
-    bad = np.argwhere(np.any(counts != expected, axis=2))
-    if bad.size:
-        p, k = bad[0]
-        raise MultiplicityError(
-            f"point {first[0] + p}, normal {first[1] + k}: principal "
-            f"multiplicities {tuple(counts[p, k].tolist())} != expected "
-            f"{expected} for (0, +1, -1)")
-    return deviation
+    traces = np.stack([n - tr_sq, (tr_sq + tr_a) / 2.0, (tr_sq - tr_a) / 2.0],
+                      axis=2)
+    return deviation, np.where((deviation <= CLUSTER_RADIUS)[..., None],
+                               np.rint(traces), 0.0).astype(int)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -304,20 +287,24 @@ CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
 
 
 def certify_point(system: CliffordSystem, frame: AdaptedFrame,
-                  shape: ShapeData, normal_coeffs) -> np.ndarray:
+                  shape: ShapeData, normal_coeffs) -> tuple:
     """Every check of the chain at P points; the lemma over their normal
     directions.
 
     `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
     each point of the stacked `frame` and `shape`.  Returns a (P, 10) array
     of residuals, one row per point and one column per key of the report's
-    lemma and willmore blocks, in the order of CHECK_NAMES.  The lemma's
-    max_spectrum_deviation is the worst over the point's normals, so
-    identical inputs give identical rows and the order of the normals does
-    not matter.
+    lemma and willmore blocks, in the order of CHECK_NAMES, and the lemma's
+    rows per point: the normal of the worst deviation (-1 with no
+    normals), the first normal whose multiplicities are wrong (-1 if none)
+    and the (P, 3) multiplicities read there ((m, l-m-1, l-m-1) if none).
+    The lemma's max_spectrum_deviation is the worst over the point's
+    normals, so identical inputs give identical rows and the order of the
+    normals does not change them; the normals are named by their index in
+    `normal_coeffs`.
 
     Every other check is read once per point, for every normal at once.
-    Before any block, over all points: the non-finite guard (SpectrumError
+    Before any block, over all points: the non-finite guard (ValueError
     naming the point), the pair tangency (folded into case_identity_max,
     so it counts with no normals too), and, at the coordinate normals,
     since each is linear in xi, the criterion, the balance
@@ -326,12 +313,12 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     A_a + T^T P_a T (reflection_max, _sign_gap), whose T^T P_a T is formed
     from T and the P_a, never taken from the operators under test.  Then,
     over blocks that fit _BLOCK_BYTES (_block_points), the lemma of each
-    normal (_lemma; whole points, or chunks of one point's normals folded
-    into the point's row by their maximum, NaN if any is NaN) and the pair
-    tensors of each point (_pair_tensors: the pairwise balance, the leaks,
-    |U| at m = 2 and the aggregate, which chain_max holds against the
-    balance).  The blocks read no ambient array, so a point's residuals do
-    not depend on the block it is in.
+    normal (_lemma; whole points, or chunks of one point's normals, joined
+    into the point's rows) and the pair tensors of each point
+    (_pair_tensors: the pairwise balance, the leaks, |U| at m = 2 and the
+    aggregate, which chain_max holds against the balance).  The blocks
+    read no ambient array, so a point's results do not depend on the block
+    it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -340,7 +327,7 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
         raise ValueError(f"{count} frames and {len(ops)} shapes")
     bad = np.flatnonzero(~np.all(np.isfinite(ops), axis=(1, 2, 3)))
     if bad.size:
-        raise SpectrumError(
+        raise ValueError(
             f"point {bad[0]}: shape operators have non-finite entries")
     reduced = _contractions(shape.ricci, ops)
     balance = _contractions(frame.closed_ricci, ops)
@@ -351,19 +338,28 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     tables = _pair_tables(system.m + 1)
     aggregate = np.empty((count, system.m + 1))
     spectrum, pairwise, leak, u = (np.empty(count) for _ in range(4))
+    expected = (system.m, system.m2, system.m2)
+    worst, wrong = np.full(count, -1), np.full(count, -1)
+    counts = np.tile(expected, (count, 1))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        spectrum[rows] = fold([fold(_lemma(system, ops[rows],
-                                           coeffs[rows, k:k + chunk],
-                                           (lo, k)), axis=1)
-                               for k in range(0, max(1, num), chunk)], axis=0)
+        deviation, read = (np.concatenate(part, axis=1) for part in zip(
+            *(_lemma(ops[rows], coeffs[rows, k:k + chunk])
+              for k in range(0, max(1, num), chunk))))
+        spectrum[rows] = fold(deviation, axis=1)
+        if num:
+            right = np.all(read == expected, axis=2)
+            first = np.argmin(right, axis=1)
+            worst[rows] = np.argmax(deviation, axis=1)
+            wrong[rows] = np.where(right.all(axis=1), -1, first)
+            counts[rows] = read[np.arange(len(first)), first]
         aggregate[rows], pairwise[rows], leak[rows], u[rows] = _pair_tensors(
             system, ops[rows], pairs[rows], tables)
     residual, bal, bridge, chain, agg = (fold(np.abs(r), axis=1) for r in (
         reduced, balance, reduced - balance, balance - aggregate, aggregate))
     return np.column_stack([
         spectrum, residual, bal, bridge, chain, pairwise, agg, leak, gap,
-        np.maximum(u, _pair_tangency(system, frame))])
+        np.maximum(u, _pair_tangency(system, frame))]), worst, wrong, counts
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ PACKAGE_NAMES = [
     "AdaptedFrame", "AdmissibilityError", "CertificationError", "Check",
     "CliffordSystem", "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES",
     "EinsteinProbe", "FkmPolynomial", "FocalPoints", "FrameError",
-    "MultiplicityError", "SPHERE_TOL", "ShapeData", "SpectrumError",
-    "VALUE_TOL", "VerificationConfig", "VerificationReport",
-    "build_clifford_system", "build_frame", "build_skew_generators",
-    "certify_point", "configuration_points", "delta", "dump_matrices",
-    "einstein_probe", "evaluate_system", "exit_code", "fold", "render_text",
-    "run_suite", "sample_focal_points", "shape_operators",
-    "verify_cartan_munzner", "verify_clifford_relations",
+    "SPHERE_TOL", "ShapeData", "VALUE_TOL", "VerificationConfig",
+    "VerificationReport", "build_clifford_system", "build_frame",
+    "build_skew_generators", "certify_point", "configuration_points",
+    "delta", "dump_matrices", "einstein_probe", "evaluate_system",
+    "exit_code", "fold", "render_text", "run_suite", "sample_focal_points",
+    "shape_operators", "verify_cartan_munzner", "verify_clifford_relations",
     "write_matrix_dumps",
 ]
 

@@ -17,8 +17,8 @@ from numpy.random import default_rng
 
 from fkm_willmore import (SPHERE_TOL, VALUE_TOL, VerificationConfig,
                           VerificationReport, build_clifford_system,
-                          configuration_points, exit_code, render_text,
-                          run_suite, sample_focal_points)
+                          build_frame, configuration_points, exit_code,
+                          render_text, run_suite, sample_focal_points)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
                                  DEFAULT_TOLERANCES, SCHEMA_VERSION,
@@ -123,6 +123,8 @@ def test_entry_structure_and_pass():
     assert entry["blocks"]["points"]["count"] == 3
     assert entry["blocks"]["points"]["jacobian_ranks"] == [3]
     assert entry["blocks"]["lemma"]["multiplicities"] == [1, 1, 1]
+    # the m + 1 coordinate normals and the random ones
+    assert entry["blocks"]["lemma"]["n_normals_per_point"] == 2 + 4
     assert entry["blocks"]["einstein"]["status"] == "evidence"
 
 
@@ -178,6 +180,17 @@ def test_seed_changes_sampled_coordinates():
     a, b = points
     assert np.array_equal(a[0], b[0]), "deterministic point ignores the seed"
     assert not np.array_equal(a[1:], b[1:])
+
+
+def test_seeds_beyond_64_bits_are_distinct():
+    # the master seed is any non-negative integer, passed whole to
+    # SeedSequence: 2**64 + 1 is not 1, and a negative seed is refused
+    digests = [run_suite(tiny_config(seed=seed)).to_dict()["configurations"]
+               [0]["blocks"]["points"]["coordinates_sha256"]
+               for seed in (1, 2 ** 64 + 1)]
+    assert digests[0] != digests[1]
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        tiny_config(seed=-1)
 
 
 def test_digest_is_that_of_the_rebuilt_points(suite_report):
@@ -437,6 +450,7 @@ def test_parse_cli_overrides():
     ["--bogus"],
     ["--tol", "pde=inf"],
     ["--tol", "pde=1e400"],
+    ["--seed", "-1"],
 ])
 def test_cli_argument_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -784,17 +798,33 @@ def _probe_without_pairs(original):
     return probe
 
 
+def _scale_all(shapes):
+    return replace(shapes, operators=1.5 * np.asarray(shapes.operators))
+
+
+def _identity_at_one_point(shapes):
+    # every eigenvalue at +1 for each coordinate normal of point 4
+    ops = np.array(shapes.operators)
+    ops[4] = np.eye(ops.shape[2])
+    return replace(shapes, operators=ops)
+
+
 # the blocks that a downstream fault can reach; the blocks before them do
 # not see the faults
 _DOWNSTREAM = ("geometry", "lemma", "willmore")
 
 
 def _tripped(entry, tolerances):
-    """block.field of every downstream residual above its tolerance."""
+    """block.field of every downstream residual above its tolerance, and
+    lemma.multiplicities when the lemma read wrong ones."""
+    blocks = entry["blocks"]
+    expected = [entry["m"]] + [entry["l"] - entry["m"] - 1] * 2
+    wrong = blocks.get("lemma", {}).get("multiplicities", expected) != expected
     return [f"{name}.{key}" for name in _DOWNSTREAM
             for key, held in CHECKED_FIELDS[name].items()
-            if key in entry["blocks"].get(name, {})
-            and not entry["blocks"][name][key] <= tolerances[held]]
+            if key in blocks.get(name, {})
+            and not blocks[name][key] <= tolerances[held]
+            ] + ["lemma.multiplicities"] * wrong
 
 
 @pytest.mark.parametrize("config,target,patch,failed,fields", [
@@ -827,9 +857,17 @@ def _tripped(entry, tolerances):
     ((6, 1), "build_frame", _on_result(_push_pair(8, 5e-8)), ["willmore"],
      ["willmore.chain_max", "willmore.projection_pairwise_max",
       "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"]),
+    ((3, 2), "shape_operators", _on_result(_identity_at_one_point),
+     ["lemma", "willmore"],
+     ["lemma.max_spectrum_deviation", "willmore.residual_max",
+      "willmore.balance_max", "willmore.chain_max",
+      "willmore.projection_pairwise_max", "willmore.projection_aggregate_max",
+      "willmore.t0_pair_leak_max", "willmore.reflection_max",
+      "lemma.multiplicities"]),
 ], ids=["flip-sign", "swap-points", "scale-one-point", "scale-one-point-floor",
         "scale-frame-operators", "shift-crosscheck", "zero-pairs-einstein",
-        "push-pair-tangent", "push-pair-normal", "push-pair-tangent-6-1"])
+        "push-pair-tangent", "push-pair-normal", "push-pair-tangent-6-1",
+        "multiplicity-error"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
                                                 patch, failed, fields):
     # each fault is injected at the name report.py looks up, and every block
@@ -856,11 +894,17 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
     # push, keeps; pushed along P_0 x (column 1) it leaves the tangent
     # space and only the tangency sees it.  At (6, 1) the push is sized so
     # that the pairwise tensor trips (1.52e-8): the per-normal chain it
-    # replaced read 7.6e-9 there at 50 random normals, and passed.
+    # replaced read 7.6e-9 there at 50 random normals, and passed.  The
+    # identity in place of point 4's operators has A_xi^3 = A_xi at the
+    # coordinate normals, where the lemma reads the multiplicities
+    # (0, 11, 0), and (c . 1)^3 - (c . 1) at the random ones; it is the
+    # one row whose lemma reads wrong multiplicities, and the criterion
+    # there is tr(Ric) = 78.
     # `fields` names every residual that the fault puts above its
-    # tolerance: a flipped sign shows only in the sign gap (1.97), whose
-    # T^T P_a T is formed apart from the operators, and a pushed pair
-    # never in it (the einstein gate has no residual field)
+    # tolerance, and the lemma's multiplicity condition when it fails: a
+    # flipped sign shows only in the sign gap (1.97), whose T^T P_a T is
+    # formed apart from the operators, and a pushed pair never in it (the
+    # einstein gate has no residual field)
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=(config,), n_points=20,
@@ -876,26 +920,21 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
         assert einstein["spread_exceeds_threshold"] is False
 
 
-def _scale_all(shapes):
-    return replace(shapes, operators=1.5 * np.asarray(shapes.operators))
-
-
-def _identity_at_one_point(shapes):
-    # every eigenvalue at +1 for each coordinate normal of point 4
-    ops = np.array(shapes.operators)
-    ops[4] = np.eye(ops.shape[2])
-    return replace(shapes, operators=ops)
-
-
-@pytest.mark.parametrize("fault,error", [
-    (_scale_all, "point 0, normal 0: max |A_xi^3 - A_xi|"),
-    (_identity_at_one_point, "point 4, normal 0: principal multiplicities"),
+@pytest.mark.parametrize("fault,error,counts", [
+    (_scale_all, "point 0, normal 0: max_spectrum_deviation 1.9e+00 "
+     "(tol 1e-08)", [0, 0, 0]),
+    (_identity_at_one_point, "point 4, normal 0: multiplicities [0, 11, 0] "
+     "(expected [3, 4, 4])", [0, 11, 0]),
 ], ids=["spectrum-error", "multiplicity-error"])
-def test_chain_error_keeps_the_einstein_block(monkeypatch, fault, error):
-    # when the chain raises, lemma carries the error and willmore, which
-    # depends on it, is absent; the Einstein probe reads only the frames'
-    # closed-form Ricci matrices, so its block is the fault-free one, in
-    # its place after lemma.  Only the coordinate normals are drawn
+def test_chain_error_keeps_the_einstein_block(monkeypatch, fault, error,
+                                              counts):
+    # a failing lemma keeps its fields and names its first failing point,
+    # the normal and the field or the multiplicities read there in an
+    # `error` before `pass`; willmore reads no field of the lemma and is
+    # present, and the Einstein probe reads only the frames' closed-form
+    # Ricci matrices, so its block is the fault-free one.  Only the
+    # coordinate normals are drawn.  Scaled by 1.5, every deviation leaves
+    # the cluster radius, so no multiplicities are read
     from fkm_willmore import report
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
                              n_normals=0)
@@ -903,12 +942,62 @@ def test_chain_error_keeps_the_einstein_block(monkeypatch, fault, error):
     monkeypatch.setattr(report, "shape_operators",
                         _on_result(fault)(report.shape_operators))
     blocks = evaluate_system(build_clifford_system(3, 2), cfg, 0)["blocks"]
-    assert list(blocks) == [name for name in EXPECTED_BLOCKS
-                            if name != "willmore"]
-    assert blocks["lemma"]["error"].startswith(error)
+    assert list(blocks) == list(EXPECTED_BLOCKS)
+    assert list(blocks["lemma"]) == (SCHEMA_KEYS["lemma"][:-1]
+                                     + ["error", "pass"])
+    assert blocks["lemma"]["error"] == error
+    assert blocks["lemma"]["multiplicities"] == counts
     assert not blocks["lemma"]["pass"]
+    assert list(blocks["willmore"]) == SCHEMA_KEYS["willmore"]
     assert blocks["einstein"] == clean["einstein"]
     assert blocks["einstein"]["pass"]
+
+
+def _scale_to_deviation(point, target):
+    """A fault of a record of shape operators: point `point`'s are scaled
+    by s = 1 + e, sized so that its lemma reads `target` at the
+    coordinate normals, (s^3 - s) max_a |A_a|."""
+    def fault(record):
+        ops = np.array(record.operators)
+        ops[point] *= 1.0 + target / (2.0 * np.max(np.abs(ops[point])))
+        return replace(record, operators=ops)
+    return fault
+
+
+def test_cluster_radius_guards_the_lemma_block(monkeypatch):
+    # point 3's deviation 0.1% below the cluster radius fails the lemma
+    # at the default geom, naming the point and its worst normal, and
+    # passes at geom 1e-6; 0.1% above it the multiplicities are not read,
+    # so the lemma fails on them whatever geom is.  willmore is reported
+    # in every case
+    from fkm_willmore import report, willmore
+    system = build_clifford_system(3, 2)
+    original = report.shape_operators
+    grid = dict(configurations=((3, 2),), n_points=5, n_normals=0)
+    clean = original(build_frame(system, configuration_points(
+        system, tiny_config(**grid), 0).x))
+    normal = int(np.argmax(np.max(np.abs(clean.operators[3]), axis=(1, 2))))
+    for factor, geom, error in [
+            (0.999, None, f"point 3, normal {normal}: max_spectrum_deviation "
+             "1.0e-06 (tol 1e-08)"),
+            (0.999, 1e-6, None),
+            (1.001, None, f"point 3, normal {normal}: max_spectrum_deviation "
+             "1.0e-06 (tol 1e-08)"),
+            (1.001, 1e-4, f"point 3, normal {normal}: multiplicities "
+             "[0, 0, 0] (expected [3, 4, 4])")]:
+        target = factor * willmore.CLUSTER_RADIUS
+        monkeypatch.setattr(report, "shape_operators", _on_result(
+            _scale_to_deviation(3, target))(original))
+        cfg = tiny_config(**grid, tolerances={} if geom is None
+                          else {"geom": geom})
+        blocks = evaluate_system(system, cfg, 0)["blocks"]
+        lemma = blocks["lemma"]
+        assert abs(lemma["max_spectrum_deviation"] / target - 1.0) <= 1e-4
+        assert lemma.get("error") == error
+        assert lemma["pass"] == (error is None)
+        assert lemma["multiplicities"] == (
+            [3, 4, 4] if factor < 1.0 else [0, 0, 0])
+        assert list(blocks) == list(EXPECTED_BLOCKS)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

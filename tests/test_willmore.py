@@ -11,8 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from fkm_willmore import (CliffordSystem, MultiplicityError, ShapeData,
-                          SpectrumError, VerificationConfig,
+from fkm_willmore import (CliffordSystem, ShapeData, VerificationConfig,
                           build_clifford_system, build_frame, certify_point,
                           einstein_probe, evaluate_system,
                           sample_focal_points, shape_operators)
@@ -56,7 +55,7 @@ def _unit(rng, dim):
 def _residuals(system, frame, shape, coeffs):
     """certify_point's residuals at a one-point stack, by check name."""
     return dict(zip(CHECK_NAMES,
-                    certify_point(system, frame, shape, [coeffs])[0]))
+                    certify_point(system, frame, shape, [coeffs])[0][0]))
 
 
 # the default tolerance of each certify_point column, from the lemma and
@@ -78,7 +77,7 @@ def _projectors(system, shapes, coeffs):
     projectors (Pi_0, Pi_{+1}, Pi_{-1}) for a (P, N, m+1) stack of
     coefficients, with Pi_0 the complement I - Pi_{+1} - Pi_{-1}."""
     coeffs = np.asarray(coeffs, dtype=float)
-    deviation = willmore._lemma(system, shapes.operators, coeffs, (0, 0))
+    deviation = willmore._lemma(shapes.operators, coeffs)[0]
     return (deviation, *projectors(shapes.operators, coeffs)[1:])
 
 
@@ -117,17 +116,24 @@ def test_principal_bases_orthonormal_and_tangent():
 
 
 def test_spectrum_error_on_scaled_operators():
+    # scaled by 1.5 the eigenvalues +-1 move to +-1.5: the deviation leaves
+    # the cluster radius, so the multiplicities are not read, (0, 0, 0)
     system, frame, shape = _setup(1, 3, extra_points=0)
     bad = ShapeData(operators=1.5 * shape.operators,
                     sff_norm_sq=shape.sff_norm_sq,
                     trace_free_norm_sq=shape.trace_free_norm_sq,
                     mean_curvature=shape.mean_curvature,
                     ricci=shape.ricci)
-    with pytest.raises(SpectrumError):
-        certify_point(system, frame, bad, [np.eye(2)[:1]])
+    rows, worst, wrong, counts = certify_point(system, frame, bad,
+                                               [np.eye(2)[:1]])
+    assert rows[0, 0] == pytest.approx(1.5 ** 3 - 1.5, rel=1e-12)
+    assert (worst.tolist(), wrong.tolist()) == ([0], [0])
+    assert counts.tolist() == [[0, 0, 0]]
 
 
 def test_multiplicity_error_on_forged_operators():
+    # A = I has A^3 = A, so the deviation is 0 and the traces are read:
+    # every eigenvalue at +1, (0, n, 0) against (m, m2, m2) = (1, 1, 1)
     system, frame, shape = _setup(1, 3, extra_points=0)
     n = frame.tangent.shape[2]
     ops = np.array(shape.operators)
@@ -136,8 +142,10 @@ def test_multiplicity_error_on_forged_operators():
                     trace_free_norm_sq=shape.trace_free_norm_sq,
                     mean_curvature=shape.mean_curvature,
                     ricci=shape.ricci)
-    with pytest.raises(MultiplicityError):
-        certify_point(system, frame, bad, [np.eye(2)[:1]])
+    rows, worst, wrong, counts = certify_point(system, frame, bad,
+                                               [np.eye(2)[:1]])
+    assert rows[0, 0] == 0.0 and wrong.tolist() == [0]
+    assert counts.tolist() == [[0, n, 0]] and n == 3
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -156,7 +164,7 @@ def willmore_residual(system, frames, shapes):
     eye = np.broadcast_to(np.eye(system.m + 1),
                           (len(frames.x), system.m + 1, system.m + 1))
     return certify_point(system, frames, shapes,
-                         eye)[:, CHECK_NAMES.index("residual_max")]
+                         eye)[0][:, CHECK_NAMES.index("residual_max")]
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -255,7 +263,7 @@ def test_case_identity_is_the_tangency_and_u_at_m2(m, k):
     coords[:, 1, 2, m + 2] += 1e-3
     coords[:, 2, 1, m + 2] -= 1e-3
     forged = replace(frames, pair_coords=coords)
-    case = certify_point(system, forged, shapes, coeffs)[
+    case = certify_point(system, forged, shapes, coeffs)[0][
         :, CHECK_NAMES.index("case_identity_max")]
     tangency = willmore._pair_tangency(system, forged)
     assert np.array_equal(tangency, willmore._pair_tangency(system, frames))
@@ -278,7 +286,7 @@ def test_certify_point_aggregates(m, k):
     rng = default_rng(50 + m)
     coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
     assert willmore.CHECK_NAMES == CHECK_NAMES
-    row = certify_point(system, frame, shape, [coeffs])[0]
+    row = certify_point(system, frame, shape, [coeffs])[0][0]
     assert row.shape == (len(CHECK_NAMES),)
     assert list(_DEFAULT_TOL) == list(CHECK_NAMES)
     for name, value in zip(CHECK_NAMES, row):
@@ -290,7 +298,7 @@ def test_certify_point_doubled_generators():
     system, frame, shape = _setup(9, 1, extra_points=0)
     rng = default_rng(59)
     coeffs = list(np.eye(10)) + [_unit(rng, 10) for _ in range(3)]
-    row = certify_point(system, frame, shape, [coeffs])[0]
+    row = certify_point(system, frame, shape, [coeffs])[0][0]
     assert _passes(row)
     assert row[CHECK_NAMES.index("residual_max")] < 1e-7
 
@@ -330,8 +338,10 @@ def test_fault_injection_detected():
     assert judged_points(bad, x)[1]["pass"]
     frame = build_frame(bad, x)
     shape = shape_operators(frame)
-    with pytest.raises((SpectrumError, MultiplicityError)):
-        certify_point(bad, frame, shape, [np.eye(3)[:1]])
+    rows, _, wrong, counts = certify_point(bad, frame, shape,
+                                           [np.eye(3)[:1]])
+    assert rows[0, 0] > DEFAULT_TOLERANCES["geom"]
+    assert wrong.tolist() == [0] and counts.tolist() != [[2, 1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +356,12 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
     rng = default_rng(90 + m)
     for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(12)]
-        batch = certify_point(system, frame, shape, [coeffs])[0]
-        singles = np.array([certify_point(system, frame, shape, [[c]])[0]
+        batch = certify_point(system, frame, shape, [coeffs])[0][0]
+        singles = np.array([certify_point(system, frame, shape, [[c]])[0][0]
                             for c in coeffs])
         shuffled = certify_point(system, frame, shape,
                                  [[coeffs[i] for i in
-                                   rng.permutation(len(coeffs))]])[0]
+                                   rng.permutation(len(coeffs))]])[0][0]
         assert all(_passes(row) for row in [batch, shuffled, *singles])
         folded = np.max(singles, axis=0)
         for i, name in enumerate(CHECK_NAMES):
@@ -360,17 +370,22 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
 
 
 def test_certify_point_without_normals():
-    # with no normals the lemma reads 0; every other check is read once per
+    # with no normals the lemma reads 0, names no normal (-1) and reads
+    # no wrong multiplicities; every other check is read once per
     # point, for every normal at once, so it reads what it reads with
     # normals, and case_identity_max still holds the tangency and, at
     # m = 2, |U|
     system, frame, shape = _setup(2, 2, extra_points=0)
-    row = certify_point(system, frame, shape, np.zeros((1, 0, 3)))[0]
+    rows, worst, wrong, counts = certify_point(system, frame, shape,
+                                               np.zeros((1, 0, 3)))
+    assert (worst.tolist(), wrong.tolist()) == ([-1], [-1])
+    assert counts.tolist() == [[2, 1, 1]]
+    row = rows[0]
     assert row.shape == (len(CHECK_NAMES),)
     assert _passes(row)
     res = dict(zip(CHECK_NAMES, row))
     assert res["max_spectrum_deviation"] == 0.0
-    with_normals = certify_point(system, frame, shape, [np.eye(3)])[0]
+    with_normals = certify_point(system, frame, shape, [np.eye(3)])[0][0]
     assert with_normals[0] > 0.0
     assert np.array_equal(row[1:], with_normals[1:])
     tangency = willmore._pair_tangency(system, frame)[0]
@@ -387,23 +402,26 @@ def _forged_shape(shape, operators):
 def test_batched_spectrum_error_names_the_normal(monkeypatch):
     system, frame, shape = _setup(1, 3, extra_points=0)
     # with the budget at 1 byte every normal runs in a block of its own, and
-    # the error still names it by its index in the input
+    # the normals are still named by their index in the input
     for budget in (willmore._BLOCK_BYTES, 1):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         bad = _forged_shape(shape, 1.5 * shape.operators)
         # scaling every operator by 1.5 moves the +-1 eigenvalues of every
-        # A_xi to +-1.5, so the first normal of the batch is reported
+        # A_xi to +-1.5, so the first normal of the batch is the first
+        # above the cluster radius
         coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        with pytest.raises(SpectrumError, match="point 0, normal 0:"):
-            certify_point(system, frame, bad, [coeffs])
-        # scaling only A_1 leaves the first two normals intact
+        rows, _, wrong, counts = certify_point(system, frame, bad, [coeffs])
+        assert rows[0, 0] > willmore.CLUSTER_RADIUS
+        assert wrong.tolist() == [0] and counts.tolist() == [[0, 0, 0]]
+        # scaling only A_1 leaves the first two normals intact, and the
+        # third is the worst
         ops = np.array(shape.operators)
         ops[0, 1] *= 1.5
         bad = _forged_shape(shape, ops)
         coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                   np.array([0.0, 1.0])]
-        with pytest.raises(SpectrumError, match="point 0, normal 2:"):
-            certify_point(system, frame, bad, [coeffs])
+        _, worst, wrong, _ = certify_point(system, frame, bad, [coeffs])
+        assert (worst.tolist(), wrong.tolist()) == ([2], [2])
 
 
 def test_batched_multiplicity_error_names_the_normal(monkeypatch):
@@ -415,8 +433,9 @@ def test_batched_multiplicity_error_names_the_normal(monkeypatch):
     coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     for budget in (willmore._BLOCK_BYTES, 1):   # 1: a block per normal
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
-        with pytest.raises(MultiplicityError, match="point 0, normal 1:"):
-            certify_point(system, frame, bad, [coeffs])
+        rows, _, wrong, counts = certify_point(system, frame, bad, [coeffs])
+        assert rows[0, 0] <= 1e-15
+        assert wrong.tolist() == [1] and counts.tolist() == [[0, n, 0]]
 
 
 def test_batched_coefficient_validation_names_the_normal():
@@ -470,8 +489,9 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     system, frames, shapes = _setup(m, k, extra_points=6)
     rng = default_rng(60 + m)
     coeffs = [_normals(m, 3, rng) for _ in frames.x]
-    singles = np.array([certify_point(system, f, s, [c])[0]
-                        for (f, s), c in zip(_each(frames, shapes), coeffs)])
+    singles = [certify_point(system, f, s, [c])
+               for (f, s), c in zip(_each(frames, shapes), coeffs)]
+    singles = tuple(np.concatenate(part) for part in zip(*singles))
     # the byte size of one (point, normal) row of the lemma: A_xi, its
     # square and cube, and the deviation in the cube's place; and of one
     # point, the larger of its m + 4 rows and its pair tensors: the
@@ -491,8 +511,8 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         points, normals = willmore._block_points(system, m + 4)
         assert (min(points, 7), normals) == shape
-        assert np.array_equal(certify_point(system, frames, shapes, coeffs),
-                              singles)
+        assert all(np.array_equal(got, want) for got, want in zip(
+            certify_point(system, frames, shapes, coeffs), singles))
     # a point's normals split evenly over the fewest blocks that fit: one
     # normal per block, at most 3, and one byte short of all m + 4 rows
     # (two halves).  A block of one normal takes numpy's matrix-vector
@@ -503,9 +523,12 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
                             (row * (m + 4) - 1, (m + 5) // 2)):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         assert willmore._block_points(system, m + 4) == (1, normals)
-        rows = certify_point(system, frames, shapes, coeffs)
-        assert np.allclose(rows, singles, rtol=0.0, atol=1e-13)
-        assert np.array_equal(rows[:, 1:], singles[:, 1:])
+        rows, _, wrong, counts = certify_point(system, frames, shapes,
+                                               coeffs)
+        assert np.allclose(rows, singles[0], rtol=0.0, atol=1e-13)
+        assert np.array_equal(rows[:, 1:], singles[0][:, 1:])
+        assert np.array_equal(wrong, singles[2])
+        assert np.array_equal(counts, singles[3])
 
 
 def _count_calls(monkeypatch, name, calls):
@@ -533,7 +556,7 @@ def test_chain_blocks_of_a_default_configuration(m, k, blocks, monkeypatch):
                              n_normals=50)
     entry = evaluate_system(build_clifford_system(m, k), cfg, 0)
     assert entry["blocks"]["willmore"]["pass"]
-    assert [args[2].shape[:2] for args in lemmas] == (
+    assert [args[1].shape[:2] for args in lemmas] == (
         [(20 // blocks, 50 + m + 1)] * blocks)
     assert [len(args[1]) for args in tensors] == [20 // blocks] * blocks
 
@@ -561,7 +584,7 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        willmore._lemma(system, shapes.operators, coeffs, (0, 0))
+        willmore._lemma(shapes.operators, coeffs)
         willmore._pair_tensors(system, shapes.operators, pairs, tables)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -582,8 +605,8 @@ def test_only_the_reflection_reads_ambient_arrays(m, k):
     blind = CliffordSystem(m=m, l=system.l,
                            matrices=np.full_like(system.matrices, np.nan))
     unseen = replace(frames, tangent=np.full_like(frames.tangent, np.nan))
-    rows = certify_point(blind, unseen, shapes, coeffs)
-    clean = certify_point(system, frames, shapes, coeffs)
+    rows = certify_point(blind, unseen, shapes, coeffs)[0]
+    clean = certify_point(system, frames, shapes, coeffs)[0]
     column = CHECK_NAMES.index("reflection_max")
     assert np.all(np.isnan(rows[:, column]))
     assert np.array_equal(np.delete(rows, column, axis=1),
@@ -607,13 +630,17 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
     for name, calls in (("_contractions", contractions), ("_sign_gap", gaps),
                         ("_lemma", lemmas), ("_pair_tensors", tensors)):
         _count_calls(monkeypatch, name, calls)
-    rows = certify_point(system, frames, shapes, coeffs)
+    rows = certify_point(system, frames, shapes, coeffs)[0]
     assert all(_passes(row) for row in rows)
     assert len(contractions) == 2 and len(gaps) == 1
-    assert [args[3] for args in lemmas] == [
-        (p, k) for p in range(3) for k in (0, 15, 30, 45)]
+    chunks = [(p, k) for p in range(3) for k in (0, 15, 30, 45)]
+    assert len(lemmas) == len(chunks)
+    for args, (p, k) in zip(lemmas, chunks):
+        assert np.array_equal(args[1], coeffs[p:p + 1, k:k + 15])
     assert len(tensors) == 3
-    for args in lemmas + tensors:
+    for args in lemmas:
+        assert np.shares_memory(args[0], shapes.operators)
+    for args in tensors:
         assert np.shares_memory(args[1], shapes.operators)
     for args in tensors:
         assert np.shares_memory(args[2], frames.pair_coords)
@@ -731,7 +758,7 @@ def test_ambient_reflection_splits_into_what_the_chain_reads(m, k):
         shape = _forged_shape(shapes, ops)
         _, _, plus, minus = _projectors(system, shape, coeffs)
         a_xi = willmore._at_normals(coeffs, ops)
-        gap = certify_point(system, frames, shape, coeffs)[
+        gap = certify_point(system, frames, shape, coeffs)[0][
             :, CHECK_NAMES.index("reflection_max")]
         ambient_plus, ambient_minus = ambient_reflection(system, frames,
                                                          coeffs, plus, minus)
@@ -865,9 +892,10 @@ def _signed_permutations(count):
 def test_cluster_radius_is_the_spectrum_threshold():
     # scaling point 1's operators by s = 1 + e moves A_xi^3 - A_xi to
     # (s^3 - s) A_xi, so at the coordinate normals the lemma's deviation is
-    # (s^3 - s) max_a |A_a|: sized 0.1% below CLUSTER_RADIUS the point
-    # passes the lemma's threshold (and fails its tolerance), 0.1% above it
-    # raises SpectrumError naming the point
+    # (s^3 - s) max_a |A_a|: sized 0.1% below CLUSTER_RADIUS the point's
+    # multiplicities are read, and right (it fails only the tolerance of
+    # its deviation), 0.1% above it they are not read, (0, 0, 0) at the
+    # first normal above the radius
     system, frames, shapes = _setup(3, 2, extra_points=2)
     coeffs = np.broadcast_to(np.eye(4), (3, 4, 4))
     top = np.max(np.abs(shapes.operators[1]))
@@ -876,12 +904,18 @@ def test_cluster_radius_is_the_spectrum_threshold():
         ops = np.array(shapes.operators)
         ops[1] *= 1.0 + target / (2.0 * top)     # s^3 - s = 2 e (1 + 3 e / 2)
         bad = _forged_shape(shapes, ops)
+        rows, worst, wrong, counts = certify_point(system, frames, bad,
+                                                   coeffs)
+        assert abs(rows[1, 0] / target - 1.0) <= 1e-4
+        deviation = willmore._lemma(bad.operators, coeffs)[0]
+        assert worst[1] == np.argmax(deviation[1])
         if factor < 1.0:
-            row = certify_point(system, frames, bad, coeffs)[1]
-            assert abs(row[0] / target - 1.0) <= 1e-4
+            assert wrong.tolist() == [-1, -1, -1]
+            assert counts.tolist() == [[3, 4, 4]] * 3
         else:
-            with pytest.raises(SpectrumError, match="point 1, normal"):
-                certify_point(system, frames, bad, coeffs)
+            first = np.argmax(deviation[1] > willmore.CLUSTER_RADIUS)
+            assert wrong.tolist() == [-1, first, -1]
+            assert counts.tolist() == [[3, 4, 4], [0, 0, 0], [3, 4, 4]]
 
 
 def test_certify_point_block_errors_name_the_point():
@@ -890,8 +924,11 @@ def test_certify_point_block_errors_name_the_point():
     ops = np.array(shapes.operators)
     ops[2] *= 1.5
     bad = _forged_shape(shapes, ops)
-    with pytest.raises(SpectrumError, match="point 2, normal 0:"):
-        certify_point(system, frames, bad, coeffs)
+    rows, _, wrong, counts = certify_point(system, frames, bad, coeffs)
+    assert np.all(rows[:2, 0] <= 1e-15)
+    assert rows[2, 0] > willmore.CLUSTER_RADIUS
+    assert wrong.tolist() == [-1, -1, 0]
+    assert counts.tolist() == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
     with pytest.raises(ValueError):
         certify_point(system, frames, shapes, coeffs[:2])
     with pytest.raises(ValueError):
