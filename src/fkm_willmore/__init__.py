@@ -4,8 +4,10 @@ Pipeline: symmetric Clifford systems (clifford) -> degree-4 isoparametric
 polynomials (polynomial) -> certified points of the focal manifold M+
 (focal) -> extrinsic curvature data (geometry) -> Willmore identities and
 the Ricci-spread probe (willmore) -> reproducible suite reports (report,
-cli).  Every verdict is a records.Check: a residual held against the
-tolerance that report.CHECKED_FIELDS names for it.
+cli).  The stages measure and the report judges: report._block decides
+every block, holding each point's residuals to the Checks (records) that
+report.CHECKED_FIELDS names and to the block's conditions (the Jacobian
+ranks, the multiplicities, the Einstein gate).
 """
 
 from .clifford import (CliffordSystem, build_clifford_system,

@@ -4,9 +4,9 @@
                [--tol NAME=VALUE ...] [--out FILE] [--format json|text]
                [--dump-matrices DIR]
 
-The seed is --seed, else 42.  Argument problems exit with code 2
-(argparse convention); verification failures with 1; internal errors
-with 3.
+The seed is --seed, else 42.  Argument problems, an output path that
+cannot be written among them, exit with code 2 (argparse convention);
+verification failures with 1; internal errors with 3.
 """
 
 from __future__ import annotations
@@ -85,13 +85,20 @@ def parse_cli(argv=None) -> VerificationConfig:
 def main(argv=None) -> int:
     cfg = parse_cli(argv)
     report = run_suite(cfg)
-    if cfg.dump_matrices:
-        write_matrix_dumps(cfg, cfg.dump_matrices)
     payload = report.to_json() if cfg.format == "json" else render_text(report)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
+    path = cfg.dump_matrices
+    try:
+        if path:
+            write_matrix_dumps(cfg, path)
+        path = cfg.out
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+    except OSError as exc:    # a path that cannot be written: bad usage
+        print(f"{TOOL_NAME}: error: cannot write {path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    if not cfg.out:
         sys.stdout.write(payload)
     code = exit_code(report)
     status = {0: "pass", 1: "fail", 3: "internal-error"}[code]

@@ -9,7 +9,8 @@ on stderr).
 Exit-code contract, used by the CLI:
     0  every configuration passed
     1  at least one check failed (including inadmissible configurations)
-    2  argument errors (argparse's own convention)
+    2  argument errors (argparse's own convention), and an output path
+       that cannot be written
     3  an unexpected exception escaped a configuration's checks
 """
 
@@ -58,7 +59,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -72,11 +73,13 @@ DEFAULT_TOLERANCES = {
 }
 # uniform sphere points at which each configuration's PDE residuals are taken
 N_PDE_SAMPLES = 1000
+# gated, a Ricci spread above this at every point is non-Einstein evidence
+RICCI_SPREAD_THRESHOLD = 0.1
 
 # Every checked field of the report, by block, and its tolerance: a key of
 # the tolerances, a fixed point threshold, or "relations", the one that
 # verify_clifford_relations derives from the system (0 for integer entries,
-# 1e-12 otherwise).  Other fields, and all of einstein, are information.
+# 1e-12 otherwise).  Other fields are information.
 CHECKED_FIELDS = {
     "clifford": {"max_deviation": "relations"},
     "cartan_munzner": dict.fromkeys(
@@ -228,63 +231,60 @@ def _jsonable(obj):
 # per-configuration evaluation
 # ---------------------------------------------------------------------------
 
-def _checks(name: str, tol: dict, fields: dict) -> list:
-    """A Check of each field of block `name`'s row of CHECKED_FIELDS
-    against its tolerance, a key of `tol` or fixed."""
-    return [Check(key, fields[key], tol[held] if isinstance(held, str)
-                  else held)
-            for key, held in CHECKED_FIELDS.get(name, {}).items()]
+def _block(name: str, tol: dict, fields: dict, conditions: dict = {},
+           where=None) -> dict:
+    """The report block `name`, the one judge of the report: `fields` in
+    key order, those of its CHECKED_FIELDS row folded, then its verdict.
 
-
-def _block(name: str, tol: dict, fields: dict, ok: bool = True) -> dict:
-    """The report block `name`: its fields in key order, then its verdict.
-
-    The block passes when `ok` holds and each of its _checks passes.  Only
-    points (the Jacobian ranks), lemma (the multiplicities) and einstein
-    (the evidence gate) have a condition besides their checks.
-    """
-    return {**fields,
-            "pass": ok and all(c.passed for c in _checks(name, tol, fields))}
-
-
-def _judged(name: str, tol: dict, fields: dict, rows: dict,
-            conditions: dict, where) -> dict:
-    """The block `name`, which holds every point to its checks and
-    conditions: `rows` maps each checked field to its values at every
-    point, and `conditions` maps a field to its values at every point and
-    the value it must take.  Failing, the block names its first failing
-    point i and field in `error`, after where(i, field)."""
-    block = _block(name, tol, fields, ok=all(
-        v == want for values, want in conditions.values() for v in values))
-    if block["pass"]:
-        return block
+    A checked field holds its value at every point (one value in clifford
+    and cartan_munzner), each held to its Check; `conditions` maps a field
+    to its values at every point and the value they must take.  Failing,
+    with `where`, the block names its first failing point i and field in
+    an `error` before `pass`, after where(i, field)."""
+    limits = {key: tol[held] if isinstance(held, str) else held
+              for key, held in CHECKED_FIELDS.get(name, {}).items()}
+    block = {**fields, **{key: fold(fields[key]) for key in limits}}
+    passed = (all(Check(key, block[key], t).passed
+                  for key, t in limits.items())
+              and all(v == want for values, want in conditions.values()
+                      for v in values))
+    if passed or where is None:
+        return {**block, "pass": passed}
+    rows = {key: fields[key] for key in limits} | {
+        key: values for key, (values, _) in conditions.items()}
     for i in range(len(next(iter(rows.values())))):
-        failed = [(c.name, f"{c.name} {c.residual:.1e} (tol {c.tol:g})")
-                  for c in _checks(name, tol, {k: v[i]
-                                               for k, v in rows.items()})
-                  if not c.passed]
+        failed = [(key, f"{key} {fields[key][i]:.1e} (tol {t:g})")
+                  for key, t in limits.items()
+                  if not Check(key, fields[key][i], t).passed]
         failed += [(key, f"{key} {values[i]} (expected {want})")
                    for key, (values, want) in conditions.items()
                    if values[i] != want]
         if failed:
             key, text = failed[0]
-            return {**fields, "error": where(i, key) + text, "pass": False}
+            return {**block, "error": where(i, key) + text, "pass": False}
+
+
+def _median(values) -> float:
+    """np.median of `values`, whose first call would import numpy.ma."""
+    ordered = np.sort(values)    # NaN last
+    half = len(ordered) // 2
+    median = (ordered[half] if len(ordered) % 2
+              else (ordered[half - 1] + ordered[half]) / 2)
+    return math.nan if np.isnan(ordered[-1]) else float(median)
 
 
 def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
-    """The points block, which holds every row to its checks and to rank
-    `rank_expected`; failing, it names the first failing point and field."""
-    rows = {"max_constraint_residual": points.residual_constraints,
-            "max_sphere_residual": points.residual_sphere,
-            "max_value_gap": points.value_gap}
+    """The points block: every row held to its checks and to the rank."""
     ranks = points.jacobian_rank.tolist()
-    return _judged("points", tol, {
+    return _block("points", tol, {
         "count": len(points.x),
-        **{key: fold(values) for key, values in rows.items()},
+        "max_constraint_residual": points.residual_constraints,
+        "max_sphere_residual": points.residual_sphere,
+        "max_value_gap": points.value_gap,
         "jacobian_ranks": sorted(set(ranks)), "rank_expected": rank_expected,
         "coordinates_sha256": hashlib.sha256(np.ascontiguousarray(
             points.x, dtype="<f8").tobytes()).hexdigest()},
-        rows, {"jacobian_rank": (ranks, rank_expected)},
+        {"jacobian_rank": (ranks, rank_expected)},
         lambda i, _: f"point {i} failed certification: ")
 
 
@@ -329,16 +329,13 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         "n_samples": N_PDE_SAMPLES, "max_gradient_residual": grad,
         "max_laplacian_residual": lap})
 
-    points = None
     try:
         points = configuration_points(system, cfg, config_index)
+        blocks["points"] = _points_block(points, tol, m + 2)
     except CertificationError as exc:
         blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
-
-    if points is not None:
-        blocks["points"] = _points_block(points, tol, m + 2)
-        if not blocks["points"]["pass"]:
-            points = None
+    if not blocks["points"]["pass"]:
+        points = None
 
     frames = None
     if points is not None:
@@ -352,14 +349,15 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             ricci_traces = np.trace(shapes.ricci, axis1=1, axis2=2)
             blocks["geometry"] = _block("geometry", tol, {
                 "S_expected": s_expected,
-                "S_max_gap": fold(np.abs(s_vals - s_expected)),
-                "S_spread": float(np.ptp(s_vals)),
-                "rho2_vs_S_max_gap":
-                    fold(np.abs(shapes.trace_free_norm_sq - s_vals)),
-                "H_max": fold(np.abs(shapes.mean_curvature)),
-                "ricci_crosscheck_max": fold(np.abs(cross)),
+                "S_max_gap": np.abs(s_vals - s_expected),
+                "S_spread": s_vals - np.min(s_vals),  # folds to the spread
+                "rho2_vs_S_max_gap": np.abs(shapes.trace_free_norm_sq
+                                            - s_vals),
+                "H_max": np.max(np.abs(shapes.mean_curvature), axis=1),
+                "ricci_crosscheck_max": np.max(np.abs(cross), axis=1),
                 "ricci_trace_max_gap":
-                    fold(np.abs(ricci_traces - (n * (n - 1) - s_vals)))})
+                    np.abs(ricci_traces - (n * (n - 1) - s_vals))},
+                where=lambda i, _: f"point {i}: ")
         except FrameError as exc:
             blocks["geometry"] = {"error": str(exc), "pass": False}
 
@@ -378,32 +376,32 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                                                       coeffs)
         # one row per point, one column per name of CHECK_NAMES
         columns = dict(zip(CHECK_NAMES, residuals.T))
-        folded = {name: fold(col) for name, col in columns.items()}
         expected, read = [m, system.m2, system.m2], read.tolist()
         normal = {"max_spectrum_deviation": worst, "multiplicities": wrong}
-        blocks["lemma"] = _judged("lemma", tol, {
+        blocks["lemma"] = _block("lemma", tol, {
             "n_normals_per_point": m + 1 + cfg.n_normals,
-            "max_spectrum_deviation": folded.pop("max_spectrum_deviation"),
+            "max_spectrum_deviation": columns.pop("max_spectrum_deviation"),
             "multiplicities": next((r for r in read if r != expected),
                                    expected)},
-            {"max_spectrum_deviation": columns["max_spectrum_deviation"]},
             {"multiplicities": (read, expected)},
             lambda i, key: f"point {i}, normal {normal[key][i]}: ")
+        residual = columns.pop("residual_max")
         blocks["willmore"] = _block("willmore", tol, {
-            "residual_max": folded.pop("residual_max"),
-            "residual_median": float(np.median(columns["residual_max"])),
-            **folded})
+            "residual_max": residual, "residual_median": _median(residual),
+            **columns}, where=lambda i, _: f"point {i}: ")
 
-        # the probe reads only the frames
-        probe = einstein_probe(system, frames)
+        probe = einstein_probe(frames)
+        gated = 4 * l > m * m + 3 * m + 4
+        exceeds = (probe.spread > RICCI_SPREAD_THRESHOLD).tolist()
         blocks["einstein"] = _block("einstein", tol, {
             "ricci_min": float(np.min(probe.ricci_min)),
             "ricci_max": float(np.max(probe.ricci_max)),
             "spread": float(np.max(probe.spread)),
-            "dimension_condition": probe.dimension_condition,
-            "spread_exceeds_threshold": probe.spread_exceeds_threshold,
-            "status": probe.status},
-            ok=probe.status != "evidence" or probe.spread_exceeds_threshold)
+            "dimension_condition": gated,
+            "spread_exceeds_threshold": all(exceeds) if gated else None,
+            "status": "evidence" if gated else "inconclusive"},
+            {"spread_exceeds_threshold": (exceeds, True)} if gated else {},
+            lambda i, _: f"point {i}: ")
 
     entry["blocks"] = blocks
     entry["pass"] = bool(blocks) and all(b.get("pass", False)

@@ -63,19 +63,15 @@ __all__ = [
 # lemma does not read them.
 CLUSTER_RADIUS = 1e-6
 
-RICCI_SPREAD_THRESHOLD = 0.1
-
 
 @dataclass(frozen=True)
 class EinsteinProbe(Record):
-    """Ricci spread probe at P points plus the integer inequality gate."""
+    """The extremes of the Ricci quadratic form over unit tangents at P
+    points; the einstein block of the report judges them."""
 
     ricci_min: np.ndarray              # (P,)
     ricci_max: np.ndarray              # (P,)
-    spread: np.ndarray                 # (P,)
-    dimension_condition: bool          # 4l > m^2 + 3m + 4
-    spread_exceeds_threshold: bool | None   # at every point, gated
-    status: str                        # "evidence" or "inconclusive"
+    spread: np.ndarray                 # (P,), ricci_max - ricci_min
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +362,14 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
 # non-Einstein probe
 # ---------------------------------------------------------------------------
 
-def einstein_probe(system: CliffordSystem,
-                   frame: AdaptedFrame) -> EinsteinProbe:
+def einstein_probe(frame: AdaptedFrame) -> EinsteinProbe:
     """Spread of the Ricci quadratic form over unit tangents at P points.
 
     Over unit X, X^T Ric X is extremal at the lowest and highest
     eigenvalues, so the probe reads them off one stacked eigvalsh of the
-    frame's closed-form Ricci matrices.  When the exact integer inequality
-    4l > m^2 + 3m + 4 holds (equivalently, the focal dimension exceeds
-    m(m+1)/2), a spread above 0.1 at every point is reported as
-    non-Einstein evidence; otherwise the probe is inconclusive and asserts
-    nothing.
+    frame's closed-form Ricci matrices.  It only measures: the report's
+    einstein block applies the dimension gate and the spread threshold.
     """
     values = np.linalg.eigvalsh(frame.closed_ricci)
-    ricci_min = values[:, 0]
-    ricci_max = values[:, -1]
-    spread = ricci_max - ricci_min
-    m, l = system.m, system.l
-    gated = 4 * l > m * m + 3 * m + 4
-    return EinsteinProbe(
-        ricci_min, ricci_max, spread, dimension_condition=gated,
-        spread_exceeds_threshold=(bool(np.all(spread > RICCI_SPREAD_THRESHOLD))
-                                  if gated else None),
-        status="evidence" if gated else "inconclusive")
+    return EinsteinProbe(values[:, 0], values[:, -1],
+                         values[:, -1] - values[:, 0])

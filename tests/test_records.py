@@ -1,7 +1,7 @@
 """The one result record and its fold: the pass rule, NaN and the boundary."""
 
 import math
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from fkm_willmore import (Check, CertificationError, FkmPolynomial,
                           certify_point, fold, sample_focal_points,
                           shape_operators)
 from fkm_willmore import einstein_probe
-from fkm_willmore.records import freeze
+from fkm_willmore.records import Record, freeze
 
 from conftest import judged_points
 
@@ -69,7 +69,7 @@ def test_freeze_copies_a_view():
 
 
 def test_records_take_over_their_arrays():
-    system, frame = _one_frame()
+    _, frame = _one_frame()
     # every field of the frame is held once, read-only, and the shapes
     # share the frame's operators
     for name in ("x", "tangent", "operators", "pair_coords", "closed_ricci"):
@@ -80,11 +80,12 @@ def test_records_take_over_their_arrays():
     ops = 2.0 * shape.operators
     assert replace(shape, operators=ops).operators is ops
     assert not ops.flags.writeable
-    # fields that are not arrays pass through
-    probe = einstein_probe(system, frame)
-    assert type(probe.dimension_condition) is bool
-    assert type(probe.status) is str
+    probe = einstein_probe(frame)
     assert not probe.spread.flags.writeable
+    # fields that are not arrays pass through
+    tagged = make_dataclass("Tagged", [("values", np.ndarray), ("tag", str)],
+                            bases=(Record,), frozen=True)(np.ones(2), "x")
+    assert tagged.tag == "x" and not tagged.values.flags.writeable
 
 
 # ---------------------------------------------------------------------------

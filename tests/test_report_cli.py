@@ -6,6 +6,8 @@ import math
 import os
 import re
 import runpy
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+import fkm_willmore
 from fkm_willmore import (SPHERE_TOL, VALUE_TOL, VerificationConfig,
                           VerificationReport, build_clifford_system,
                           build_frame, configuration_points, exit_code,
@@ -317,7 +320,7 @@ SCHEMA_KEYS = {
 }
 
 
-def test_schema_key_order():
+def test_schema_key_order(monkeypatch):
     cfg = tiny_config(configurations=((2, 2),))
     entry = evaluate_system(build_clifford_system(2, 2), cfg, 0)
     assert list(entry) == SCHEMA_KEYS["entry"]
@@ -336,6 +339,18 @@ def test_schema_key_order():
     assert entry["blocks"]["points"]["error"] == (
         "point 0 failed certification: max_sphere_residual 1.0e+00 "
         "(tol 1e-12)")
+    # so do failing geometry, willmore and einstein blocks
+    from fkm_willmore import report
+    for target, patch in (("shape_operators", _on_result(_swap_points)),
+                          ("einstein_probe", _probe_without_pairs)):
+        monkeypatch.setattr(report, target, patch(getattr(report, target)))
+    blocks = evaluate_system(build_clifford_system(2, 2),
+                             tiny_config(configurations=((2, 2),),
+                                         n_points=5), 0)["blocks"]
+    assert list(blocks) == list(EXPECTED_BLOCKS)
+    for name in ("geometry", "willmore", "einstein"):
+        assert list(blocks[name]) == SCHEMA_KEYS[name][:-1] + ["error",
+                                                               "pass"], name
 
 
 def test_schema_document_states_the_schema_version(suite_report):
@@ -495,6 +510,46 @@ def test_main_dump_matrices_roundtrip(tmp_path, capsys):
     system = build_clifford_system(2, 2)
     for a, b in zip(back.matrices, system.matrices):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("option,target", [
+    ("--out", "missing/r.json"), ("--dump-matrices", "file")])
+def test_unwritable_output_exits_2(tmp_path, capsys, option, target):
+    # the suite runs, but a path that cannot be written is an argument
+    # error: exit 2 and one line that names the path, not a traceback
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    assert main(["--grid", "1:3", option, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fkm-verify: error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_median_is_numpys():
+    # residual_median: the middle value of a sorted copy, or the mean of
+    # the two middle ones, as np.median gives it; NaN if any value is NaN
+    from fkm_willmore.report import _median
+    rng = default_rng(5)
+    for size in range(1, 8):
+        values = rng.random(size)
+        assert _median(values) == np.median(values), size
+        values[rng.integers(size)] = np.nan
+        assert math.isnan(_median(values)), size
+
+
+def test_a_run_leaves_numpy_ma_unimported():
+    # np.median's first call in a process imports numpy.ma (about 17 ms and
+    # 0.9 MB traced), which a fresh fkm-verify run does not need
+    src = Path(fkm_willmore.__file__).parents[1]
+    code = ("import sys\n"
+            "from fkm_willmore import VerificationConfig, run_suite\n"
+            "assert run_suite(VerificationConfig()).overall_pass\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_main_binary_reproducible(tmp_path, capsys):
@@ -790,10 +845,11 @@ def _shift_closed_ricci(frames):
 def _probe_without_pairs(original):
     # with no pair products the closed form is Ric(X) = 2 (l - m - 2) for
     # every unit X, so every spread is 0
-    def probe(system, frames):
-        n = frames.tangent.shape[2]
-        constant = 2.0 * (system.l - system.m - 2) * np.eye(n)
-        return original(system, replace(frames, closed_ricci=np.broadcast_to(
+    def probe(frames):
+        _, m1, n, _ = frames.operators.shape
+        l = frames.x.shape[1] // 2
+        constant = 2.0 * (l - m1 - 1) * np.eye(n)
+        return original(replace(frames, closed_ricci=np.broadcast_to(
             constant, frames.closed_ricci.shape)))
     return probe
 
@@ -827,49 +883,65 @@ def _tripped(entry, tolerances):
             ] + ["lemma.multiplicities"] * wrong
 
 
-@pytest.mark.parametrize("config,target,patch,failed,fields", [
+@pytest.mark.parametrize("config,target,patch,failed,fields,errors", [
     ((3, 2), "build_frame", _on_result(_flip_one_point), ["willmore"],
-     ["willmore.reflection_max"]),
+     ["willmore.reflection_max"],
+     ["point 7: reflection_max 2.0e+00 (tol 1e-08)"]),
     ((3, 2), "shape_operators", _on_result(_swap_points),
      ["geometry", "willmore"],
      ["geometry.ricci_crosscheck_max", "willmore.balance_max",
       "willmore.bridge_max", "willmore.projection_pairwise_max",
       "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max",
-      "willmore.reflection_max"]),
+      "willmore.reflection_max"],
+     ["point 3: ricci_crosscheck_max 1.8e+00 (tol 1e-08)",
+      "point 3: balance_max 9.1e-01 (tol 1e-07)"]),
     ((3, 2), "shape_operators", _on_result(_scale_one_point(1e-7)),
      ["lemma", "willmore"],
-     ["lemma.max_spectrum_deviation", "willmore.reflection_max"]),
+     ["lemma.max_spectrum_deviation", "willmore.reflection_max"],
+     ["point 3, normal 0: max_spectrum_deviation 1.9e-07 (tol 1e-08)",
+      "point 3: reflection_max 9.7e-08 (tol 1e-08)"]),
     ((3, 2), "shape_operators", _on_result(_scale_one_point(7e-9)), ["lemma"],
-     ["lemma.max_spectrum_deviation"]),
+     ["lemma.max_spectrum_deviation"],
+     ["point 3, normal 0: max_spectrum_deviation 1.4e-08 (tol 1e-08)"]),
     ((3, 2), "build_frame", _on_result(_scale_one_point(1e-7)),
      ["geometry", "lemma", "willmore"],
      ["geometry.S_max_gap", "geometry.S_spread",
       "geometry.ricci_crosscheck_max", "lemma.max_spectrum_deviation",
-      "willmore.reflection_max"]),
+      "willmore.reflection_max"],
+     ["point 3: S_max_gap 6.4e-06 (tol 1e-08)",
+      "point 3, normal 0: max_spectrum_deviation 1.9e-07 (tol 1e-08)",
+      "point 3: reflection_max 9.7e-08 (tol 1e-08)"]),
     ((3, 2), "build_frame", _on_result(_shift_closed_ricci), ["geometry"],
-     ["geometry.ricci_crosscheck_max"]),
-    ((3, 2), "einstein_probe", _probe_without_pairs, ["einstein"], []),
+     ["geometry.ricci_crosscheck_max"],
+     ["point 0: ricci_crosscheck_max 2.0e+00 (tol 1e-08)"]),
+    ((3, 2), "einstein_probe", _probe_without_pairs, ["einstein"], [],
+     ["point 0: spread_exceeds_threshold False (expected True)"]),
     ((3, 2), "build_frame", _on_result(_push_pair(5)), ["willmore"],
      ["willmore.chain_max", "willmore.projection_pairwise_max",
-      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"]),
+      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"],
+     ["point 7: chain_max 1.6e-06 (tol 1e-08)"]),
     ((3, 2), "build_frame", _on_result(_push_pair(1)), ["willmore"],
-     ["willmore.case_identity_max"]),
+     ["willmore.case_identity_max"],
+     ["point 7: case_identity_max 1.0e-06 (tol 1e-08)"]),
     ((6, 1), "build_frame", _on_result(_push_pair(8, 5e-8)), ["willmore"],
      ["willmore.chain_max", "willmore.projection_pairwise_max",
-      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"]),
+      "willmore.projection_aggregate_max", "willmore.t0_pair_leak_max"],
+     ["point 7: chain_max 1.5e-08 (tol 1e-08)"]),
     ((3, 2), "shape_operators", _on_result(_identity_at_one_point),
      ["lemma", "willmore"],
      ["lemma.max_spectrum_deviation", "willmore.residual_max",
       "willmore.balance_max", "willmore.chain_max",
       "willmore.projection_pairwise_max", "willmore.projection_aggregate_max",
       "willmore.t0_pair_leak_max", "willmore.reflection_max",
-      "lemma.multiplicities"]),
+      "lemma.multiplicities"],
+     ["point 4, normal 6: max_spectrum_deviation 3.8e-01 (tol 1e-08)",
+      "point 4: residual_max 7.8e+01 (tol 1e-07)"]),
 ], ids=["flip-sign", "swap-points", "scale-one-point", "scale-one-point-floor",
         "scale-frame-operators", "shift-crosscheck", "zero-pairs-einstein",
         "push-pair-tangent", "push-pair-normal", "push-pair-tangent-6-1",
         "multiplicity-error"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
-                                                patch, failed, fields):
+                                                patch, failed, fields, errors):
     # each fault is injected at the name report.py looks up, and every block
     # not in `failed` passes.  A sign flipped where the operators are formed
     # keeps every spectrum and every quantity even in A; a swap misplaces
@@ -904,7 +976,9 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
     # tolerance, and the lemma's multiplicity condition when it fails: a
     # flipped sign shows only in the sign gap (1.97), whose T^T P_a T is
     # formed apart from the operators, and a pushed pair never in it (the
-    # einstein gate has no residual field)
+    # einstein gate has no residual field).  `errors` is each failing
+    # block's error, which names the faulted point (every point, for the
+    # faults of the closed form, names point 0)
     from fkm_willmore import report
     monkeypatch.setattr(report, target, patch(getattr(report, target)))
     cfg = VerificationConfig(configurations=(config,), n_points=20,
@@ -913,6 +987,7 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
     assert sorted(name for name, block in entry["blocks"].items()
                   if not block["pass"]) == failed
     assert _tripped(entry, cfg.tolerances) == fields
+    assert [entry["blocks"][name]["error"] for name in failed] == errors
     if target == "einstein_probe":
         einstein = entry["blocks"]["einstein"]
         assert einstein["status"] == "evidence"
@@ -920,21 +995,23 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
         assert einstein["spread_exceeds_threshold"] is False
 
 
-@pytest.mark.parametrize("fault,error,counts", [
+@pytest.mark.parametrize("fault,error,counts,willmore_error", [
     (_scale_all, "point 0, normal 0: max_spectrum_deviation 1.9e+00 "
-     "(tol 1e-08)", [0, 0, 0]),
+     "(tol 1e-08)", [0, 0, 0], "point 0: reflection_max 5.0e-01 (tol 1e-08)"),
     (_identity_at_one_point, "point 4, normal 0: multiplicities [0, 11, 0] "
-     "(expected [3, 4, 4])", [0, 11, 0]),
+     "(expected [3, 4, 4])", [0, 11, 0],
+     "point 4: residual_max 7.8e+01 (tol 1e-07)"),
 ], ids=["spectrum-error", "multiplicity-error"])
 def test_chain_error_keeps_the_einstein_block(monkeypatch, fault, error,
-                                              counts):
+                                              counts, willmore_error):
     # a failing lemma keeps its fields and names its first failing point,
     # the normal and the field or the multiplicities read there in an
     # `error` before `pass`; willmore reads no field of the lemma and is
-    # present, and the Einstein probe reads only the frames' closed-form
-    # Ricci matrices, so its block is the fault-free one.  Only the
-    # coordinate normals are drawn.  Scaled by 1.5, every deviation leaves
-    # the cluster radius, so no multiplicities are read
+    # present, failing with its own first failing point and field, and the
+    # Einstein probe reads only the frames' closed-form Ricci matrices, so
+    # its block is the fault-free one.  Only the coordinate normals are
+    # drawn.  Scaled by 1.5, every deviation leaves the cluster radius, so
+    # no multiplicities are read
     from fkm_willmore import report
     cfg = VerificationConfig(configurations=((3, 2),), n_points=20,
                              n_normals=0)
@@ -948,7 +1025,9 @@ def test_chain_error_keeps_the_einstein_block(monkeypatch, fault, error,
     assert blocks["lemma"]["error"] == error
     assert blocks["lemma"]["multiplicities"] == counts
     assert not blocks["lemma"]["pass"]
-    assert list(blocks["willmore"]) == SCHEMA_KEYS["willmore"]
+    assert list(blocks["willmore"]) == (SCHEMA_KEYS["willmore"][:-1]
+                                        + ["error", "pass"])
+    assert blocks["willmore"]["error"] == willmore_error
     assert blocks["einstein"] == clean["einstein"]
     assert blocks["einstein"]["pass"]
 
@@ -998,6 +1077,36 @@ def test_cluster_radius_guards_the_lemma_block(monkeypatch):
         assert lemma["multiplicities"] == (
             [3, 4, 4] if factor < 1.0 else [0, 0, 0])
         assert list(blocks) == list(EXPECTED_BLOCKS)
+
+
+def _spread_at(point, value):
+    """A fault of the probe's result: point `point`'s spread is `value`."""
+    def fault(probe):
+        spread = np.array(probe.spread)
+        spread[point] = value
+        return replace(probe, spread=spread)
+    return fault
+
+
+@pytest.mark.parametrize("value,error", [
+    (0.1001, None),
+    (0.1, "point 2: spread_exceeds_threshold False (expected True)"),
+])
+def test_spread_threshold_decides_the_einstein_block(monkeypatch, value,
+                                                     error):
+    # where the dimension condition holds, every point's spread must be
+    # above 0.1: a spread of 0.1 itself fails and names its point, one
+    # just above it passes
+    from fkm_willmore import report
+    monkeypatch.setattr(report, "einstein_probe", _on_result(
+        _spread_at(2, value))(report.einstein_probe))
+    cfg = tiny_config(configurations=((3, 2),), n_points=5, n_normals=0)
+    einstein = evaluate_system(build_clifford_system(3, 2), cfg, 0)[
+        "blocks"]["einstein"]
+    assert einstein["status"] == "evidence"
+    assert einstein.get("error") == error
+    assert einstein["pass"] == einstein["spread_exceeds_threshold"] == (
+        error is None)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -303,29 +303,44 @@ def test_certify_point_doubled_generators():
     assert row[CHECK_NAMES.index("residual_max")] < 1e-7
 
 
+def _einstein_block(m, k):
+    """The einstein block of a small (m, k) run, which judges the probe."""
+    cfg = VerificationConfig(configurations=((m, k),), n_points=3,
+                             n_normals=0)
+    return evaluate_system(build_clifford_system(m, k), cfg, 0)[
+        "blocks"]["einstein"]
+
+
 def test_einstein_probe_smallest_case():
-    system, frame, shape = _setup(1, 3, extra_points=0)
-    probe = einstein_probe(system, frame)
+    _, frame, shape = _setup(1, 3, extra_points=0)
+    probe = einstein_probe(frame)
     # oracle: the Ricci tensor here has eigenvalues {0, 0, 2}
     eigs = np.sort(np.linalg.eigvalsh(shape.ricci[0]))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0]))) <= 1e-10
-    assert probe.status == "evidence"
-    assert probe.dimension_condition
     assert abs(probe.spread[0] - 2.0) <= 1e-8
-    assert probe.spread_exceeds_threshold
+    block = _einstein_block(1, 3)
+    assert block["status"] == "evidence"
+    assert block["dimension_condition"]
+    assert abs(block["spread"] - 2.0) <= 1e-8
+    assert block["spread_exceeds_threshold"] and block["pass"]
 
 
 def test_einstein_probe_evidence_and_inconclusive():
+    # the probe measures and the einstein block applies the gate
     for m, k, status in [(2, 2, "evidence"), (3, 2, "evidence"),
                          (4, 2, "inconclusive"), (5, 1, "inconclusive")]:
-        system, frame, _ = _setup(m, k, extra_points=0)
-        probe = einstein_probe(system, frame)
-        assert probe.status == status, (m, k)
+        _, frame, _ = _setup(m, k, extra_points=0)
+        assert [f.name for f in fields(einstein_probe(frame))] == [
+            "ricci_min", "ricci_max", "spread"]
+        block = _einstein_block(m, k)
+        assert block["status"] == status, (m, k)
+        assert block["pass"]
         if status == "evidence":
-            assert probe.spread[0] > 0.1 and probe.dimension_condition
+            assert block["spread"] > 0.1 and block["dimension_condition"]
+            assert block["spread_exceeds_threshold"] is True
         else:
-            assert not probe.dimension_condition
-            assert probe.spread_exceeds_threshold is None
+            assert not block["dimension_condition"]
+            assert block["spread_exceeds_threshold"] is None
 
 
 def test_fault_injection_detected():
@@ -462,7 +477,7 @@ def test_einstein_probe_extremes_bound_every_direction(config, point_seed,
     frame = build_frame(system,
                         sample_focal_points(system, 2, point_seed).x[1:])
     shape = shape_operators(frame)
-    probe = einstein_probe(system, frame)
+    probe = einstein_probe(frame)
     eigs = np.linalg.eigvalsh(shape.ricci[0])
     assert abs(probe.ricci_min[0] - eigs[0]) <= 1e-12
     assert abs(probe.ricci_max[0] - eigs[-1]) <= 1e-12
@@ -939,18 +954,12 @@ def test_certify_point_block_errors_name_the_point():
 @pytest.mark.parametrize("m,k", [(1, 3), (3, 2), (6, 1)])
 def test_einstein_probe_stack_equals_single_points(m, k):
     system, frames, shapes = _setup(m, k, extra_points=4)
-    probe = einstein_probe(system, frames)
-    singles = [einstein_probe(system, f) for f, _ in _each(frames, shapes)]
+    probe = einstein_probe(frames)
+    singles = [einstein_probe(f) for f, _ in _each(frames, shapes)]
     for name in ("ricci_min", "ricci_max", "spread"):
         assert np.array_equal(getattr(probe, name),
                               [getattr(one, name)[0] for one in singles])
-    for name in ("dimension_condition", "status"):
-        assert all(getattr(one, name) == getattr(probe, name)
-                   for one in singles)
-    assert probe.spread_exceeds_threshold == (
-        None if probe.status == "inconclusive"
-        else all(one.spread_exceeds_threshold for one in singles))
-    again = einstein_probe(system, build_frame(
+    again = einstein_probe(build_frame(
         system, sample_focal_points(system, 5, seed=21).x))
     assert all(np.array_equal(getattr(again, f.name), getattr(probe, f.name))
                for f in fields(probe))
