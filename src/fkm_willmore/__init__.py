@@ -13,7 +13,7 @@ ranks, the multiplicities, the Einstein gate).
 from .clifford import (CliffordSystem, build_clifford_system,
                        build_skew_generators, delta, dump_matrices,
                        verify_clifford_relations)
-from .errors import AdmissibilityError, CertificationError, FrameError
+from .errors import AdmissibilityError
 from .focal import SPHERE_TOL, VALUE_TOL, FocalPoints, sample_focal_points
 from .geometry import AdaptedFrame, ShapeData, build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
@@ -27,14 +27,13 @@ from .willmore import EinsteinProbe, certify_point, einstein_probe
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "AdaptedFrame", "AdmissibilityError", "CertificationError", "Check",
-    "CliffordSystem", "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES",
-    "EinsteinProbe", "FkmPolynomial", "FocalPoints", "FrameError",
-    "SPHERE_TOL", "ShapeData", "VALUE_TOL", "VerificationConfig",
-    "VerificationReport", "build_clifford_system", "build_frame",
-    "build_skew_generators", "certify_point", "configuration_points",
-    "delta", "dump_matrices", "einstein_probe", "evaluate_system",
-    "exit_code", "fold", "render_text", "run_suite", "sample_focal_points",
-    "shape_operators", "verify_cartan_munzner", "verify_clifford_relations",
-    "write_matrix_dumps",
+    "AdaptedFrame", "AdmissibilityError", "Check", "CliffordSystem",
+    "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe",
+    "FkmPolynomial", "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
+    "VerificationConfig", "VerificationReport", "build_clifford_system",
+    "build_frame", "build_skew_generators", "certify_point",
+    "configuration_points", "delta", "dump_matrices", "einstein_probe",
+    "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
+    "sample_focal_points", "shape_operators", "verify_cartan_munzner",
+    "verify_clifford_relations", "write_matrix_dumps",
 ]

@@ -5,13 +5,15 @@
                [--dump-matrices DIR]
 
 The seed is --seed, else 42.  Argument problems, an output path that
-cannot be written among them, exit with code 2 (argparse convention);
-verification failures with 1; internal errors with 3.
+cannot be written among them, exit with code 2 (argparse convention)
+before the suite runs; verification failures with 1; internal errors
+with 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .report import (DEFAULT_SEED, DEFAULT_TOLERANCES, TOOL_NAME,
@@ -84,22 +86,23 @@ def parse_cli(argv=None) -> VerificationConfig:
 
 def main(argv=None) -> int:
     cfg = parse_cli(argv)
-    report = run_suite(cfg)
-    payload = report.to_json() if cfg.format == "json" else render_text(report)
-    path = cfg.dump_matrices
+    # the outputs are made before the suite runs, so that a path that
+    # cannot be written fails at once, not after the whole run
+    path, out = cfg.dump_matrices, None
     try:
         if path:
             write_matrix_dumps(cfg, path)
         path = cfg.out
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            out = open(path, "w", encoding="utf-8")
     except OSError as exc:    # a path that cannot be written: bad usage
         print(f"{TOOL_NAME}: error: cannot write {path}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
-    if not cfg.out:
-        sys.stdout.write(payload)
+    with out or contextlib.nullcontext(sys.stdout) as fh:
+        report = run_suite(cfg)
+        fh.write(report.to_json() if cfg.format == "json"
+                 else render_text(report))
     code = exit_code(report)
     status = {0: "pass", 1: "fail", 3: "internal-error"}[code]
     print(f"{TOOL_NAME}: {status} ({len(report.entries)} configurations, "

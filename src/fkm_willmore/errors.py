@@ -1,19 +1,16 @@
-"""Exception types raised by the verification pipeline.
+"""The one exception type of the verification pipeline.
 
-Everything here signals a *detected* problem: the requested
-configuration is impossible, no point of M+ can be built, or no
-orthonormal frame can be built at a point.  Identity checks that merely
-come out false never raise: their residuals fail a records.Check in the
-report, and wrong multiplicities or ranks fail their block.
+AdmissibilityError signals that the requested configuration is
+impossible.  Nothing raises on measured data: an identity that comes out
+false, a point that fails certification or a system with a non-finite
+entry leaves residuals that fail their block of the report.  Inputs that
+a library caller hands to a stage in a form it cannot read (a non-finite
+row or operator) raise ValueError.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "AdmissibilityError",
-    "CertificationError",
-    "FrameError",
-]
+__all__ = ["AdmissibilityError"]
 
 
 class AdmissibilityError(ValueError):
@@ -26,15 +23,3 @@ class AdmissibilityError(ValueError):
     def __init__(self, message: str, m2: int | None = None):
         super().__init__(message)
         self.m2 = m2
-
-
-class CertificationError(RuntimeError):
-    """No point of M+ can be built from the system: it has a non-finite
-    entry, or no seed point.  A point that is built but fails the
-    certification rule raises nothing; the points block of the report
-    fails and names it."""
-
-
-class FrameError(RuntimeError):
-    """An assembled frame failed its orthonormality check."""
-

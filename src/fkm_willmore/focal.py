@@ -24,8 +24,9 @@ row gets rank 0.
 sample_focal_points returns all points as one FocalPoints record, row 0
 the seed.  The other rows come from one block of Gaussian rows, one row per
 point, each mapped onto M+; all rows are measured in one stacked pass.  It
-raises CertificationError only when no row can be built.  So the record
-has a fixed order, and a point's row does not depend on the other points.
+raises nothing on the system: a row that cannot be built is NaN, and its
+residuals show it.  So the record has a fixed order, and a point's row
+does not depend on the other points.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .clifford import CliffordSystem
-from .errors import CertificationError
 from .records import Record, fold
 
 __all__ = [
@@ -166,12 +166,12 @@ def _onto_focal(system: CliffordSystem, z: np.ndarray) -> np.ndarray:
 
 
 def _first_unit(rows: np.ndarray) -> np.ndarray:
-    """The first row of norm above 1e-6, normalized."""
+    """The first row of norm above 1e-6, normalized; a NaN row if there is
+    none."""
     norms = np.sqrt(_dot(rows, rows))
     found = np.flatnonzero(norms > 1e-6)
     if not found.size:
-        raise CertificationError(
-            "no seed point: every candidate row is shorter than 1e-6")
+        return np.full(rows.shape[1], np.nan)
     return rows[found[0]] / norms[found[0]]
 
 
@@ -181,10 +181,10 @@ def _seed_row(system: CliffordSystem) -> np.ndarray:
     u is the first (I + P_0) e_j / 2 of norm above 1e-6, normalized; w is
     the first (I - P_0) e_k / 2 with its components along P_1 u, ..., P_m u
     removed whose norm is above 1e-6, normalized.  Then x = (u + w) / sqrt(2)
-    lies on M+ by the Clifford relations alone (see _onto_focal).  For
-    integer systems u and w are signed basis vectors, so
-    x = (+-e_j +- e_k) / sqrt(2) and its residuals come only from the
-    rounding of 1/sqrt(2).
+    lies on M+ by the Clifford relations alone (see _onto_focal); without
+    such a u or w the seed is a NaN row.  For integer systems u and w are
+    signed basis vectors, so x = (+-e_j +- e_k) / sqrt(2) and its residuals
+    come only from the rounding of 1/sqrt(2).
     """
     eye = np.eye(system.ambient_dim)
     plus, minus = _eigenparts(system, eye)
@@ -204,15 +204,17 @@ def sample_focal_points(system: CliffordSystem, n: int,
     takes row i of it, mapped onto M+ through the eigenspaces of P_0 (a row
     without an image keeps its raw value, and its residuals show it).  All
     n rows are measured in one stacked pass; the points block of the report
-    judges them.  CertificationError is raised only when no row can be
-    built: for a system with a non-finite entry, before any product is
-    formed, or when the seed point has no E+ or reduced E- part.
+    judges them.  A system with a non-finite entry gives n NaN rows with
+    NaN residuals and rank 0, before any product is formed (an infinite
+    entry times a zero warns).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not system.finite:
-        raise CertificationError(
-            "no points: the Clifford system has non-finite entries")
+        nan = np.full(n, np.nan)
+        return FocalPoints(x=np.full((n, system.ambient_dim), np.nan),
+                           residual_constraints=nan, residual_sphere=nan,
+                           value_gap=nan, jacobian_rank=np.zeros(n, int))
     rng = default_rng(_subseed(seed, 0))
     x = np.empty((n, system.ambient_dim))
     x[0] = _seed_row(system)

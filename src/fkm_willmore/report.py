@@ -30,7 +30,7 @@ from numpy.random import default_rng
 
 from .clifford import (CliffordSystem, build_clifford_system, delta,
                        dump_matrices, verify_clifford_relations)
-from .errors import AdmissibilityError, CertificationError, FrameError
+from .errors import AdmissibilityError
 from .focal import (SPHERE_TOL, VALUE_TOL, FocalPoints, _subseed,
                     sample_focal_points)
 from .geometry import build_frame, shape_operators
@@ -59,7 +59,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -302,9 +302,11 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                     config_index: int) -> dict:
     """Run every check block for one admissible system.
 
-    A failing check fails its block; a stage that leaves no data (no
-    points, a frame error) also skips its dependents.  Anything else
-    propagates to run_suite, which records an internal error (exit code 3).
+    The stages measure and _block judges.  A failing check fails its
+    block; a failing points block also leaves out geometry, lemma,
+    willmore and einstein, which read the points.  No stage raises on
+    measured data, so an exception here is a fault of the program:
+    run_suite records it as an internal error (exit code 3).
     """
     m, l = system.m, system.l
     n = system.ambient_dim - m - 2
@@ -329,39 +331,28 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         "n_samples": N_PDE_SAMPLES, "max_gradient_residual": grad,
         "max_laplacian_residual": lap})
 
-    try:
-        points = configuration_points(system, cfg, config_index)
-        blocks["points"] = _points_block(points, tol, m + 2)
-    except CertificationError as exc:
-        blocks["points"] = {"count": 0, "error": str(exc), "pass": False}
-    if not blocks["points"]["pass"]:
-        points = None
+    points = configuration_points(system, cfg, config_index)
+    blocks["points"] = _points_block(points, tol, m + 2)
 
-    frames = None
-    if points is not None:
-        try:
-            frames = build_frame(system, points.x)
-            shapes = shape_operators(frames)
-            # sup over unit tangents X of |Ric_closed(X) - Ric_tensor(X)|
-            cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
-            s_expected = 2.0 * (l - m - 1) * (m + 1)
-            s_vals = shapes.sff_norm_sq
-            ricci_traces = np.trace(shapes.ricci, axis1=1, axis2=2)
-            blocks["geometry"] = _block("geometry", tol, {
-                "S_expected": s_expected,
-                "S_max_gap": np.abs(s_vals - s_expected),
-                "S_spread": s_vals - np.min(s_vals),  # folds to the spread
-                "rho2_vs_S_max_gap": np.abs(shapes.trace_free_norm_sq
-                                            - s_vals),
-                "H_max": np.max(np.abs(shapes.mean_curvature), axis=1),
-                "ricci_crosscheck_max": np.max(np.abs(cross), axis=1),
-                "ricci_trace_max_gap":
-                    np.abs(ricci_traces - (n * (n - 1) - s_vals))},
-                where=lambda i, _: f"point {i}: ")
-        except FrameError as exc:
-            blocks["geometry"] = {"error": str(exc), "pass": False}
+    if blocks["points"]["pass"]:
+        frames = build_frame(system, points.x)
+        shapes = shape_operators(frames)
+        # sup over unit tangents X of |Ric_closed(X) - Ric_tensor(X)|
+        cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
+        s_expected = 2.0 * (l - m - 1) * (m + 1)
+        s_vals = shapes.sff_norm_sq
+        ricci_traces = np.trace(shapes.ricci, axis1=1, axis2=2)
+        blocks["geometry"] = _block("geometry", tol, {
+            "S_expected": s_expected,
+            "S_max_gap": np.abs(s_vals - s_expected),
+            "S_spread": s_vals - np.min(s_vals),  # folds to the spread
+            "rho2_vs_S_max_gap": np.abs(shapes.trace_free_norm_sq - s_vals),
+            "H_max": np.max(np.abs(shapes.mean_curvature), axis=1),
+            "ricci_crosscheck_max": np.max(np.abs(cross), axis=1),
+            "ricci_trace_max_gap":
+                np.abs(ricci_traces - (n * (n - 1) - s_vals))},
+            where=lambda i, _: f"point {i}: ")
 
-    if frames is not None:
         count = len(points.x)
         coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
         coeffs[:, :m + 1] = np.eye(m + 1)
@@ -404,8 +395,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             lambda i, _: f"point {i}: ")
 
     entry["blocks"] = blocks
-    entry["pass"] = bool(blocks) and all(b.get("pass", False)
-                                         for b in blocks.values())
+    entry["pass"] = all(b["pass"] for b in blocks.values())
     return entry
 
 
@@ -469,8 +459,8 @@ def render_text(report: VerificationReport) -> str:
             parts.append("pde={:.3e}".format(
                 fold([cm["max_gradient_residual"],
                       cm["max_laplacian_residual"]])))
-        geo = b.get("geometry", {})
-        if "S_max_gap" in geo:
+        geo = b.get("geometry")
+        if geo:
             parts.append("S_gap={:.3e}".format(geo["S_max_gap"]))
         wl = b.get("willmore")
         if wl:

@@ -16,16 +16,15 @@ MODULES = ("cli", "clifford", "errors", "focal", "geometry", "polynomial",
 # Everything the command line reaches, and the records and errors it hands
 # back; a name only tests call belongs in tests/oracles.py instead.
 PACKAGE_NAMES = [
-    "AdaptedFrame", "AdmissibilityError", "CertificationError", "Check",
-    "CliffordSystem", "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES",
-    "EinsteinProbe", "FkmPolynomial", "FocalPoints", "FrameError",
-    "SPHERE_TOL", "ShapeData", "VALUE_TOL", "VerificationConfig",
-    "VerificationReport", "build_clifford_system", "build_frame",
-    "build_skew_generators", "certify_point", "configuration_points",
-    "delta", "dump_matrices", "einstein_probe", "evaluate_system",
-    "exit_code", "fold", "render_text", "run_suite", "sample_focal_points",
-    "shape_operators", "verify_cartan_munzner", "verify_clifford_relations",
-    "write_matrix_dumps",
+    "AdaptedFrame", "AdmissibilityError", "Check", "CliffordSystem",
+    "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe",
+    "FkmPolynomial", "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
+    "VerificationConfig", "VerificationReport", "build_clifford_system",
+    "build_frame", "build_skew_generators", "certify_point",
+    "configuration_points", "delta", "dump_matrices", "einstein_probe",
+    "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
+    "sample_focal_points", "shape_operators", "verify_cartan_munzner",
+    "verify_clifford_relations", "write_matrix_dumps",
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from fkm_willmore import (FrameError, build_clifford_system, build_frame,
+from fkm_willmore import (build_clifford_system, build_frame,
                           sample_focal_points, shape_operators)
 from fkm_willmore.geometry import pair_products
 
@@ -37,10 +37,15 @@ def test_frame_is_orthonormal_and_complete(m, k):
 
 
 def test_frame_rejects_uncertified_input():
+    # build_frame measures and judges nothing: the points block rejects a
+    # row off M+, and the report builds frames only from points it passed
     system = build_clifford_system(1, 3)
     seed = sample_focal_points(system, 1, seed=0).x
-    with pytest.raises(FrameError):
-        build_frame(system, 1.1 * seed)
+    build_frame(system, 1.1 * seed)
+    _, block = judged_points(system, 1.1 * seed)
+    assert not block["pass"]
+    assert block["error"] == ("point 0 failed certification: "
+                              "max_sphere_residual 2.1e-01 (tol 1e-12)")
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (3, 2)])
@@ -326,6 +331,11 @@ def test_stacked_ricci_quadratic_equals_single_frames(m, k):
 
 
 def test_stacked_validation_names_the_point():
+    # a stack is judged row by row, and the first row off M+ is named by
+    # its index in the stack
     system, points = _setup(2, 2, n_points=2)
-    with pytest.raises(FrameError, match="point 2: "):
-        build_frame(system, np.array([points[1], points[2], 1.1 * points[0]]))
+    _, block = judged_points(
+        system, np.array([points[1], points[2], 1.1 * points[0]]))
+    assert not block["pass"]
+    assert block["error"].startswith(
+        "point 2 failed certification: max_sphere_residual ")

@@ -8,6 +8,7 @@ import re
 import runpy
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import fkm_willmore
-from fkm_willmore import (SPHERE_TOL, VALUE_TOL, VerificationConfig,
-                          VerificationReport, build_clifford_system,
-                          build_frame, configuration_points, exit_code,
-                          render_text, run_suite, sample_focal_points)
+from fkm_willmore import (SPHERE_TOL, VALUE_TOL, CliffordSystem,
+                          VerificationConfig, VerificationReport,
+                          build_clifford_system, build_frame,
+                          configuration_points, exit_code, render_text,
+                          run_suite, sample_focal_points)
 from fkm_willmore.cli import main, parse_cli
 from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
                                  DEFAULT_TOLERANCES, SCHEMA_VERSION,
@@ -514,9 +516,16 @@ def test_main_dump_matrices_roundtrip(tmp_path, capsys):
 
 @pytest.mark.parametrize("option,target", [
     ("--out", "missing/r.json"), ("--dump-matrices", "file")])
-def test_unwritable_output_exits_2(tmp_path, capsys, option, target):
-    # the suite runs, but a path that cannot be written is an argument
-    # error: exit 2 and one line that names the path, not a traceback
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, option,
+                                   target):
+    # a path that cannot be written is an argument error, found before the
+    # suite runs: exit 2 and one line that names the path, not a traceback
+    from fkm_willmore import cli
+
+    def no_suite(cfg):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
     (tmp_path / "file").write_text("")
     path = str(tmp_path / target)
     assert main(["--grid", "1:3", option, path]) == 2
@@ -700,8 +709,8 @@ def _reject_constant(token):
 
 def test_nan_residuals_serialize_as_null():
     # JSON has no NaN: a NaN residual is written as null, and its block
-    # fails; a NaN or infinite entry of the system gives NaN residuals, and
-    # the points block names the entries as the cause
+    # fails; a NaN or infinite entry of the system gives NaN points, whose
+    # block keeps its fields and names point 0, and nothing raises
     from conftest import NON_FINITE, nan_pair_system
     cfg = tiny_config(configurations=((2, 2),))
     for value in NON_FINITE:
@@ -717,10 +726,38 @@ def test_nan_residuals_serialize_as_null():
         assert not blocks["cartan_munzner"]["pass"]
         # finite values are untouched
         assert blocks["cartan_munzner"]["n_samples"] == 1000
-        assert blocks["points"] == {
-            "count": 0, "pass": False,
-            "error": "no points: the Clifford system has non-finite entries"}
+        points = blocks["points"]
+        assert list(points) == SCHEMA_KEYS["points"][:-1] + ["error", "pass"]
+        assert points["count"] == cfg.n_points
+        assert points["max_constraint_residual"] is None
+        assert points["jacobian_ranks"] == [0]
+        assert points["error"] == ("point 0 failed certification: "
+                                   "max_constraint_residual nan (tol 1e-10)")
+        assert not points["pass"]
         assert list(blocks) == ["clifford", "cartan_munzner", "points"]
+
+
+def test_a_system_without_a_seed_fails_its_points_block():
+    # with P_0 = I the -1 eigenspace is empty: the seed has no w, so it is
+    # a NaN row, and every sampled row keeps its raw value; the points
+    # block names point 0, and nothing raises or warns
+    base = build_clifford_system(2, 2)
+    mats = np.array(base.matrices)
+    mats[0] = np.eye(base.ambient_dim)
+    system = CliffordSystem(m=2, l=base.l, matrices=mats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = sample_focal_points(system, 3, seed=0)
+        entry = evaluate_system(system, tiny_config(configurations=((2, 2),)),
+                                0)
+    assert np.isnan(points.x[0]).all()
+    assert np.isfinite(points.x[1:]).all()
+    blocks = entry["blocks"]
+    assert list(blocks) == ["clifford", "cartan_munzner", "points"]
+    assert blocks["points"]["error"] == (
+        "point 0 failed certification: max_constraint_residual nan "
+        "(tol 1e-10)")
+    assert not entry["pass"]
 
 
 def test_jsonable_arrays_match_the_element_walk():
@@ -792,8 +829,45 @@ def test_geometry_error_names_the_point(monkeypatch):
     monkeypatch.setattr(report, "sample_focal_points", last_scaled)
     cfg = tiny_config(n_points=20)
     entry = evaluate_system(build_clifford_system(1, 3), cfg, 0)
-    assert entry["blocks"]["geometry"]["error"].startswith(
-        "point 19: adapted frame failed completeness")
+    assert entry["blocks"]["geometry"]["error"] == (
+        "point 19: ricci_crosscheck_max 4.2e-01 (tol 1e-08)")
+
+
+def test_points_block_gates_the_frames(monkeypatch):
+    # point 3 of (3, 2) pushed 5e-8 along P_1 x, then measured: g_1 reads
+    # 1e-7.  With cert 1e-6 the points block passes it, all seven blocks
+    # run, and the frame's fault shows in the blocks that read it, each
+    # naming point 3; no stage of its own rejects the frame.  At the
+    # default cert the points block fails on it, and no later block runs
+    from fkm_willmore import focal, report
+    sample = report.sample_focal_points
+
+    def pushed(system, n, seed):
+        x = np.array(sample(system, n, seed=seed).x)
+        x[3] += 5e-8 * system.apply(x[3])[1]
+        return focal.FocalPoints(x=x, **focal._certify(system, x))
+
+    monkeypatch.setattr(report, "sample_focal_points", pushed)
+    system = build_clifford_system(3, 2)
+    cfg = tiny_config(configurations=((3, 2),), n_points=5,
+                      tolerances={"cert": 1e-6})
+    blocks = evaluate_system(system, cfg, 0)["blocks"]
+    assert tuple(blocks) == EXPECTED_BLOCKS
+    assert blocks["points"]["pass"]
+    assert blocks["points"]["max_constraint_residual"] > 1e-8
+    errors = {name: block.get("error") for name, block in blocks.items()
+              if not block["pass"]}
+    assert errors == {
+        "geometry": "point 3: ricci_crosscheck_max 3.0e-07 (tol 1e-08)",
+        "lemma": "point 3, normal 1: max_spectrum_deviation 4.9e-08 "
+                 "(tol 1e-08)",
+        "willmore": "point 3: residual_max 5.4e-06 (tol 1e-07)"}
+
+    blocks = evaluate_system(system, replace(cfg, tolerances={}), 0)["blocks"]
+    assert list(blocks) == ["clifford", "cartan_munzner", "points"]
+    assert blocks["points"]["error"] == (
+        "point 3 failed certification: max_constraint_residual 1.0e-07 "
+        "(tol 1e-10)")
 
 
 def _flip_one_point(record):
