@@ -10,10 +10,9 @@ report.CHECKED_FIELDS names and to the block's conditions (the Jacobian
 ranks, the multiplicities, the Einstein gate).
 """
 
-from .clifford import (CliffordSystem, build_clifford_system,
-                       build_skew_generators, delta, dump_matrices,
-                       verify_clifford_relations)
-from .errors import AdmissibilityError
+from .clifford import (AdmissibilityError, CliffordSystem,
+                       build_clifford_system, build_skew_generators, delta,
+                       dump_matrices, verify_clifford_relations)
 from .focal import SPHERE_TOL, VALUE_TOL, FocalPoints, sample_focal_points
 from .geometry import AdaptedFrame, ShapeData, build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
@@ -21,7 +20,7 @@ from .records import Check, fold
 from .report import (DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES,
                      TOOL_VERSION, VerificationConfig, VerificationReport,
                      configuration_points, evaluate_system, exit_code,
-                     render_text, run_suite, write_matrix_dumps)
+                     render_text, run_suite)
 from .willmore import EinsteinProbe, certify_point, einstein_probe
 
 __version__ = TOOL_VERSION
@@ -35,5 +34,5 @@ __all__ = [
     "configuration_points", "delta", "dump_matrices", "einstein_probe",
     "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
     "sample_focal_points", "shape_operators", "verify_cartan_munzner",
-    "verify_clifford_relations", "write_matrix_dumps",
+    "verify_clifford_relations",
 ]

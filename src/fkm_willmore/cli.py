@@ -4,21 +4,26 @@
                [--tol NAME=VALUE ...] [--out FILE] [--format json|text]
                [--dump-matrices DIR]
 
-The seed is --seed, else 42.  Argument problems, an output path that
-cannot be written among them, exit with code 2 (argparse convention)
-before the suite runs; verification failures with 1; internal errors
-with 3.
+The seed is --seed, else 42.  parse_cli turns the options that change
+results into a VerificationConfig, all of which the report records;
+--out, --format and --dump-matrices only say where and how it is
+written, and main reads them from the parsed arguments.  Argument
+problems, an output path that cannot be written among them, exit with
+code 2 (argparse convention) before the suite runs; verification
+failures with 1; internal errors with 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
+from .clifford import (AdmissibilityError, build_clifford_system,
+                       dump_matrices)
 from .report import (DEFAULT_SEED, DEFAULT_TOLERANCES, TOOL_NAME,
-                     VerificationConfig, exit_code, render_text, run_suite,
-                     write_matrix_dumps)
+                     VerificationConfig, exit_code, render_text, run_suite)
 
 __all__ = ["main", "parse_cli"]
 
@@ -52,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_cli(argv=None) -> VerificationConfig:
+def _parse(argv) -> tuple:
+    """The parsed arguments and the VerificationConfig they give."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     # only the syntax is split here: VerificationConfig checks the grid
@@ -63,13 +69,7 @@ def parse_cli(argv=None) -> VerificationConfig:
         if not sep:
             parser.error(f"invalid --tol {item!r}: expected NAME=VALUE")
         tolerances[name] = value
-    kwargs = {
-        "seed": args.seed,
-        "tolerances": tolerances,
-        "out": args.out,
-        "format": args.format,
-        "dump_matrices": args.dump_matrices,
-    }
+    kwargs = {"seed": args.seed, "tolerances": tolerances}
     if args.grid is not None:
         kwargs["configurations"] = tuple(tuple(token.split(":"))
                                          for token in args.grid.split(","))
@@ -78,21 +78,39 @@ def parse_cli(argv=None) -> VerificationConfig:
     if args.normals is not None:
         kwargs["n_normals"] = args.normals
     try:
-        return VerificationConfig(**kwargs)
+        return args, VerificationConfig(**kwargs)
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")  # parser.error always exits
 
 
+def parse_cli(argv=None) -> VerificationConfig:
+    """The VerificationConfig of a command line; exits 2 on a bad one."""
+    return _parse(argv)[1]
+
+
+def _write_matrix_dumps(cfg: VerificationConfig, directory: str) -> None:
+    """Dump each admissible grid system to <dir>/clifford_m{m}_k{k}.txt."""
+    os.makedirs(directory, exist_ok=True)
+    for m, k in cfg.configurations:
+        try:
+            system = build_clifford_system(m, k)
+        except (AdmissibilityError, NotImplementedError):
+            continue
+        path = os.path.join(directory, f"clifford_m{m}_k{k}.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(dump_matrices(system))
+
+
 def main(argv=None) -> int:
-    cfg = parse_cli(argv)
+    args, cfg = _parse(argv)
     # the outputs are made before the suite runs, so that a path that
     # cannot be written fails at once, not after the whole run
-    path, out = cfg.dump_matrices, None
+    path, out = args.dump_matrices, None
     try:
         if path:
-            write_matrix_dumps(cfg, path)
-        path = cfg.out
+            _write_matrix_dumps(cfg, path)
+        path = args.out
         if path:
             out = open(path, "w", encoding="utf-8")
     except OSError as exc:    # a path that cannot be written: bad usage
@@ -101,7 +119,7 @@ def main(argv=None) -> int:
         return 2
     with out or contextlib.nullcontext(sys.stdout) as fh:
         report = run_suite(cfg)
-        fh.write(report.to_json() if cfg.format == "json"
+        fh.write(report.to_json() if args.format == "json"
                  else render_text(report))
     code = exit_code(report)
     status = {0: "pass", 1: "fail", 3: "internal-error"}[code]

@@ -37,10 +37,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AdmissibilityError
 from .records import Check, fold, freeze
 
 __all__ = [
+    "AdmissibilityError",
     "CliffordSystem",
     "build_clifford_system",
     "build_skew_generators",
@@ -53,6 +53,22 @@ _DELTA_BASE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 
 # Relation tolerance for systems with non-integer entries.
 _RELATIONS_TOL = 1e-12
+
+
+class AdmissibilityError(ValueError):
+    """The requested pair (m, k) leaves no room for a focal manifold.
+
+    The pipeline's one exception type: nothing raises on measured data (a
+    false identity, an uncertified point or a non-finite entry leaves
+    residuals that fail their block of the report), and an input a stage
+    cannot read raises ValueError.  Carries the computed second
+    multiplicity m2 = l - m - 1, which must be at least 1 for the
+    construction to make sense.
+    """
+
+    def __init__(self, message: str, m2: int | None = None):
+        super().__init__(message)
+        self.m2 = m2
 
 
 def delta(m: int) -> int:

@@ -4,7 +4,8 @@ The canonical artifact is the JSON report: running the suite twice with the
 same configuration and seed must produce byte-identical output.  Everything
 stochastic derives from one master seed through named sub-seeds, and wall
 time is kept off the serialized form (it lives on the in-memory report and
-on stderr).
+on stderr).  The report records every field of its VerificationConfig, and
+reads its verdicts off its entries.
 
 Exit-code contract, used by the CLI:
     0  every configuration passed
@@ -20,7 +21,6 @@ import contextlib
 import hashlib
 import json
 import math
-import os
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .clifford import (CliffordSystem, build_clifford_system, delta,
-                       dump_matrices, verify_clifford_relations)
-from .errors import AdmissibilityError
+from .clifford import (AdmissibilityError, CliffordSystem,
+                       build_clifford_system, delta,
+                       verify_clifford_relations)
 from .focal import (SPHERE_TOL, VALUE_TOL, FocalPoints, _subseed,
                     sample_focal_points)
 from .geometry import build_frame, shape_operators
@@ -54,7 +54,6 @@ __all__ = [
     "exit_code",
     "render_text",
     "run_suite",
-    "write_matrix_dumps",
 ]
 
 TOOL_NAME = "fkm-verify"
@@ -113,8 +112,10 @@ class VerificationConfig:
     The integer fields, the (m, k) pairs of `configurations` included, may
     hold numpy integers or decimal strings, and the partial override of the
     default `tolerances` may hold strings; all are converted and validated
-    here, and an error names the bad field or entry.  Presentation options
-    (out/format/dump path) are carried for the CLI but not serialized.
+    here, and an error names the bad field or entry.  Every field is one
+    the report serializes: the `config` block holds them all but the
+    seed, which is top-level, plus the constant n_pde_samples.  How the
+    report is written (file, format, matrix dumps) is the CLI's business.
     """
 
     configurations: tuple = DEFAULT_GRID
@@ -122,9 +123,6 @@ class VerificationConfig:
     n_normals: int = 50
     seed: int = DEFAULT_SEED
     tolerances: dict = field(default_factory=dict)
-    out: str | None = None
-    format: str = "json"
-    dump_matrices: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.configurations, Iterable):
@@ -161,8 +159,6 @@ class VerificationConfig:
                 raise ValueError(f"invalid tolerance {name}={value!r}: "
                                  "expected a positive finite number") from None
         object.__setattr__(self, "tolerances", merged)
-        if self.format not in ("json", "text"):
-            raise ValueError(f"format must be json or text, got {self.format!r}")
         for name, low in (("n_points", 1), ("n_normals", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -172,15 +168,22 @@ class VerificationConfig:
 class VerificationReport:
     """In-memory result of a suite run.
 
+    The verdicts are read off the entries, never stored beside them.
     wall_time_s is runtime bookkeeping only; it never enters to_dict, so
     identical config + seed give byte-identical serializations.
     """
 
     config: VerificationConfig
     entries: list
-    overall_pass: bool
-    internal_error: bool = False
     wall_time_s: float = 0.0
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(e["pass"] for e in self.entries)
+
+    @property
+    def internal_error(self) -> bool:
+        return any(e.get("internal") for e in self.entries)
 
     def to_dict(self) -> dict:
         cfg = self.config
@@ -403,7 +406,6 @@ def run_suite(cfg: VerificationConfig) -> VerificationReport:
     """Evaluate every configuration in the grid."""
     start = time.perf_counter()
     entries = []
-    internal = False
     for ci, (m, k) in enumerate(cfg.configurations):
         base = {"m": m, "k": k}
         try:
@@ -420,12 +422,9 @@ def run_suite(cfg: VerificationConfig) -> VerificationReport:
         try:
             entries.append(evaluate_system(system, cfg, ci))
         except Exception as exc:  # escaping checks is an internal error
-            internal = True
             entries.append({**base, "admissible": True, "internal": True,
                             "error": repr(exc), "pass": False})
-    overall = all(e["pass"] for e in entries)
     return VerificationReport(config=cfg, entries=entries,
-                              overall_pass=overall, internal_error=internal,
                               wall_time_s=time.perf_counter() - start)
 
 
@@ -477,18 +476,3 @@ def render_text(report: VerificationReport) -> str:
     lines.append("overall: " + ("PASS" if report.overall_pass else "FAIL"))
     return "\n".join(lines) + "\n"
 
-
-def write_matrix_dumps(cfg: VerificationConfig, directory: str) -> list:
-    """Dump each admissible grid system to <dir>/clifford_m{m}_k{k}.txt."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for m, k in cfg.configurations:
-        try:
-            system = build_clifford_system(m, k)
-        except (AdmissibilityError, NotImplementedError):
-            continue
-        path = os.path.join(directory, f"clifford_m{m}_k{k}.txt")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(dump_matrices(system))
-        written.append(path)
-    return written

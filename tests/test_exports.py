@@ -9,8 +9,8 @@ import pytest
 
 import fkm_willmore
 
-MODULES = ("cli", "clifford", "errors", "focal", "geometry", "polynomial",
-           "records", "report", "willmore")
+MODULES = ("cli", "clifford", "focal", "geometry", "polynomial", "records",
+           "report", "willmore")
 
 
 # Everything the command line reaches, and the records and errors it hands
@@ -24,7 +24,7 @@ PACKAGE_NAMES = [
     "configuration_points", "delta", "dump_matrices", "einstein_probe",
     "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
     "sample_focal_points", "shape_operators", "verify_cartan_munzner",
-    "verify_clifford_relations", "write_matrix_dumps",
+    "verify_clifford_relations",
 ]
 
 

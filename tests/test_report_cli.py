@@ -83,8 +83,6 @@ def test_config_validation():
                               tolerances={"pde": "1e-6"}).tolerances["pde"] \
         == 1e-6
     with pytest.raises(ValueError):
-        VerificationConfig(format="yaml")
-    with pytest.raises(ValueError):
         VerificationConfig(n_points=0)
     cfg = VerificationConfig(tolerances={"geom": 1e-6})
     assert cfg.tolerances["geom"] == 1e-6
@@ -263,13 +261,36 @@ def test_internal_error_becomes_exit_3(monkeypatch):
 
 
 def test_exit_code_mapping():
+    # the verdicts are read off the entries: all passing gives 0, a failing
+    # one 1, and an internal error 3 whatever the others read
     cfg = tiny_config()
-    mk = lambda ok, internal: VerificationReport(
-        config=cfg, entries=[], overall_pass=ok, internal_error=internal)
-    assert exit_code(mk(True, False)) == 0
-    assert exit_code(mk(False, False)) == 1
-    assert exit_code(mk(True, True)) == 3
-    assert exit_code(mk(False, True)) == 3
+    passing = {"m": 1, "k": 3, "pass": True}
+    failing = {"m": 3, "k": 1, "admissible": False,
+               "reason": "inadmissible: m2=0", "pass": False}
+    internal = {"m": 2, "k": 2, "admissible": True, "internal": True,
+                "error": "RuntimeError()", "pass": False}
+    for entries, code in (([passing], 0), ([passing, failing], 1),
+                          ([passing, internal], 3),
+                          ([failing, internal], 3)):
+        report = VerificationReport(config=cfg, entries=entries)
+        assert exit_code(report) == code, entries
+        assert report.overall_pass == (code == 0)
+        assert report.internal_error == (code == 3)
+    for name in ("overall_pass", "internal_error"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, True)
+
+
+def test_config_fields_are_what_the_report_records():
+    # a field of VerificationConfig changes results, so the report must
+    # record it: the config block holds every field but the seed, which is
+    # top-level, plus the constant n_pde_samples
+    from dataclasses import fields
+    parsed = json.loads(run_suite(tiny_config()).to_json())
+    recorded = set(parsed["config"]) - {"n_pde_samples"} | {"seed"}
+    assert {f.name for f in fields(VerificationConfig)} == recorded
+    assert [f.name for f in fields(VerificationReport)] == [
+        "config", "entries", "wall_time_s"]
 
 
 def test_render_text_shape():
@@ -435,7 +456,16 @@ def test_parse_cli_defaults():
     assert cfg.n_points == 20 and cfg.n_normals == 50
     assert cfg.configurations == ((1, 3), (1, 4), (2, 2), (3, 2), (4, 2),
                                   (5, 1), (6, 1))
-    assert cfg.format == "json" and cfg.out is None
+
+
+def test_main_defaults_write_json_to_stdout(tmp_path, capsys, monkeypatch):
+    # no --out, --format or --dump-matrices: the JSON report goes to stdout
+    # and nothing is written to disk
+    monkeypatch.chdir(tmp_path)
+    assert main(["--grid", "1:3", "--points", "2", "--normals", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["overall_pass"] is True
+    assert os.listdir(tmp_path) == []
 
 
 def test_parse_cli_overrides():
@@ -448,8 +478,6 @@ def test_parse_cli_overrides():
     assert cfg.tolerances["geom"] == 1e-6
     assert cfg.tolerances["willmore"] == 1e-5
     assert cfg.tolerances["pde"] == 1e-8
-    assert cfg.format == "text" and cfg.out == "r.txt"
-    assert cfg.dump_matrices == "dumps"
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,11 +529,17 @@ def test_main_stdout_text_and_failure_exit(tmp_path, capsys):
 
 
 def test_main_dump_matrices_roundtrip(tmp_path, capsys):
+    # --out, --format and --dump-matrices reach main, not the config: the
+    # text report is written to the file and the dumps are made
     dumps = tmp_path / "dumps"
-    out = tmp_path / "r.json"
+    out = tmp_path / "r.txt"
     code = main(["--grid", "2:2,3:1", "--points", "2", "--normals", "2",
-                 "--out", str(out), "--dump-matrices", str(dumps)])
+                 "--format", "text", "--out", str(out),
+                 "--dump-matrices", str(dumps)])
     assert code == 1  # 3:1 is inadmissible, but dumps still cover 2:2
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert text.startswith("fkm-verify ") and text.endswith("overall: FAIL\n")
     files = sorted(os.listdir(dumps))
     assert files == ["clifford_m2_k2.txt"]
     back = parse_dump((dumps / files[0]).read_text())
@@ -715,8 +749,7 @@ def test_nan_residuals_serialize_as_null():
     cfg = tiny_config(configurations=((2, 2),))
     for value in NON_FINITE:
         entry = evaluate_system(nan_pair_system(2, 2, value), cfg, 0)
-        report = VerificationReport(config=cfg, entries=[entry],
-                                    overall_pass=False)
+        report = VerificationReport(config=cfg, entries=[entry])
         parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
         blocks = parsed["configurations"][0]["blocks"]
         assert blocks["clifford"]["max_deviation"] is None
@@ -808,8 +841,7 @@ def test_render_text_shows_a_nan_residual():
              "blocks": {"cartan_munzner": {"max_gradient_residual": 1e-14,
                                            "max_laplacian_residual": np.nan,
                                            "pass": False}}}
-    report = VerificationReport(config=tiny_config(), entries=[entry],
-                                overall_pass=False)
+    report = VerificationReport(config=tiny_config(), entries=[entry])
     line = render_text(report).splitlines()[3]
     assert line == "[FAIL] m=2 k=2: l=4 dim=3 pde=nan failed=cartan_munzner"
 
