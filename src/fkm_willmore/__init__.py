@@ -5,9 +5,9 @@ polynomials (polynomial) -> certified points of the focal manifold M+
 (focal) -> extrinsic curvature data (geometry) -> Willmore identities and
 the Ricci-spread probe (willmore) -> reproducible suite reports (report,
 cli).  The stages measure and the report judges: report._block decides
-every block, holding each point's residuals to the Checks (records) that
-report.CHECKED_FIELDS names and to the block's conditions (the Jacobian
-ranks, the multiplicities, the Einstein gate).
+every block, holding each point's residuals to the tolerances that
+report.CHECKED_FIELDS names (residual <= tol) and to the block's
+conditions (the Jacobian ranks, the multiplicities, the Einstein gate).
 """
 
 from .clifford import (AdmissibilityError, CliffordSystem,
@@ -16,7 +16,7 @@ from .clifford import (AdmissibilityError, CliffordSystem,
 from .focal import SPHERE_TOL, VALUE_TOL, FocalPoints, sample_focal_points
 from .geometry import AdaptedFrame, ShapeData, build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
-from .records import Check, fold
+from .records import fold
 from .report import (DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES,
                      TOOL_VERSION, VerificationConfig, VerificationReport,
                      configuration_points, evaluate_system, exit_code,
@@ -26,7 +26,7 @@ from .willmore import EinsteinProbe, certify_point, einstein_probe
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "AdaptedFrame", "AdmissibilityError", "Check", "CliffordSystem",
+    "AdaptedFrame", "AdmissibilityError", "CliffordSystem",
     "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe",
     "FkmPolynomial", "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
     "VerificationConfig", "VerificationReport", "build_clifford_system",

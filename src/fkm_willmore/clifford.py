@@ -19,9 +19,9 @@ numbers (m = 2), the quaternions (m = 3, 4) and the octonions (m = 5..8),
 all read from one recursive Cayley-Dickson product (_product); m = 9
 doubles the octonion set once to dimension 16.  Left multiplications by
 basis elements are signed permutations, so every matrix built here has
-entries in {-1, 0, +1} and its algebraic identities are checked with zero
-tolerance; systems with other entries (rotated or conjugated ones) are held
-to 1e-12.
+entries in {-1, 0, +1} and its algebraic identities hold exactly in double
+precision; the report holds them to zero tolerance, and systems with other
+entries (rotated or conjugated ones) to 1e-12.
 
 Admissibility: the focal manifold construction needs m2 = l - m - 1 >= 1.
 
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .records import Check, fold, freeze
+from .records import fold, freeze
 
 __all__ = [
     "AdmissibilityError",
@@ -50,9 +50,6 @@ __all__ = [
 ]
 
 _DELTA_BASE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
-
-# Relation tolerance for systems with non-integer entries.
-_RELATIONS_TOL = 1e-12
 
 
 class AdmissibilityError(ValueError):
@@ -230,18 +227,16 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
     return CliffordSystem(m=m, l=l, matrices=tuple(mats))
 
 
-def verify_clifford_relations(system: CliffordSystem) -> Check:
-    """Check symmetry, anticommutation/involution and tracelessness.
+def verify_clifford_relations(system: CliffordSystem) -> float:
+    """The worst absolute residual of symmetry, anticommutation/involution
+    and tracelessness, NaN for a system with a non-finite entry.
 
-    Returns the `max_deviation` check, the worst absolute residual of all
-    three, NaN for a system with a non-finite entry.  Freshly built systems
-    have entries in {-1, 0, +1}; their products are exact in double
-    precision, so an integer system is held to tol=0.  Rotated or
-    conjugated systems carry float entries and are held to tol=1e-12.
+    Freshly built systems have entries in {-1, 0, +1}; their products are
+    exact in double precision, so their residual is 0.  The report holds
+    it to the `relations` tolerance that it derives from the entries.
     """
-    tol = 0.0 if system.integer else _RELATIONS_TOL
     if not system.finite:
-        return Check("max_deviation", float("nan"), tol)
+        return float("nan")
     stack = system.matrices
     prods = stack[:, None] @ stack[None]             # P_a P_b for all a, b
     anti = (prods + prods.swapaxes(0, 1)
@@ -249,8 +244,7 @@ def verify_clifford_relations(system: CliffordSystem) -> Check:
             * np.eye(system.ambient_dim))
     residuals = (stack - stack.transpose(0, 2, 1), anti,
                  np.trace(stack, axis1=1, axis2=2))
-    return Check("max_deviation", fold([fold(np.abs(r)) for r in residuals]),
-                 tol)
+    return fold([fold(np.abs(r)) for r in residuals])
 
 
 def dump_matrices(system: CliffordSystem) -> str:

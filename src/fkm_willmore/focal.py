@@ -13,13 +13,13 @@ Clifford relations, so they hold for any representation of the system.
 Nothing is searched for: a point is constructed, then measured.
 
 The points are measured, not judged, here: every row gets its constraint,
-sphere and value residuals and the Gram identity of the constraint normals
-(see _certify), and the points block of the report holds them to its
-tolerances and names the first row that fails.  At a point of M+ the rows
-x, P_0 x, ..., P_m x are orthonormal, so J J^T = 4 I for the constraint
-Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation above 1e-6 means the
-matrices are not a Clifford system, whatever the residuals say, and the
-row gets rank 0.
+sphere and value residuals and the deviation of the Gram identity of the
+constraint normals (see _certify), and the points block of the report
+holds them to its tolerances and names the first row that fails.  At a
+point of M+ the rows x, P_0 x, ..., P_m x are orthonormal, so J J^T = 4 I
+for the constraint Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation that
+is not small means the matrices are not a Clifford system, whatever the
+residuals say.
 
 sample_focal_points returns all points as one FocalPoints record, row 0
 the seed.  The other rows come from one block of Gaussian rows, one row per
@@ -50,8 +50,6 @@ __all__ = [
 SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
-_GRAM_TOL = 1e-6           # max |J J^T / 4 - I| of a row of rank m + 2
-
 
 def _subseed(master: int, *key: int) -> SeedSequence:
     """The sub-stream of the master seed named by `key`, ready for
@@ -66,19 +64,16 @@ class FocalPoints(Record):
     `x` (n, 2l) holds the points as rows, row 0 the closed-form seed.  The
     other fields are (n,) arrays from the one measuring pass of each row:
     max_a |g_a(x)|, | |x|^2 - 1 |, |F(x) - 1| = | |x|^4 - 2 |g|^2 - 1 |
-    and the rank of the (m+2) x 2l matrix with rows x, P_0 x, ..., P_m x.
-    The rank is read off the Gram guard: where max |J J^T / 4 - I| <= 1e-6
-    < 1 / (m + 2), every eigenvalue of J J^T / 4 lies within (m + 2) 1e-6
-    of 1 (Gershgorin), so the rank is m + 2; any other row gets rank 0.
-    Full rank m + 2 certifies that the constraint normals span the whole
-    normal space plus the radial direction.
+    and the Gram deviation max |J J^T / 4 - I| of the (m+2) x 2l matrix
+    J / 2 with rows x, P_0 x, ..., P_m x, NaN for a non-finite row.  The
+    points block reads the rank of J off the deviation.
     """
 
     x: np.ndarray
     residual_constraints: np.ndarray
     residual_sphere: np.ndarray
     value_gap: np.ndarray
-    jacobian_rank: np.ndarray
+    gram_deviation: np.ndarray
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,9 +87,8 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
     """The certification residuals of every row of a (K, 2l) stack, in one
     pass, as (K,) arrays under the names of the FocalPoints fields.
 
-    The rank is m + 2 where the Gram matrix J J^T / 4 is the identity to
-    1e-6, and 0 elsewhere.  A row with a non-finite coordinate enters no
-    product: its residuals are NaN and its rank 0.
+    A row with a non-finite coordinate enters no product: its residuals
+    and its Gram deviation are NaN.
 
     P_a x is formed once, as a stacked matrix-vector product, so every row
     gets the rounding of the one-point expressions stack @ x, (stack @ x) @ x
@@ -107,13 +101,13 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
     xx = _dot(x, x)
     rows = np.concatenate([x[:, None, :], px], axis=1)   # J / 2
     jjt = rows @ rows.transpose(0, 2, 1)                  # J J^T / 4
-    gram = np.max(np.abs(jjt - np.eye(rows.shape[1])), axis=(1, 2))
     out = {"residual_constraints": fold(np.abs(g), axis=1),
            "residual_sphere": np.abs(xx - 1.0),
-           "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0)}
+           "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
+           "gram_deviation": np.max(np.abs(jjt - np.eye(rows.shape[1])),
+                                    axis=(1, 2))}
     for values in out.values():
         values[~finite] = np.nan
-    out["jacobian_rank"] = np.where(gram <= _GRAM_TOL, rows.shape[1], 0)
     return out
 
 
@@ -205,8 +199,8 @@ def sample_focal_points(system: CliffordSystem, n: int,
     without an image keeps its raw value, and its residuals show it).  All
     n rows are measured in one stacked pass; the points block of the report
     judges them.  A system with a non-finite entry gives n NaN rows with
-    NaN residuals and rank 0, before any product is formed (an infinite
-    entry times a zero warns).
+    NaN residuals, before any product is formed (an infinite entry times a
+    zero warns).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -214,7 +208,7 @@ def sample_focal_points(system: CliffordSystem, n: int,
         nan = np.full(n, np.nan)
         return FocalPoints(x=np.full((n, system.ambient_dim), np.nan),
                            residual_constraints=nan, residual_sphere=nan,
-                           value_gap=nan, jacobian_rank=np.zeros(n, int))
+                           value_gap=nan, gram_deviation=nan)
     rng = default_rng(_subseed(seed, 0))
     x = np.empty((n, system.ambient_dim))
     x[0] = _seed_row(system)

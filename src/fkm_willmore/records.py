@@ -1,5 +1,6 @@
-"""The one result record of the verifier, the fold that aggregates it, and
-the base of the stage records, which take over their arrays read-only."""
+"""The fold that aggregates the residuals, and the base of the stage
+records, which take over their arrays read-only.  Holding a residual to
+its tolerance is the report's business (report._block)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["Check", "fold", "freeze"]
+__all__ = ["fold", "freeze"]
 
 
 def freeze(value, dtype=None) -> np.ndarray:
@@ -42,24 +43,3 @@ def fold(values, axis: int | None = None):
     0.0 for none.  With `axis`, the worst along that axis, as an array."""
     worst = np.max(values, axis=axis, initial=0.0)
     return float(worst) if axis is None else worst
-
-
-@dataclass(frozen=True)
-class Check:
-    """One residual held against its tolerance, under the report key
-    `name`; the report builds one per field of report.CHECKED_FIELDS.  It
-    passes when residual <= tol, so a NaN residual never passes.
-    """
-
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tol)
-
-    def __repr__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"[{status}] {self.name}: residual {self.residual:.3e} "
-                f"(tol {self.tol:.1e})")

@@ -35,7 +35,7 @@ from .focal import (SPHERE_TOL, VALUE_TOL, FocalPoints, _subseed,
                     sample_focal_points)
 from .geometry import build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
-from .records import Check, fold
+from .records import fold
 from .willmore import CHECK_NAMES, certify_point, einstein_probe
 
 __all__ = [
@@ -58,7 +58,7 @@ __all__ = [
 
 TOOL_NAME = "fkm-verify"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 # Every admissible (m, k) with ambient dimension at most 16.  (3, 1) and
 # (4, 1) have m2 = 0 and carry no focal manifold of the verified kind.
@@ -75,10 +75,18 @@ N_PDE_SAMPLES = 1000
 # gated, a Ricci spread above this at every point is non-Einstein evidence
 RICCI_SPREAD_THRESHOLD = 0.1
 
+# The relations of a system with integer entries (a freshly built one) hold
+# exactly in double precision; other systems are held to this.
+_RELATIONS_TOL = 1e-12
+# A row of the focal points whose Gram deviation max |J J^T / 4 - I| is at
+# most this (< 1 / (m + 2)) has every eigenvalue of J J^T / 4 within
+# (m + 2) 1e-6 of 1 (Gershgorin), so J has full rank m + 2.
+_GRAM_TOL = 1e-6
+
 # Every checked field of the report, by block, and its tolerance: a key of
-# the tolerances, a fixed point threshold, or "relations", the one that
-# verify_clifford_relations derives from the system (0 for integer entries,
-# 1e-12 otherwise).  Other fields are information.
+# the tolerances, a fixed point threshold, or "relations", which
+# evaluate_system derives from the system's entries (0 for integers,
+# _RELATIONS_TOL otherwise).  Other fields are information.
 CHECKED_FIELDS = {
     "clifford": {"max_deviation": "relations"},
     "cartan_munzner": dict.fromkeys(
@@ -240,31 +248,28 @@ def _block(name: str, tol: dict, fields: dict, conditions: dict = {},
     key order, those of its CHECKED_FIELDS row folded, then its verdict.
 
     A checked field holds its value at every point (one value in clifford
-    and cartan_munzner), each held to its Check; `conditions` maps a field
-    to its values at every point and the value they must take.  Failing,
-    with `where`, the block names its first failing point i and field in
-    an `error` before `pass`, after where(i, field)."""
+    and cartan_munzner), each of which passes when value <= tol, so a NaN
+    never passes; `conditions` maps a field to its values at every point
+    and the value they must take.  Failing, with `where`, the block names
+    in an `error` before `pass` the first failing field, in CHECKED_FIELDS
+    order and conditions last, at its first failing point i, after
+    where(i, field)."""
     limits = {key: tol[held] if isinstance(held, str) else held
               for key, held in CHECKED_FIELDS.get(name, {}).items()}
     block = {**fields, **{key: fold(fields[key]) for key in limits}}
-    passed = (all(Check(key, block[key], t).passed
-                  for key, t in limits.items())
+    passed = (all(block[key] <= t for key, t in limits.items())
               and all(v == want for values, want in conditions.values()
                       for v in values))
     if passed or where is None:
         return {**block, "pass": passed}
-    rows = {key: fields[key] for key in limits} | {
-        key: values for key, (values, _) in conditions.items()}
-    for i in range(len(next(iter(rows.values())))):
-        failed = [(key, f"{key} {fields[key][i]:.1e} (tol {t:g})")
-                  for key, t in limits.items()
-                  if not Check(key, fields[key][i], t).passed]
-        failed += [(key, f"{key} {values[i]} (expected {want})")
-                   for key, (values, want) in conditions.items()
-                   if values[i] != want]
-        if failed:
-            key, text = failed[0]
-            return {**block, "error": where(i, key) + text, "pass": False}
+    misses = [(i, key, f"{key} {v:.1e} (tol {t:g})")
+              for key, t in limits.items()
+              for i, v in enumerate(fields[key]) if not v <= t]
+    misses += [(i, key, f"{key} {v} (expected {want})")
+               for key, (values, want) in conditions.items()
+               for i, v in enumerate(values) if v != want]
+    i, key, text = misses[0]
+    return {**block, "error": where(i, key) + text, "pass": False}
 
 
 def _median(values) -> float:
@@ -277,8 +282,11 @@ def _median(values) -> float:
 
 
 def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
-    """The points block: every row held to its checks and to the rank."""
-    ranks = points.jacobian_rank.tolist()
+    """The points block: every row held to its checks and to the rank of
+    its Jacobian, read off its Gram deviation: rank_expected = m + 2 where
+    the deviation is at most _GRAM_TOL, 0 elsewhere (NaN included)."""
+    ranks = np.where(points.gram_deviation <= _GRAM_TOL, rank_expected,
+                     0).tolist()
     return _block("points", tol, {
         "count": len(points.x),
         "max_constraint_residual": points.residual_constraints,
@@ -323,10 +331,10 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     }
     blocks = {}
 
-    relations = verify_clifford_relations(system)
-    tol = {**cfg.tolerances, "relations": relations.tol}
-    blocks["clifford"] = _block("clifford", tol,
-                                {"max_deviation": relations.residual})
+    tol = {**cfg.tolerances,
+           "relations": 0.0 if system.integer else _RELATIONS_TOL}
+    blocks["clifford"] = _block("clifford", tol, {
+        "max_deviation": verify_clifford_relations(system)})
 
     grad, lap = verify_cartan_munzner(FkmPolynomial(system), N_PDE_SAMPLES,
                                       _subseed(cfg.seed, config_index, 0))
@@ -435,7 +443,8 @@ def exit_code(report: VerificationReport) -> int:
 
 
 def render_text(report: VerificationReport) -> str:
-    """Line-per-configuration summary; as deterministic as the JSON."""
+    """Line-per-configuration summary, each failing block's error on a
+    line of its own below it; as deterministic as the JSON."""
     cfg = report.config
     lines = [f"{TOOL_NAME} {TOOL_VERSION} (schema {SCHEMA_VERSION})",
              f"seed={cfg.seed} points={cfg.n_points} normals={cfg.n_normals}"
@@ -473,6 +482,8 @@ def render_text(report: VerificationReport) -> str:
         if failed:
             parts.append("failed=" + ",".join(failed))
         lines.append(head + ": " + " ".join(parts))
+        lines += [f"  {name}: {b[name]['error']}" for name in failed
+                  if "error" in b[name]]
     lines.append("overall: " + ("PASS" if report.overall_pass else "FAIL"))
     return "\n".join(lines) + "\n"
 

@@ -15,8 +15,8 @@ a second route to a quantity the package computes another way:
     Laplacian must equal the trace of hessian;
   * parse_dump reads the plain-text matrix dump back;
   * jacobian_rank is the rank of the rows x, P_0 x, ..., P_m x from their
-    singular values, where certification reads the eigenvalues of the
-    Gram matrix it forms for its J J^T = 4I guard;
+    singular values, where the points block reads it off the deviation of
+    their Gram matrix from the identity, J J^T = 4I;
   * orthonormal_completion is the Householder completion B of a unit
     coefficient vector c, whose first row is c: the rotation to that
     normal, which rotate_system and the per-normal chain below apply;

@@ -1,8 +1,8 @@
 """Clifford systems: generator algebra, split construction, rotations, dumps.
 
-Freshly built systems have integer entries, so the defining relations are
-checked with zero tolerance; rotated systems (built by the test oracle
-oracles.rotate_system) only get 1e-12.
+Freshly built systems have integer entries, so the defining relations
+hold exactly and the report holds them to zero tolerance; rotated systems
+(built by the test oracle oracles.rotate_system) only get 1e-12.
 """
 
 import hashlib
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from fkm_willmore import (AdmissibilityError, CliffordSystem,
-                          build_clifford_system, build_frame,
-                          build_skew_generators, certify_point, delta,
-                          dump_matrices, sample_focal_points, shape_operators,
+                          VerificationConfig, build_clifford_system,
+                          build_frame, build_skew_generators, certify_point,
+                          delta, dump_matrices, evaluate_system,
+                          sample_focal_points, shape_operators,
                           verify_clifford_relations)
 from fkm_willmore.clifford import _product
 
@@ -26,6 +27,12 @@ from conftest import (GRID, NON_FINITE, conjugated_system, corrupt_system,
 from oracles import orthonormal_completion, parse_dump, rotate_system
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
+
+
+def clifford_block(system):
+    """The clifford block that the report makes of `system`."""
+    cfg = VerificationConfig(n_points=1, n_normals=0)
+    return evaluate_system(system, cfg, 0)["blocks"]["clifford"]
 
 
 def test_delta_table():
@@ -110,9 +117,9 @@ def test_relations_exact_on_grid(m, k):
     system = build_clifford_system(m, k)
     assert system.l == k * delta(m)
     assert system.m2 == system.l - m - 1 >= 1
-    check = verify_clifford_relations(system)
-    assert check.name == "max_deviation" and check.passed
-    assert check.residual == 0.0, f"integer relations must be exact: {check}"
+    residual = verify_clifford_relations(system)
+    assert type(residual) is float
+    assert residual == 0.0, f"integer relations must be exact: {residual}"
     for p in system.matrices:
         assert np.isin(p, (-1.0, 0.0, 1.0)).all(), "entries must be integers"
 
@@ -125,26 +132,39 @@ def test_inadmissible_configurations_rejected(m, k):
 
 
 def test_relations_tolerance_follows_the_entries():
-    # an integer system is held to 0, one with float entries (here
-    # conjugated by a random orthogonal Q) to 1e-12
-    assert verify_clifford_relations(build_clifford_system(2, 2)).tol == 0.0
-    conjugated = conjugated_system(2, 2)
-    check = verify_clifford_relations(conjugated)
-    # a residual above 0 would fail the integer systems' tolerance
-    assert check.tol == 1e-12 and check.passed and check.residual > 0.0
+    # the report holds an integer system to 0, and one with float entries
+    # (here conjugated by a random orthogonal Q) to 1e-12: a residual above
+    # 0 passes there
+    block = clifford_block(build_clifford_system(2, 2))
+    assert block == {"max_deviation": 0.0, "pass": True}
+    block = clifford_block(conjugated_system(2, 2))
+    assert block["pass"] and 0.0 < block["max_deviation"] <= 1e-14
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_relations_tolerance_is_1e_12(factor):
+    # every P_a scaled by s gives P_a^2 = s^2 I, so the worst residual is
+    # 2 (s^2 - 1) past rounding: sized 10% below 1e-12 the clifford block
+    # of a conjugated system passes, 10% above it the block fails
+    base = conjugated_system(2, 2)
+    s = np.sqrt(1.0 + factor * 0.5e-12)
+    scaled = CliffordSystem(m=2, l=base.l, matrices=base.matrices * s)
+    block = clifford_block(scaled)
+    assert abs(block["max_deviation"] - factor * 1e-12) <= 1e-14
+    assert block["pass"] == (factor < 1.0)
 
 
 def test_corruption_detected():
-    check = verify_clifford_relations(corrupt_system(2, 2))
-    assert not check.passed
-    assert check.residual >= 1e-3
+    system = corrupt_system(2, 2)
+    assert verify_clifford_relations(system) >= 1e-3
+    assert not clifford_block(system)["pass"]
 
 
 def test_nan_entry_pair_fails():
     for value in NON_FINITE:
-        check = verify_clifford_relations(nan_pair_system(2, 2, value))
-        assert np.isnan(check.residual), value
-        assert not check.passed
+        system = nan_pair_system(2, 2, value)
+        assert np.isnan(verify_clifford_relations(system)), value
+        assert not clifford_block(system)["pass"]
 
 
 def test_rotate_identity_coefficients():
@@ -185,8 +205,8 @@ def test_rotated_systems_keep_relations(m, k):
         c = rng.standard_normal(m + 1)
         c /= np.linalg.norm(c)
         rotated = rotate_system(system, c)
-        check = verify_clifford_relations(rotated)
-        assert check.passed, f"c={c}: {check}"
+        residual = verify_clifford_relations(rotated)
+        assert residual <= 1e-12, f"c={c}: {residual:.3e}"
         # first rotated matrix is the requested combination
         combo = np.einsum("a,aij->ij", c, system.matrices)
         assert np.max(np.abs(rotated.matrices[0] - combo)) <= 1e-14

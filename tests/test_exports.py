@@ -16,7 +16,7 @@ MODULES = ("cli", "clifford", "focal", "geometry", "polynomial", "records",
 # Everything the command line reaches, and the records and errors it hands
 # back; a name only tests call belongs in tests/oracles.py instead.
 PACKAGE_NAMES = [
-    "AdaptedFrame", "AdmissibilityError", "Check", "CliffordSystem",
+    "AdaptedFrame", "AdmissibilityError", "CliffordSystem",
     "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe",
     "FkmPolynomial", "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
     "VerificationConfig", "VerificationReport", "build_clifford_system",

@@ -1,5 +1,7 @@
 """Focal points: deterministic seed, certification, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
@@ -7,13 +9,13 @@ from numpy.random import SeedSequence, default_rng
 from fkm_willmore import (DEFAULT_TOLERANCES, SPHERE_TOL, CliffordSystem,
                           build_clifford_system, VerificationConfig,
                           evaluate_system, run_suite, sample_focal_points)
-from fkm_willmore import focal
+from fkm_willmore import focal, report
 
 from conftest import GRID, conjugated_system, judged_points
 from oracles import jacobian_rank, quartic
 
 FIELDS = ("x", "residual_constraints", "residual_sphere", "value_gap",
-          "jacobian_rank")
+          "gram_deviation")
 
 
 def _row(points, i):
@@ -46,7 +48,7 @@ def test_seed_certifies_exactly(m, k):
     assert point["residual_constraints"] <= 1e-15
     assert point["residual_sphere"] <= 1e-15
     assert point["value_gap"] <= 1e-15
-    assert point["jacobian_rank"] == m + 2
+    assert point["gram_deviation"] <= 1e-15
 
 
 def test_sampling_deterministic_and_seed_sensitive():
@@ -68,7 +70,8 @@ def test_sampling_certifies_hundred_points():
     assert points.x.shape == (100, system.ambient_dim)
     assert np.all(points.residual_constraints <= DEFAULT_TOLERANCES["cert"])
     assert np.all(points.residual_sphere <= SPHERE_TOL)
-    assert points.jacobian_rank.tolist() == [4] * 100
+    assert np.all(points.gram_deviation <= 1e-14)
+    assert judged_points(system, points.x)[1]["jacobian_ranks"] == [4]
     # the sampler should not collapse onto few points
     assert np.min(np.ptp(points.x, axis=0)) > 0.1
 
@@ -84,20 +87,23 @@ def test_certify_rejects_off_manifold():
     # the point and its first failing field
     system = build_clifford_system(1, 3)
     point, block = judged_points(system, np.eye(6)[0])
+    # and P_0 e_0 = e_0, so the Gram matrix has an off-diagonal 1: rank 0
     assert point.residual_constraints.tolist() == [1.0]
-    assert point.jacobian_rank.tolist() == [0]
+    assert point.gram_deviation.tolist() == [1.0]
+    assert block["jacobian_ranks"] == [0]
     assert block["error"] == ("point 0 failed certification: "
                               "max_constraint_residual 1.0e+00 (tol 1e-10)")
     assert list(block)[-2:] == ["error", "pass"] and not block["pass"]
 
 
 def test_certify_rejects_nan():
-    # a non-finite row enters no product: NaN residuals, rank 0
+    # a non-finite row enters no product: NaN residuals and Gram
+    # deviation, which the points block reads as rank 0
     system = build_clifford_system(1, 3)
     point, block = judged_points(system, np.full(system.ambient_dim, np.nan))
-    for name in FIELDS[1:4]:
+    for name in FIELDS[1:]:
         assert np.isnan(getattr(point, name)).all(), name
-    assert point.jacobian_rank.tolist() == [0]
+    assert block["jacobian_ranks"] == [0]
     assert block["error"].startswith(
         "point 0 failed certification: max_constraint_residual nan ")
 
@@ -106,14 +112,16 @@ def test_certify_rejects_nan():
 def test_certify_rejects_a_broken_gram_identity(m, k):
     # with every P_a scaled by 1.01 the points of the intact system still
     # have g_a = 0, |x| = 1 and F(x) = 1 to rounding, but |P_a x|^2 = 1.0201,
-    # so only the Gram guard J J^T = 4 I sees it: every row gets rank 0,
-    # and the points block fails on the rank alone
+    # so only the Gram identity J J^T = 4 I sees it: every row deviates
+    # by 0.0201 and gets rank 0, and the points block fails on the rank
+    # alone
     system = build_clifford_system(m, k)
     scaled = CliffordSystem(m=m, l=system.l,
                             matrices=tuple(1.01 * p for p in system.matrices))
     x = sample_focal_points(system, 5, 5).x
     points, block = judged_points(scaled, x)
-    assert points.jacobian_rank.tolist() == [0] * 5
+    assert np.max(np.abs(points.gram_deviation - 0.0201)) <= 1e-14
+    assert block["jacobian_ranks"] == [0]
     for key in ("max_constraint_residual", "max_sphere_residual",
                 "max_value_gap"):
         assert block[key] <= 1e-14, key
@@ -125,9 +133,9 @@ def test_certify_rejects_a_broken_gram_identity(m, k):
 def test_gram_guard_is_the_rank_threshold(m, k):
     # scaling every P_a by s moves the Gram matrix's diagonal |P_a x|^2 to
     # s^2 |x|^2 and nothing else past rounding, so its deviation is s^2 - 1:
-    # sized 0.1% below the guard's 1e-6 every row has rank m + 2 and the
-    # block passes, 0.1% above it every row has rank 0 and the block
-    # fails, naming the first point, on the rank alone
+    # sized 0.1% below the points block's 1e-6 every row has rank m + 2
+    # and the block passes, 0.1% above it every row has rank 0 and the
+    # block fails, naming the first point, on the rank alone
     system = build_clifford_system(m, k)
     x = sample_focal_points(system, 4, seed=6).x
     for factor in (0.999, 1.001):
@@ -135,13 +143,27 @@ def test_gram_guard_is_the_rank_threshold(m, k):
         scaled = CliffordSystem(m=m, l=system.l, matrices=tuple(
             s * p for p in system.matrices))
         points, block = judged_points(scaled, x)
+        assert np.max(np.abs(points.gram_deviation - factor * 1e-6)) <= 1e-14
         if factor < 1.0:
-            assert points.jacobian_rank.tolist() == [m + 2] * 4
+            assert block["jacobian_ranks"] == [m + 2]
             assert block["pass"] and "error" not in block
         else:
-            assert points.jacobian_rank.tolist() == [0] * 4
+            assert block["jacobian_ranks"] == [0]
             assert block["error"] == ("point 0 failed certification: "
                                       f"jacobian_rank 0 (expected {m + 2})")
+
+
+def test_gram_deviation_at_the_threshold_is_full_rank():
+    # the points block gives rank m + 2 to a deviation of exactly 1e-6 and
+    # rank 0 to one ulp above it, and names that row
+    system = build_clifford_system(2, 2)
+    x = sample_focal_points(system, 3, seed=1).x
+    points = replace(judged_points(system, x)[0], gram_deviation=np.array(
+        [1e-6, np.nextafter(1e-6, 1.0), 0.0]))
+    block = report._points_block(points, DEFAULT_TOLERANCES, 4)
+    assert block["jacobian_ranks"] == [0, 4]
+    assert block["error"] == ("point 1 failed certification: "
+                              "jacobian_rank 0 (expected 4)")
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -207,26 +229,33 @@ def test_cli_workloads_sample_every_point_on_the_manifold(monkeypatch, seed):
 
 @pytest.mark.parametrize("m,k,rank", [(1, 3, 3), (2, 2, 4), (5, 1, 7)])
 def test_jacobian_rank(m, k, rank):
-    # the record's ranks are read off the Gram guard of the measuring pass,
-    # and equal the rank of each row measured alone
+    # the points block reads the ranks off the Gram deviations of the
+    # measuring pass, and each row measured alone gets the same rank
     system = build_clifford_system(m, k)
     points = sample_focal_points(system, 4, seed=2)
-    assert points.jacobian_rank.tolist() == [rank] * 4
+    assert judged_points(system, points.x)[1]["jacobian_ranks"] == [rank]
     for x in points.x:
-        assert measure(system, x)["jacobian_rank"] == rank == m + 2
+        assert judged_points(system, x)[1]["jacobian_ranks"] == [rank]
+    assert rank == m + 2
 
 
 @pytest.mark.parametrize("m,k,conjugated",
                          [(m, k, False) for m, k in GRID] + [(3, 2, True)])
 def test_jacobian_rank_equals_the_svd_rank(m, k, conjugated):
-    # the rank read off the Gram guard counts the singular values of the
-    # rows above 1e-8, as the SVD of the rows does
+    # the SVD of the rows x, P_0 x, ..., P_m x, counting singular values
+    # above 1e-8, gives rank m + 2 exactly where the Gram deviation is at
+    # most 1e-6: at every sampled point, and at no unit row of E+ (where
+    # P_0 u = u), whose deviation is at least 1
     system = (conjugated_system(m, k, seed=4) if conjugated
               else build_clifford_system(m, k))
-    points = sample_focal_points(system, 20, seed=8)
-    assert np.array_equal(points.jacobian_rank,
-                          jacobian_rank(system, points.x))
-    assert np.all(points.jacobian_rank == system.m + 2)
+    x = sample_focal_points(system, 20, seed=8).x
+    plus = x + x @ system.matrices[0]
+    x = np.concatenate([x, plus / np.linalg.norm(plus, axis=1)[:, None]])
+    points, block = judged_points(system, x)
+    full = jacobian_rank(system, x) == m + 2
+    assert np.array_equal(full, points.gram_deviation <= 1e-6)
+    assert full.tolist() == [True] * 20 + [False] * 20
+    assert block["jacobian_ranks"] == [0, m + 2]
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +341,14 @@ def test_degenerate_row_is_kept_raw_and_rejected(monkeypatch, axis):
     monkeypatch.setattr(focal, "default_rng", _replacing_row(4, row))
     points = sample_focal_points(system, 7, seed=3)
     assert np.array_equal(points.x[5], row)
-    assert points.jacobian_rank.tolist() == [3] * 5 + [0, 3]
+    full_rank = (points.gram_deviation <= 1e-6).tolist()
+    assert full_rank == [True] * 5 + [False, True]
     cfg = VerificationConfig(configurations=((1, 3),), n_points=7,
                              n_normals=0)
     blocks = evaluate_system(system, cfg, 0)["blocks"]
     assert list(blocks) == ["clifford", "cartan_munzner", "points"]
     assert blocks["points"]["count"] == 7
+    assert blocks["points"]["jacobian_ranks"] == [0, 3]
     assert blocks["points"]["error"] == (
         "point 5 failed certification: max_constraint_residual 1.0e+00 "
         "(tol 1e-10)")

@@ -155,7 +155,7 @@ def test_cartan_munzner_detects_corruption():
 
 
 def test_cartan_munzner_fails_on_nan():
-    # a NaN residual fails every tolerance (records.Check)
+    # a NaN residual fails every tolerance (report._block)
     for value in NON_FINITE:
         poly = FkmPolynomial(nan_pair_system(2, 2, value))
         residuals = verify_cartan_munzner(poly, n_samples=200, seed=31)

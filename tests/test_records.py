@@ -1,4 +1,5 @@
-"""The one result record and its fold: the pass rule, NaN and the boundary."""
+"""The records and the fold, and the pass rule that the report applies to
+what they hold (report._block): NaN and the boundary."""
 
 import math
 from dataclasses import make_dataclass, replace
@@ -6,11 +7,12 @@ from dataclasses import make_dataclass, replace
 import numpy as np
 import pytest
 
-from fkm_willmore import (Check, FkmPolynomial, build_clifford_system,
-                          build_frame, certify_point, fold,
-                          sample_focal_points, shape_operators)
-from fkm_willmore import einstein_probe
+from fkm_willmore import (FkmPolynomial, build_clifford_system, build_frame,
+                          certify_point, fold, sample_focal_points,
+                          shape_operators)
+from fkm_willmore import einstein_probe, report
 from fkm_willmore.records import Record, freeze
+from fkm_willmore.report import CHECKED_FIELDS
 
 from conftest import judged_points
 
@@ -34,15 +36,66 @@ def test_fold_propagates_nan():
     assert math.isnan(fold(np.array([[1.0, math.nan], [2.0, 3.0]])))
     assert np.isnan(fold(np.array([[1.0, math.nan], [2.0, 3.0]]),
                          axis=1)).tolist() == [True, False]
-    assert not Check("max_deviation", fold([0.0, math.nan]), 1.0).passed
+    assert not _passes(fold([0.0, math.nan]), 1.0)
 
 
-def test_check_passes_at_its_tolerance():
-    assert Check("residual_max", 1e-7, 1e-7).passed
-    assert Check("max_deviation", 0.0, 0.0).passed
-    assert not Check("residual_max", np.nextafter(1e-7, 1.0), 1e-7).passed
-    assert not Check("residual_max", math.inf, 1e-7).passed
-    assert "FAIL" in repr(Check("residual_max", math.nan, 1e-7))
+# ---------------------------------------------------------------------------
+# the pass rule: value <= tol, in the block's fold and in its error search
+# ---------------------------------------------------------------------------
+
+def _passes(value, tol) -> bool:
+    """The clifford block's verdict on one residual held to `tol`."""
+    return report._block("clifford", {"relations": tol},
+                         {"max_deviation": value})["pass"]
+
+
+def test_block_passes_at_its_tolerance():
+    assert _passes(1e-7, 1e-7)
+    assert _passes(0.0, 0.0)
+    assert not _passes(np.nextafter(1e-7, 1.0), 1e-7)
+    assert not _passes(math.inf, 1e-7)
+    assert not _passes(math.nan, 1e-7)
+
+
+def _geometry_block(**columns):
+    """The geometry block of three points, every checked field 0 but
+    `columns`, with its error named by point."""
+    fields = dict.fromkeys(CHECKED_FIELDS["geometry"], np.zeros(3))
+    return report._block("geometry", {"geom": 1e-8, "cert": 1e-10},
+                         fields | {key: np.array(values)
+                                   for key, values in columns.items()},
+                         where=lambda i, _: f"point {i}: ")
+
+
+@pytest.mark.parametrize("bad,text", [
+    (float(np.nextafter(1e-8, 1.0)), "1.0e-08"), (math.inf, "inf"),
+    (math.nan, "nan")], ids=["ulp", "inf", "nan"])
+def test_block_error_applies_the_rule_at_every_point(bad, text):
+    # a value at its tolerance passes where the error is searched too, so
+    # the search goes on to the value that fails: one ulp above, an
+    # infinity or a NaN
+    block = _geometry_block(S_max_gap=[1e-8, 0.0, 0.0],
+                            ricci_crosscheck_max=[0.0, 0.0, bad])
+    assert not block["pass"]
+    assert block["error"] == (f"point 2: ricci_crosscheck_max {text} "
+                              "(tol 1e-08)")
+
+
+def test_block_error_names_the_first_failing_field():
+    # the search is field-major: the first failing field in CHECKED_FIELDS
+    # order, at its first failing point, even where a later field fails
+    # at an earlier point (S - min S reads the excess of one low point at
+    # every other point); a condition comes after every checked field
+    block = _geometry_block(S_max_gap=[0.0, 0.0, 1e-6],
+                            S_spread=[1e-6, 1e-6, 0.0])
+    assert block["error"] == "point 2: S_max_gap 1.0e-06 (tol 1e-08)"
+    block = report._block(
+        "lemma", {"geom": 1e-8},
+        {"max_spectrum_deviation": np.array([0.0, 1.0])},
+        {"multiplicities": ([[0, 3, 0], [1, 1, 1]], [1, 1, 1])},
+        lambda i, _: f"point {i}: ")
+    assert block["error"] == ("point 1: max_spectrum_deviation 1.0e+00 "
+                              "(tol 1e-08)")
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +184,15 @@ def _bad_sphere_row(value):
 
 
 def _bad_certification_row(value):
-    # the sampler measures a non-finite row as NaN with rank 0, and the
-    # points block records its failure rather than raising: the block's
-    # error is returned for the table to read
+    # the sampler measures a non-finite row as NaN, which the points block
+    # reads as rank 0, and the block records its failure rather than
+    # raising: the block's error is returned for the table to read
     system = build_clifford_system(2, 2)
     x = np.array(sample_focal_points(system, 3, 0).x)
     x[1, 2] = value
     points, block = judged_points(system, x)
-    assert points.jacobian_rank.tolist() == [4, 0, 4]
+    assert np.isnan(points.gram_deviation).tolist() == [False, True, False]
+    assert block["jacobian_ranks"] == [0, 4]
     assert not block["pass"]
     return block["error"]
 

@@ -304,6 +304,25 @@ def test_render_text_shape():
     assert render_text(run_suite(tiny_config(configurations=((1, 3), (3, 1))))) == text
 
 
+def test_render_text_prints_each_failing_blocks_error():
+    # under the line of a failing configuration, one indented line per
+    # failing block that names a point: the corrupt system fails clifford
+    # and cartan_munzner, which hold one value each, and points, whose
+    # error names the point; a passing configuration prints no such line
+    from conftest import corrupt_system
+    cfg = tiny_config(configurations=((2, 2), (1, 3)))
+    entries = [evaluate_system(corrupt_system(2, 2), cfg, 0),
+               evaluate_system(build_clifford_system(1, 3), cfg, 1)]
+    lines = render_text(VerificationReport(config=cfg,
+                                           entries=entries)).splitlines()
+    assert lines[3].startswith("[FAIL] m=2 k=2: ")
+    assert lines[3].endswith(" failed=cartan_munzner,clifford,points")
+    assert lines[4] == ("  points: point 1 failed certification: "
+                        "max_constraint_residual 1.7e-04 (tol 1e-10)")
+    assert lines[5].startswith("[PASS] m=1 k=3: ")
+    assert lines[6:] == ["overall: FAIL"]
+
+
 def test_evaluate_system_detects_corruption():
     from conftest import corrupt_system
     cfg = tiny_config(configurations=((2, 2),))
@@ -357,11 +376,14 @@ def test_schema_key_order(monkeypatch):
     assert list(entry["blocks"]) == ["clifford", "cartan_munzner", "points"]
     assert list(entry["blocks"]["points"]) == (SCHEMA_KEYS["points"][:-1]
                                                + ["error", "pass"])
-    # the nudged entry of P_0 leaves e_0 a part in both of its eigenspaces,
-    # so the seed's u = e_0 and w = -e_0 cancel: x = 0
+    # the error names the first failing field, max_constraint_residual, at
+    # its first failing point: the nudged entry of P_0 leaves e_0 a part in
+    # both of its eigenspaces, so the seed's u = e_0 and w = -e_0 cancel,
+    # and x = 0 has every g_a = 0 (and |x|^2 - 1 = -1)
     assert entry["blocks"]["points"]["error"] == (
-        "point 0 failed certification: max_sphere_residual 1.0e+00 "
-        "(tol 1e-12)")
+        "point 1 failed certification: max_constraint_residual 1.7e-04 "
+        "(tol 1e-10)")
+    assert entry["blocks"]["points"]["max_sphere_residual"] == 1.0
     # so do failing geometry, willmore and einstein blocks
     from fkm_willmore import report
     for target, patch in (("shape_operators", _on_result(_swap_points)),
@@ -1017,6 +1039,17 @@ def _tripped(entry, tolerances):
      ["point 3: S_max_gap 6.4e-06 (tol 1e-08)",
       "point 3, normal 0: max_spectrum_deviation 1.9e-07 (tol 1e-08)",
       "point 3: reflection_max 9.7e-08 (tol 1e-08)"]),
+    ((3, 2), "build_frame", _on_result(_scale_one_point(-1e-7)),
+     ["geometry", "lemma", "willmore"],
+     ["geometry.S_max_gap", "geometry.S_spread",
+      "geometry.ricci_crosscheck_max", "lemma.max_spectrum_deviation",
+      "willmore.reflection_max"],
+     ["point 3: S_max_gap 6.4e-06 (tol 1e-08)",
+      "point 3, normal 0: max_spectrum_deviation 1.9e-07 (tol 1e-08)",
+      "point 3: reflection_max 9.7e-08 (tol 1e-08)"]),
+    ((2, 2), "shape_operators", _on_result(_scale_one_point(5.5e-9)),
+     ["willmore"], ["willmore.case_identity_max"],
+     ["point 3: case_identity_max 1.1e-08 (tol 1e-08)"]),
     ((3, 2), "build_frame", _on_result(_shift_closed_ricci), ["geometry"],
      ["geometry.ricci_crosscheck_max"],
      ["point 0: ricci_crosscheck_max 2.0e+00 (tol 1e-08)"]),
@@ -1043,7 +1076,8 @@ def _tripped(entry, tolerances):
      ["point 4, normal 6: max_spectrum_deviation 3.8e-01 (tol 1e-08)",
       "point 4: residual_max 7.8e+01 (tol 1e-07)"]),
 ], ids=["flip-sign", "swap-points", "scale-one-point", "scale-one-point-floor",
-        "scale-frame-operators", "shift-crosscheck", "zero-pairs-einstein",
+        "scale-frame-operators", "scale-frame-operators-low",
+        "scale-one-point-2-2", "shift-crosscheck", "zero-pairs-einstein",
         "push-pair-tangent", "push-pair-normal", "push-pair-tangent-6-1",
         "multiplicity-error"])
 def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
@@ -1062,8 +1096,13 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
     # 1e-8 of geom (1.9e-7 and 9.7e-8), at eps = 7e-9 only the lemma does
     # (1.36e-8, the gap 6.8e-9), as it does for eps between 5.2e-9 and
     # 1.03e-8; scaled where they are formed, the operators also move S and
-    # the Ricci tensor derived from them; a closed form shifted by 2 moves
-    # only the cross-check (the balance reads it through
+    # the Ricci tensor derived from them, and scaled down they leave point 3
+    # the lowest S, so that S - min S reads the excess at every other point
+    # while the error still names point 3's S_max_gap, the first failing
+    # field.  At (2, 2), where the |U| cubic reads the scale, the case
+    # identity reads 2 eps, so at eps = 5.5e-9 it trips alone (1.1e-8,
+    # the spectrum 9.6e-9 and the sign gap 4.1e-9); a closed form shifted
+    # by 2 moves only the cross-check (the balance reads it through
     # tr(Pi_{+1}) - tr(Pi_{-1}) = 0); and a probe that sees no pair
     # products finds the spread 0 where (3, 2) must give evidence of a
     # non-Einstein metric.  A pair vector pushed along the first tangent
@@ -1099,6 +1138,20 @@ def test_downstream_fault_fails_only_its_blocks(monkeypatch, config, target,
         assert einstein["status"] == "evidence"
         assert einstein["spread"] == 0.0
         assert einstein["spread_exceeds_threshold"] is False
+
+
+def test_case_identity_reads_twice_the_scale(monkeypatch):
+    # point 3's operators at (2, 2) scaled by 1 + eps move the case
+    # identity by 2 eps, and at eps = 1e-9 every block passes
+    from fkm_willmore import report
+    monkeypatch.setattr(report, "shape_operators", _on_result(
+        _scale_one_point(1e-9))(report.shape_operators))
+    cfg = VerificationConfig(configurations=((2, 2),), n_points=20,
+                             n_normals=5)
+    entry = evaluate_system(build_clifford_system(2, 2), cfg, 0)
+    assert f"{entry['blocks']['willmore']['case_identity_max']:.3e}" == \
+        "2.000e-09"
+    assert entry["pass"]
 
 
 @pytest.mark.parametrize("fault,error,counts,willmore_error", [
