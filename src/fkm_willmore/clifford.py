@@ -20,8 +20,10 @@ all read from one recursive Cayley-Dickson product (_product); m = 9
 doubles the octonion set once to dimension 16.  Left multiplications by
 basis elements are signed permutations, so every matrix built here has
 entries in {-1, 0, +1} and its algebraic identities hold exactly in double
-precision; the report holds them to zero tolerance, and systems with other
-entries (rotated or conjugated ones) to 1e-12.
+precision.  The report holds every system's relations to 1e-12, which
+those of a system with other entries (a rotated or conjugated one) meet
+past rounding.  A system is finite by construction: CliffordSystem rejects
+a NaN or infinite entry, so no stage guards against one.
 
 Admissibility: the focal manifold construction needs m2 = l - m - 1 >= 1.
 
@@ -33,7 +35,6 @@ as per-point tensors that hold for every rotation at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +57,9 @@ class AdmissibilityError(ValueError):
     """The requested pair (m, k) leaves no room for a focal manifold.
 
     The pipeline's one exception type: nothing raises on measured data (a
-    false identity, an uncertified point or a non-finite entry leaves
-    residuals that fail their block of the report), and an input a stage
-    cannot read raises ValueError.  Carries the computed second
+    false identity or an uncertified point leaves residuals that fail their
+    block of the report), and an input a stage cannot read, a non-finite
+    system entry included, raises ValueError.  Carries the computed second
     multiplicity m2 = l - m - 1, which must be at least 1 for the
     construction to make sense.
     """
@@ -149,8 +150,10 @@ class CliffordSystem:
     `matrices` holds the generators as one read-only (m+1, 2l, 2l) array.
     The constructor accepts any array or sequence of matrices of that
     shape, and takes over an array that owns its data (records.freeze).
-    All derived objects treat the system as immutable, which is what makes
-    the per-configuration checks safe to run concurrently.
+    It rejects l < 1 and any NaN or infinite entry, so every stage reads a
+    finite, non-empty system.  All derived objects treat the system as
+    immutable, which is what makes the per-configuration checks safe to run
+    concurrently.
     """
 
     m: int
@@ -158,16 +161,20 @@ class CliffordSystem:
     matrices: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.m < 1 or self.l < 1:
+            raise ValueError(f"m and l must be >= 1, got m={self.m}, "
+                             f"l={self.l}")
         expected = (self.m + 1, 2 * self.l, 2 * self.l)
         try:
-            mats = freeze(self.matrices, float)
+            mats = np.asarray(self.matrices, float)
         except ValueError:                  # matrices of unequal shapes
             mats = None
         if mats is None or mats.shape != expected:
             raise ValueError(f"matrices are not one {expected} array")
-        object.__setattr__(self, "matrices", mats)
+        if not np.isfinite(mats).all():
+            raise ValueError("matrices have a NaN or infinite entry")
+        # frozen only once accepted, so a rejected array stays writable
+        object.__setattr__(self, "matrices", freeze(mats))
 
     @property
     def ambient_dim(self) -> int:
@@ -176,19 +183,6 @@ class CliffordSystem:
     @property
     def m2(self) -> int:
         return self.l - self.m - 1
-
-    @cached_property
-    def finite(self) -> bool:
-        """Whether every entry is finite.  A product with an infinite entry
-        meets inf * 0, so the checks read this before multiplying."""
-        return bool(np.isfinite(self.matrices).all())
-
-    @cached_property
-    def integer(self) -> bool:
-        """Whether every entry is an integer (as in freshly built systems),
-        so that the relations hold exactly in double precision."""
-        return self.finite and bool(np.array_equal(self.matrices,
-                                                   np.rint(self.matrices)))
 
     def apply(self, x) -> np.ndarray:
         """P_a x for every a: (m+1, 2l) for one point, (K, m+1, 2l) for a
@@ -229,14 +223,13 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
 
 def verify_clifford_relations(system: CliffordSystem) -> float:
     """The worst absolute residual of symmetry, anticommutation/involution
-    and tracelessness, NaN for a system with a non-finite entry.
+    and tracelessness.
 
     Freshly built systems have entries in {-1, 0, +1}; their products are
-    exact in double precision, so their residual is 0.  The report holds
-    it to the `relations` tolerance that it derives from the entries.
+    exact in double precision, so their residual is 0, and any false
+    relation among integer entries leaves a residual of at least 1.  The
+    report holds it to the fixed 1e-12 that CHECKED_FIELDS names.
     """
-    if not system.finite:
-        return float("nan")
     stack = system.matrices
     prods = stack[:, None] @ stack[None]             # P_a P_b for all a, b
     anti = (prods + prods.swapaxes(0, 1)
@@ -253,7 +246,7 @@ def dump_matrices(system: CliffordSystem) -> str:
     Only integer systems (freshly built ones) are dumpable; rotated or
     conjugated systems raise ValueError.
     """
-    if not system.integer:
+    if not np.array_equal(system.matrices, np.rint(system.matrices)):
         raise ValueError(
             "matrix dump requires exact integer entries; rotated systems "
             "are not dumpable")

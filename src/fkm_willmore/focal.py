@@ -198,17 +198,10 @@ def sample_focal_points(system: CliffordSystem, n: int,
     takes row i of it, mapped onto M+ through the eigenspaces of P_0 (a row
     without an image keeps its raw value, and its residuals show it).  All
     n rows are measured in one stacked pass; the points block of the report
-    judges them.  A system with a non-finite entry gives n NaN rows with
-    NaN residuals, before any product is formed (an infinite entry times a
-    zero warns).
+    judges them.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not system.finite:
-        nan = np.full(n, np.nan)
-        return FocalPoints(x=np.full((n, system.ambient_dim), np.nan),
-                           residual_constraints=nan, residual_sphere=nan,
-                           value_gap=nan, gram_deviation=nan)
     rng = default_rng(_subseed(seed, 0))
     x = np.empty((n, system.ambient_dim))
     x[0] = _seed_row(system)

@@ -75,8 +75,10 @@ N_PDE_SAMPLES = 1000
 # gated, a Ricci spread above this at every point is non-Einstein evidence
 RICCI_SPREAD_THRESHOLD = 0.1
 
-# The relations of a system with integer entries (a freshly built one) hold
-# exactly in double precision; other systems are held to this.
+# Every system's relations are held to this.  Those of a freshly built one
+# (integer entries) hold exactly, and a false one among integer entries
+# leaves a residual of at least 1, so 1e-12 judges it as 0 would; a rotated
+# or conjugated system meets it past rounding.
 _RELATIONS_TOL = 1e-12
 # A row of the focal points whose Gram deviation max |J J^T / 4 - I| is at
 # most this (< 1 / (m + 2)) has every eigenvalue of J J^T / 4 within
@@ -84,11 +86,10 @@ _RELATIONS_TOL = 1e-12
 _GRAM_TOL = 1e-6
 
 # Every checked field of the report, by block, and its tolerance: a key of
-# the tolerances, a fixed point threshold, or "relations", which
-# evaluate_system derives from the system's entries (0 for integers,
-# _RELATIONS_TOL otherwise).  Other fields are information.
+# the tolerances (a --tol name) or a fixed threshold.  Other fields are
+# information.
 CHECKED_FIELDS = {
-    "clifford": {"max_deviation": "relations"},
+    "clifford": {"max_deviation": _RELATIONS_TOL},
     "cartan_munzner": dict.fromkeys(
         ("max_gradient_residual", "max_laplacian_residual"), "pde"),
     "points": {"max_constraint_residual": "cert",
@@ -331,8 +332,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     }
     blocks = {}
 
-    tol = {**cfg.tolerances,
-           "relations": 0.0 if system.integer else _RELATIONS_TOL}
+    tol = cfg.tolerances
     blocks["clifford"] = _block("clifford", tol, {
         "max_deviation": verify_clifford_relations(system)})
 

@@ -31,24 +31,22 @@ def corrupt_system(m: int, k: int, eps: float = 1e-3) -> CliffordSystem:
     return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
 
 
-# the values nan_pair_system is tested with
-NON_FINITE = [np.nan, np.inf]
+# the values nan_pair_matrices is tested with
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
-def nan_pair_system(m: int, k: int, value: float = np.nan) -> CliffordSystem:
-    """A system whose second matrix has one symmetric pair of off-diagonal
-    entries set to `value`, NaN by default or an infinity.
+def nan_pair_matrices(m: int, k: int, value: float = np.nan) -> np.ndarray:
+    """The built (m, k) system's matrices as one writable array, with one
+    symmetric pair of off-diagonal entries of the second matrix set to
+    `value`, NaN by default or an infinity.
 
     The matrix stays symmetric and traceless, and the bad entry sits in
-    neither the first matrix nor the first entry, so only a NaN-aware fold
-    of the residuals can see it.  An infinite entry times a zero raises
-    numpy's RuntimeWarning, which the suite turns into a failure, so a
-    check that multiplies before it looks at the entries fails on it.
+    neither the first matrix nor the first entry.  CliffordSystem rejects
+    these matrices, so no stage can be handed them.
     """
-    base = build_clifford_system(m, k)
-    mats = [np.array(p, dtype=float) for p in base.matrices]
-    mats[1][0, 1] = mats[1][1, 0] = value
-    return CliffordSystem(m=base.m, l=base.l, matrices=tuple(mats))
+    mats = np.array(build_clifford_system(m, k).matrices)
+    mats[1, 0, 1] = mats[1, 1, 0] = value
+    return mats
 
 
 def conjugator(dim: int, seed: int = 0) -> np.ndarray:

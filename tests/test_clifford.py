@@ -1,11 +1,12 @@
 """Clifford systems: generator algebra, split construction, rotations, dumps.
 
 Freshly built systems have integer entries, so the defining relations
-hold exactly and the report holds them to zero tolerance; rotated systems
-(built by the test oracle oracles.rotate_system) only get 1e-12.
+hold exactly; the report holds every system to 1e-12, which rotated ones
+(built by the test oracle oracles.rotate_system) meet past rounding.
 """
 
 import hashlib
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -23,7 +24,7 @@ from fkm_willmore import (AdmissibilityError, CliffordSystem,
 from fkm_willmore.clifford import _product
 
 from conftest import (GRID, NON_FINITE, conjugated_system, corrupt_system,
-                      nan_pair_system)
+                      nan_pair_matrices)
 from oracles import orthonormal_completion, parse_dump, rotate_system
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
@@ -132,9 +133,9 @@ def test_inadmissible_configurations_rejected(m, k):
 
 
 def test_relations_tolerance_follows_the_entries():
-    # the report holds an integer system to 0, and one with float entries
-    # (here conjugated by a random orthogonal Q) to 1e-12: a residual above
-    # 0 passes there
+    # the report holds every system to 1e-12: an integer system meets its
+    # relations exactly, and one with float entries (here conjugated by a
+    # random orthogonal Q) passes with a residual above 0
     block = clifford_block(build_clifford_system(2, 2))
     assert block == {"max_deviation": 0.0, "pass": True}
     block = clifford_block(conjugated_system(2, 2))
@@ -160,11 +161,46 @@ def test_corruption_detected():
     assert not clifford_block(system)["pass"]
 
 
+def test_a_false_integer_relation_misses_by_at_least_one():
+    # products of integer matrices are integer, so a false relation among
+    # them leaves a residual of at least 1, and 1e-12 judges an integer
+    # system as zero tolerance would.  Negating P_1's symmetric pair at
+    # (0, l) and (l, 0) keeps P_1 symmetric and traceless but breaks
+    # P_1^2 = I: the relations, the PDEs and the sampled points all fail
+    base = build_clifford_system(2, 2)
+    mats = np.array(base.matrices)
+    l = base.l
+    mats[1, 0, l] = mats[1, l, 0] = -mats[1, 0, l]
+    system = CliffordSystem(m=2, l=l, matrices=mats)
+    assert verify_clifford_relations(system) >= 1.0
+    entry = evaluate_system(system, VerificationConfig(n_points=3,
+                                                       n_normals=0), 0)
+    failed = [name for name, b in entry["blocks"].items() if not b["pass"]]
+    assert failed == ["clifford", "cartan_munzner", "points"]
+
+
 def test_nan_entry_pair_fails():
-    for value in NON_FINITE:
-        system = nan_pair_system(2, 2, value)
-        assert np.isnan(verify_clifford_relations(system)), value
-        assert not clifford_block(system)["pass"]
+    # a system is finite by construction: a NaN or infinite entry (here one
+    # symmetric pair of P_1) raises ValueError before any stage reads the
+    # matrices, so verify_clifford_relations and the clifford block never
+    # see one; nothing warns, and a rejected array is not taken over
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in NON_FINITE:
+            mats = nan_pair_matrices(2, 2, value)
+            with pytest.raises(ValueError, match="NaN or infinite entry"):
+                CliffordSystem(m=2, l=mats.shape[1] // 2, matrices=mats)
+            assert mats.flags.writeable, value
+
+
+def test_l_below_one_is_rejected():
+    # l < 1 raises ValueError; l = 1 holds the smallest system, (P_0, P_1)
+    # on R^2
+    with pytest.raises(ValueError, match="l=0"):
+        CliffordSystem(m=1, l=0, matrices=np.zeros((2, 0, 0)))
+    smallest = CliffordSystem(m=1, l=1, matrices=[[[1, 0], [0, -1]],
+                                                  [[0, 1], [1, 0]]])
+    assert verify_clifford_relations(smallest) == 0.0
 
 
 def test_rotate_identity_coefficients():
@@ -301,12 +337,8 @@ def test_dump_rejects_non_integer_system():
     system = build_clifford_system(2, 2)
     c = np.array([3.0, 4.0, 0.0]) / 5.0
     rotated = rotate_system(system, c)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not dumpable"):
         dump_matrices(rotated)
-    # np.rint(inf) == inf: an infinite entry is not an integer either
-    for value in NON_FINITE:
-        with pytest.raises(ValueError, match="not dumpable"):
-            dump_matrices(nan_pair_system(2, 2, value))
 
 
 def test_matrices_are_readonly():

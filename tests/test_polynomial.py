@@ -10,7 +10,7 @@ from fkm_willmore import (CliffordSystem, FkmPolynomial, build_clifford_system,
 from fkm_willmore.polynomial import sphere_samples
 
 from conftest import (FD_RTOL, GRID, NON_FINITE, corrupt_system,
-                      fd_directional, fd_gradient, nan_pair_system, rel_err)
+                      fd_directional, fd_gradient, nan_pair_matrices, rel_err)
 from oracles import gradient, hessian, quartic
 
 
@@ -155,11 +155,19 @@ def test_cartan_munzner_detects_corruption():
 
 
 def test_cartan_munzner_fails_on_nan():
-    # a NaN residual fails every tolerance (report._block)
+    # verify_cartan_munzner has no NaN branch because it cannot be handed a
+    # non-finite system: CliffordSystem rejects one, and a built system's
+    # matrices are read-only, so a polynomial's system stays finite
     for value in NON_FINITE:
-        poly = FkmPolynomial(nan_pair_system(2, 2, value))
+        mats = nan_pair_matrices(2, 2, value)
+        with pytest.raises(ValueError, match="NaN or infinite entry"):
+            FkmPolynomial(CliffordSystem(m=2, l=mats.shape[1] // 2,
+                                         matrices=mats))
+        poly = _poly(2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            poly.system.matrices[1, 0, 1] = value
         residuals = verify_cartan_munzner(poly, n_samples=200, seed=31)
-        assert all(np.isnan(r) for r in residuals)
+        assert all(np.isfinite(r) and r <= 1e-10 for r in residuals)
 
 
 def test_pde_identities_hold_for_a_system_with_m2_zero():

@@ -44,9 +44,10 @@ def test_fold_propagates_nan():
 # ---------------------------------------------------------------------------
 
 def _passes(value, tol) -> bool:
-    """The clifford block's verdict on one residual held to `tol`."""
-    return report._block("clifford", {"relations": tol},
-                         {"max_deviation": value})["pass"]
+    """The cartan_munzner block's verdict on two equal residuals held to
+    the `pde` tolerance `tol`."""
+    return report._block("cartan_munzner", {"pde": tol}, dict.fromkeys(
+        ("max_gradient_residual", "max_laplacian_residual"), value))["pass"]
 
 
 def test_block_passes_at_its_tolerance():

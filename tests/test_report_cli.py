@@ -765,31 +765,32 @@ def _reject_constant(token):
 
 def test_nan_residuals_serialize_as_null():
     # JSON has no NaN: a NaN residual is written as null, and its block
-    # fails; a NaN or infinite entry of the system gives NaN points, whose
-    # block keeps its fields and names point 0, and nothing raises
-    from conftest import NON_FINITE, nan_pair_system
+    # fails.  With P_0 = I the seed is a NaN row (see the next test), so
+    # the points block folds NaN residuals; it keeps its fields and names
+    # point 0, the finite values are untouched, and nothing raises
+    base = build_clifford_system(2, 2)
+    mats = np.array(base.matrices)
+    mats[0] = np.eye(base.ambient_dim)
     cfg = tiny_config(configurations=((2, 2),))
-    for value in NON_FINITE:
-        entry = evaluate_system(nan_pair_system(2, 2, value), cfg, 0)
-        report = VerificationReport(config=cfg, entries=[entry])
-        parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
-        blocks = parsed["configurations"][0]["blocks"]
-        assert blocks["clifford"]["max_deviation"] is None
-        assert blocks["cartan_munzner"]["max_gradient_residual"] is None
-        assert blocks["cartan_munzner"]["max_laplacian_residual"] is None
-        assert not blocks["clifford"]["pass"]
-        assert not blocks["cartan_munzner"]["pass"]
-        # finite values are untouched
-        assert blocks["cartan_munzner"]["n_samples"] == 1000
-        points = blocks["points"]
-        assert list(points) == SCHEMA_KEYS["points"][:-1] + ["error", "pass"]
-        assert points["count"] == cfg.n_points
-        assert points["max_constraint_residual"] is None
-        assert points["jacobian_ranks"] == [0]
-        assert points["error"] == ("point 0 failed certification: "
-                                   "max_constraint_residual nan (tol 1e-10)")
-        assert not points["pass"]
-        assert list(blocks) == ["clifford", "cartan_munzner", "points"]
+    entry = evaluate_system(CliffordSystem(m=2, l=base.l, matrices=mats),
+                            cfg, 0)
+    report = VerificationReport(config=cfg, entries=[entry])
+    parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
+    blocks = parsed["configurations"][0]["blocks"]
+    points = blocks["points"]
+    assert list(points) == SCHEMA_KEYS["points"][:-1] + ["error", "pass"]
+    assert points["count"] == cfg.n_points
+    for key in ("max_constraint_residual", "max_sphere_residual",
+                "max_value_gap"):
+        assert points[key] is None, key
+    assert points["jacobian_ranks"] == [0]
+    assert points["error"] == ("point 0 failed certification: "
+                               "max_constraint_residual nan (tol 1e-10)")
+    assert not points["pass"]
+    assert blocks["cartan_munzner"]["n_samples"] == 1000
+    # trace P_0 = 2l is the worst relations residual
+    assert blocks["clifford"]["max_deviation"] == base.ambient_dim
+    assert list(blocks) == ["clifford", "cartan_munzner", "points"]
 
 
 def test_a_system_without_a_seed_fails_its_points_block():
