@@ -24,9 +24,9 @@ residuals say.
 sample_focal_points returns all points as one FocalPoints record, row 0
 the seed.  The other rows come from one block of Gaussian rows, one row per
 point, each mapped onto M+; all rows are measured in one stacked pass.  It
-raises nothing on the system: a row that cannot be built is NaN, and its
-residuals show it.  So the record has a fixed order, and a point's row
-does not depend on the other points.
+raises nothing on the system: a row that cannot be built stays finite and
+off M+, and its residuals show it.  So the record has a fixed order, and a
+point's row does not depend on the other points.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class FocalPoints(Record):
     other fields are (n,) arrays from the one measuring pass of each row:
     max_a |g_a(x)|, | |x|^2 - 1 |, |F(x) - 1| = | |x|^4 - 2 |g|^2 - 1 |
     and the Gram deviation max |J J^T / 4 - I| of the (m+2) x 2l matrix
-    J / 2 with rows x, P_0 x, ..., P_m x, NaN for a non-finite row.  The
-    points block reads the rank of J off the deviation.
+    J / 2 with rows x, P_0 x, ..., P_m x.  The points block reads the
+    rank of J off the deviation.
     """
 
     x: np.ndarray
@@ -87,28 +87,20 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
     """The certification residuals of every row of a (K, 2l) stack, in one
     pass, as (K,) arrays under the names of the FocalPoints fields.
 
-    A row with a non-finite coordinate enters no product: its residuals
-    and its Gram deviation are NaN.
-
     P_a x is formed once, as a stacked matrix-vector product, so every row
     gets the rounding of the one-point expressions stack @ x, (stack @ x) @ x
     and x @ x bit for bit, whatever K is.
     """
-    finite = np.all(np.isfinite(x), axis=1)
-    x = np.where(finite[:, None], x, 0.0)
     px = system.apply(x)
     g = np.matmul(px, x[..., None])[..., 0]
     xx = _dot(x, x)
     rows = np.concatenate([x[:, None, :], px], axis=1)   # J / 2
     jjt = rows @ rows.transpose(0, 2, 1)                  # J J^T / 4
-    out = {"residual_constraints": fold(np.abs(g), axis=1),
-           "residual_sphere": np.abs(xx - 1.0),
-           "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
-           "gram_deviation": np.max(np.abs(jjt - np.eye(rows.shape[1])),
-                                    axis=(1, 2))}
-    for values in out.values():
-        values[~finite] = np.nan
-    return out
+    return {"residual_constraints": fold(np.abs(g), axis=1),
+            "residual_sphere": np.abs(xx - 1.0),
+            "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
+            "gram_deviation": np.max(np.abs(jjt - np.eye(rows.shape[1])),
+                                     axis=(1, 2))}
 
 
 def _eigenparts(system: CliffordSystem, z: np.ndarray):
@@ -160,12 +152,12 @@ def _onto_focal(system: CliffordSystem, z: np.ndarray) -> np.ndarray:
 
 
 def _first_unit(rows: np.ndarray) -> np.ndarray:
-    """The first row of norm above 1e-6, normalized; a NaN row if there is
-    none."""
+    """The first row of norm above 1e-6, normalized; a zero row if there
+    is none."""
     norms = np.sqrt(_dot(rows, rows))
     found = np.flatnonzero(norms > 1e-6)
     if not found.size:
-        return np.full(rows.shape[1], np.nan)
+        return np.zeros(rows.shape[1])
     return rows[found[0]] / norms[found[0]]
 
 
@@ -175,10 +167,11 @@ def _seed_row(system: CliffordSystem) -> np.ndarray:
     u is the first (I + P_0) e_j / 2 of norm above 1e-6, normalized; w is
     the first (I - P_0) e_k / 2 with its components along P_1 u, ..., P_m u
     removed whose norm is above 1e-6, normalized.  Then x = (u + w) / sqrt(2)
-    lies on M+ by the Clifford relations alone (see _onto_focal); without
-    such a u or w the seed is a NaN row.  For integer systems u and w are
-    signed basis vectors, so x = (+-e_j +- e_k) / sqrt(2) and its residuals
-    come only from the rounding of 1/sqrt(2).
+    lies on M+ by the Clifford relations alone (see _onto_focal).  Without
+    such a u or w that part is zero, so the seed, like a sampled row
+    without an image, stays finite and off M+.  For integer systems u and
+    w are signed basis vectors, so x = (+-e_j +- e_k) / sqrt(2) and its
+    residuals come only from the rounding of 1/sqrt(2).
     """
     eye = np.eye(system.ambient_dim)
     plus, minus = _eigenparts(system, eye)
@@ -195,10 +188,10 @@ def sample_focal_points(system: CliffordSystem, n: int,
 
     One (n - 1, 2l) Gaussian block is drawn from the sub-seed
     (seed, spawn_key=(0,)), and sampled point i (row i + 1 of the record)
-    takes row i of it, mapped onto M+ through the eigenspaces of P_0 (a row
-    without an image keeps its raw value, and its residuals show it).  All
-    n rows are measured in one stacked pass; the points block of the report
-    judges them.
+    takes row i of it, mapped onto M+ through the eigenspaces of P_0.  A
+    row that cannot be built, the seed included, stays finite and off M+,
+    and its residuals show it.  All n rows are measured in one stacked
+    pass; the points block of the report judges them.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -217,26 +217,16 @@ class VerificationReport:
 
 
 def _jsonable(obj):
-    """Recursive plain-type sanitizer; rejects anything it cannot map.
-
-    JSON has no NaN or infinity, so a non-finite float becomes None (null).
-    """
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+    """The report with every non-finite float written as None (null): JSON
+    has no NaN or infinity.  A report holds only dicts, lists, strings,
+    ints, bools, floats and None, and json.dumps rejects any other type."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} in report")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +275,7 @@ def _median(values) -> float:
 def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
     """The points block: every row held to its checks and to the rank of
     its Jacobian, read off its Gram deviation: rank_expected = m + 2 where
-    the deviation is at most _GRAM_TOL, 0 elsewhere (NaN included)."""
+    the deviation is at most _GRAM_TOL, 0 elsewhere."""
     ranks = np.where(points.gram_deviation <= _GRAM_TOL, rank_expected,
                      0).tolist()
     return _block("points", tol, {

@@ -97,8 +97,8 @@ def test_certify_rejects_off_manifold():
 
 
 def test_certify_rejects_nan():
-    # a non-finite row enters no product: NaN residuals and Gram
-    # deviation, which the points block reads as rank 0
+    # a NaN row, which no sampled row is, makes every product NaN: NaN
+    # residuals and Gram deviation, which the points block reads as rank 0
     system = build_clifford_system(1, 3)
     point, block = judged_points(system, np.full(system.ambient_dim, np.nan))
     for name in FIELDS[1:]:

@@ -214,11 +214,11 @@ def test_digest_is_that_of_the_rebuilt_points(suite_report):
 
 
 def test_failing_points_block_keeps_the_digest():
-    # the NaN row of the certification guard's case: the block names the
-    # failing point and still carries the digest of every row
+    # point 1 pushed off the sphere: the block names the failing point and
+    # still carries the digest of every row
     system = build_clifford_system(2, 2)
     x = np.array(sample_focal_points(system, 3, 0).x)
-    x[1, 2] = math.nan
+    x[1] *= 1.1
     _, block = judged_points(system, x)
     assert not block["pass"]
     assert block["error"].startswith("point 1 failed certification")
@@ -763,70 +763,69 @@ def _reject_constant(token):
     raise ValueError(f"report contains the non-JSON token {token}")
 
 
-def test_nan_residuals_serialize_as_null():
-    # JSON has no NaN: a NaN residual is written as null, and its block
-    # fails.  With P_0 = I the seed is a NaN row (see the next test), so
-    # the points block folds NaN residuals; it keeps its fields and names
-    # point 0, the finite values are untouched, and nothing raises
-    base = build_clifford_system(2, 2)
-    mats = np.array(base.matrices)
-    mats[0] = np.eye(base.ambient_dim)
-    cfg = tiny_config(configurations=((2, 2),))
-    entry = evaluate_system(CliffordSystem(m=2, l=base.l, matrices=mats),
-                            cfg, 0)
-    report = VerificationReport(config=cfg, entries=[entry])
+def test_nan_residuals_serialize_as_null(monkeypatch):
+    # JSON has no NaN: a NaN or infinite residual is written as null, and
+    # its block fails.  A built system reads no such residual, so the PDE
+    # stage the report calls is made to return one of each
+    from fkm_willmore import report as report_module
+    monkeypatch.setattr(report_module, "verify_cartan_munzner",
+                        lambda poly, n, seed: (math.nan, math.inf))
+    cfg = tiny_config()
+    report = VerificationReport(config=cfg,
+                                entries=[evaluate_system(
+                                    build_clifford_system(1, 3), cfg, 0)])
     parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
     blocks = parsed["configurations"][0]["blocks"]
-    points = blocks["points"]
-    assert list(points) == SCHEMA_KEYS["points"][:-1] + ["error", "pass"]
-    assert points["count"] == cfg.n_points
-    for key in ("max_constraint_residual", "max_sphere_residual",
-                "max_value_gap"):
-        assert points[key] is None, key
-    assert points["jacobian_ranks"] == [0]
-    assert points["error"] == ("point 0 failed certification: "
-                               "max_constraint_residual nan (tol 1e-10)")
-    assert not points["pass"]
-    assert blocks["cartan_munzner"]["n_samples"] == 1000
-    # trace P_0 = 2l is the worst relations residual
-    assert blocks["clifford"]["max_deviation"] == base.ambient_dim
-    assert list(blocks) == ["clifford", "cartan_munzner", "points"]
+    cm = blocks["cartan_munzner"]
+    assert cm["max_gradient_residual"] is None
+    assert cm["max_laplacian_residual"] is None
+    assert not cm["pass"]
+    assert blocks["points"]["pass"] and not parsed["overall_pass"]
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(1)],
+                         ids=["bool_", "int64"])
+def test_to_json_rejects_a_numpy_scalar(value):
+    # a report holds only plain types, and the writer maps none other
+    entry = {"m": 1, "k": 3, "pass": False, "extra": value}
+    report = VerificationReport(config=tiny_config(), entries=[entry])
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        report.to_json()
+
+
+def _seedless_system(sign: float) -> CliffordSystem:
+    """The (2, 2) system with P_0 = sign I, which is no Clifford system:
+    one eigenspace of P_0 is empty, so the seed has no u or no w."""
+    base = build_clifford_system(2, 2)
+    mats = np.array(base.matrices)
+    mats[0] = sign * np.eye(base.ambient_dim)
+    return CliffordSystem(m=2, l=base.l, matrices=mats)
 
 
 def test_a_system_without_a_seed_fails_its_points_block():
-    # with P_0 = I the -1 eigenspace is empty: the seed has no w, so it is
-    # a NaN row, and every sampled row keeps its raw value; the points
-    # block names point 0, and nothing raises or warns
-    base = build_clifford_system(2, 2)
-    mats = np.array(base.matrices)
-    mats[0] = np.eye(base.ambient_dim)
-    system = CliffordSystem(m=2, l=base.l, matrices=mats)
+    # a row that cannot be built stays finite and off M+, the seed
+    # included: with P_0 = +-I the seed is e_0 / sqrt(2), whose g_0 is
+    # +-1/2, and every sampled row keeps its raw value.  Every sampled
+    # system gives finite rows, and nothing warns
+    cfg = tiny_config(configurations=((2, 2),))
+    seedless = [_seedless_system(1.0), _seedless_system(-1.0)]
+    systems = seedless + [conjugated_system(3, 2)] + [
+        build_clifford_system(m, k) for m, k in DEFAULT_GRID]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        points = sample_focal_points(system, 3, seed=0)
-        entry = evaluate_system(system, tiny_config(configurations=((2, 2),)),
-                                0)
-    assert np.isnan(points.x[0]).all()
-    assert np.isfinite(points.x[1:]).all()
-    blocks = entry["blocks"]
-    assert list(blocks) == ["clifford", "cartan_munzner", "points"]
-    assert blocks["points"]["error"] == (
-        "point 0 failed certification: max_constraint_residual nan "
-        "(tol 1e-10)")
-    assert not entry["pass"]
-
-
-def test_jsonable_arrays_match_the_element_walk():
-    # an array, as no report field is one, is walked element by element
-    # like any list, which maps NaN and infinity to null
-    from fkm_willmore.report import _jsonable
-    finite = np.array([[1.5, -0.0], [1e-300, 3.0]])
-    got = _jsonable(finite)
-    assert got == [[1.5, -0.0], [1e-300, 3.0]]
-    assert all(type(v) is float for row in got for v in row)
-    assert _jsonable(np.array([1.0, np.nan, -np.inf])) == [1.0, None, None]
-    assert _jsonable(np.array([2, 3])) == [2, 3]
-    assert _jsonable([finite[0], np.float64(np.nan)]) == [[1.5, -0.0], None]
+        for system in systems:
+            assert np.isfinite(sample_focal_points(system, 3, seed=0).x).all()
+        entries = [evaluate_system(system, cfg, 0) for system in seedless]
+    for system, entry in zip(seedless, entries):
+        assert np.array_equal(sample_focal_points(system, 1, seed=0).x,
+                              [np.eye(system.ambient_dim)[0] / np.sqrt(2.0)])
+        blocks = entry["blocks"]
+        assert list(blocks) == ["clifford", "cartan_munzner", "points"]
+        assert math.isfinite(blocks["points"]["max_constraint_residual"])
+        assert blocks["points"]["error"] == (
+            "point 0 failed certification: max_constraint_residual 5.0e-01 "
+            "(tol 1e-10)")
+        assert not entry["pass"]
 
 
 @pytest.mark.parametrize("m,k,points,normals,bound_mb", [
