@@ -195,7 +195,8 @@ class CliffordSystem:
 
 
 def build_clifford_system(m: int, k: int) -> CliffordSystem:
-    """Split construction on R^{2l} = R^l + R^l with l = k * delta(m).
+    """Split construction on R^{2l} = R^l + R^l with l = k * delta(m),
+    written block by block into one (m+1, 2l, 2l) zero stack.
 
     Raises AdmissibilityError when m2 = l - m - 1 < 1: such systems carry no
     focal manifold of the kind verified here.
@@ -209,16 +210,22 @@ def build_clifford_system(m: int, k: int) -> CliffordSystem:
         raise AdmissibilityError(
             f"inadmissible configuration m={m}, k={k}: l={l} gives m2={m2}, "
             "need m2 >= 1", m2=m2)
+    # Each block is written in place into one zero stack.  The lower-right
+    # -I of P_0 and each -E^(k) are negations, as in the block form
+    # [[I, 0], [0, -I]], [[0, I], [I, 0]], [[0, E^(k)], [-E^(k), 0]], and
+    # E^(k) = I_k (x) E holds the products I_k[b, c] E[p, q] that the
+    # Kronecker product forms, so even the zeros carry the same signs.
     eye = np.eye(l)
-    zero = np.zeros((l, l))
-    mats = [
-        np.block([[eye, zero], [zero, -eye]]),
-        np.block([[zero, eye], [eye, zero]]),
-    ]
-    for E in gens:
-        Ek = np.kron(np.eye(k), E)
-        mats.append(np.block([[zero, Ek], [-Ek, zero]]))
-    return CliffordSystem(m=m, l=l, matrices=tuple(mats))
+    mats = np.zeros((m + 1, 2 * l, 2 * l))
+    mats[0, :l, :l] = mats[1, :l, l:] = mats[1, l:, :l] = eye
+    np.negative(eye, out=mats[0, l:, l:])
+    if gens:
+        ek = mats[2:, :l, l:]
+        ek[...] = (np.eye(k)[:, None, :, None]
+                   * np.asarray(gens)[:, None, :, None, :]).reshape(
+                       m - 1, l, l)
+        np.negative(ek, out=mats[2:, l:, :l])
+    return CliffordSystem(m=m, l=l, matrices=mats)
 
 
 def verify_clifford_relations(system: CliffordSystem) -> float:
@@ -230,14 +237,17 @@ def verify_clifford_relations(system: CliffordSystem) -> float:
     relation among integer entries leaves a residual of at least 1.  The
     report holds it to the fixed 1e-12 that CHECKED_FIELDS names.
     """
-    stack = system.matrices
+    stack, m1 = system.matrices, system.m + 1
     prods = stack[:, None] @ stack[None]             # P_a P_b for all a, b
-    anti = (prods + prods.swapaxes(0, 1)
-            - 2.0 * np.eye(system.m + 1)[:, :, None, None]
-            * np.eye(system.ambient_dim))
+    anti = prods + prods.swapaxes(0, 1)
+    # 2 delta_ab I off the diagonal a = b is a zero, whose subtraction
+    # leaves every entry as it is, so only the m + 1 diagonal products
+    # lose 2 I
+    anti.reshape(m1 * m1, *stack.shape[1:])[::m1 + 1] -= (
+        2.0 * np.eye(system.ambient_dim))
     residuals = (stack - stack.transpose(0, 2, 1), anti,
-                 np.trace(stack, axis1=1, axis2=2))
-    return fold([fold(np.abs(r)) for r in residuals])
+                 stack.trace(axis1=1, axis2=2))
+    return fold([fold(np.abs(r, out=r)) for r in residuals])
 
 
 def dump_matrices(system: CliffordSystem) -> str:

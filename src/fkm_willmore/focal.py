@@ -96,11 +96,12 @@ def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
     xx = _dot(x, x)
     rows = np.concatenate([x[:, None, :], px], axis=1)   # J / 2
     jjt = rows @ rows.transpose(0, 2, 1)                  # J J^T / 4
+    jjt -= np.eye(rows.shape[1])
     return {"residual_constraints": fold(np.abs(g), axis=1),
             "residual_sphere": np.abs(xx - 1.0),
             "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
-            "gram_deviation": np.max(np.abs(jjt - np.eye(rows.shape[1])),
-                                     axis=(1, 2))}
+            "gram_deviation": np.maximum.reduce(np.abs(jjt, out=jjt),
+                                                axis=(1, 2))}
 
 
 def _eigenparts(system: CliffordSystem, z: np.ndarray):
@@ -112,7 +113,8 @@ def _eigenparts(system: CliffordSystem, z: np.ndarray):
 
 def _reduce(system: CliffordSystem, u: np.ndarray,
             v: np.ndarray) -> np.ndarray:
-    """v - sum_{a>=1} <v, P_a u> P_a u for the rows of two (K, 2l) stacks.
+    """v - sum_{a>=1} <v, P_a u> P_a u for the rows of two (K, 2l) stacks;
+    a (1, 2l) u serves every row of v, with its P_a u formed once.
 
     For a unit u in E+, the P_a u (a >= 1) are orthonormal vectors of E-,
     so a v in E- loses exactly its components along them.
@@ -176,7 +178,7 @@ def _seed_row(system: CliffordSystem) -> np.ndarray:
     eye = np.eye(system.ambient_dim)
     plus, minus = _eigenparts(system, eye)
     u = _first_unit(plus)
-    w = _first_unit(_reduce(system, np.broadcast_to(u, eye.shape), minus))
+    w = _first_unit(_reduce(system, u[None], minus))
     return (u + w) / np.sqrt(2.0)
 
 

@@ -84,7 +84,7 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     n = system.ambient_dim
     codim = system.m + 1
     x = np.asarray(x, dtype=float).reshape(-1, n)
-    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
+    bad = np.flatnonzero(~np.logical_and.reduce(np.isfinite(x), axis=1))
     if bad.size:
         raise ValueError(f"point {bad[0]}: non-finite coordinates")
     px = system.apply(x)
@@ -94,10 +94,12 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     full = np.concatenate([lead, tangent], axis=2)
     tt = tangent.transpose(0, 2, 1)
     # one generator at a time: broadcasting them all holds (P, m+1, 2l, n)
-    operators = -np.stack([tt @ (p_a @ tangent) for p_a in system.matrices],
-                          axis=1)
+    operators = np.empty((len(x), codim) + tangent.shape[2:] * 2)
+    for a, p_a in enumerate(system.matrices):
+        np.matmul(tt, p_a @ tangent, out=operators[:, a])
+    np.negative(operators, out=operators)
     pair_coords = pair_products(system, px) @ full[:, None]
-    idx_a, idx_b = np.triu_indices(codim, k=1)
+    idx_a, idx_b = _upper_pairs(codim)
     rows = pair_coords[:, idx_a, idx_b, codim + 1:]  # Q, (P, m(m+1)/2, n)
     closed_ricci = (2.0 * (system.l - system.m - 2) * np.eye(tangent.shape[2])
                     + 2.0 * (rows.transpose(0, 2, 1) @ rows))
@@ -127,13 +129,21 @@ def shape_operators(frame: AdaptedFrame) -> ShapeData:
     n = ops.shape[2]
     traces = np.einsum("kapp->ka", ops)
     h_vec = traces / n
-    s = np.sum(ops * ops, axis=(1, 2, 3))
+    s = np.add.reduce(ops * ops, axis=(1, 2, 3))
     rho_sq = s - n * np.matmul(h_vec[:, None, :], h_vec[:, :, None])[:, 0, 0]
     sq = ops @ ops
-    ricci = ((n - 1.0) * np.eye(n)
-             + np.einsum("ka,kapq->kpq", traces, ops) - np.sum(sq, axis=1))
+    ricci = ((n - 1.0) * np.eye(n) + np.einsum("ka,kapq->kpq", traces, ops)
+             - np.add.reduce(sq, axis=1))
     return ShapeData(operators=ops, sff_norm_sq=s, trace_free_norm_sq=rho_sq,
                      mean_curvature=h_vec, ricci=ricci)
+
+
+def _upper_pairs(count: int, k: int = 1) -> tuple:
+    """np.triu_indices(count, k): the index pairs (i, j) with j - i >= k in
+    row-major order, the pairs a < b of the normals at k = 1, without the
+    broadcast masks that make np.triu_indices cost tens of microseconds."""
+    idx = np.arange(count)
+    return (idx[:, None] + k <= idx).nonzero()
 
 
 def pair_products(system: CliffordSystem, px: np.ndarray) -> np.ndarray:

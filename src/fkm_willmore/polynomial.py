@@ -43,7 +43,10 @@ class FkmPolynomial:
 
     def sphere_derivatives(self, x) -> tuple:
         """Value, intrinsic gradient and intrinsic Laplacian at a (K, 2l)
-        block of unit points, one per row, as arrays (K,), (K, 2l) and (K,).
+        block of unit points, one per row, as new arrays (K,), (K, 2l) and
+        (K,).  A row whose norm, the root of the |x|^2 that the derivatives
+        use, is off 1 by more than 1e-12 (NaN included) raises ValueError
+        naming it, before any product with the system.
 
         Both reductions follow from degree-4 homogeneity.  The sphere
         gradient is the tangential projection of the ambient gradient
@@ -64,36 +67,48 @@ class FkmPolynomial:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != n:
             raise ValueError(f"point block shape {x.shape} is not (K, {n})")
-        unit_gap = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
-        bad = np.flatnonzero(~(unit_gap <= 1e-12))
+        # the guard reads |x| off |x|^2, which the derivatives need anyway;
+        # x * x holds no product of an infinite entry with a zero, so a
+        # non-finite row reaches no other product
+        xx = np.einsum("kj,kj->k", x, x)
+        bad = np.flatnonzero(~(np.abs(np.sqrt(xx) - 1.0) <= 1e-12))
         if bad.size:
             raise ValueError("sphere derivatives need unit points (row "
                              f"{bad[0]} is off the sphere)")
         # P_a x, (m+1, K, 2l), is the only array of that size: g_a(x),
         # sum_a g_a P_a x and sum_a |P_a x|^2 are two-operand contractions
         # of it that allocate only their (m+1, K), (K, 2l) and (K,) results,
-        # where elementwise products would each hold another stack
+        # where elementwise products would each hold another stack.  The
+        # gradient takes two (K, 2l) buffers, each term formed in place in
+        # the order of grad = 4 |x|^2 x - 8 sum_a g_a P_a x and
+        # grad_S = grad - <grad, x> x.
         px = x @ stack.transpose(0, 2, 1)
         g = np.einsum("akj,kj->ak", px, x)
-        xx = np.einsum("kj,kj->k", x, x)
-        grad = 4.0 * xx[:, None] * x - 8.0 * np.einsum("ak,akj->kj", g, px)
-        grad_s = grad - np.einsum("kj,kj->k", grad, x)[:, None] * x
+        grad = np.multiply(4.0 * xx[:, None], x)
+        term = np.einsum("ak,akj->kj", g, px)
+        term *= 8.0
+        grad -= term
+        grad -= np.multiply(np.einsum("kj,kj->k", grad, x)[:, None], x,
+                            out=term)
         value = xx * xx - 2.0 * np.einsum("ak,ak->k", g, g)
-        traces = np.trace(stack, axis1=1, axis2=2)
         lap = ((8.0 + 4.0 * n) * xx
-               - 16.0 * np.einsum("akj,akj->k", px, px) - 8.0 * (traces @ g))
+               - 16.0 * np.einsum("akj,akj->k", px, px)
+               - 8.0 * (stack.trace(axis1=1, axis2=2) @ g))
         lap_s = lap - 4.0 * (n + 2.0) * value
-        return value, grad_s, lap_s
+        return value, grad, lap_s
 
 
 def sphere_samples(rng, count: int, dim: int) -> np.ndarray:
     """count independent uniform points of the unit sphere in R^dim, as rows.
 
     One standard_normal((count, dim)) draw, so row i holds the numbers that
-    the i-th of count successive standard_normal(dim) draws would give.
+    the i-th of count successive standard_normal(dim) draws would give,
+    divided in place by its norm, the root of the row's sum of squares.
     """
     z = rng.standard_normal((count, dim))
-    return z / np.linalg.norm(z, axis=1)[:, None]
+    # np.linalg.norm(z, axis=1), without its copy z.conj()
+    z /= np.sqrt(np.add.reduce(z * z, axis=1))[:, None]
+    return z
 
 
 def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed) -> tuple:
@@ -113,6 +128,7 @@ def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed) -> tuple:
     const = 8.0 * (system.m2 - system.m)
     slope = 4.0 * (system.ambient_dim + 2.0)
     value, grad, lap = poly.sphere_derivatives(points)
-    return (fold(np.abs(np.sum(grad * grad, axis=1)
+    grad *= grad
+    return (fold(np.abs(np.add.reduce(grad, axis=1)
                         - 16.0 * (1.0 - value * value))),
             fold(np.abs(lap - const + slope * value)))

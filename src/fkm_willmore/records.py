@@ -40,6 +40,7 @@ class Record:
 
 def fold(values, axis: int | None = None):
     """The worst of `values`: their maximum, NaN if any of them is NaN,
-    0.0 for none.  With `axis`, the worst along that axis, as an array."""
-    worst = np.max(values, axis=axis, initial=0.0)
+    0.0 for none.  With `axis`, the worst along that axis, as an array.
+    The ufunc's own reduce: np.max is the same reduce behind a wrapper."""
+    worst = np.maximum.reduce(values, axis=axis, initial=0.0)
     return float(worst) if axis is None else worst

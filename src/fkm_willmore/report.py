@@ -342,14 +342,15 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
         s_expected = 2.0 * (l - m - 1) * (m + 1)
         s_vals = shapes.sff_norm_sq
-        ricci_traces = np.trace(shapes.ricci, axis1=1, axis2=2)
+        ricci_traces = shapes.ricci.trace(axis1=1, axis2=2)
         blocks["geometry"] = _block("geometry", tol, {
             "S_expected": s_expected,
             "S_max_gap": np.abs(s_vals - s_expected),
-            "S_spread": s_vals - np.min(s_vals),  # folds to the spread
+            # folds to the spread
+            "S_spread": s_vals - np.minimum.reduce(s_vals),
             "rho2_vs_S_max_gap": np.abs(shapes.trace_free_norm_sq - s_vals),
-            "H_max": np.max(np.abs(shapes.mean_curvature), axis=1),
-            "ricci_crosscheck_max": np.max(np.abs(cross), axis=1),
+            "H_max": np.maximum.reduce(np.abs(shapes.mean_curvature), axis=1),
+            "ricci_crosscheck_max": np.maximum.reduce(np.abs(cross), axis=1),
             "ricci_trace_max_gap":
                 np.abs(ricci_traces - (n * (n - 1) - s_vals))},
             where=lambda i, _: f"point {i}: ")
@@ -386,9 +387,9 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         gated = 4 * l > m * m + 3 * m + 4
         exceeds = (probe.spread > RICCI_SPREAD_THRESHOLD).tolist()
         blocks["einstein"] = _block("einstein", tol, {
-            "ricci_min": float(np.min(probe.ricci_min)),
-            "ricci_max": float(np.max(probe.ricci_max)),
-            "spread": float(np.max(probe.spread)),
+            "ricci_min": float(np.minimum.reduce(probe.ricci_min)),
+            "ricci_max": float(np.maximum.reduce(probe.ricci_max)),
+            "spread": float(np.maximum.reduce(probe.spread)),
             "dimension_condition": gated,
             "spread_exceeds_threshold": all(exceeds) if gated else None,
             "status": "evidence" if gated else "inconclusive"},

@@ -46,7 +46,7 @@ from itertools import permutations
 import numpy as np
 
 from .clifford import CliffordSystem
-from .geometry import AdaptedFrame, ShapeData
+from .geometry import AdaptedFrame, ShapeData, _upper_pairs
 from .records import Record, fold
 
 __all__ = [
@@ -126,15 +126,18 @@ def _block_points(system: CliffordSystem, num: int) -> tuple:
 def _coefficient_rows(system: CliffordSystem, coeffs,
                       count: int) -> np.ndarray:
     """The normals' coefficient vectors as a (P, N, m+1) array of unit rows,
-    N of them for each of `count` points."""
+    N of them for each of `count` points.  A row whose norm (the root of
+    its sum of squares, np.linalg.norm's value for real rows) is off 1 by
+    more than 1e-12, NaN included, raises ValueError naming its point and
+    normal."""
     m1 = system.m + 1
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 3 or c.shape[0] != count or c.shape[2] != m1:
         raise ValueError(f"coefficient shape {c.shape} != ({count}, N, {m1})")
-    gap = np.abs(np.linalg.norm(c, axis=2) - 1.0)
-    bad = np.argwhere(~(gap <= 1e-12))
+    gap = np.abs(np.sqrt(np.add.reduce(c * c, axis=2)) - 1.0)
+    bad = np.flatnonzero(~(gap <= 1e-12))
     if bad.size:
-        p, k = bad[0]
+        p, k = divmod(int(bad[0]), c.shape[1])
         raise ValueError(f"point {p}, normal {k}: coefficients must form a "
                          f"unit vector (norm deviation {gap[p, k]:.3e})")
     return c
@@ -164,13 +167,16 @@ def _lemma(ops: np.ndarray, coeffs: np.ndarray) -> tuple:
     n = ops.shape[2]
     a_xi = _at_normals(coeffs, ops)
     sq = a_xi @ a_xi
-    tr_sq = np.trace(sq, axis1=2, axis2=3)
-    tr_a = np.trace(a_xi, axis1=2, axis2=3)
+    tr_sq = sq.trace(axis1=2, axis2=3)
+    tr_a = a_xi.trace(axis1=2, axis2=3)
     cube = sq @ a_xi
     cube -= a_xi
-    deviation = np.max(np.abs(cube, out=cube), axis=(2, 3), initial=0.0)
-    traces = np.stack([n - tr_sq, (tr_sq + tr_a) / 2.0, (tr_sq - tr_a) / 2.0],
-                      axis=2)
+    deviation = np.maximum.reduce(np.abs(cube, out=cube), axis=(2, 3),
+                                  initial=0.0)
+    traces = np.empty(tr_sq.shape + (3,))
+    traces[..., 0] = n - tr_sq
+    traces[..., 1] = (tr_sq + tr_a) / 2.0
+    traces[..., 2] = (tr_sq - tr_a) / 2.0
     return deviation, np.where((deviation <= CLUSTER_RADIUS)[..., None],
                                np.rint(traces), 0.0).astype(int)
 
@@ -191,18 +197,18 @@ def _pair_tables(m1: int) -> tuple:
     the two pairs), then where K^g_{ed,cf} sits for each, and the product
     of the orientation signs of (e, d) and (c, f), 0 when e = d or c = f,
     since P_c P_c x = x has no tangent part."""
-    ia, ib = np.triu_indices(m1, k=1)
+    ia, ib = _upper_pairs(m1)
     count = len(ia)
     index = np.zeros((m1, m1), dtype=int)
     index[ia, ib] = index[ib, ia] = np.arange(count)
     sign = np.zeros((m1, m1))
     sign[ia, ib], sign[ib, ia] = 1.0, -1.0
-    row, col = np.triu_indices(count)
+    row, col = _upper_pairs(count, 0)
     c, d, e, f = ia[row], ib[row], ia[col], ib[col]
     g = np.arange(m1)[:, None]
     return (ia * m1 + ib, ((row * m1 + g) * count + col).ravel(),
             ((index[e, d] * m1 + g) * count + index[c, f]).ravel(),
-            np.tile(sign[e, d] * sign[c, f], m1))
+            (sign[e, d] * sign[c, f])[None].repeat(m1, axis=0).ravel())
 
 
 def _pair_tensors(system: CliffordSystem, ops: np.ndarray,
@@ -252,9 +258,10 @@ def _pair_tangency(system: CliffordSystem, frame: AdaptedFrame) -> np.ndarray:
     the x and normal columns of the pair coordinates: the rotated pairs and
     normals are orthonormal images of these (Lambda^2 B, B), so this bounds
     theirs within a factor sqrt(m (m+1) (m+2) / 2)."""
-    ia, ib = np.triu_indices(system.m + 1, k=1)
-    return np.max(np.abs(frame.pair_coords[:, ia, ib, :system.m + 2]),
-                  axis=(1, 2), initial=0.0)
+    ia, ib = _upper_pairs(system.m + 1)
+    return np.maximum.reduce(
+        np.abs(frame.pair_coords[:, ia, ib, :system.m + 2]), axis=(1, 2),
+        initial=0.0)
 
 
 def _sign_gap(system: CliffordSystem, frame: AdaptedFrame,
@@ -264,12 +271,16 @@ def _sign_gap(system: CliffordSystem, frame: AdaptedFrame,
     time, by build_frame's product.  The gap is linear in xi, so its value
     at the m + 1 coordinate normals bounds it at every normal.  It is the
     one check of the operators' sign: -A_a are the operators of the
-    system {-P_a}, with the same M+, pair vectors and Ricci forms."""
+    system {-P_a}, with the same M+, pair vectors and Ricci forms.  The
+    products go into one stack shaped like the operators, which the gap
+    is then formed in, in place."""
     t = frame.tangent
     tt = t.transpose(0, 2, 1)
-    return fold([fold(np.abs(a_a + tt @ (p_a @ t)), axis=(1, 2))
-                 for a_a, p_a in zip(ops.swapaxes(0, 1), system.matrices)],
-                axis=0)
+    own = np.empty(ops.shape)
+    for a, p_a in enumerate(system.matrices):
+        np.matmul(tt, p_a @ t, out=own[:, a])
+    own += ops
+    return fold(np.abs(own, out=own), axis=(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +320,22 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     A_a + T^T P_a T (reflection_max, _sign_gap), whose T^T P_a T is formed
     from T and the P_a, never taken from the operators under test.  Then,
     over blocks that fit _BLOCK_BYTES (_block_points), the lemma of each
-    normal (_lemma; whole points, or chunks of one point's normals, joined
-    into the point's rows) and the pair tensors of each point
-    (_pair_tensors: the pairwise balance, the leaks, |U| at m = 2 and the
-    aggregate, which chain_max holds against the balance).  The blocks
-    read no ambient array, so a point's results do not depend on the block
-    it is in.
+    normal (_lemma; whole points, or chunks of one point's normals, written
+    into one (P, N) table of deviations and one of multiplicities) and the
+    pair tensors of each point (_pair_tensors: the pairwise balance, the
+    leaks, |U| at m = 2 and the aggregate, which chain_max holds against
+    the balance).  The blocks read no ambient array, so a point's results
+    do not depend on the block it is in.  The worst normal, the first wrong
+    one and its multiplicities are read off the two tables after the last
+    block.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
     ops = shape.operators
     if len(ops) != count:
         raise ValueError(f"{count} frames and {len(ops)} shapes")
-    bad = np.flatnonzero(~np.all(np.isfinite(ops), axis=(1, 2, 3)))
+    bad = np.flatnonzero(~np.logical_and.reduce(np.isfinite(ops),
+                                                axis=(1, 2, 3)))
     if bad.size:
         raise ValueError(
             f"point {bad[0]}: shape operators have non-finite entries")
@@ -332,30 +346,35 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     num = coeffs.shape[1]
     step, chunk = _block_points(system, num)
     tables = _pair_tables(system.m + 1)
+    deviation = np.empty((count, num))
+    read = np.empty((count, num, 3), dtype=int)
     aggregate = np.empty((count, system.m + 1))
-    spectrum, pairwise, leak, u = (np.empty(count) for _ in range(4))
-    expected = (system.m, system.m2, system.m2)
-    worst, wrong = np.full(count, -1), np.full(count, -1)
-    counts = np.tile(expected, (count, 1))
+    pairwise, leak, u = (np.empty(count) for _ in range(3))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        deviation, read = (np.concatenate(part, axis=1) for part in zip(
-            *(_lemma(ops[rows], coeffs[rows, k:k + chunk])
-              for k in range(0, max(1, num), chunk))))
-        spectrum[rows] = fold(deviation, axis=1)
-        if num:
-            right = np.all(read == expected, axis=2)
-            first = np.argmin(right, axis=1)
-            worst[rows] = np.argmax(deviation, axis=1)
-            wrong[rows] = np.where(right.all(axis=1), -1, first)
-            counts[rows] = read[np.arange(len(first)), first]
+        for k in range(0, num, chunk):
+            normals = slice(k, k + chunk)
+            deviation[rows, normals], read[rows, normals] = _lemma(
+                ops[rows], coeffs[rows, normals])
         aggregate[rows], pairwise[rows], leak[rows], u[rows] = _pair_tensors(
             system, ops[rows], pairs[rows], tables)
+    # the lemma's bookkeeping, once over the rows of every point
+    expected = (system.m, system.m2, system.m2)
+    if num:
+        right = np.logical_and.reduce(read == expected, axis=2)
+        first = right.argmin(axis=1)
+        worst = deviation.argmax(axis=1)
+        wrong = np.where(np.logical_and.reduce(right, axis=1), -1, first)
+        counts = read[np.arange(count), first]
+    else:
+        worst, wrong = np.full(count, -1), np.full(count, -1)
+        counts = np.array([expected]).repeat(count, axis=0)
     residual, bal, bridge, chain, agg = (fold(np.abs(r), axis=1) for r in (
         reduced, balance, reduced - balance, balance - aggregate, aggregate))
-    return np.column_stack([
-        spectrum, residual, bal, bridge, chain, pairwise, agg, leak, gap,
-        np.maximum(u, _pair_tangency(system, frame))]), worst, wrong, counts
+    columns = np.array([
+        fold(deviation, axis=1), residual, bal, bridge, chain, pairwise, agg,
+        leak, gap, np.maximum(u, _pair_tangency(system, frame))])
+    return columns.T, worst, wrong, counts
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ a second route to a quantity the package computes another way:
     closed form at one point of R^{2l}, on or off the sphere; finite
     differences of quartic check gradient, the package's term-by-term
     Laplacian must equal the trace of hessian;
+  * block_system is the split construction written as block matrices
+    (np.block of I, 0 and the Kronecker products I_k (x) E), where the
+    package writes each block into one zero stack in place;
   * parse_dump reads the plain-text matrix dump back;
   * jacobian_rank is the rank of the rows x, P_0 x, ..., P_m x from their
     singular values, where the points block reads it off the deviation of
@@ -46,8 +49,22 @@ from dataclasses import fields
 
 import numpy as np
 
-from fkm_willmore import CliffordSystem
+from fkm_willmore import CliffordSystem, build_skew_generators, delta
 from fkm_willmore.geometry import pair_products
+
+
+def block_system(m, k):
+    """The (m+1, 2l, 2l) matrices of the split system, l = k delta(m), as
+    block matrices: P_0 = [[I, 0], [0, -I]], P_1 = [[0, I], [I, 0]] and
+    P_{1+i} = [[0, E_i^(k)], [-E_i^(k), 0]] with E_i^(k) = I_k (x) E_i."""
+    l = k * delta(m)
+    eye, zero = np.eye(l), np.zeros((l, l))
+    mats = [np.block([[eye, zero], [zero, -eye]]),
+            np.block([[zero, eye], [eye, zero]])]
+    for gen in build_skew_generators(m):
+        ek = np.kron(np.eye(k), gen)
+        mats.append(np.block([[zero, ek], [-ek, zero]]))
+    return np.array(mats)
 
 
 def orthonormal_completion(first):

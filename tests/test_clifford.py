@@ -25,7 +25,8 @@ from fkm_willmore.clifford import _product
 
 from conftest import (GRID, NON_FINITE, conjugated_system, corrupt_system,
                       nan_pair_matrices)
-from oracles import orthonormal_completion, parse_dump, rotate_system
+from oracles import (block_system, orthonormal_completion, parse_dump,
+                     rotate_system)
 
 DELTA_TABLE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
 
@@ -111,6 +112,32 @@ def test_split_construction_blocks():
     p1 = np.block([[zero, eye], [eye, zero]])
     assert np.array_equal(system.matrices[0], p0)
     assert np.array_equal(system.matrices[1], p1)
+
+
+# Every admissible (m, k) with 2l <= 32; (7, 2), (8, 2) and (9, 1) among
+# them.
+ADMISSIBLE_32 = [(m, k) for m in range(1, 10)
+                 for k in range(1, 16 // delta(m) + 1)
+                 if k * delta(m) >= m + 2]
+
+
+def test_admissible_grid_to_32():
+    assert len(ADMISSIBLE_32) == 34
+    assert {(7, 2), (8, 2), (9, 1)} | set(GRID) <= set(ADMISSIBLE_32)
+
+
+@pytest.mark.parametrize("m,k", ADMISSIBLE_32)
+def test_built_system_equals_the_block_construction(m, k):
+    # the blocks written in place are the block matrices of the split
+    # form, entry for entry and bit for bit, the signs of the zeros
+    # included; the stack is one read-only float array
+    system = build_clifford_system(m, k)
+    want = block_system(m, k)
+    assert type(system.matrices) is np.ndarray
+    assert system.matrices.dtype == np.float64
+    assert not system.matrices.flags.writeable
+    assert np.array_equal(system.matrices, want)
+    assert system.matrices.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m,k", GRID + [(7, 2), (8, 2), (9, 1)])
@@ -231,6 +258,25 @@ def test_rotate_rejects_non_unit():
     with pytest.raises(ValueError, match="unit vector"):
         certify_point(system, frame, shape_operators(frame),
                       [[np.array([0.5, 0.5])]])
+
+
+@pytest.mark.parametrize("scale,fails", [(1.0 + 2e-12, True),
+                                         (1.0 + 5e-13, False)])
+def test_coefficient_guard_names_point_and_normal(scale, fails):
+    # the guard holds each coefficient row's norm to 1 within 1e-12 and
+    # names the first row outside it by its point and its normal
+    system = build_clifford_system(1, 3)
+    frame = build_frame(system, sample_focal_points(system, 2, seed=0).x)
+    coeffs = np.tile(np.eye(2), (2, 2, 1))               # (2 points, 4, 2)
+    coeffs[1, 2] *= scale
+    coeffs[1, 3] *= scale
+    if not fails:
+        certify_point(system, frame, shape_operators(frame), coeffs)
+        return
+    with pytest.raises(ValueError, match=r"^point 1, normal 2: coefficients "
+                                         r"must form a unit vector \(norm "
+                                         r"deviation 2\.000e-12\)$"):
+        certify_point(system, frame, shape_operators(frame), coeffs)
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (4, 2), (6, 1)])

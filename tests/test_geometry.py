@@ -6,7 +6,7 @@ from numpy.random import default_rng
 
 from fkm_willmore import (build_clifford_system, build_frame,
                           sample_focal_points, shape_operators)
-from fkm_willmore.geometry import pair_products
+from fkm_willmore.geometry import _upper_pairs, pair_products
 
 from conftest import GRID, conjugated_system, conjugator, judged_points
 from oracles import (sectional_curvature, sectional_curvature_from_shape,
@@ -300,6 +300,18 @@ def test_shape_operators_match_einsum_reference(m, k):
     assert np.max(np.abs(shapes.ricci - ricci)) <= 1e-14
     s = np.sum(ops * ops, axis=(1, 2, 3))
     assert np.max(np.abs(shapes.sff_norm_sq - s) / s) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_upper_pairs_are_the_triu_indices(k):
+    # the pair tables of the frame and the chain are np.triu_indices',
+    # formed without its masks: the same pairs, order and integer type
+    for count in range(12):
+        got, want = _upper_pairs(count, k), np.triu_indices(count, k)
+        assert len(got) == 2
+        for have, pair in zip(got, want):
+            assert have.dtype == pair.dtype
+            assert np.array_equal(have, pair)
 
 
 def test_pair_products_are_the_products_of_the_matrices():

@@ -9,8 +9,9 @@ from fkm_willmore import (CliffordSystem, FkmPolynomial, build_clifford_system,
                           verify_cartan_munzner)
 from fkm_willmore.polynomial import sphere_samples
 
-from conftest import (FD_RTOL, GRID, NON_FINITE, corrupt_system,
-                      fd_directional, fd_gradient, nan_pair_matrices, rel_err)
+from conftest import (FD_RTOL, GRID, NON_FINITE, conjugated_system,
+                      corrupt_system, fd_directional, fd_gradient,
+                      nan_pair_matrices, rel_err)
 from oracles import gradient, hessian, quartic
 
 
@@ -240,6 +241,63 @@ def test_sphere_derivatives_block_rejects_off_sphere_row():
     points[2] *= 1.01
     with pytest.raises(ValueError, match="row 2"):
         poly.sphere_derivatives(points)
+
+
+@pytest.mark.parametrize("factor,fails", [(1.0 + 2e-12, True),
+                                          (1.0 + 5e-13, False),
+                                          (1.0 - 2e-12, True)])
+def test_unit_guard_reads_the_norm_to_1e_12(factor, fails):
+    # the guard holds |x| to 1 within 1e-12, read off the |x|^2 that the
+    # derivatives use, and names the first row outside it
+    poly = _poly(2, 2)
+    points = sphere_samples(default_rng(5), 3, 8)
+    points[1] *= factor
+    if fails:
+        with pytest.raises(ValueError, match=r"\(row 1 is off the sphere\)"):
+            poly.sphere_derivatives(points)
+    else:
+        poly.sphere_derivatives(points)
+
+
+@pytest.mark.parametrize("seed,count,dim", [(17, 200, 16), (3, 1000, 8)])
+def test_sphere_samples_are_the_norm_route_bit_for_bit(seed, count, dim):
+    # the rows are divided in place by the root of their sums of squares,
+    # which is np.linalg.norm's value for real rows
+    z = default_rng(seed).standard_normal((count, dim))
+    want = z / np.linalg.norm(z, axis=1)[:, None]
+    assert (sphere_samples(default_rng(seed), count, dim).tobytes()
+            == want.tobytes())
+
+
+@pytest.mark.parametrize("system", [build_clifford_system(3, 2),
+                                    conjugated_system(3, 2),
+                                    build_clifford_system(6, 1)],
+                         ids=["split", "conjugated", "6-1"])
+def test_sphere_derivatives_are_the_expression_form_bit_for_bit(system):
+    # the kernel forms the gradient in two reused buffers, in place; its
+    # values are those of the plain expressions, bit for bit, and so are
+    # the residuals that verify_cartan_munzner folds from them
+    stack, n = system.matrices, system.ambient_dim
+    x = sphere_samples(default_rng(17), 1000, n)
+    px = x @ stack.transpose(0, 2, 1)
+    g = np.einsum("akj,kj->ak", px, x)
+    xx = np.einsum("kj,kj->k", x, x)
+    grad = 4.0 * xx[:, None] * x - 8.0 * np.einsum("ak,akj->kj", g, px)
+    grad_s = grad - np.einsum("kj,kj->k", grad, x)[:, None] * x
+    value = xx * xx - 2.0 * np.einsum("ak,ak->k", g, g)
+    lap = ((8.0 + 4.0 * n) * xx - 16.0 * np.einsum("akj,akj->k", px, px)
+           - 8.0 * (np.trace(stack, axis1=1, axis2=2) @ g))
+    lap_s = lap - 4.0 * (n + 2.0) * value
+    got = FkmPolynomial(system).sphere_derivatives(x)
+    for have, want in zip(got, (value, grad_s, lap_s)):
+        assert have.tobytes() == want.tobytes()
+    residuals = (
+        float(np.max(np.abs(np.sum(grad_s * grad_s, axis=1)
+                            - 16.0 * (1.0 - value * value)))),
+        float(np.max(np.abs(lap_s - 8.0 * (system.m2 - system.m)
+                            + 4.0 * (n + 2.0) * value))))
+    assert verify_cartan_munzner(FkmPolynomial(system), 1000,
+                                 17) == residuals
 
 
 def _sequential_unit_draws(rng, count, dim):

@@ -26,6 +26,26 @@ def test_fold_is_the_max_and_zero_for_nothing():
     assert fold(np.zeros((2, 0)), axis=1).tolist() == [0.0, 0.0]
 
 
+def test_fold_is_the_maximum_reduce_of_any_input():
+    # fold is np.maximum.reduce with initial 0.0: lists of floats, of
+    # numpy scalars and of arrays, tuple axes and empty axes included
+    assert type(fold([np.float64(2.0), 1.0])) is float
+    assert fold([np.float64(2.0), 1.0]) == 2.0
+    assert fold([-1.0, -2.0]) == 0.0             # nothing below 0.0
+    assert fold([]) == 0.0 and type(fold([])) is float
+    assert fold([1.0, math.inf]) == math.inf
+    stack = [np.array([1.0, 5.0]), np.array([4.0, 2.0])]
+    assert fold(stack, axis=0).tolist() == [4.0, 5.0]
+    cube = np.arange(24.0).reshape(2, 3, 4)
+    assert fold(cube, axis=(1, 2)).tolist() == [11.0, 23.0]
+    assert fold(np.zeros((2, 0, 3)), axis=(1, 2)).tolist() == [0.0, 0.0]
+    cube[1, 2, 0] = math.nan
+    assert np.isnan(fold(cube, axis=(1, 2))).tolist() == [False, True]
+    assert math.isnan(fold([[0.0, 1.0], [math.nan, 2.0]]))
+    for values in ([0.3, 0.1], [[0.1, 0.7], [0.2, 0.0]], cube[0]):
+        assert fold(values) == float(np.max(values, initial=0.0))
+
+
 def test_fold_propagates_nan():
     # Python's max(0.0, nan) is 0.0; the fold must not hide a NaN in any
     # position
