@@ -21,14 +21,14 @@ from .report import (DEFAULT_GRID, DEFAULT_SEED, DEFAULT_TOLERANCES,
                      TOOL_VERSION, VerificationConfig, VerificationReport,
                      configuration_points, evaluate_system, exit_code,
                      render_text, run_suite)
-from .willmore import EinsteinProbe, certify_point, einstein_probe
+from .willmore import certify_point, einstein_probe
 
 __version__ = TOOL_VERSION
 
 __all__ = [
     "AdaptedFrame", "AdmissibilityError", "CliffordSystem",
-    "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "EinsteinProbe",
-    "FkmPolynomial", "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
+    "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "FkmPolynomial",
+    "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
     "VerificationConfig", "VerificationReport", "build_clifford_system",
     "build_frame", "build_skew_generators", "certify_point",
     "configuration_points", "delta", "dump_matrices", "einstein_probe",

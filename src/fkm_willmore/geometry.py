@@ -62,7 +62,8 @@ class AdaptedFrame(Record):
 
 def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     """Deterministic adapted frames at the certified points, the rows of a
-    (P, 2l) array x.
+    (P, 2l) array x, or at the one point x of shape (2l,); any other shape
+    raises ValueError naming it.
 
     The tangent basis comes from the complete Householder QR of the
     2l x (m + 2) block [x | P_0 x .. P_m x]: the trailing 2l - (m + 2)
@@ -83,7 +84,10 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
         raise ValueError("closed-form Ricci needs l >= m + 2")
     n = system.ambient_dim
     codim = system.m + 1
-    x = np.asarray(x, dtype=float).reshape(-1, n)
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2 or x.shape[-1:] != (n,):
+        raise ValueError(f"point shape {x.shape} is not ({n},) or (P, {n})")
+    x = x.reshape(-1, n)
     bad = np.flatnonzero(~np.logical_and.reduce(np.isfinite(x), axis=1))
     if bad.size:
         raise ValueError(f"point {bad[0]}: non-finite coordinates")

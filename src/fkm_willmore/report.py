@@ -365,31 +365,39 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
             norms = np.sqrt(np.matmul(c[..., None, :], c[..., None]))
             coeffs[:, m + 1:] = c / norms[..., 0]
-        residuals, worst, wrong, read = certify_point(system, frames, shapes,
-                                                      coeffs)
+        residuals, deviation, read = certify_point(system, frames, shapes,
+                                                   coeffs)
         # one row per point, one column per name of CHECK_NAMES
         columns = dict(zip(CHECK_NAMES, residuals.T))
-        expected, read = [m, system.m2, system.m2], read.tolist()
-        normal = {"max_spectrum_deviation": worst, "multiplicities": wrong}
+        expected = [m, system.m2, system.m2]
+        # each point's first normal with wrong counts; normal 0 if none
+        first = np.logical_and.reduce(read == expected, axis=2).argmin(axis=1)
+        counts = read[np.arange(count), first].tolist()
+
+        def normal(i, key):
+            # the first wrong normal for the counts, else the worst one
+            k = first[i] if key == "multiplicities" else deviation[i].argmax()
+            return f"point {i}, normal {k}: "
+
         blocks["lemma"] = _block("lemma", tol, {
             "n_normals_per_point": m + 1 + cfg.n_normals,
             "max_spectrum_deviation": columns.pop("max_spectrum_deviation"),
-            "multiplicities": next((r for r in read if r != expected),
+            "multiplicities": next((r for r in counts if r != expected),
                                    expected)},
-            {"multiplicities": (read, expected)},
-            lambda i, key: f"point {i}, normal {normal[key][i]}: ")
+            {"multiplicities": (counts, expected)}, normal)
         residual = columns.pop("residual_max")
         blocks["willmore"] = _block("willmore", tol, {
             "residual_max": residual, "residual_median": _median(residual),
             **columns}, where=lambda i, _: f"point {i}: ")
 
-        probe = einstein_probe(frames)
+        lowest, highest = einstein_probe(frames)
+        spread = highest - lowest
         gated = 4 * l > m * m + 3 * m + 4
-        exceeds = (probe.spread > RICCI_SPREAD_THRESHOLD).tolist()
+        exceeds = (spread > RICCI_SPREAD_THRESHOLD).tolist()
         blocks["einstein"] = _block("einstein", tol, {
-            "ricci_min": float(np.minimum.reduce(probe.ricci_min)),
-            "ricci_max": float(np.maximum.reduce(probe.ricci_max)),
-            "spread": float(np.maximum.reduce(probe.spread)),
+            "ricci_min": float(np.minimum.reduce(lowest)),
+            "ricci_max": float(np.maximum.reduce(highest)),
+            "spread": float(np.maximum.reduce(spread)),
             "dimension_condition": gated,
             "spread_exceeds_threshold": all(exceeds) if gated else None,
             "status": "evidence" if gated else "inconclusive"},

@@ -35,24 +35,23 @@ operators under test and the system's own; linear in xi, it is read once
 per point, and it is the one check of the operators' sign, as -A_a (the
 normals -P_a x) pass every other identity.  certify_point evaluates the
 chain over blocks of points and returns the worst residual of every
-identity at every point, and the normals that a lemma verdict names.
+identity at every point, and the lemma's deviation and multiplicities at
+every normal, which the report holds to (m, l-m-1, l-m-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .clifford import CliffordSystem
 from .geometry import AdaptedFrame, ShapeData, _upper_pairs
-from .records import Record, fold
+from .records import fold
 
 __all__ = [
     "CHECK_NAMES",
     "CLUSTER_RADIUS",
-    "EinsteinProbe",
     "certify_point",
     "einstein_probe",
 ]
@@ -62,16 +61,6 @@ __all__ = [
 # spectral projectors are the multiplicities for n < 400; above it the
 # lemma does not read them.
 CLUSTER_RADIUS = 1e-6
-
-
-@dataclass(frozen=True)
-class EinsteinProbe(Record):
-    """The extremes of the Ricci quadratic form over unit tangents at P
-    points; the einstein block of the report judges them."""
-
-    ricci_min: np.ndarray              # (P,)
-    ricci_max: np.ndarray              # (P,)
-    spread: np.ndarray                 # (P,), ricci_max - ricci_min
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +288,15 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     directions.
 
     `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
-    each point of the stacked `frame` and `shape`.  Returns a (P, 10) array
-    of residuals, one row per point and one column per key of the report's
-    lemma and willmore blocks, in the order of CHECK_NAMES, and the lemma's
-    rows per point: the normal of the worst deviation (-1 with no
-    normals), the first normal whose multiplicities are wrong (-1 if none)
-    and the (P, 3) multiplicities read there ((m, l-m-1, l-m-1) if none).
-    The lemma's max_spectrum_deviation is the worst over the point's
-    normals, so identical inputs give identical rows and the order of the
-    normals does not change them; the normals are named by their index in
-    `normal_coeffs`.
+    each point of the stacked `frame` and `shape`.  Returns three arrays:
+    the (P, 10) residuals, one row per point and one column per key of the
+    report's lemma and willmore blocks, in the order of CHECK_NAMES; and
+    the lemma's tables, indexed like `normal_coeffs`: the (P, N)
+    deviations max |A_xi^3 - A_xi| and the (P, N, 3) multiplicities read
+    at each normal (_lemma).  The lemma's max_spectrum_deviation is the
+    worst over the point's normals, so identical inputs give identical
+    rows and the order of the normals does not change them.  Comparing
+    the multiplicities with (m, l-m-1, l-m-1) is the report's business.
 
     Every other check is read once per point, for every normal at once.
     Before any block, over all points: the non-finite guard (ValueError
@@ -325,9 +313,7 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     pair tensors of each point (_pair_tensors: the pairwise balance, the
     leaks, |U| at m = 2 and the aggregate, which chain_max holds against
     the balance).  The blocks read no ambient array, so a point's results
-    do not depend on the block it is in.  The worst normal, the first wrong
-    one and its multiplicities are read off the two tables after the last
-    block.
+    do not depend on the block it is in.
     """
     count = len(frame.x)
     coeffs = _coefficient_rows(system, normal_coeffs, count)
@@ -358,37 +344,27 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
                 ops[rows], coeffs[rows, normals])
         aggregate[rows], pairwise[rows], leak[rows], u[rows] = _pair_tensors(
             system, ops[rows], pairs[rows], tables)
-    # the lemma's bookkeeping, once over the rows of every point
-    expected = (system.m, system.m2, system.m2)
-    if num:
-        right = np.logical_and.reduce(read == expected, axis=2)
-        first = right.argmin(axis=1)
-        worst = deviation.argmax(axis=1)
-        wrong = np.where(np.logical_and.reduce(right, axis=1), -1, first)
-        counts = read[np.arange(count), first]
-    else:
-        worst, wrong = np.full(count, -1), np.full(count, -1)
-        counts = np.array([expected]).repeat(count, axis=0)
     residual, bal, bridge, chain, agg = (fold(np.abs(r), axis=1) for r in (
         reduced, balance, reduced - balance, balance - aggregate, aggregate))
     columns = np.array([
         fold(deviation, axis=1), residual, bal, bridge, chain, pairwise, agg,
         leak, gap, np.maximum(u, _pair_tangency(system, frame))])
-    return columns.T, worst, wrong, counts
+    return columns.T, deviation, read
 
 
 # ---------------------------------------------------------------------------
 # non-Einstein probe
 # ---------------------------------------------------------------------------
 
-def einstein_probe(frame: AdaptedFrame) -> EinsteinProbe:
-    """Spread of the Ricci quadratic form over unit tangents at P points.
+def einstein_probe(frame: AdaptedFrame) -> tuple:
+    """The extremes of the Ricci quadratic form over unit tangents at P
+    points: (lowest, highest), two (P,) arrays.
 
     Over unit X, X^T Ric X is extremal at the lowest and highest
     eigenvalues, so the probe reads them off one stacked eigvalsh of the
     frame's closed-form Ricci matrices.  It only measures: the report's
-    einstein block applies the dimension gate and the spread threshold.
+    einstein block forms the spread and applies the dimension gate and
+    the spread threshold.
     """
     values = np.linalg.eigvalsh(frame.closed_ricci)
-    return EinsteinProbe(values[:, 0], values[:, -1],
-                         values[:, -1] - values[:, 0])
+    return values[:, 0], values[:, -1]

@@ -2,6 +2,7 @@
 what they hold (report._block): NaN and the boundary."""
 
 import math
+import re
 from dataclasses import make_dataclass, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from fkm_willmore import (FkmPolynomial, build_clifford_system, build_frame,
                           certify_point, fold, sample_focal_points,
                           shape_operators)
-from fkm_willmore import einstein_probe, report
+from fkm_willmore import report
 from fkm_willmore.records import Record, freeze
 from fkm_willmore.report import CHECKED_FIELDS
 
@@ -151,8 +152,6 @@ def test_records_take_over_their_arrays():
     ops = 2.0 * shape.operators
     assert replace(shape, operators=ops).operators is ops
     assert not ops.flags.writeable
-    probe = einstein_probe(frame)
-    assert not probe.spread.flags.writeable
     # fields that are not arrays pass through
     tagged = make_dataclass("Tagged", [("values", np.ndarray), ("tag", str)],
                             bases=(Record,), frozen=True)(np.ones(2), "x")
@@ -225,3 +224,16 @@ def test_input_guards_reject_nan(call, value, error, names):
     with pytest.raises(error, match=names) as info:
         call(value)
     assert type(info.value) is error, repr(info.value)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (2, 12), (24,), (3, 1, 8)],
+                         ids=["4x6", "2x12", "24", "3x1x8"])
+def test_build_frame_rejects_a_stack_of_the_wrong_width(shape):
+    # three sampled (2, 2) points (2l = 8) cut to another shape: read as
+    # rows of 8 they would be points again, made of coordinates of
+    # different points, so build_frame names the shape instead
+    system = build_clifford_system(2, 2)
+    x = sample_focal_points(system, 3, 0).x.reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"point shape {shape} is not (8,) or (P, 8)")):
+        build_frame(system, x)

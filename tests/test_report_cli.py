@@ -783,6 +783,40 @@ def test_nan_residuals_serialize_as_null(monkeypatch):
     assert blocks["points"]["pass"] and not parsed["overall_pass"]
 
 
+def test_an_overflowing_system_reads_null_and_fails(monkeypatch):
+    # the one route to a NaN in a report: a finite system whose products
+    # overflow.  The (2, 2) matrices times 1e160 construct, their
+    # relations and PDE residuals read NaN, and the sampler's rows fall off
+    # the sphere.  Each of those blocks fails, the NaNs are written null,
+    # and the run is a failed check (1), not an internal error (3)
+    from fkm_willmore import report as report_module
+    base = build_clifford_system(2, 2)
+    big = CliffordSystem(m=2, l=base.l, matrices=1e160 * base.matrices)
+    monkeypatch.setattr(report_module, "build_clifford_system",
+                        lambda m, k: big)
+    cfg = tiny_config(configurations=((2, 2),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        entry = evaluate_system(big, cfg, 0)
+        report = run_suite(cfg)
+    blocks = entry["blocks"]
+    assert math.isnan(blocks["clifford"]["max_deviation"])
+    assert math.isnan(blocks["cartan_munzner"]["max_gradient_residual"])
+    assert math.isnan(blocks["cartan_munzner"]["max_laplacian_residual"])
+    assert [name for name, block in blocks.items() if not block["pass"]] == [
+        "clifford", "cartan_munzner", "points"]
+    assert blocks["points"]["error"] == (
+        "point 0 failed certification: max_sphere_residual 1.0e+00 "
+        "(tol 1e-12)")
+    parsed = json.loads(report.to_json(), parse_constant=_reject_constant)
+    written = parsed["configurations"][0]["blocks"]
+    assert written["clifford"]["max_deviation"] is None
+    assert written["cartan_munzner"]["max_gradient_residual"] is None
+    assert written["cartan_munzner"]["max_laplacian_residual"] is None
+    assert written["points"] == blocks["points"]
+    assert not parsed["overall_pass"] and not report.internal_error
+    assert exit_code(report) == 1
+
+
 @pytest.mark.parametrize("value", [np.bool_(True), np.int64(1)],
                          ids=["bool_", "int64"])
 def test_to_json_rejects_a_numpy_scalar(value):
@@ -829,12 +863,12 @@ def test_a_system_without_a_seed_fails_its_points_block():
 
 
 @pytest.mark.parametrize("m,k,points,normals,bound_mb", [
-    # measured 2.5 MB
+    # measured 2.34 MB; the chain runs 11 points (7 normals each) per block
     (6, 1, 100, 0, 4.0),
-    # measured 1.5 MB; the chain runs one point (57 normals) per block
+    # measured 1.42 MB; the chain runs 10 points (57 normals each) per block
     (6, 1, 20, 50, 2.5),
-    # measured 3.68 MB, set by the PDE samples' P_a x (2.56 MB); the chain
-    # runs one point with 15 of its 60 normals per block (0.87 MB)
+    # measured 3.49 MB, set by the PDE samples' P_a x (2.56 MB); the chain
+    # runs one point with all 60 of its normals per block (0.85 MB)
     (9, 1, 20, 50, 4.0),
 ], ids=["100-0-4.0", "20-50-2.5", "9-1-20-50-4.0"])
 def test_evaluate_system_memory_is_bounded(m, k, points, normals, bound_mb):
@@ -1239,11 +1273,12 @@ def test_cluster_radius_guards_the_lemma_block(monkeypatch):
 
 
 def _spread_at(point, value):
-    """A fault of the probe's result: point `point`'s spread is `value`."""
+    """A fault of the probe's result: point `point`'s extremes are 0.0 and
+    `value`, so its spread is `value` exactly."""
     def fault(probe):
-        spread = np.array(probe.spread)
-        spread[point] = value
-        return replace(probe, spread=spread)
+        lowest, highest = (np.array(extreme) for extreme in probe)
+        lowest[point], highest[point] = 0.0, value
+        return lowest, highest
     return fault
 
 

@@ -2,7 +2,7 @@
 
 import tracemalloc
 from copy import copy
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import permutations
 
 import hypothesis.extra.numpy as hnp
@@ -51,6 +51,19 @@ def _each(frames, shapes):
 def _unit(rng, dim):
     c = rng.standard_normal(dim)
     return c / np.linalg.norm(c)
+
+
+def _named(system, deviation, read):
+    """What the lemma's error names at each point, read off certify_point's
+    tables: the normal of the worst deviation, the first normal whose
+    multiplicities are not (m, m2, m2) (-1 if none), and the multiplicities
+    read there ((m, m2, m2) if none)."""
+    expected = [system.m, system.m2, system.m2]
+    wrong = [next((k for k, r in enumerate(row) if r != expected), -1)
+             for row in read.tolist()]
+    counts = [row[k] if k >= 0 else expected
+              for row, k in zip(read.tolist(), wrong)]
+    return deviation.argmax(axis=1).tolist(), wrong, counts
 
 
 def _residuals(system, frame, shape, coeffs):
@@ -125,11 +138,11 @@ def test_spectrum_error_on_scaled_operators():
                     trace_free_norm_sq=shape.trace_free_norm_sq,
                     mean_curvature=shape.mean_curvature,
                     ricci=shape.ricci)
-    rows, worst, wrong, counts = certify_point(system, frame, bad,
-                                               [np.eye(2)[:1]])
+    rows, *tables = certify_point(system, frame, bad, [np.eye(2)[:1]])
+    worst, wrong, counts = _named(system, *tables)
     assert rows[0, 0] == pytest.approx(1.5 ** 3 - 1.5, rel=1e-12)
-    assert (worst.tolist(), wrong.tolist()) == ([0], [0])
-    assert counts.tolist() == [[0, 0, 0]]
+    assert (worst, wrong) == ([0], [0])
+    assert counts == [[0, 0, 0]]
 
 
 def test_multiplicity_error_on_forged_operators():
@@ -143,10 +156,10 @@ def test_multiplicity_error_on_forged_operators():
                     trace_free_norm_sq=shape.trace_free_norm_sq,
                     mean_curvature=shape.mean_curvature,
                     ricci=shape.ricci)
-    rows, worst, wrong, counts = certify_point(system, frame, bad,
-                                               [np.eye(2)[:1]])
-    assert rows[0, 0] == 0.0 and wrong.tolist() == [0]
-    assert counts.tolist() == [[0, n, 0]] and n == 3
+    rows, *tables = certify_point(system, frame, bad, [np.eye(2)[:1]])
+    _, wrong, counts = _named(system, *tables)
+    assert rows[0, 0] == 0.0 and wrong == [0]
+    assert counts == [[0, n, 0]] and n == 3
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -314,11 +327,11 @@ def _einstein_block(m, k):
 
 def test_einstein_probe_smallest_case():
     _, frame, shape = _setup(1, 3, extra_points=0)
-    probe = einstein_probe(frame)
+    lowest, highest = einstein_probe(frame)
     # oracle: the Ricci tensor here has eigenvalues {0, 0, 2}
     eigs = np.sort(np.linalg.eigvalsh(shape.ricci[0]))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0]))) <= 1e-10
-    assert abs(probe.spread[0] - 2.0) <= 1e-8
+    assert abs(highest[0] - lowest[0] - 2.0) <= 1e-8
     block = _einstein_block(1, 3)
     assert block["status"] == "evidence"
     assert block["dimension_condition"]
@@ -331,8 +344,8 @@ def test_einstein_probe_evidence_and_inconclusive():
     for m, k, status in [(2, 2, "evidence"), (3, 2, "evidence"),
                          (4, 2, "inconclusive"), (5, 1, "inconclusive")]:
         _, frame, _ = _setup(m, k, extra_points=0)
-        assert [f.name for f in fields(einstein_probe(frame))] == [
-            "ricci_min", "ricci_max", "spread"]
+        # the extremes at the one point, and no verdict
+        assert [e.shape for e in einstein_probe(frame)] == [(1,), (1,)]
         block = _einstein_block(m, k)
         assert block["status"] == status, (m, k)
         assert block["pass"]
@@ -354,10 +367,10 @@ def test_fault_injection_detected():
     assert judged_points(bad, x)[1]["pass"]
     frame = build_frame(bad, x)
     shape = shape_operators(frame)
-    rows, _, wrong, counts = certify_point(bad, frame, shape,
-                                           [np.eye(3)[:1]])
+    rows, *tables = certify_point(bad, frame, shape, [np.eye(3)[:1]])
+    _, wrong, counts = _named(bad, *tables)
     assert rows[0, 0] > DEFAULT_TOLERANCES["geom"]
-    assert wrong.tolist() == [0] and counts.tolist() != [[2, 1, 1]]
+    assert wrong == [0] and counts != [[2, 1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +399,8 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
 
 
 def test_certify_point_without_normals():
-    # with no normals the lemma reads 0, names no normal (-1) and reads
-    # no wrong multiplicities; every other check is read once per
+    # with no normals the lemma reads 0 and its tables have no column;
+    # every other check is read once per
     # point, for every normal at once, so it reads what it reads with
     # normals, and case_identity_max still holds the tangency and, at
     # m = 2, |U|.  The points are the seed and one sampled point: the
@@ -397,10 +410,9 @@ def test_certify_point_without_normals():
     # under OpenBLAS's Sandybridge, Nehalem and Prescott kernels), so a
     # nonzero tangency is asserted at the sampled point only
     system, frame, shape = _setup(2, 2)
-    rows, worst, wrong, counts = certify_point(system, frame, shape,
-                                               np.zeros((2, 0, 3)))
-    assert (worst.tolist(), wrong.tolist()) == ([-1, -1], [-1, -1])
-    assert counts.tolist() == [[2, 1, 1]] * 2
+    rows, deviation, read = certify_point(system, frame, shape,
+                                          np.zeros((2, 0, 3)))
+    assert deviation.shape == (2, 0) and read.shape == (2, 0, 3)
     assert rows.shape == (2, len(CHECK_NAMES))
     assert all(_passes(row) for row in rows)
     res = dict(zip(CHECK_NAMES, rows.T))
@@ -430,9 +442,10 @@ def test_batched_spectrum_error_names_the_normal(monkeypatch):
         # A_xi to +-1.5, so the first normal of the batch is the first
         # above the cluster radius
         coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        rows, _, wrong, counts = certify_point(system, frame, bad, [coeffs])
+        rows, *tables = certify_point(system, frame, bad, [coeffs])
+        _, wrong, counts = _named(system, *tables)
         assert rows[0, 0] > willmore.CLUSTER_RADIUS
-        assert wrong.tolist() == [0] and counts.tolist() == [[0, 0, 0]]
+        assert wrong == [0] and counts == [[0, 0, 0]]
         # scaling only A_1 leaves the first two normals intact, and the
         # third is the worst
         ops = np.array(shape.operators)
@@ -440,8 +453,9 @@ def test_batched_spectrum_error_names_the_normal(monkeypatch):
         bad = _forged_shape(shape, ops)
         coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                   np.array([0.0, 1.0])]
-        _, worst, wrong, _ = certify_point(system, frame, bad, [coeffs])
-        assert (worst.tolist(), wrong.tolist()) == ([2], [2])
+        worst, wrong, _ = _named(
+            system, *certify_point(system, frame, bad, [coeffs])[1:])
+        assert (worst, wrong) == ([2], [2])
 
 
 def test_batched_multiplicity_error_names_the_normal(monkeypatch):
@@ -453,9 +467,10 @@ def test_batched_multiplicity_error_names_the_normal(monkeypatch):
     coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     for budget in (willmore._BLOCK_BYTES, 1):   # 1: a block per normal
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
-        rows, _, wrong, counts = certify_point(system, frame, bad, [coeffs])
+        rows, *tables = certify_point(system, frame, bad, [coeffs])
+        _, wrong, counts = _named(system, *tables)
         assert rows[0, 0] <= 1e-15
-        assert wrong.tolist() == [1] and counts.tolist() == [[0, n, 0]]
+        assert wrong == [1] and counts == [[0, n, 0]]
 
 
 def test_batched_coefficient_validation_names_the_normal():
@@ -482,18 +497,17 @@ def test_einstein_probe_extremes_bound_every_direction(config, point_seed,
     frame = build_frame(system,
                         sample_focal_points(system, 2, point_seed).x[1:])
     shape = shape_operators(frame)
-    probe = einstein_probe(frame)
+    lowest, highest = einstein_probe(frame)
     eigs = np.linalg.eigvalsh(shape.ricci[0])
-    assert abs(probe.ricci_min[0] - eigs[0]) <= 1e-12
-    assert abs(probe.ricci_max[0] - eigs[-1]) <= 1e-12
+    assert abs(lowest[0] - eigs[0]) <= 1e-12
+    assert abs(highest[0] - eigs[-1]) <= 1e-12
     n = frame.tangent.shape[2]
     z = data.draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
     assume(np.linalg.norm(z) > 1e-3)
     z /= np.linalg.norm(z)
     for matrix in (frame.closed_ricci[0], shape.ricci[0]):
         value = float(z @ matrix @ z)
-        assert (probe.ricci_min[0] - 1e-12 <= value
-                <= probe.ricci_max[0] + 1e-12)
+        assert lowest[0] - 1e-12 <= value <= highest[0] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +551,21 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     # normal per block, at most 3, and one byte short of all m + 4 rows
     # (two halves).  A block of one normal takes numpy's matrix-vector
     # products where longer blocks take matrix products, so the lemma's
-    # rows agree to rounding, not bit for bit; every other check is read
-    # per point, bit for bit
+    # deviations agree to rounding, not bit for bit, and its multiplicities
+    # and the normals it names exactly; every other check is read per
+    # point, bit for bit
     for budget, normals in ((1, 1), (3 * row, 3),
                             (row * (m + 4) - 1, (m + 5) // 2)):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         assert willmore._block_points(system, m + 4) == (1, normals)
-        rows, _, wrong, counts = certify_point(system, frames, shapes,
-                                               coeffs)
+        rows, deviation, read = certify_point(system, frames, shapes,
+                                              coeffs)
         assert np.allclose(rows, singles[0], rtol=0.0, atol=1e-13)
         assert np.array_equal(rows[:, 1:], singles[0][:, 1:])
-        assert np.array_equal(wrong, singles[2])
-        assert np.array_equal(counts, singles[3])
+        assert np.allclose(deviation, singles[1], rtol=0.0, atol=1e-13)
+        assert np.array_equal(read, singles[2])
+        assert (_named(system, deviation, read)[1:]
+                == _named(system, *singles[1:])[1:])
 
 
 def _count_calls(monkeypatch, name, calls):
@@ -927,18 +944,18 @@ def test_cluster_radius_is_the_spectrum_threshold():
         ops = np.array(shapes.operators)
         ops[1] *= 1.0 + target / (2.0 * top)     # s^3 - s = 2 e (1 + 3 e / 2)
         bad = _forged_shape(shapes, ops)
-        rows, worst, wrong, counts = certify_point(system, frames, bad,
-                                                   coeffs)
+        rows, *tables = certify_point(system, frames, bad, coeffs)
+        worst, wrong, counts = _named(system, *tables)
         assert abs(rows[1, 0] / target - 1.0) <= 1e-4
         deviation = willmore._lemma(bad.operators, coeffs)[0]
         assert worst[1] == np.argmax(deviation[1])
         if factor < 1.0:
-            assert wrong.tolist() == [-1, -1, -1]
-            assert counts.tolist() == [[3, 4, 4]] * 3
+            assert wrong == [-1, -1, -1]
+            assert counts == [[3, 4, 4]] * 3
         else:
             first = np.argmax(deviation[1] > willmore.CLUSTER_RADIUS)
-            assert wrong.tolist() == [-1, first, -1]
-            assert counts.tolist() == [[3, 4, 4], [0, 0, 0], [3, 4, 4]]
+            assert wrong == [-1, first, -1]
+            assert counts == [[3, 4, 4], [0, 0, 0], [3, 4, 4]]
 
 
 def test_certify_point_block_errors_name_the_point():
@@ -947,11 +964,12 @@ def test_certify_point_block_errors_name_the_point():
     ops = np.array(shapes.operators)
     ops[2] *= 1.5
     bad = _forged_shape(shapes, ops)
-    rows, _, wrong, counts = certify_point(system, frames, bad, coeffs)
+    rows, *tables = certify_point(system, frames, bad, coeffs)
+    _, wrong, counts = _named(system, *tables)
     assert np.all(rows[:2, 0] <= 1e-15)
     assert rows[2, 0] > willmore.CLUSTER_RADIUS
-    assert wrong.tolist() == [-1, -1, 0]
-    assert counts.tolist() == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
+    assert wrong == [-1, -1, 0]
+    assert counts == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
     with pytest.raises(ValueError):
         certify_point(system, frames, shapes, coeffs[:2])
     with pytest.raises(ValueError):
@@ -964,10 +982,8 @@ def test_einstein_probe_stack_equals_single_points(m, k):
     system, frames, shapes = _setup(m, k, extra_points=4)
     probe = einstein_probe(frames)
     singles = [einstein_probe(f) for f, _ in _each(frames, shapes)]
-    for name in ("ricci_min", "ricci_max", "spread"):
-        assert np.array_equal(getattr(probe, name),
-                              [getattr(one, name)[0] for one in singles])
+    for i, extreme in enumerate(probe):
+        assert np.array_equal(extreme, [one[i][0] for one in singles])
     again = einstein_probe(build_frame(
         system, sample_focal_points(system, 5, seed=21).x))
-    assert all(np.array_equal(getattr(again, f.name), getattr(probe, f.name))
-               for f in fields(probe))
+    assert all(np.array_equal(a, b) for a, b in zip(again, probe))
