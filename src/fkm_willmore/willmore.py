@@ -35,8 +35,9 @@ operators under test and the system's own; linear in xi, it is read once
 per point, and it is the one check of the operators' sign, as -A_a (the
 normals -P_a x) pass every other identity.  certify_point evaluates the
 chain over blocks of points and returns the worst residual of every
-identity at every point, and the lemma's deviation and multiplicities at
-every normal, which the report holds to (m, l-m-1, l-m-1).
+identity at every point, by the name of its report field, and the
+lemma's deviation and multiplicities at every normal, which the report
+holds to (m, l-m-1, l-m-1).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .geometry import AdaptedFrame, ShapeData, _upper_pairs
 from .records import fold
 
 __all__ = [
-    "CHECK_NAMES",
     "CLUSTER_RADIUS",
     "certify_point",
     "einstein_probe",
@@ -276,27 +276,20 @@ def _sign_gap(system: CliffordSystem, frame: AdaptedFrame,
 # per-point aggregation
 # ---------------------------------------------------------------------------
 
-CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
-               "bridge_max", "chain_max", "projection_pairwise_max",
-               "projection_aggregate_max", "t0_pair_leak_max",
-               "reflection_max", "case_identity_max")
-
-
 def certify_point(system: CliffordSystem, frame: AdaptedFrame,
                   shape: ShapeData, normal_coeffs) -> tuple:
     """Every check of the chain at P points; the lemma over their normal
     directions.
 
     `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
-    each point of the stacked `frame` and `shape`.  Returns three arrays:
-    the (P, 10) residuals, one row per point and one column per key of the
-    report's lemma and willmore blocks, in the order of CHECK_NAMES; and
-    the lemma's tables, indexed like `normal_coeffs`: the (P, N)
-    deviations max |A_xi^3 - A_xi| and the (P, N, 3) multiplicities read
-    at each normal (_lemma).  The lemma's max_spectrum_deviation is the
-    worst over the point's normals, so identical inputs give identical
-    rows and the order of the normals does not change them.  Comparing
-    the multiplicities with (m, l-m-1, l-m-1) is the report's business.
+    each point of the stacked `frame` and `shape`.  Returns the residuals,
+    a dict of (P,) arrays keyed by the report's willmore fields in their
+    order, each the worst over the point's normals, so the order of the
+    normals does not change them; and the lemma's tables, indexed like
+    `normal_coeffs`: the (P, N) deviations max |A_xi^3 - A_xi| and the
+    (P, N, 3) multiplicities read at each normal (_lemma).  Folding the
+    deviations over the normals and comparing the multiplicities with
+    (m, l-m-1, l-m-1) is the report's business.
 
     Every other check is read once per point, for every normal at once.
     Before any block, over all points: the non-finite guard (ValueError
@@ -346,10 +339,12 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
             system, ops[rows], pairs[rows], tables)
     residual, bal, bridge, chain, agg = (fold(np.abs(r), axis=1) for r in (
         reduced, balance, reduced - balance, balance - aggregate, aggregate))
-    columns = np.array([
-        fold(deviation, axis=1), residual, bal, bridge, chain, pairwise, agg,
-        leak, gap, np.maximum(u, _pair_tangency(system, frame))])
-    return columns.T, deviation, read
+    case = np.maximum(u, _pair_tangency(system, frame))
+    return {"residual_max": residual, "balance_max": bal,
+            "bridge_max": bridge, "chain_max": chain,
+            "projection_pairwise_max": pairwise,
+            "projection_aggregate_max": agg, "t0_pair_leak_max": leak,
+            "reflection_max": gap, "case_identity_max": case}, deviation, read
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,22 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"invalid tolerances .*: "
                                              "expected a mapping"):
             VerificationConfig(tolerances=value)
+    # a string, bytes, mapping or set iterates, but not as the caller wrote
+    # it: "13" would read as (1, 3), b"13" as (49, 51), a mapping as its
+    # keys, and a set in an order that moves with PYTHONHASHSEED, and with
+    # it the configurations' sub-seeds
+    for value in ("13", b"13", {(1, 3): 0},
+                  {("1", "3"), ("2", "2"), ("3", "2")}, frozenset({(1, 3)})):
+        with pytest.raises(ValueError, match=r"invalid configurations .*: "
+                                             "expected a sequence"):
+            VerificationConfig(configurations=value)
+    for entry in ("13", b"13", bytearray(b"13"), {1: 0, 3: 0}, {"1", "3"}):
+        with pytest.raises(ValueError, match="invalid grid entry "
+                                             + re.escape(repr(entry))):
+            VerificationConfig(configurations=[entry])
+    assert VerificationConfig(
+        configurations=[[1, 3], ("2", "2"), iter((3, 2))]).configurations \
+        == ((1, 3), (2, 2), (3, 2))
     assert VerificationConfig(configurations=(("2", "2"),),
                               tolerances={"pde": "1e-6"}).tolerances["pde"] \
         == 1e-6

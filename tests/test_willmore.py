@@ -14,23 +14,18 @@ from numpy.random import default_rng
 
 from fkm_willmore import (ShapeData, VerificationConfig,
                           build_clifford_system, build_frame, certify_point,
-                          einstein_probe, evaluate_system,
+                          einstein_probe, evaluate_system, fold,
                           sample_focal_points, shape_operators)
 from fkm_willmore import willmore
 from fkm_willmore.geometry import pair_products
-from fkm_willmore.report import CHECKED_FIELDS, DEFAULT_TOLERANCES
+from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
+                                 DEFAULT_TOLERANCES)
 
 from conftest import GRID, conjugated_system, corrupt_system, judged_points
 from oracles import (ambient_reflection, chain_per_normal, norm_bookkeeping,
                      p0_tangent_form, p0_u_sq, projectors, rotate_system,
                      rotated_normals, rotated_pairs, rotated_tangent_pairs,
                      rotated_tangency, signed_balance, take)
-
-# certify_point's checks, in the key order of the lemma and willmore blocks
-CHECK_NAMES = ("max_spectrum_deviation", "residual_max", "balance_max",
-               "bridge_max", "chain_max", "projection_pairwise_max",
-               "projection_aggregate_max", "t0_pair_leak_max",
-               "reflection_max", "case_identity_max")
 
 
 def _setup(m, k, extra_points=1, seed=21):
@@ -66,24 +61,40 @@ def _named(system, deviation, read):
     return deviation.argmax(axis=1).tolist(), wrong, counts
 
 
+def _checked(result):
+    """The checked fields of the report's lemma and willmore blocks at
+    every point, from a certify_point result: the lemma's worst deviation
+    over the point's normals, folded as the report folds it, then the
+    residuals, each a (P,) array."""
+    residuals, deviation, _ = result
+    return {"max_spectrum_deviation": fold(deviation, axis=1), **residuals}
+
+
 def _residuals(system, frame, shape, coeffs):
-    """certify_point's residuals at a one-point stack, by check name."""
-    return dict(zip(CHECK_NAMES,
-                    certify_point(system, frame, shape, [coeffs])[0][0]))
+    """The checked fields at a one-point stack, by name."""
+    return {name: values[0] for name, values in
+            _checked(certify_point(system, frame, shape, [coeffs])).items()}
 
 
-# the default tolerance of each certify_point column, from the lemma and
-# willmore rows of the report's table
+# the default tolerance of each checked field of the lemma and willmore
+# rows of the report's table
 _DEFAULT_TOL = {name: DEFAULT_TOLERANCES[held]
                 for block in ("lemma", "willmore")
                 for name, held in CHECKED_FIELDS[block].items()}
 
 
-def _passes(row):
-    """Whether a row of certify_point residuals passes the default
-    tolerances of its columns."""
-    return all(value <= _DEFAULT_TOL[name]
-               for name, value in zip(CHECK_NAMES, row))
+def _equal(got, want):
+    """Whether two dicts of arrays have the same keys, in the same order,
+    and equal arrays under each."""
+    return list(got) == list(want) and all(
+        np.array_equal(got[name], want[name]) for name in got)
+
+
+def _passes(checked):
+    """Whether every point's checked fields (_checked, or _residuals at
+    one point) pass their default tolerances."""
+    return all(np.all(values <= _DEFAULT_TOL[name])
+               for name, values in checked.items())
 
 
 def _projectors(system, shapes, coeffs):
@@ -138,9 +149,10 @@ def test_spectrum_error_on_scaled_operators():
                     trace_free_norm_sq=shape.trace_free_norm_sq,
                     mean_curvature=shape.mean_curvature,
                     ricci=shape.ricci)
-    rows, *tables = certify_point(system, frame, bad, [np.eye(2)[:1]])
-    worst, wrong, counts = _named(system, *tables)
-    assert rows[0, 0] == pytest.approx(1.5 ** 3 - 1.5, rel=1e-12)
+    result = certify_point(system, frame, bad, [np.eye(2)[:1]])
+    worst, wrong, counts = _named(system, *result[1:])
+    assert _checked(result)["max_spectrum_deviation"][0] == pytest.approx(
+        1.5 ** 3 - 1.5, rel=1e-12)
     assert (worst, wrong) == ([0], [0])
     assert counts == [[0, 0, 0]]
 
@@ -156,9 +168,10 @@ def test_multiplicity_error_on_forged_operators():
                     trace_free_norm_sq=shape.trace_free_norm_sq,
                     mean_curvature=shape.mean_curvature,
                     ricci=shape.ricci)
-    rows, *tables = certify_point(system, frame, bad, [np.eye(2)[:1]])
-    _, wrong, counts = _named(system, *tables)
-    assert rows[0, 0] == 0.0 and wrong == [0]
+    result = certify_point(system, frame, bad, [np.eye(2)[:1]])
+    _, wrong, counts = _named(system, *result[1:])
+    assert _checked(result)["max_spectrum_deviation"][0] == 0.0
+    assert wrong == [0]
     assert counts == [[0, n, 0]] and n == 3
 
 
@@ -177,8 +190,7 @@ def willmore_residual(system, frames, shapes):
     criterion max_a |sum_ij R_ij h^a_ij|, read at the coordinate normals."""
     eye = np.broadcast_to(np.eye(system.m + 1),
                           (len(frames.x), system.m + 1, system.m + 1))
-    return certify_point(system, frames, shapes,
-                         eye)[0][:, CHECK_NAMES.index("residual_max")]
+    return certify_point(system, frames, shapes, eye)[0]["residual_max"]
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -277,8 +289,8 @@ def test_case_identity_is_the_tangency_and_u_at_m2(m, k):
     coords[:, 1, 2, m + 2] += 1e-3
     coords[:, 2, 1, m + 2] -= 1e-3
     forged = replace(frames, pair_coords=coords)
-    case = certify_point(system, forged, shapes, coeffs)[0][
-        :, CHECK_NAMES.index("case_identity_max")]
+    case = certify_point(system, forged, shapes,
+                         coeffs)[0]["case_identity_max"]
     tangency = willmore._pair_tangency(system, forged)
     assert np.array_equal(tangency, willmore._pair_tangency(system, frames))
     u = willmore._pair_tensors(system, shapes.operators, coords[..., m + 2:],
@@ -299,12 +311,44 @@ def test_certify_point_aggregates(m, k):
     system, frame, shape = _setup(m, k, extra_points=0)
     rng = default_rng(50 + m)
     coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(10)]
-    assert willmore.CHECK_NAMES == CHECK_NAMES
-    row = certify_point(system, frame, shape, [coeffs])[0][0]
-    assert row.shape == (len(CHECK_NAMES),)
-    assert list(_DEFAULT_TOL) == list(CHECK_NAMES)
-    for name, value in zip(CHECK_NAMES, row):
+    res = _residuals(system, frame, shape, coeffs)
+    assert list(res) == list(_DEFAULT_TOL)
+    for name, value in res.items():
         assert value < _DEFAULT_TOL[name], name
+
+
+def test_residuals_are_the_willmore_fields_in_order():
+    # the report spreads the residuals into its willmore block: a renamed,
+    # missing, extra or reordered key fails here, and so does a key that
+    # holds another check's values (each is held to the route that forms
+    # it, at two points that run as one block)
+    m, k = DEFAULT_GRID[3]
+    system, frames, shapes = _setup(m, k)
+    coeffs = np.broadcast_to(np.eye(m + 1), (2, m + 1, m + 1))
+    residuals = certify_point(system, frames, shapes, coeffs)[0]
+    assert list(residuals) == list(CHECKED_FIELDS["willmore"])
+    ops = shapes.operators
+    reduced = willmore._contractions(shapes.ricci, ops)
+    balance = willmore._contractions(frames.closed_ricci, ops)
+    aggregate, pairwise, leak, u = willmore._pair_tensors(
+        system, ops, frames.pair_coords[..., m + 2:],
+        willmore._pair_tables(m + 1))
+    routes = {name: fold(np.abs(r), axis=1) for name, r in (
+        ("residual_max", reduced), ("balance_max", balance),
+        ("bridge_max", reduced - balance), ("chain_max", balance - aggregate),
+        ("projection_aggregate_max", aggregate))}
+    routes |= {"projection_pairwise_max": pairwise, "t0_pair_leak_max": leak,
+               "reflection_max": willmore._sign_gap(system, frames, ops),
+               "case_identity_max": np.maximum(
+                   u, willmore._pair_tangency(system, frames))}
+    for name, values in residuals.items():
+        assert values.shape == (2,), name
+        assert np.array_equal(values, routes[name]), name
+    # no two routes agree at both points, so values swapped between two
+    # keys fail too
+    seen = list(routes.values())
+    assert not any(np.array_equal(a, b)
+                   for i, a in enumerate(seen) for b in seen[i + 1:])
 
 
 def test_certify_point_doubled_generators():
@@ -312,9 +356,9 @@ def test_certify_point_doubled_generators():
     system, frame, shape = _setup(9, 1, extra_points=0)
     rng = default_rng(59)
     coeffs = list(np.eye(10)) + [_unit(rng, 10) for _ in range(3)]
-    row = certify_point(system, frame, shape, [coeffs])[0][0]
-    assert _passes(row)
-    assert row[CHECK_NAMES.index("residual_max")] < 1e-7
+    res = _residuals(system, frame, shape, coeffs)
+    assert _passes(res)
+    assert res["residual_max"] < 1e-7
 
 
 def _einstein_block(m, k):
@@ -367,9 +411,10 @@ def test_fault_injection_detected():
     assert judged_points(bad, x)[1]["pass"]
     frame = build_frame(bad, x)
     shape = shape_operators(frame)
-    rows, *tables = certify_point(bad, frame, shape, [np.eye(3)[:1]])
-    _, wrong, counts = _named(bad, *tables)
-    assert rows[0, 0] > DEFAULT_TOLERANCES["geom"]
+    result = certify_point(bad, frame, shape, [np.eye(3)[:1]])
+    _, wrong, counts = _named(bad, *result[1:])
+    assert _checked(result)["max_spectrum_deviation"][0] > \
+        DEFAULT_TOLERANCES["geom"]
     assert wrong == [0] and counts != [[2, 1, 1]]
 
 
@@ -385,17 +430,16 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
     rng = default_rng(90 + m)
     for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(12)]
-        batch = certify_point(system, frame, shape, [coeffs])[0][0]
-        singles = np.array([certify_point(system, frame, shape, [[c]])[0][0]
-                            for c in coeffs])
-        shuffled = certify_point(system, frame, shape,
-                                 [[coeffs[i] for i in
-                                   rng.permutation(len(coeffs))]])[0][0]
-        assert all(_passes(row) for row in [batch, shuffled, *singles])
-        folded = np.max(singles, axis=0)
-        for i, name in enumerate(CHECK_NAMES):
-            assert abs(batch[i] - folded[i]) <= 1e-14, name
-            assert abs(shuffled[i] - folded[i]) <= 1e-14, name
+        batch = _residuals(system, frame, shape, coeffs)
+        singles = [_residuals(system, frame, shape, [c]) for c in coeffs]
+        shuffled = _residuals(system, frame, shape,
+                              [coeffs[i] for i in
+                               rng.permutation(len(coeffs))])
+        assert all(_passes(res) for res in [batch, shuffled, *singles])
+        for name in _DEFAULT_TOL:
+            folded = max(single[name] for single in singles)
+            assert abs(batch[name] - folded) <= 1e-14, name
+            assert abs(shuffled[name] - folded) <= 1e-14, name
 
 
 def test_certify_point_without_normals():
@@ -410,16 +454,17 @@ def test_certify_point_without_normals():
     # under OpenBLAS's Sandybridge, Nehalem and Prescott kernels), so a
     # nonzero tangency is asserted at the sampled point only
     system, frame, shape = _setup(2, 2)
-    rows, deviation, read = certify_point(system, frame, shape,
-                                          np.zeros((2, 0, 3)))
+    result = certify_point(system, frame, shape, np.zeros((2, 0, 3)))
+    residuals, deviation, read = result
     assert deviation.shape == (2, 0) and read.shape == (2, 0, 3)
-    assert rows.shape == (2, len(CHECK_NAMES))
-    assert all(_passes(row) for row in rows)
-    res = dict(zip(CHECK_NAMES, rows.T))
+    res = _checked(result)
+    assert list(res) == list(_DEFAULT_TOL)
+    assert all(values.shape == (2,) for values in res.values())
+    assert _passes(res)
     assert res["max_spectrum_deviation"].tolist() == [0.0, 0.0]
-    with_normals = certify_point(system, frame, shape, [np.eye(3)] * 2)[0]
-    assert np.all(with_normals[:, 0] > 0.0)
-    assert np.array_equal(rows[:, 1:], with_normals[:, 1:])
+    with_normals = certify_point(system, frame, shape, [np.eye(3)] * 2)
+    assert np.all(_checked(with_normals)["max_spectrum_deviation"] > 0.0)
+    assert _equal(residuals, with_normals[0])
     tangency = willmore._pair_tangency(system, frame)
     assert tangency[1] > 0.0
     assert np.all(res["case_identity_max"] >= tangency)
@@ -442,9 +487,10 @@ def test_batched_spectrum_error_names_the_normal(monkeypatch):
         # A_xi to +-1.5, so the first normal of the batch is the first
         # above the cluster radius
         coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        rows, *tables = certify_point(system, frame, bad, [coeffs])
-        _, wrong, counts = _named(system, *tables)
-        assert rows[0, 0] > willmore.CLUSTER_RADIUS
+        result = certify_point(system, frame, bad, [coeffs])
+        _, wrong, counts = _named(system, *result[1:])
+        assert (_checked(result)["max_spectrum_deviation"][0]
+                > willmore.CLUSTER_RADIUS)
         assert wrong == [0] and counts == [[0, 0, 0]]
         # scaling only A_1 leaves the first two normals intact, and the
         # third is the worst
@@ -467,9 +513,9 @@ def test_batched_multiplicity_error_names_the_normal(monkeypatch):
     coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     for budget in (willmore._BLOCK_BYTES, 1):   # 1: a block per normal
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
-        rows, *tables = certify_point(system, frame, bad, [coeffs])
-        _, wrong, counts = _named(system, *tables)
-        assert rows[0, 0] <= 1e-15
+        result = certify_point(system, frame, bad, [coeffs])
+        _, wrong, counts = _named(system, *result[1:])
+        assert _checked(result)["max_spectrum_deviation"][0] <= 1e-15
         assert wrong == [1] and counts == [[0, n, 0]]
 
 
@@ -525,7 +571,10 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
     coeffs = [_normals(m, 3, rng) for _ in frames.x]
     singles = [certify_point(system, f, s, [c])
                for (f, s), c in zip(_each(frames, shapes), coeffs)]
-    singles = tuple(np.concatenate(part) for part in zip(*singles))
+    residuals, *tables = zip(*singles)
+    singles = ({name: np.concatenate([r[name] for r in residuals])
+                for name in residuals[0]},
+               *(np.concatenate(table) for table in tables))
     # the byte size of one (point, normal) row of the lemma: A_xi, its
     # square and cube, and the deviation in the cube's place; and of one
     # point, the larger of its m + 4 rows and its pair tensors: the
@@ -545,8 +594,9 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         points, normals = willmore._block_points(system, m + 4)
         assert (min(points, 7), normals) == shape
-        assert all(np.array_equal(got, want) for got, want in zip(
-            certify_point(system, frames, shapes, coeffs), singles))
+        got = certify_point(system, frames, shapes, coeffs)
+        assert _equal(got[0], singles[0])
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], singles[1:]))
     # a point's normals split evenly over the fewest blocks that fit: one
     # normal per block, at most 3, and one byte short of all m + 4 rows
     # (two halves).  A block of one normal takes numpy's matrix-vector
@@ -558,10 +608,11 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
                             (row * (m + 4) - 1, (m + 5) // 2)):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         assert willmore._block_points(system, m + 4) == (1, normals)
-        rows, deviation, read = certify_point(system, frames, shapes,
-                                              coeffs)
-        assert np.allclose(rows, singles[0], rtol=0.0, atol=1e-13)
-        assert np.array_equal(rows[:, 1:], singles[0][:, 1:])
+        residuals, deviation, read = certify_point(system, frames, shapes,
+                                                   coeffs)
+        assert np.allclose(fold(deviation, axis=1), fold(singles[1], axis=1),
+                           rtol=0.0, atol=1e-13)
+        assert _equal(residuals, singles[0])
         assert np.allclose(deviation, singles[1], rtol=0.0, atol=1e-13)
         assert np.array_equal(read, singles[2])
         assert (_named(system, deviation, read)[1:]
@@ -633,7 +684,7 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
 def test_only_the_reflection_reads_ambient_arrays(m, k):
     # every check but the reflection reads the frame in tangent
     # coordinates: with every entry of T and of the system's matrices NaN,
-    # the other rows are the clean ones bit for bit, and the reflection,
+    # the other checks read the clean values bit for bit, and the reflection,
     # the one route to the operators' sign, reads NaN.  (9, 1) runs each
     # point's 60 normals in chunks
     system, frames, shapes = _setup(m, k, extra_points=2)
@@ -645,12 +696,11 @@ def test_only_the_reflection_reads_ambient_arrays(m, k):
     object.__setattr__(blind, "matrices",
                        np.full_like(system.matrices, np.nan))
     unseen = replace(frames, tangent=np.full_like(frames.tangent, np.nan))
-    rows = certify_point(blind, unseen, shapes, coeffs)[0]
-    clean = certify_point(system, frames, shapes, coeffs)[0]
-    column = CHECK_NAMES.index("reflection_max")
-    assert np.all(np.isnan(rows[:, column]))
-    assert np.array_equal(np.delete(rows, column, axis=1),
-                          np.delete(clean, column, axis=1))
+    seen = _checked(certify_point(blind, unseen, shapes, coeffs))
+    clean = _checked(certify_point(system, frames, shapes, coeffs))
+    assert np.all(np.isnan(seen.pop("reflection_max")))
+    del clean["reflection_max"]
+    assert _equal(seen, clean)
 
 
 def test_per_point_reads_run_once_per_call(monkeypatch):
@@ -670,8 +720,7 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
     for name, calls in (("_contractions", contractions), ("_sign_gap", gaps),
                         ("_lemma", lemmas), ("_pair_tensors", tensors)):
         _count_calls(monkeypatch, name, calls)
-    rows = certify_point(system, frames, shapes, coeffs)[0]
-    assert all(_passes(row) for row in rows)
+    assert _passes(_checked(certify_point(system, frames, shapes, coeffs)))
     assert len(contractions) == 2 and len(gaps) == 1
     chunks = [(p, k) for p in range(3) for k in (0, 15, 30, 45)]
     assert len(lemmas) == len(chunks)
@@ -798,8 +847,8 @@ def test_ambient_reflection_splits_into_what_the_chain_reads(m, k):
         shape = _forged_shape(shapes, ops)
         _, _, plus, minus = _projectors(system, shape, coeffs)
         a_xi = willmore._at_normals(coeffs, ops)
-        gap = certify_point(system, frames, shape, coeffs)[0][
-            :, CHECK_NAMES.index("reflection_max")]
+        gap = certify_point(system, frames, shape,
+                            coeffs)[0]["reflection_max"]
         ambient_plus, ambient_minus = ambient_reflection(system, frames,
                                                          coeffs, plus, minus)
         for sign, pi, ambient in ((1.0, plus, ambient_plus),
@@ -944,9 +993,10 @@ def test_cluster_radius_is_the_spectrum_threshold():
         ops = np.array(shapes.operators)
         ops[1] *= 1.0 + target / (2.0 * top)     # s^3 - s = 2 e (1 + 3 e / 2)
         bad = _forged_shape(shapes, ops)
-        rows, *tables = certify_point(system, frames, bad, coeffs)
-        worst, wrong, counts = _named(system, *tables)
-        assert abs(rows[1, 0] / target - 1.0) <= 1e-4
+        result = certify_point(system, frames, bad, coeffs)
+        worst, wrong, counts = _named(system, *result[1:])
+        spectrum = _checked(result)["max_spectrum_deviation"]
+        assert abs(spectrum[1] / target - 1.0) <= 1e-4
         deviation = willmore._lemma(bad.operators, coeffs)[0]
         assert worst[1] == np.argmax(deviation[1])
         if factor < 1.0:
@@ -964,10 +1014,11 @@ def test_certify_point_block_errors_name_the_point():
     ops = np.array(shapes.operators)
     ops[2] *= 1.5
     bad = _forged_shape(shapes, ops)
-    rows, *tables = certify_point(system, frames, bad, coeffs)
-    _, wrong, counts = _named(system, *tables)
-    assert np.all(rows[:2, 0] <= 1e-15)
-    assert rows[2, 0] > willmore.CLUSTER_RADIUS
+    result = certify_point(system, frames, bad, coeffs)
+    _, wrong, counts = _named(system, *result[1:])
+    spectrum = _checked(result)["max_spectrum_deviation"]
+    assert np.all(spectrum[:2] <= 1e-15)
+    assert spectrum[2] > willmore.CLUSTER_RADIUS
     assert wrong == [-1, -1, 0]
     assert counts == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
     with pytest.raises(ValueError):
