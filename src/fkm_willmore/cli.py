@@ -4,13 +4,13 @@
                [--tol NAME=VALUE ...] [--out FILE] [--format json|text]
                [--dump-matrices DIR]
 
-The seed is --seed, else 42.  parse_cli turns the options that change
-results into a VerificationConfig, all of which the report records;
---out, --format and --dump-matrices only say where and how it is
-written, and main reads them from the parsed arguments.  Argument
-problems, an output path that cannot be written among them, exit with
-code 2 (argparse convention) before the suite runs; verification
-failures with 1; internal errors with 3.
+parse_cli only splits the command line: it passes each token of the
+options that change results, as typed, to VerificationConfig, which
+reads all of them and which the report records.  --out, --format and
+--dump-matrices say only where and how the report is written; main
+reads them.  Argument problems, an output path that cannot be written
+among them, exit with code 2 (argparse convention) before the suite
+runs; verification failures with 1; internal errors with 3.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", metavar="M:K,M:K,...",
                         help="configurations to verify as comma-separated "
                              "m:k pairs (default: the built-in grid)")
-    parser.add_argument("--points", type=int, metavar="N",
+    parser.add_argument("--points", dest="n_points", metavar="N",
                         help="focal points per configuration (default 20)")
-    parser.add_argument("--normals", type=int, metavar="N",
+    parser.add_argument("--normals", dest="n_normals", metavar="N",
                         help="random unit normals per point, beyond the "
                              "m+1 coordinate normals (default 50)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
+    parser.add_argument("--seed", metavar="S",
                         help=f"master seed, >= 0 (default {DEFAULT_SEED})")
     parser.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE",
@@ -61,22 +61,21 @@ def _parse(argv) -> tuple:
     """The parsed arguments and the VerificationConfig they give."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # only the syntax is split here: VerificationConfig checks the grid
-    # entries (tuples of strings) and the tolerance names and values
+    # only the syntax is split here: VerificationConfig reads every token,
+    # the grid's as tuples of strings, and checks the tolerance names
     tolerances = {}
     for item in args.tol:
         name, sep, value = item.partition("=")
         if not sep:
             parser.error(f"invalid --tol {item!r}: expected NAME=VALUE")
         tolerances[name] = value
-    kwargs = {"seed": args.seed, "tolerances": tolerances}
+    kwargs = {"tolerances": tolerances}
+    for name in ("n_points", "n_normals", "seed"):
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
     if args.grid is not None:
         kwargs["configurations"] = tuple(tuple(token.split(":"))
                                          for token in args.grid.split(","))
-    if args.points is not None:
-        kwargs["n_points"] = args.points
-    if args.normals is not None:
-        kwargs["n_normals"] = args.normals
     try:
         return args, VerificationConfig(**kwargs)
     except ValueError as exc:

@@ -17,7 +17,6 @@ Exit-code contract, used by the CLI:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -113,26 +112,31 @@ CHECKED_FIELDS = {
 _NOT_A_SEQUENCE = (str, bytes, bytearray, Mapping, Set)
 
 
-def _integer(value, name: str) -> int:
-    """value as an int when it is an int, a numpy integer or a decimal
-    string; otherwise a ValueError naming `name`."""
-    if isinstance(value, (int, np.integer, str)) and type(value) is not bool:
-        with contextlib.suppress(ValueError):    # int("2.5") raises
-            return int(value)
+def _integer(value, name: str, low: int) -> int:
+    """value as an int when it is an int, a numpy integer or an ASCII string
+    -?[0-9]+, and at least `low`; otherwise a ValueError naming `name`."""
+    if (isinstance(value, (int, np.integer)) and type(value) is not bool
+            or isinstance(value, str) and value.isascii()
+            and value.removeprefix("-").isdigit()):
+        if int(value) < low:
+            raise ValueError(f"{name} must be >= {low}")
+        return int(value)
     raise ValueError(f"invalid {name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class VerificationConfig:
-    """Resolved suite configuration.
+    """Resolved suite configuration, and the one reader of its inputs.
 
     The integer fields, the (m, k) pairs of `configurations` included, may
-    hold numpy integers or decimal strings, and the partial override of the
-    default `tolerances` may hold strings; all are converted and validated
-    here, and an error names the bad field or entry.  Every field is one
-    the report serializes: the `config` block holds them all but the
-    seed, which is top-level, plus the constant n_pde_samples.  How the
-    report is written (file, format, matrix dumps) is the CLI's business.
+    hold numpy integers or ASCII strings -?[0-9]+.  Every tolerance, the
+    defaults and the partial override `tolerances` alike, may be a string
+    of ASCII digits, '.', 'e', 'E' and signs; each must be positive and
+    finite, and they are held in name order.  An error names the bad field
+    or entry.  Every field is one the report serializes: the `config`
+    block holds them all but the seed, which is top-level, plus the
+    constant n_pde_samples.  How the report is written (file, format,
+    matrix dumps) is the CLI's business.
     """
 
     configurations: tuple = DEFAULT_GRID
@@ -154,9 +158,7 @@ class VerificationConfig:
             try:
                 if isinstance(entry, _NOT_A_SEQUENCE):
                     raise ValueError
-                m, k = (_integer(v, "grid entry") for v in entry)
-                if m < 1 or k < 1:
-                    raise ValueError
+                m, k = (_integer(v, "grid entry", 1) for v in entry)
             except (TypeError, ValueError):
                 raise ValueError(f"invalid grid entry {entry!r}: expected "
                                  "integers m:k, both >= 1") from None
@@ -164,24 +166,24 @@ class VerificationConfig:
         if not configs:
             raise ValueError("configuration grid is empty")
         object.__setattr__(self, "configurations", tuple(configs))
-        for name in ("n_points", "n_normals", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        merged = dict(DEFAULT_TOLERANCES)
-        for name, value in self.tolerances.items():
+        for name, low in (("n_points", 1), ("n_normals", 0), ("seed", 0)):
+            object.__setattr__(self, name,
+                               _integer(getattr(self, name), name, low))
+        tol = {}
+        for name, value in {**DEFAULT_TOLERANCES, **self.tolerances}.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}; choose from "
                                  + ", ".join(sorted(DEFAULT_TOLERANCES)))
             try:
-                merged[name] = float(value)
-                if type(value) is bool or not 0.0 < merged[name] < math.inf:
+                if isinstance(value, str) and value.strip("0123456789.eE+-"):
+                    raise ValueError
+                tol[name] = float(value)
+                if type(value) is bool or not 0.0 < tol[name] < math.inf:
                     raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"invalid tolerance {name}={value!r}: "
                                  "expected a positive finite number") from None
-        object.__setattr__(self, "tolerances", merged)
-        for name, low in (("n_points", 1), ("n_normals", 0), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+        object.__setattr__(self, "tolerances", dict(sorted(tol.items())))
 
 
 @dataclass
@@ -216,8 +218,7 @@ class VerificationReport:
                 "n_points": cfg.n_points,
                 "n_normals": cfg.n_normals,
                 "n_pde_samples": N_PDE_SAMPLES,
-                "tolerances": {k: cfg.tolerances[k]
-                               for k in sorted(cfg.tolerances)},
+                "tolerances": cfg.tolerances,
             },
             "configurations": self.entries,
             "overall_pass": self.overall_pass,
@@ -457,8 +458,8 @@ def render_text(report: VerificationReport) -> str:
     lines = [f"{TOOL_NAME} {TOOL_VERSION} (schema {SCHEMA_VERSION})",
              f"seed={cfg.seed} points={cfg.n_points} normals={cfg.n_normals}"
              f" pde_samples={N_PDE_SAMPLES}",
-             "tolerances: " + " ".join(f"{k}={cfg.tolerances[k]:g}"
-                                       for k in sorted(cfg.tolerances))]
+             "tolerances: " + " ".join(f"{k}={v:g}"
+                                       for k, v in cfg.tolerances.items())]
     for e in report.entries:
         tag = "PASS" if e["pass"] else "FAIL"
         head = f"[{tag}] m={e['m']} k={e['k']}"

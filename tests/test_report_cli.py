@@ -60,6 +60,11 @@ def test_config_validation():
         VerificationConfig(tolerances={"pde": -1.0})
     with pytest.raises(ValueError, match="invalid tolerance pde='abc'"):
         VerificationConfig(tolerances={"pde": "abc"})
+    # a zero bound holds nothing but an exact zero
+    for value in (0.0, "0"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid tolerance pde={value!r}: expected a positive")):
+            VerificationConfig(tolerances={"pde": value})
     # a bound JSON cannot write (inf becomes null) is no bound
     with pytest.raises(ValueError, match="invalid tolerance pde=inf: "
                                          "expected a positive finite"):
@@ -111,6 +116,41 @@ def test_config_validation():
     assert (cfg.n_points, cfg.n_normals, cfg.seed) == (5, 0, 7)
     assert all(type(v) is int for v in (*cfg.configurations[0], cfg.n_points,
                                         cfg.n_normals, cfg.seed))
+    # a string is read by one strict rule: ASCII digits after an optional
+    # '-' for an integer, a plain decimal number for a tolerance.  int()
+    # and float() alone would read each of these, as ((2, 2),), 3, and 10,
+    # 1e-8 and 1
+    with pytest.raises(ValueError,
+                       match=r"invalid grid entry \(' 2 ', '\+2'\)"):
+        VerificationConfig(configurations=[(" 2 ", "+2")])
+    with pytest.raises(ValueError, match="invalid n_points: expected an "
+                                         "integer, got '\u0663'"):
+        VerificationConfig(n_points="\u0663")
+    for value in ("1_0", " 1e-8", "\u0661"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid tolerance geom={value!r}: expected a positive")):
+            VerificationConfig(tolerances={"geom": value})
+    # a leading '-' reaches the bound's own message
+    with pytest.raises(ValueError, match="invalid grid entry"):
+        VerificationConfig(configurations=[("-1", "3")])
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        VerificationConfig(seed="-1")
+    # the tolerances are held in name order, the order the report writes
+    cfg = VerificationConfig(tolerances={"willmore": "1e-6", "cert": 1e-9})
+    assert list(cfg.tolerances) == sorted(DEFAULT_TOLERANCES)
+
+
+def test_default_tolerances_are_read_like_overrides(monkeypatch):
+    # every tolerance the config holds passes the one rule, the defaults
+    # included: a bad default fails construction, where it once failed
+    # every geometry field (-1.0) or the whole run as an internal error
+    # ("abc": '<=' not supported between float and str)
+    for value in (-1.0, "abc"):
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "geom", value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid tolerance geom={value!r}: expected a positive "
+                "finite number")):
+            VerificationConfig()
 
 
 @pytest.mark.parametrize("over,match", [
@@ -516,6 +556,23 @@ def test_parse_cli_overrides():
     assert cfg.tolerances["geom"] == 1e-6
     assert cfg.tolerances["willmore"] == 1e-5
     assert cfg.tolerances["pde"] == 1e-8
+    # leading zeros and an upper-case exponent are plain decimals
+    cfg = parse_cli(["--points", "05", "--tol", "geom=1E-6"])
+    assert cfg.n_points == 5 and cfg.tolerances["geom"] == 1e-6
+
+
+CONFIG_ERRORS = {
+    ("--seed", "-1"): "seed must be >= 0",
+    ("--grid", "1_3:1"): "invalid grid entry ('1_3', '1')",
+    ("--points", "1_0"): "invalid n_points: expected an integer, got '1_0'",
+    ("--points", " 5"): "invalid n_points: expected an integer, got ' 5'",
+    ("--normals", "\u0663"):
+        "invalid n_normals: expected an integer, got '\u0663'",
+    ("--seed", "+7"): "invalid seed: expected an integer, got '+7'",
+    ("--tol", "geom=1_0"): "invalid tolerance geom='1_0'",
+    ("--tol", "geom= 1e-8"): "invalid tolerance geom=' 1e-8'",
+    ("--tol", "geom=\u0661"): "invalid tolerance geom='\u0661'",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -534,12 +591,24 @@ def test_parse_cli_overrides():
     ["--tol", "pde=inf"],
     ["--tol", "pde=1e400"],
     ["--seed", "-1"],
+    # tokens that int() or float() alone would read
+    ["--grid", "1_3:1"],
+    ["--points", "1_0"],
+    ["--points", " 5"],
+    ["--normals", "\u0663"],
+    ["--seed", "+7"],
+    ["--tol", "geom=1_0"],
+    ["--tol", "geom= 1e-8"],
+    ["--tol", "geom=\u0661"],
 ])
 def test_cli_argument_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         parse_cli(argv)
     assert info.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage" in err
+    # a token reaches VerificationConfig as typed, and its error names it
+    assert f"fkm-verify: error: {CONFIG_ERRORS.get(tuple(argv), '')}" in err
 
 
 def test_main_writes_json_report(tmp_path, capsys):
@@ -640,6 +709,63 @@ def test_main_binary_reproducible(tmp_path, capsys):
     assert main(argv + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# Runs fkm-verify and prints the name of the kernel OpenBLAS picked, read
+# from numpy's bundled scipy-openblas; nothing when numpy has none.
+_KERNEL_CHILD = """
+import ctypes, glob, os, sys
+import numpy
+from fkm_willmore.cli import main
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__path__[0]),
+                              "numpy.libs", "libscipy_openblas64_*"))
+if libs:
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _blanked(obj):
+    """A parsed report with every float and every coordinates_sha256 set to
+    None: what travels between BLAS kernels."""
+    if isinstance(obj, dict):
+        return {k: None if k == "coordinates_sha256" else _blanked(v)
+                for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_blanked(v) for v in obj]
+    return None if isinstance(obj, float) else obj
+
+
+def test_verdicts_travel_across_blas_kernels(tmp_path):
+    # each kernel sums in its own order, so residuals and the points'
+    # last digits move; every verdict, count and structural field must
+    # not.  OPENBLAS_CORETYPE acts only on the child it is set in.
+    src = Path(fkm_willmore.__file__).parents[1]
+    children = []
+    for coretype in (None, "Haswell", "Sandybridge"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": "1"}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / f"{coretype}.json"
+        children.append((out, subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_CHILD, "--grid", "2:2,3:2,6:1",
+             "--points", "4", "--normals", "3", "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)))
+    kernels, reports = set(), []
+    for out, child in children:
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, stderr
+        kernels.add(stdout.strip())
+        reports.append(_blanked(json.loads(out.read_text())))
+    kernels.discard("")
+    if len(kernels) < 2:
+        pytest.skip(f"fewer than two BLAS kernels reported: {kernels}")
+    assert all(report == reports[0] for report in reports[1:])
 
 
 def test_ricci_crosscheck_matches_sequential_draws():

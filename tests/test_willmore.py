@@ -4,6 +4,7 @@ import tracemalloc
 from copy import copy
 from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -22,10 +23,11 @@ from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
                                  DEFAULT_TOLERANCES)
 
 from conftest import GRID, conjugated_system, corrupt_system, judged_points
-from oracles import (ambient_reflection, chain_per_normal, norm_bookkeeping,
-                     p0_tangent_form, p0_u_sq, projectors, rotate_system,
-                     rotated_normals, rotated_pairs, rotated_tangent_pairs,
-                     rotated_tangency, signed_balance, take)
+from oracles import (ambient_reflection, chain_per_normal, gradient,
+                     hessian, norm_bookkeeping, p0_tangent_form, p0_u_sq,
+                     projectors, quartic, rotate_system, rotated_normals,
+                     rotated_pairs, rotated_tangent_pairs, rotated_tangency,
+                     signed_balance, take)
 
 
 def _setup(m, k, extra_points=1, seed=21):
@@ -1038,3 +1040,70 @@ def test_einstein_probe_stack_equals_single_points(m, k):
     again = einstein_probe(build_frame(
         system, sample_focal_points(system, 5, seed=21).x))
     assert all(np.array_equal(a, b) for a, b in zip(again, probe))
+
+
+# -sum_j m_j cot^3(theta0 + j pi/4), the criterion tr(Ric A) = -tr A^3 of
+# each default family's minimal isoparametric hypersurface (9 digits)
+TUBE_CRITERION = {(1, 3): 0.0, (1, 4): -16.970562748, (2, 2): 16.970562748,
+                  (3, 2): -16.165807537, (4, 2): 16.165807537,
+                  (5, 1): 53.126264691, (6, 1): 114.309521330}
+
+
+def _minimal_tube(system, x):
+    """The family's minimal isoparametric hypersurface through the points
+    y = cos(theta0) x + sin(theta0) P_0 x of the tube around M+, with
+    theta0 = arctan(sqrt(m1 / m2)) / 2: its closed-form criterion
+    -sum_j m_j cot^3(theta0 + j pi/4), multiplicities (m1, m2, m1, m2),
+    and its shape operators A = -T^T (D^2F - 4F I) T / |grad_S f| as a
+    (P, 1, n, n) stack, T an orthonormal basis of {y, grad_S f(y)}^perp,
+    from F alone."""
+    m1, m2 = system.m, system.m2
+    theta0 = np.arctan(np.sqrt(m1 / m2)) / 2
+    criterion = -sum(mult / np.tan(theta0 + j * np.pi / 4) ** 3
+                     for j, mult in enumerate((m1, m2, m1, m2)))
+    ops = []
+    for row in x:
+        y = np.cos(theta0) * row + np.sin(theta0) * (system.matrices[0] @ row)
+        f = quartic(system, y)
+        grad = gradient(system, y) - 4.0 * f * y
+        basis = np.linalg.qr(np.column_stack([y, grad]), mode="complete")[0]
+        t = basis[:, 2:]
+        hess = t.T @ (hessian(system, y) - 4.0 * f * np.eye(len(y))) @ t
+        ops.append(-hess / np.linalg.norm(grad))
+    return criterion, np.array(ops)[:, None]
+
+
+@pytest.mark.parametrize("m,k", GRID)
+def test_the_criterion_says_no_on_the_minimal_tube(m, k):
+    # a negative control from the same Clifford data: the minimal
+    # isoparametric hypersurface of each family has H = 0 and S = 3n, and
+    # is Willmore only when m1 = m2, which on the grid is (1, 3).  Its
+    # operators go through the product's shape_operators and contraction.
+    system = build_clifford_system(m, k)
+    criterion, ops = _minimal_tube(
+        system, sample_focal_points(system, 20, seed=5).x)
+    n = 2 * system.l - 2
+    assert ops.shape == (20, 1, n, n)
+    assert criterion == pytest.approx(TUBE_CRITERION[m, k], abs=1e-9)
+    # a stand-in frame: shape_operators reads only its operators
+    shapes = shape_operators(SimpleNamespace(operators=ops))
+    assert np.all(np.abs(shapes.mean_curvature) <= 1e-13)
+    assert np.all(np.abs(shapes.sff_norm_sq - 3 * n) <= 1e-12)
+    read = willmore._contractions(shapes.ricci, ops)[:, 0]
+    assert np.all(np.abs(read - criterion) <= 1e-9)
+
+
+def test_a_constant_ricci_fails_the_minimal_tube():
+    # shape_operators returning c I as the tensor Ricci: the criterion then
+    # reads c tr A, which is 0 at any minimal point, so on M+ at (4, 2)
+    # every block of the report passes with c = 6; the control reads that
+    # 0 against 16.17 and fails at every point
+    system = build_clifford_system(4, 2)
+    criterion, ops = _minimal_tube(
+        system, sample_focal_points(system, 20, seed=5).x)
+    shapes = shape_operators(SimpleNamespace(operators=ops))
+    faulty = replace(shapes, ricci=np.broadcast_to(
+        6.0 * np.eye(ops.shape[-1]), shapes.ricci.shape))
+    read = willmore._contractions(faulty.ricci, ops)[:, 0]
+    assert np.all(np.abs(read) <= 1e-12)
+    assert np.all(np.abs(read - criterion) > 16.0)
