@@ -13,7 +13,8 @@ conditions (the Jacobian ranks, the multiplicities, the Einstein gate).
 from .clifford import (AdmissibilityError, CliffordSystem,
                        build_clifford_system, build_skew_generators, delta,
                        dump_matrices, verify_clifford_relations)
-from .focal import SPHERE_TOL, VALUE_TOL, FocalPoints, sample_focal_points
+from .focal import (SPHERE_TOL, VALUE_TOL, point_residuals,
+                    sample_focal_points)
 from .geometry import AdaptedFrame, ShapeData, build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
 from .records import fold
@@ -28,11 +29,11 @@ __version__ = TOOL_VERSION
 __all__ = [
     "AdaptedFrame", "AdmissibilityError", "CliffordSystem",
     "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "FkmPolynomial",
-    "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
-    "VerificationConfig", "VerificationReport", "build_clifford_system",
-    "build_frame", "build_skew_generators", "certify_point",
-    "configuration_points", "delta", "dump_matrices", "einstein_probe",
-    "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
+    "SPHERE_TOL", "ShapeData", "VALUE_TOL", "VerificationConfig",
+    "VerificationReport", "build_clifford_system", "build_frame",
+    "build_skew_generators", "certify_point", "configuration_points",
+    "delta", "dump_matrices", "einstein_probe", "evaluate_system",
+    "exit_code", "fold", "point_residuals", "render_text", "run_suite",
     "sample_focal_points", "shape_operators", "verify_cartan_munzner",
     "verify_clifford_relations",
 ]

@@ -12,37 +12,35 @@ built that way from the projectors (I +- P_0) / 2, using nothing but the
 Clifford relations, so they hold for any representation of the system.
 Nothing is searched for: a point is constructed, then measured.
 
-The points are measured, not judged, here: every row gets its constraint,
-sphere and value residuals and the deviation of the Gram identity of the
-constraint normals (see _certify), and the points block of the report
+The sampler only samples; point_residuals measures.  It gives every row
+its constraint, sphere and value residuals and the deviation of the Gram
+identity of the constraint normals, and the points block of the report
 holds them to its tolerances and names the first row that fails.  At a
 point of M+ the rows x, P_0 x, ..., P_m x are orthonormal, so J J^T = 4 I
 for the constraint Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation that
 is not small means the matrices are not a Clifford system, whatever the
 residuals say.
 
-sample_focal_points returns all points as one FocalPoints record, row 0
-the seed.  The other rows come from one block of Gaussian rows, one row per
-point, each mapped onto M+; all rows are measured in one stacked pass.  It
-raises nothing on the system: a row that cannot be built stays finite and
-off M+, and its residuals show it.  So the record has a fixed order, and a
-point's row does not depend on the other points.
+sample_focal_points returns all points as one read-only array, row 0 the
+seed.  The other rows come from one block of Gaussian rows, one row per
+point, each mapped onto M+.  It raises nothing on the system: a row that
+cannot be built stays finite and off M+, and its residuals show it.  So
+the array has a fixed order, and a point's row does not depend on the
+other points.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .clifford import CliffordSystem
-from .records import Record, fold
+from .records import fold, freeze
 
 __all__ = [
-    "FocalPoints",
     "SPHERE_TOL",
     "VALUE_TOL",
+    "point_residuals",
     "sample_focal_points",
 ]
 
@@ -57,25 +55,6 @@ def _subseed(master: int, *key: int) -> SeedSequence:
     return SeedSequence(int(master), spawn_key=tuple(int(v) for v in key))
 
 
-@dataclass(frozen=True)
-class FocalPoints(Record):
-    """n points built on M+ and the residuals that the points block checks.
-
-    `x` (n, 2l) holds the points as rows, row 0 the closed-form seed.  The
-    other fields are (n,) arrays from the one measuring pass of each row:
-    max_a |g_a(x)|, | |x|^2 - 1 |, |F(x) - 1| = | |x|^4 - 2 |g|^2 - 1 |
-    and the Gram deviation max |J J^T / 4 - I| of the (m+2) x 2l matrix
-    J / 2 with rows x, P_0 x, ..., P_m x.  The points block reads the
-    rank of J off the deviation.
-    """
-
-    x: np.ndarray
-    residual_constraints: np.ndarray
-    residual_sphere: np.ndarray
-    value_gap: np.ndarray
-    gram_deviation: np.ndarray
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_k, b_k> for the rows of two (K, d) stacks, each with the rounding
     of the one-point a_k @ b_k.  (einsum, sums of elementwise products and
@@ -83,25 +62,34 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
-def _certify(system: CliffordSystem, x: np.ndarray) -> dict:
+def point_residuals(system: CliffordSystem, x) -> tuple:
     """The certification residuals of every row of a (K, 2l) stack, in one
-    pass, as (K,) arrays under the names of the FocalPoints fields.
+    pass; any other shape raises ValueError naming it, and a non-finite row
+    is measured like any other.
 
+    Returns the residuals, a dict of (K,) arrays keyed by the points
+    block's fields in their order: max_a |g_a(x)|, | |x|^2 - 1 | and
+    |F(x) - 1| = | |x|^4 - 2 |g|^2 - 1 |; and the (K,) Gram deviations
+    max |J J^T / 4 - I| of the (m+2) x 2l matrices J / 2 with rows
+    x, P_0 x, ..., P_m x, off which the points block reads the rank of J.
     P_a x is formed once, as a stacked matrix-vector product, so every row
     gets the rounding of the one-point expressions stack @ x, (stack @ x) @ x
     and x @ x bit for bit, whatever K is.
     """
+    n = system.ambient_dim
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"point stack shape {x.shape} is not (K, {n})")
     px = system.apply(x)
     g = np.matmul(px, x[..., None])[..., 0]
     xx = _dot(x, x)
     rows = np.concatenate([x[:, None, :], px], axis=1)   # J / 2
     jjt = rows @ rows.transpose(0, 2, 1)                  # J J^T / 4
     jjt -= np.eye(rows.shape[1])
-    return {"residual_constraints": fold(np.abs(g), axis=1),
-            "residual_sphere": np.abs(xx - 1.0),
-            "value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0),
-            "gram_deviation": np.maximum.reduce(np.abs(jjt, out=jjt),
-                                                axis=(1, 2))}
+    return ({"max_constraint_residual": fold(np.abs(g), axis=1),
+             "max_sphere_residual": np.abs(xx - 1.0),
+             "max_value_gap": np.abs(xx * xx - 2.0 * _dot(g, g) - 1.0)},
+            np.maximum.reduce(np.abs(jjt, out=jjt), axis=(1, 2)))
 
 
 def _eigenparts(system: CliffordSystem, z: np.ndarray):
@@ -183,17 +171,17 @@ def _seed_row(system: CliffordSystem) -> np.ndarray:
 
 
 def sample_focal_points(system: CliffordSystem, n: int,
-                        seed: int) -> FocalPoints:
-    """n points of M+ with their certification residuals: the closed-form
-    seed (row 0) and n - 1 points from independent Gaussian rows mapped
-    onto M+.
+                        seed: int) -> np.ndarray:
+    """n points of M+ as the rows of a read-only (n, 2l) array: the
+    closed-form seed (row 0) and n - 1 points from independent Gaussian
+    rows mapped onto M+.
 
     One (n - 1, 2l) Gaussian block is drawn from the sub-seed
-    (seed, spawn_key=(0,)), and sampled point i (row i + 1 of the record)
-    takes row i of it, mapped onto M+ through the eigenspaces of P_0.  A
-    row that cannot be built, the seed included, stays finite and off M+,
-    and its residuals show it.  All n rows are measured in one stacked
-    pass; the points block of the report judges them.
+    (seed, spawn_key=(0,)), and sampled point i (row i + 1) takes row i of
+    it, mapped onto M+ through the eigenspaces of P_0.  A row that cannot
+    be built, the seed included, stays finite and off M+; nothing here
+    measures the rows (point_residuals does), and the points block of the
+    report judges them.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -201,4 +189,4 @@ def sample_focal_points(system: CliffordSystem, n: int,
     x = np.empty((n, system.ambient_dim))
     x[0] = _seed_row(system)
     x[1:] = _onto_focal(system, rng.standard_normal(x[1:].shape))
-    return FocalPoints(x=x, **_certify(system, x))
+    return freeze(x)

@@ -96,11 +96,7 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     q, _ = np.linalg.qr(lead, mode="complete")
     tangent = q[:, :, codim + 1:]
     full = np.concatenate([lead, tangent], axis=2)
-    tt = tangent.transpose(0, 2, 1)
-    # one generator at a time: broadcasting them all holds (P, m+1, 2l, n)
-    operators = np.empty((len(x), codim) + tangent.shape[2:] * 2)
-    for a, p_a in enumerate(system.matrices):
-        np.matmul(tt, p_a @ tangent, out=operators[:, a])
+    operators = _tangent_forms(system, tangent)
     np.negative(operators, out=operators)
     pair_coords = pair_products(system, px) @ full[:, None]
     idx_a, idx_b = _upper_pairs(codim)
@@ -140,6 +136,15 @@ def shape_operators(frame: AdaptedFrame) -> ShapeData:
              - np.add.reduce(sq, axis=1))
     return ShapeData(operators=ops, sff_norm_sq=s, trace_free_norm_sq=rho_sq,
                      mean_curvature=h_vec, ricci=ricci)
+
+
+def _tangent_forms(system: CliffordSystem, tangent: np.ndarray) -> np.ndarray:
+    """T^T P_a T, (P, m+1, n, n), for the (P, 2l, n) tangent bases T, one
+    generator at a time: broadcasting them all holds (P, m+1, 2l, n)."""
+    out = np.empty((len(tangent), system.m + 1) + tangent.shape[2:] * 2)
+    for a, p_a in enumerate(system.matrices):
+        np.matmul(tangent.transpose(0, 2, 1), p_a @ tangent, out=out[:, a])
+    return out
 
 
 def _upper_pairs(count: int, k: int = 1) -> tuple:

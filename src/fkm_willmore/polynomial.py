@@ -111,15 +111,16 @@ def sphere_samples(rng, count: int, dim: int) -> np.ndarray:
     return z
 
 
-def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed) -> tuple:
+def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed) -> dict:
     """Residuals of the two isoparametric PDEs at random unit points, drawn
     from default_rng(seed) (an int or a SeedSequence).
 
     Returns the worst over the samples of
       | |grad_S f|^2 - 16 (1 - f^2) |  and
-      | lap_S f - 8 (m2 - m1) + 4 (2l + 2) f |,
-    reported as `max_gradient_residual` and `max_laplacian_residual` and
-    held to the tolerance that report.CHECKED_FIELDS names.
+      | lap_S f - 8 (m2 - m1) + 4 (2l + 2) f |
+    as a dict of two floats keyed by the cartan_munzner block's fields,
+    max_gradient_residual and max_laplacian_residual in that order; the
+    report holds them to the tolerance that report.CHECKED_FIELDS names.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -129,6 +130,7 @@ def verify_cartan_munzner(poly: FkmPolynomial, n_samples: int, seed) -> tuple:
     slope = 4.0 * (system.ambient_dim + 2.0)
     value, grad, lap = poly.sphere_derivatives(points)
     grad *= grad
-    return (fold(np.abs(np.add.reduce(grad, axis=1)
-                        - 16.0 * (1.0 - value * value))),
-            fold(np.abs(lap - const + slope * value)))
+    gradient = np.add.reduce(grad, axis=1) - 16.0 * (1.0 - value * value)
+    laplacian = lap - const + slope * value
+    return {"max_gradient_residual": fold(np.abs(gradient)),
+            "max_laplacian_residual": fold(np.abs(laplacian))}

@@ -23,6 +23,7 @@ import math
 import time
 from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from numpy.random import default_rng
@@ -30,7 +31,7 @@ from numpy.random import default_rng
 from .clifford import (AdmissibilityError, CliffordSystem,
                        build_clifford_system, delta,
                        verify_clifford_relations)
-from .focal import (SPHERE_TOL, VALUE_TOL, FocalPoints, _subseed,
+from .focal import (SPHERE_TOL, VALUE_TOL, _subseed, point_residuals,
                     sample_focal_points)
 from .geometry import build_frame, shape_operators
 from .polynomial import FkmPolynomial, verify_cartan_munzner
@@ -132,10 +133,11 @@ class VerificationConfig:
     hold numpy integers or ASCII strings -?[0-9]+.  Every tolerance, the
     defaults and the partial override `tolerances` alike, may be a string
     of ASCII digits, '.', 'e', 'E' and signs; each must be positive and
-    finite, and they are held in name order.  An error names the bad field
-    or entry.  Every field is one the report serializes: the `config`
-    block holds them all but the seed, which is top-level, plus the
-    constant n_pde_samples.  How the report is written (file, format,
+    finite, and they are held read-only, in name order, so that no
+    assignment after construction gets past this check.  An error names
+    the bad field or entry.  Every field is one the report serializes: the
+    `config` block holds them all but the seed, which is top-level, plus
+    the constant n_pde_samples.  How the report is written (file, format,
     matrix dumps) is the CLI's business.
     """
 
@@ -183,7 +185,8 @@ class VerificationConfig:
             except (TypeError, ValueError):
                 raise ValueError(f"invalid tolerance {name}={value!r}: "
                                  "expected a positive finite number") from None
-        object.__setattr__(self, "tolerances", dict(sorted(tol.items())))
+        object.__setattr__(self, "tolerances",
+                           MappingProxyType(dict(sorted(tol.items()))))
 
 
 @dataclass
@@ -218,7 +221,7 @@ class VerificationReport:
                 "n_points": cfg.n_points,
                 "n_normals": cfg.n_normals,
                 "n_pde_samples": N_PDE_SAMPLES,
-                "tolerances": cfg.tolerances,
+                "tolerances": dict(cfg.tolerances),
             },
             "configurations": self.entries,
             "overall_pass": self.overall_pass,
@@ -284,28 +287,26 @@ def _median(values) -> float:
     return math.nan if np.isnan(ordered[-1]) else float(median)
 
 
-def _points_block(points: FocalPoints, tol: dict, rank_expected: int) -> dict:
-    """The points block: every row held to its checks and to the rank of
-    its Jacobian, read off its Gram deviation: rank_expected = m + 2 where
-    the deviation is at most _GRAM_TOL, 0 elsewhere."""
-    ranks = np.where(points.gram_deviation <= _GRAM_TOL, rank_expected,
-                     0).tolist()
+def _points_block(x: np.ndarray, residuals: dict, gram: np.ndarray,
+                  tol: dict, rank_expected: int) -> dict:
+    """The points block of the rows of x: point_residuals' dict held to its
+    checks, and each row to the rank of its Jacobian, read off its Gram
+    deviation: rank_expected = m + 2 where it is at most _GRAM_TOL, else 0."""
+    ranks = np.where(gram <= _GRAM_TOL, rank_expected, 0).tolist()
     return _block("points", tol, {
-        "count": len(points.x),
-        "max_constraint_residual": points.residual_constraints,
-        "max_sphere_residual": points.residual_sphere,
-        "max_value_gap": points.value_gap,
+        "count": len(x), **residuals,
         "jacobian_ranks": sorted(set(ranks)), "rank_expected": rank_expected,
         "coordinates_sha256": hashlib.sha256(np.ascontiguousarray(
-            points.x, dtype="<f8").tobytes()).hexdigest()},
+            x, dtype="<f8").tobytes()).hexdigest()},
         {"jacobian_rank": (ranks, rank_expected)},
         lambda i, _: f"point {i} failed certification: ")
 
 
 def configuration_points(system: CliffordSystem, cfg: VerificationConfig,
-                         config_index: int) -> FocalPoints:
-    """The points that evaluate_system samples for entry `config_index`
-    of `cfg`, whose block holds only their digest."""
+                         config_index: int) -> np.ndarray:
+    """The read-only (n_points, 2l) array of the points that
+    evaluate_system samples for entry `config_index` of `cfg`, whose block
+    holds only their digest."""
     # the sampler spawns its own sequence from an integer entropy
     ss = _subseed(cfg.seed, config_index, 1)
     return sample_focal_points(
@@ -338,17 +339,17 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     blocks["clifford"] = _block("clifford", tol, {
         "max_deviation": verify_clifford_relations(system)})
 
-    grad, lap = verify_cartan_munzner(FkmPolynomial(system), N_PDE_SAMPLES,
-                                      _subseed(cfg.seed, config_index, 0))
     blocks["cartan_munzner"] = _block("cartan_munzner", tol, {
-        "n_samples": N_PDE_SAMPLES, "max_gradient_residual": grad,
-        "max_laplacian_residual": lap})
+        "n_samples": N_PDE_SAMPLES, **verify_cartan_munzner(
+            FkmPolynomial(system), N_PDE_SAMPLES,
+            _subseed(cfg.seed, config_index, 0))})
 
-    points = configuration_points(system, cfg, config_index)
-    blocks["points"] = _points_block(points, tol, m + 2)
+    x = configuration_points(system, cfg, config_index)
+    blocks["points"] = _points_block(x, *point_residuals(system, x), tol,
+                                     m + 2)
 
     if blocks["points"]["pass"]:
-        frames = build_frame(system, points.x)
+        frames = build_frame(system, x)
         shapes = shape_operators(frames)
         # sup over unit tangents X of |Ric_closed(X) - Ric_tensor(X)|
         cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
@@ -367,7 +368,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 np.abs(ricci_traces - (n * (n - 1) - s_vals))},
             where=lambda i, _: f"point {i}: ")
 
-        count = len(points.x)
+        count = len(x)
         coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
         coeffs[:, :m + 1] = np.eye(m + 1)
         if cfg.n_normals:

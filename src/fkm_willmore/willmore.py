@@ -47,7 +47,7 @@ from itertools import permutations
 import numpy as np
 
 from .clifford import CliffordSystem
-from .geometry import AdaptedFrame, ShapeData, _upper_pairs
+from .geometry import AdaptedFrame, ShapeData, _tangent_forms, _upper_pairs
 from .records import fold
 
 __all__ = [
@@ -261,13 +261,8 @@ def _sign_gap(system: CliffordSystem, frame: AdaptedFrame,
     at the m + 1 coordinate normals bounds it at every normal.  It is the
     one check of the operators' sign: -A_a are the operators of the
     system {-P_a}, with the same M+, pair vectors and Ricci forms.  The
-    products go into one stack shaped like the operators, which the gap
-    is then formed in, in place."""
-    t = frame.tangent
-    tt = t.transpose(0, 2, 1)
-    own = np.empty(ops.shape)
-    for a, p_a in enumerate(system.matrices):
-        np.matmul(tt, p_a @ t, out=own[:, a])
+    gap is formed in place in the stack of products."""
+    own = _tangent_forms(system, frame.tangent)
     own += ops
     return fold(np.abs(own, out=own), axis=(1, 2, 3))
 

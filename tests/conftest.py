@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fkm_willmore import (CliffordSystem, FocalPoints, VerificationConfig,
-                          build_clifford_system, focal, report, run_suite)
+from fkm_willmore import (CliffordSystem, VerificationConfig,
+                          build_clifford_system, point_residuals, report,
+                          run_suite)
 
 # Every admissible configuration with ambient dimension <= 16.
 GRID = [(1, 3), (1, 4), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1)]
@@ -69,13 +70,15 @@ def conjugated_system(m: int, k: int, seed: int = 0) -> CliffordSystem:
 
 
 def judged_points(system: CliffordSystem, x, **tolerances):
-    """The rows of `x` measured by the sampler's one pass, as a FocalPoints
-    record, and the points block that the report makes of them, with the
-    default tolerances overridden by `tolerances`."""
+    """The rows of `x` measured by point_residuals, as one dict of its
+    residuals and its gram_deviation, and the points block that the report
+    makes of them, with the default tolerances overridden by
+    `tolerances`."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    points = FocalPoints(x=x, **focal._certify(system, x))
+    residuals, gram = point_residuals(system, x)
     tol = VerificationConfig(tolerances=tolerances).tolerances
-    return points, report._points_block(points, tol, system.m + 2)
+    return ({**residuals, "gram_deviation": gram},
+            report._points_block(x, residuals, gram, tol, system.m + 2))
 
 
 def fd_gradient(f, x, h=FD_STEP):

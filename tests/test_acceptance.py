@@ -144,7 +144,7 @@ def test_criterion_9_einstein_probe(suite_report, acceptance):
             ok = ok and blk["status"] == "inconclusive"
     # direct oracle for the smallest case: eigenvalues of the Ricci tensor
     system = build_clifford_system(1, 3)
-    frame = build_frame(system, sample_focal_points(system, 1, seed=0).x)
+    frame = build_frame(system, sample_focal_points(system, 1, seed=0))
     eigs = np.linalg.eigvalsh(shape_operators(frame).ricci[0])
     spread = float(eigs[-1] - eigs[0])
     ok = ok and abs(spread - 2.0) <= 1e-8

@@ -254,7 +254,7 @@ def test_rotate_rejects_non_unit():
     # the Willmore chain rotates the system by each normal's coefficients,
     # and certify_point refuses coefficients that are not a unit vector
     system = build_clifford_system(1, 3)
-    frame = build_frame(system, sample_focal_points(system, 1, seed=0).x)
+    frame = build_frame(system, sample_focal_points(system, 1, seed=0))
     with pytest.raises(ValueError, match="unit vector"):
         certify_point(system, frame, shape_operators(frame),
                       [[np.array([0.5, 0.5])]])
@@ -266,7 +266,7 @@ def test_coefficient_guard_names_point_and_normal(scale, fails):
     # the guard holds each coefficient row's norm to 1 within 1e-12 and
     # names the first row outside it by its point and its normal
     system = build_clifford_system(1, 3)
-    frame = build_frame(system, sample_focal_points(system, 2, seed=0).x)
+    frame = build_frame(system, sample_focal_points(system, 2, seed=0))
     coeffs = np.tile(np.eye(2), (2, 2, 1))               # (2 points, 4, 2)
     coeffs[1, 2] *= scale
     coeffs[1, 3] *= scale

@@ -18,11 +18,11 @@ MODULES = ("cli", "clifford", "focal", "geometry", "polynomial", "records",
 PACKAGE_NAMES = [
     "AdaptedFrame", "AdmissibilityError", "CliffordSystem",
     "DEFAULT_GRID", "DEFAULT_SEED", "DEFAULT_TOLERANCES", "FkmPolynomial",
-    "FocalPoints", "SPHERE_TOL", "ShapeData", "VALUE_TOL",
-    "VerificationConfig", "VerificationReport", "build_clifford_system",
-    "build_frame", "build_skew_generators", "certify_point",
-    "configuration_points", "delta", "dump_matrices", "einstein_probe",
-    "evaluate_system", "exit_code", "fold", "render_text", "run_suite",
+    "SPHERE_TOL", "ShapeData", "VALUE_TOL", "VerificationConfig",
+    "VerificationReport", "build_clifford_system", "build_frame",
+    "build_skew_generators", "certify_point", "configuration_points",
+    "delta", "dump_matrices", "einstein_probe", "evaluate_system",
+    "exit_code", "fold", "point_residuals", "render_text", "run_suite",
     "sample_focal_points", "shape_operators", "verify_cartan_munzner",
     "verify_clifford_relations",
 ]

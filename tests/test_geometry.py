@@ -17,7 +17,7 @@ def _setup(m, k, n_points=2, seed=3):
     """The system, and the seed point and n_points sampled points as the
     rows of one array."""
     system = build_clifford_system(m, k)
-    return system, sample_focal_points(system, n_points + 1, seed=seed).x
+    return system, sample_focal_points(system, n_points + 1, seed=seed)
 
 
 @pytest.mark.parametrize("m,k", GRID)
@@ -40,7 +40,7 @@ def test_frame_rejects_uncertified_input():
     # build_frame measures and judges nothing: the points block rejects a
     # row off M+, and the report builds frames only from points it passed
     system = build_clifford_system(1, 3)
-    seed = sample_focal_points(system, 1, seed=0).x
+    seed = sample_focal_points(system, 1, seed=0)
     build_frame(system, 1.1 * seed)
     _, block = judged_points(system, 1.1 * seed)
     assert not block["pass"]
@@ -103,7 +103,7 @@ def test_sff_norm_examples():
     # spot values: (1,3) -> 4, (2,2) -> 6, (3,2) -> 32
     for (m, k), want in [((1, 3), 4.0), ((2, 2), 6.0), ((3, 2), 32.0)]:
         system = build_clifford_system(m, k)
-        frame = build_frame(system, sample_focal_points(system, 1, seed=0).x)
+        frame = build_frame(system, sample_focal_points(system, 1, seed=0))
         assert abs(shape_operators(frame).sff_norm_sq[0] - want) <= 1e-12
 
 

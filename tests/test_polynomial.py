@@ -8,6 +8,7 @@ from fkm_willmore import (CliffordSystem, FkmPolynomial, build_clifford_system,
                           build_skew_generators, sample_focal_points,
                           verify_cartan_munzner)
 from fkm_willmore.polynomial import sphere_samples
+from fkm_willmore.report import CHECKED_FIELDS
 
 from conftest import (FD_RTOL, GRID, NON_FINITE, conjugated_system,
                       corrupt_system, fd_directional, fd_gradient,
@@ -32,7 +33,7 @@ def test_value_at_origin_and_axis():
 def test_value_one_on_focal_seed(m, k):
     system = build_clifford_system(m, k)
     poly = FkmPolynomial(system)
-    x = sample_focal_points(system, 1, seed=0).x
+    x = sample_focal_points(system, 1, seed=0)
     assert abs(poly.sphere_derivatives(x)[0][0] - 1.0) <= 1e-15
 
 
@@ -115,7 +116,7 @@ def test_sphere_derivatives_on_focal_point():
     system = build_clifford_system(1, 3)
     poly = FkmPolynomial(system)
     (value,), (grad,), (lap,) = poly.sphere_derivatives(
-        sample_focal_points(system, 1, seed=0).x)
+        sample_focal_points(system, 1, seed=0))
     assert abs(value - 1.0) <= 1e-15
     assert float(np.linalg.norm(grad)) <= 1e-7
     # m1 = m2 = 1, so the linear term vanishes and lap = -4 (2l + 2) = -32
@@ -138,13 +139,14 @@ def test_sphere_derivatives_reject_a_single_point():
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2)])
 def test_cartan_munzner_record(m, k):
-    # the gradient and the Laplacian residual, as plain floats; the report
-    # holds them to the pde tolerance
+    # the gradient and the Laplacian residual, as plain floats keyed by the
+    # cartan_munzner block's fields in its order; the report holds them to
+    # the pde tolerance
     poly = _poly(m, k)
     residuals = verify_cartan_munzner(poly, n_samples=200, seed=31)
-    assert len(residuals) == 2
-    assert all(type(r) is float for r in residuals)
-    assert all(r <= 1e-10 for r in residuals)
+    assert list(residuals) == list(CHECKED_FIELDS["cartan_munzner"])
+    assert all(type(r) is float for r in residuals.values())
+    assert all(r <= 1e-10 for r in residuals.values())
     again = verify_cartan_munzner(poly, n_samples=200, seed=31)
     assert again == residuals, "seeded run must reproduce"
 
@@ -152,7 +154,7 @@ def test_cartan_munzner_record(m, k):
 def test_cartan_munzner_detects_corruption():
     poly = FkmPolynomial(corrupt_system(2, 2))
     residuals = verify_cartan_munzner(poly, n_samples=200, seed=31)
-    assert max(residuals) >= 1e-5
+    assert max(residuals.values()) >= 1e-5
 
 
 def test_cartan_munzner_fails_on_nan():
@@ -168,7 +170,8 @@ def test_cartan_munzner_fails_on_nan():
         with pytest.raises(ValueError, match="read-only"):
             poly.system.matrices[1, 0, 1] = value
         residuals = verify_cartan_munzner(poly, n_samples=200, seed=31)
-        assert all(np.isfinite(r) and r <= 1e-10 for r in residuals)
+        assert all(np.isfinite(r) and r <= 1e-10
+                   for r in residuals.values())
 
 
 def test_pde_identities_hold_for_a_system_with_m2_zero():
@@ -186,7 +189,7 @@ def test_pde_identities_hold_for_a_system_with_m2_zero():
     assert system.m2 == 0
     residuals = verify_cartan_munzner(FkmPolynomial(system), n_samples=1000,
                                       seed=5)
-    assert all(r <= 1e-12 for r in residuals), residuals
+    assert all(r <= 1e-12 for r in residuals.values()), residuals
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +294,13 @@ def test_sphere_derivatives_are_the_expression_form_bit_for_bit(system):
     got = FkmPolynomial(system).sphere_derivatives(x)
     for have, want in zip(got, (value, grad_s, lap_s)):
         assert have.tobytes() == want.tobytes()
-    residuals = (
-        float(np.max(np.abs(np.sum(grad_s * grad_s, axis=1)
-                            - 16.0 * (1.0 - value * value)))),
-        float(np.max(np.abs(lap_s - 8.0 * (system.m2 - system.m)
-                            + 4.0 * (n + 2.0) * value))))
+    residuals = {
+        "max_gradient_residual": float(np.max(np.abs(
+            np.sum(grad_s * grad_s, axis=1) - 16.0 * (1.0 - value * value)))),
+        "max_laplacian_residual": float(np.max(np.abs(
+            lap_s - 8.0 * (system.m2 - system.m) + 4.0 * (n + 2.0) * value)))}
+    assert residuals["max_gradient_residual"] \
+        != residuals["max_laplacian_residual"]
     assert verify_cartan_munzner(FkmPolynomial(system), 1000,
                                  17) == residuals
 
@@ -326,8 +331,7 @@ def test_cartan_munzner_matches_sequential_evaluation(m, k):
     poly = _poly(m, k)
     system = poly.system
     n = system.ambient_dim
-    grad_residual, lap_residual = verify_cartan_munzner(poly, n_samples=300,
-                                                        seed=32)
+    residuals = verify_cartan_munzner(poly, n_samples=300, seed=32)
     worst_grad = worst_lap = 0.0
     for x in _sequential_unit_draws(default_rng(32), 300, n):
         grad = gradient(system, x)
@@ -338,8 +342,8 @@ def test_cartan_munzner_matches_sequential_evaluation(m, k):
                                          - 16.0 * (1.0 - value * value)))
         worst_lap = max(worst_lap, abs(lap_s - 8.0 * (system.m2 - m)
                                        + 4.0 * (n + 2) * value))
-    assert abs(grad_residual - worst_grad) <= 1e-12
-    assert abs(lap_residual - worst_lap) <= 1e-12
+    assert abs(residuals["max_gradient_residual"] - worst_grad) <= 1e-12
+    assert abs(residuals["max_laplacian_residual"] - worst_lap) <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", [(6, 1), (9, 1)])

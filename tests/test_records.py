@@ -165,12 +165,12 @@ def test_records_take_over_their_arrays():
 
 def _one_frame():
     system = build_clifford_system(2, 2)
-    return system, build_frame(system, sample_focal_points(system, 1, 0).x)
+    return system, build_frame(system, sample_focal_points(system, 1, 0))
 
 
 def _bad_frame_point(value):
     system = build_clifford_system(1, 3)
-    x = np.array(sample_focal_points(system, 1, 0).x)
+    x = np.array(sample_focal_points(system, 1, 0))
     x[0, 0] = value
     build_frame(system, x)
 
@@ -233,7 +233,7 @@ def test_build_frame_rejects_a_stack_of_the_wrong_width(shape):
     # rows of 8 they would be points again, made of coordinates of
     # different points, so build_frame names the shape instead
     system = build_clifford_system(2, 2)
-    x = sample_focal_points(system, 3, 0).x.reshape(shape)
+    x = sample_focal_points(system, 3, 0).reshape(shape)
     with pytest.raises(ValueError, match=re.escape(
             f"point shape {shape} is not (8,) or (P, 8)")):
         build_frame(system, x)

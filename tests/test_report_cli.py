@@ -153,6 +153,25 @@ def test_default_tolerances_are_read_like_overrides(monkeypatch):
             VerificationConfig()
 
 
+def test_held_tolerances_are_read_only():
+    # the tolerances a config holds were all checked at construction, so
+    # none can be set or added after it; a new config from dataclasses'
+    # replace is checked again, and the report writes them as a plain dict
+    cfg = tiny_config(tolerances={"geom": 1e-6})
+    for name in ("geom", "extra"):
+        with pytest.raises(TypeError):
+            cfg.tolerances[name] = -1.0
+    assert cfg.tolerances == {"cert": 1e-10, "geom": 1e-6, "pde": 1e-8,
+                              "willmore": 1e-7}
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid tolerance geom=-1.0: expected a positive finite "
+            "number")):
+        replace(cfg, tolerances={"geom": -1.0})
+    assert replace(cfg, n_points=3).tolerances == cfg.tolerances
+    written = run_suite(cfg).to_dict()["config"]["tolerances"]
+    assert type(written) is dict and written == cfg.tolerances
+
+
 @pytest.mark.parametrize("over,match", [
     ({"configurations": ((1.5, 3),)}, r"invalid grid entry \(1\.5, 3\)"),
     ({"seed": 4.7}, r"invalid seed: expected an integer, got 4\.7"),
@@ -234,7 +253,7 @@ def test_seed_changes_sampled_coordinates():
         cfg = tiny_config(seed=seed)
         entry = run_suite(cfg).to_dict()["configurations"][0]
         digests.append(entry["blocks"]["points"]["coordinates_sha256"])
-        points.append(configuration_points(system, cfg, 0).x)
+        points.append(configuration_points(system, cfg, 0))
     assert digests[0] != digests[1]
     a, b = points
     assert np.array_equal(a[0], b[0]), "deterministic point ignores the seed"
@@ -258,7 +277,7 @@ def test_digest_is_that_of_the_rebuilt_points(suite_report):
     cfg = suite_report.config
     for ci, entry in enumerate(suite_report.to_dict()["configurations"]):
         system = build_clifford_system(entry["m"], entry["k"])
-        x = configuration_points(system, cfg, ci).x
+        x = configuration_points(system, cfg, ci)
         block = entry["blocks"]["points"]
         assert block["coordinates_sha256"] == _sha256(x), (entry["m"],
                                                            entry["k"])
@@ -273,7 +292,7 @@ def test_failing_points_block_keeps_the_digest():
     # point 1 pushed off the sphere: the block names the failing point and
     # still carries the digest of every row
     system = build_clifford_system(2, 2)
-    x = np.array(sample_focal_points(system, 3, 0).x)
+    x = np.array(sample_focal_points(system, 3, 0))
     x[1] *= 1.1
     _, block = judged_points(system, x)
     assert not block["pass"]
@@ -780,7 +799,7 @@ def test_ricci_crosscheck_matches_sequential_draws():
     reported = entry["blocks"]["geometry"]["ricci_crosscheck_max"]
     rng = default_rng(2)
     sampled, sups = [], []
-    for x in configuration_points(system, cfg, 0).x:
+    for x in configuration_points(system, cfg, 0):
         frame = build_frame(system, x)
         diff = frame.closed_ricci[0] - shape_operators(frame).ricci[0]
         sups.append(np.max(np.abs(np.linalg.eigvalsh(diff))))
@@ -880,7 +899,7 @@ def _point_inputs(monkeypatch, n_points):
                       n_normals=3)
     system = build_clifford_system(2, 2)
     assert evaluate_system(system, cfg, 0)["pass"]
-    return configuration_points(system, cfg, 0).x, seen["normals"]
+    return configuration_points(system, cfg, 0), seen["normals"]
 
 
 def test_point_inputs_do_not_depend_on_the_point_count(monkeypatch):
@@ -911,7 +930,9 @@ def test_nan_residuals_serialize_as_null(monkeypatch):
     # stage the report calls is made to return one of each
     from fkm_willmore import report as report_module
     monkeypatch.setattr(report_module, "verify_cartan_munzner",
-                        lambda poly, n, seed: (math.nan, math.inf))
+                        lambda poly, n, seed: {
+                            "max_gradient_residual": math.nan,
+                            "max_laplacian_residual": math.inf})
     cfg = tiny_config()
     report = VerificationReport(config=cfg,
                                 entries=[evaluate_system(
@@ -990,10 +1011,10 @@ def test_a_system_without_a_seed_fails_its_points_block():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for system in systems:
-            assert np.isfinite(sample_focal_points(system, 3, seed=0).x).all()
+            assert np.isfinite(sample_focal_points(system, 3, seed=0)).all()
         entries = [evaluate_system(system, cfg, 0) for system in seedless]
     for system, entry in zip(seedless, entries):
-        assert np.array_equal(sample_focal_points(system, 1, seed=0).x,
+        assert np.array_equal(sample_focal_points(system, 1, seed=0),
                               [np.eye(system.ambient_dim)[0] / np.sqrt(2.0)])
         blocks = entry["blocks"]
         assert list(blocks) == ["clifford", "cartan_munzner", "points"]
@@ -1046,17 +1067,22 @@ def test_render_text_shows_a_nan_residual():
 
 def test_geometry_error_names_the_point(monkeypatch):
     # the frames of a configuration are one stack, so a bad point is named
-    # by its index among all points, not within a block
+    # by its index among all points, not within a block.  The points block
+    # is handed the residuals of the sampled points, so only the frames
+    # see the last point scaled
     from fkm_willmore import report
-    sample = report.sample_focal_points
+    sample, measure = report.sample_focal_points, report.point_residuals
+    sampled = []
 
     def last_scaled(system, n, seed):
-        points = sample(system, n, seed=seed)
-        x = np.array(points.x)
+        sampled.append(sample(system, n, seed=seed))
+        x = np.array(sampled[-1])
         x[-1] *= 1.1
-        return replace(points, x=x)
+        return x
 
     monkeypatch.setattr(report, "sample_focal_points", last_scaled)
+    monkeypatch.setattr(report, "point_residuals",
+                        lambda system, x: measure(system, sampled[-1]))
     cfg = tiny_config(n_points=20)
     entry = evaluate_system(build_clifford_system(1, 3), cfg, 0)
     assert entry["blocks"]["geometry"]["error"] == (
@@ -1069,13 +1095,13 @@ def test_points_block_gates_the_frames(monkeypatch):
     # run, and the frame's fault shows in the blocks that read it, each
     # naming point 3; no stage of its own rejects the frame.  At the
     # default cert the points block fails on it, and no later block runs
-    from fkm_willmore import focal, report
+    from fkm_willmore import report
     sample = report.sample_focal_points
 
     def pushed(system, n, seed):
-        x = np.array(sample(system, n, seed=seed).x)
+        x = np.array(sample(system, n, seed=seed))
         x[3] += 5e-8 * system.apply(x[3])[1]
-        return focal.FocalPoints(x=x, **focal._certify(system, x))
+        return x
 
     monkeypatch.setattr(report, "sample_focal_points", pushed)
     system = build_clifford_system(3, 2)
@@ -1389,7 +1415,7 @@ def test_cluster_radius_guards_the_lemma_block(monkeypatch):
     original = report.shape_operators
     grid = dict(configurations=((3, 2),), n_points=5, n_normals=0)
     clean = original(build_frame(system, configuration_points(
-        system, tiny_config(**grid), 0).x))
+        system, tiny_config(**grid), 0)))
     normal = int(np.argmax(np.max(np.abs(clean.operators[3]), axis=(1, 2))))
     for factor, geom, error in [
             (0.999, None, f"point 3, normal {normal}: max_spectrum_deviation "

@@ -13,10 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from fkm_willmore import (ShapeData, VerificationConfig,
-                          build_clifford_system, build_frame, certify_point,
-                          einstein_probe, evaluate_system, fold,
-                          sample_focal_points, shape_operators)
+from fkm_willmore import (VerificationConfig, build_clifford_system,
+                          build_frame, certify_point, einstein_probe,
+                          evaluate_system, fold, sample_focal_points,
+                          shape_operators)
 from fkm_willmore import willmore
 from fkm_willmore.geometry import pair_products
 from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
@@ -35,7 +35,7 @@ def _setup(m, k, extra_points=1, seed=21):
     each."""
     system = build_clifford_system(m, k)
     frames = build_frame(
-        system, sample_focal_points(system, 1 + extra_points, seed=seed).x)
+        system, sample_focal_points(system, 1 + extra_points, seed=seed))
     return system, frames, shape_operators(frames)
 
 
@@ -146,11 +146,7 @@ def test_spectrum_error_on_scaled_operators():
     # scaled by 1.5 the eigenvalues +-1 move to +-1.5: the deviation leaves
     # the cluster radius, so the multiplicities are not read, (0, 0, 0)
     system, frame, shape = _setup(1, 3, extra_points=0)
-    bad = ShapeData(operators=1.5 * shape.operators,
-                    sff_norm_sq=shape.sff_norm_sq,
-                    trace_free_norm_sq=shape.trace_free_norm_sq,
-                    mean_curvature=shape.mean_curvature,
-                    ricci=shape.ricci)
+    bad = replace(shape, operators=1.5 * shape.operators)
     result = certify_point(system, frame, bad, [np.eye(2)[:1]])
     worst, wrong, counts = _named(system, *result[1:])
     assert _checked(result)["max_spectrum_deviation"][0] == pytest.approx(
@@ -166,10 +162,7 @@ def test_multiplicity_error_on_forged_operators():
     n = frame.tangent.shape[2]
     ops = np.array(shape.operators)
     ops[0, 0] = np.eye(n)                   # every eigenvalue lands at +1
-    bad = ShapeData(operators=ops, sff_norm_sq=shape.sff_norm_sq,
-                    trace_free_norm_sq=shape.trace_free_norm_sq,
-                    mean_curvature=shape.mean_curvature,
-                    ricci=shape.ricci)
+    bad = replace(shape, operators=ops)
     result = certify_point(system, frame, bad, [np.eye(2)[:1]])
     _, wrong, counts = _named(system, *result[1:])
     assert _checked(result)["max_spectrum_deviation"][0] == 0.0
@@ -472,19 +465,13 @@ def test_certify_point_without_normals():
     assert np.all(res["case_identity_max"] >= tangency)
 
 
-def _forged_shape(shape, operators):
-    return ShapeData(operators=operators, sff_norm_sq=shape.sff_norm_sq,
-                     trace_free_norm_sq=shape.trace_free_norm_sq,
-                     mean_curvature=shape.mean_curvature, ricci=shape.ricci)
-
-
 def test_batched_spectrum_error_names_the_normal(monkeypatch):
     system, frame, shape = _setup(1, 3, extra_points=0)
     # with the budget at 1 byte every normal runs in a block of its own, and
     # the normals are still named by their index in the input
     for budget in (willmore._BLOCK_BYTES, 1):
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
-        bad = _forged_shape(shape, 1.5 * shape.operators)
+        bad = replace(shape, operators=1.5 * shape.operators)
         # scaling every operator by 1.5 moves the +-1 eigenvalues of every
         # A_xi to +-1.5, so the first normal of the batch is the first
         # above the cluster radius
@@ -498,7 +485,7 @@ def test_batched_spectrum_error_names_the_normal(monkeypatch):
         # third is the worst
         ops = np.array(shape.operators)
         ops[0, 1] *= 1.5
-        bad = _forged_shape(shape, ops)
+        bad = replace(shape, operators=ops)
         coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                   np.array([0.0, 1.0])]
         worst, wrong, _ = _named(
@@ -511,7 +498,7 @@ def test_batched_multiplicity_error_names_the_normal(monkeypatch):
     n = frame.tangent.shape[2]
     ops = np.array(shape.operators)
     ops[0, 1] = np.eye(n)                   # every eigenvalue lands at +1
-    bad = _forged_shape(shape, ops)
+    bad = replace(shape, operators=ops)
     coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     for budget in (willmore._BLOCK_BYTES, 1):   # 1: a block per normal
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
@@ -543,7 +530,7 @@ def test_einstein_probe_extremes_bound_every_direction(config, point_seed,
     # grid, --points 100 and --grid 7:2,8:2,9:1 at seeds 42 and 7)
     system = build_clifford_system(*config)
     frame = build_frame(system,
-                        sample_focal_points(system, 2, point_seed).x[1:])
+                        sample_focal_points(system, 2, point_seed)[1:])
     shape = shape_operators(frame)
     lowest, highest = einstein_probe(frame)
     eigs = np.linalg.eigvalsh(shape.ricci[0])
@@ -664,7 +651,7 @@ def test_chain_block_peak_fits_the_budget(m, k, extra):
     system = build_clifford_system(m, k)
     count, num = willmore._block_points(system, m + 1 + extra)
     frames = build_frame(system,
-                         sample_focal_points(system, count, seed=21).x)
+                         sample_focal_points(system, count, seed=21))
     shapes = shape_operators(frames)
     rng = default_rng(90 + m)
     coeffs = np.array([_normals(m, extra, rng) for _ in frames.x])[:, :num]
@@ -769,7 +756,7 @@ def test_per_point_reads_equal_the_per_normal_routes(m, k, conjugated):
     # worst gaps seen were 5.2e-14, 8.7e-16, 6.7e-16, 5.6e-16 and 1.1e-15
     system = (conjugated_system(m, k, seed=5) if conjugated
               else build_clifford_system(m, k))
-    frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
+    frames = build_frame(system, sample_focal_points(system, 5, seed=23))
     shapes = shape_operators(frames)
     rng = default_rng(80 + m)
     coeffs = np.array([[_unit(rng, m + 1) for _ in range(8)]
@@ -831,7 +818,7 @@ def test_ambient_reflection_splits_into_what_the_chain_reads(m, k):
     # there (at most 0.41 of the bound), and the split still holds.  The
     # worst gaps seen were 3.6e-16, 3.4e-16, 3.8e-16, 6.7e-16 and 6.2e-16
     system = build_clifford_system(m, k)
-    frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
+    frames = build_frame(system, sample_focal_points(system, 5, seed=23))
     shapes = shape_operators(frames)
     rng = default_rng(85 + m)
     coeffs = np.array([[_unit(rng, m + 1) for _ in range(8)]
@@ -846,7 +833,7 @@ def test_ambient_reflection_splits_into_what_the_chain_reads(m, k):
     flipped = np.array(shapes.operators)
     flipped[0] *= -1.0
     for ops in (shapes.operators, flipped):
-        shape = _forged_shape(shapes, ops)
+        shape = replace(shapes, operators=ops)
         _, _, plus, minus = _projectors(system, shape, coeffs)
         a_xi = willmore._at_normals(coeffs, ops)
         gap = certify_point(system, frames, shape,
@@ -913,7 +900,7 @@ def test_pair_tensors_bound_the_per_normal_chain(m, k, conjugated):
     # routes read the push (the tensors about twice the sampled maxima)
     system = (conjugated_system(m, k, seed=5) if conjugated
               else build_clifford_system(m, k))
-    frames = build_frame(system, sample_focal_points(system, 5, seed=23).x)
+    frames = build_frame(system, sample_focal_points(system, 5, seed=23))
     ops = shape_operators(frames).operators
     rng = default_rng(65 + m)
     coeffs = np.array([_normals(m, 50, rng) for _ in frames.x])
@@ -994,7 +981,7 @@ def test_cluster_radius_is_the_spectrum_threshold():
         target = factor * willmore.CLUSTER_RADIUS
         ops = np.array(shapes.operators)
         ops[1] *= 1.0 + target / (2.0 * top)     # s^3 - s = 2 e (1 + 3 e / 2)
-        bad = _forged_shape(shapes, ops)
+        bad = replace(shapes, operators=ops)
         result = certify_point(system, frames, bad, coeffs)
         worst, wrong, counts = _named(system, *result[1:])
         spectrum = _checked(result)["max_spectrum_deviation"]
@@ -1015,7 +1002,7 @@ def test_certify_point_block_errors_name_the_point():
     coeffs = [[np.array([1.0, 0.0]), np.array([0.0, 1.0])]] * 3
     ops = np.array(shapes.operators)
     ops[2] *= 1.5
-    bad = _forged_shape(shapes, ops)
+    bad = replace(shapes, operators=ops)
     result = certify_point(system, frames, bad, coeffs)
     _, wrong, counts = _named(system, *result[1:])
     spectrum = _checked(result)["max_spectrum_deviation"]
@@ -1038,7 +1025,7 @@ def test_einstein_probe_stack_equals_single_points(m, k):
     for i, extreme in enumerate(probe):
         assert np.array_equal(extreme, [one[i][0] for one in singles])
     again = einstein_probe(build_frame(
-        system, sample_focal_points(system, 5, seed=21).x))
+        system, sample_focal_points(system, 5, seed=21)))
     assert all(np.array_equal(a, b) for a, b in zip(again, probe))
 
 
@@ -1081,7 +1068,7 @@ def test_the_criterion_says_no_on_the_minimal_tube(m, k):
     # operators go through the product's shape_operators and contraction.
     system = build_clifford_system(m, k)
     criterion, ops = _minimal_tube(
-        system, sample_focal_points(system, 20, seed=5).x)
+        system, sample_focal_points(system, 20, seed=5))
     n = 2 * system.l - 2
     assert ops.shape == (20, 1, n, n)
     assert criterion == pytest.approx(TUBE_CRITERION[m, k], abs=1e-9)
@@ -1100,7 +1087,7 @@ def test_a_constant_ricci_fails_the_minimal_tube():
     # 0 against 16.17 and fails at every point
     system = build_clifford_system(4, 2)
     criterion, ops = _minimal_tube(
-        system, sample_focal_points(system, 20, seed=5).x)
+        system, sample_focal_points(system, 20, seed=5))
     shapes = shape_operators(SimpleNamespace(operators=ops))
     faulty = replace(shapes, ricci=np.broadcast_to(
         6.0 * np.eye(ops.shape[-1]), shapes.ricci.shape))
