@@ -147,13 +147,12 @@ def build_skew_generators(m: int) -> tuple:
 class CliffordSystem:
     """A symmetric Clifford system (P_0, ..., P_m) on R^{2l}.
 
-    `matrices` holds the generators as one read-only (m+1, 2l, 2l) array.
-    The constructor accepts any array or sequence of matrices of that
-    shape, and takes over an array that owns its data (records.freeze).
-    It rejects l < 1 and any NaN or infinite entry, so every stage reads a
-    finite, non-empty system.  All derived objects treat the system as
-    immutable, which is what makes the per-configuration checks safe to run
-    concurrently.
+    `matrices` holds the generators as one read-only (m+1, 2l, 2l) array,
+    taken over when given as an array that owns its data (records.freeze).
+    Its dtype is the precision of the sampler and the Willmore chain: a
+    float wider than float64 (np.longdouble) is kept, other real input
+    becomes float64, and complex input raises ValueError, as do l < 1 and
+    a NaN or infinite entry, so stages read a finite, non-empty, real system.
     """
 
     m: int
@@ -166,11 +165,15 @@ class CliffordSystem:
                              f"l={self.l}")
         expected = (self.m + 1, 2 * self.l, 2 * self.l)
         try:
-            mats = np.asarray(self.matrices, float)
+            mats = np.asarray(self.matrices)
         except ValueError:                  # matrices of unequal shapes
             mats = None
         if mats is None or mats.shape != expected:
             raise ValueError(f"matrices are not one {expected} array")
+        if mats.dtype.kind == "c":
+            raise ValueError(f"matrices are not real: dtype {mats.dtype}")
+        mats = mats.astype(mats.dtype if mats.dtype.kind == "f"
+                           and mats.itemsize > 8 else float, copy=False)
         if not np.isfinite(mats).all():
             raise ValueError("matrices have a NaN or infinite entry")
         # frozen only once accepted, so a rejected array stays writable

@@ -21,12 +21,12 @@ for the constraint Jacobian J = 2 (x, P_0 x, ..., P_m x); a deviation that
 is not small means the matrices are not a Clifford system, whatever the
 residuals say.
 
-sample_focal_points returns all points as one read-only array, row 0 the
-seed.  The other rows come from one block of Gaussian rows, one row per
-point, each mapped onto M+.  It raises nothing on the system: a row that
-cannot be built stays finite and off M+, and its residuals show it.  So
-the array has a fixed order, and a point's row does not depend on the
-other points.
+sample_focal_points returns all points as one read-only array of the
+system's dtype, row 0 the seed.  The other rows come from one block of
+Gaussian rows, one row per point, each mapped onto M+.  It raises nothing
+on the system: a row that cannot be built stays finite and off M+, and its
+residuals show it.  So the array has a fixed order, and a point's row does
+not depend on the other points.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def point_residuals(system: CliffordSystem, x) -> tuple:
-    """The certification residuals of every row of a (K, 2l) stack, in one
-    pass; any other shape raises ValueError naming it, and a non-finite row
-    is measured like any other.
+    """The certification residuals of every row of a (K, 2l) stack, read in
+    the system's dtype, in one pass; any other shape raises ValueError
+    naming it, and a non-finite row is measured like any other.
 
     Returns the residuals, a dict of (K,) arrays keyed by the points
     block's fields in their order: max_a |g_a(x)|, | |x|^2 - 1 | and
@@ -77,7 +77,7 @@ def point_residuals(system: CliffordSystem, x) -> tuple:
     and x @ x bit for bit, whatever K is.
     """
     n = system.ambient_dim
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=system.matrices.dtype)
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"point stack shape {x.shape} is not (K, {n})")
     px = system.apply(x)
@@ -137,7 +137,7 @@ def _onto_focal(system: CliffordSystem, z: np.ndarray) -> np.ndarray:
         ok &= norm_w > floor
         x = np.where(ok[:, None],
                      (u + w / np.where(ok, norm_w, 1.0)[:, None])
-                     / np.sqrt(2.0), x)
+                     / np.sqrt(system.matrices.dtype.type(2)), x)
     return x
 
 
@@ -167,26 +167,25 @@ def _seed_row(system: CliffordSystem) -> np.ndarray:
     plus, minus = _eigenparts(system, eye)
     u = _first_unit(plus)
     w = _first_unit(_reduce(system, u[None], minus))
-    return (u + w) / np.sqrt(2.0)
+    return (u + w) / np.sqrt(system.matrices.dtype.type(2))
 
 
 def sample_focal_points(system: CliffordSystem, n: int,
                         seed: int) -> np.ndarray:
-    """n points of M+ as the rows of a read-only (n, 2l) array: the
-    closed-form seed (row 0) and n - 1 points from independent Gaussian
-    rows mapped onto M+.
+    """n points of M+ as the rows of a read-only (n, 2l) array of the
+    system's dtype: the closed-form seed (row 0) and n - 1 points from
+    independent Gaussian rows mapped onto M+ in that dtype.
 
-    One (n - 1, 2l) Gaussian block is drawn from the sub-seed
+    One (n - 1, 2l) float64 Gaussian block is drawn from the sub-seed
     (seed, spawn_key=(0,)), and sampled point i (row i + 1) takes row i of
     it, mapped onto M+ through the eigenspaces of P_0.  A row that cannot
-    be built, the seed included, stays finite and off M+; nothing here
-    measures the rows (point_residuals does), and the points block of the
-    report judges them.
+    be built, the seed included, stays finite and off M+; point_residuals
+    measures the rows, and the points block of the report judges them.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rng = default_rng(_subseed(seed, 0))
-    x = np.empty((n, system.ambient_dim))
+    x = np.empty((n, system.ambient_dim), system.matrices.dtype)
     x[0] = _seed_row(system)
     x[1:] = _onto_focal(system, rng.standard_normal(x[1:].shape))
     return freeze(x)

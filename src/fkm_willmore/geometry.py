@@ -77,8 +77,8 @@ def build_frame(system: CliffordSystem, x) -> AdaptedFrame:
     one product reads in the frame; one stacked QR serves all points, and
     a frame does not depend on the others.  The record takes over the
     arrays it forms; x and the tangent slice of Q are views, so it copies
-    them.  The closed-form Ricci matrix needs codimension headroom
-    l >= m + 2; admissible systems always have it, the check is defensive.
+    them.  The closed-form Ricci matrix needs l >= m + 2.  The stage is
+    float64, np.linalg's only float: a wider system's QR raises TypeError.
     """
     if system.l < system.m + 2:
         raise ValueError("closed-form Ricci needs l >= m + 2")
@@ -141,7 +141,8 @@ def shape_operators(frame: AdaptedFrame) -> ShapeData:
 def _tangent_forms(system: CliffordSystem, tangent: np.ndarray) -> np.ndarray:
     """T^T P_a T, (P, m+1, n, n), for the (P, 2l, n) tangent bases T, one
     generator at a time: broadcasting them all holds (P, m+1, 2l, n)."""
-    out = np.empty((len(tangent), system.m + 1) + tangent.shape[2:] * 2)
+    out = np.empty((len(tangent), system.m + 1) + tangent.shape[2:] * 2,
+                   system.matrices.dtype)
     for a, p_a in enumerate(system.matrices):
         np.matmul(tangent.transpose(0, 2, 1), p_a @ tangent, out=out[:, a])
     return out

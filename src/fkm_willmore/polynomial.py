@@ -44,9 +44,9 @@ class FkmPolynomial:
     def sphere_derivatives(self, x) -> tuple:
         """Value, intrinsic gradient and intrinsic Laplacian at a (K, 2l)
         block of unit points, one per row, as new arrays (K,), (K, 2l) and
-        (K,).  A row whose norm, the root of the |x|^2 that the derivatives
-        use, is off 1 by more than 1e-12 (NaN included) raises ValueError
-        naming it, before any product with the system.
+        (K,), in float64, the PDE samples' dtype.  A row whose norm, the
+        root of the |x|^2 that the derivatives use, is off 1 by more than
+        1e-12 (NaN included) raises ValueError naming it, before any product.
 
         Both reductions follow from degree-4 homogeneity.  The sphere
         gradient is the tangential projection of the ambient gradient

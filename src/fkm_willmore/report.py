@@ -351,7 +351,7 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
     if blocks["points"]["pass"]:
         frames = build_frame(system, x)
         shapes = shape_operators(frames)
-        # sup over unit tangents X of |Ric_closed(X) - Ric_tensor(X)|
+        # sup over unit X of |Ric_closed(X) - Ric_tensor(X)|, in float64
         cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
         s_expected = 2.0 * (l - m - 1) * (m + 1)
         s_vals = shapes.sff_norm_sq

@@ -114,13 +114,13 @@ def _block_points(system: CliffordSystem, num: int) -> tuple:
 
 def _coefficient_rows(system: CliffordSystem, coeffs,
                       count: int) -> np.ndarray:
-    """The normals' coefficient vectors as a (P, N, m+1) array of unit rows,
-    N of them for each of `count` points.  A row whose norm (the root of
-    its sum of squares, np.linalg.norm's value for real rows) is off 1 by
-    more than 1e-12, NaN included, raises ValueError naming its point and
-    normal."""
+    """The normals' coefficient vectors as a (P, N, m+1) array of unit rows
+    in the system's dtype, N of them for each of `count` points.  A row
+    whose norm (the root of its sum of squares) is off 1 by more than
+    1e-12, NaN included, raises ValueError naming its point and normal.
+    Rows normalized in a narrower float pass, but carry its rounding."""
     m1 = system.m + 1
-    c = np.asarray(coeffs, dtype=float)
+    c = np.asarray(coeffs, dtype=system.matrices.dtype)
     if c.ndim != 3 or c.shape[0] != count or c.shape[2] != m1:
         raise ValueError(f"coefficient shape {c.shape} != ({count}, N, {m1})")
     gap = np.abs(np.sqrt(np.add.reduce(c * c, axis=2)) - 1.0)
@@ -273,18 +273,18 @@ def _sign_gap(system: CliffordSystem, frame: AdaptedFrame,
 
 def certify_point(system: CliffordSystem, frame: AdaptedFrame,
                   shape: ShapeData, normal_coeffs) -> tuple:
-    """Every check of the chain at P points; the lemma over their normal
-    directions.
+    """Every check of the chain at P points, in the system's dtype; the
+    lemma over their normal directions.
 
     `normal_coeffs` is a (P, N, m+1) array: N unit coefficient vectors for
     each point of the stacked `frame` and `shape`.  Returns the residuals,
-    a dict of (P,) arrays keyed by the report's willmore fields in their
-    order, each the worst over the point's normals, so the order of the
-    normals does not change them; and the lemma's tables, indexed like
-    `normal_coeffs`: the (P, N) deviations max |A_xi^3 - A_xi| and the
-    (P, N, 3) multiplicities read at each normal (_lemma).  Folding the
-    deviations over the normals and comparing the multiplicities with
-    (m, l-m-1, l-m-1) is the report's business.
+    a dict of (P,) arrays of the operators' dtype keyed by the report's
+    willmore fields in their order, each the worst over the point's
+    normals, so their order does not change it; and the lemma's tables,
+    indexed like `normal_coeffs`: the (P, N) deviations max |A_xi^3 - A_xi|
+    and the (P, N, 3) multiplicities read at each normal (_lemma).  Folding
+    the deviations and comparing the multiplicities with (m, l-m-1, l-m-1)
+    is the report's business.
 
     Every other check is read once per point, for every normal at once.
     Before any block, over all points: the non-finite guard (ValueError
@@ -320,10 +320,10 @@ def certify_point(system: CliffordSystem, frame: AdaptedFrame,
     num = coeffs.shape[1]
     step, chunk = _block_points(system, num)
     tables = _pair_tables(system.m + 1)
-    deviation = np.empty((count, num))
+    deviation = np.empty((count, num), ops.dtype)
     read = np.empty((count, num, 3), dtype=int)
-    aggregate = np.empty((count, system.m + 1))
-    pairwise, leak, u = (np.empty(count) for _ in range(3))
+    aggregate = np.empty((count, system.m + 1), ops.dtype)
+    pairwise, leak, u = (np.empty(count, ops.dtype) for _ in range(3))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
         for k in range(0, num, chunk):
@@ -352,9 +352,9 @@ def einstein_probe(frame: AdaptedFrame) -> tuple:
 
     Over unit X, X^T Ric X is extremal at the lowest and highest
     eigenvalues, so the probe reads them off one stacked eigvalsh of the
-    frame's closed-form Ricci matrices.  It only measures: the report's
-    einstein block forms the spread and applies the dimension gate and
-    the spread threshold.
+    frame's closed-form Ricci matrices, in float64, np.linalg's one float.
+    It only measures: the report's einstein block forms the spread and
+    applies the dimension gate and the spread threshold.
     """
     values = np.linalg.eigvalsh(frame.closed_ricci)
     return values[:, 0], values[:, -1]

@@ -42,7 +42,11 @@ a second route to a quantity the package computes another way:
     sign gap through a projector, which the chain reads once per point;
   * norm_bookkeeping is the m > 2 case's norm bookkeeping, which the chain
     reads as the pair tangency and the pairwise balance;
-  * take picks points out of a stacked frame or shape record.
+  * take picks points out of a stacked frame or shape record;
+  * extended_frame is the adapted frame of a system wider than float64,
+    whose tangent bases come from float64 ones by projection and
+    Newton-Schulz steps, where build_frame takes them from a QR, which
+    np.linalg computes in float64 only.
 """
 
 from dataclasses import fields
@@ -50,7 +54,8 @@ from dataclasses import fields
 import numpy as np
 
 from fkm_willmore import CliffordSystem, build_skew_generators, delta
-from fkm_willmore.geometry import pair_products
+from fkm_willmore.geometry import (AdaptedFrame, _tangent_forms, _upper_pairs,
+                                   pair_products)
 
 
 def block_system(m, k):
@@ -311,3 +316,32 @@ def take(block, rows):
     AdaptedFrame or ShapeData, as a record of the same type."""
     return type(block)(**{f.name: getattr(block, f.name)[rows]
                           for f in fields(block)})
+
+
+def extended_frame(system, x, tangent):
+    """The adapted frames of `system` at the rows of the (P, 2l) stack x,
+    all in the system's dtype, from (P, 2l, n) float64 tangent bases that
+    span the tangent spaces to float64 rounding.
+
+    Each basis T is projected off B = [x | P_0 x .. P_m x] twice,
+    T <- T - B B^T T, then made orthonormal by three Newton-Schulz steps
+    T <- T (3 I - T^T T) / 2; each step squares the deviation of T^T T
+    from I.  The operators, pair coordinates and closed Ricci matrices are
+    formed from T as build_frame forms them."""
+    codim = system.m + 1
+    px = system.apply(x)
+    lead = np.concatenate([x[:, :, None], px.transpose(0, 2, 1)], axis=2)
+    t = np.asarray(tangent, dtype=system.matrices.dtype)
+    for _ in range(2):
+        t = t - lead @ (lead.transpose(0, 2, 1) @ t)
+    eye = np.eye(t.shape[2])
+    for _ in range(3):
+        t = t @ (3.0 * eye - t.transpose(0, 2, 1) @ t) / 2.0
+    full = np.concatenate([lead, t], axis=2)
+    pair_coords = pair_products(system, px) @ full[:, None]
+    idx_a, idx_b = _upper_pairs(codim)
+    rows = pair_coords[:, idx_a, idx_b, codim + 1:]
+    closed_ricci = (2.0 * (system.l - system.m - 2) * eye
+                    + 2.0 * (rows.transpose(0, 2, 1) @ rows))
+    return AdaptedFrame(x=x, tangent=t, operators=-_tangent_forms(system, t),
+                        pair_coords=pair_coords, closed_ricci=closed_ricci)

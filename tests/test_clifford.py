@@ -102,6 +102,9 @@ def test_cayley_dickson_product_gives_the_quaternions():
 def test_generators_unimplemented_range():
     with pytest.raises(NotImplementedError):
         build_skew_generators(10)
+    # below the table there is no generator set at all, not an empty one
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        build_skew_generators(0)
 
 
 def test_split_construction_blocks():
@@ -225,6 +228,9 @@ def test_l_below_one_is_rejected():
     # on R^2
     with pytest.raises(ValueError, match="l=0"):
         CliffordSystem(m=1, l=0, matrices=np.zeros((2, 0, 0)))
+    # k < 1 is refused by name, not read as an inadmissible l = 0
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        build_clifford_system(1, 0)
     smallest = CliffordSystem(m=1, l=1, matrices=[[[1, 0], [0, -1]],
                                                   [[0, 1], [1, 0]]])
     assert verify_clifford_relations(smallest) == 0.0
@@ -408,3 +414,26 @@ def test_wrong_matrix_shape_names_the_expected_array():
     for bad in (mats[:1], mats[:, :4, :4], (mats[0], mats[1, :4, :4])):
         with pytest.raises(ValueError, match=r"\(2, 6, 6\)"):
             CliffordSystem(m=1, l=3, matrices=bad)
+
+
+@pytest.mark.parametrize("kind,kept", [
+    (np.longdouble, np.longdouble), (np.float64, np.float64),
+    (np.float32, np.float64), (int, np.float64), (bool, np.float64),
+    (object, np.float64), (list, np.float64), (complex, None)],
+    ids=["longdouble", "float64", "float32", "int", "bool", "object", "list",
+         "complex"])
+def test_matrices_are_real_float64_or_wider(kind, kept):
+    # the system's dtype is the precision of the sampler and the Willmore
+    # chain: a wider float is kept, any other real input becomes float64,
+    # an owned array of a kept dtype is taken over as is, and a complex
+    # stack is refused by its dtype, with no ComplexWarning (an error here)
+    mats = build_clifford_system(1, 3).matrices
+    given = mats.tolist() if kind is list else mats.astype(kind)
+    if kept is None:
+        with pytest.raises(ValueError, match="not real: dtype complex128"):
+            CliffordSystem(m=1, l=3, matrices=given)
+        return
+    system = CliffordSystem(m=1, l=3, matrices=given)
+    assert system.matrices.dtype == kept
+    assert np.array_equal(system.matrices, np.array(given, dtype=kept))
+    assert (system.matrices is given) == (kind in (np.float64, np.longdouble))

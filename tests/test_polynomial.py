@@ -5,8 +5,8 @@ import pytest
 from numpy.random import default_rng
 
 from fkm_willmore import (CliffordSystem, FkmPolynomial, build_clifford_system,
-                          build_skew_generators, sample_focal_points,
-                          verify_cartan_munzner)
+                          build_frame, build_skew_generators,
+                          sample_focal_points, verify_cartan_munzner)
 from fkm_willmore.polynomial import sphere_samples
 from fkm_willmore.report import CHECKED_FIELDS
 
@@ -149,6 +149,9 @@ def test_cartan_munzner_record(m, k):
     assert all(r <= 1e-10 for r in residuals.values())
     again = verify_cartan_munzner(poly, n_samples=200, seed=31)
     assert again == residuals, "seeded run must reproduce"
+    # no samples would fold to residuals of 0, a pass that measured nothing
+    with pytest.raises(ValueError, match="n_samples must be positive"):
+        verify_cartan_munzner(poly, n_samples=0, seed=31)
 
 
 def test_cartan_munzner_detects_corruption():
@@ -190,6 +193,10 @@ def test_pde_identities_hold_for_a_system_with_m2_zero():
     residuals = verify_cartan_munzner(FkmPolynomial(system), n_samples=1000,
                                       seed=5)
     assert all(r <= 1e-12 for r in residuals.values()), residuals
+    # its focal set carries no closed-form Ricci matrix (l < m + 2), and
+    # build_frame says so rather than form one
+    with pytest.raises(ValueError, match=r"needs l >= m \+ 2"):
+        build_frame(system, np.eye(8)[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,8 @@ def test_internal_error_becomes_exit_3(monkeypatch):
     assert entry["admissible"] and entry["internal"] and not entry["pass"]
     assert "synthetic failure" in entry["error"]
     assert exit_code(report) == 3
+    assert render_text(report).splitlines()[3] == (
+        "[FAIL] m=1 k=3: internal error: RuntimeError('synthetic failure')")
 
 
 def test_exit_code_mapping():

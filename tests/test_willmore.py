@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from fkm_willmore import (VerificationConfig, build_clifford_system,
-                          build_frame, certify_point, einstein_probe,
-                          evaluate_system, fold, sample_focal_points,
+from fkm_willmore import (CliffordSystem, VerificationConfig,
+                          build_clifford_system, build_frame, certify_point,
+                          einstein_probe, evaluate_system, fold,
+                          point_residuals, sample_focal_points,
                           shape_operators)
 from fkm_willmore import willmore
 from fkm_willmore.geometry import pair_products
@@ -23,11 +24,11 @@ from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
                                  DEFAULT_TOLERANCES)
 
 from conftest import GRID, conjugated_system, corrupt_system, judged_points
-from oracles import (ambient_reflection, chain_per_normal, gradient,
-                     hessian, norm_bookkeeping, p0_tangent_form, p0_u_sq,
-                     projectors, quartic, rotate_system, rotated_normals,
-                     rotated_pairs, rotated_tangent_pairs, rotated_tangency,
-                     signed_balance, take)
+from oracles import (ambient_reflection, chain_per_normal, extended_frame,
+                     gradient, hessian, norm_bookkeeping, p0_tangent_form,
+                     p0_u_sq, projectors, quartic, rotate_system,
+                     rotated_normals, rotated_pairs, rotated_tangent_pairs,
+                     rotated_tangency, signed_balance, take)
 
 
 def _setup(m, k, extra_points=1, seed=21):
@@ -1012,6 +1013,8 @@ def test_certify_point_block_errors_name_the_point():
     assert counts == [[1, 1, 1], [1, 1, 1], [0, 0, 0]]
     with pytest.raises(ValueError):
         certify_point(system, frames, shapes, coeffs[:2])
+    with pytest.raises(ValueError, match="3 frames and 2 shapes"):
+        certify_point(system, frames, take(shapes, slice(2)), coeffs)
     with pytest.raises(ValueError):
         certify_point(system, frames, shapes,
                       [coeffs[0], coeffs[1], coeffs[2][:1]])
@@ -1094,3 +1097,101 @@ def test_a_constant_ricci_fails_the_minimal_tube():
     read = willmore._contractions(faulty.ricci, ops)[:, 0]
     assert np.all(np.abs(read) <= 1e-12)
     assert np.all(np.abs(read - criterion) > 16.0)
+
+
+# ---------------------------------------------------------------------------
+# precision scaling: rounding shrinks in a wider float, a defect does not
+# ---------------------------------------------------------------------------
+
+needs_extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52,
+    reason="np.longdouble is float64 on this platform: no wider chain")
+
+
+def _precision_chain(system, tangent=None, fault=False):
+    """The report's fields that the precision-scaling rule holds, each
+    folded over 20 sampled points of `system` with m + 1 + 10 normals a
+    point, all formed in the system's dtype: the points residuals and the
+    Gram deviation, the geometry fields but the cross-check (float64 only:
+    eigvalsh), the lemma deviation and every willmore field.  Also returns
+    the lemma's multiplicities and the frames' tangent bases.
+
+    The frames are build_frame's for a float64 system, and
+    oracles.extended_frame's from the float64 bases `tangent` for a wider
+    one.  The coefficient rows are normalized in the system's dtype: rows
+    normalized in float64 carry |c| - 1 of about 1e-16 into A_xi.  With
+    `fault`, point 3's operators are scaled by 1 + 1e-12 after
+    shape_operators."""
+    m, l, dtype = system.m, system.l, system.matrices.dtype
+    x = sample_focal_points(system, 20, seed=7)
+    residuals, gram = point_residuals(system, x)
+    frame = (build_frame(system, x) if tangent is None
+             else extended_frame(system, x, tangent))
+    shape = shape_operators(frame)
+    if fault:
+        ops = np.array(shape.operators)
+        ops[3] *= 1.0 + 1e-12
+        shape = replace(shape, operators=ops)
+    n, s = frame.tangent.shape[2], shape.sff_norm_sq
+    fields = {**residuals, "gram_deviation": gram,
+              "S_max_gap": np.abs(s - 2.0 * (l - m - 1) * (m + 1)),
+              "S_spread": s - np.minimum.reduce(s),
+              "rho2_vs_S_max_gap": np.abs(shape.trace_free_norm_sq - s),
+              "H_max": np.abs(shape.mean_curvature),
+              "ricci_trace_max_gap": np.abs(
+                  shape.ricci.trace(axis1=1, axis2=2) - (n * (n - 1) - s))}
+    c = default_rng(3).standard_normal((20, 10, m + 1)).astype(dtype)
+    c /= np.sqrt(np.add.reduce(c * c, axis=2))[..., None]
+    coeffs = np.concatenate(
+        [np.broadcast_to(np.eye(m + 1, dtype=dtype), (20, m + 1, m + 1)), c],
+        axis=1)
+    checks, deviation, read = certify_point(system, frame, shape, coeffs)
+    fields |= {"max_spectrum_deviation": deviation, **checks}
+    assert {v.dtype for v in fields.values()} == {dtype}
+    return {key: fold(v) for key, v in fields.items()}, read, frame.tangent
+
+
+def _wide(system):
+    """The same system with its matrices in np.longdouble."""
+    wide = CliffordSystem(m=system.m, l=system.l,
+                          matrices=system.matrices.astype(np.longdouble))
+    assert wide.matrices.dtype == np.longdouble
+    return wide
+
+
+@needs_extended
+@pytest.mark.parametrize("m,k", GRID + [(9, 1)])
+def test_residuals_are_rounding_by_precision_scaling(m, k):
+    # in x87 extended precision the unit roundoff is 2^11 times smaller,
+    # so every field that is rounding in float64 shrinks by about 2^11
+    # (the least seen is 819); 2^6 leaves over a decade of margin.  The
+    # reflection gap compares the operators with the same product, so it
+    # is exactly 0 in both
+    system = build_clifford_system(m, k)
+    narrow, _, tangent = _precision_chain(system)
+    wide, _, _ = _precision_chain(_wide(system), tangent)
+    assert narrow["reflection_max"] == wide["reflection_max"] == 0.0
+    assert any(value > 0.0 for value in narrow.values())
+    flat = {key: (narrow[key], wide[key]) for key in narrow
+            if narrow[key] > 0.0 and not narrow[key] >= 64.0 * wide[key]}
+    assert not flat, flat
+
+
+@needs_extended
+def test_a_defect_does_not_shrink_with_precision():
+    # point 3's operators scaled by 1 + 1e-12 at (3, 2): far inside the
+    # tolerances, so every float64 block that reads the operators passes
+    # (the others never see them), and a real residual, not rounding, so
+    # the reflection gap and the lemma read it in both precisions alike
+    system = build_clifford_system(3, 2)
+    narrow, read, tangent = _precision_chain(system, fault=True)
+    checked = {key: DEFAULT_TOLERANCES.get(held, held)
+               for block in ("points", "geometry", "lemma", "willmore")
+               for key, held in CHECKED_FIELDS[block].items()}
+    assert set(checked) - set(narrow) == {"ricci_crosscheck_max"}
+    assert all(narrow[key] <= tol for key, tol in checked.items()
+               if key in narrow), narrow
+    assert np.all(read == [3, system.m2, system.m2])
+    wide, _, _ = _precision_chain(_wide(system), tangent, fault=True)
+    for key in ("reflection_max", "max_spectrum_deviation"):
+        assert 1e-13 < narrow[key] < 2.0 * wide[key], key
