@@ -49,12 +49,6 @@ SPHERE_TOL = 1e-12         # | |x|^2 - 1 |
 VALUE_TOL = 1e-9           # |F(x) - 1|
 
 
-def _subseed(master: int, *key: int) -> SeedSequence:
-    """The sub-stream of the master seed named by `key`, ready for
-    default_rng."""
-    return SeedSequence(int(master), spawn_key=tuple(int(v) for v in key))
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_k, b_k> for the rows of two (K, d) stacks, each with the rounding
     of the one-point a_k @ b_k.  (einsum, sums of elementwise products and
@@ -184,7 +178,7 @@ def sample_focal_points(system: CliffordSystem, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rng = default_rng(_subseed(seed, 0))
+    rng = default_rng(SeedSequence(int(seed), spawn_key=(0,)))
     x = np.empty((n, system.ambient_dim), system.matrices.dtype)
     x[0] = _seed_row(system)
     x[1:] = _onto_focal(system, rng.standard_normal(x[1:].shape))

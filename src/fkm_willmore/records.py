@@ -11,14 +11,14 @@ import numpy as np
 __all__ = ["fold", "freeze"]
 
 
-def freeze(value, dtype=None) -> np.ndarray:
-    """`value` as a read-only array (of `dtype` if given).
+def freeze(value) -> np.ndarray:
+    """`value` as a read-only array.
 
     An array that owns its data is taken over: it is set read-only in place
     and returned as is.  A view is copied first, since its base may still
     be written; anything else becomes a new array.
     """
-    out = np.asarray(value, dtype=dtype)
+    out = np.asarray(value)
     if out.base is not None:
         out = out.copy()
     out.setflags(write=False)

@@ -26,15 +26,15 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from numpy.random import default_rng
+from numpy.random import SeedSequence, default_rng
 
 from .clifford import (AdmissibilityError, CliffordSystem,
                        build_clifford_system, delta,
                        verify_clifford_relations)
-from .focal import (SPHERE_TOL, VALUE_TOL, _subseed, point_residuals,
+from .focal import (SPHERE_TOL, VALUE_TOL, point_residuals,
                     sample_focal_points)
 from .geometry import build_frame, shape_operators
-from .polynomial import FkmPolynomial, verify_cartan_munzner
+from .polynomial import FkmPolynomial, sphere_samples, verify_cartan_munzner
 from .records import fold
 from .willmore import certify_point, einstein_probe
 
@@ -302,6 +302,12 @@ def _points_block(x: np.ndarray, residuals: dict, gram: np.ndarray,
         lambda i, _: f"point {i} failed certification: ")
 
 
+def _subseed(master: int, *key: int) -> SeedSequence:
+    """The sub-stream (configuration, stage) of the master seed: stage 0
+    is the PDE samples, 1 the sampler and 3 the random normals."""
+    return SeedSequence(int(master), spawn_key=tuple(int(v) for v in key))
+
+
 def configuration_points(system: CliffordSystem, cfg: VerificationConfig,
                          config_index: int) -> np.ndarray:
     """The read-only (n_points, 2l) array of the points that
@@ -373,11 +379,9 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
         coeffs[:, :m + 1] = np.eye(m + 1)
         if cfg.n_normals:
             # one draw for the configuration, point p's normals in row p
-            rng = default_rng(_subseed(cfg.seed, config_index, 3))
-            c = rng.standard_normal((count, cfg.n_normals, m + 1))
-            # sqrt(c @ c) row by row, the rounding of np.linalg.norm(c)
-            norms = np.sqrt(np.matmul(c[..., None, :], c[..., None]))
-            coeffs[:, m + 1:] = c / norms[..., 0]
+            coeffs[:, m + 1:] = sphere_samples(
+                default_rng(_subseed(cfg.seed, config_index, 3)),
+                count * cfg.n_normals, m + 1).reshape(count, -1, m + 1)
         residuals, deviation, read = certify_point(system, frames, shapes,
                                                    coeffs)
         expected = [m, system.m2, system.m2]

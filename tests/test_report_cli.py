@@ -907,19 +907,22 @@ def _point_inputs(monkeypatch, n_points):
 def test_point_inputs_do_not_depend_on_the_point_count(monkeypatch):
     # point p's start and normals are row p of a row-major draw of its
     # stage, so the first five points of a 20-point run get the inputs of a
-    # 5-point run, and the normals are those of the named stream
-    from numpy.random import SeedSequence, default_rng
+    # 5-point run, and the normals are the unit rows that sphere_samples
+    # draws from the named stream, the PDE samples' route
+    from numpy.random import SeedSequence
 
+    from fkm_willmore.polynomial import sphere_samples
     from fkm_willmore.report import DEFAULT_SEED
     five = _point_inputs(monkeypatch, 5)
     twenty = _point_inputs(monkeypatch, 20)
     for a, b in zip(five, twenty):
         assert np.array_equal(a, b[:5])
     # (2, 2): m + 1 = 3
-    c = default_rng(SeedSequence(DEFAULT_SEED, spawn_key=(0, 3))) \
-        .standard_normal((20, 3, 3))
-    assert np.array_equal(twenty[1], [[row / np.linalg.norm(row)
-                                       for row in rows] for rows in c])
+    rows = sphere_samples(
+        default_rng(SeedSequence(DEFAULT_SEED, spawn_key=(0, 3))), 60, 3)
+    assert np.array_equal(twenty[1], rows.reshape(20, 3, 3))
+    norms = np.linalg.norm(twenty[1], axis=2)
+    assert np.abs(norms - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 def _reject_constant(token):

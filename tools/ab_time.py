@@ -11,8 +11,10 @@ working tree's `src`.  Both sides parse the `fkm-verify` arguments after
 `--` with their own `parse_cli`, and their reports must be byte-identical
 before any timing.  Then the sides alternate, the side that goes first
 alternating too, each call one `run_suite` and `to_json`.  The script
-prints the median and the quartiles of each side, the change of the
-medians, and on how many of the pairs the change side was faster.
+prints the median and the quartiles of each side, its median count of
+minor page faults per call (`ru_minflt` of `getrusage`, read around each
+call), the change of the medians, and on how many of the pairs the change
+side was faster.
 
 Why: a fresh process per run, as `perfbench/run.py` makes them, spread the
 benchmark's medians by 3-5% between two sides of a change that moved no
@@ -22,12 +24,18 @@ the same drift of the host's speed, so a change of a few percent shows.
 The script is outside the test suite and adds nothing to the product.
 Run it with single-threaded BLAS (OPENBLAS_NUM_THREADS=1), as the
 benchmark does.
+
+The fault counts are there because glibc's heap trimming, not the
+arithmetic, decides them: a change that allocates differently can move
+the faults, and with them the time, by several percent (docs/derivations.md
+section 11).  Compare them before crediting a timing change to its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import resource
 import shutil
 import statistics
 import subprocess
@@ -97,12 +105,16 @@ def main(argv=None) -> int:
         call("base")
         call("change")
     times = {"base": [], "change": []}
+    faults = {"base": [], "change": []}
     for i in range(args.runs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for name in order:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             call(name)
             times[name].append(time.perf_counter() - start)
+            faults[name].append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
     print(f"fkm-verify {' '.join(args.verify_args) or '(defaults)'}: "
           f"{args.runs} alternating calls per side")
@@ -110,7 +122,8 @@ def main(argv=None) -> int:
         q1, q2, q3 = statistics.quantiles(times[name], n=4)
         print(f"  {name:6s} median {q2 * 1e3:8.3f} ms  quartiles "
               f"[{q1 * 1e3:.3f}, {q3 * 1e3:.3f}] ms  spread "
-              f"{(q3 - q1) / q2:.1%}")
+              f"{(q3 - q1) / q2:.1%}  minor faults per call "
+              f"{statistics.median(faults[name]):g}")
     base, change = (statistics.median(times[k]) for k in ("base", "change"))
     faster = sum(c < b for b, c in zip(times["base"], times["change"]))
     print(f"  change of the median {change / base - 1.0:+.1%}; change side "
