@@ -117,7 +117,6 @@ class ShapeData(Record):
 
     operators: np.ndarray          # (P, m+1, n, n)
     sff_norm_sq: np.ndarray        # (P,), sum of squared h components
-    trace_free_norm_sq: np.ndarray  # (P,), sff_norm_sq - n |H|^2
     mean_curvature: np.ndarray     # (P, m+1), components tr(A_a) / n
     ricci: np.ndarray              # (P, n, n)
 
@@ -130,12 +129,10 @@ def shape_operators(frame: AdaptedFrame) -> ShapeData:
     traces = np.einsum("kapp->ka", ops)
     h_vec = traces / n
     s = np.add.reduce(ops * ops, axis=(1, 2, 3))
-    rho_sq = s - n * np.matmul(h_vec[:, None, :], h_vec[:, :, None])[:, 0, 0]
-    sq = ops @ ops
     ricci = ((n - 1.0) * np.eye(n) + np.einsum("ka,kapq->kpq", traces, ops)
-             - np.add.reduce(sq, axis=1))
-    return ShapeData(operators=ops, sff_norm_sq=s, trace_free_norm_sq=rho_sq,
-                     mean_curvature=h_vec, ricci=ricci)
+             - np.add.reduce(ops @ ops, axis=1))
+    return ShapeData(operators=ops, sff_norm_sq=s, mean_curvature=h_vec,
+                     ricci=ricci)
 
 
 def _tangent_forms(system: CliffordSystem, tangent: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .clifford import (AdmissibilityError, CliffordSystem,
                        verify_clifford_relations)
 from .focal import (SPHERE_TOL, VALUE_TOL, point_residuals,
                     sample_focal_points)
-from .geometry import build_frame, shape_operators
+from .geometry import ShapeData, build_frame, shape_operators
 from .polynomial import FkmPolynomial, sphere_samples, verify_cartan_munzner
 from .records import fold
 from .willmore import certify_point, einstein_probe
@@ -287,19 +287,99 @@ def _median(values) -> float:
     return math.nan if np.isnan(ordered[-1]) else float(median)
 
 
-def _points_block(x: np.ndarray, residuals: dict, gram: np.ndarray,
-                  tol: dict, rank_expected: int) -> dict:
-    """The points block of the rows of x: point_residuals' dict held to its
-    checks, and each row to the rank of its Jacobian, read off its Gram
-    deviation: rank_expected = m + 2 where it is at most _GRAM_TOL, else 0."""
+def _m_plus(system: CliffordSystem) -> dict:
+    """M+'s expected values, which its blocks hold: the rank m + 2 of the
+    Jacobian of its equations, S = 2 (l - m - 1)(m + 1), the multiplicities
+    (m, m2, m2) of the eigenvalues 0, +1, -1 of each A_xi, and whether the
+    Einstein probe's dimension condition 4l > m^2 + 3m + 4 holds."""
+    m, l = system.m, system.l
+    return {"rank": m + 2, "S": 2.0 * (l - m - 1) * (m + 1),
+            "multiplicities": [m, system.m2, system.m2],
+            "gated": 4 * l > m * m + 3 * m + 4}
+
+
+def _points_fields(x: np.ndarray, residuals: dict, gram: np.ndarray,
+                   rank_expected: int) -> tuple:
+    """The points block's fields, conditions and naming, which _block
+    judges, for the rows of x: point_residuals' dict, and each row's
+    Jacobian rank, read off its Gram deviation: rank_expected where it is
+    at most _GRAM_TOL, else 0."""
     ranks = np.where(gram <= _GRAM_TOL, rank_expected, 0).tolist()
-    return _block("points", tol, {
+    return ({
         "count": len(x), **residuals,
         "jacobian_ranks": sorted(set(ranks)), "rank_expected": rank_expected,
         "coordinates_sha256": hashlib.sha256(np.ascontiguousarray(
             x, dtype="<f8").tobytes()).hexdigest()},
         {"jacobian_rank": (ranks, rank_expected)},
         lambda i, _: f"point {i} failed certification: ")
+
+
+def _geometry_fields(shapes: ShapeData, cross: np.ndarray,
+                     s_expected: float) -> tuple:
+    """The geometry block's fields at each point, conditions and naming,
+    from shape_operators' record and the (P, n) eigenvalues of the Ricci
+    cross-check's difference: S against s_expected and its spread,
+    rho^2 = S - n |H|^2 against S, |H|, the cross-check's spectral norm
+    and tr Ric against n (n - 1) - S."""
+    s, h, n = shapes.sff_norm_sq, shapes.mean_curvature, shapes.ricci.shape[2]
+    rho2 = s - n * np.matmul(h[:, None, :], h[:, :, None])[:, 0, 0]
+    return ({"S_expected": s_expected, "S_max_gap": np.abs(s - s_expected),
+             # folds to the spread
+             "S_spread": s - np.minimum.reduce(s),
+             "rho2_vs_S_max_gap": np.abs(rho2 - s),
+             "H_max": np.maximum.reduce(np.abs(h), axis=1),
+             "ricci_crosscheck_max": np.maximum.reduce(np.abs(cross), axis=1),
+             "ricci_trace_max_gap": np.abs(
+                 shapes.ricci.trace(axis1=1, axis2=2) - (n * (n - 1) - s))},
+            {}, lambda i, _: f"point {i}: ")
+
+
+def _lemma_fields(deviation: np.ndarray, read: np.ndarray,
+                  expected: list) -> tuple:
+    """The lemma block's fields at each point, conditions and naming, from
+    certify_point's (P, N) spectrum deviations and (P, N, 3) multiplicities:
+    each point's worst deviation, and the multiplicities of its first
+    normal that does not read `expected` (normal 0 if none), which a
+    failure names."""
+    first = np.logical_and.reduce(read == expected, axis=2).argmin(axis=1)
+    counts = read[np.arange(len(read)), first].tolist()
+
+    def normal(i, key):
+        # the first wrong normal for the counts, else the worst one
+        k = first[i] if key == "multiplicities" else deviation[i].argmax()
+        return f"point {i}, normal {k}: "
+
+    return ({"n_normals_per_point": deviation.shape[1],
+             "max_spectrum_deviation": fold(deviation, axis=1),
+             "multiplicities": next((r for r in counts if r != expected),
+                                    expected)},
+            {"multiplicities": (counts, expected)}, normal)
+
+
+def _willmore_fields(residuals: dict) -> tuple:
+    """The willmore block's fields at each point, conditions and naming:
+    certify_point's residuals, and the median of the reduced criterion's."""
+    residual = residuals["residual_max"]
+    return ({"residual_max": residual, "residual_median": _median(residual),
+             **residuals}, {}, lambda i, _: f"point {i}: ")
+
+
+def _einstein_fields(lowest: np.ndarray, highest: np.ndarray,
+                     gated: bool) -> tuple:
+    """The einstein block's fields, conditions and naming, from
+    einstein_probe's least and greatest Ricci values at each point: where
+    the dimension condition `gated` holds, every point's spread must
+    exceed RICCI_SPREAD_THRESHOLD."""
+    spread = highest - lowest
+    exceeds = (spread > RICCI_SPREAD_THRESHOLD).tolist()
+    return ({"ricci_min": float(np.minimum.reduce(lowest)),
+             "ricci_max": float(np.maximum.reduce(highest)),
+             "spread": float(np.maximum.reduce(spread)),
+             "dimension_condition": gated,
+             "spread_exceeds_threshold": all(exceeds) if gated else None,
+             "status": "evidence" if gated else "inconclusive"},
+            {"spread_exceeds_threshold": (exceeds, True)} if gated else {},
+            lambda i, _: f"point {i}: ")
 
 
 def _subseed(master: int, *key: int) -> SeedSequence:
@@ -323,20 +403,22 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                     config_index: int) -> dict:
     """Run every check block for one admissible system.
 
-    The stages measure and _block judges.  A failing check fails its
-    block; a failing points block also leaves out geometry, lemma,
-    willmore and einstein, which read the points.  No stage raises on
-    measured data, so an exception here is a fault of the program:
-    run_suite records it as an internal error (exit code 3).
+    The stages measure, one _<block>_fields function per block forms its
+    fields from their outputs and M+'s expected values (_m_plus), and
+    _block judges.  A failing check fails its block; a failing points
+    block also leaves out geometry, lemma, willmore and einstein, which
+    read the points.  No stage raises on measured data, so an exception
+    here is a fault of the program: run_suite records it as an internal
+    error (exit code 3).
     """
     m, l = system.m, system.l
-    n = system.ambient_dim - m - 2
+    want = _m_plus(system)
     entry = {
         "m": m,
         "k": l // delta(m),
         "l": l,
         "ambient_dim": system.ambient_dim,
-        "focal_dim": n,
+        "focal_dim": system.ambient_dim - m - 2,
         "admissible": True,
     }
     blocks = {}
@@ -351,28 +433,16 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
             _subseed(cfg.seed, config_index, 0))})
 
     x = configuration_points(system, cfg, config_index)
-    blocks["points"] = _points_block(x, *point_residuals(system, x), tol,
-                                     m + 2)
+    blocks["points"] = _block("points", tol, *_points_fields(
+        x, *point_residuals(system, x), want["rank"]))
 
     if blocks["points"]["pass"]:
         frames = build_frame(system, x)
         shapes = shape_operators(frames)
         # sup over unit X of |Ric_closed(X) - Ric_tensor(X)|, in float64
         cross = np.linalg.eigvalsh(frames.closed_ricci - shapes.ricci)
-        s_expected = 2.0 * (l - m - 1) * (m + 1)
-        s_vals = shapes.sff_norm_sq
-        ricci_traces = shapes.ricci.trace(axis1=1, axis2=2)
-        blocks["geometry"] = _block("geometry", tol, {
-            "S_expected": s_expected,
-            "S_max_gap": np.abs(s_vals - s_expected),
-            # folds to the spread
-            "S_spread": s_vals - np.minimum.reduce(s_vals),
-            "rho2_vs_S_max_gap": np.abs(shapes.trace_free_norm_sq - s_vals),
-            "H_max": np.maximum.reduce(np.abs(shapes.mean_curvature), axis=1),
-            "ricci_crosscheck_max": np.maximum.reduce(np.abs(cross), axis=1),
-            "ricci_trace_max_gap":
-                np.abs(ricci_traces - (n * (n - 1) - s_vals))},
-            where=lambda i, _: f"point {i}: ")
+        blocks["geometry"] = _block("geometry", tol, *_geometry_fields(
+            shapes, cross, want["S"]))
 
         count = len(x)
         coeffs = np.empty((count, m + 1 + cfg.n_normals, m + 1))
@@ -384,40 +454,12 @@ def evaluate_system(system: CliffordSystem, cfg: VerificationConfig,
                 count * cfg.n_normals, m + 1).reshape(count, -1, m + 1)
         residuals, deviation, read = certify_point(system, frames, shapes,
                                                    coeffs)
-        expected = [m, system.m2, system.m2]
-        # each point's first normal with wrong counts; normal 0 if none
-        first = np.logical_and.reduce(read == expected, axis=2).argmin(axis=1)
-        counts = read[np.arange(count), first].tolist()
-
-        def normal(i, key):
-            # the first wrong normal for the counts, else the worst one
-            k = first[i] if key == "multiplicities" else deviation[i].argmax()
-            return f"point {i}, normal {k}: "
-
-        blocks["lemma"] = _block("lemma", tol, {
-            "n_normals_per_point": m + 1 + cfg.n_normals,
-            "max_spectrum_deviation": fold(deviation, axis=1),
-            "multiplicities": next((r for r in counts if r != expected),
-                                   expected)},
-            {"multiplicities": (counts, expected)}, normal)
-        residual = residuals["residual_max"]
-        blocks["willmore"] = _block("willmore", tol, {
-            "residual_max": residual, "residual_median": _median(residual),
-            **residuals}, where=lambda i, _: f"point {i}: ")
-
-        lowest, highest = einstein_probe(frames)
-        spread = highest - lowest
-        gated = 4 * l > m * m + 3 * m + 4
-        exceeds = (spread > RICCI_SPREAD_THRESHOLD).tolist()
-        blocks["einstein"] = _block("einstein", tol, {
-            "ricci_min": float(np.minimum.reduce(lowest)),
-            "ricci_max": float(np.maximum.reduce(highest)),
-            "spread": float(np.maximum.reduce(spread)),
-            "dimension_condition": gated,
-            "spread_exceeds_threshold": all(exceeds) if gated else None,
-            "status": "evidence" if gated else "inconclusive"},
-            {"spread_exceeds_threshold": (exceeds, True)} if gated else {},
-            lambda i, _: f"point {i}: ")
+        blocks["lemma"] = _block("lemma", tol, *_lemma_fields(
+            deviation, read, want["multiplicities"]))
+        blocks["willmore"] = _block("willmore", tol,
+                                    *_willmore_fields(residuals))
+        blocks["einstein"] = _block("einstein", tol, *_einstein_fields(
+            *einstein_probe(frames), want["gated"]))
 
     entry["blocks"] = blocks
     entry["pass"] = all(b["pass"] for b in blocks.values())

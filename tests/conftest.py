@@ -78,7 +78,17 @@ def judged_points(system: CliffordSystem, x, **tolerances):
     residuals, gram = point_residuals(system, x)
     tol = VerificationConfig(tolerances=tolerances).tolerances
     return ({**residuals, "gram_deviation": gram},
-            report._points_block(x, residuals, gram, tol, system.m + 2))
+            report._block("points", tol, *report._points_fields(
+                x, residuals, gram, report._m_plus(system)["rank"])))
+
+
+def geometry_fields(system: CliffordSystem, shapes) -> dict:
+    """The checked fields of the report's geometry block at each point of
+    `shapes` at M+ of `system`, but the cross-check's (float64 only)."""
+    fields = report._geometry_fields(shapes, np.zeros((1, 1)),
+                                     report._m_plus(system)["S"])[0]
+    return {key: fields[key] for key in report.CHECKED_FIELDS["geometry"]
+            if key != "ricci_crosscheck_max"}
 
 
 def fd_gradient(f, x, h=FD_STEP):

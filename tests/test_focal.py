@@ -172,8 +172,8 @@ def test_gram_deviation_at_the_threshold_is_full_rank():
     system = build_clifford_system(2, 2)
     x = sample_focal_points(system, 3, seed=1)
     residuals, _ = point_residuals(system, x)
-    block = report._points_block(x, residuals, np.array(
-        [1e-6, np.nextafter(1e-6, 1.0), 0.0]), DEFAULT_TOLERANCES, 4)
+    block = report._block("points", DEFAULT_TOLERANCES, *report._points_fields(
+        x, residuals, np.array([1e-6, np.nextafter(1e-6, 1.0), 0.0]), 4))
     assert block["jacobian_ranks"] == [0, 4]
     assert block["error"] == ("point 1 failed certification: "
                               "jacobian_rank 0 (expected 4)")
@@ -250,7 +250,7 @@ def test_jacobian_rank(m, k, rank):
     assert judged_points(system, points)[1]["jacobian_ranks"] == [rank]
     for x in points:
         assert judged_points(system, x)[1]["jacobian_ranks"] == [rank]
-    assert rank == m + 2
+    assert rank == report._m_plus(system)["rank"]
 
 
 @pytest.mark.parametrize("m,k,conjugated",

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from fkm_willmore import (build_clifford_system, build_frame,
+from fkm_willmore import (build_clifford_system, build_frame, report,
                           sample_focal_points, shape_operators)
 from fkm_willmore.geometry import _upper_pairs, pair_products
 
-from conftest import GRID, conjugated_system, conjugator, judged_points
+from conftest import (GRID, conjugated_system, conjugator, geometry_fields,
+                      judged_points)
 from oracles import (sectional_curvature, sectional_curvature_from_shape,
                      take)
 
@@ -91,7 +92,7 @@ def test_shape_operators_symmetric_traceless(m, k):
 @pytest.mark.parametrize("m,k", GRID)
 def test_sff_norm_closed_form(m, k):
     system, points = _setup(m, k)
-    expected = 2.0 * (system.l - m - 1) * (m + 1)
+    expected = report._m_plus(system)["S"]
     for point in points:
         shape = shape_operators(build_frame(system, point))
         assert abs(shape.sff_norm_sq[0] - expected) <= 1e-12
@@ -117,8 +118,7 @@ def test_minimal_and_trace_free(m, k):
         traces = np.trace(ops, axis1=1, axis2=2)
         assert np.max(np.abs(traces / ops.shape[1])) <= 1e-13
         # with H = 0 the trace-free norm coincides with the full norm
-        assert abs(shape.trace_free_norm_sq[0]
-                   - shape.sff_norm_sq[0]) <= 1e-12
+        assert geometry_fields(system, shape)["rho2_vs_S_max_gap"][0] <= 1e-12
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (4, 2)])
@@ -254,6 +254,7 @@ def test_stacked_frames_and_shapes_equal_single_points(m, k):
     system, points = _setup(m, k, n_points=5)
     frames = build_frame(system, points)
     shapes = shape_operators(frames)
+    gap = geometry_fields(system, shapes)["rho2_vs_S_max_gap"]
     assert len(frames.x) == len(shapes.operators) == len(points)
     for p, point in enumerate(points):
         frame, shape = take(frames, p), take(shapes, p)
@@ -269,11 +270,10 @@ def test_stacked_frames_and_shapes_equal_single_points(m, k):
             frame.pair_coords,
             pair_products(system, system.apply(point)) @ full)
         one = shape_operators(single)
-        for name in ("operators", "mean_curvature", "ricci"):
+        for name in ("operators", "sff_norm_sq", "mean_curvature", "ricci"):
             assert np.array_equal(getattr(shape, name),
-                                  getattr(one, name)[0])
-        assert shape.sff_norm_sq == one.sff_norm_sq[0]
-        assert shape.trace_free_norm_sq == one.trace_free_norm_sq[0]
+                                  getattr(one, name)[0]), name
+        assert gap[p] == geometry_fields(system, one)["rho2_vs_S_max_gap"][0]
         # bit for bit the arithmetic of the one-point code
         t, pairs, ops, s, ricci = _reference_frame_and_shape(system, point)
         assert np.array_equal(frame.tangent, t)

@@ -18,12 +18,13 @@ from fkm_willmore import (CliffordSystem, VerificationConfig,
                           einstein_probe, evaluate_system, fold,
                           point_residuals, sample_focal_points,
                           shape_operators)
-from fkm_willmore import willmore
+from fkm_willmore import report, willmore
 from fkm_willmore.geometry import pair_products
 from fkm_willmore.report import (CHECKED_FIELDS, DEFAULT_GRID,
                                  DEFAULT_TOLERANCES)
 
-from conftest import GRID, conjugated_system, corrupt_system, judged_points
+from conftest import (GRID, conjugated_system, corrupt_system,
+                      geometry_fields, judged_points)
 from oracles import (ambient_reflection, chain_per_normal, extended_frame,
                      gradient, hessian, norm_bookkeeping, p0_tangent_form,
                      p0_u_sq, projectors, quartic, rotate_system,
@@ -51,32 +52,34 @@ def _unit(rng, dim):
     return c / np.linalg.norm(c)
 
 
-def _named(system, deviation, read):
-    """What the lemma's error names at each point, read off certify_point's
-    tables: the normal of the worst deviation, the first normal whose
-    multiplicities are not (m, m2, m2) (-1 if none), and the multiplicities
-    read there ((m, m2, m2) if none)."""
-    expected = [system.m, system.m2, system.m2]
+def _named(system, result):
+    """The report's lemma deviation at each point of a certify_point
+    result, and what its error names there: the worst normal, the first
+    normal whose multiplicities are not M+'s (-1 if none), and those
+    multiplicities (M+'s if none)."""
+    rows = result[2].tolist()
+    expected = report._m_plus(system)["multiplicities"]
     wrong = [next((k for k, r in enumerate(row) if r != expected), -1)
-             for row in read.tolist()]
-    counts = [row[k] if k >= 0 else expected
-              for row, k in zip(read.tolist(), wrong)]
-    return deviation.argmax(axis=1).tolist(), wrong, counts
+             for row in rows]
+    counts = [row[k] if k >= 0 else expected for row, k in zip(rows, wrong)]
+    return (_checked(system, result)["max_spectrum_deviation"],
+            result[1].argmax(axis=1).tolist(), wrong, counts)
 
 
-def _checked(result):
-    """The checked fields of the report's lemma and willmore blocks at
-    every point, from a certify_point result: the lemma's worst deviation
-    over the point's normals, folded as the report folds it, then the
-    residuals, each a (P,) array."""
-    residuals, deviation, _ = result
-    return {"max_spectrum_deviation": fold(deviation, axis=1), **residuals}
+def _checked(system, result):
+    """The report's checked lemma and willmore fields, (P,) arrays in its
+    order, formed from a certify_point result at M+ of `system`."""
+    residuals, deviation, read = result
+    fields = {**report._lemma_fields(
+        deviation, read, report._m_plus(system)["multiplicities"])[0],
+        **report._willmore_fields(residuals)[0]}
+    return {key: v for key, v in fields.items() if key in _DEFAULT_TOL}
 
 
 def _residuals(system, frame, shape, coeffs):
     """The checked fields at a one-point stack, by name."""
-    return {name: values[0] for name, values in
-            _checked(certify_point(system, frame, shape, [coeffs])).items()}
+    return {name: values[0] for name, values in _checked(
+        system, certify_point(system, frame, shape, [coeffs])).items()}
 
 
 # the default tolerance of each checked field of the lemma and willmore
@@ -118,7 +121,7 @@ def test_principal_multiplicities(m, k, dims):
     for frame, shape in _each(frames, shapes):
         coeffs = list(np.eye(m + 1)) + [_unit(rng, m + 1) for _ in range(50)]
         deviation, *spectral = _projectors(system, shape, [coeffs])
-        assert dims == (m, system.m2, system.m2)
+        assert list(dims) == report._m_plus(system)["multiplicities"]
         for proj, dim in zip(spectral, dims):
             traces = np.trace(proj, axis1=2, axis2=3)
             assert np.max(np.abs(traces - dim)) <= 1e-12
@@ -149,9 +152,8 @@ def test_spectrum_error_on_scaled_operators():
     system, frame, shape = _setup(1, 3, extra_points=0)
     bad = replace(shape, operators=1.5 * shape.operators)
     result = certify_point(system, frame, bad, [np.eye(2)[:1]])
-    worst, wrong, counts = _named(system, *result[1:])
-    assert _checked(result)["max_spectrum_deviation"][0] == pytest.approx(
-        1.5 ** 3 - 1.5, rel=1e-12)
+    spectrum, worst, wrong, counts = _named(system, result)
+    assert spectrum[0] == pytest.approx(1.5 ** 3 - 1.5, rel=1e-12)
     assert (worst, wrong) == ([0], [0])
     assert counts == [[0, 0, 0]]
 
@@ -165,8 +167,8 @@ def test_multiplicity_error_on_forged_operators():
     ops[0, 0] = np.eye(n)                   # every eigenvalue lands at +1
     bad = replace(shape, operators=ops)
     result = certify_point(system, frame, bad, [np.eye(2)[:1]])
-    _, wrong, counts = _named(system, *result[1:])
-    assert _checked(result)["max_spectrum_deviation"][0] == 0.0
+    spectrum, _, wrong, counts = _named(system, result)
+    assert spectrum[0] == 0.0
     assert wrong == [0]
     assert counts == [[0, n, 0]] and n == 3
 
@@ -357,22 +359,20 @@ def test_certify_point_doubled_generators():
     assert res["residual_max"] < 1e-7
 
 
-def _einstein_block(m, k):
-    """The einstein block of a small (m, k) run, which judges the probe."""
-    cfg = VerificationConfig(configurations=((m, k),), n_points=3,
-                             n_normals=0)
-    return evaluate_system(build_clifford_system(m, k), cfg, 0)[
-        "blocks"]["einstein"]
+def _einstein_block(system, frame):
+    """The einstein block that the report makes of the probe at `frame`."""
+    fields = report._einstein_fields(*einstein_probe(frame),
+                                     report._m_plus(system)["gated"])
+    return report._block("einstein", DEFAULT_TOLERANCES, *fields)
 
 
 def test_einstein_probe_smallest_case():
-    _, frame, shape = _setup(1, 3, extra_points=0)
-    lowest, highest = einstein_probe(frame)
-    # oracle: the Ricci tensor here has eigenvalues {0, 0, 2}
+    system, frame, shape = _setup(1, 3, extra_points=0)
+    # oracle: the Ricci tensor here has eigenvalues {0, 0, 2}, and the
+    # block's spread is the probe's at the one point
     eigs = np.sort(np.linalg.eigvalsh(shape.ricci[0]))
     assert np.max(np.abs(eigs - np.array([0.0, 0.0, 2.0]))) <= 1e-10
-    assert abs(highest[0] - lowest[0] - 2.0) <= 1e-8
-    block = _einstein_block(1, 3)
+    block = _einstein_block(system, frame)
     assert block["status"] == "evidence"
     assert block["dimension_condition"]
     assert abs(block["spread"] - 2.0) <= 1e-8
@@ -383,10 +383,10 @@ def test_einstein_probe_evidence_and_inconclusive():
     # the probe measures and the einstein block applies the gate
     for m, k, status in [(2, 2, "evidence"), (3, 2, "evidence"),
                          (4, 2, "inconclusive"), (5, 1, "inconclusive")]:
-        _, frame, _ = _setup(m, k, extra_points=0)
+        system, frame, _ = _setup(m, k, extra_points=0)
         # the extremes at the one point, and no verdict
         assert [e.shape for e in einstein_probe(frame)] == [(1,), (1,)]
-        block = _einstein_block(m, k)
+        block = _einstein_block(system, frame)
         assert block["status"] == status, (m, k)
         assert block["pass"]
         if status == "evidence":
@@ -408,9 +408,8 @@ def test_fault_injection_detected():
     frame = build_frame(bad, x)
     shape = shape_operators(frame)
     result = certify_point(bad, frame, shape, [np.eye(3)[:1]])
-    _, wrong, counts = _named(bad, *result[1:])
-    assert _checked(result)["max_spectrum_deviation"][0] > \
-        DEFAULT_TOLERANCES["geom"]
+    spectrum, _, wrong, counts = _named(bad, result)
+    assert spectrum[0] > DEFAULT_TOLERANCES["geom"]
     assert wrong == [0] and counts != [[2, 1, 1]]
 
 
@@ -439,31 +438,29 @@ def test_certify_point_batch_equals_fold_of_singles(m, k):
 
 
 def test_certify_point_without_normals():
-    # with no normals the lemma reads 0 and its tables have no column;
-    # every other check is read once per
-    # point, for every normal at once, so it reads what it reads with
-    # normals, and case_identity_max still holds the tangency and, at
-    # m = 2, |U|.  The points are the seed and one sampled point: the
-    # seed's tangency sums products of (+-e_j +- e_k) / sqrt(2) with
-    # integer matrices, and whether a rounding error survives there
-    # depends on the BLAS kernel's summation order (it reads exactly 0
-    # under OpenBLAS's Sandybridge, Nehalem and Prescott kernels), so a
-    # nonzero tangency is asserted at the sampled point only
+    # with no normals the lemma's tables have no column (which the fold
+    # reads as 0); every other check is read once per point, for every
+    # normal at once, so it reads what it reads with normals, and
+    # case_identity_max still holds the tangency and, at m = 2, |U|.  The
+    # points are the seed and one sampled point: the seed's tangency sums
+    # products of (+-e_j +- e_k) / sqrt(2) with integer matrices, and
+    # whether a rounding error survives there depends on the BLAS kernel's
+    # summation order (it reads exactly 0 under OpenBLAS's Sandybridge,
+    # Nehalem and Prescott kernels), so a nonzero tangency is asserted at
+    # the sampled point only
     system, frame, shape = _setup(2, 2)
-    result = certify_point(system, frame, shape, np.zeros((2, 0, 3)))
-    residuals, deviation, read = result
+    residuals, deviation, read = certify_point(system, frame, shape,
+                                               np.zeros((2, 0, 3)))
     assert deviation.shape == (2, 0) and read.shape == (2, 0, 3)
-    res = _checked(result)
-    assert list(res) == list(_DEFAULT_TOL)
-    assert all(values.shape == (2,) for values in res.values())
-    assert _passes(res)
-    assert res["max_spectrum_deviation"].tolist() == [0.0, 0.0]
+    assert list(residuals) == list(CHECKED_FIELDS["willmore"])
+    assert all(values.shape == (2,) for values in residuals.values())
+    assert _passes(residuals)
     with_normals = certify_point(system, frame, shape, [np.eye(3)] * 2)
-    assert np.all(_checked(with_normals)["max_spectrum_deviation"] > 0.0)
+    assert np.all(np.max(with_normals[1], axis=1) > 0.0)
     assert _equal(residuals, with_normals[0])
     tangency = willmore._pair_tangency(system, frame)
     assert tangency[1] > 0.0
-    assert np.all(res["case_identity_max"] >= tangency)
+    assert np.all(residuals["case_identity_max"] >= tangency)
 
 
 def test_batched_spectrum_error_names_the_normal(monkeypatch):
@@ -478,9 +475,8 @@ def test_batched_spectrum_error_names_the_normal(monkeypatch):
         # above the cluster radius
         coeffs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         result = certify_point(system, frame, bad, [coeffs])
-        _, wrong, counts = _named(system, *result[1:])
-        assert (_checked(result)["max_spectrum_deviation"][0]
-                > willmore.CLUSTER_RADIUS)
+        spectrum, _, wrong, counts = _named(system, result)
+        assert spectrum[0] > willmore.CLUSTER_RADIUS
         assert wrong == [0] and counts == [[0, 0, 0]]
         # scaling only A_1 leaves the first two normals intact, and the
         # third is the worst
@@ -489,8 +485,8 @@ def test_batched_spectrum_error_names_the_normal(monkeypatch):
         bad = replace(shape, operators=ops)
         coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                   np.array([0.0, 1.0])]
-        worst, wrong, _ = _named(
-            system, *certify_point(system, frame, bad, [coeffs])[1:])
+        _, worst, wrong, _ = _named(
+            system, certify_point(system, frame, bad, [coeffs]))
         assert (worst, wrong) == ([2], [2])
 
 
@@ -504,8 +500,8 @@ def test_batched_multiplicity_error_names_the_normal(monkeypatch):
     for budget in (willmore._BLOCK_BYTES, 1):   # 1: a block per normal
         monkeypatch.setattr(willmore, "_BLOCK_BYTES", budget)
         result = certify_point(system, frame, bad, [coeffs])
-        _, wrong, counts = _named(system, *result[1:])
-        assert _checked(result)["max_spectrum_deviation"][0] <= 1e-15
+        spectrum, _, wrong, counts = _named(system, result)
+        assert spectrum[0] <= 1e-15
         assert wrong == [1] and counts == [[0, n, 0]]
 
 
@@ -605,8 +601,8 @@ def test_certify_point_blocks_equal_single_points(m, k, monkeypatch):
         assert _equal(residuals, singles[0])
         assert np.allclose(deviation, singles[1], rtol=0.0, atol=1e-13)
         assert np.array_equal(read, singles[2])
-        assert (_named(system, deviation, read)[1:]
-                == _named(system, *singles[1:])[1:])
+        assert (_named(system, (residuals, deviation, read))[2:]
+                == _named(system, singles)[2:])
 
 
 def _count_calls(monkeypatch, name, calls):
@@ -686,8 +682,8 @@ def test_only_the_reflection_reads_ambient_arrays(m, k):
     object.__setattr__(blind, "matrices",
                        np.full_like(system.matrices, np.nan))
     unseen = replace(frames, tangent=np.full_like(frames.tangent, np.nan))
-    seen = _checked(certify_point(blind, unseen, shapes, coeffs))
-    clean = _checked(certify_point(system, frames, shapes, coeffs))
+    seen = _checked(system, certify_point(blind, unseen, shapes, coeffs))
+    clean = _checked(system, certify_point(system, frames, shapes, coeffs))
     assert np.all(np.isnan(seen.pop("reflection_max")))
     del clean["reflection_max"]
     assert _equal(seen, clean)
@@ -710,7 +706,8 @@ def test_per_point_reads_run_once_per_call(monkeypatch):
     for name, calls in (("_contractions", contractions), ("_sign_gap", gaps),
                         ("_lemma", lemmas), ("_pair_tensors", tensors)):
         _count_calls(monkeypatch, name, calls)
-    assert _passes(_checked(certify_point(system, frames, shapes, coeffs)))
+    assert _passes(_checked(
+        system, certify_point(system, frames, shapes, coeffs)))
     assert len(contractions) == 2 and len(gaps) == 1
     chunks = [(p, k) for p in range(3) for k in (0, 15, 30, 45)]
     assert len(lemmas) == len(chunks)
@@ -984,8 +981,7 @@ def test_cluster_radius_is_the_spectrum_threshold():
         ops[1] *= 1.0 + target / (2.0 * top)     # s^3 - s = 2 e (1 + 3 e / 2)
         bad = replace(shapes, operators=ops)
         result = certify_point(system, frames, bad, coeffs)
-        worst, wrong, counts = _named(system, *result[1:])
-        spectrum = _checked(result)["max_spectrum_deviation"]
+        spectrum, worst, wrong, counts = _named(system, result)
         assert abs(spectrum[1] / target - 1.0) <= 1e-4
         deviation = willmore._lemma(bad.operators, coeffs)[0]
         assert worst[1] == np.argmax(deviation[1])
@@ -1005,8 +1001,7 @@ def test_certify_point_block_errors_name_the_point():
     ops[2] *= 1.5
     bad = replace(shapes, operators=ops)
     result = certify_point(system, frames, bad, coeffs)
-    _, wrong, counts = _named(system, *result[1:])
-    spectrum = _checked(result)["max_spectrum_deviation"]
+    spectrum, _, wrong, counts = _named(system, result)
     assert np.all(spectrum[:2] <= 1e-15)
     assert spectrum[2] > willmore.CLUSTER_RADIUS
     assert wrong == [-1, -1, 0]
@@ -1109,12 +1104,12 @@ needs_extended = pytest.mark.skipif(
 
 
 def _precision_chain(system, tangent=None, fault=False):
-    """The report's fields that the precision-scaling rule holds, each
-    folded over 20 sampled points of `system` with m + 1 + 10 normals a
-    point, all formed in the system's dtype: the points residuals and the
-    Gram deviation, the geometry fields but the cross-check (float64 only:
-    eigvalsh), the lemma deviation and every willmore field.  Also returns
-    the lemma's multiplicities and the frames' tangent bases.
+    """The fields that the precision-scaling rule holds, each folded over
+    20 sampled points of `system` with m + 1 + 10 normals a point, all
+    formed in the system's dtype: the points residuals, the Gram deviation
+    and the report's own checked fields of geometry (but the float64
+    cross-check), lemma and willmore; and the lemma's multiplicities and
+    the frames' tangent bases.
 
     The frames are build_frame's for a float64 system, and
     oracles.extended_frame's from the float64 bases `tangent` for a wider
@@ -1122,7 +1117,7 @@ def _precision_chain(system, tangent=None, fault=False):
     normalized in float64 carry |c| - 1 of about 1e-16 into A_xi.  With
     `fault`, point 3's operators are scaled by 1 + 1e-12 after
     shape_operators."""
-    m, l, dtype = system.m, system.l, system.matrices.dtype
+    m, dtype = system.m, system.matrices.dtype
     x = sample_focal_points(system, 20, seed=7)
     residuals, gram = point_residuals(system, x)
     frame = (build_frame(system, x) if tangent is None
@@ -1132,23 +1127,17 @@ def _precision_chain(system, tangent=None, fault=False):
         ops = np.array(shape.operators)
         ops[3] *= 1.0 + 1e-12
         shape = replace(shape, operators=ops)
-    n, s = frame.tangent.shape[2], shape.sff_norm_sq
-    fields = {**residuals, "gram_deviation": gram,
-              "S_max_gap": np.abs(s - 2.0 * (l - m - 1) * (m + 1)),
-              "S_spread": s - np.minimum.reduce(s),
-              "rho2_vs_S_max_gap": np.abs(shape.trace_free_norm_sq - s),
-              "H_max": np.abs(shape.mean_curvature),
-              "ricci_trace_max_gap": np.abs(
-                  shape.ricci.trace(axis1=1, axis2=2) - (n * (n - 1) - s))}
     c = default_rng(3).standard_normal((20, 10, m + 1)).astype(dtype)
     c /= np.sqrt(np.add.reduce(c * c, axis=2))[..., None]
     coeffs = np.concatenate(
         [np.broadcast_to(np.eye(m + 1, dtype=dtype), (20, m + 1, m + 1)), c],
         axis=1)
-    checks, deviation, read = certify_point(system, frame, shape, coeffs)
-    fields |= {"max_spectrum_deviation": deviation, **checks}
+    result = certify_point(system, frame, shape, coeffs)
+    fields = {**residuals, "gram_deviation": gram,
+              **geometry_fields(system, shape), **_checked(system, result)}
     assert {v.dtype for v in fields.values()} == {dtype}
-    return {key: fold(v) for key, v in fields.items()}, read, frame.tangent
+    return ({key: fold(v) for key, v in fields.items()}, result[2],
+            frame.tangent)
 
 
 def _wide(system):
@@ -1191,7 +1180,7 @@ def test_a_defect_does_not_shrink_with_precision():
     assert set(checked) - set(narrow) == {"ricci_crosscheck_max"}
     assert all(narrow[key] <= tol for key, tol in checked.items()
                if key in narrow), narrow
-    assert np.all(read == [3, system.m2, system.m2])
+    assert np.all(read == [3, 4, 4])
     wide, _, _ = _precision_chain(_wide(system), tangent, fault=True)
     for key in ("reflection_max", "max_spectrum_deviation"):
         assert 1e-13 < narrow[key] < 2.0 * wide[key], key

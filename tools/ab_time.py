@@ -13,15 +13,20 @@ before any timing.  Then the sides alternate, the side that goes first
 alternating too, each call one `run_suite` and `to_json`.  The script
 prints the median and the quartiles of each side, its median count of
 minor page faults per call (`ru_minflt` of `getrusage`, read around each
-call), the change of the medians, and on how many of the pairs the change
-side was faster.
+call), the change of the medians, on how many of the pairs the change
+side was faster, and whether the claim rule holds: the change side is
+faster in at least 9 of every 10 pairs, and its median is below the base
+side's by more than the base side's quartile distance.
 
 Why: a fresh process per run, as `perfbench/run.py` makes them, spread the
 benchmark's medians by 3-5% between two sides of a change that moved no
 code, while warm repetitions in one process spread 2-4% (quartile distance
 over median).  Alternating the two trees in one process puts both under
-the same drift of the host's speed, so a change of a few percent shows.
-The script is outside the test suite and adds nothing to the product.
+the same drift of the host's speed.  That does not make a change of a few
+percent show: on a 2-vCPU VM the base side's quartile spread has read
+7-65% of its median from one session to the next, so the claim rule
+asks for more than the change of the medians.  The script is outside the
+test suite and adds nothing to the product.
 Run it with single-threaded BLAS (OPENBLAS_NUM_THREADS=1), as the
 benchmark does.
 
@@ -128,6 +133,10 @@ def main(argv=None) -> int:
     faster = sum(c < b for b, c in zip(times["base"], times["change"]))
     print(f"  change of the median {change / base - 1.0:+.1%}; change side "
           f"faster in {faster} of {args.runs} pairs")
+    q1, _, q3 = statistics.quantiles(times["base"], n=4)
+    holds = 10 * faster >= 9 * args.runs and base - change > q3 - q1
+    print(f"  claim rule (faster in >= 9 of 10 pairs, median gain above the "
+          f"base quartile distance): {'holds' if holds else 'does not hold'}")
     return 0
 
 
